@@ -351,9 +351,7 @@ def encrypted_softmax(
     n = cfg.class_count
     inv_t = 1.0 / cfg.temperature
 
-    total = logit_cts[0]
-    for ct in logit_cts[1:]:
-        total = scheme.add(total, ct)
+    total = tree_sum(logit_cts)
 
     q_top = logit_cts[0].scheme.ring.moduli[logit_cts[0].level]
     ys = []
@@ -366,11 +364,8 @@ def encrypted_softmax(
         ys.append(y)
 
     exps = [eval_poly_encrypted(y, approx, evk) for y in ys]
-    total_exp = exps[0]
-    for e in exps[1:]:
-        total_exp = scheme.add(total_exp, e)
     lo, hi = cfg.sum_interval()
-    total_exp = scheme.with_value_bound(total_exp, hi)
+    total_exp = scheme.with_value_bound(tree_sum(exps), hi)
     inv = encrypted_reciprocal(total_exp, lo, hi, cfg.inv_iterations, evk)
 
     cap = cfg.sigma_cap()
@@ -398,9 +393,8 @@ def encrypted_soft_argmax(
             f"logits have {logit_cts[0].level}"
         )
     sigmas = encrypted_softmax(logit_cts, cfg, evk, probe_key)
-    out = None
-    for i, sig in enumerate(sigmas):
-        term = mul_const_raw(sig, float(i + 1), INDEX_SCALE)
-        out = term if out is None else scheme.add(out, term)
+    out = tree_sum(
+        mul_const_raw(sig, float(i + 1), INDEX_SCALE) for i, sig in enumerate(sigmas)
+    )
     bound = 1.0 + (cfg.class_count - 1) * cfg.sigma_cap()
     return scheme.with_value_bound(out, min(out.value_bound, bound))

@@ -60,6 +60,9 @@ def _twist(ring_degree: int) -> np.ndarray:
 class Plaintext:
     """Encoded ring element plus its scale.
 
+    encode yields a Coefficient-domain poly and encode_constant an
+    Evaluation-domain one; consumers convert with ring.to_domain.
+
     round_error: measured max slot-domain error introduced by coefficient
     rounding at encode time (absolute, in units of scale), kept so the
     noise ledger can charge honest per-plaintext rounding noise.
@@ -158,13 +161,6 @@ def decode(pt: Plaintext) -> np.ndarray:
     return np.real(slots) / pt.scale
 
 
-def decode_complex(pt: Plaintext) -> np.ndarray:
-    """As :func:`decode` but keeping the imaginary parts (diagnostics)."""
-    signed, _ = ring.compose_signed(ring.to_domain(pt.poly, ring.Domain.COEFFICIENT))
-    slots = coeffs_to_slots(signed.astype(np.float64), pt.poly.params.ring_degree)
-    return slots / pt.scale
-
-
 def encode_constant(
     value: float,
     scale: float,
@@ -172,7 +168,12 @@ def encode_constant(
     level: int = None,
 ) -> Plaintext:
     """Constant polynomial round(value*scale); exact when the product is
-    integral, which the evaluator exploits for index vectors and masks."""
+    integral, which the evaluator exploits for index vectors and masks.
+
+    The NTT of a constant polynomial is that constant at every root, so
+    the plaintext is built directly in the Evaluation domain, with no
+    transform.
+    """
     if level is None:
         level = params.max_level
     if not np.isfinite(value):
@@ -183,9 +184,9 @@ def encode_constant(
     if abs(scaled) >= 2.0 ** 62:
         raise ValueError("scaled constant exceeds exact integer range")
     c0 = int(np.rint(scaled))
-    coeffs = np.zeros(params.ring_degree, dtype=np.int64)
-    coeffs[0] = c0
-    poly = ring.from_int_coeffs(coeffs, params, level)
+    poly = ring.from_int_coeffs(
+        np.full(params.ring_degree, c0), params, level, ring.Domain.EVALUATION
+    )
     round_error = abs(scaled - c0)
     return Plaintext(
         poly, float(scale), round_error, abs(value) + round_error / scale

@@ -462,12 +462,8 @@ def two_blob_dataset(
     return Dataset(np.clip(feats, -1.0, 1.0), labels)
 
 
-def batch_iter(data: Dataset, batch_size: int, group_key=None):
-    """Chunk a dataset into batches.
-
-    group_key is a grouping hook (e.g. by sequence length) that is a
-    no-op for fixed-length feature vectors; it is accepted and ignored.
-    """
+def batch_iter(data: Dataset, batch_size: int):
+    """Chunk a dataset into consecutive batches."""
     for start in range(0, len(data), batch_size):
         sel = slice(start, start + batch_size)
         yield Dataset(data.features[sel], data.labels[sel])

@@ -1,12 +1,14 @@
 """Exact modular polynomial arithmetic in Z_q[X]/(X^N + 1), RNS form.
 
-Each element keeps one residue vector per prime of the modulus chain.
-All primes satisfy q ≡ 1 (mod 2N) so a negacyclic NTT exists per prime,
-and all primes are kept below 2^42 so that a*b mod q can be computed
-exactly with vectorized uint64 arithmetic (21-bit split, no bigints on
-the hot path). Multiplication runs as pointwise products in the NTT
-(Evaluation) domain; a schoolbook negacyclic convolution is kept as an
-independent oracle.
+Each element keeps one residue row per prime of the modulus chain, as
+a (level+1, N) uint64 block. Every kernel works on the whole block at
+once against the (level+1, 1) column of moduli, so no operation loops
+over primes in Python. All primes satisfy q ≡ 1 (mod 2N) so a negacyclic
+NTT exists per prime, and all primes are kept below 2^42 so that
+a*b mod q can be computed exactly with vectorized uint64 arithmetic
+(21-bit split, no bigints on the hot path). Multiplication runs as
+pointwise products in the NTT (Evaluation) domain; a schoolbook
+negacyclic convolution is kept as an independent oracle.
 
 Elements are immutable after construction (residue arrays are marked
 read-only); every operation returns a new element, so concurrent use is
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from typing import Sequence
 
 import numpy as np
@@ -34,12 +37,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def mulmod(a, b, q) -> np.ndarray:
     """Exact (a * b) % q on uint64 arrays, q < 2^42.
 
-    Splits ``a`` into 21-bit low / 21-bit high halves so every
-    intermediate stays below 2^64.
+    q is a scalar or an array that broadcasts against a and b, such as a
+    (rows, 1) column of moduli. Splits ``a`` into 21-bit low / 21-bit
+    high halves so every intermediate stays below 2^64.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
-    q = np.uint64(q)
+    q = np.asarray(q, dtype=np.uint64)
     hi = ((a >> _SPLIT) * b) % q
     lo = (a & _MASK21) * b
     return ((hi << _SPLIT) + lo) % q
@@ -134,28 +138,30 @@ def bit_reverse_permutation(n: int) -> np.ndarray:
 
 
 class _NttTables:
-    """Precomputed twiddle factors for one (N, q) pair.
+    """Twiddle factors for a whole chain, one row per prime.
 
-    psi is a primitive 2N-th root of unity mod q; powers are stored in
-    bit-reversed order for the in-place Cooley-Tukey / Gentleman-Sande
-    butterflies. The forward transform returns the evaluations of the
+    Row j holds the powers of psi_j, a primitive 2N-th root of unity mod
+    q_j, in bit-reversed order for the in-place Cooley-Tukey /
+    Gentleman-Sande butterflies; an element at level l uses rows
+    [:l+1]. The forward transform returns the evaluations of the
     polynomial at psi^(2k+1) in bit-reversed k order.
     """
 
-    __slots__ = ("q", "psi_rev", "ipsi_rev", "n_inv")
+    __slots__ = ("psi_rev", "ipsi_rev", "n_inv")
 
-    def __init__(self, ring_degree: int, q: int):
-        self.q = q
-        psi = self._primitive_root(ring_degree, q)
-        ipsi = pow(psi, -1, q)
+    def __init__(self, ring_degree: int, moduli: tuple):
         perm = bit_reverse_permutation(ring_degree)
-        self.psi_rev = np.array(
-            [pow(psi, int(i), q) for i in perm], dtype=np.uint64
-        )
-        self.ipsi_rev = np.array(
-            [pow(ipsi, int(i), q) for i in perm], dtype=np.uint64
-        )
-        self.n_inv = np.uint64(pow(ring_degree, -1, q))
+        psi_rows, ipsi_rows = [], []
+        for q in moduli:
+            psi = self._primitive_root(ring_degree, q)
+            ipsi = pow(psi, -1, q)
+            psi_rows.append([pow(psi, int(i), q) for i in perm])
+            ipsi_rows.append([pow(ipsi, int(i), q) for i in perm])
+        self.psi_rev = np.array(psi_rows, dtype=np.uint64)
+        self.ipsi_rev = np.array(ipsi_rows, dtype=np.uint64)
+        self.n_inv = np.array(
+            [pow(ring_degree, -1, q) for q in moduli], dtype=np.uint64
+        )[:, None]
 
     @staticmethod
     def _primitive_root(ring_degree: int, q: int) -> int:
@@ -171,12 +177,12 @@ class _NttTables:
 _TABLE_CACHE: dict = {}
 
 
-def _tables(ring_degree: int, q: int) -> _NttTables:
-    key = (ring_degree, q)
+def _tables(params: RingParams) -> _NttTables:
+    """Tables of the full chain; one top-level NTT fills every level."""
+    key = (params.ring_degree, params.moduli)
     tb = _TABLE_CACHE.get(key)
     if tb is None:
-        tb = _NttTables(ring_degree, q)
-        _TABLE_CACHE[key] = tb
+        tb = _TABLE_CACHE[key] = _NttTables(*key)
     return tb
 
 
@@ -195,6 +201,8 @@ class RingParams:
 
     ring_degree: int
     moduli: tuple
+    # (len(moduli), 1) uint64 column; level l uses rows [:l+1]
+    _q_col: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.ring_degree
@@ -211,6 +219,9 @@ class RingParams:
                 raise ParameterError(
                     f"modulus {q} exceeds {MAX_PRIME_BITS} bits"
                 )
+        col = np.array(self.moduli, dtype=np.uint64).reshape(-1, 1)
+        col.flags.writeable = False
+        object.__setattr__(self, "_q_col", col)
 
     @property
     def level_count(self) -> int:
@@ -221,10 +232,7 @@ class RingParams:
         return len(self.moduli) - 1
 
     def modulus_product(self, level: int) -> int:
-        out = 1
-        for q in self.moduli[: level + 1]:
-            out *= q
-        return out
+        return math.prod(self.moduli[: level + 1])
 
     def total_bits(self, level=None) -> int:
         if level is None:
@@ -264,6 +272,11 @@ class RingElement:
     def moduli(self) -> tuple:
         return self.params.moduli[: self.level + 1]
 
+    @property
+    def _q(self) -> np.ndarray:
+        """(level+1, 1) column of this element's moduli."""
+        return self.params._q_col[: self.level + 1]
+
 
 def _require_compatible(a: RingElement, b: RingElement, same_domain=True):
     if a.params is not b.params and a.params != b.params:
@@ -278,10 +291,8 @@ def from_int_coeffs(
     coeffs, params: RingParams, level: int, domain=Domain.COEFFICIENT
 ) -> RingElement:
     """Reduce signed integer coefficients into RNS residues."""
-    coeffs = np.asarray(coeffs)
-    res = np.empty((level + 1, params.ring_degree), dtype=np.uint64)
-    for j in range(level + 1):
-        res[j] = np.mod(coeffs, params.moduli[j]).astype(np.uint64)
+    q = params._q_col[: level + 1].astype(np.int64)
+    res = np.mod(np.asarray(coeffs), q).astype(np.uint64)
     return RingElement(params, level, res, domain)
 
 
@@ -294,23 +305,19 @@ def ntt_forward(a: RingElement) -> RingElement:
     """Negacyclic NTT per residue prime; exact, O(N log N) per prime."""
     if a.domain != Domain.COEFFICIENT:
         raise ValueError("element already in Evaluation domain")
-    n = a.params.ring_degree
-    out = np.empty_like(a.residues)
-    out[:] = a.residues
-    for j, q in enumerate(a.moduli):
-        tb = _tables(n, q)
-        qq = np.uint64(q)
-        v = out[j]
-        t, m = n, 1
-        while m < n:
-            t >>= 1
-            blocks = v.reshape(m, 2, t)
-            tw = tb.psi_rev[m : 2 * m]
-            u = blocks[:, 0, :].copy()
-            w = mulmod(blocks[:, 1, :], tw[:, None], qq)
-            blocks[:, 0, :] = (u + w) % qq
-            blocks[:, 1, :] = (u + (qq - w)) % qq
-            m <<= 1
+    rows, n = a.residues.shape
+    psi_rev = _tables(a.params).psi_rev
+    q = a._q[:, :, None]
+    out = a.residues.copy()
+    t, m = n, 1
+    while m < n:
+        t >>= 1
+        blocks = out.reshape(rows, m, 2, t)
+        u = blocks[:, :, 0].copy()
+        w = mulmod(blocks[:, :, 1], psi_rev[:rows, m : 2 * m, None], q)
+        blocks[:, :, 0] = (u + w) % q
+        blocks[:, :, 1] = (u + (q - w)) % q
+        m <<= 1
     return a._like(out, Domain.EVALUATION)
 
 
@@ -318,26 +325,21 @@ def ntt_inverse(a: RingElement) -> RingElement:
     """Inverse of :func:`ntt_forward`; bit-exact round trip."""
     if a.domain != Domain.EVALUATION:
         raise ValueError("element already in Coefficient domain")
-    n = a.params.ring_degree
-    out = np.empty_like(a.residues)
-    out[:] = a.residues
-    for j, q in enumerate(a.moduli):
-        tb = _tables(n, q)
-        qq = np.uint64(q)
-        v = out[j]
-        t, m = 1, n
-        while m > 1:
-            h = m >> 1
-            blocks = v.reshape(h, 2, t)
-            tw = tb.ipsi_rev[h:m]
-            u = blocks[:, 0, :].copy()
-            w = blocks[:, 1, :].copy()
-            blocks[:, 0, :] = (u + w) % qq
-            blocks[:, 1, :] = mulmod((u + (qq - w)) % qq, tw[:, None], qq)
-            t <<= 1
-            m = h
-        out[j] = mulmod(v, tb.n_inv, qq)
-    return a._like(out, Domain.COEFFICIENT)
+    rows, n = a.residues.shape
+    tb = _tables(a.params)
+    q = a._q[:, :, None]
+    out = a.residues.copy()
+    t, m = 1, n
+    while m > 1:
+        h = m >> 1
+        blocks = out.reshape(rows, h, 2, t)
+        u = blocks[:, :, 0].copy()
+        w = blocks[:, :, 1]
+        blocks[:, :, 0] = (u + w) % q
+        blocks[:, :, 1] = mulmod((u + (q - w)) % q, tb.ipsi_rev[:rows, h:m, None], q)
+        t <<= 1
+        m = h
+    return a._like(mulmod(out, tb.n_inv[:rows], a._q), Domain.COEFFICIENT)
 
 
 def to_domain(a: RingElement, domain: Domain) -> RingElement:
@@ -348,27 +350,18 @@ def to_domain(a: RingElement, domain: Domain) -> RingElement:
 
 def ring_add(a: RingElement, b: RingElement) -> RingElement:
     _require_compatible(a, b)
-    out = np.empty_like(a.residues)
-    for j, q in enumerate(a.moduli):
-        out[j] = (a.residues[j] + b.residues[j]) % np.uint64(q)
-    return a._like(out)
+    return a._like((a.residues + b.residues) % a._q)
 
 
 def ring_sub(a: RingElement, b: RingElement) -> RingElement:
     _require_compatible(a, b)
-    out = np.empty_like(a.residues)
-    for j, q in enumerate(a.moduli):
-        qq = np.uint64(q)
-        out[j] = (a.residues[j] + (qq - b.residues[j])) % qq
-    return a._like(out)
+    q = a._q
+    return a._like((a.residues + (q - b.residues)) % q)
 
 
 def ring_neg(a: RingElement) -> RingElement:
-    out = np.empty_like(a.residues)
-    for j, q in enumerate(a.moduli):
-        qq = np.uint64(q)
-        out[j] = (qq - a.residues[j]) % qq
-    return a._like(out)
+    q = a._q
+    return a._like((q - a.residues) % q)
 
 
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
@@ -382,10 +375,7 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     _require_compatible(a, b)
     if a.domain == Domain.COEFFICIENT:
         return ntt_inverse(ring_mul(ntt_forward(a), ntt_forward(b)))
-    out = np.empty_like(a.residues)
-    for j, q in enumerate(a.moduli):
-        out[j] = mulmod(a.residues[j], b.residues[j], q)
-    return a._like(out)
+    return a._like(mulmod(a.residues, b.residues, a._q))
 
 
 def schoolbook_mul(a: RingElement, b: RingElement) -> RingElement:
@@ -429,11 +419,13 @@ def drop_level(a: RingElement, new_level: int) -> RingElement:
 def sample_uniform(
     params: RingParams, level: int, rng: np.random.Generator
 ) -> RingElement:
-    """Uniform element of R_q: per prime, coefficients i.i.d. in [0, q)."""
-    n = params.ring_degree
-    res = np.empty((level + 1, n), dtype=np.uint64)
-    for j in range(level + 1):
-        res[j] = rng.integers(0, params.moduli[j], n, dtype=np.uint64)
+    """Uniform element of R_q: per prime, coefficients i.i.d. in [0, q).
+
+    The single draw against the moduli column is row-major: row j equals
+    rng.integers(0, q_j, N) drawn in turn, row by row.
+    """
+    q = params._q_col[: level + 1]
+    res = rng.integers(0, q, (level + 1, params.ring_degree), dtype=np.uint64)
     return RingElement(params, level, res, Domain.EVALUATION)
 
 
@@ -484,18 +476,18 @@ _CRT_CACHE: dict = {}
 
 
 def _crt_constants(params: RingParams, level: int):
+    """(Q, M, inv): M_j = Q/q_j as an object row, inv_j = M_j^-1 mod q_j
+    as a uint64 column."""
     key = (params.ring_degree, params.moduli[: level + 1])
     consts = _CRT_CACHE.get(key)
     if consts is None:
         primes = params.moduli[: level + 1]
         big_q = params.modulus_product(level)
-        parts = []
-        for q in primes:
-            m_j = big_q // q
-            inv = pow(m_j % q, -1, q)
-            parts.append((m_j, inv))
-        consts = (big_q, parts)
-        _CRT_CACHE[key] = consts
+        m = np.array([big_q // q for q in primes], dtype=object)
+        inv = np.array(
+            [pow(big_q // q % q, -1, q) for q in primes], dtype=np.uint64
+        )[:, None]
+        consts = _CRT_CACHE[key] = (big_q, m, inv)
     return consts
 
 
@@ -503,13 +495,9 @@ def compose(a: RingElement):
     """CRT-combine residues to integers in [0, Q); returns (values, Q)."""
     if a.domain != Domain.COEFFICIENT:
         raise ValueError("compose expects Coefficient domain")
-    big_q, parts = _crt_constants(a.params, a.level)
-    acc = np.zeros(a.params.ring_degree, dtype=object)
-    for j, (m_j, inv) in enumerate(parts):
-        t = mulmod(a.residues[j], inv, a.params.moduli[j])
-        acc += t.astype(object) * m_j
-    acc %= big_q
-    return acc, big_q
+    big_q, m, inv = _crt_constants(a.params, a.level)
+    t = mulmod(a.residues, inv, a._q)
+    return np.dot(m, t.astype(object)) % big_q, big_q
 
 
 def compose_signed(a: RingElement):

@@ -274,23 +274,23 @@ def keygen(params: SchemeParams, rng: np.random.Generator) -> KeyMaterial:
     b = ring.ring_add(ring.ring_neg(ring.ring_mul(a, s)), e)
 
     s2 = ring.ring_mul(s, s)
-    big_q = rp.modulus_product(lv)
-    n_digits = params.relin_digits(lv)
+    q = rp._q_col
+    base = np.uint64(1 << DIGIT_BITS) % q
+    shift = np.ones_like(base)  # 2^(20 t) mod q_j, one row per prime
     comps = []
-    for t in range(n_digits):
+    for _ in range(params.relin_digits(lv)):
         a_t = ring.sample_uniform(rp, lv, rng)
         e_t = ring.ntt_forward(
             ring.sample_gaussian(rp, lv, params.err_std, rng, tail_bound=KEY_ERR_TAIL)
         )
-        shift = pow(2, DIGIT_BITS * t, big_q)
-        shifted = np.empty_like(s2.residues)
-        for j, q in enumerate(rp.moduli):
-            shifted[j] = ring.mulmod(s2.residues[j], shift % q, q)
-        gadget = ring.RingElement(rp, lv, shifted, ring.Domain.EVALUATION)
+        gadget = ring.RingElement(
+            rp, lv, ring.mulmod(s2.residues, shift, q), ring.Domain.EVALUATION
+        )
         b_t = ring.ring_add(
             ring.ring_add(ring.ring_neg(ring.ring_mul(a_t, s)), e_t), gadget
         )
         comps.append((b_t, a_t))
+        shift = ring.mulmod(shift, base, q)
     return KeyMaterial(
         sk=SecretKey(params, s),
         pk=PublicKey(params, b, a),
@@ -326,8 +326,21 @@ class Ciphertext:
 
 
 def _checked(ct: Ciphertext) -> Ciphertext:
-    """Budget and wraparound guards; every op returns through here."""
+    """Budget and wraparound guards; every op returns through here.
+
+    A NaN or infinite ledger field would slip past both comparisons, so
+    it is rejected first; noise_bits may be -inf (an exact ciphertext).
+    """
     params = ct.scheme
+    if not (
+        ct.noise_bits < math.inf
+        and math.isfinite(ct.value_bound)
+        and math.isfinite(ct.scale)
+    ):
+        raise NoiseBudgetExceeded(
+            f"non-finite ledger: noise_bits={ct.noise_bits}, "
+            f"value_bound={ct.value_bound}, scale={ct.scale}"
+        )
     if ct.noise_bits > params.noise_budget_bits:
         raise NoiseBudgetExceeded(
             f"ledger at {ct.noise_bits:.1f} bits exceeds budget "
@@ -555,32 +568,6 @@ def mult(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
     )
 
 
-def tensor_no_relin(a: Ciphertext, b: Ciphertext) -> Ciphertext:
-    """3-part tensor product, for tests that decrypt with s^2 directly."""
-    _require_aligned(a, b)
-    d0 = ring.ring_mul(a.parts[0], b.parts[0])
-    d1 = ring.ring_add(
-        ring.ring_mul(a.parts[0], b.parts[1]),
-        ring.ring_mul(a.parts[1], b.parts[0]),
-    )
-    d2 = ring.ring_mul(a.parts[1], b.parts[1])
-    noise = _log2_sum(
-        a.noise_bits + _log2_pos(b.value_bound * b.scale),
-        b.noise_bits + _log2_pos(a.value_bound * a.scale),
-        a.noise_bits + b.noise_bits,
-    )
-    return _checked(
-        Ciphertext(
-            scheme=a.scheme,
-            parts=(d0, d1, d2),
-            level=a.level,
-            scale=a.scale * b.scale,
-            noise_bits=noise,
-            value_bound=a.value_bound * b.value_bound,
-        )
-    )
-
-
 def rescale(ct: Ciphertext) -> Ciphertext:
     """Drop the top prime, dividing scale (and value*scale payload) by it.
 
@@ -592,18 +579,16 @@ def rescale(ct: Ciphertext) -> Ciphertext:
     rp = ct.scheme.ring
     lv = ct.level
     q_top = rp.moduli[lv]
-    inv = [pow(q_top, -1, rp.moduli[j]) for j in range(lv)]
+    q = rp._q_col[:lv]
+    inv = np.array([[pow(q_top, -1, qj)] for qj in rp.moduli[:lv]], dtype=np.uint64)
     new_parts = []
     for part in ct.parts:
-        coeff = ring.ntt_inverse(part)
-        top = coeff.residues[lv].astype(np.int64)
+        coeff = ring.ntt_inverse(part).residues
+        top = coeff[lv].astype(np.int64)
         top_signed = np.where(top > q_top // 2, top - q_top, top)
-        res = np.empty((lv, rp.ring_degree), dtype=np.uint64)
-        for j in range(lv):
-            qj = np.uint64(rp.moduli[j])
-            lifted = np.mod(top_signed, rp.moduli[j]).astype(np.uint64)
-            diff = (coeff.residues[j] + (qj - lifted)) % qj
-            res[j] = ring.mulmod(diff, inv[j], rp.moduli[j])
+        lifted = np.mod(top_signed, q.astype(np.int64)).astype(np.uint64)
+        diff = (coeff[:lv] + (q - lifted)) % q
+        res = ring.mulmod(diff, inv, q)
         new_parts.append(
             ring.ntt_forward(
                 ring.RingElement(rp, lv - 1, res, ring.Domain.COEFFICIENT)
@@ -635,11 +620,6 @@ def ct_drop_level(ct: Ciphertext, new_level: int) -> Ciphertext:
     return _checked(
         dataclasses.replace(ct, parts=parts, level=new_level)
     )
-
-
-def align_levels(a: Ciphertext, b: Ciphertext):
-    lv = min(a.level, b.level)
-    return ct_drop_level(a, lv), ct_drop_level(b, lv)
 
 
 def noise_measure(sk: SecretKey, ct: Ciphertext, reference) -> float:

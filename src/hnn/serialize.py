@@ -3,7 +3,7 @@
 Blob layout (all integers little-endian):
 
     magic    4 bytes  "HNN1"
-    kind     u8       0=pk 1=sk 2=evk 3=ct 4=pt
+    kind     u8       0=pk 1=sk 2=evk 3=ct
     version  u16
     params_hash  32 bytes (sha256 of the canonical parameter file text)
     payload_len  u64
@@ -30,7 +30,7 @@ import struct
 
 import numpy as np
 
-from . import encoding, ring, scheme
+from . import ring, scheme
 from .errors import FormatError, ParamsHashMismatch
 
 MAGIC = b"HNN1"
@@ -41,7 +41,6 @@ KIND_PK = 0
 KIND_SK = 1
 KIND_EVK = 2
 KIND_CT = 3
-KIND_PT = 4
 
 BUNDLE_FEATURES = 0
 BUNDLE_SCORES = 1
@@ -79,22 +78,28 @@ def params_from_text(text: str) -> scheme.SchemeParams:
             raise FormatError(f"malformed parameter line: {ln!r}")
         key, val = ln.split("=", 1)
         kv[key.strip()] = val.strip()
+    # parse every field before building anything, so that only malformed
+    # text (not a ParameterError from the values) becomes a FormatError
     try:
         n = int(kv["ring_degree"])
         bits = [int(b) for b in kv["modulus_bits"].split(",")]
-        moduli = ring.find_ntt_primes(n, bits)
-        return scheme.SchemeParams(
+        fields = dict(
             security_level=int(kv["lambda"]),
-            ring=ring.RingParams(n, moduli),
             scale=float(2 ** int(kv["scale_bits"])),
             slot_capacity=int(kv["slots"]),
             secret_weight=int(kv["secret_weight"]),
             err_std=float(kv["err_std"]),
             noise_budget_bits=float(kv["noise_budget_bits"]),
-            allow_insecure=kv["allow_insecure"] == "true",
+            allow_insecure={"true": True, "false": False}[kv["allow_insecure"]],
         )
     except KeyError as exc:
-        raise FormatError(f"parameter file missing field {exc}") from exc
+        raise FormatError(f"parameter file missing field or value {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed parameter value: {exc}") from exc
+    if not all(map(math.isfinite, (fields["err_std"], fields["noise_budget_bits"]))):
+        raise FormatError("err_std and noise_budget_bits must be finite")
+    rp = ring.RingParams(n, ring.find_ntt_primes(n, bits))
+    return scheme.SchemeParams(ring=rp, **fields)
 
 
 def params_hash(params: scheme.SchemeParams) -> bytes:
@@ -135,11 +140,10 @@ def _read_element(buf, params: scheme.SchemeParams) -> ring.RingElement:
     res = np.frombuffer(data, dtype="<u8").astype(np.uint64).reshape(
         level + 1, rp.ring_degree
     )
-    for j in range(level + 1):
-        if np.any(res[j] >= rp.moduli[j]):
-            raise FormatError("residue outside modulus range")
+    if np.any(res >= rp._q_col[: level + 1]):
+        raise FormatError("residue outside modulus range")
     domain = ring.Domain.EVALUATION if domain_flag else ring.Domain.COEFFICIENT
-    return ring.RingElement(rp, level, res.copy(), domain)
+    return ring.RingElement(rp, level, res, domain)
 
 
 def _blob(kind: int, hash32: bytes, payload: bytes) -> bytes:
@@ -227,7 +231,7 @@ def relin_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.Rel
 
 
 # ---------------------------------------------------------------------------
-# Ciphertexts / plaintexts
+# Ciphertexts
 # ---------------------------------------------------------------------------
 
 def ciphertext_to_bytes(ct: scheme.Ciphertext) -> bytes:
@@ -248,32 +252,29 @@ def ciphertext_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.Ci
     if len(raw) != 29:
         raise FormatError("truncated ciphertext header")
     n_parts, level, scale, noise_bits, value_bound = struct.unpack("<BIddd", raw)
+    if n_parts not in (2, 3):
+        raise FormatError(f"ciphertext with {n_parts} parts")
+    # noise_bits may be -inf: the ledger's log2 of an exact zero error
+    finite = noise_bits < math.inf and math.isfinite(value_bound)
+    if not (0 < scale < math.inf and finite):
+        raise FormatError(
+            f"bad ciphertext ledger: scale={scale}, noise_bits={noise_bits}, "
+            f"value_bound={value_bound}"
+        )
     parts = tuple(_read_element(buf, params) for _ in range(n_parts))
-    return scheme.Ciphertext(
-        scheme=params,
-        parts=parts,
-        level=level,
-        scale=scale,
-        noise_bits=noise_bits,
-        value_bound=value_bound,
+    for p in parts:
+        if p.level != level or p.domain != ring.Domain.EVALUATION:
+            raise FormatError("ciphertext part level or domain disagrees with header")
+    return scheme._checked(
+        scheme.Ciphertext(
+            scheme=params,
+            parts=parts,
+            level=level,
+            scale=scale,
+            noise_bits=noise_bits,
+            value_bound=value_bound,
+        )
     )
-
-
-def plaintext_to_bytes(pt: encoding.Plaintext, params: scheme.SchemeParams) -> bytes:
-    buf = io.BytesIO()
-    buf.write(struct.pack("<ddd", pt.scale, pt.round_error, pt.value_bound))
-    _write_element(buf, pt.poly)
-    return _blob(KIND_PT, params_hash(params), buf.getvalue())
-
-
-def plaintext_from_bytes(data: bytes, params: scheme.SchemeParams) -> encoding.Plaintext:
-    buf = io.BytesIO(_open_blob(data, KIND_PT, params))
-    raw = buf.read(24)
-    if len(raw) != 24:
-        raise FormatError("truncated plaintext header")
-    scale, round_error, value_bound = struct.unpack("<ddd", raw)
-    poly = _read_element(buf, params)
-    return encoding.Plaintext(poly, scale, round_error, value_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ embeddings, central finite differences, and plain numpy reference math.
 import mpmath
 import numpy as np
 
-from hnn import ring
+from hnn import ring, scheme
 
 
 def naive_negacyclic_transform(coeffs, n, q, psi):
@@ -122,3 +122,47 @@ def random_ring_element(params, level, rng, domain=ring.Domain.COEFFICIENT):
         ]
     )
     return ring.RingElement(params, level, res, domain)
+
+
+def tensor_no_relin(a, b):
+    """3-part tensor product, for tests that decrypt with s^2 directly."""
+    scheme._require_aligned(a, b)
+    d0 = ring.ring_mul(a.parts[0], b.parts[0])
+    d1 = ring.ring_add(
+        ring.ring_mul(a.parts[0], b.parts[1]),
+        ring.ring_mul(a.parts[1], b.parts[0]),
+    )
+    d2 = ring.ring_mul(a.parts[1], b.parts[1])
+    noise = scheme._log2_sum(
+        a.noise_bits + scheme._log2_pos(b.value_bound * b.scale),
+        b.noise_bits + scheme._log2_pos(a.value_bound * a.scale),
+        a.noise_bits + b.noise_bits,
+    )
+    return scheme._checked(
+        scheme.Ciphertext(
+            scheme=a.scheme,
+            parts=(d0, d1, d2),
+            level=a.level,
+            scale=a.scale * b.scale,
+            noise_bits=noise,
+            value_bound=a.value_bound * b.value_bound,
+        )
+    )
+
+
+def rescale_rows(ct):
+    """Row-by-row RNS rescale of every part: Coefficient-domain residues
+    at level-1, each prime handled on its own with Python ints."""
+    rp = ct.scheme.ring
+    lv = ct.level
+    q_top = rp.moduli[lv]
+    out = []
+    for part in ct.parts:
+        coeff = ring.ntt_inverse(part).residues
+        top = [int(x) - q_top if int(x) > q_top // 2 else int(x) for x in coeff[lv]]
+        rows = []
+        for j, q in enumerate(rp.moduli[:lv]):
+            inv = pow(q_top, -1, q)
+            rows.append([(int(c) - t) * inv % q for c, t in zip(coeff[j], top)])
+        out.append(np.array(rows, dtype=np.uint64))
+    return out

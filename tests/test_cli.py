@@ -1,5 +1,7 @@
 import hashlib
+import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -40,6 +42,26 @@ class TestParamsFile:
     def test_rejects_garbage(self):
         with pytest.raises(FormatError):
             serialize.params_from_text("not a params file")
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("ring_degree", "lots"),
+            ("modulus_bits", "42,x"),
+            ("err_std", "3.2.1"),
+            ("err_std", "nan"),
+            ("noise_budget_bits", "inf"),
+            ("allow_insecure", "maybe"),
+        ],
+    )
+    def test_bad_value_is_format_error(self, params, field, bad):
+        text = serialize.params_to_text(params)
+        lines = [
+            f"{field} = {bad}" if ln.startswith(f"{field} =") else ln
+            for ln in text.splitlines()
+        ]
+        with pytest.raises(FormatError):
+            serialize.params_from_text("\n".join(lines))
 
 
 class TestBlobs:
@@ -137,6 +159,85 @@ class TestBlobs:
         pk_len = next(iter(sizes))[0]
         overhead = 4 + 3 + 32 + 8 + 32
         assert pk_len == overhead + 2 * (5 + params.element_bytes)
+
+
+def _reseal(blob, offset, packed):
+    """Overwrite bytes of a blob and recompute its checksum, so only the
+    semantic checks can catch the change."""
+    body = bytearray(blob[:-32])
+    body[offset : offset + len(packed)] = packed
+    return bytes(body) + hashlib.sha256(body).digest()
+
+
+# ciphertext payload header "<BIddd" starts after the 47-byte blob header
+_CT_PARTS, _CT_LEVEL, _CT_SCALE, _CT_NOISE, _CT_BOUND = 47, 48, 52, 60, 68
+
+
+def _tampered(ct, what):
+    blob = serialize.ciphertext_to_bytes(ct)
+    offset, fmt, value = {
+        "zero parts": (_CT_PARTS, "<B", 0),
+        "four parts": (_CT_PARTS, "<B", 4),
+        "part level": (_CT_LEVEL, "<I", ct.level - 1),
+        "zero scale": (_CT_SCALE, "<d", 0.0),
+        "negative scale": (_CT_SCALE, "<d", -ct.scale),
+        "inf scale": (_CT_SCALE, "<d", math.inf),
+        "nan noise": (_CT_NOISE, "<d", math.nan),
+        "inf noise": (_CT_NOISE, "<d", math.inf),
+        "nan bound": (_CT_BOUND, "<d", math.nan),
+        "inf bound": (_CT_BOUND, "<d", math.inf),
+        # domain flag of the first part: level u32, then domain u8
+        "coefficient part": (_CT_BOUND + 8 + 4, "<B", 0),
+    }[what]
+    return _reseal(blob, offset, struct.pack(fmt, value))
+
+
+_TAMPERS = [
+    "zero parts", "four parts", "part level", "zero scale", "negative scale",
+    "inf scale", "nan noise", "inf noise", "nan bound", "inf bound",
+    "coefficient part",
+]
+
+
+class TestCiphertextHeader:
+    @pytest.fixture(scope="class")
+    def ct(self, params, keys):
+        rng = np.random.default_rng(6)
+        return neural.encrypt_features(keys.pk, rng.uniform(-1, 1, (4, 1)), rng)[0]
+
+    def test_pristine_blob_loads_through_guards(self, params, ct):
+        blob = serialize.ciphertext_to_bytes(ct)
+        back = serialize.ciphertext_from_bytes(blob, params)
+        assert (back.level, back.scale, back.noise_bits) == (
+            ct.level, ct.scale, ct.noise_bits,
+        )
+
+    @pytest.mark.parametrize("what", _TAMPERS)
+    def test_tampered_header_is_format_error(self, params, ct, what):
+        with pytest.raises(FormatError):
+            serialize.ciphertext_from_bytes(_tampered(ct, what), params)
+
+    @pytest.mark.parametrize("what", _TAMPERS)
+    def test_tampered_header_exit_code_3(self, tmp_path, params, keys, ct, what):
+        params_file = tmp_path / "p.txt"
+        serialize.save_params(params, params_file)
+        sk_file = tmp_path / "sk.bin"
+        sk_file.write_bytes(serialize.secret_key_to_bytes(keys.sk))
+        blob = _tampered(ct, what)
+        bundle = tmp_path / "scores.hct"
+        bundle.write_bytes(
+            serialize.BUNDLE_MAGIC
+            + struct.pack(
+                "<HBII", serialize.FORMAT_VERSION, serialize.BUNDLE_SCORES, 1, 4
+            )
+            + struct.pack("<Q", len(blob))
+            + blob
+        )
+        code = cli.main([
+            "decrypt", "--sk", str(sk_file), "--params", str(params_file),
+            "--input", str(bundle), "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 3
 
 
 class TestBundles:
@@ -331,6 +432,14 @@ class TestCliCommands:
             str(tmp_path / "o.hct"),
         )
         assert code == 5
+
+    def test_bad_params_value_exit_code(self, tmp_path, params):
+        text = serialize.params_to_text(params).replace(
+            f"slots = {params.slot_capacity}", "slots = sixteen"
+        )
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert self.run("keygen", "--params", str(bad), "--out-dir", str(tmp_path)) == 3
 
     def test_crypto_state_exit_code(self, tmp_path, params, keys):
         # infer on a shallow chain exhausts levels -> exit 4

@@ -54,6 +54,25 @@ class TestEncode:
             encoding.encode([0.5], 2.0 ** 9, params)  # below scale floor
 
 
+class TestEncodeConstant:
+    @pytest.mark.parametrize("value", [0.75, -1.3, 0.0, -2.0 ** 20, 3.0e6])
+    def test_residues_equal_ntt_of_constant_polynomial(self, value):
+        params = make_params(64, [42] + [41] * 5)
+        scale = 2.0 ** 30
+        for level in (0, 2, params.max_level):
+            pt = encoding.encode_constant(value, scale, params, level)
+            assert pt.poly.domain == ring.Domain.EVALUATION
+            coeffs = np.zeros(64, dtype=np.int64)
+            coeffs[0] = int(np.rint(value * scale))
+            expect = ring.ntt_forward(ring.from_int_coeffs(coeffs, params, level))
+            assert np.array_equal(pt.poly.residues, expect.residues)
+
+    def test_decodes_to_the_constant(self):
+        params = make_params(16)
+        pt = encoding.encode_constant(-0.625, 2.0 ** 20, params)
+        assert np.max(np.abs(encoding.decode(pt) + 0.625)) < 1e-12
+
+
 class TestDecode:
     def test_zero_polynomial_decodes_to_zeros(self):
         params = make_params()

@@ -317,7 +317,7 @@ class TestMetrics:
 class TestDataPlumbing:
     def test_batch_iter_covers_everything(self, rng):
         data = neural.two_blob_dataset(70, 4, rng)
-        batches = list(neural.batch_iter(data, 32, group_key=len))
+        batches = list(neural.batch_iter(data, 32))
         assert [len(b) for b in batches] == [32, 32, 6]
         rebuilt = np.concatenate([b.features for b in batches])
         assert np.array_equal(rebuilt, data.features)

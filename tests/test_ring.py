@@ -127,6 +127,71 @@ class TestRingMul:
             ring.ring_mul(a, b)
 
 
+class TestBatchedChain:
+    """The (level+1, N) kernels against per-row and schoolbook oracles on
+    a 17-prime chain, at every level."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        return make_params(64, [42] + [41] * 16)
+
+    def test_ntt_roundtrip_every_level(self, chain):
+        rng = np.random.default_rng(11)
+        assert chain.level_count == 17
+        for level in range(chain.level_count):
+            el = random_ring_element(chain, level, rng)
+            fwd = ring.ntt_forward(el)
+            assert fwd.residues.shape == (level + 1, 64)
+            back = ring.ntt_inverse(fwd)
+            assert np.array_equal(back.residues, el.residues)
+
+    def test_ntt_rows_match_single_prime_rings(self, chain):
+        # row j of a chain NTT equals the NTT over the one-prime ring q_j
+        rng = np.random.default_rng(12)
+        el = random_ring_element(chain, chain.max_level, rng)
+        fwd = ring.ntt_forward(el)
+        for j, q in enumerate(chain.moduli):
+            single = ring.RingElement(
+                ring.RingParams(64, (q,)), 0, el.residues[j : j + 1].copy(),
+                ring.Domain.COEFFICIENT,
+            )
+            assert np.array_equal(ring.ntt_forward(single).residues[0], fwd.residues[j])
+
+    def test_ring_mul_matches_schoolbook_every_level(self, chain):
+        rng = np.random.default_rng(13)
+        for level in range(chain.level_count):
+            a = random_ring_element(chain, level, rng)
+            b = random_ring_element(chain, level, rng)
+            assert np.array_equal(
+                ring.ring_mul(a, b).residues, ring.schoolbook_mul(a, b).residues
+            )
+
+    def test_add_sub_neg_match_python_ints(self, chain):
+        rng = np.random.default_rng(14)
+        level = 9
+        a = random_ring_element(chain, level, rng)
+        b = random_ring_element(chain, level, rng)
+        for j, q in enumerate(chain.moduli[: level + 1]):
+            x = [int(v) for v in a.residues[j]]
+            y = [int(v) for v in b.residues[j]]
+            assert ring.ring_add(a, b).residues[j].tolist() == [
+                (u + v) % q for u, v in zip(x, y)
+            ]
+            assert ring.ring_sub(a, b).residues[j].tolist() == [
+                (u - v) % q for u, v in zip(x, y)
+            ]
+            assert ring.ring_neg(a).residues[j].tolist() == [-u % q for u in x]
+
+    def test_compose_matches_python_crt(self, chain):
+        rng = np.random.default_rng(15)
+        el = random_ring_element(chain, 5, rng)
+        values, big_q = ring.compose(el)
+        assert big_q == chain.modulus_product(5)
+        for j, q in enumerate(chain.moduli[:6]):
+            assert [int(v) % q for v in values] == el.residues[j].tolist()
+        assert all(0 <= int(v) < big_q for v in values)
+
+
 class TestSchoolbook:
     def test_one_plus_x_times_one_minus_x(self):
         # (1 + X)(1 - X) = 1 - X^2
@@ -241,6 +306,20 @@ class TestSamplers:
             a = sampler(np.random.default_rng(99))
             b = sampler(np.random.default_rng(99))
             assert np.array_equal(a.residues, b.residues)
+
+    @pytest.mark.parametrize("bit_sizes", [[42] + [41] * 16, [20, 14, 17]])
+    def test_uniform_matches_per_row_draws(self, bit_sizes):
+        # one batched draw consumes the Generator exactly like row-by-row
+        # draws, so fixed-seed keys stay the same
+        params = make_params(64, bit_sizes)
+        for level in (0, params.max_level // 2, params.max_level):
+            el = ring.sample_uniform(params, level, np.random.default_rng(7))
+            rows = np.random.default_rng(7)
+            expect = np.stack(
+                [rows.integers(0, q, 64, dtype=np.uint64) for q in el.moduli]
+            )
+            assert el.domain == ring.Domain.EVALUATION
+            assert np.array_equal(el.residues, expect)
 
 
 class TestDropLevel:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from hnn.errors import (
     ParameterError,
     ScaleMismatch,
 )
+
+from helpers import rescale_rows, tensor_no_relin
 
 
 def enc(keys, values, rng, scale=None):
@@ -150,9 +153,7 @@ class TestEncryptDecrypt:
     def test_three_part_decrypt(self, small_keys, rng):
         k = small_keys.scheme.slot_capacity
         u, v = rng.uniform(-1, 1, k), rng.uniform(-1, 1, k)
-        tensor = scheme.tensor_no_relin(
-            enc(small_keys, u, rng), enc(small_keys, v, rng)
-        )
+        tensor = tensor_no_relin(enc(small_keys, u, rng), enc(small_keys, v, rng))
         assert len(tensor.parts) == 3
         slots = scheme.decrypt_to_slots(small_keys.sk, tensor)[:k]
         assert np.max(np.abs(slots - u * v)) < 2.0 ** -15
@@ -268,6 +269,17 @@ class TestMultRescale:
         sq2 = scheme.rescale(scheme.mult(sq, sq, small_keys.evk))
         assert np.max(np.abs(dec(small_keys, sq2, k) - v ** 4)) < 2.0 ** -12
 
+    def test_rescale_matches_per_row_reference(self, small_keys, head_keys, rng):
+        for keys in (small_keys, head_keys):
+            k = keys.scheme.slot_capacity
+            ct = enc(keys, rng.uniform(-1, 1, k), rng)
+            for _ in range(3):
+                prod = scheme.mult(ct, ct, keys.evk)
+                expect = rescale_rows(prod)
+                ct = scheme.rescale(prod)
+                for part, rows in zip(ct.parts, expect):
+                    assert np.array_equal(ring.ntt_inverse(part).residues, rows)
+
     def test_rescale_at_level_zero_rejected(self, small_keys, rng):
         ct = enc(small_keys, np.zeros(small_keys.scheme.slot_capacity), rng)
         bottom = scheme.ct_drop_level(ct, 0)
@@ -350,6 +362,20 @@ class TestNoiseLedger:
             got = scheme.decrypt_to_slots(small_keys.sk, ct)[:k]
             assert np.max(np.abs(got - vals)) < 1e-3, "silent corruption"
         assert raised
+
+    @pytest.mark.parametrize("field", ["noise_bits", "value_bound", "scale"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_ledger_rejected(self, small_keys, rng, field, bad):
+        # NaN compares false against every guard; it must not slip through
+        ct = enc(small_keys, rng.uniform(-1, 1, 4), rng)
+        broken = dataclasses.replace(ct, **{field: bad})
+        with pytest.raises(NoiseBudgetExceeded):
+            scheme._checked(broken)
+        if field != "scale":
+            with pytest.raises(NoiseBudgetExceeded):
+                scheme.add(broken, ct)
+            with pytest.raises(NoiseBudgetExceeded):
+                scheme.rescale(scheme.mult(broken, ct, small_keys.evk))
 
     def test_budget_exceeded_on_tiny_budget(self, small_params, rng):
         import dataclasses
