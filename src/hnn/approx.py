@@ -10,13 +10,12 @@ scheme primitives:
 * 1/x on [a, b]: Newton iteration z <- z(2 - x z) from the plaintext
   constant z0 = 1/b; relative error (1 - a/b)^(2^k) plus scheme noise.
   The first iteration is affine in x and folded into one level.
-* softmax: subtract the slot mean of the logits (exact linear op that
-  softmax is invariant to), divide by the temperature, exponentiate,
-  sum, take the encrypted reciprocal, and multiply per class. Mean
-  subtraction pins the exp-sum into [n(1-eps), n cosh(r) + n eps], which
-  is what lets a handful of Newton steps converge.
-* soft-argmax: per-class product with the exact index constant i at a
-  small auxiliary scale; the weighted sum needs no further level.
+* softmax: exponentiate, sum, take the encrypted reciprocal, and
+  multiply per class. The caller folds mean-centering and temperature
+  into the plaintext probe; zero-mean inputs pin the exp-sum into
+  [n(1-eps), n cosh(r) + n eps], which lets a few Newton steps converge.
+* soft-argmax: (sum_i i*e_i) * reciprocal, one ciphertext product; the
+  exact index constants i sit at a small auxiliary scale, costing no level.
 """
 
 from __future__ import annotations
@@ -133,23 +132,6 @@ def tree_sum(cts) -> Ciphertext:
     return cts[0]
 
 
-def mul_const(
-    ct: Ciphertext, value: float, target_scale: float = None
-) -> Ciphertext:
-    """Multiply by a scalar and rescale once.
-
-    The constant is encoded at q_level (or at target_scale*q/scale), so
-    the rescaled result lands exactly on the incoming scale (or on
-    target_scale), keeping later additions scale-compatible.
-    """
-    if ct.level < 1:
-        raise LevelExhausted("constant multiplication needs a rescale level")
-    q = ct.scheme.ring.moduli[ct.level]
-    pt_scale = float(q) if target_scale is None else target_scale * q / ct.scale
-    prod = scheme.mult_plain(ct, _const_pt(ct, value, pt_scale))
-    return scheme.rescale(prod)
-
-
 def mul_const_raw(ct: Ciphertext, value: float, pt_scale: float) -> Ciphertext:
     """Multiply by a scalar at an explicit plaintext scale, no rescale."""
     return scheme.mult_plain(ct, _const_pt(ct, value, pt_scale))
@@ -238,7 +220,9 @@ def encrypted_reciprocal(
     x = scheme.with_value_bound(ct, min(ct.value_bound, upper_bound))
     z0 = 1.0 / upper_bound
     z_cap = 1.0 / lower_bound  # Newton from below never overshoots 1/x
-    z = add_const(mul_const(x, -z0 * z0), 2.0 * z0)
+    # -z0^2 encoded at q_top, so the rescaled product keeps x's scale
+    q_top = float(x.scheme.ring.moduli[x.level])
+    z = add_const(scheme.rescale(mul_const_raw(x, -z0 * z0, q_top)), 2.0 * z0)
     z = scheme.with_value_bound(z, min(z.value_bound, z_cap))
     for _ in range(iterations - 1):
         w = scheme.rescale(scheme.mult(scheme.ct_drop_level(x, z.level), z, evk))
@@ -257,7 +241,8 @@ def encrypted_reciprocal(
 class SoftmaxConfig:
     """Head configuration.
 
-    temperature: positive scalar dividing the logits.
+    temperature: positive scalar dividing the logits, folded into the
+    probe weights by neural.forward_encrypted.
     class_count: number of logit ciphertexts.
     radius: domain half-width the mean-centered, tempered logits must
     stay inside; the exp fit lives on [-radius, radius].
@@ -305,7 +290,7 @@ class SoftmaxConfig:
 
 def softmax_depth(cfg: SoftmaxConfig) -> int:
     """Levels consumed from logits to sigma ciphertexts."""
-    return 1 + poly_eval_depth(cfg.exp_degree) + (2 * cfg.inv_iterations - 1) + 1
+    return poly_eval_depth(cfg.exp_degree) + (2 * cfg.inv_iterations - 1) + 1
 
 
 def soft_argmax_min_levels(cfg: SoftmaxConfig) -> int:
@@ -314,15 +299,29 @@ def soft_argmax_min_levels(cfg: SoftmaxConfig) -> int:
     return softmax_depth(cfg) + 1
 
 
-def _probe_domain(probe_key, ct, radius, what):
-    if probe_key is None:
-        return
-    slots = scheme.decrypt_to_slots(probe_key, ct)
-    worst = float(np.max(np.abs(slots)))
-    if worst > radius * (1.0 + 1e-6) + 1e-9:
-        raise DomainViolation(
-            f"{what} reaches {worst:.4f}, outside +-{radius}"
+def _exps_and_reciprocal(logit_cts, cfg, evk, probe_key, need):
+    """(exp fits of the logits, encrypted reciprocal of their sum)."""
+    if len(logit_cts) != cfg.class_count:
+        raise ValueError(
+            f"{len(logit_cts)} logit ciphertexts for {cfg.class_count} classes"
         )
+    if logit_cts[0].level < need:
+        raise LevelExhausted(
+            f"head needs {need} levels, logits have {logit_cts[0].level}"
+        )
+    exps = []
+    for ct in logit_cts:
+        y = scheme.with_value_bound(ct, min(ct.value_bound, cfg.radius))
+        if probe_key is not None:
+            worst = float(np.max(np.abs(scheme.decrypt_to_slots(probe_key, y))))
+            if worst > cfg.radius * (1.0 + 1e-6) + 1e-9:
+                raise DomainViolation(
+                    f"centered logit reaches {worst:.4f}, outside +-{cfg.radius}"
+                )
+        exps.append(eval_poly_encrypted(y, cfg.exp_approx(), evk))
+    lo, hi = cfg.sum_interval()
+    total_exp = scheme.with_value_bound(tree_sum(exps), hi)
+    return exps, encrypted_reciprocal(total_exp, lo, hi, cfg.inv_iterations, evk)
 
 
 def encrypted_softmax(
@@ -333,41 +332,15 @@ def encrypted_softmax(
 ) -> list:
     """Slotwise softmax over one ciphertext per class.
 
-    Pipeline: mean-subtract and divide by temperature (one fused level),
-    exp fit, slot sum, Newton reciprocal on the pinned interval, and a
-    per-class product. probe_key (tests only) decrypt-checks the domain
-    contract after the linear stage.
+    Caller contract: each slot's logits are mean-centered over the
+    classes, divided by the temperature and inside [-radius, radius].
+    Pipeline: exp fit, slot sum, Newton reciprocal on the pinned
+    interval, and a per-class product. probe_key (tests only)
+    decrypt-checks the domain contract.
     """
-    if len(logit_cts) != cfg.class_count:
-        raise ValueError(
-            f"{len(logit_cts)} logit ciphertexts for {cfg.class_count} classes"
-        )
-    need = softmax_depth(cfg)
-    if logit_cts[0].level < need:
-        raise LevelExhausted(
-            f"softmax needs {need} levels, logits have {logit_cts[0].level}"
-        )
-    approx = cfg.exp_approx()
-    n = cfg.class_count
-    inv_t = 1.0 / cfg.temperature
-
-    total = tree_sum(logit_cts)
-
-    q_top = logit_cts[0].scheme.ring.moduli[logit_cts[0].level]
-    ys = []
-    for ct in logit_cts:
-        own = mul_const_raw(ct, inv_t, float(q_top))
-        mean = mul_const_raw(total, -inv_t / n, float(q_top))
-        y = scheme.rescale(scheme.add(own, mean))
-        y = scheme.with_value_bound(y, min(y.value_bound, cfg.radius))
-        _probe_domain(probe_key, y, cfg.radius, "tempered centered logit")
-        ys.append(y)
-
-    exps = [eval_poly_encrypted(y, approx, evk) for y in ys]
-    lo, hi = cfg.sum_interval()
-    total_exp = scheme.with_value_bound(tree_sum(exps), hi)
-    inv = encrypted_reciprocal(total_exp, lo, hi, cfg.inv_iterations, evk)
-
+    exps, inv = _exps_and_reciprocal(
+        logit_cts, cfg, evk, probe_key, softmax_depth(cfg)
+    )
     cap = cfg.sigma_cap()
     sigmas = []
     for e in exps:
@@ -382,19 +355,20 @@ def encrypted_soft_argmax(
     evk: RelinKey,
     probe_key: SecretKey = None,
 ) -> Ciphertext:
-    """Weighted index sum  sum_i sigma_i * i  with indices 1..n.
+    """Weighted index sum  sum_i sigma_i * i  with indices 1..n, computed
+    as (sum_i i * e_i) * inv on encrypted_softmax's inputs.
 
     Slots land in [1, n]; rounding the decoded value and subtracting one
     recovers a 0-based class label.
     """
-    if logit_cts[0].level < soft_argmax_min_levels(cfg):
-        raise LevelExhausted(
-            f"soft-argmax needs {soft_argmax_min_levels(cfg)} levels, "
-            f"logits have {logit_cts[0].level}"
-        )
-    sigmas = encrypted_softmax(logit_cts, cfg, evk, probe_key)
-    out = tree_sum(
-        mul_const_raw(sig, float(i + 1), INDEX_SCALE) for i, sig in enumerate(sigmas)
+    exps, inv = _exps_and_reciprocal(
+        logit_cts, cfg, evk, probe_key, soft_argmax_min_levels(cfg)
+    )
+    weighted = tree_sum(
+        mul_const_raw(e, float(i + 1), INDEX_SCALE) for i, e in enumerate(exps)
+    )
+    out = scheme.rescale(
+        scheme.mult(scheme.ct_drop_level(weighted, inv.level), inv, evk)
     )
     bound = 1.0 + (cfg.class_count - 1) * cfg.sigma_cap()
     return scheme.with_value_bound(out, min(out.value_bound, bound))

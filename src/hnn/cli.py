@@ -246,9 +246,9 @@ def _bench_target(kernel, params, rng):
                 f"pipeline benchmark needs depth >= {need}, have {params.max_level}"
             )
         n = min(params.slot_capacity, params.ring.ring_degree // 2)
+        z = rng.uniform(-cfg.radius, cfg.radius, (cfg.class_count, n))
         cts = []
-        for _ in range(cfg.class_count):
-            v = rng.uniform(-cfg.radius, cfg.radius, n)
+        for v in z - z.mean(axis=0):  # the head takes mean-centered logits
             pt = encoding.encode(v, params.scale, params.ring)
             cts.append(scheme.encrypt(keys.pk, pt, rng))
         return lambda: approx.encrypted_soft_argmax(cts, cfg, keys.evk)

@@ -277,7 +277,7 @@ def calibrate_temperature(
     """Phase-two calibration: gradient descent on log T for the NLL of
     softmax(logits/T); the probe itself is never touched.
 
-    min_temperature defaults to 1: the encrypted head divides logits by
+    min_temperature defaults to 1: the encrypted path divides logits by
     T, so a sub-unit temperature would widen the post-division domain
     past the exp fit's radius (it would also lower entropy, the opposite
     of what the calibration stage is for).
@@ -323,7 +323,7 @@ def pipeline_depth(cfg: SoftmaxConfig) -> int:
     return approx.soft_argmax_min_levels(cfg) + 1
 
 
-def encrypted_logits(model: LinearModel, feature_cts, cfg: SoftmaxConfig):
+def encrypted_logits(model: LinearModel, feature_cts):
     """Per-class logit ciphertexts via plaintext-weight products.
 
     feature_cts[j] holds feature j for the whole batch in its slots, so
@@ -349,6 +349,13 @@ def encrypted_logits(model: LinearModel, feature_cts, cfg: SoftmaxConfig):
     return logit_cts
 
 
+def _folded_probe(model: LinearModel, temperature: float) -> LinearModel:
+    """Probe with logits (z - mean over classes of z) / T: the same softmax
+    as z / T, and the zero-mean input the encrypted head expects."""
+    w = model.weights - model.weights.mean(axis=1, keepdims=True)
+    return LinearModel(w / temperature, (model.bias - model.bias.mean()) / temperature)
+
+
 def forward_encrypted(
     model: LinearModel,
     head: SoftArgmaxHead,
@@ -360,7 +367,7 @@ def forward_encrypted(
     """Soft-argmax ciphertext for a column-packed batch of samples."""
     if cfg is None:
         cfg = head_config(head)
-    logit_cts = encrypted_logits(model, feature_cts, cfg)
+    logit_cts = encrypted_logits(_folded_probe(model, cfg.temperature), feature_cts)
     return approx.encrypted_soft_argmax(logit_cts, cfg, evk, probe_key)
 
 

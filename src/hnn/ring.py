@@ -150,15 +150,20 @@ class _NttTables:
     __slots__ = ("psi_rev", "ipsi_rev", "n_inv")
 
     def __init__(self, ring_degree: int, moduli: tuple):
+        q_col = np.array(moduli, dtype=np.uint64)[:, None]
+        # psi^i for i in [0, 2N) in log2(2N) doublings (powers [m, 2m) are
+        # powers [0, m) times psi^m); psi^-i is psi^(2N - i)
+        powers = np.ones((len(moduli), 2 * ring_degree), dtype=np.uint64)
+        step = np.array([self._primitive_root(ring_degree, q) for q in moduli])
+        step = step.astype(np.uint64)[:, None]
+        m = 1
+        while m < 2 * ring_degree:
+            powers[:, m : 2 * m] = mulmod(powers[:, :m], step, q_col)
+            step = mulmod(step, step, q_col)
+            m <<= 1
         perm = bit_reverse_permutation(ring_degree)
-        psi_rows, ipsi_rows = [], []
-        for q in moduli:
-            psi = self._primitive_root(ring_degree, q)
-            ipsi = pow(psi, -1, q)
-            psi_rows.append([pow(psi, int(i), q) for i in perm])
-            ipsi_rows.append([pow(ipsi, int(i), q) for i in perm])
-        self.psi_rev = np.array(psi_rows, dtype=np.uint64)
-        self.ipsi_rev = np.array(ipsi_rows, dtype=np.uint64)
+        self.psi_rev = powers[:, perm]
+        self.ipsi_rev = powers[:, (2 * ring_degree - perm) % (2 * ring_degree)]
         self.n_inv = np.array(
             [pow(ring_degree, -1, q) for q in moduli], dtype=np.uint64
         )[:, None]
@@ -321,25 +326,31 @@ def ntt_forward(a: RingElement) -> RingElement:
     return a._like(out, Domain.EVALUATION)
 
 
+def _ntt_inverse_rows(a: RingElement, rows: slice) -> np.ndarray:
+    """Inverse NTT of a's chain rows ``rows`` (a rescale needs only the top)."""
+    tb = _tables(a.params)
+    q_col, ipsi = a.params._q_col[rows], tb.ipsi_rev[rows]
+    q = q_col[:, :, None]
+    out = a.residues[rows].copy()
+    k, n = out.shape
+    t, m = 1, n
+    while m > 1:
+        h = m >> 1
+        blocks = out.reshape(k, h, 2, t)
+        u = blocks[:, :, 0].copy()
+        w = blocks[:, :, 1]
+        blocks[:, :, 0] = (u + w) % q
+        blocks[:, :, 1] = mulmod((u + (q - w)) % q, ipsi[:, h:m, None], q)
+        t <<= 1
+        m = h
+    return mulmod(out, tb.n_inv[rows], q_col)
+
+
 def ntt_inverse(a: RingElement) -> RingElement:
     """Inverse of :func:`ntt_forward`; bit-exact round trip."""
     if a.domain != Domain.EVALUATION:
         raise ValueError("element already in Coefficient domain")
-    rows, n = a.residues.shape
-    tb = _tables(a.params)
-    q = a._q[:, :, None]
-    out = a.residues.copy()
-    t, m = 1, n
-    while m > 1:
-        h = m >> 1
-        blocks = out.reshape(rows, h, 2, t)
-        u = blocks[:, :, 0].copy()
-        w = blocks[:, :, 1]
-        blocks[:, :, 0] = (u + w) % q
-        blocks[:, :, 1] = mulmod((u + (q - w)) % q, tb.ipsi_rev[:rows, h:m, None], q)
-        t <<= 1
-        m = h
-    return a._like(mulmod(out, tb.n_inv[:rows], a._q), Domain.COEFFICIENT)
+    return a._like(_ntt_inverse_rows(a, slice(0, a.level + 1)), Domain.COEFFICIENT)
 
 
 def to_domain(a: RingElement, domain: Domain) -> RingElement:

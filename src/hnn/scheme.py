@@ -572,7 +572,8 @@ def rescale(ct: Ciphertext) -> Ciphertext:
     """Drop the top prime, dividing scale (and value*scale payload) by it.
 
     Exact RNS rounding: subtract the centered top residue, then multiply
-    by q_top^-1 modulo each surviving prime.
+    by q_top^-1 modulo each surviving prime, in the Evaluation domain:
+    only the top row and its lift pass through an NTT.
     """
     if ct.level < 1:
         raise LevelExhausted("rescale at level 0")
@@ -583,17 +584,11 @@ def rescale(ct: Ciphertext) -> Ciphertext:
     inv = np.array([[pow(q_top, -1, qj)] for qj in rp.moduli[:lv]], dtype=np.uint64)
     new_parts = []
     for part in ct.parts:
-        coeff = ring.ntt_inverse(part).residues
-        top = coeff[lv].astype(np.int64)
+        top = ring._ntt_inverse_rows(part, slice(lv, lv + 1))[0].astype(np.int64)
         top_signed = np.where(top > q_top // 2, top - q_top, top)
-        lifted = np.mod(top_signed, q.astype(np.int64)).astype(np.uint64)
-        diff = (coeff[:lv] + (q - lifted)) % q
-        res = ring.mulmod(diff, inv, q)
-        new_parts.append(
-            ring.ntt_forward(
-                ring.RingElement(rp, lv - 1, res, ring.Domain.COEFFICIENT)
-            )
-        )
+        lifted = ring.ntt_forward(ring.from_int_coeffs(top_signed, rp, lv - 1))
+        diff = ring.ring_sub(ring.drop_level(part, lv - 1), lifted)
+        new_parts.append(diff._like(ring.mulmod(diff.residues, inv, q)))
     params = ct.scheme
     noise = _log2_sum(
         ct.noise_bits - math.log2(q_top), params.rescale_round_bits()

@@ -13,11 +13,12 @@ Blob layout (all integers little-endian):
 Ring elements serialize as level u32, domain u8, then (level+1)*N
 coefficients as u64 words in chain order, coefficients ascending. Key
 blob sizes are a fixed function of the parameter set, independent of any
-circuit later evaluated. A bundle file is a manifest (kind, ciphertext
-count, slot occupancy) followed by length-prefixed ciphertext blobs.
+circuit later evaluated. A bundle file is a manifest ("HNNB", version
+u16, kind u8, ciphertext count u32, slot occupancy u32, then the sha256
+of those 15 bytes) followed by length-prefixed ciphertext blobs.
 
-Every load verifies the checksum and the parameter hash; a single
-flipped payload byte fails loudly.
+Every load verifies the checksums and the parameter hash; a single
+flipped byte fails loudly.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import FormatError, ParamsHashMismatch
 MAGIC = b"HNN1"
 BUNDLE_MAGIC = b"HNNB"
 FORMAT_VERSION = 1
+BUNDLE_VERSION = 2  # v1 bundles had no manifest checksum
 
 KIND_PK = 0
 KIND_SK = 1
@@ -44,6 +46,7 @@ KIND_CT = 3
 
 BUNDLE_FEATURES = 0
 BUNDLE_SCORES = 1
+_MANIFEST = struct.Struct("<4sHBII")
 
 
 # ---------------------------------------------------------------------------
@@ -296,31 +299,36 @@ class Bundle:
 
 
 def bundle_to_bytes(bundle: Bundle, params: scheme.SchemeParams) -> bytes:
-    buf = io.BytesIO()
-    buf.write(BUNDLE_MAGIC)
-    buf.write(
-        struct.pack(
-            "<HBII",
-            FORMAT_VERSION,
-            bundle.kind,
-            len(bundle.ciphertexts),
-            bundle.n_samples,
-        )
+    manifest = _MANIFEST.pack(
+        BUNDLE_MAGIC, BUNDLE_VERSION, bundle.kind, len(bundle.ciphertexts),
+        bundle.n_samples,
     )
+    # joined once: a growing buffer is reallocated as it grows, which left
+    # peak memory to the allocator's state
+    pieces = [manifest, hashlib.sha256(manifest).digest()]
     for ct in bundle.ciphertexts:
         blob = ciphertext_to_bytes(ct)
-        buf.write(struct.pack("<Q", len(blob)))
-        buf.write(blob)
-    return buf.getvalue()
+        pieces += [struct.pack("<Q", len(blob)), blob]
+    return b"".join(pieces)
 
 
 def bundle_from_bytes(data: bytes, params: scheme.SchemeParams) -> Bundle:
-    if len(data) < 15 or data[:4] != BUNDLE_MAGIC:
+    if len(data) < _MANIFEST.size or data[:4] != BUNDLE_MAGIC:
         raise FormatError("not a ciphertext bundle")
-    version, kind, count, n_samples = struct.unpack("<HBII", data[4:15])
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported bundle version {version}")
-    off = 15
+    _, version, kind, count, n_samples = _MANIFEST.unpack_from(data)
+    if version != BUNDLE_VERSION:
+        raise FormatError(
+            f"bundle version {version} unsupported: this build reads version "
+            f"{BUNDLE_VERSION}, whose manifest is checksummed; re-encrypt"
+        )
+    off = _MANIFEST.size + 32
+    if hashlib.sha256(data[: _MANIFEST.size]).digest() != data[_MANIFEST.size : off]:
+        raise FormatError("bundle manifest truncated or corrupted")
+    slots = params.ring.ring_degree // 2
+    if kind not in (BUNDLE_FEATURES, BUNDLE_SCORES) or n_samples > slots:
+        raise FormatError(
+            f"bad bundle manifest: kind {kind}, {n_samples} samples, {slots} slots"
+        )
     cts = []
     for _ in range(count):
         if off + 8 > len(data):

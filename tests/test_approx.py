@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hnn import approx, encoding, scheme
+from hnn import approx, encoding, neural, scheme
 from hnn.errors import DomainViolation, LevelExhausted
 
 from helpers import reference_soft_argmax, reference_softmax
@@ -17,6 +17,24 @@ def enc(keys, values, rng):
 
 def dec(keys, ct, count):
     return scheme.decrypt_to_slots(keys.sk, ct)[:count]
+
+
+def centered(logits):
+    """Class-mean-centered logits, the input contract of the encrypted head."""
+    logits = np.asarray(logits, dtype=np.float64)
+    return logits - logits.mean(axis=-1, keepdims=True)
+
+
+def identity_probe(head_keys, logits, temperature, rng):
+    """Soft-argmax of the given logits through neural.forward_encrypted
+    with an identity probe, which applies centering and temperature."""
+    k, classes = logits.shape
+    cfg = approx.SoftmaxConfig(temperature=temperature, class_count=classes)
+    head = neural.SoftArgmaxHead(temperature, classes)
+    model = neural.LinearModel(np.eye(classes), np.zeros(classes))
+    cts = neural.encrypt_features(head_keys.pk, logits, rng)
+    out = neural.forward_encrypted(model, head, cts, head_keys.evk, cfg)
+    return dec(head_keys, out, k)
 
 
 class TestBuildExpApprox:
@@ -150,10 +168,8 @@ class TestEncryptedSoftmax:
         # logits (2, 0): sigma_1 = 1/(1+e^-2) = 0.880797
         cfg = approx.SoftmaxConfig()
         k = head_keys.scheme.slot_capacity
-        cts = [
-            enc(head_keys, np.full(k, 2.0), rng),
-            enc(head_keys, np.zeros(k), rng),
-        ]
+        y = centered([2.0, 0.0])
+        cts = [enc(head_keys, np.full(k, v), rng) for v in y]
         sig = approx.encrypted_softmax(cts, cfg, head_keys.evk, probe_key=head_keys.sk)
         got = dec(head_keys, sig[0], k)
         assert np.max(np.abs(got - 1.0 / (1.0 + math.exp(-2.0)))) < 1e-3
@@ -162,7 +178,7 @@ class TestEncryptedSoftmax:
         cfg = approx.SoftmaxConfig()
         k = head_keys.scheme.slot_capacity
         logits = rng.uniform(-2, 2, (k, 2))
-        cts = [enc(head_keys, logits[:, i], rng) for i in range(2)]
+        cts = [enc(head_keys, centered(logits)[:, i], rng) for i in range(2)]
         sig = approx.encrypted_softmax(cts, cfg, head_keys.evk)
         total = sum(dec(head_keys, s, k) for s in sig)
         assert np.max(np.abs(total - 1.0)) < 2e-3
@@ -171,15 +187,15 @@ class TestEncryptedSoftmax:
         cfg = approx.SoftmaxConfig()
         k = head_keys.scheme.slot_capacity
         logits = rng.uniform(-2, 2, (k, 2))
-        cts = [enc(head_keys, logits[:, i], rng) for i in range(2)]
+        cts = [enc(head_keys, centered(logits)[:, i], rng) for i in range(2)]
         sig = approx.encrypted_softmax(cts, cfg, head_keys.evk)
         got = np.stack([dec(head_keys, s, k) for s in sig], axis=1)
         assert np.max(np.abs(got - reference_softmax(logits))) <= 1e-3
 
     def test_mean_subtraction_invariance(self, head_keys, rng):
         # the plaintext oracle is exactly shift-invariant; the encrypted
-        # pipeline output is compared against the shifted oracle
-        cfg = approx.SoftmaxConfig()
+        # pipeline, centering folded into the probe, sees shifted logits
+        # and is compared against the unshifted oracle
         k = head_keys.scheme.slot_capacity
         logits = rng.uniform(-1, 1, (k, 2))
         shift = rng.uniform(-5, 5, k)
@@ -187,10 +203,8 @@ class TestEncryptedSoftmax:
         assert np.allclose(
             reference_softmax(logits), reference_softmax(shifted), atol=1e-12
         )
-        cts = [enc(head_keys, shifted[:, i], rng) for i in range(2)]
-        sig = approx.encrypted_softmax(cts, cfg, head_keys.evk)
-        got = np.stack([dec(head_keys, s, k) for s in sig], axis=1)
-        assert np.max(np.abs(got - reference_softmax(logits))) <= 1e-3
+        got = identity_probe(head_keys, shifted, 1.0, rng)
+        assert np.max(np.abs(got - reference_soft_argmax(logits))) <= 1e-3
 
     def test_domain_probe_detects_violation(self, head_keys, rng):
         cfg = approx.SoftmaxConfig()
@@ -247,7 +261,7 @@ class TestEncryptedSoftArgmax:
                 encoding.encode(np.full(k, v), params.scale, params.ring),
                 rng,
             )
-            for v in logits
+            for v in centered(logits)
         ]
         out = scheme.decrypt_to_slots(
             keys.sk, approx.encrypted_soft_argmax(cts, cfg, keys.evk)
@@ -258,18 +272,28 @@ class TestEncryptedSoftArgmax:
 
     def test_huge_temperature_approaches_uniform(self, head_keys, rng):
         # T -> inf drives every probability to 1/n, the index sum to (n+1)/2
-        cfg = approx.SoftmaxConfig(temperature=1e6)
         k = head_keys.scheme.slot_capacity
         logits = rng.uniform(-2, 2, (k, 2))
-        cts = [enc(head_keys, logits[:, i], rng) for i in range(2)]
-        out = dec(head_keys, approx.encrypted_soft_argmax(cts, cfg, head_keys.evk), k)
+        out = identity_probe(head_keys, logits, 1e6, rng)
         assert np.max(np.abs(out - 1.5)) < 1e-3
+
+    def test_matches_index_sum_of_softmax(self, head_keys, rng):
+        # the one-product path (sum_i i*e_i) * inv against the per-class
+        # path it replaced: sum_i i * sigma_i from encrypted_softmax
+        cfg = approx.SoftmaxConfig()
+        k = head_keys.scheme.slot_capacity
+        logits = rng.uniform(-2, 2, (k, 2))
+        cts = [enc(head_keys, centered(logits)[:, i], rng) for i in range(2)]
+        out = dec(head_keys, approx.encrypted_soft_argmax(cts, cfg, head_keys.evk), k)
+        sig = approx.encrypted_softmax(cts, cfg, head_keys.evk)
+        per_class = sum((i + 1) * dec(head_keys, s, k) for i, s in enumerate(sig))
+        assert np.max(np.abs(out - per_class)) < 1e-6
 
     def test_output_in_index_range(self, head_keys, rng):
         cfg = approx.SoftmaxConfig()
         k = head_keys.scheme.slot_capacity
         logits = rng.uniform(-2, 2, (k, 2))
-        cts = [enc(head_keys, logits[:, i], rng) for i in range(2)]
+        cts = [enc(head_keys, centered(logits)[:, i], rng) for i in range(2)]
         out = dec(head_keys, approx.encrypted_soft_argmax(cts, cfg, head_keys.evk), k)
         assert np.all(out >= 1.0 - 1e-3)
         assert np.all(out <= 2.0 + 1e-3)
@@ -295,8 +319,8 @@ class TestDepthBookkeeping:
     def test_default_head_depth_is_fixed_constant(self):
         cfg = approx.SoftmaxConfig()
         assert approx.poly_eval_depth(cfg.exp_degree) == 3
-        assert approx.softmax_depth(cfg) == 14
-        assert approx.soft_argmax_min_levels(cfg) == 15
+        assert approx.softmax_depth(cfg) == 13
+        assert approx.soft_argmax_min_levels(cfg) == 14
 
     def test_softmax_consumes_exactly_declared_depth(self, head_keys, rng):
         cfg = approx.SoftmaxConfig()

@@ -192,6 +192,14 @@ def _tampered(ct, what):
     return _reseal(blob, offset, struct.pack(fmt, value))
 
 
+def _manifest(kind, count, n_samples, version=serialize.BUNDLE_VERSION):
+    """Bundle manifest written out by hand: fields, then their sha256."""
+    fields = serialize.BUNDLE_MAGIC + struct.pack(
+        "<HBII", version, kind, count, n_samples
+    )
+    return fields + hashlib.sha256(fields).digest()
+
+
 _TAMPERS = [
     "zero parts", "four parts", "part level", "zero scale", "negative scale",
     "inf scale", "nan noise", "inf noise", "nan bound", "inf bound",
@@ -226,10 +234,7 @@ class TestCiphertextHeader:
         blob = _tampered(ct, what)
         bundle = tmp_path / "scores.hct"
         bundle.write_bytes(
-            serialize.BUNDLE_MAGIC
-            + struct.pack(
-                "<HBII", serialize.FORMAT_VERSION, serialize.BUNDLE_SCORES, 1, 4
-            )
+            _manifest(serialize.BUNDLE_SCORES, 1, 4)
             + struct.pack("<Q", len(blob))
             + blob
         )
@@ -263,6 +268,66 @@ class TestBundles:
         )
         with pytest.raises(FormatError):
             serialize.bundle_from_bytes(data[:-5], params)
+
+
+class TestBundleManifest:
+    MANIFEST_LEN = 15 + 32
+
+    @pytest.fixture(scope="class")
+    def data(self, params, keys):
+        rng = np.random.default_rng(4)
+        cts = neural.encrypt_features(keys.pk, rng.uniform(-1, 1, (16, 1)), rng)
+        return serialize.bundle_to_bytes(
+            serialize.Bundle(serialize.BUNDLE_FEATURES, 16, cts), params
+        )
+
+    def test_golden_layout(self, data):
+        assert data[: self.MANIFEST_LEN] == _manifest(serialize.BUNDLE_FEATURES, 1, 16)
+
+    def test_every_manifest_bit_flip_rejected(self, params, data):
+        for off in range(self.MANIFEST_LEN):
+            for bit in range(8):
+                bad = bytearray(data)
+                bad[off] ^= 1 << bit
+                with pytest.raises(FormatError):
+                    serialize.bundle_from_bytes(bytes(bad), params)
+
+    def test_every_manifest_truncation_rejected(self, params, data):
+        for end in range(self.MANIFEST_LEN + 1):
+            with pytest.raises(FormatError):
+                serialize.bundle_from_bytes(data[:end], params)
+
+    def test_version_1_bundle_rejected_with_reason(self, params, data):
+        v1 = (
+            serialize.BUNDLE_MAGIC
+            + struct.pack("<HBII", 1, serialize.BUNDLE_FEATURES, 1, 16)
+            + data[self.MANIFEST_LEN :]
+        )
+        with pytest.raises(FormatError, match="bundle version 1"):
+            serialize.bundle_from_bytes(v1, params)
+
+    @pytest.mark.parametrize("kind,n_samples", [(2, 16), (0, 17), (0, 1 << 24)])
+    def test_checksummed_bad_fields_rejected(self, params, data, kind, n_samples):
+        # params.ring has N = 32, so 16 slots
+        assert params.ring.ring_degree // 2 == 16
+        bad = _manifest(kind, 1, n_samples) + data[self.MANIFEST_LEN :]
+        with pytest.raises(FormatError):
+            serialize.bundle_from_bytes(bad, params)
+
+    def test_flipped_manifest_exit_code_3(self, tmp_path, params, keys, data):
+        params_file = tmp_path / "p.txt"
+        serialize.save_params(params, params_file)
+        sk_file = tmp_path / "sk.bin"
+        sk_file.write_bytes(serialize.secret_key_to_bytes(keys.sk))
+        bad = bytearray(data)
+        bad[6] ^= 1  # kind: features -> scores
+        bundle = tmp_path / "b.hct"
+        bundle.write_bytes(bytes(bad))
+        code = cli.main([
+            "decrypt", "--sk", str(sk_file), "--params", str(params_file),
+            "--input", str(bundle), "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 3
 
 
 class TestModelFile:

@@ -245,11 +245,31 @@ class TestEncryptedForward:
         )
         feats = rng.uniform(-1, 1, (k, d_in))
         cts = neural.encrypt_features(head_keys.pk, feats, rng)
-        logit_cts = neural.encrypted_logits(model, cts, neural.head_config(neural.SoftArgmaxHead(1.0, 2)))
+        logit_cts = neural.encrypted_logits(model, cts)
         plain = model.logits(feats)
         for c, ct in enumerate(logit_cts):
             got = scheme.decrypt_to_slots(head_keys.sk, ct)[:k]
             assert np.max(np.abs(got - plain[:, c])) < 2.0 ** -10
+
+    @pytest.mark.parametrize("classes,temperature", [(2, 1.0), (3, 1.7), (5, 0.6)])
+    def test_folded_probe_centers_and_tempers(self, rng, classes, temperature):
+        model = neural.LinearModel(
+            rng.normal(0, 2, (6, classes)), rng.normal(0, 1, classes)
+        )
+        feats = rng.uniform(-1, 1, (50, 6))
+        z = model.logits(feats)
+        got = neural._folded_probe(model, temperature).logits(feats)
+        want = (z - z.mean(axis=1, keepdims=True)) / temperature
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(got.mean(axis=1))) < 1e-12
+
+    def test_default_pipeline_chain_has_16_primes(self):
+        # the default-1024 benchmark ring: linear layer + default head
+        depth = neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead()))
+        assert depth == 15
+        params = scheme.param_gen(128, 512, depth, 40, allow_insecure=True)
+        assert params.ring.ring_degree == 1024
+        assert params.ring.level_count == 16
 
     def test_identity_model_preserves_feature_order(self, head_keys, rng):
         # class-1 logit = 2*x0: predictions sorted like feature zero

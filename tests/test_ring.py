@@ -145,6 +145,19 @@ class TestBatchedChain:
             back = ring.ntt_inverse(fwd)
             assert np.array_equal(back.residues, el.residues)
 
+    def test_twiddle_tables_match_python_pow(self, chain):
+        # the doubling build against one Python pow per entry
+        tb = ring._NttTables(chain.ring_degree, chain.moduli)
+        perm = ring.bit_reverse_permutation(chain.ring_degree)
+        for j, q in enumerate(chain.moduli):
+            psi = ring._NttTables._primitive_root(chain.ring_degree, q)
+            ipsi = pow(psi, -1, q)
+            want = [pow(psi, int(i), q) for i in perm]
+            want_inv = [pow(ipsi, int(i), q) for i in perm]
+            assert tb.psi_rev[j].tolist() == want
+            assert tb.ipsi_rev[j].tolist() == want_inv
+        assert tb.psi_rev.dtype == tb.ipsi_rev.dtype == np.uint64
+
     def test_ntt_rows_match_single_prime_rings(self, chain):
         # row j of a chain NTT equals the NTT over the one-prime ring q_j
         rng = np.random.default_rng(12)
