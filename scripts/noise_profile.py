@@ -4,7 +4,8 @@
 For each depth the script multiplies a fresh ciphertext into itself,
 rescales, and compares the ledger's estimate with the ground-truth probe
 (max |decoded - expected| * scale, in bits). The margin column is the
-headroom the static worst-case rules keep above reality.
+headroom the static worst-case rules keep above reality; the script exits
+1 if any margin is negative.
 
 Example:
     python scripts/noise_profile.py --ring-degree 2048 --depth 8
@@ -44,16 +45,19 @@ def main() -> int:
     vals = v.copy()
 
     print(f"{'stage':<12} {'estimated':>10} {'measured':>10} {'margin':>8}")
-    measured = scheme.noise_measure(keys.sk, ct, vals)
-    print(f"{'fresh':<12} {ct.noise_bits:>10.1f} {measured:>10.1f} "
-          f"{ct.noise_bits - measured:>8.1f}")
-    for depth in range(1, args.depth + 1):
-        ct = scheme.rescale(scheme.mult(ct, ct, keys.evk))
-        vals = vals * vals
+    margins = []
+    for depth in range(args.depth + 1):
+        if depth:
+            ct = scheme.rescale(scheme.mult(ct, ct, keys.evk))
+            vals = vals * vals
         measured = scheme.noise_measure(keys.sk, ct, vals)
-        name = f"square^{depth}"
+        margins.append(ct.noise_bits - measured)
+        name = f"square^{depth}" if depth else "fresh"
         print(f"{name:<12} {ct.noise_bits:>10.1f} {measured:>10.1f} "
-              f"{ct.noise_bits - measured:>8.1f}")
+              f"{margins[-1]:>8.1f}")
+    if min(margins) < 0:
+        print("FAIL: measured noise above the ledger estimate")
+        return 1
     return 0
 
 

@@ -132,8 +132,6 @@ def cmd_decrypt(args) -> int:
     with open(args.input, "rb") as fh:
         bundle = serialize.bundle_from_bytes(fh.read(), params)
     if bundle.kind == serialize.BUNDLE_SCORES:
-        if len(bundle.ciphertexts) != 1:
-            raise FormatError("score bundle must hold exactly one ciphertext")
         scores = scheme.decrypt_to_slots(sk, bundle.ciphertexts[0])
         scores = scores[: bundle.n_samples]
         classes = neural.scores_to_classes(scores, args.classes)

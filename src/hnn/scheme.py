@@ -4,8 +4,8 @@ The scheme is the usual RLWE construction for approximate arithmetic:
 slot vectors are encoded with a fixed scale, encrypted under a public
 key (b, a) = (-a*s + e, a), operated on with slotwise add/mult, and
 rescaled after products to keep the scale bounded. Relinearization after
-ciphertext-ciphertext products uses a base-2^20 gadget decomposition of
-the CRT-composed third component against an evaluation key.
+ciphertext-ciphertext products uses the CRT gadget: the third component's
+centred residue rows are the digits, one evaluation-key component each.
 
 Every ciphertext carries a noise ledger: ``noise_bits`` is a heuristic
 upper bound on log2(max slot error * scale), updated by fixed rules per
@@ -45,7 +45,6 @@ SECURITY_TABLE = {
     256: {1024: 14, 2048: 29, 4096: 58, 8192: 118, 16384: 237, 32768: 476},
 }
 
-DIGIT_BITS = 20          # relinearization gadget base 2^20
 DEFAULT_ERR_STD = 3.2    # fresh error standard deviation
 KEY_ERR_TAIL = 6.0       # keygen errors resampled into +-6 sigma
 SCALE_REL_TOL = 2.0 ** -30  # scales must agree to this relative tolerance
@@ -154,15 +153,13 @@ class SchemeParams:
         n = self.ring.ring_degree
         return _log2_pos(6.0 * math.sqrt((self.secret_weight + 4) * n))
 
-    def relin_noise_bits(self, n_digits: int) -> float:
+    def relin_noise_bits(self, level: int) -> float:
+        """Key switching at ``level``: sum_j d_j*e_j, |d_j| <= q_j/2, has
+        coefficient std err_std*sqrt(N*sum q_j^2/12); the embedding adds
+        sqrt(N) and 8x covers the max-slot tail."""
         n = self.ring.ring_degree
-        return _log2_pos(
-            8.0 * (2.0 ** DIGIT_BITS) * self.err_std * math.sqrt(n_digits * n)
-        )
-
-    def relin_digits(self, level: int) -> int:
-        bits = self.ring.modulus_product(level).bit_length()
-        return -(-bits // DIGIT_BITS)
+        digit_var = sum(q * q for q in self.ring.moduli[: level + 1]) / 12.0
+        return _log2_pos(8.0 * self.err_std * n * math.sqrt(digit_var))
 
 
 def param_gen(
@@ -242,11 +239,11 @@ class PublicKey:
 
 @dataclasses.dataclass(frozen=True)
 class RelinKey:
-    """Gadget encryptions of s^2: component t decrypts to 2^(20 t) s^2."""
+    """CRT-gadget encryptions of s^2, one per prime: component j decrypts
+    to s^2*e_j, e_j = 1 mod q_j and 0 mod the others (row j of s^2)."""
 
     scheme: SchemeParams
-    components: tuple  # ((b_t, a_t), ...)
-    digit_bits: int = DIGIT_BITS
+    components: tuple  # ((b_j, a_j), ...), len == ring.level_count
 
 
 @dataclasses.dataclass(frozen=True)
@@ -274,23 +271,18 @@ def keygen(params: SchemeParams, rng: np.random.Generator) -> KeyMaterial:
     b = ring.ring_add(ring.ring_neg(ring.ring_mul(a, s)), e)
 
     s2 = ring.ring_mul(s, s)
-    q = rp._q_col
-    base = np.uint64(1 << DIGIT_BITS) % q
-    shift = np.ones_like(base)  # 2^(20 t) mod q_j, one row per prime
     comps = []
-    for _ in range(params.relin_digits(lv)):
-        a_t = ring.sample_uniform(rp, lv, rng)
-        e_t = ring.ntt_forward(
+    for j in range(rp.level_count):
+        a_j = ring.sample_uniform(rp, lv, rng)
+        e_j = ring.ntt_forward(
             ring.sample_gaussian(rp, lv, params.err_std, rng, tail_bound=KEY_ERR_TAIL)
         )
-        gadget = ring.RingElement(
-            rp, lv, ring.mulmod(s2.residues, shift, q), ring.Domain.EVALUATION
+        gadget = np.zeros_like(s2.residues)
+        gadget[j] = s2.residues[j]
+        b_j = ring.ring_add(
+            ring.ring_add(ring.ring_neg(ring.ring_mul(a_j, s)), e_j), s2._like(gadget)
         )
-        b_t = ring.ring_add(
-            ring.ring_add(ring.ring_neg(ring.ring_mul(a_t, s)), e_t), gadget
-        )
-        comps.append((b_t, a_t))
-        shift = ring.mulmod(shift, base, q)
+        comps.append((b_j, a_j))
     return KeyMaterial(
         sk=SecretKey(params, s),
         pk=PublicKey(params, b, a),
@@ -505,26 +497,22 @@ def mult_plain(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
 
 
 def _relinearize(d2: ring.RingElement, evk: RelinKey, level: int):
-    """Decompose the composed c2 in base 2^20 and fold through the evk."""
+    """Fold c2 through the evk with the CRT gadget: c2 = sum_j d_j*e_j
+    mod Q_level, where the digit d_j is c2's residue row j centred into
+    (-q_j/2, q_j/2]."""
     rp = evk.scheme.ring
-    coeff = ring.ntt_inverse(d2)
-    values, big_q = ring.compose(coeff)
-    n_digits = evk.scheme.relin_digits(level)
-    if n_digits > len(evk.components):
-        raise ParameterError("relinearization key has too few digits")
-    mask = (1 << DIGIT_BITS) - 1
+    rows = ring.ntt_inverse(d2).residues.astype(np.int64)
+    q = d2._q.astype(np.int64)
+    digits = np.where(rows > q // 2, rows - q, rows)
     acc0 = acc1 = None
-    for t in range(n_digits):
-        digit = ((values >> (DIGIT_BITS * t)) & mask).astype(np.int64)
-        dig_el = ring.ntt_forward(
-            ring.from_int_coeffs(digit, rp, level)
-        )
-        b_t, a_t = evk.components[t]
-        term0 = ring.ring_mul(dig_el, ring.drop_level(b_t, level))
-        term1 = ring.ring_mul(dig_el, ring.drop_level(a_t, level))
+    for j in range(level + 1):
+        dig_el = ring.ntt_forward(ring.from_int_coeffs(digits[j], rp, level))
+        b_j, a_j = evk.components[j]
+        term0 = ring.ring_mul(dig_el, ring.drop_level(b_j, level))
+        term1 = ring.ring_mul(dig_el, ring.drop_level(a_j, level))
         acc0 = term0 if acc0 is None else ring.ring_add(acc0, term0)
         acc1 = term1 if acc1 is None else ring.ring_add(acc1, term1)
-    return acc0, acc1, n_digits
+    return acc0, acc1
 
 
 def mult(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
@@ -544,7 +532,7 @@ def mult(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
         ring.ring_mul(a.parts[1], b.parts[0]),
     )
     d2 = ring.ring_mul(a.parts[1], b.parts[1])
-    r0, r1, n_digits = _relinearize(d2, evk, a.level)
+    r0, r1 = _relinearize(d2, evk, a.level)
     c0 = ring.ring_add(d0, r0)
     c1 = ring.ring_add(d1, r1)
     params = a.scheme
@@ -554,7 +542,7 @@ def mult(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
         a.noise_bits + _log2_pos(b.value_bound * b.scale),
         b.noise_bits + _log2_pos(a.value_bound * a.scale),
         a.noise_bits + b.noise_bits,
-        params.relin_noise_bits(n_digits),
+        params.relin_noise_bits(a.level),
     )
     return _checked(
         Ciphertext(

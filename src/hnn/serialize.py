@@ -15,7 +15,9 @@ coefficients as u64 words in chain order, coefficients ascending. Key
 blob sizes are a fixed function of the parameter set, independent of any
 circuit later evaluated. A bundle file is a manifest ("HNNB", version
 u16, kind u8, ciphertext count u32, slot occupancy u32, then the sha256
-of those 15 bytes) followed by length-prefixed ciphertext blobs.
+of those 15 bytes) followed by length-prefixed ciphertext blobs. An evk
+is a gadget byte 0 (one digit per prime), a u32 count, and one top-level
+(b_j, a_j) pair per prime.
 
 Every load verifies the checksums and the parameter hash; a single
 flipped byte fails loudly.
@@ -212,10 +214,10 @@ def secret_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.Se
 
 def relin_key_to_bytes(evk: scheme.RelinKey) -> bytes:
     buf = io.BytesIO()
-    buf.write(struct.pack("<BI", evk.digit_bits, len(evk.components)))
-    for b_t, a_t in evk.components:
-        _write_element(buf, b_t)
-        _write_element(buf, a_t)
+    buf.write(struct.pack("<BI", 0, len(evk.components)))
+    for b_j, a_j in evk.components:
+        _write_element(buf, b_j)
+        _write_element(buf, a_j)
     return _blob(KIND_EVK, params_hash(evk.scheme), buf.getvalue())
 
 
@@ -224,13 +226,22 @@ def relin_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.Rel
     raw = buf.read(5)
     if len(raw) != 5:
         raise FormatError("truncated relin key header")
-    digit_bits, count = struct.unpack("<BI", raw)
-    comps = []
-    for _ in range(count):
-        b_t = _read_element(buf, params)
-        a_t = _read_element(buf, params)
-        comps.append((b_t, a_t))
-    return scheme.RelinKey(params, tuple(comps), digit_bits)
+    gadget, count = struct.unpack("<BI", raw)
+    if gadget != 0:
+        raise FormatError(
+            f"relin key gadget byte {gadget}, not 0: a key with 20 there uses the "
+            "retired base-2^20 gadget and must be regenerated (hnn keygen)"
+        )
+    rp = params.ring
+    if count != rp.level_count:
+        raise FormatError(f"relin key has {count} components for {rp.level_count} primes")
+    parts = [_read_element(buf, params) for _ in range(2 * count)]
+    for p in parts:
+        if p.level != rp.max_level or p.domain != ring.Domain.EVALUATION:
+            raise FormatError("relin key component not at the top level in Evaluation domain")
+    if buf.read(1):
+        raise FormatError("trailing bytes in relin key")
+    return scheme.RelinKey(params, tuple(zip(parts[::2], parts[1::2])))
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +336,11 @@ def bundle_from_bytes(data: bytes, params: scheme.SchemeParams) -> Bundle:
     if hashlib.sha256(data[: _MANIFEST.size]).digest() != data[_MANIFEST.size : off]:
         raise FormatError("bundle manifest truncated or corrupted")
     slots = params.ring.ring_degree // 2
-    if kind not in (BUNDLE_FEATURES, BUNDLE_SCORES) or n_samples > slots:
+    bad_count = count < 1 or (kind == BUNDLE_SCORES and count != 1)
+    if kind not in (BUNDLE_FEATURES, BUNDLE_SCORES) or n_samples > slots or bad_count:
         raise FormatError(
-            f"bad bundle manifest: kind {kind}, {n_samples} samples, {slots} slots"
+            f"bad bundle manifest: kind {kind}, {count} ciphertexts (features need "
+            f">= 1, scores 1), {n_samples} samples, {slots} slots"
         )
     cts = []
     for _ in range(count):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hnn import approx, cli, encoding, neural, scheme, serialize
+from hnn import approx, cli, encoding, neural, ring, scheme, serialize
 from hnn.errors import FormatError, ParamsHashMismatch
 
 
@@ -99,8 +100,6 @@ class TestBlobs:
 
     def test_reloaded_keys_pass_invariants(self, params, keys):
         # round-trip through bytes, then check b + a*s is still small
-        from hnn import ring
-
         pk2 = serialize.public_key_from_bytes(
             serialize.public_key_to_bytes(keys.pk), params
         )
@@ -245,6 +244,89 @@ class TestCiphertextHeader:
         assert code == 3
 
 
+# relin key payload header "<BI" (gadget byte, component count) after
+# the blob header; the first component's domain flag follows its level
+_EVK_GADGET, _EVK_COUNT, _EVK_FIRST_DOMAIN = 47, 48, 47 + 5 + 4
+
+_EVK_TAMPERS = [
+    "gadget 20", "gadget 1", "short count", "long count", "low component",
+    "coefficient component", "trailing bytes",
+]
+
+
+def _tampered_evk(evk, what):
+    blob = serialize.relin_key_to_bytes(evk)
+    count = len(evk.components)
+    if what == "short count":
+        # a well-formed blob one component short: only the count rule sees it
+        return serialize.relin_key_to_bytes(
+            dataclasses.replace(evk, components=evk.components[:-1])
+        )
+    if what == "low component":
+        b, a = evk.components[0]
+        low = (ring.drop_level(b, b.level - 1), ring.drop_level(a, a.level - 1))
+        return serialize.relin_key_to_bytes(
+            dataclasses.replace(evk, components=(low,) + evk.components[1:])
+        )
+    if what == "trailing bytes":
+        payload = blob[47:-32] + b"\0"
+        return serialize._blob(serialize.KIND_EVK, blob[7:39], payload)
+    offset, fmt, value = {
+        "gadget 20": (_EVK_GADGET, "<B", 20),
+        "gadget 1": (_EVK_GADGET, "<B", 1),
+        "long count": (_EVK_COUNT, "<I", count + 1),
+        "coefficient component": (_EVK_FIRST_DOMAIN, "<B", 0),
+    }[what]
+    return _reseal(blob, offset, struct.pack(fmt, value))
+
+
+class TestRelinKeyBlob:
+    def test_one_component_per_prime_round_trip(self, params, keys):
+        blob = serialize.relin_key_to_bytes(keys.evk)
+        assert blob[_EVK_GADGET] == 0
+        evk = serialize.relin_key_from_bytes(blob, params)
+        assert len(evk.components) == params.ring.level_count
+
+    @pytest.mark.parametrize("what", _EVK_TAMPERS)
+    def test_tampered_evk_is_format_error(self, params, keys, what):
+        with pytest.raises(FormatError):
+            serialize.relin_key_from_bytes(_tampered_evk(keys.evk, what), params)
+
+    def test_old_gadget_names_the_regeneration(self, params, keys):
+        blob = _tampered_evk(keys.evk, "gadget 20")
+        msg = "20 there uses the retired base-2\\^20 gadget and must be regenerated"
+        with pytest.raises(FormatError, match=msg):
+            serialize.relin_key_from_bytes(blob, params)
+
+    @pytest.mark.parametrize("what", _EVK_TAMPERS)
+    def test_tampered_evk_infer_exit_code_3(self, tmp_path, params, keys, what):
+        params_file = tmp_path / "p.txt"
+        serialize.save_params(params, params_file)
+        rng = np.random.default_rng(9)
+        cts = neural.encrypt_features(keys.pk, rng.uniform(-1, 1, (4, 2)), rng)
+        bundle = tmp_path / "b.hct"
+        bundle.write_bytes(
+            serialize.bundle_to_bytes(
+                serialize.Bundle(serialize.BUNDLE_FEATURES, 4, cts), params
+            )
+        )
+        model_file = tmp_path / "m.txt"
+        model_file.write_text(
+            serialize.model_to_text(
+                neural.LinearModel(np.zeros((2, 2)), np.zeros(2)),
+                neural.SoftArgmaxHead(1.0, 2), 2.0, 7, 5,
+            )
+        )
+        evk_file = tmp_path / "evk.bin"
+        evk_file.write_bytes(_tampered_evk(keys.evk, what))
+        code = cli.main([
+            "infer", "--model", str(model_file), "--evk", str(evk_file),
+            "--params", str(params_file), "--input", str(bundle), "--out",
+            str(tmp_path / "out.hct"),
+        ])
+        assert code == 3
+
+
 class TestBundles:
     def test_roundtrip(self, params, keys):
         rng = np.random.default_rng(2)
@@ -268,6 +350,40 @@ class TestBundles:
         )
         with pytest.raises(FormatError):
             serialize.bundle_from_bytes(data[:-5], params)
+
+
+    def test_ciphertext_count_rules(self, params, keys):
+        # a feature bundle needs at least one ciphertext, a score bundle
+        # exactly one; both manifests are checksummed, so only the count
+        # rule can reject them
+        rng = np.random.default_rng(10)
+        cts = neural.encrypt_features(keys.pk, rng.uniform(-1, 1, (4, 2)), rng)
+        assert params.ring.ring_degree == 32
+        for kind, held in (
+            (serialize.BUNDLE_FEATURES, []),
+            (serialize.BUNDLE_SCORES, []),
+            (serialize.BUNDLE_SCORES, cts),
+        ):
+            data = serialize.bundle_to_bytes(serialize.Bundle(kind, 4, held), params)
+            with pytest.raises(FormatError, match="ciphertexts"):
+                serialize.bundle_from_bytes(data, params)
+
+    def test_empty_feature_bundle_decrypt_exit_code_3(self, tmp_path, params, keys):
+        params_file = tmp_path / "p.txt"
+        serialize.save_params(params, params_file)
+        sk_file = tmp_path / "sk.bin"
+        sk_file.write_bytes(serialize.secret_key_to_bytes(keys.sk))
+        bundle = tmp_path / "empty.hct"
+        bundle.write_bytes(
+            serialize.bundle_to_bytes(
+                serialize.Bundle(serialize.BUNDLE_FEATURES, 4, []), params
+            )
+        )
+        code = cli.main([
+            "decrypt", "--sk", str(sk_file), "--params", str(params_file),
+            "--input", str(bundle), "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 3
 
 
 class TestBundleManifest:

@@ -204,6 +204,32 @@ class TestBatchedChain:
             assert [int(v) % q for v in values] == el.residues[j].tolist()
         assert all(0 <= int(v) < big_q for v in values)
 
+    def test_crt_gadget_identity_every_level(self, chain):
+        # the relinearization gadget: c2 = sum_j d_j*e_j mod Q_l, with
+        # d_j row j of c2 centred into (-q_j/2, q_j/2] and e_j the chain's
+        # CRT idempotent, which is the all-ones row j with the rest zero
+        top = chain.max_level
+        idem = []
+        for j in range(chain.level_count):
+            rows = np.zeros((chain.level_count, chain.ring_degree), dtype=np.uint64)
+            rows[j] = 1
+            values, _ = ring.compose(ring.RingElement(chain, top, rows, ring.Domain.COEFFICIENT))
+            idem.append(int(values[0]))
+            assert [idem[j] % q for q in chain.moduli] == [
+                int(i == j) for i in range(chain.level_count)
+            ]
+        rng = np.random.default_rng(16)
+        for level in range(chain.level_count):
+            c2 = random_ring_element(chain, level, rng)
+            q = chain._q_col[: level + 1].astype(np.int64)
+            rows = c2.residues.astype(np.int64)
+            digits = np.where(rows > q // 2, rows - q, rows)
+            assert np.all(2 * np.abs(digits) <= q)
+            values, big_q = ring.compose(c2)
+            for i in range(chain.ring_degree):
+                total = sum(int(digits[j, i]) * idem[j] for j in range(level + 1))
+                assert total % big_q == int(values[i])
+
 
 class TestSchoolbook:
     def test_one_plus_x_times_one_minus_x(self):

@@ -84,25 +84,18 @@ class TestKeygen:
         assert np.array_equal(k1.pk.b.residues, k1b.pk.b.residues)
         assert np.array_equal(k1.sk.s.residues, k1b.sk.s.residues)
 
-    def test_relin_key_components_decrypt_to_shifted_s2(self, small_keys):
-        # b_t + a_t*s - 2^(20 t)*s^2 must be a small error polynomial
+    def test_relin_key_components_decrypt_to_masked_s2(self, small_keys):
+        # b_j + a_j*s - s^2*e_j must be a small error polynomial, where
+        # s^2*e_j is s^2's residue row j with every other row zero
         params = small_keys.scheme
         s = small_keys.sk.s
         s2 = ring.ring_mul(s, s)
-        big_q = params.ring.modulus_product(params.max_level)
-        for t, (b_t, a_t) in enumerate(small_keys.evk.components):
-            shift = pow(2, scheme.DIGIT_BITS * t, big_q)
-            shifted = np.stack(
-                [
-                    ring.mulmod(s2.residues[j], shift % q, q)
-                    for j, q in enumerate(params.ring.moduli)
-                ]
-            )
-            gadget = ring.RingElement(
-                params.ring, params.max_level, shifted, ring.Domain.EVALUATION
-            )
+        assert len(small_keys.evk.components) == params.ring.level_count
+        for j, (b_j, a_j) in enumerate(small_keys.evk.components):
+            masked = np.zeros_like(s2.residues)
+            masked[j] = s2.residues[j]
             residual = ring.ring_sub(
-                ring.ring_add(b_t, ring.ring_mul(a_t, s)), gadget
+                ring.ring_add(b_j, ring.ring_mul(a_j, s)), s2._like(masked)
             )
             signed, _ = ring.compose_signed(ring.ntt_inverse(residual))
             assert max(abs(int(v)) for v in signed) < 6 * params.err_std
@@ -279,6 +272,28 @@ class TestMultRescale:
                 ct = scheme.rescale(prod)
                 for part, rows in zip(ct.parts, expect):
                     assert np.array_equal(ring.ntt_inverse(part).residues, rows)
+
+    def test_relinearized_matches_three_part_decrypt_every_level(
+        self, small_keys, rng
+    ):
+        # the CRT-gadget key switch may move the decryption by at most
+        # the ledger's relinearization charge
+        params = small_keys.scheme
+        k = params.slot_capacity
+        top_u = enc(small_keys, rng.uniform(-1, 1, k), rng)
+        top_v = enc(small_keys, rng.uniform(-1, 1, k), rng)
+        for level in range(params.max_level, 0, -1):
+            u = scheme.ct_drop_level(top_u, level)
+            v = scheme.ct_drop_level(top_v, level)
+            relin = scheme.mult(u, v, small_keys.evk)
+            tensor = tensor_no_relin(u, v)
+            diff = np.max(
+                np.abs(
+                    scheme.decrypt_to_slots(small_keys.sk, relin)
+                    - scheme.decrypt_to_slots(small_keys.sk, tensor)
+                )
+            )
+            assert diff <= 2.0 ** params.relin_noise_bits(level) / relin.scale
 
     def test_rescale_at_level_zero_rejected(self, small_keys, rng):
         ct = enc(small_keys, np.zeros(small_keys.scheme.slot_capacity), rng)
