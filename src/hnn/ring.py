@@ -4,11 +4,27 @@ Each element keeps one residue row per prime of the modulus chain, as
 a (level+1, N) uint64 block. Every kernel works on the whole block at
 once against the (level+1, 1) column of moduli, so no operation loops
 over primes in Python. All primes satisfy q ≡ 1 (mod 2N) so a negacyclic
-NTT exists per prime, and all primes are kept below 2^42 so that
-a*b mod q can be computed exactly with vectorized uint64 arithmetic
-(21-bit split, no bigints on the hot path). Multiplication runs as
-pointwise products in the NTT (Evaluation) domain; a schoolbook
-negacyclic convolution is kept as an independent oracle.
+NTT exists per prime, and all primes are kept below 2^42 so that every
+product below is exact in vectorized uint64 arithmetic, with no bigints
+on the hot path. Multiplication runs as pointwise products in the NTT
+(Evaluation) domain; a schoolbook negacyclic convolution is kept as an
+independent oracle.
+
+The NTT kernels divide nowhere. They use the constant-geometry (Pease)
+layout: every forward stage reads the two contiguous halves of the block
+and writes its butterflies interleaved into a second buffer (the inverse
+reads interleaved and writes halves), so no stage runs on a short
+strided view, and after log2 N stages the output is in the usual
+bit-reversed order. Between stages values stay lazily reduced (Harvey,
+2014): in [0, 4q) forward and [0, 2q) inverse, with np.minimum(x, x - m)
+as the only reduction and one final pass into [0, q). A twiddle product
+y*w mod q uses the stored float64 quotient w/q: trunc(y*(w/q)) is the
+integer quotient or one off, so y*w - est*q in wrapping uint64 needs one
+correction to land in [0, 2q). ring_add, ring_sub and ring_neg reduce
+with one such np.minimum each. The 21-bit split :func:`mulmod` remains
+where no quotient is stored or the product is off the hot path:
+ring_mul's pointwise products, rescale's multiply by q_top^-1, CRT
+composition and the twiddle-table build.
 
 Elements are immutable after construction (residue arrays are marked
 read-only); every operation returns a new element, so concurrent use is
@@ -140,14 +156,25 @@ def bit_reverse_permutation(n: int) -> np.ndarray:
 class _NttTables:
     """Twiddle factors for a whole chain, one row per prime.
 
-    Row j holds the powers of psi_j, a primitive 2N-th root of unity mod
-    q_j, in bit-reversed order for the in-place Cooley-Tukey /
-    Gentleman-Sande butterflies; an element at level l uses rows
-    [:l+1]. The forward transform returns the evaluations of the
+    Row j of psi_rev / ipsi_rev holds the powers of psi_j (a primitive
+    2N-th root of unity mod q_j) and of its inverse in bit-reversed
+    order. The forward transform returns the evaluations of the
     polynomial at psi^(2k+1) in bit-reversed k order.
+
+    Stage s of the forward transform multiplies half-index k by
+    psi_rev[2^s + (k mod 2^s)], a sequence of period 2^s. psi_stage[s]
+    holds its first W = min(max(2^s, 64), N/2) terms as a (primes, 1, W)
+    block that broadcasts over the half viewed as (rows, N/2W, W); the
+    floor of 64 keeps numpy's inner loops long in the early stages.
+    ipsi_stage is the same for the inverse, and the *_q tables hold each
+    twiddle divided by its prime in float64. An element at level l uses
+    rows [:l+1].
     """
 
-    __slots__ = ("psi_rev", "ipsi_rev", "n_inv")
+    __slots__ = (
+        "psi_rev", "ipsi_rev", "n_inv", "psi_stage", "psi_stage_q",
+        "ipsi_stage", "ipsi_stage_q", "n_inv_q",
+    )
 
     def __init__(self, ring_degree: int, moduli: tuple):
         q_col = np.array(moduli, dtype=np.uint64)[:, None]
@@ -167,6 +194,18 @@ class _NttTables:
         self.n_inv = np.array(
             [pow(ring_degree, -1, q) for q in moduli], dtype=np.uint64
         )[:, None]
+        q_float = q_col.astype(np.float64)
+        self.n_inv_q = self.n_inv / q_float
+        stage_index = [
+            (1 << s) + (np.arange(min(max(1 << s, 64), ring_degree // 2)) % (1 << s))
+            for s in range(ring_degree.bit_length() - 1)
+        ]
+        self.psi_stage, self.ipsi_stage = (
+            tuple(rev[:, None, idx] for idx in stage_index)
+            for rev in (self.psi_rev, self.ipsi_rev)
+        )
+        self.psi_stage_q = tuple(w / q_float[:, :, None] for w in self.psi_stage)
+        self.ipsi_stage_q = tuple(w / q_float[:, :, None] for w in self.ipsi_stage)
 
     @staticmethod
     def _primitive_root(ring_degree: int, q: int) -> int:
@@ -306,44 +345,69 @@ def zero(params: RingParams, level: int, domain=Domain.COEFFICIENT) -> RingEleme
     return RingElement(params, level, res, domain)
 
 
+def _reduce(x, m):
+    """x mod m for x in [0, 2m): subtract m where that does not wrap."""
+    return np.minimum(x, x - m)
+
+
+def _mul_lazy(y, w, w_q, q):
+    """y*w mod q, lazily in [0, 2q), for y < 4q and w < q; w_q is w/q in
+    float64.
+
+    est = trunc(y*w_q) is floor(y*w/q) or one off either way: for
+    y < 2^44 the float error is below 2^-8. So r = y*w - est*q, formed
+    with wrapping uint64, lies in [-q, 2q), and one conditional add of q
+    lands it in [0, 2q).
+    """
+    est = (y.astype(np.float64) * w_q).astype(np.uint64)
+    r = y * w
+    r -= est * q
+    return np.minimum(r, r + q)
+
+
 def ntt_forward(a: RingElement) -> RingElement:
     """Negacyclic NTT per residue prime; exact, O(N log N) per prime."""
     if a.domain != Domain.COEFFICIENT:
         raise ValueError("element already in Evaluation domain")
     rows, n = a.residues.shape
-    psi_rev = _tables(a.params).psi_rev
-    q = a._q[:, :, None]
-    out = a.residues.copy()
-    t, m = n, 1
-    while m < n:
-        t >>= 1
-        blocks = out.reshape(rows, m, 2, t)
-        u = blocks[:, :, 0].copy()
-        w = mulmod(blocks[:, :, 1], psi_rev[:rows, m : 2 * m, None], q)
-        blocks[:, :, 0] = (u + w) % q
-        blocks[:, :, 1] = (u + (q - w)) % q
-        m <<= 1
-    return a._like(out, Domain.EVALUATION)
+    h = n // 2
+    tb = _tables(a.params)
+    q = a._q
+    q2 = q + q
+    x = a.residues
+    bufs = (np.empty_like(x), np.empty_like(x))
+    for s, (w, w_q) in enumerate(zip(tb.psi_stage, tb.psi_stage_q)):
+        # x in [0, 4q): Cooley-Tukey butterflies on (x[k], x[k + N/2])
+        lo = _reduce(x[:, :h], q2)
+        hi = x[:, h:].reshape(rows, -1, w.shape[2])
+        t = _mul_lazy(hi, w[:rows], w_q[:rows], q[:, :, None]).reshape(rows, h)
+        x = bufs[s & 1]
+        pairs = x.reshape(rows, h, 2)
+        np.add(lo, t, out=pairs[:, :, 0])
+        lo += q2
+        np.subtract(lo, t, out=pairs[:, :, 1])
+    return a._like(_reduce(_reduce(x, q2), q), Domain.EVALUATION)
 
 
 def _ntt_inverse_rows(a: RingElement, rows: slice) -> np.ndarray:
     """Inverse NTT of a's chain rows ``rows`` (a rescale needs only the top)."""
     tb = _tables(a.params)
-    q_col, ipsi = a.params._q_col[rows], tb.ipsi_rev[rows]
-    q = q_col[:, :, None]
-    out = a.residues[rows].copy()
-    k, n = out.shape
-    t, m = 1, n
-    while m > 1:
-        h = m >> 1
-        blocks = out.reshape(k, h, 2, t)
-        u = blocks[:, :, 0].copy()
-        w = blocks[:, :, 1]
-        blocks[:, :, 0] = (u + w) % q
-        blocks[:, :, 1] = mulmod((u + (q - w)) % q, ipsi[:, h:m, None], q)
-        t <<= 1
-        m = h
-    return mulmod(out, tb.n_inv[rows], q_col)
+    q = a.params._q_col[rows]
+    q2 = q + q
+    x = a.residues[rows]
+    k, n = x.shape
+    h = n // 2
+    bufs = (np.empty_like(x), np.empty_like(x))
+    for s in reversed(range(len(tb.ipsi_stage))):
+        # x in [0, 2q): Gentleman-Sande butterflies on (x[2k], x[2k + 1])
+        w, w_q = tb.ipsi_stage[s][rows], tb.ipsi_stage_q[s][rows]
+        pairs = x.reshape(k, h, 2)
+        u, v = pairs[:, :, 0], pairs[:, :, 1]
+        x = bufs[s & 1]
+        x[:, :h] = _reduce(u + v, q2)
+        diff = ((u + q2) - v).reshape(k, -1, w.shape[2])
+        x[:, h:] = _mul_lazy(diff, w, w_q, q[:, :, None]).reshape(k, h)
+    return _reduce(_mul_lazy(x, tb.n_inv[rows], tb.n_inv_q[rows], q), q)
 
 
 def ntt_inverse(a: RingElement) -> RingElement:
@@ -361,18 +425,19 @@ def to_domain(a: RingElement, domain: Domain) -> RingElement:
 
 def ring_add(a: RingElement, b: RingElement) -> RingElement:
     _require_compatible(a, b)
-    return a._like((a.residues + b.residues) % a._q)
+    return a._like(_reduce(a.residues + b.residues, a._q))
 
 
 def ring_sub(a: RingElement, b: RingElement) -> RingElement:
     _require_compatible(a, b)
-    q = a._q
-    return a._like((a.residues + (q - b.residues)) % q)
+    # a - b wraps below zero exactly when adding q brings it into [0, q)
+    d = a.residues - b.residues
+    return a._like(np.minimum(d, d + a._q))
 
 
 def ring_neg(a: RingElement) -> RingElement:
-    q = a._q
-    return a._like((q - a.residues) % q)
+    d = -a.residues
+    return a._like(np.minimum(d, d + a._q))
 
 
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:

@@ -373,10 +373,14 @@ def encrypt(
         )
     lv = rp.max_level
     u = ring.ntt_forward(ring.sample_ternary(rp, lv, params.secret_weight, rng))
-    e0 = ring.ntt_forward(ring.sample_gaussian(rp, lv, params.err_std, rng))
+    e0 = ring.sample_gaussian(rp, lv, params.err_std, rng)
     e1 = ring.ntt_forward(ring.sample_gaussian(rp, lv, params.err_std, rng))
-    m = ring.to_domain(pt.poly, ring.Domain.EVALUATION)
-    c0 = ring.ring_add(ring.ring_add(ring.ring_mul(pk.b, u), e0), m)
+    # NTT(e0 + m) = NTT(e0) + NTT(m): a Coefficient message shares e0's NTT
+    if pt.poly.domain == ring.Domain.COEFFICIENT:
+        e0_m = ring.ntt_forward(ring.ring_add(e0, pt.poly))
+    else:
+        e0_m = ring.ring_add(ring.ntt_forward(e0), pt.poly)
+    c0 = ring.ring_add(ring.ring_mul(pk.b, u), e0_m)
     c1 = ring.ring_add(ring.ring_mul(pk.a, u), e1)
     noise = _log2_sum(params.fresh_noise_bits(), _log2_pos(pt.round_error))
     return _checked(

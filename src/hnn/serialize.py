@@ -10,14 +10,16 @@ Blob layout (all integers little-endian):
     payload      kind-specific
     checksum     32 bytes sha256 of everything above
 
-Ring elements serialize as level u32, domain u8, then (level+1)*N
-coefficients as u64 words in chain order, coefficients ascending. Key
-blob sizes are a fixed function of the parameter set, independent of any
-circuit later evaluated. A bundle file is a manifest ("HNNB", version
-u16, kind u8, ciphertext count u32, slot occupancy u32, then the sha256
-of those 15 bytes) followed by length-prefixed ciphertext blobs. An evk
-is a gadget byte 0 (one digit per prime), a u32 count, and one top-level
-(b_j, a_j) pair per prime.
+Ring elements serialize as level u32, domain u8 (0 Coefficient,
+1 Evaluation), then (level+1)*N coefficients as u64 words in chain order,
+coefficients ascending. Every key element (pk b, a; sk s; each evk pair)
+is at the top level in the Evaluation domain, and a key payload ends
+with its last element. Key blob sizes are a fixed function of the
+parameter set, independent of any circuit later evaluated. A bundle
+file is a manifest ("HNNB", version u16, kind u8, ciphertext count u32,
+slot occupancy u32, then the sha256 of those 15 bytes) followed by
+length-prefixed ciphertext blobs. An evk is a gadget byte 0 (one digit
+per prime), a u32 count, and one (b_j, a_j) pair per prime.
 
 Every load verifies the checksums and the parameter hash; a single
 flipped byte fails loudly.
@@ -147,8 +149,23 @@ def _read_element(buf, params: scheme.SchemeParams) -> ring.RingElement:
     )
     if np.any(res >= rp._q_col[: level + 1]):
         raise FormatError("residue outside modulus range")
+    if domain_flag not in (0, 1):
+        raise FormatError(f"element domain flag {domain_flag}, not 0 or 1")
     domain = ring.Domain.EVALUATION if domain_flag else ring.Domain.COEFFICIENT
     return ring.RingElement(rp, level, res, domain)
+
+
+def _read_key_elements(buf, params: scheme.SchemeParams, count: int, what: str) -> list:
+    """``count`` elements that must be top-level, in the Evaluation domain,
+    and end the payload."""
+    rp = params.ring
+    els = [_read_element(buf, params) for _ in range(count)]
+    for el in els:
+        if el.level != rp.max_level or el.domain != ring.Domain.EVALUATION:
+            raise FormatError(f"{what} element not at the top level in Evaluation domain")
+    if buf.read(1):
+        raise FormatError(f"trailing bytes in {what}")
+    return els
 
 
 def _blob(kind: int, hash32: bytes, payload: bytes) -> bytes:
@@ -196,8 +213,7 @@ def public_key_to_bytes(pk: scheme.PublicKey) -> bytes:
 
 def public_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.PublicKey:
     buf = io.BytesIO(_open_blob(data, KIND_PK, params))
-    b = _read_element(buf, params)
-    a = _read_element(buf, params)
+    b, a = _read_key_elements(buf, params, 2, "public key")
     return scheme.PublicKey(params, b, a)
 
 
@@ -209,7 +225,8 @@ def secret_key_to_bytes(sk: scheme.SecretKey) -> bytes:
 
 def secret_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.SecretKey:
     buf = io.BytesIO(_open_blob(data, KIND_SK, params))
-    return scheme.SecretKey(params, _read_element(buf, params))
+    (s,) = _read_key_elements(buf, params, 1, "secret key")
+    return scheme.SecretKey(params, s)
 
 
 def relin_key_to_bytes(evk: scheme.RelinKey) -> bytes:
@@ -235,12 +252,7 @@ def relin_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.Rel
     rp = params.ring
     if count != rp.level_count:
         raise FormatError(f"relin key has {count} components for {rp.level_count} primes")
-    parts = [_read_element(buf, params) for _ in range(2 * count)]
-    for p in parts:
-        if p.level != rp.max_level or p.domain != ring.Domain.EVALUATION:
-            raise FormatError("relin key component not at the top level in Evaluation domain")
-    if buf.read(1):
-        raise FormatError("trailing bytes in relin key")
+    parts = _read_key_elements(buf, params, 2 * count, "relin key")
     return scheme.RelinKey(params, tuple(zip(parts[::2], parts[1::2])))
 
 

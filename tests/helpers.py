@@ -166,3 +166,58 @@ def rescale_rows(ct):
             rows.append([(int(c) - t) * inv % q for c, t in zip(coeff[j], top)])
         out.append(np.array(rows, dtype=np.uint64))
     return out
+
+
+def ntt_forward_ct(el):
+    """In-place Cooley-Tukey forward NTT on strided (rows, m, 2, t) blocks,
+    every step reduced with %: the slow path of ring.ntt_forward."""
+    rows, n = el.residues.shape
+    psi_rev = ring._tables(el.params).psi_rev
+    q = el._q[:, :, None]
+    out = el.residues.copy()
+    t, m = n, 1
+    while m < n:
+        t >>= 1
+        blocks = out.reshape(rows, m, 2, t)
+        u = blocks[:, :, 0].copy()
+        w = ring.mulmod(blocks[:, :, 1], psi_rev[:rows, m : 2 * m, None], q)
+        blocks[:, :, 0] = (u + w) % q
+        blocks[:, :, 1] = (u + (q - w)) % q
+        m <<= 1
+    return out
+
+
+def ntt_inverse_gs(el, rows):
+    """In-place Gentleman-Sande inverse NTT of el's chain rows ``rows``,
+    every step reduced with %: the slow path of ring._ntt_inverse_rows."""
+    tb = ring._tables(el.params)
+    q_col, ipsi = el.params._q_col[rows], tb.ipsi_rev[rows]
+    q = q_col[:, :, None]
+    out = el.residues[rows].copy()
+    k, n = out.shape
+    t, m = 1, n
+    while m > 1:
+        h = m >> 1
+        blocks = out.reshape(k, h, 2, t)
+        u = blocks[:, :, 0].copy()
+        w = blocks[:, :, 1]
+        blocks[:, :, 0] = (u + w) % q
+        blocks[:, :, 1] = ring.mulmod((u + (q - w)) % q, ipsi[:, h:m, None], q)
+        t <<= 1
+        m = h
+    return ring.mulmod(out, tb.n_inv[rows], q_col)
+
+
+def encrypt_four_ntt(pk, pt, rng):
+    """(c0, c1) residues of scheme.encrypt with e0 and the message each
+    NTT'd on their own: four forward NTTs for a Coefficient message."""
+    params = pk.scheme
+    rp = params.ring
+    lv = rp.max_level
+    u = ring.ntt_forward(ring.sample_ternary(rp, lv, params.secret_weight, rng))
+    e0 = ring.ntt_forward(ring.sample_gaussian(rp, lv, params.err_std, rng))
+    e1 = ring.ntt_forward(ring.sample_gaussian(rp, lv, params.err_std, rng))
+    m = ring.to_domain(pt.poly, ring.Domain.EVALUATION)
+    c0 = ring.ring_add(ring.ring_add(ring.ring_mul(pk.b, u), e0), m)
+    c1 = ring.ring_add(ring.ring_mul(pk.a, u), e1)
+    return c0.residues, c1.residues

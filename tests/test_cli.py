@@ -187,6 +187,7 @@ def _tampered(ct, what):
         "inf bound": (_CT_BOUND, "<d", math.inf),
         # domain flag of the first part: level u32, then domain u8
         "coefficient part": (_CT_BOUND + 8 + 4, "<B", 0),
+        "part domain flag 2": (_CT_BOUND + 8 + 4, "<B", 2),
     }[what]
     return _reseal(blob, offset, struct.pack(fmt, value))
 
@@ -202,7 +203,7 @@ def _manifest(kind, count, n_samples, version=serialize.BUNDLE_VERSION):
 _TAMPERS = [
     "zero parts", "four parts", "part level", "zero scale", "negative scale",
     "inf scale", "nan noise", "inf noise", "nan bound", "inf bound",
-    "coefficient part",
+    "coefficient part", "part domain flag 2",
 ]
 
 
@@ -323,6 +324,76 @@ class TestRelinKeyBlob:
             "infer", "--model", str(model_file), "--evk", str(evk_file),
             "--params", str(params_file), "--input", str(bundle), "--out",
             str(tmp_path / "out.hct"),
+        ])
+        assert code == 3
+
+
+# a pk or sk payload starts with its first element: level u32, domain u8
+_KEY_FIRST_DOMAIN = 47 + 4
+
+_KEY_TAMPERS = ["coefficient element", "domain flag 2", "low element", "trailing bytes"]
+
+
+def _tampered_key(key, what):
+    """A pk or sk blob with one defect in its first element or its payload
+    end, resealed so that only the loader's semantic checks can catch it."""
+    to_bytes, kind, first = {
+        scheme.PublicKey: (serialize.public_key_to_bytes, serialize.KIND_PK, "b"),
+        scheme.SecretKey: (serialize.secret_key_to_bytes, serialize.KIND_SK, "s"),
+    }[type(key)]
+    blob = to_bytes(key)
+    if what == "low element":
+        el = getattr(key, first)
+        low = ring.drop_level(el, el.level - 1)
+        return to_bytes(dataclasses.replace(key, **{first: low}))
+    if what == "trailing bytes":
+        return serialize._blob(kind, blob[7:39], blob[47:-32] + b"junk")
+    flag = {"coefficient element": 0, "domain flag 2": 2}[what]
+    return _reseal(blob, _KEY_FIRST_DOMAIN, struct.pack("<B", flag))
+
+
+class TestPublicSecretKeyBlobs:
+    @pytest.mark.parametrize("what", _KEY_TAMPERS)
+    def test_tampered_pk_is_format_error(self, params, keys, what):
+        with pytest.raises(FormatError):
+            serialize.public_key_from_bytes(_tampered_key(keys.pk, what), params)
+
+    @pytest.mark.parametrize("what", _KEY_TAMPERS)
+    def test_tampered_sk_is_format_error(self, params, keys, what):
+        with pytest.raises(FormatError):
+            serialize.secret_key_from_bytes(_tampered_key(keys.sk, what), params)
+
+    @pytest.mark.parametrize("what", _KEY_TAMPERS)
+    def test_tampered_pk_encrypt_exit_code_3(self, tmp_path, params, keys, what):
+        params_file = tmp_path / "p.txt"
+        serialize.save_params(params, params_file)
+        pk_file = tmp_path / "pk.bin"
+        pk_file.write_bytes(_tampered_key(keys.pk, what))
+        csv = tmp_path / "x.csv"
+        np.savetxt(csv, np.random.default_rng(11).uniform(-1, 1, (4, 2)), delimiter=",")
+        code = cli.main([
+            "encrypt", "--pk", str(pk_file), "--params", str(params_file),
+            "--input", str(csv), "--out", str(tmp_path / "b.hct"),
+        ])
+        assert code == 3
+
+    @pytest.mark.parametrize("what", _KEY_TAMPERS)
+    def test_tampered_sk_decrypt_exit_code_3(self, tmp_path, params, keys, what):
+        params_file = tmp_path / "p.txt"
+        serialize.save_params(params, params_file)
+        sk_file = tmp_path / "sk.bin"
+        sk_file.write_bytes(_tampered_key(keys.sk, what))
+        rng = np.random.default_rng(12)
+        cts = neural.encrypt_features(keys.pk, rng.uniform(-1, 1, (4, 2)), rng)
+        bundle = tmp_path / "b.hct"
+        bundle.write_bytes(
+            serialize.bundle_to_bytes(
+                serialize.Bundle(serialize.BUNDLE_FEATURES, 4, cts), params
+            )
+        )
+        code = cli.main([
+            "decrypt", "--sk", str(sk_file), "--params", str(params_file),
+            "--input", str(bundle), "--out", str(tmp_path / "out.csv"),
         ])
         assert code == 3
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hnn import ring
@@ -8,6 +8,8 @@ from hnn.errors import ParameterError
 
 from helpers import (
     naive_negacyclic_transform,
+    ntt_forward_ct,
+    ntt_inverse_gs,
     primitive_2n_root,
     random_ring_element,
     schoolbook_int_negacyclic,
@@ -184,16 +186,24 @@ class TestBatchedChain:
         level = 9
         a = random_ring_element(chain, level, rng)
         b = random_ring_element(chain, level, rng)
-        for j, q in enumerate(chain.moduli[: level + 1]):
-            x = [int(v) for v in a.residues[j]]
-            y = [int(v) for v in b.residues[j]]
-            assert ring.ring_add(a, b).residues[j].tolist() == [
-                (u + v) % q for u, v in zip(x, y)
-            ]
-            assert ring.ring_sub(a, b).residues[j].tolist() == [
-                (u - v) % q for u, v in zip(x, y)
-            ]
-            assert ring.ring_neg(a).residues[j].tolist() == [-u % q for u in x]
+        # all q-1 and all zero: the conditional subtracts at both edges
+        top = chain._q_col[: level + 1] - np.uint64(1)
+        extreme = ring.RingElement(
+            chain, level, np.broadcast_to(top, (level + 1, 64)).copy(),
+            ring.Domain.COEFFICIENT,
+        )
+        zero = ring.zero(chain, level)
+        for left, right in ((a, b), (extreme, extreme), (zero, extreme), (extreme, zero)):
+            for j, q in enumerate(chain.moduli[: level + 1]):
+                x = [int(v) for v in left.residues[j]]
+                y = [int(v) for v in right.residues[j]]
+                assert ring.ring_add(left, right).residues[j].tolist() == [
+                    (u + v) % q for u, v in zip(x, y)
+                ]
+                assert ring.ring_sub(left, right).residues[j].tolist() == [
+                    (u - v) % q for u, v in zip(x, y)
+                ]
+                assert ring.ring_neg(left).residues[j].tolist() == [-u % q for u in x]
 
     def test_compose_matches_python_crt(self, chain):
         rng = np.random.default_rng(15)
@@ -229,6 +239,75 @@ class TestBatchedChain:
             for i in range(chain.ring_degree):
                 total = sum(int(digits[j, i]) * idem[j] for j in range(level + 1))
                 assert total % big_q == int(values[i])
+
+
+# largest 42-bit and smallest 14-bit NTT primes of the N=1024 ring
+_Q_LARGEST = ring.prime_below(1 << 42, 2 * 1024)
+_Q_SMALLEST = ring.prime_above(1 << 13, 2 * 1024)
+
+
+def _pairs(q):
+    """Lists of (y, w) at the lazy product's input bounds y < 4q, w < q."""
+    return st.lists(
+        st.tuples(st.integers(0, 4 * q - 1), st.integers(0, q - 1)),
+        min_size=1, max_size=32,
+    )
+
+
+class TestDivisionFreeKernels:
+    """The constant-geometry lazy kernels against the Cooley-Tukey /
+    Gentleman-Sande slow path they replace, bit for bit, and the
+    float-quotient product against Python ints."""
+
+    @pytest.mark.parametrize(
+        "n, bit_sizes",
+        [
+            (64, [42] + [41] * 16),
+            (1024, [42] + [41] * 15),
+            (64, [20, 14, 17, 15, 19, 16, 18]),
+        ],
+    )
+    def test_kernels_match_slow_path_every_level(self, n, bit_sizes):
+        chain = make_params(n, bit_sizes)
+        rng = np.random.default_rng(21)
+        for level in range(chain.level_count):
+            q = chain._q_col[: level + 1]
+            for res in (
+                rng.integers(0, q, (level + 1, n), dtype=np.uint64),
+                np.broadcast_to(q - np.uint64(1), (level + 1, n)).copy(),
+            ):
+                coeff = ring.RingElement(chain, level, res, ring.Domain.COEFFICIENT)
+                ev = ring.RingElement(chain, level, res, ring.Domain.EVALUATION)
+                assert np.array_equal(ring.ntt_forward(coeff).residues, ntt_forward_ct(coeff))
+                every = slice(0, level + 1)
+                assert np.array_equal(ring.ntt_inverse(ev).residues, ntt_inverse_gs(ev, every))
+                # the one-row inverse a rescale runs on the top prime
+                top = slice(level, level + 1)
+                assert np.array_equal(ring._ntt_inverse_rows(ev, top), ntt_inverse_gs(ev, top))
+
+    @staticmethod
+    def _check_mul_lazy(pairs, q):
+        y = np.array([p[0] for p in pairs], dtype=np.uint64)
+        w = np.array([p[1] for p in pairs], dtype=np.uint64)
+        # the quotient as the twiddle tables store it
+        r = ring._mul_lazy(y, w, w / np.float64(q), np.uint64(q))
+        for (yi, wi), ri in zip(pairs, r.tolist()):
+            assert ri % q == yi * wi % q
+            assert 0 <= ri < 2 * q
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=_pairs(_Q_LARGEST))
+    @example(pairs=[(4 * _Q_LARGEST - 1, _Q_LARGEST - 1), (0, _Q_LARGEST - 1), (1, 1)])
+    def test_mul_lazy_largest_42_bit_prime(self, pairs):
+        assert _Q_LARGEST.bit_length() == 42
+        self._check_mul_lazy(pairs, _Q_LARGEST)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=_pairs(_Q_SMALLEST))
+    @example(pairs=[(4 * _Q_SMALLEST - 1, _Q_SMALLEST - 1), (0, _Q_SMALLEST - 1), (1, 1)])
+    def test_mul_lazy_smallest_14_bit_prime(self, pairs):
+        assert _Q_SMALLEST.bit_length() == 14
+        self._check_mul_lazy(pairs, _Q_SMALLEST)
 
 
 class TestSchoolbook:

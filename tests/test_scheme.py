@@ -13,7 +13,7 @@ from hnn.errors import (
     ScaleMismatch,
 )
 
-from helpers import rescale_rows, tensor_no_relin
+from helpers import encrypt_four_ntt, rescale_rows, tensor_no_relin
 
 
 def enc(keys, values, rng, scale=None):
@@ -142,6 +142,32 @@ class TestEncryptDecrypt:
         pt = encoding.encode([0.5], params.scale, params.ring, level=0)
         with pytest.raises(ValueError):
             scheme.encrypt(small_keys.pk, pt, rng)
+
+    @pytest.mark.parametrize(
+        "kind, domain",
+        [("encode", ring.Domain.COEFFICIENT), ("encode_constant", ring.Domain.EVALUATION)],
+    )
+    def test_encrypt_matches_four_ntt_reference(
+        self, small_keys, monkeypatch, kind, domain
+    ):
+        # a Coefficient message is added to e0 before e0's NTT; an
+        # Evaluation-domain one after it: same residues, three NTTs either way
+        params = small_keys.scheme
+        if kind == "encode":
+            values = np.linspace(-1.0, 1.0, params.slot_capacity)
+            pt = encoding.encode(values, params.scale, params.ring)
+        else:
+            pt = encoding.encode_constant(-0.75, params.scale, params.ring)
+        assert pt.poly.domain == domain
+        calls = []
+        forward = ring.ntt_forward
+        monkeypatch.setattr(ring, "ntt_forward", lambda a: calls.append(a) or forward(a))
+        ct = scheme.encrypt(small_keys.pk, pt, np.random.default_rng(41))
+        monkeypatch.undo()
+        c0, c1 = encrypt_four_ntt(small_keys.pk, pt, np.random.default_rng(41))
+        assert np.array_equal(ct.parts[0].residues, c0)
+        assert np.array_equal(ct.parts[1].residues, c1)
+        assert len(calls) == 3
 
     def test_three_part_decrypt(self, small_keys, rng):
         k = small_keys.scheme.slot_capacity
