@@ -258,8 +258,8 @@ class SoftmaxConfig:
     sup_tol: float = DEFAULT_SUP_TOL
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError("temperature must be positive and finite")
         if self.class_count < 2:
             raise ValueError("need at least two classes")
         if self.radius <= 0:

@@ -69,8 +69,8 @@ class SoftArgmaxHead:
     class_count: int = 2
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError("temperature must be positive and finite")
         if self.class_count < 2:
             raise ValueError("need at least two classes")
 
@@ -255,15 +255,6 @@ def train_noise_injection(
                 model.bias -= cfg.learning_rate * gb
         history.append(float(np.mean(losses)))
     return model, history
-
-
-def trend_is_decreasing(history, window: int = 10) -> bool:
-    """Windowed-average check that the loss trend points down."""
-    if len(history) < 2 * window:
-        return len(history) < 2 or history[-1] <= history[0]
-    head_avg = float(np.mean(history[:window]))
-    tail_avg = float(np.mean(history[-window:]))
-    return tail_avg <= head_avg
 
 
 def calibrate_temperature(
@@ -467,10 +458,3 @@ def two_blob_dataset(
     signs = labels * 2 - 1
     feats = rng.normal(0.0, spread, (n_samples, d_in)) + signs[:, None] * center
     return Dataset(np.clip(feats, -1.0, 1.0), labels)
-
-
-def batch_iter(data: Dataset, batch_size: int):
-    """Chunk a dataset into consecutive batches."""
-    for start in range(0, len(data), batch_size):
-        sel = slice(start, start + batch_size)
-        yield Dataset(data.features[sel], data.labels[sel])

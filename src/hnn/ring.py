@@ -1,30 +1,22 @@
 """Exact modular polynomial arithmetic in Z_q[X]/(X^N + 1), RNS form.
 
-Each element keeps one residue row per prime of the modulus chain, as
-a (level+1, N) uint64 block. Every kernel works on the whole block at
-once against the (level+1, 1) column of moduli, so no operation loops
-over primes in Python. All primes satisfy q ≡ 1 (mod 2N) so a negacyclic
-NTT exists per prime, and all primes are kept below 2^42 so that every
-product below is exact in vectorized uint64 arithmetic, with no bigints
-on the hot path. Multiplication runs as pointwise products in the NTT
-(Evaluation) domain; a schoolbook negacyclic convolution is kept as an
-independent oracle.
+Each element keeps one residue row per prime of the modulus chain, as a
+(level+1, N) uint64 block, and every kernel works on the whole block
+against the (level+1, 1) column of moduli, with no Python loop over
+primes. All primes satisfy q ≡ 1 (mod 2N), so a negacyclic NTT exists
+per prime and multiplication runs pointwise in the NTT (Evaluation)
+domain.
 
-The NTT kernels divide nowhere. They use the constant-geometry (Pease)
-layout: every forward stage reads the two contiguous halves of the block
-and writes its butterflies interleaved into a second buffer (the inverse
-reads interleaved and writes halves), so no stage runs on a short
-strided view, and after log2 N stages the output is in the usual
-bit-reversed order. Between stages values stay lazily reduced (Harvey,
-2014): in [0, 4q) forward and [0, 2q) inverse, with np.minimum(x, x - m)
-as the only reduction and one final pass into [0, q). A twiddle product
-y*w mod q uses the stored float64 quotient w/q: trunc(y*(w/q)) is the
-integer quotient or one off, so y*w - est*q in wrapping uint64 needs one
-correction to land in [0, 2q). ring_add, ring_sub and ring_neg reduce
-with one such np.minimum each. The 21-bit split :func:`mulmod` remains
-where no quotient is stored or the product is off the hot path:
-ring_mul's pointwise products, rescale's multiply by q_top^-1, CRT
-composition and the twiddle-table build.
+There is one modular product and no kernel divides. y*w mod q takes
+est = trunc(y*(w/q)) with w/q in float64, the integer quotient or one
+off, so y*w - est*q in wrapping uint64 needs one correction to land in
+[0, 2q) (Harvey, 2014); for y < 4q <= 2^44 the float error stays below
+2^-8. The NTT stores its twiddles' quotients and stays lazily reduced
+between stages, in [0, 4q) forward and [0, 2q) inverse, with
+np.minimum(x, x - m) as the only reduction (ring_add, ring_sub and
+ring_neg use one each). Its constant-geometry (Pease) layout reads and
+writes whole halves of the block, so no stage runs on a short strided
+view; the output is in the usual bit-reversed order.
 
 Elements are immutable after construction (residue arrays are marked
 read-only); every operation returns a new element, so concurrent use is
@@ -42,27 +34,43 @@ import numpy as np
 
 from .errors import ParameterError
 
-# Largest prime size that keeps the 21-bit split product below 2^64.
+# Largest prime size for the float-quotient product: with y < 4q <= 2^44
+# the quotient estimate trunc(y*(w/q)) is within 2^-8 of y*w/q.
 MAX_PRIME_BITS = 42
-_SPLIT = np.uint64(21)
-_MASK21 = np.uint64((1 << 21) - 1)
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def _reduce(x, m):
+    """x mod m for x in [0, 2m): subtract m where that does not wrap."""
+    return np.minimum(x, x - m)
+
+
+def _mul_lazy(y, w, w_q, q):
+    """y*w mod q, lazily in [0, 2q), for y < 4q and w < q; w_q is w/q in
+    float64.
+
+    est = trunc(y*w_q) is floor(y*w/q) or one off either way: for
+    y < 2^44 the float error is below 2^-8. So r = y*w - est*q, formed
+    with wrapping uint64, lies in [-q, 2q), and one conditional add of q
+    lands it in [0, 2q).
+    """
+    est = (y.astype(np.float64) * w_q).astype(np.uint64)
+    r = y * w
+    r -= est * q
+    return np.minimum(r, r + q)
+
+
 def mulmod(a, b, q) -> np.ndarray:
-    """Exact (a * b) % q on uint64 arrays, q < 2^42.
+    """Exact (a * b) % q on uint64 arrays, for a < 4q and b < q < 2^42.
 
     q is a scalar or an array that broadcasts against a and b, such as a
-    (rows, 1) column of moduli. Splits ``a`` into 21-bit low / 21-bit
-    high halves so every intermediate stays below 2^64.
+    (rows, 1) column of moduli. The NTT's product, reduced into [0, q).
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     q = np.asarray(q, dtype=np.uint64)
-    hi = ((a >> _SPLIT) * b) % q
-    lo = (a & _MASK21) * b
-    return ((hi << _SPLIT) + lo) % q
+    return _reduce(_mul_lazy(a, b, b / q, q), q)
 
 
 def is_prime(n: int) -> bool:
@@ -345,26 +353,6 @@ def zero(params: RingParams, level: int, domain=Domain.COEFFICIENT) -> RingEleme
     return RingElement(params, level, res, domain)
 
 
-def _reduce(x, m):
-    """x mod m for x in [0, 2m): subtract m where that does not wrap."""
-    return np.minimum(x, x - m)
-
-
-def _mul_lazy(y, w, w_q, q):
-    """y*w mod q, lazily in [0, 2q), for y < 4q and w < q; w_q is w/q in
-    float64.
-
-    est = trunc(y*w_q) is floor(y*w/q) or one off either way: for
-    y < 2^44 the float error is below 2^-8. So r = y*w - est*q, formed
-    with wrapping uint64, lies in [-q, 2q), and one conditional add of q
-    lands it in [0, 2q).
-    """
-    est = (y.astype(np.float64) * w_q).astype(np.uint64)
-    r = y * w
-    r -= est * q
-    return np.minimum(r, r + q)
-
-
 def ntt_forward(a: RingElement) -> RingElement:
     """Negacyclic NTT per residue prime; exact, O(N log N) per prime."""
     if a.domain != Domain.COEFFICIENT:
@@ -417,6 +405,17 @@ def ntt_inverse(a: RingElement) -> RingElement:
     return a._like(_ntt_inverse_rows(a, slice(0, a.level + 1)), Domain.COEFFICIENT)
 
 
+def centered_coeffs(a: RingElement, rows: slice) -> np.ndarray:
+    """Coefficients of a's chain rows ``rows``, inverse-NTT'd and centred
+    into (-q_j/2, q_j/2] as int64: the digits of key switching (all rows)
+    and the top-prime lift of a rescale (the top row)."""
+    if a.domain != Domain.EVALUATION:
+        raise ValueError("centered_coeffs expects Evaluation domain")
+    x = _ntt_inverse_rows(a, rows).astype(np.int64)
+    q = a.params._q_col[rows].astype(np.int64)
+    return np.where(x > q // 2, x - q, x)
+
+
 def to_domain(a: RingElement, domain: Domain) -> RingElement:
     if a.domain == domain:
         return a
@@ -452,27 +451,6 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     if a.domain == Domain.COEFFICIENT:
         return ntt_inverse(ring_mul(ntt_forward(a), ntt_forward(b)))
     return a._like(mulmod(a.residues, b.residues, a._q))
-
-
-def schoolbook_mul(a: RingElement, b: RingElement) -> RingElement:
-    """O(N^2) negacyclic convolution oracle, exact via Python bigints.
-
-    c_k = sum_{i+j=k} a_i b_j - sum_{i+j=k+N} a_i b_j (mod q).
-    """
-    _require_compatible(a, b)
-    if a.domain != Domain.COEFFICIENT:
-        raise ValueError("schoolbook_mul expects Coefficient domain")
-    n = a.params.ring_degree
-    out = np.empty_like(a.residues)
-    for j, q in enumerate(a.moduli):
-        conv = np.convolve(
-            a.residues[j].astype(object), b.residues[j].astype(object)
-        )
-        folded = np.zeros(n, dtype=object)
-        folded += conv[:n]
-        folded[: len(conv) - n] -= conv[n:]
-        out[j] = (folded % q).astype(np.uint64)
-    return a._like(out)
 
 
 def drop_level(a: RingElement, new_level: int) -> RingElement:

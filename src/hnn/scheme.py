@@ -505,9 +505,7 @@ def _relinearize(d2: ring.RingElement, evk: RelinKey, level: int):
     mod Q_level, where the digit d_j is c2's residue row j centred into
     (-q_j/2, q_j/2]."""
     rp = evk.scheme.ring
-    rows = ring.ntt_inverse(d2).residues.astype(np.int64)
-    q = d2._q.astype(np.int64)
-    digits = np.where(rows > q // 2, rows - q, rows)
+    digits = ring.centered_coeffs(d2, slice(0, level + 1))
     acc0 = acc1 = None
     for j in range(level + 1):
         dig_el = ring.ntt_forward(ring.from_int_coeffs(digits[j], rp, level))
@@ -576,9 +574,8 @@ def rescale(ct: Ciphertext) -> Ciphertext:
     inv = np.array([[pow(q_top, -1, qj)] for qj in rp.moduli[:lv]], dtype=np.uint64)
     new_parts = []
     for part in ct.parts:
-        top = ring._ntt_inverse_rows(part, slice(lv, lv + 1))[0].astype(np.int64)
-        top_signed = np.where(top > q_top // 2, top - q_top, top)
-        lifted = ring.ntt_forward(ring.from_int_coeffs(top_signed, rp, lv - 1))
+        top = ring.centered_coeffs(part, slice(lv, lv + 1))[0]
+        lifted = ring.ntt_forward(ring.from_int_coeffs(top, rp, lv - 1))
         diff = ring.ring_sub(ring.drop_level(part, lv - 1), lifted)
         new_parts.append(diff._like(ring.mulmod(diff.residues, inv, q)))
     params = ct.scheme

@@ -393,6 +393,18 @@ def model_to_text(model, head, radius, exp_degree, inv_iterations, provenance=No
     return "\n".join(lines) + "\n"
 
 
+def _model_number(text: str, what: str, kind=float, positive=False):
+    """A finite float (or int), > 0 if ``positive``, from a model file."""
+    try:
+        val = kind(text)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val) or (positive and val <= 0):
+        sign = "positive " if positive else ""
+        raise FormatError(f"model {what} {text!r} is not a {sign}finite {kind.__name__}")
+    return val
+
+
 def model_from_text(text: str):
     from . import neural  # local import to avoid a cycle
 
@@ -404,25 +416,31 @@ def model_from_text(text: str):
     bias = None
     for ln in lines[1:]:
         if ln.startswith("W "):
-            w_rows.append([float(x) for x in ln[2:].split()])
+            w_rows.append([_model_number(x, "W entry") for x in ln[2:].split()])
         elif ln.startswith("b "):
-            bias = [float(x) for x in ln[2:].split()]
+            bias = [_model_number(x, "b entry") for x in ln[2:].split()]
         elif "=" in ln:
             key, val = ln.split("=", 1)
             kv[key.strip()] = val.strip()
         else:
             raise FormatError(f"malformed model line: {ln!r}")
     try:
-        d_in = int(kv["d_in"])
-        classes = int(kv["classes"])
-        model = neural.LinearModel(np.array(w_rows), np.array(bias))
+        d_in = _model_number(kv["d_in"], "d_in", int)
+        classes = _model_number(kv["classes"], "classes", int)
+        try:
+            model = neural.LinearModel(np.array(w_rows), np.array(bias))
+        except ValueError as exc:  # ragged W rows, a short or missing b line
+            raise FormatError(f"malformed model matrix: {exc}") from exc
         if model.d_in != d_in or model.class_count != classes:
             raise FormatError("model matrix shape disagrees with header")
-        head = neural.SoftArgmaxHead(float(kv["temperature"]), classes)
+        temperature = _model_number(kv["temperature"], "temperature", positive=True)
+        head = neural.SoftArgmaxHead(temperature, classes)
         meta = {
-            "radius": float(kv["logit_radius"]),
-            "exp_degree": int(kv["exp_degree"]),
-            "inv_iterations": int(kv["inv_iterations"]),
+            "radius": _model_number(kv["logit_radius"], "logit_radius", float, True),
+            "exp_degree": _model_number(kv["exp_degree"], "exp_degree", int, True),
+            "inv_iterations": _model_number(
+                kv["inv_iterations"], "inv_iterations", int, True
+            ),
         }
         prov = {k[5:]: v for k, v in kv.items() if k.startswith("prov_")}
         return model, head, meta, prov

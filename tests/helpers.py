@@ -46,6 +46,44 @@ def schoolbook_int_negacyclic(a, b, q):
     return [v % q for v in out]
 
 
+def schoolbook_mul(a, b):
+    """O(N^2) negacyclic convolution oracle, exact via Python bigints, one
+    prime at a time.
+
+    c_k = sum_{i+j=k} a_i b_j - sum_{i+j=k+N} a_i b_j (mod q).
+    """
+    ring._require_compatible(a, b)
+    if a.domain != ring.Domain.COEFFICIENT:
+        raise ValueError("schoolbook_mul expects Coefficient domain")
+    n = a.params.ring_degree
+    out = np.empty_like(a.residues)
+    for j, q in enumerate(a.moduli):
+        conv = np.convolve(
+            a.residues[j].astype(object), b.residues[j].astype(object)
+        )
+        folded = np.zeros(n, dtype=object)
+        folded += conv[:n]
+        folded[: len(conv) - n] -= conv[n:]
+        out[j] = (folded % q).astype(np.uint64)
+    return a._like(out)
+
+
+_SPLIT = np.uint64(21)
+_MASK21 = np.uint64((1 << 21) - 1)
+
+
+def mulmod_split(a, b, q):
+    """Exact (a * b) % q for a, b < q < 2^42 by the 21-bit split of a,
+    which keeps every intermediate below 2^64: an integer-only product,
+    independent of ring.mulmod's float quotient."""
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    q = np.asarray(q, dtype=np.uint64)
+    hi = ((a >> _SPLIT) * b) % q
+    lo = (a & _MASK21) * b
+    return ((hi << _SPLIT) + lo) % q
+
+
 def hp_embed_to_coeffs(values, n, prec_bits=200):
     """Arbitrary-precision inverse canonical embedding (O(N^2))."""
     with mpmath.workprec(prec_bits):
@@ -170,7 +208,8 @@ def rescale_rows(ct):
 
 def ntt_forward_ct(el):
     """In-place Cooley-Tukey forward NTT on strided (rows, m, 2, t) blocks,
-    every step reduced with %: the slow path of ring.ntt_forward."""
+    every step reduced with % and every product by mulmod_split: the slow
+    path of ring.ntt_forward."""
     rows, n = el.residues.shape
     psi_rev = ring._tables(el.params).psi_rev
     q = el._q[:, :, None]
@@ -180,7 +219,7 @@ def ntt_forward_ct(el):
         t >>= 1
         blocks = out.reshape(rows, m, 2, t)
         u = blocks[:, :, 0].copy()
-        w = ring.mulmod(blocks[:, :, 1], psi_rev[:rows, m : 2 * m, None], q)
+        w = mulmod_split(blocks[:, :, 1], psi_rev[:rows, m : 2 * m, None], q)
         blocks[:, :, 0] = (u + w) % q
         blocks[:, :, 1] = (u + (q - w)) % q
         m <<= 1
@@ -189,7 +228,8 @@ def ntt_forward_ct(el):
 
 def ntt_inverse_gs(el, rows):
     """In-place Gentleman-Sande inverse NTT of el's chain rows ``rows``,
-    every step reduced with %: the slow path of ring._ntt_inverse_rows."""
+    every step reduced with % and every product by mulmod_split: the slow
+    path of ring._ntt_inverse_rows."""
     tb = ring._tables(el.params)
     q_col, ipsi = el.params._q_col[rows], tb.ipsi_rev[rows]
     q = q_col[:, :, None]
@@ -202,10 +242,10 @@ def ntt_inverse_gs(el, rows):
         u = blocks[:, :, 0].copy()
         w = blocks[:, :, 1]
         blocks[:, :, 0] = (u + w) % q
-        blocks[:, :, 1] = ring.mulmod((u + (q - w)) % q, ipsi[:, h:m, None], q)
+        blocks[:, :, 1] = mulmod_split((u + (q - w)) % q, ipsi[:, h:m, None], q)
         t <<= 1
         m = h
-    return ring.mulmod(out, tb.n_inv[rows], q_col)
+    return mulmod_split(out, tb.n_inv[rows], q_col)
 
 
 def encrypt_four_ntt(pk, pt, rng):

@@ -538,6 +538,97 @@ class TestModelFile:
         assert prov == {"seed": "1"}
 
 
+# (line prefix, replacement) of a model file written by _model_text
+_MODEL_TAMPERS = [
+    ("temperature", "temperature = inf"),
+    ("temperature", "temperature = -inf"),
+    ("temperature", "temperature = nan"),
+    ("temperature", "temperature = 0"),
+    ("temperature", "temperature = -1.5"),
+    ("temperature", "temperature = warm"),
+    ("logit_radius", "logit_radius = inf"),
+    ("logit_radius", "logit_radius = nan"),
+    ("logit_radius", "logit_radius = 0"),
+    ("logit_radius", "logit_radius = wide"),
+    ("exp_degree", "exp_degree = seven"),
+    ("exp_degree", "exp_degree = 7.5"),
+    ("exp_degree", "exp_degree = 0"),
+    ("inv_iterations", "inv_iterations = five"),
+    ("d_in", "d_in = two"),
+    ("classes", "classes = 2.0"),
+    ("W ", "W 1 abc"),
+    ("W ", "W nan 1"),
+    ("W ", "W 1 inf"),
+    ("b ", "b 0 zero"),
+    ("b ", "b -inf 0"),
+    ("W 0.25", "W 0.25"),
+    ("b ", "b 0"),
+]
+
+
+def _model_text(tamper=None):
+    text = serialize.model_to_text(
+        neural.LinearModel(np.array([[0.5, -0.5], [0.25, 0.0]]), np.zeros(2)),
+        neural.SoftArgmaxHead(1.5, 2), 2.0, 7, 5,
+    )
+    if tamper is None:
+        return text
+    prefix, line = tamper
+    lines = text.splitlines()
+    i = next(k for k, ln in enumerate(lines) if ln.startswith(prefix))
+    return "\n".join(lines[:i] + [line] + lines[i + 1 :]) + "\n"
+
+
+class TestTamperedModelFile:
+    def test_pristine_model_loads(self):
+        model, head, meta, _ = serialize.model_from_text(_model_text())
+        assert head.temperature == 1.5
+        assert meta == {"radius": 2.0, "exp_degree": 7, "inv_iterations": 5}
+
+    @pytest.mark.parametrize("tamper", _MODEL_TAMPERS, ids=lambda t: t[1])
+    def test_tampered_model_is_format_error(self, tamper):
+        with pytest.raises(FormatError):
+            serialize.model_from_text(_model_text(tamper))
+
+    @pytest.mark.parametrize("tamper", _MODEL_TAMPERS, ids=lambda t: t[1])
+    def test_tampered_model_infer_exit_code_3(self, tmp_path, params, keys, tamper):
+        params_file = tmp_path / "p.txt"
+        serialize.save_params(params, params_file)
+        rng = np.random.default_rng(9)
+        cts = neural.encrypt_features(keys.pk, rng.uniform(-1, 1, (4, 2)), rng)
+        bundle = tmp_path / "b.hct"
+        bundle.write_bytes(
+            serialize.bundle_to_bytes(
+                serialize.Bundle(serialize.BUNDLE_FEATURES, 4, cts), params
+            )
+        )
+        evk_file = tmp_path / "evk.bin"
+        evk_file.write_bytes(serialize.relin_key_to_bytes(keys.evk))
+        model_file = tmp_path / "m.txt"
+        model_file.write_text(_model_text(tamper))
+        code = cli.main([
+            "infer", "--model", str(model_file), "--evk", str(evk_file),
+            "--params", str(params_file), "--input", str(bundle), "--out",
+            str(tmp_path / "out.hct"),
+        ])
+        assert code == 3
+        assert not (tmp_path / "out.hct").exists()
+
+    @pytest.mark.parametrize("tamper", _MODEL_TAMPERS, ids=lambda t: t[1])
+    def test_tampered_model_calibrate_exit_code_3(self, tmp_path, tamper):
+        data = tmp_path / "d.csv"
+        np.savetxt(data, [[0.5, 0.1, 0], [-0.5, 0.2, 1]], delimiter=",")
+        model_file = tmp_path / "m.txt"
+        model_file.write_text(_model_text(tamper))
+        out = tmp_path / "out.txt"
+        code = cli.main([
+            "calibrate", "--model", str(model_file), "--data", str(data),
+            "--out", str(out),
+        ])
+        assert code == 3
+        assert not out.exists()
+
+
 class TestCliCommands:
     def run(self, *argv):
         return cli.main(list(argv))

@@ -7,12 +7,14 @@ from hnn import ring
 from hnn.errors import ParameterError
 
 from helpers import (
+    mulmod_split,
     naive_negacyclic_transform,
     ntt_forward_ct,
     ntt_inverse_gs,
     primitive_2n_root,
     random_ring_element,
     schoolbook_int_negacyclic,
+    schoolbook_mul,
 )
 
 
@@ -118,7 +120,7 @@ class TestRingMul:
             a = random_ring_element(params, params.max_level, rng)
             b = random_ring_element(params, params.max_level, rng)
             via_ntt = ring.ring_mul(a, b)
-            via_schoolbook = ring.schoolbook_mul(a, b)
+            via_schoolbook = schoolbook_mul(a, b)
             assert np.array_equal(via_ntt.residues, via_schoolbook.residues)
 
     def test_level_mismatch_rejected(self):
@@ -178,7 +180,7 @@ class TestBatchedChain:
             a = random_ring_element(chain, level, rng)
             b = random_ring_element(chain, level, rng)
             assert np.array_equal(
-                ring.ring_mul(a, b).residues, ring.schoolbook_mul(a, b).residues
+                ring.ring_mul(a, b).residues, schoolbook_mul(a, b).residues
             )
 
     def test_add_sub_neg_match_python_ints(self, chain):
@@ -294,10 +296,17 @@ class TestDivisionFreeKernels:
         for (yi, wi), ri in zip(pairs, r.tolist()):
             assert ri % q == yi * wi % q
             assert 0 <= ri < 2 * q
+        # mulmod: the same product reduced into [0, q), for a < 4q, b < q
+        assert ring.mulmod(y, w, np.uint64(q)).tolist() == [
+            yi * wi % q for yi, wi in pairs
+        ]
 
     @settings(max_examples=300, deadline=None)
     @given(pairs=_pairs(_Q_LARGEST))
     @example(pairs=[(4 * _Q_LARGEST - 1, _Q_LARGEST - 1), (0, _Q_LARGEST - 1), (1, 1)])
+    @example(pairs=[(_Q_LARGEST - 1, _Q_LARGEST - 1), (_Q_LARGEST - 1, 0), (0, 0)])
+    # the quotient estimate one short: the lazy result lies in [q, 2q)
+    @example(pairs=[(14340003587109, 315425793342)])
     def test_mul_lazy_largest_42_bit_prime(self, pairs):
         assert _Q_LARGEST.bit_length() == 42
         self._check_mul_lazy(pairs, _Q_LARGEST)
@@ -305,9 +314,53 @@ class TestDivisionFreeKernels:
     @settings(max_examples=300, deadline=None)
     @given(pairs=_pairs(_Q_SMALLEST))
     @example(pairs=[(4 * _Q_SMALLEST - 1, _Q_SMALLEST - 1), (0, _Q_SMALLEST - 1), (1, 1)])
+    @example(pairs=[(_Q_SMALLEST - 1, _Q_SMALLEST - 1), (_Q_SMALLEST - 1, 0), (0, 0)])
+    @example(pairs=[(_Q_SMALLEST, 13)])
     def test_mul_lazy_smallest_14_bit_prime(self, pairs):
         assert _Q_SMALLEST.bit_length() == 14
         self._check_mul_lazy(pairs, _Q_SMALLEST)
+
+    def test_mulmod_matches_split_product_every_level(self):
+        # (16, 1024) blocks against the moduli column, as ring_mul runs it
+        chain = make_params(1024, [42] + [41] * 15)
+        rng = np.random.default_rng(22)
+        q = chain._q_col
+        a = rng.integers(0, q, (16, 1024), dtype=np.uint64)
+        b = rng.integers(0, q, (16, 1024), dtype=np.uint64)
+        a[:, :2] = q - np.uint64(1)
+        b[:, 1:3] = q - np.uint64(1)
+        for level in range(chain.level_count):
+            rows = slice(0, level + 1)
+            assert np.array_equal(
+                ring.mulmod(a[rows], b[rows], q[rows]),
+                mulmod_split(a[rows], b[rows], q[rows]),
+            )
+
+    def test_centered_coeffs_match_python_ints_every_level(self):
+        # the centred lift of key switching (all rows) and rescale (top row)
+        chain = make_params(64, [42] + [41] * 16)
+        rng = np.random.default_rng(23)
+        for level in range(chain.level_count):
+            q = chain._q_col[: level + 1]
+            res = rng.integers(0, q, (level + 1, 64), dtype=np.uint64)
+            # the centring boundary q//2 -> itself, q//2 + 1 -> negative
+            res[:, 0] = q[:, 0] // np.uint64(2)
+            res[:, 1] = q[:, 0] // np.uint64(2) + np.uint64(1)
+            res[:, 2] = q[:, 0] - np.uint64(1)
+            res[:, 3] = 0
+            el = ring.ntt_forward(ring.RingElement(chain, level, res, ring.Domain.COEFFICIENT))
+            want = [
+                [int(c) - qj if int(c) > qj // 2 else int(c) for c in row]
+                for row, qj in zip(res, chain.moduli)
+            ]
+            got = ring.centered_coeffs(el, slice(0, level + 1))
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+            assert want[-1][:2] == [chain.moduli[level] // 2, -(chain.moduli[level] // 2)]
+            top = ring.centered_coeffs(el, slice(level, level + 1))
+            assert top.tolist() == want[-1:]
+        with pytest.raises(ValueError):
+            ring.centered_coeffs(ring.zero(chain, 0), slice(0, 1))
 
 
 class TestSchoolbook:
@@ -316,7 +369,7 @@ class TestSchoolbook:
         params = ring.RingParams(8, (17,))
         a = from_coeffs([1, 1, 0, 0, 0, 0, 0, 0], params)
         b = from_coeffs([1, -1, 0, 0, 0, 0, 0, 0], params)
-        out = ring.schoolbook_mul(a, b)
+        out = schoolbook_mul(a, b)
         expect = from_coeffs([1, 0, -1, 0, 0, 0, 0, 0], params)
         assert np.array_equal(out.residues, expect.residues)
 
@@ -324,7 +377,7 @@ class TestSchoolbook:
         params = ring.RingParams(8, (17,))
         a = from_coeffs([3] + [0] * 7, params)
         b = from_coeffs([5] + [0] * 7, params)
-        out = ring.schoolbook_mul(a, b)
+        out = schoolbook_mul(a, b)
         expect = from_coeffs([15] + [0] * 7, params)
         assert np.array_equal(out.residues, expect.residues)
 
@@ -335,7 +388,7 @@ class TestSchoolbook:
         for _ in range(50):
             a = random_ring_element(params, 0, rng)
             b = random_ring_element(params, 0, rng)
-            ours = ring.schoolbook_mul(a, b).residues[0]
+            ours = schoolbook_mul(a, b).residues[0]
             oracle = schoolbook_int_negacyclic(a.residues[0], b.residues[0], q)
             assert list(ours) == oracle
 
@@ -348,7 +401,7 @@ class TestSchoolbook:
                 b = random_ring_element(params, params.max_level, rng)
                 assert np.array_equal(
                     ring.ring_mul(a, b).residues,
-                    ring.schoolbook_mul(a, b).residues,
+                    schoolbook_mul(a, b).residues,
                 )
 
     def test_corner_coefficients_exhaustive_squares(self):
@@ -365,14 +418,14 @@ class TestSchoolbook:
             el = from_coeffs(coeffs, params)
             assert np.array_equal(
                 ring.ring_mul(el, el).residues,
-                ring.schoolbook_mul(el, el).residues,
+                schoolbook_mul(el, el).residues,
             )
         rng = np.random.default_rng(21)
         for _ in range(500):
             a = from_coeffs(corner[rng.integers(0, 3, 8)], params)
             b = from_coeffs(corner[rng.integers(0, 3, 8)], params)
             assert np.array_equal(
-                ring.ring_mul(a, b).residues, ring.schoolbook_mul(a, b).residues
+                ring.ring_mul(a, b).residues, schoolbook_mul(a, b).residues
             )
 
 
@@ -490,8 +543,8 @@ class TestAlgebraicProperties:
         params = self.params()
         ea, eb = from_coeffs(a, params), from_coeffs(b, params)
         assert np.array_equal(
-            ring.schoolbook_mul(ea, eb).residues,
-            ring.schoolbook_mul(eb, ea).residues,
+            schoolbook_mul(ea, eb).residues,
+            schoolbook_mul(eb, ea).residues,
         )
 
     @given(coeff_lists, coeff_lists, coeff_lists)
@@ -499,12 +552,12 @@ class TestAlgebraicProperties:
     def test_mul_associative_add_distributive(self, a, b, c):
         params = self.params()
         ea, eb, ec = (from_coeffs(v, params) for v in (a, b, c))
-        left = ring.schoolbook_mul(ring.schoolbook_mul(ea, eb), ec)
-        right = ring.schoolbook_mul(ea, ring.schoolbook_mul(eb, ec))
+        left = schoolbook_mul(schoolbook_mul(ea, eb), ec)
+        right = schoolbook_mul(ea, schoolbook_mul(eb, ec))
         assert np.array_equal(left.residues, right.residues)
-        dist_l = ring.schoolbook_mul(ea, ring.ring_add(eb, ec))
+        dist_l = schoolbook_mul(ea, ring.ring_add(eb, ec))
         dist_r = ring.ring_add(
-            ring.schoolbook_mul(ea, eb), ring.schoolbook_mul(ea, ec)
+            schoolbook_mul(ea, eb), schoolbook_mul(ea, ec)
         )
         assert np.array_equal(dist_l.residues, dist_r.residues)
 
@@ -516,5 +569,5 @@ class TestAlgebraicProperties:
         x = from_coeffs([0, 1] + [0] * 6, params)
         out = el
         for _ in range(8):
-            out = ring.schoolbook_mul(out, x)
+            out = schoolbook_mul(out, x)
         assert np.array_equal(out.residues, ring.ring_neg(el).residues)
