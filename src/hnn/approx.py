@@ -33,6 +33,7 @@ from .scheme import Ciphertext, RelinKey, SecretKey
 
 MAX_RADIUS = 8.0
 DEFAULT_SUP_TOL = 1e-3
+SUP_GRID_POINTS = 20001  # dense enough to measure a fit's sup error
 INDEX_SCALE = 2.0 ** 20  # exact scale for integer index constants
 _PROBE_SLACK = 1e-6
 
@@ -54,7 +55,7 @@ class PolyApprox:
         return polynomial.polyval(np.asarray(y), np.asarray(self.coefficients))
 
 
-def measure_sup_error(approx_coeffs, fn, radius, grid_points=20001) -> float:
+def measure_sup_error(approx_coeffs, fn, radius, grid_points=SUP_GRID_POINTS) -> float:
     grid = np.linspace(-radius, radius, grid_points)
     return float(
         np.max(np.abs(polynomial.polyval(grid, np.asarray(approx_coeffs)) - fn(grid)))
@@ -63,7 +64,7 @@ def measure_sup_error(approx_coeffs, fn, radius, grid_points=20001) -> float:
 
 @functools.lru_cache(maxsize=64)
 def build_exp_approx(
-    radius: float, degree: int, tol: float = DEFAULT_SUP_TOL, grid_points: int = 20001
+    radius: float, degree: int, tol: float = DEFAULT_SUP_TOL
 ) -> PolyApprox:
     """Chebyshev interpolant of exp on [-radius, radius].
 
@@ -74,17 +75,15 @@ def build_exp_approx(
         raise ValueError(f"radius {radius} outside (0, {MAX_RADIUS}]")
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    if grid_points < 10 ** 4:
-        raise ValueError("sup error needs a dense grid (>= 1e4 points)")
     ch = chebyshev.Chebyshev.interpolate(np.exp, degree, domain=[-radius, radius])
     coeffs = tuple(float(c) for c in ch.convert(kind=polynomial.Polynomial).coef)
-    sup = measure_sup_error(coeffs, np.exp, radius, grid_points)
+    sup = measure_sup_error(coeffs, np.exp, radius)
     if tol is not None and sup > tol:
         raise ValueError(
             f"exp fit degree {degree} on [-{radius}, {radius}] has sup error "
             f"{sup:.2e} > {tol:.0e}; raise the degree"
         )
-    grid = np.linspace(-radius, radius, grid_points)
+    grid = np.linspace(-radius, radius, SUP_GRID_POINTS)
     max_abs = float(np.max(np.abs(polynomial.polyval(grid, np.asarray(coeffs)))))
     return PolyApprox(coeffs, float(radius), sup, max_abs)
 
@@ -247,7 +246,8 @@ class SoftmaxConfig:
     radius: domain half-width the mean-centered, tempered logits must
     stay inside; the exp fit lives on [-radius, radius].
     exp_degree / inv_iterations: approximation knobs; the defaults pass
-    a 1e-3 end-to-end softmax error budget.
+    a 1e-3 end-to-end softmax error budget. The exp fit must stay within
+    DEFAULT_SUP_TOL of exp on [-radius, radius].
     """
 
     temperature: float = 1.0
@@ -255,7 +255,6 @@ class SoftmaxConfig:
     radius: float = 2.0
     exp_degree: int = 7
     inv_iterations: int = 5
-    sup_tol: float = DEFAULT_SUP_TOL
 
     def __post_init__(self):
         if not (math.isfinite(self.temperature) and self.temperature > 0):
@@ -268,7 +267,7 @@ class SoftmaxConfig:
             raise ValueError("approximation degrees must be positive")
 
     def exp_approx(self) -> PolyApprox:
-        return build_exp_approx(self.radius, self.exp_degree, self.sup_tol)
+        return build_exp_approx(self.radius, self.exp_degree)
 
     def sum_interval(self):
         """Enclosure of sum_i p(y_i) given mean-centered in-domain logits.
@@ -285,7 +284,7 @@ class SoftmaxConfig:
     def sigma_cap(self) -> float:
         """Largest single softmax output for in-domain logits."""
         n, r = self.class_count, self.radius
-        return 1.0 / (1.0 + (n - 1) * math.exp(-2.0 * r)) + 2.0 * self.sup_tol
+        return 1.0 / (1.0 + (n - 1) * math.exp(-2.0 * r)) + 2.0 * DEFAULT_SUP_TOL
 
 
 def softmax_depth(cfg: SoftmaxConfig) -> int:

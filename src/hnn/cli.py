@@ -1,8 +1,9 @@
 """Command-line surface: params/keygen/encrypt/infer/decrypt/train/
-calibrate/bench.
+calibrate.
 
 Exit codes: 0 success, 2 usage or bad parameters, 3 format/checksum
-problems, 4 crypto-state (noise budget / level exhaustion), 5 I/O.
+problems, 4 crypto-state (noise budget / level exhaustion, raised when
+a ciphertext is built or loaded), 5 I/O.
 
 Trust model: the data owner holds sk and runs encrypt/decrypt; the model
 host holds pk, evk, and the model file and runs infer. sk.bin never
@@ -15,13 +16,11 @@ import argparse
 import hashlib
 import math
 import os
-import statistics
 import sys
-import time
 
 import numpy as np
 
-from . import approx, encoding, neural, ring, scheme, serialize
+from . import approx, neural, scheme, serialize
 from .errors import (
     CryptoStateError,
     FormatError,
@@ -41,7 +40,10 @@ def _load_csv(path, has_labels):
     if has_labels:
         if data.shape[1] < 2:
             raise FormatError("dataset CSV needs feature columns plus a label")
-        return data[:, :-1], data[:, -1].astype(np.int64)
+        labels = data[:, -1]
+        if not np.all(np.isfinite(labels) & (labels >= 0) & (labels == np.rint(labels))):
+            raise FormatError("dataset labels must be finite non-negative integers")
+        return data[:, :-1], labels.astype(np.int64)
     return data, None
 
 
@@ -223,61 +225,6 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _bench_target(kernel, params, rng):
-    if kernel == "ntt":
-        el = ring.sample_uniform(params.ring, params.max_level, rng)
-        coeff = ring.ntt_inverse(el)
-        return lambda: ring.ntt_forward(coeff)
-    keys = scheme.keygen(params, rng)
-    if kernel == "mult":
-        v = rng.uniform(-1, 1, params.slot_capacity)
-        ct1 = scheme.encrypt(keys.pk, encoding.encode(v, params.scale, params.ring), rng)
-        ct2 = scheme.encrypt(keys.pk, encoding.encode(v, params.scale, params.ring), rng)
-        if params.max_level < 1:
-            raise ParameterError("mult benchmark needs depth >= 1")
-        return lambda: scheme.rescale(scheme.mult(ct1, ct2, keys.evk))
-    if kernel == "pipeline":
-        cfg = approx.SoftmaxConfig()
-        need = approx.soft_argmax_min_levels(cfg)
-        if params.max_level < need:
-            raise ParameterError(
-                f"pipeline benchmark needs depth >= {need}, have {params.max_level}"
-            )
-        n = min(params.slot_capacity, params.ring.ring_degree // 2)
-        z = rng.uniform(-cfg.radius, cfg.radius, (cfg.class_count, n))
-        cts = []
-        for v in z - z.mean(axis=0):  # the head takes mean-centered logits
-            pt = encoding.encode(v, params.scale, params.ring)
-            cts.append(scheme.encrypt(keys.pk, pt, rng))
-        return lambda: approx.encrypted_soft_argmax(cts, cfg, keys.evk)
-    raise ParameterError(f"unknown benchmark kernel {kernel!r}")
-
-
-def cmd_bench(args) -> int:
-    if args.iterations < 1:
-        raise ParameterError("benchmark needs at least one iteration")
-    params = serialize.load_params(args.params)
-    rng = np.random.default_rng(args.seed)
-    target = _bench_target(args.kernel, params, rng)
-    for _ in range(args.warmups):
-        target()
-    samples = []
-    for _ in range(args.iterations):
-        t0 = time.perf_counter()
-        target()
-        samples.append((time.perf_counter() - t0) * 1000.0)
-    samples.sort()
-    median = statistics.median(samples)
-    p95 = samples[min(len(samples) - 1, int(math.ceil(0.95 * len(samples))) - 1)]
-    print(
-        f"kernel={args.kernel} N={params.ring.ring_degree} "
-        f"levels={params.ring.level_count} iterations={args.iterations} "
-        f"warmups={args.warmups}"
-    )
-    print(f"median {median:.3f} ms   p95 {p95:.3f} ms")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -359,14 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("bench", help="kernel timing report")
-    p.add_argument("--kernel", choices=("ntt", "mult", "pipeline"), required=True)
-    p.add_argument("--params", required=True)
-    p.add_argument("--iterations", type=int, default=100)
-    p.add_argument("--warmups", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -62,8 +62,9 @@ class LinearModel:
 
 @dataclasses.dataclass
 class SoftArgmaxHead:
-    """Temperature plus the 1..n index vector; positivity of the
-    temperature is maintained by optimizing its log."""
+    """Temperature and class count of the soft-argmax sum_i sigma_i * i
+    over indices 1..n; calibration keeps the temperature positive by
+    optimizing its log."""
 
     temperature: float = 1.0
     class_count: int = 2
@@ -73,10 +74,6 @@ class SoftArgmaxHead:
             raise ValueError("temperature must be positive and finite")
         if self.class_count < 2:
             raise ValueError("need at least two classes")
-
-    @property
-    def index_vector(self) -> np.ndarray:
-        return np.arange(1, self.class_count + 1, dtype=np.float64)
 
 
 @dataclasses.dataclass
@@ -129,17 +126,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def forward_plain(model: LinearModel, head: SoftArgmaxHead, x):
-    """(logits, probabilities, soft_argmax) for one feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.d_in,):
-        raise ValueError(f"expected feature vector of length {model.d_in}")
-    logits = model.logits(x)
-    probs = softmax(logits / head.temperature)
-    value = float(probs @ head.index_vector)
-    return logits, probs, value
 
 
 def soft_argmax_value(logits, temperature: float) -> np.ndarray:

@@ -440,16 +440,12 @@ def ring_neg(a: RingElement) -> RingElement:
 
 
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    """Product mod (X^N + 1, q_j) per prime.
-
-    Operands in the Evaluation domain multiply pointwise. Coefficient
-    operands are auto-converted (and the result converted back), so the
-    NTT cost is explicit at the call site only for mixed domains, which
-    are rejected.
-    """
+    """Product mod (X^N + 1, q_j) per prime, pointwise on Evaluation
+    operands. Coefficient operands are rejected: multiplying them
+    pointwise would not be the ring product."""
     _require_compatible(a, b)
-    if a.domain == Domain.COEFFICIENT:
-        return ntt_inverse(ring_mul(ntt_forward(a), ntt_forward(b)))
+    if a.domain != Domain.EVALUATION:
+        raise ValueError("ring_mul expects Evaluation-domain operands")
     return a._like(mulmod(a.residues, b.residues, a._q))
 
 

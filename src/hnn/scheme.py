@@ -10,7 +10,8 @@ centred residue rows are the digits, one evaluation-key component each.
 Every ciphertext carries a noise ledger: ``noise_bits`` is a heuristic
 upper bound on log2(max slot error * scale), updated by fixed rules per
 operation, and ``value_bound`` is an interval bound on |slot values|.
-Both feed two hard checks run after every operation: the budget check
+Both feed two hard checks that run whenever a ``Ciphertext`` is built,
+by an operation, a loader or ``dataclasses.replace``: the budget check
 (noise_bits <= noise_budget_bits) and the wraparound check
 (value_bound*scale + noise < Q_level/2), so the scheme errors out before
 a decryption could silently wrap.
@@ -128,12 +129,6 @@ class SchemeParams:
     @property
     def max_level(self) -> int:
         return self.ring.max_level
-
-    @property
-    def element_bytes(self) -> int:
-        """Serialized payload bytes of one full-level ring element; fixed
-        by the parameters, independent of any evaluated circuit."""
-        return 8 * self.ring.ring_degree * self.ring.level_count
 
     def log2_modulus(self, level: int) -> float:
         return math.log2(self.ring.modulus_product(level))
@@ -296,7 +291,12 @@ def keygen(params: SchemeParams, rng: np.random.Generator) -> KeyMaterial:
 
 @dataclasses.dataclass(frozen=True)
 class Ciphertext:
-    """(c0, c1[, c2]) with scale, ledgered noise, and a slot-value bound."""
+    """(c0, c1) with scale, ledgered noise, and a slot-value bound.
+
+    Construction runs the ledger guards, so no ciphertext exists whose
+    ledger is non-finite, over budget, or whose payload would wrap the
+    level's modulus; noise_bits may be -inf (an exact ciphertext).
+    """
 
     scheme: SchemeParams
     parts: tuple
@@ -306,8 +306,8 @@ class Ciphertext:
     value_bound: float
 
     def __post_init__(self):
-        if len(self.parts) < 2:
-            raise ValueError("ciphertext needs at least 2 parts")
+        if len(self.parts) != 2:
+            raise ValueError(f"ciphertext needs 2 parts, got {len(self.parts)}")
         for p in self.parts:
             if p.level != self.level:
                 raise ValueError("part level mismatch")
@@ -315,52 +315,45 @@ class Ciphertext:
                 raise ValueError("ciphertext parts must stay in Evaluation domain")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-
-
-def _checked(ct: Ciphertext) -> Ciphertext:
-    """Budget and wraparound guards; every op returns through here.
-
-    A NaN or infinite ledger field would slip past both comparisons, so
-    it is rejected first; noise_bits may be -inf (an exact ciphertext).
-    """
-    params = ct.scheme
-    if not (
-        ct.noise_bits < math.inf
-        and math.isfinite(ct.value_bound)
-        and math.isfinite(ct.scale)
-    ):
-        raise NoiseBudgetExceeded(
-            f"non-finite ledger: noise_bits={ct.noise_bits}, "
-            f"value_bound={ct.value_bound}, scale={ct.scale}"
+        # a NaN or infinite ledger field would slip past both comparisons
+        if not (
+            self.noise_bits < math.inf
+            and math.isfinite(self.value_bound)
+            and math.isfinite(self.scale)
+        ):
+            raise NoiseBudgetExceeded(
+                f"non-finite ledger: noise_bits={self.noise_bits}, "
+                f"value_bound={self.value_bound}, scale={self.scale}"
+            )
+        params = self.scheme
+        if self.noise_bits > params.noise_budget_bits:
+            raise NoiseBudgetExceeded(
+                f"ledger at {self.noise_bits:.1f} bits exceeds budget "
+                f"{params.noise_budget_bits:.1f}"
+            )
+        payload_bits = _log2_sum(
+            _log2_pos(self.value_bound * self.scale),
+            self.noise_bits + _GUARD_MARGIN_BITS,
         )
-    if ct.noise_bits > params.noise_budget_bits:
-        raise NoiseBudgetExceeded(
-            f"ledger at {ct.noise_bits:.1f} bits exceeds budget "
-            f"{params.noise_budget_bits:.1f}"
-        )
-    payload_bits = _log2_sum(
-        _log2_pos(ct.value_bound * ct.scale),
-        ct.noise_bits + _GUARD_MARGIN_BITS,
-    )
-    if payload_bits > params.log2_modulus(ct.level) - 1.0:
-        raise NoiseBudgetExceeded(
-            f"payload {payload_bits:.1f} bits would wrap the level-{ct.level} "
-            f"modulus ({params.log2_modulus(ct.level):.1f} bits)"
-        )
-    return ct
+        if payload_bits > params.log2_modulus(self.level) - 1.0:
+            raise NoiseBudgetExceeded(
+                f"payload {payload_bits:.1f} bits would wrap the level-{self.level} "
+                f"modulus ({params.log2_modulus(self.level):.1f} bits)"
+            )
 
 
 def with_value_bound(ct: Ciphertext, bound: float) -> Ciphertext:
     """Assert a tighter |slot value| bound known from caller math
     (e.g. Newton iterates stay in (0, 1/a]). Checked by decrypt-probe
     tests, not at runtime."""
-    return _checked(dataclasses.replace(ct, value_bound=float(bound)))
+    return dataclasses.replace(ct, value_bound=float(bound))
 
 
 def encrypt(
     pk: PublicKey, pt: Plaintext, rng: np.random.Generator
 ) -> Ciphertext:
-    """(b*u + e0 + m, a*u + e1) with ternary u and Gaussian e0, e1.
+    """(b*u + e0 + m, a*u + e1) with ternary u and Gaussian e0, e1; pt
+    is a Coefficient-domain plaintext, as ``encoding.encode`` returns.
 
     Randomized: repeated calls on one plaintext give distinct ciphertexts.
     """
@@ -375,38 +368,28 @@ def encrypt(
     u = ring.ntt_forward(ring.sample_ternary(rp, lv, params.secret_weight, rng))
     e0 = ring.sample_gaussian(rp, lv, params.err_std, rng)
     e1 = ring.ntt_forward(ring.sample_gaussian(rp, lv, params.err_std, rng))
-    # NTT(e0 + m) = NTT(e0) + NTT(m): a Coefficient message shares e0's NTT
-    if pt.poly.domain == ring.Domain.COEFFICIENT:
-        e0_m = ring.ntt_forward(ring.ring_add(e0, pt.poly))
-    else:
-        e0_m = ring.ring_add(ring.ntt_forward(e0), pt.poly)
+    # NTT(e0 + m) = NTT(e0) + NTT(m): the Coefficient message shares e0's NTT
+    e0_m = ring.ntt_forward(ring.ring_add(e0, pt.poly))
     c0 = ring.ring_add(ring.ring_mul(pk.b, u), e0_m)
     c1 = ring.ring_add(ring.ring_mul(pk.a, u), e1)
     noise = _log2_sum(params.fresh_noise_bits(), _log2_pos(pt.round_error))
-    return _checked(
-        Ciphertext(
-            scheme=params,
-            parts=(c0, c1),
-            level=lv,
-            scale=pt.scale,
-            noise_bits=noise,
-            value_bound=pt.value_bound,
-        )
+    return Ciphertext(
+        scheme=params,
+        parts=(c0, c1),
+        level=lv,
+        scale=pt.scale,
+        noise_bits=noise,
+        value_bound=pt.value_bound,
     )
 
 
 def decrypt(sk: SecretKey, ct: Ciphertext) -> Plaintext:
-    """m = c0 + c1*s (+ c2*s^2 for unrelinearized test ciphertexts).
+    """m = c0 + c1*s.
 
     Deterministic; a wrong key is not detected, it just yields noise.
     """
     s = ring.drop_level(sk.s, ct.level)
     acc = ring.ring_add(ct.parts[0], ring.ring_mul(ct.parts[1], s))
-    if len(ct.parts) == 3:
-        s2 = ring.ring_mul(s, s)
-        acc = ring.ring_add(acc, ring.ring_mul(ct.parts[2], s2))
-    elif len(ct.parts) > 3:
-        raise ValueError("ciphertexts beyond 3 parts are not supported")
     poly = ring.ntt_inverse(acc)
     return Plaintext(
         poly, ct.scale, round_error=0.0, value_bound=ct.value_bound
@@ -422,8 +405,6 @@ def _require_aligned(a: Ciphertext, b: Ciphertext):
         raise ValueError("scheme parameter mismatch")
     if a.level != b.level:
         raise ValueError(f"level mismatch: {a.level} vs {b.level}")
-    if len(a.parts) != len(b.parts):
-        raise ValueError("part count mismatch")
 
 
 def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -432,20 +413,14 @@ def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:
     if abs(a.scale - b.scale) > SCALE_REL_TOL * max(a.scale, b.scale):
         raise ScaleMismatch(f"scales {a.scale} vs {b.scale}")
     parts = tuple(ring.ring_add(x, y) for x, y in zip(a.parts, b.parts))
-    return _checked(
-        Ciphertext(
-            scheme=a.scheme,
-            parts=parts,
-            level=a.level,
-            scale=a.scale,
-            noise_bits=max(a.noise_bits, b.noise_bits) + 1.0,
-            value_bound=a.value_bound + b.value_bound,
-        )
+    return Ciphertext(
+        scheme=a.scheme,
+        parts=parts,
+        level=a.level,
+        scale=a.scale,
+        noise_bits=max(a.noise_bits, b.noise_bits) + 1.0,
+        value_bound=a.value_bound + b.value_bound,
     )
-
-
-def sub(a: Ciphertext, b: Ciphertext) -> Ciphertext:
-    return add(a, negate(b))
 
 
 def negate(a: Ciphertext) -> Ciphertext:
@@ -465,15 +440,13 @@ def add_plain(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         raise ScaleMismatch(f"scales {ct.scale} vs {pt.scale}")
     pt = _pt_for(ct, pt)
     parts = (ring.ring_add(ct.parts[0], pt.poly),) + ct.parts[1:]
-    return _checked(
-        Ciphertext(
-            scheme=ct.scheme,
-            parts=parts,
-            level=ct.level,
-            scale=ct.scale,
-            noise_bits=_log2_sum(ct.noise_bits, _log2_pos(pt.round_error)),
-            value_bound=ct.value_bound + pt.value_bound,
-        )
+    return Ciphertext(
+        scheme=ct.scheme,
+        parts=parts,
+        level=ct.level,
+        scale=ct.scale,
+        noise_bits=_log2_sum(ct.noise_bits, _log2_pos(pt.round_error)),
+        value_bound=ct.value_bound + pt.value_bound,
     )
 
 
@@ -488,15 +461,13 @@ def mult_plain(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         re + _log2_pos(ct.value_bound * ct.scale),
         ct.noise_bits + re,
     )
-    return _checked(
-        Ciphertext(
-            scheme=ct.scheme,
-            parts=parts,
-            level=ct.level,
-            scale=ct.scale * pt.scale,
-            noise_bits=noise,
-            value_bound=ct.value_bound * pt.value_bound,
-        )
+    return Ciphertext(
+        scheme=ct.scheme,
+        parts=parts,
+        level=ct.level,
+        scale=ct.scale * pt.scale,
+        noise_bits=noise,
+        value_bound=ct.value_bound * pt.value_bound,
     )
 
 
@@ -524,8 +495,6 @@ def mult(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
     back down. Raises LevelExhausted when no rescale level would remain.
     """
     _require_aligned(a, b)
-    if len(a.parts) != 2:
-        raise ValueError("mult expects relinearized 2-part inputs")
     if a.level < 1:
         raise LevelExhausted("multiplication at level 0 leaves no rescale room")
     d0 = ring.ring_mul(a.parts[0], b.parts[0])
@@ -546,15 +515,13 @@ def mult(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
         a.noise_bits + b.noise_bits,
         params.relin_noise_bits(a.level),
     )
-    return _checked(
-        Ciphertext(
-            scheme=params,
-            parts=(c0, c1),
-            level=a.level,
-            scale=a.scale * b.scale,
-            noise_bits=noise,
-            value_bound=a.value_bound * b.value_bound,
-        )
+    return Ciphertext(
+        scheme=params,
+        parts=(c0, c1),
+        level=a.level,
+        scale=a.scale * b.scale,
+        noise_bits=noise,
+        value_bound=a.value_bound * b.value_bound,
     )
 
 
@@ -582,15 +549,13 @@ def rescale(ct: Ciphertext) -> Ciphertext:
     noise = _log2_sum(
         ct.noise_bits - math.log2(q_top), params.rescale_round_bits()
     )
-    return _checked(
-        Ciphertext(
-            scheme=params,
-            parts=tuple(new_parts),
-            level=lv - 1,
-            scale=ct.scale / q_top,
-            noise_bits=noise,
-            value_bound=ct.value_bound,
-        )
+    return Ciphertext(
+        scheme=params,
+        parts=tuple(new_parts),
+        level=lv - 1,
+        scale=ct.scale / q_top,
+        noise_bits=noise,
+        value_bound=ct.value_bound,
     )
 
 
@@ -601,9 +566,7 @@ def ct_drop_level(ct: Ciphertext, new_level: int) -> Ciphertext:
     if new_level == ct.level:
         return ct
     parts = tuple(ring.drop_level(p, new_level) for p in ct.parts)
-    return _checked(
-        dataclasses.replace(ct, parts=parts, level=new_level)
-    )
+    return dataclasses.replace(ct, parts=parts, level=new_level)
 
 
 def noise_measure(sk: SecretKey, ct: Ciphertext, reference) -> float:

@@ -53,6 +53,16 @@ BUNDLE_SCORES = 1
 _MANIFEST = struct.Struct("<4sHBII")
 
 
+def _add_field(kv: dict, line: str, what: str):
+    """Record a ``key = value`` line of a text file; a repeated key is a
+    FormatError, so no line silently replaces an earlier one. The loaders
+    pop each field they parse and reject any left over as unknown."""
+    key, val = (part.strip() for part in line.split("=", 1))
+    if key in kv:
+        raise FormatError(f"duplicate {what} field {key!r}")
+    kv[key] = val
+
+
 # ---------------------------------------------------------------------------
 # Parameter files
 # ---------------------------------------------------------------------------
@@ -83,26 +93,27 @@ def params_from_text(text: str) -> scheme.SchemeParams:
     for ln in lines[1:]:
         if "=" not in ln:
             raise FormatError(f"malformed parameter line: {ln!r}")
-        key, val = ln.split("=", 1)
-        kv[key.strip()] = val.strip()
+        _add_field(kv, ln, "parameter")
     # parse every field before building anything, so that only malformed
     # text (not a ParameterError from the values) becomes a FormatError
     try:
-        n = int(kv["ring_degree"])
-        bits = [int(b) for b in kv["modulus_bits"].split(",")]
+        n = int(kv.pop("ring_degree"))
+        bits = [int(b) for b in kv.pop("modulus_bits").split(",")]
         fields = dict(
-            security_level=int(kv["lambda"]),
-            scale=float(2 ** int(kv["scale_bits"])),
-            slot_capacity=int(kv["slots"]),
-            secret_weight=int(kv["secret_weight"]),
-            err_std=float(kv["err_std"]),
-            noise_budget_bits=float(kv["noise_budget_bits"]),
-            allow_insecure={"true": True, "false": False}[kv["allow_insecure"]],
+            security_level=int(kv.pop("lambda")),
+            scale=float(2 ** int(kv.pop("scale_bits"))),
+            slot_capacity=int(kv.pop("slots")),
+            secret_weight=int(kv.pop("secret_weight")),
+            err_std=float(kv.pop("err_std")),
+            noise_budget_bits=float(kv.pop("noise_budget_bits")),
+            allow_insecure={"true": True, "false": False}[kv.pop("allow_insecure")],
         )
     except KeyError as exc:
         raise FormatError(f"parameter file missing field or value {exc}") from exc
     except (ValueError, OverflowError) as exc:
         raise FormatError(f"malformed parameter value: {exc}") from exc
+    if kv:
+        raise FormatError(f"unknown parameter fields {sorted(kv)}")
     if not all(map(math.isfinite, (fields["err_std"], fields["noise_budget_bits"]))):
         raise FormatError("err_std and noise_budget_bits must be finite")
     rp = ring.RingParams(n, ring.find_ntt_primes(n, bits))
@@ -278,8 +289,8 @@ def ciphertext_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.Ci
     if len(raw) != 29:
         raise FormatError("truncated ciphertext header")
     n_parts, level, scale, noise_bits, value_bound = struct.unpack("<BIddd", raw)
-    if n_parts not in (2, 3):
-        raise FormatError(f"ciphertext with {n_parts} parts")
+    if n_parts != 2:
+        raise FormatError(f"ciphertext with {n_parts} parts, not 2")
     # noise_bits may be -inf: the ledger's log2 of an exact zero error
     finite = noise_bits < math.inf and math.isfinite(value_bound)
     if not (0 < scale < math.inf and finite):
@@ -291,15 +302,15 @@ def ciphertext_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.Ci
     for p in parts:
         if p.level != level or p.domain != ring.Domain.EVALUATION:
             raise FormatError("ciphertext part level or domain disagrees with header")
-    return scheme._checked(
-        scheme.Ciphertext(
-            scheme=params,
-            parts=parts,
-            level=level,
-            scale=scale,
-            noise_bits=noise_bits,
-            value_bound=value_bound,
-        )
+    if buf.read(1):
+        raise FormatError("trailing bytes in ciphertext")
+    return scheme.Ciphertext(
+        scheme=params,
+        parts=parts,
+        level=level,
+        scale=scale,
+        noise_bits=noise_bits,
+        value_bound=value_bound,
     )
 
 
@@ -418,31 +429,34 @@ def model_from_text(text: str):
         if ln.startswith("W "):
             w_rows.append([_model_number(x, "W entry") for x in ln[2:].split()])
         elif ln.startswith("b "):
+            if bias is not None:
+                raise FormatError("model file has a second b line")
             bias = [_model_number(x, "b entry") for x in ln[2:].split()]
         elif "=" in ln:
-            key, val = ln.split("=", 1)
-            kv[key.strip()] = val.strip()
+            _add_field(kv, ln, "model")
         else:
             raise FormatError(f"malformed model line: {ln!r}")
     try:
-        d_in = _model_number(kv["d_in"], "d_in", int)
-        classes = _model_number(kv["classes"], "classes", int)
+        d_in = _model_number(kv.pop("d_in"), "d_in", int)
+        classes = _model_number(kv.pop("classes"), "classes", int)
         try:
             model = neural.LinearModel(np.array(w_rows), np.array(bias))
         except ValueError as exc:  # ragged W rows, a short or missing b line
             raise FormatError(f"malformed model matrix: {exc}") from exc
         if model.d_in != d_in or model.class_count != classes:
             raise FormatError("model matrix shape disagrees with header")
-        temperature = _model_number(kv["temperature"], "temperature", positive=True)
+        temperature = _model_number(kv.pop("temperature"), "temperature", positive=True)
         head = neural.SoftArgmaxHead(temperature, classes)
         meta = {
-            "radius": _model_number(kv["logit_radius"], "logit_radius", float, True),
-            "exp_degree": _model_number(kv["exp_degree"], "exp_degree", int, True),
+            "radius": _model_number(kv.pop("logit_radius"), "logit_radius", float, True),
+            "exp_degree": _model_number(kv.pop("exp_degree"), "exp_degree", int, True),
             "inv_iterations": _model_number(
-                kv["inv_iterations"], "inv_iterations", int, True
+                kv.pop("inv_iterations"), "inv_iterations", int, True
             ),
         }
-        prov = {k[5:]: v for k, v in kv.items() if k.startswith("prov_")}
+        prov = {k[5:]: kv.pop(k) for k in list(kv) if k.startswith("prov_")}
+        if kv:
+            raise FormatError(f"unknown model fields {sorted(kv)}")
         return model, head, meta, prov
     except KeyError as exc:
         raise FormatError(f"model file missing field {exc}") from exc

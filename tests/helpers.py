@@ -8,7 +8,7 @@ embeddings, central finite differences, and plain numpy reference math.
 import mpmath
 import numpy as np
 
-from hnn import ring, scheme
+from hnn import encoding, ring
 
 
 def naive_negacyclic_transform(coeffs, n, q, psi):
@@ -162,30 +162,31 @@ def random_ring_element(params, level, rng, domain=ring.Domain.COEFFICIENT):
     return ring.RingElement(params, level, res, domain)
 
 
+def poly_mul(a, b):
+    """Negacyclic product of Coefficient elements through the NTT: forward
+    transforms, ring.ring_mul's pointwise product, inverse transform."""
+    return ring.ntt_inverse(ring.ring_mul(ring.ntt_forward(a), ring.ntt_forward(b)))
+
+
 def tensor_no_relin(a, b):
-    """3-part tensor product, for tests that decrypt with s^2 directly."""
-    scheme._require_aligned(a, b)
+    """(d0, d1, d2), the unrelinearized product of two ciphertexts: it
+    decrypts under (1, s, s^2) at scale a.scale * b.scale."""
     d0 = ring.ring_mul(a.parts[0], b.parts[0])
     d1 = ring.ring_add(
         ring.ring_mul(a.parts[0], b.parts[1]),
         ring.ring_mul(a.parts[1], b.parts[0]),
     )
     d2 = ring.ring_mul(a.parts[1], b.parts[1])
-    noise = scheme._log2_sum(
-        a.noise_bits + scheme._log2_pos(b.value_bound * b.scale),
-        b.noise_bits + scheme._log2_pos(a.value_bound * a.scale),
-        a.noise_bits + b.noise_bits,
-    )
-    return scheme._checked(
-        scheme.Ciphertext(
-            scheme=a.scheme,
-            parts=(d0, d1, d2),
-            level=a.level,
-            scale=a.scale * b.scale,
-            noise_bits=noise,
-            value_bound=a.value_bound * b.value_bound,
-        )
-    )
+    return d0, d1, d2
+
+
+def decrypt_three_part(sk, parts, scale):
+    """Slots of c0 + c1*s + c2*s^2 at ``scale``."""
+    s = ring.drop_level(sk.s, parts[0].level)
+    s2 = ring.ring_mul(s, s)
+    acc = ring.ring_add(parts[0], ring.ring_mul(parts[1], s))
+    acc = ring.ring_add(acc, ring.ring_mul(parts[2], s2))
+    return encoding.decode(encoding.Plaintext(acc, scale))
 
 
 def rescale_rows(ct):

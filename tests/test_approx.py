@@ -240,7 +240,6 @@ class TestEncryptedSoftArgmax:
             radius=6.7,
             exp_degree=15,
             inv_iterations=9,
-            sup_tol=1e-3,
         )
         depth = approx.soft_argmax_min_levels(cfg) + 18
         moduli = ring_mod.find_ntt_primes(16, [42] + [41] * depth)

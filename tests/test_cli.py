@@ -53,6 +53,8 @@ class TestParamsFile:
             ("err_std", "nan"),
             ("noise_budget_bits", "inf"),
             ("allow_insecure", "maybe"),
+            ("scale_bits", "40\nscale_bits = 30"),
+            ("scale_bits", "40\nscale_bit = 30"),
         ],
     )
     def test_bad_value_is_format_error(self, params, field, bad):
@@ -157,7 +159,8 @@ class TestBlobs:
         assert len(sizes) == 1
         pk_len = next(iter(sizes))[0]
         overhead = 4 + 3 + 32 + 8 + 32
-        assert pk_len == overhead + 2 * (5 + params.element_bytes)
+        element_bytes = 8 * params.ring.ring_degree * params.ring.level_count
+        assert pk_len == overhead + 2 * (5 + element_bytes)
 
 
 def _reseal(blob, offset, packed):
@@ -172,8 +175,20 @@ def _reseal(blob, offset, packed):
 _CT_PARTS, _CT_LEVEL, _CT_SCALE, _CT_NOISE, _CT_BOUND = 47, 48, 52, 60, 68
 
 
+def _appended_part(blob, n_parts):
+    """A 2-part ciphertext blob resealed with a copy of its first part
+    appended and the header's part count set to ``n_parts``."""
+    payload = bytearray(blob[47:-32])
+    payload[0] = n_parts
+    payload += payload[29 : 29 + (len(payload) - 29) // 2]
+    body = blob[:39] + struct.pack("<Q", len(payload)) + bytes(payload)
+    return body + hashlib.sha256(body).digest()
+
+
 def _tampered(ct, what):
     blob = serialize.ciphertext_to_bytes(ct)
+    if what in ("three parts", "trailing part"):
+        return _appended_part(blob, 3 if what == "three parts" else 2)
     offset, fmt, value = {
         "zero parts": (_CT_PARTS, "<B", 0),
         "four parts": (_CT_PARTS, "<B", 4),
@@ -201,7 +216,7 @@ def _manifest(kind, count, n_samples, version=serialize.BUNDLE_VERSION):
 
 
 _TAMPERS = [
-    "zero parts", "four parts", "part level", "zero scale", "negative scale",
+    "zero parts", "three parts", "trailing part", "four parts", "part level", "zero scale", "negative scale",
     "inf scale", "nan noise", "inf noise", "nan bound", "inf bound",
     "coefficient part", "part domain flag 2",
 ]
@@ -563,6 +578,9 @@ _MODEL_TAMPERS = [
     ("b ", "b -inf 0"),
     ("W 0.25", "W 0.25"),
     ("b ", "b 0"),
+    ("temperature", "temperature = 1\ntemperature = 7"),
+    ("b ", "b 0 0\nb 1 1"),
+    ("temperature", "temperature = 1.5\ntemprature = 3"),
 ]
 
 
@@ -736,24 +754,27 @@ class TestCliCommands:
             "--allow-insecure", "-o", str(out),
         ) == 0
 
-    def test_bench_usage_and_success(self, tmp_path, params):
-        params_file = tmp_path / "p.txt"
-        serialize.save_params(params, params_file)
-        # zero iterations is a usage error, exit 2, before any report
-        assert self.run(
-            "bench", "--kernel", "ntt", "--params", str(params_file),
-            "--iterations", "0",
-        ) == 2
-        assert self.run(
-            "bench", "--kernel", "ntt", "--params", str(params_file),
-            "--iterations", "5", "--warmups", "1",
-        ) == 0
+    @pytest.mark.parametrize("command", ["train", "calibrate"])
+    @pytest.mark.parametrize("label", ["1.5", "nan", "-1"])
+    def test_bad_label_exit_code_3(self, tmp_path, command, label):
+        # a label is a class index: no truncation, no bare ValueError
+        data = tmp_path / "d.csv"
+        data.write_text(f"0.5,0.1,0\n-0.5,0.2,{label}\n")
+        out = tmp_path / "out.txt"
+        argv = [command, "--data", str(data), "--out", str(out)]
+        if command == "calibrate":
+            model_file = tmp_path / "m.txt"
+            model_file.write_text(_model_text())
+            argv += ["--model", str(model_file)]
+        assert self.run(*argv) == 3
+        assert not out.exists()
 
     def test_exit_codes(self, tmp_path, params, keys):
         params_file = tmp_path / "p.txt"
         serialize.save_params(params, params_file)
         # usage: unknown command
         assert self.run("frobnicate") == 2
+        assert self.run("bench", "--kernel", "ntt", "--params", str(params_file)) == 2
         # format: corrupted blob
         blob = bytearray(serialize.public_key_to_bytes(keys.pk))
         blob[50] ^= 0xFF

@@ -12,21 +12,19 @@ from helpers import central_difference, reference_soft_argmax, reference_softmax
 class TestForwardPlain:
     def test_zero_model_is_uniform(self):
         model = neural.LinearModel.zeros(4, 2)
-        head = neural.SoftArgmaxHead(1.0, 2)
-        logits, probs, value = neural.forward_plain(model, head, np.ones(4))
+        logits = model.logits(np.ones(4))
         assert np.array_equal(logits, [0.0, 0.0])
-        assert np.allclose(probs, [0.5, 0.5])
-        assert value == pytest.approx(1.5)
+        assert np.allclose(neural.softmax(logits), [0.5, 0.5])
+        assert neural.soft_argmax_value(logits, 1.0) == pytest.approx(1.5)
 
     def test_closed_form_two_class(self):
         # logits (ln 3, 0) at T=1: sigma = (0.75, 0.25), index sum 1.25;
         # a single feature x = [1] produces exactly those logits
         model = neural.LinearModel(np.array([[math.log(3.0), 0.0]]), np.zeros(2))
-        head = neural.SoftArgmaxHead(1.0, 2)
-        logits, probs, value = neural.forward_plain(model, head, np.array([1.0]))
+        logits = model.logits(np.array([1.0]))
         assert np.allclose(logits, [math.log(3.0), 0.0])
-        assert np.allclose(probs, [0.75, 0.25])
-        assert value == pytest.approx(1.25)
+        assert np.allclose(neural.softmax(logits), [0.75, 0.25])
+        assert neural.soft_argmax_value(logits, 1.0) == pytest.approx(1.25)
 
     def test_temperature_preserves_argmax(self, rng):
         logits = rng.normal(0, 2, (50, 4))
@@ -35,12 +33,6 @@ class TestForwardPlain:
             assert np.array_equal(
                 np.argmax(reference_softmax(logits, t), axis=1), base
             )
-
-    def test_dimension_mismatch(self):
-        model = neural.LinearModel.zeros(4, 2)
-        head = neural.SoftArgmaxHead(1.0, 2)
-        with pytest.raises(ValueError):
-            neural.forward_plain(model, head, np.ones(5))
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 0.0, -1.0])
     def test_non_finite_or_non_positive_temperature_rejected(self, t):
@@ -182,6 +174,50 @@ class TestTraining:
                 b = b - cfg.learning_rate * g.sum(axis=0)
         assert np.allclose(model.weights, w, rtol=0, atol=1e-14)
         assert np.allclose(model.bias, b, rtol=0, atol=1e-14)
+
+    def test_zero_noise_adamw_matches_oracle(self):
+        # bias-corrected AdamW with decoupled weight decay on W (not b),
+        # coded independently, must take the same steps
+        data = neural.two_blob_dataset(96, 4, np.random.default_rng(3))
+        cfg = neural.TrainConfig(
+            learning_rate=0.01, batch_size=32, epochs=5, noise_std=0.0,
+            shuffle=False, range_penalty_weight=0.0, weight_decay=0.1,
+            optimizer="adamw",
+        )
+        start = neural.LinearModel(
+            np.random.default_rng(5).normal(0, 0.5, (4, 2)), np.zeros(2)
+        )
+        model, _ = neural.train_noise_injection(
+            start, neural.SoftArgmaxHead(1.0, 2), data, cfg,
+            np.random.default_rng(4),
+        )
+
+        params = [start.weights.copy(), start.bias.copy()]
+        moments = [[np.zeros_like(p), np.zeros_like(p)] for p in params]
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        t = 0
+        for _ in range(cfg.epochs):
+            for start_row in range(0, len(data), cfg.batch_size):
+                x = data.features[start_row : start_row + cfg.batch_size]
+                y = data.labels[start_row : start_row + cfg.batch_size]
+                probs = reference_softmax(x @ params[0] + params[1])
+                g = probs - np.eye(2)[y]
+                g /= len(y)
+                grads = [x.T @ g, g.sum(axis=0)]
+                t += 1
+                for i, (p, grad) in enumerate(zip(params, grads)):
+                    m, v = moments[i]
+                    m[:] = beta1 * m + (1 - beta1) * grad
+                    v[:] = beta2 * v + (1 - beta2) * grad * grad
+                    m_hat = m / (1 - beta1 ** t)
+                    v_hat = v / (1 - beta2 ** t)
+                    decay = cfg.weight_decay * p if i == 0 else 0.0
+                    params[i] = p - cfg.learning_rate * (
+                        m_hat / (np.sqrt(v_hat) + eps) + decay
+                    )
+        assert not np.allclose(model.weights, start.weights)
+        assert np.allclose(model.weights, params[0], rtol=0, atol=1e-12)
+        assert np.allclose(model.bias, params[1], rtol=0, atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_raises_with_config(self):

@@ -13,7 +13,7 @@ from hnn.errors import (
     ScaleMismatch,
 )
 
-from helpers import encrypt_four_ntt, rescale_rows, tensor_no_relin
+from helpers import decrypt_three_part, encrypt_four_ntt, rescale_rows, tensor_no_relin
 
 
 def enc(keys, values, rng, scale=None):
@@ -150,8 +150,8 @@ class TestEncryptDecrypt:
     def test_encrypt_matches_four_ntt_reference(
         self, small_keys, monkeypatch, kind, domain
     ):
-        # a Coefficient message is added to e0 before e0's NTT; an
-        # Evaluation-domain one after it: same residues, three NTTs either way
+        # a Coefficient message is added to e0 before e0's NTT: the residues
+        # of four NTTs in three; an Evaluation-domain message is rejected
         params = small_keys.scheme
         if kind == "encode":
             values = np.linspace(-1.0, 1.0, params.slot_capacity)
@@ -159,6 +159,10 @@ class TestEncryptDecrypt:
         else:
             pt = encoding.encode_constant(-0.75, params.scale, params.ring)
         assert pt.poly.domain == domain
+        if domain == ring.Domain.EVALUATION:
+            with pytest.raises(ValueError):
+                scheme.encrypt(small_keys.pk, pt, np.random.default_rng(41))
+            return
         calls = []
         forward = ring.ntt_forward
         monkeypatch.setattr(ring, "ntt_forward", lambda a: calls.append(a) or forward(a))
@@ -170,12 +174,16 @@ class TestEncryptDecrypt:
         assert len(calls) == 3
 
     def test_three_part_decrypt(self, small_keys, rng):
+        # the unrelinearized tensor exists only as a test oracle: it
+        # decrypts under s^2, and no Ciphertext can hold its three parts
         k = small_keys.scheme.slot_capacity
         u, v = rng.uniform(-1, 1, k), rng.uniform(-1, 1, k)
-        tensor = tensor_no_relin(enc(small_keys, u, rng), enc(small_keys, v, rng))
-        assert len(tensor.parts) == 3
-        slots = scheme.decrypt_to_slots(small_keys.sk, tensor)[:k]
+        cu, cv = enc(small_keys, u, rng), enc(small_keys, v, rng)
+        tensor = tensor_no_relin(cu, cv)
+        slots = decrypt_three_part(small_keys.sk, tensor, cu.scale * cv.scale)[:k]
         assert np.max(np.abs(slots - u * v)) < 2.0 ** -15
+        with pytest.raises(ValueError):
+            dataclasses.replace(cu, parts=tensor)
 
 
 class TestAdd:
@@ -316,7 +324,7 @@ class TestMultRescale:
             diff = np.max(
                 np.abs(
                     scheme.decrypt_to_slots(small_keys.sk, relin)
-                    - scheme.decrypt_to_slots(small_keys.sk, tensor)
+                    - decrypt_three_part(small_keys.sk, tensor, relin.scale)
                 )
             )
             assert diff <= 2.0 ** params.relin_noise_bits(level) / relin.scale
@@ -407,16 +415,21 @@ class TestNoiseLedger:
     @pytest.mark.parametrize("field", ["noise_bits", "value_bound", "scale"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_ledger_rejected(self, small_keys, rng, field, bad):
-        # NaN compares false against every guard; it must not slip through
+        # NaN compares false against every guard; it must not slip through,
+        # so no ciphertext holding it can be built
         ct = enc(small_keys, rng.uniform(-1, 1, 4), rng)
-        broken = dataclasses.replace(ct, **{field: bad})
         with pytest.raises(NoiseBudgetExceeded):
-            scheme._checked(broken)
-        if field != "scale":
-            with pytest.raises(NoiseBudgetExceeded):
-                scheme.add(broken, ct)
-            with pytest.raises(NoiseBudgetExceeded):
-                scheme.rescale(scheme.mult(broken, ct, small_keys.evk))
+            dataclasses.replace(ct, **{field: bad})
+
+    def test_over_budget_or_wrapping_ledger_rejected(self, small_keys, rng):
+        ct = enc(small_keys, rng.uniform(-1, 1, 4), rng)
+        budget = ct.scheme.noise_budget_bits
+        assert dataclasses.replace(ct, noise_bits=budget).noise_bits == budget
+        with pytest.raises(NoiseBudgetExceeded):
+            dataclasses.replace(ct, noise_bits=budget + 0.5)
+        wrap = 2.0 ** ct.scheme.log2_modulus(ct.level) / ct.scale
+        with pytest.raises(NoiseBudgetExceeded):
+            dataclasses.replace(ct, value_bound=wrap)
 
     def test_budget_exceeded_on_tiny_budget(self, small_params, rng):
         import dataclasses
