@@ -7,9 +7,11 @@ scheme primitives:
   power-basis tree (y, y^2, y^4, ...) so multiplicative depth stays at
   ceil(log2 d), with plaintext constants encoded at compensating scales
   so every internal addition sees bit-matching scales.
-* 1/x on [a, b]: Newton iteration z <- z(2 - x z) from the plaintext
-  constant z0 = 1/b; relative error (1 - a/b)^(2^k) plus scheme noise.
-  The first iteration is affine in x and folded into one level.
+* 1/x on [a, b]: k Newton steps z <- z(2 - x z) from z0 = 1/b, in
+  their product form z_k = z0 * prod_{i<k} (1 + e^(2^i)) with
+  e = 1 - z0 x (Goldschmidt division): e squares itself while z takes
+  one factor per step, so k steps cost k + 1 levels, not 2k - 1. The
+  relative error is e^(2^k) <= (1 - a/b)^(2^k) plus scheme noise.
 * softmax: exponentiate, sum, take the encrypted reciprocal, and
   multiply per class. The caller folds mean-centering and temperature
   into the plaintext probe; zero-mean inputs pin the exp-sum into
@@ -35,7 +37,6 @@ MAX_RADIUS = 8.0
 DEFAULT_SUP_TOL = 1e-3
 SUP_GRID_POINTS = 20001  # dense enough to measure a fit's sup error
 INDEX_SCALE = 2.0 ** 20  # exact scale for integer index constants
-_PROBE_SLACK = 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -193,6 +194,11 @@ def newton_reciprocal_plain(x, upper_bound: float, iterations: int):
     return z
 
 
+def reciprocal_depth(iterations: int) -> int:
+    """Levels encrypted_reciprocal consumes for a given iteration count."""
+    return iterations + 1 if iterations > 1 else 1
+
+
 def encrypted_reciprocal(
     ct: Ciphertext,
     lower_bound: float,
@@ -202,32 +208,37 @@ def encrypted_reciprocal(
 ) -> Ciphertext:
     """Newton reciprocal for slots inside [lower_bound, upper_bound].
 
-    z0 = 1/upper_bound (plaintext constant); k iterations of
-    z <- z(2 - x z) give relative error (1 - lower/upper)^(2^k) plus
-    scheme noise. Consumes 2k - 1 levels (the first iteration is affine
-    in x and costs one).
+    Evaluates the k-step Newton iterate z_k of newton_reciprocal_plain
+    in product form: z_1 = 2 z0 - z0^2 x and e = 1 - z0 x, one level
+    each side by side from x, then k - 1 times e <- e^2 and
+    z <- z (1 + e). Since 1 - x z_k = e^(2^k), the relative error is
+    (1 - lower/upper)^(2^k) plus scheme noise. Consumes
+    reciprocal_depth(k) levels: k + 1, or one for k = 1.
     """
     if not 0 < lower_bound < upper_bound:
         raise ValueError("need 0 < lower_bound < upper_bound")
     if iterations < 1:
         raise ValueError("need at least one iteration")
-    if ct.level < 2 * iterations - 1:
+    depth = reciprocal_depth(iterations)
+    if ct.level < depth:
         raise LevelExhausted(
-            f"{iterations} iterations need {2 * iterations - 1} levels, "
-            f"have {ct.level}"
+            f"{iterations} iterations need {depth} levels, have {ct.level}"
         )
     x = scheme.with_value_bound(ct, min(ct.value_bound, upper_bound))
     z0 = 1.0 / upper_bound
     z_cap = 1.0 / lower_bound  # Newton from below never overshoots 1/x
-    # -z0^2 encoded at q_top, so the rescaled product keeps x's scale
+    e_cap = 1.0 - lower_bound / upper_bound
+    # constants encoded at q_top, so each rescaled product keeps x's scale
     q_top = float(x.scheme.ring.moduli[x.level])
     z = add_const(scheme.rescale(mul_const_raw(x, -z0 * z0, q_top)), 2.0 * z0)
     z = scheme.with_value_bound(z, min(z.value_bound, z_cap))
+    e = add_const(scheme.rescale(mul_const_raw(x, -z0, q_top)), 1.0)
+    e = scheme.with_value_bound(e, min(e.value_bound, e_cap))
     for _ in range(iterations - 1):
-        w = scheme.rescale(scheme.mult(scheme.ct_drop_level(x, z.level), z, evk))
-        w = scheme.with_value_bound(w, min(w.value_bound, 1.0 + _PROBE_SLACK))
-        v = add_const(scheme.negate(w), 2.0)
-        z = scheme.rescale(scheme.mult(scheme.ct_drop_level(z, v.level), v, evk))
+        e = scheme.rescale(scheme.mult(e, e, evk))
+        z = scheme.rescale(
+            scheme.mult(scheme.ct_drop_level(z, e.level), add_const(e, 1.0), evk)
+        )
         z = scheme.with_value_bound(z, min(z.value_bound, z_cap))
     return z
 
@@ -289,7 +300,9 @@ class SoftmaxConfig:
 
 def softmax_depth(cfg: SoftmaxConfig) -> int:
     """Levels consumed from logits to sigma ciphertexts."""
-    return poly_eval_depth(cfg.exp_degree) + (2 * cfg.inv_iterations - 1) + 1
+    return (
+        poly_eval_depth(cfg.exp_degree) + reciprocal_depth(cfg.inv_iterations) + 1
+    )
 
 
 def soft_argmax_min_levels(cfg: SoftmaxConfig) -> int:

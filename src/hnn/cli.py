@@ -37,14 +37,17 @@ SK_BANNER = (
 
 def _load_csv(path, has_labels):
     data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+    labels = None
     if has_labels:
         if data.shape[1] < 2:
             raise FormatError("dataset CSV needs feature columns plus a label")
-        labels = data[:, -1]
+        data, labels = data[:, :-1], data[:, -1]
         if not np.all(np.isfinite(labels) & (labels >= 0) & (labels == np.rint(labels))):
             raise FormatError("dataset labels must be finite non-negative integers")
-        return data[:, :-1], labels.astype(np.int64)
-    return data, None
+        labels = labels.astype(np.int64)
+    if not np.all(np.isfinite(data)):
+        raise FormatError("dataset features must be finite")
+    return data, labels
 
 
 def _read_blob(path):

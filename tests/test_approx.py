@@ -145,6 +145,23 @@ class TestEncryptedReciprocal:
         oracle = approx.newton_reciprocal_plain(xs, b, iters)
         assert np.max(np.abs(out - oracle)) < 1e-4
 
+    @pytest.mark.parametrize("iters", range(1, 7))
+    def test_product_form_tracks_newton(self, head_keys, rng, iters):
+        # the product form against the plaintext Newton iteration it
+        # replaced, on the default head's pinned exp-sum interval: k + 1
+        # levels (one for k = 1, where e is never squared), within 1e-4
+        # of the oracle, measured noise inside the ledger
+        k = head_keys.scheme.slot_capacity
+        a, b = approx.SoftmaxConfig().sum_interval()
+        xs = np.linspace(a, b, k)
+        ct = enc(head_keys, xs, rng)
+        out = approx.encrypted_reciprocal(ct, a, b, iters, head_keys.evk)
+        levels = 1 if iters == 1 else iters + 1
+        assert ct.level - out.level == levels == approx.reciprocal_depth(iters)
+        oracle = approx.newton_reciprocal_plain(xs, b, iters)
+        assert np.max(np.abs(dec(head_keys, out, k) - oracle)) < 1e-4
+        assert scheme.noise_measure(head_keys.sk, out, oracle) <= out.noise_bits
+
     def test_input_validation(self, head_keys, rng):
         k = head_keys.scheme.slot_capacity
         ct = enc(head_keys, np.ones(k), rng)
@@ -318,8 +335,8 @@ class TestDepthBookkeeping:
     def test_default_head_depth_is_fixed_constant(self):
         cfg = approx.SoftmaxConfig()
         assert approx.poly_eval_depth(cfg.exp_degree) == 3
-        assert approx.softmax_depth(cfg) == 13
-        assert approx.soft_argmax_min_levels(cfg) == 14
+        assert approx.softmax_depth(cfg) == 10
+        assert approx.soft_argmax_min_levels(cfg) == 11
 
     def test_softmax_consumes_exactly_declared_depth(self, head_keys, rng):
         cfg = approx.SoftmaxConfig()

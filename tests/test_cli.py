@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -768,6 +770,30 @@ class TestCliCommands:
             argv += ["--model", str(model_file)]
         assert self.run(*argv) == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("feature", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_exit_code_3(self, tmp_path, params, keys, feature):
+        # a feature the encoder cannot take is malformed data, like a bad label
+        params_file = tmp_path / "p.txt"
+        serialize.save_params(params, params_file)
+        pk = tmp_path / "pk.bin"
+        pk.write_bytes(serialize.public_key_to_bytes(keys.pk))
+        data = tmp_path / "x.csv"
+        data.write_text(f"0.5,0.1\n{feature},0.2\n")
+        out = tmp_path / "o.hct"
+        assert self.run(
+            "encrypt", "--pk", str(pk), "--params", str(params_file),
+            "--input", str(data), "--out", str(out),
+        ) == 3
+        assert not out.exists()
+
+    def test_readme_walkthrough_depth_matches_pipeline(self):
+        # the walkthrough's parameter file must fit the default pipeline
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        depths = re.findall(r"^hnn params .*--depth (\d+)", readme, re.MULTILINE)
+        assert len(depths) == 1
+        head_cfg = neural.head_config(neural.SoftArgmaxHead())
+        assert int(depths[0]) == neural.pipeline_depth(head_cfg)
 
     def test_exit_codes(self, tmp_path, params, keys):
         params_file = tmp_path / "p.txt"
