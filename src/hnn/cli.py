@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import approx, neural, scheme, serialize
+from . import approx, encoding, neural, scheme, serialize
 from .errors import (
     CryptoStateError,
     FormatError,
@@ -119,6 +119,13 @@ def cmd_encrypt(args) -> int:
     params = serialize.load_params(args.params)
     pk = serialize.public_key_from_bytes(_read_blob(args.pk), params)
     features, _ = _load_csv(args.input, args.has_labels)
+    limit = encoding.MAX_COEFF / params.scale
+    largest = float(np.max(np.abs(features), initial=0.0))
+    if largest >= limit:
+        raise FormatError(
+            f"dataset feature magnitude {largest:.6g} is out of range: this "
+            f"parameter set encodes magnitudes below {limit:.6g} (2^62 / scale)"
+        )
     rng = np.random.default_rng(args.seed)
     cts = neural.encrypt_features(pk, features, rng)
     bundle = serialize.Bundle(serialize.BUNDLE_FEATURES, len(features), cts)

@@ -22,6 +22,11 @@ from . import ring
 # signal; refuse rather than silently produce garbage.
 MIN_SCALE = 2.0 ** 10
 
+# Scaled coefficients stay below this, so they round exactly into int64.
+# A coefficient of the inverse embedding is at most the largest |slot|,
+# so slots below MAX_COEFF / scale always encode.
+MAX_COEFF = 2.0 ** 62
+
 _SLOT_CACHE: dict = {}
 _TWIST_CACHE: dict = {}
 
@@ -142,7 +147,7 @@ def encode(
         )
 
     coeffs = embed_to_coeffs(full, n) * scale
-    if np.max(np.abs(coeffs)) >= 2.0 ** 62:
+    if np.max(np.abs(coeffs)) >= MAX_COEFF:
         raise ValueError("scaled coefficients exceed exact integer range")
     ints = np.rint(coeffs).astype(np.int64)
     # honest rounding cost, measured in the slot domain
@@ -181,12 +186,13 @@ def encode_constant(
     if scale < MIN_SCALE:
         raise ValueError(f"scale {scale} below precision floor {MIN_SCALE}")
     scaled = value * scale
-    if abs(scaled) >= 2.0 ** 62:
+    if abs(scaled) >= MAX_COEFF:
         raise ValueError("scaled constant exceeds exact integer range")
     c0 = int(np.rint(scaled))
-    poly = ring.from_int_coeffs(
-        np.full(params.ring_degree, c0), params, level, ring.Domain.EVALUATION
-    )
+    # row j is c0 mod q_j, reduced once in Python ints
+    col = np.array([[c0 % q] for q in params.moduli[: level + 1]], dtype=np.uint64)
+    res = np.repeat(col, params.ring_degree, axis=1)
+    poly = ring.RingElement(params, level, res, ring.Domain.EVALUATION)
     round_error = abs(scaled - c0)
     return Plaintext(
         poly, float(scale), round_error, abs(value) + round_error / scale

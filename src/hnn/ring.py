@@ -1,22 +1,35 @@
 """Exact modular polynomial arithmetic in Z_q[X]/(X^N + 1), RNS form.
 
 Each element keeps one residue row per prime of the modulus chain, as a
-(level+1, N) uint64 block, and every kernel works on the whole block
-against the (level+1, 1) column of moduli, with no Python loop over
-primes. All primes satisfy q ≡ 1 (mod 2N), so a negacyclic NTT exists
-per prime and multiplication runs pointwise in the NTT (Evaluation)
-domain.
+(level+1, N) uint64 block, and every kernel works on the whole block,
+with no Python loop over primes. All primes satisfy q ≡ 1 (mod 2N), so
+a negacyclic NTT exists per prime and multiplication runs pointwise in
+the NTT (Evaluation) domain.
 
-There is one modular product and no kernel divides. y*w mod q takes
-est = trunc(y*(w/q)) with w/q in float64, the integer quotient or one
-off, so y*w - est*q in wrapping uint64 needs one correction to land in
-[0, 2q) (Harvey, 2014); for y < 4q <= 2^44 the float error stays below
-2^-8. The NTT stores its twiddles' quotients and stays lazily reduced
-between stages, in [0, 4q) forward and [0, 2q) inverse, with
-np.minimum(x, x - m) as the only reduction (ring_add, ring_sub and
-ring_neg use one each). Its constant-geometry (Pease) layout reads and
-writes whole halves of the block, so no stage runs on a short strided
-view; the output is in the usual bit-reversed order.
+There is one modular product and no kernel divides. y*w mod q, for
+y < 2^49 and w < q, takes the float64 quotient w_q = (w/q)(1 - 2^-50),
+biased low so that est = trunc(y*w_q) is floor(y*w/q) or one below and
+never above; y*w - est*q in wrapping uint64 then lies in [0, 2q) with
+no correction (Harvey, J. Symb. Comp. 2014, less the correction).
+
+The forward NTT does not reduce between stages. With the product t in
+[0, 2q), a butterfly writes lo + t and lo + (2q - t), so values grow by
+2q a stage, from [0, q) to below (2*log2(N) + 1)q, at most
+31q < 2^47 at N = 32768; one product by one and one conditional
+subtraction bring them into [0, q). The inverse reduces u + v into
+[0, 2q) at every stage. Both use the constant-geometry (Pease) layout:
+a stage copies the two halves (forward) or the even and odd entries
+(inverse) of the block into contiguous buffers, and the forward output
+is in the usual bit-reversed order. A pass transforms at most
+max(1, 2^14/N) rows at a time (all 13 primes at N = 1024), so that its
+buffers stay in a core's L2 cache.
+
+Twiddles and moduli come from full-width tables, as numpy runs a ufunc
+over contiguous operands of one shape in a single loop but broadcasts a
+(rows, 1) column row by row; once a pass takes one row, the moduli
+tables are zero-stride views of the column. For 13 primes the tables
+hold 2.8 MiB at N = 1024 and 21.1 MiB at N = 32768. ring_add, ring_sub
+and ring_neg reduce with one np.minimum(x, x - m) each.
 
 Elements are immutable after construction (residue arrays are marked
 read-only); every operation returns a new element, so concurrent use is
@@ -34,9 +47,17 @@ import numpy as np
 
 from .errors import ParameterError
 
-# Largest prime size for the float-quotient product: with y < 4q <= 2^44
-# the quotient estimate trunc(y*(w/q)) is within 2^-8 of y*w/q.
+# Largest prime size. The forward NTT keeps values below (2*log2(N) + 1)*q,
+# under 31q < 2^47 at N = 32768, inside the product's range y < 2^49.
 MAX_PRIME_BITS = 42
+
+# Every float quotient w/q is formed biased low by this factor, so that
+# an estimate of floor(y*w/q) never overshoots (see _mul).
+_BIAS = 1.0 - 2.0 ** -50
+
+# Most elements in one row chunk of an NTT pass: a chunk's half-width
+# scratch then stays in a core's L2 cache, which pays from N = 4096 on.
+_NTT_CHUNK = 1 << 14
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -46,31 +67,43 @@ def _reduce(x, m):
     return np.minimum(x, x - m)
 
 
-def _mul_lazy(y, w, w_q, q):
-    """y*w mod q, lazily in [0, 2q), for y < 4q and w < q; w_q is w/q in
-    float64.
+def _quotient(w, q):
+    """w/q in float64, biased low by 2^-50: the quotient every product uses."""
+    return w * (_BIAS / np.asarray(q, dtype=np.float64))
 
-    est = trunc(y*w_q) is floor(y*w/q) or one off either way: for
-    y < 2^44 the float error is below 2^-8. So r = y*w - est*q, formed
-    with wrapping uint64, lies in [-q, 2q), and one conditional add of q
-    lands it in [0, 2q).
+
+def _scratch(shape):
+    """Output, float64 and int64 scratch for :func:`_mul`."""
+    return np.empty(shape, np.uint64), np.empty(shape), np.empty(shape, np.int64)
+
+
+def _mul(y, w, w_q, q, out, f, e):
+    """out = y*w mod q, lazily in [0, 2q), for y < 2^49 and w < q, where
+    w_q = _quotient(w, q); f (float64) and e (int64) are scratch of
+    out's shape.
+
+    y*w_q carries three float64 roundings against the 2^-50 bias, so it
+    lies in (y*w/q - 0.69, y*w/q]: est = trunc(y*w_q) is floor(y*w/q) or
+    one below, and y*w - est*q, formed in wrapping uint64, lands in
+    [0, 2q) with no correction.
     """
-    est = (y.astype(np.float64) * w_q).astype(np.uint64)
-    r = y * w
-    r -= est * q
-    return np.minimum(r, r + q)
+    np.multiply(y.view(np.int64), w_q, out=f)
+    np.copyto(e, f, casting="unsafe")
+    est = e.view(np.uint64)
+    np.multiply(est, q, out=est)
+    np.multiply(y, w, out=out)
+    return np.subtract(out, est, out=out)
 
 
 def mulmod(a, b, q) -> np.ndarray:
-    """Exact (a * b) % q on uint64 arrays, for a < 4q and b < q < 2^42.
+    """Exact (a * b) % q on uint64 arrays, for a < 2^49 and b < q < 2^42.
 
     q is a scalar or an array that broadcasts against a and b, such as a
     (rows, 1) column of moduli. The NTT's product, reduced into [0, q).
     """
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    q = np.asarray(q, dtype=np.uint64)
-    return _reduce(_mul_lazy(a, b, b / q, q), q)
+    a, b, q = (np.asarray(v, dtype=np.uint64) for v in (a, b, q))
+    shape = np.broadcast_shapes(a.shape, b.shape, q.shape)
+    return _reduce(_mul(a, b, _quotient(b, q), q, *_scratch(shape)), q)
 
 
 def is_prime(n: int) -> bool:
@@ -162,7 +195,7 @@ def bit_reverse_permutation(n: int) -> np.ndarray:
 
 
 class _NttTables:
-    """Twiddle factors for a whole chain, one row per prime.
+    """Twiddle factors and moduli for a whole chain, one row per prime.
 
     Row j of psi_rev / ipsi_rev holds the powers of psi_j (a primitive
     2N-th root of unity mod q_j) and of its inverse in bit-reversed
@@ -171,17 +204,26 @@ class _NttTables:
 
     Stage s of the forward transform multiplies half-index k by
     psi_rev[2^s + (k mod 2^s)], a sequence of period 2^s. psi_stage[s]
-    holds its first W = min(max(2^s, 64), N/2) terms as a (primes, 1, W)
-    block that broadcasts over the half viewed as (rows, N/2W, W); the
-    floor of 64 keeps numpy's inner loops long in the early stages.
-    ipsi_stage is the same for the inverse, and the *_q tables hold each
-    twiddle divided by its prime in float64. An element at level l uses
-    rows [:l+1].
+    holds its first W = min(max(2^s, 512), N/2) terms as a (primes, 1, W)
+    block that broadcasts over the half viewed as (rows, N/2W, W): every
+    stage is full-width up to N = 1024, and numpy's inner loops stay long
+    beyond. ipsi_stage is the same for the inverse, and the *_q tables
+    hold each twiddle's biased quotient.
+
+    The moduli are full-width as well, because numpy runs a ufunc over
+    contiguous operands of one shape in a single loop but broadcasts a
+    (rows, 1) column row by row: q, q2 (2q), q_inv (the quotient of 1),
+    n_inv_wide and n_inv_q (N^-1 and its quotient) are (primes, N), and
+    q_half and q2_half are (primes, N/2) for the NTT's halves. From
+    N = _NTT_CHUNK on, where an NTT pass takes one row, they are
+    zero-stride views of the column. n_inv is the (primes, 1) column. An
+    element at level l uses rows [:l+1].
     """
 
     __slots__ = (
         "psi_rev", "ipsi_rev", "n_inv", "psi_stage", "psi_stage_q",
-        "ipsi_stage", "ipsi_stage_q", "n_inv_q",
+        "ipsi_stage", "ipsi_stage_q", "q", "q2", "q_inv", "q_half",
+        "q2_half", "n_inv_wide", "n_inv_q",
     )
 
     def __init__(self, ring_degree: int, moduli: tuple):
@@ -202,18 +244,30 @@ class _NttTables:
         self.n_inv = np.array(
             [pow(ring_degree, -1, q) for q in moduli], dtype=np.uint64
         )[:, None]
-        q_float = q_col.astype(np.float64)
-        self.n_inv_q = self.n_inv / q_float
+        h = ring_degree // 2
         stage_index = [
-            (1 << s) + (np.arange(min(max(1 << s, 64), ring_degree // 2)) % (1 << s))
+            (1 << s) + (np.arange(min(max(1 << s, 512), h)) % (1 << s))
             for s in range(ring_degree.bit_length() - 1)
         ]
         self.psi_stage, self.ipsi_stage = (
             tuple(rev[:, None, idx] for idx in stage_index)
             for rev in (self.psi_rev, self.ipsi_rev)
         )
-        self.psi_stage_q = tuple(w / q_float[:, :, None] for w in self.psi_stage)
-        self.ipsi_stage_q = tuple(w / q_float[:, :, None] for w in self.ipsi_stage)
+        q_3d = q_col[:, :, None]
+        self.psi_stage_q = tuple(_quotient(w, q_3d) for w in self.psi_stage)
+        self.ipsi_stage_q = tuple(_quotient(w, q_3d) for w in self.ipsi_stage)
+
+        def wide(col, width):
+            # with one row per pass (N >= _NTT_CHUNK) a column costs numpy
+            # nothing over a table, so the table stays a zero-stride view
+            full = np.broadcast_to(col, (len(moduli), width))
+            return full if ring_degree >= _NTT_CHUNK else np.ascontiguousarray(full)
+
+        self.q, self.q_half = wide(q_col, ring_degree), wide(q_col, h)
+        self.q2, self.q2_half = wide(2 * q_col, ring_degree), wide(2 * q_col, h)
+        self.q_inv = wide(_quotient(1, q_col), ring_degree)
+        self.n_inv_wide = wide(self.n_inv, ring_degree)
+        self.n_inv_q = wide(_quotient(self.n_inv, q_col), ring_degree)
 
     @staticmethod
     def _primitive_root(ring_degree: int, q: int) -> int:
@@ -342,9 +396,22 @@ def _require_compatible(a: RingElement, b: RingElement, same_domain=True):
 def from_int_coeffs(
     coeffs, params: RingParams, level: int, domain=Domain.COEFFICIENT
 ) -> RingElement:
-    """Reduce signed integer coefficients into RNS residues."""
-    q = params._q_col[: level + 1].astype(np.int64)
-    res = np.mod(np.asarray(coeffs), q).astype(np.uint64)
+    """Reduce signed integer coefficients into RNS residues.
+
+    int64 coefficients below twice the smallest prime in magnitude
+    (sampled secrets and errors, key-switching digits, rescale lifts)
+    are offset by 2q into (0, 4q) and reduced by two conditional
+    subtractions; larger ones (encode) take np.mod.
+    """
+    c = np.asarray(coeffs)
+    rows = slice(0, level + 1)
+    bound = 2 * min(params.moduli)
+    if c.dtype == np.int64 and -bound < c.min() and c.max() < bound:
+        tb = _tables(params)
+        q2 = tb.q2[rows]
+        res = _reduce(_reduce(c.view(np.uint64) + q2, q2), tb.q[rows])
+    else:
+        res = np.mod(c, params._q_col[rows].astype(np.int64)).astype(np.uint64)
     return RingElement(params, level, res, domain)
 
 
@@ -353,49 +420,90 @@ def zero(params: RingParams, level: int, domain=Domain.COEFFICIENT) -> RingEleme
     return RingElement(params, level, res, domain)
 
 
+def _chunks(rows: slice, n: int):
+    """``rows`` split into slices of at most max(1, _NTT_CHUNK // n) rows."""
+    k = max(1, _NTT_CHUNK // n)
+    return [slice(r, min(r + k, rows.stop)) for r in range(rows.start, rows.stop, k)]
+
+
+def _pass_buffers(residues: np.ndarray):
+    """Scratch of one NTT pass over a (k, N) row chunk: the work block x,
+    three contiguous (k, N/2) uint64 buffers, and the float64 and int64
+    scratch of _mul, (k, N) and flat, whose first k*N/2 entries serve
+    the (k, N/2) halves."""
+    x = residues.copy()
+    k, n = x.shape
+    bufs = tuple(np.empty((k, n // 2), np.uint64) for _ in range(3))
+    return x, bufs, np.empty(k * n), np.empty(k * n, np.int64)
+
+
 def ntt_forward(a: RingElement) -> RingElement:
     """Negacyclic NTT per residue prime; exact, O(N log N) per prime."""
     if a.domain != Domain.COEFFICIENT:
         raise ValueError("element already in Evaluation domain")
-    rows, n = a.residues.shape
-    h = n // 2
     tb = _tables(a.params)
-    q = a._q
-    q2 = q + q
-    x = a.residues
-    bufs = (np.empty_like(x), np.empty_like(x))
-    for s, (w, w_q) in enumerate(zip(tb.psi_stage, tb.psi_stage_q)):
-        # x in [0, 4q): Cooley-Tukey butterflies on (x[k], x[k + N/2])
-        lo = _reduce(x[:, :h], q2)
-        hi = x[:, h:].reshape(rows, -1, w.shape[2])
-        t = _mul_lazy(hi, w[:rows], w_q[:rows], q[:, :, None]).reshape(rows, h)
-        x = bufs[s & 1]
-        pairs = x.reshape(rows, h, 2)
-        np.add(lo, t, out=pairs[:, :, 0])
-        lo += q2
-        np.subtract(lo, t, out=pairs[:, :, 1])
-    return a._like(_reduce(_reduce(x, q2), q), Domain.EVALUATION)
+    out = np.empty_like(a.residues)
+    for rows in _chunks(slice(0, a.level + 1), a.params.ring_degree):
+        x, (lo, hi, t), f, e = _pass_buffers(a.residues[rows])
+        k, n = x.shape
+        h = n // 2
+        x_lo, x_hi = x[:, :h], x[:, h:]
+        even, odd = x.reshape(k, h, 2).transpose(2, 0, 1)
+        f_h, e_h = f[: k * h], e[: k * h]
+        q, q2 = tb.q_half[rows], tb.q2_half[rows]
+        for w, w_q in zip(tb.psi_stage, tb.psi_stage_q):
+            # x below (2s + 1)q after s stages: Cooley-Tukey butterflies on
+            # (x[k], x[k + N/2]) into (x[2k], x[2k + 1]), with t in [0, 2q)
+            np.copyto(lo, x_lo)
+            np.copyto(hi, x_hi)
+            by_w = (k, -1, w.shape[2])
+            _mul(
+                hi.reshape(by_w), w[rows], w_q[rows], q.reshape(by_w),
+                t.reshape(by_w), f_h.reshape(by_w), e_h.reshape(by_w),
+            )
+            np.add(lo, t, out=even)
+            lo += q2
+            np.subtract(lo, t, out=odd)
+        # the product by one brings x below 2q
+        q = tb.q[rows]
+        _mul(x, np.uint64(1), tb.q_inv[rows], q, x, f.reshape(k, n), e.reshape(k, n))
+        out[rows] = _reduce(x, q)
+    return a._like(out, Domain.EVALUATION)
 
 
 def _ntt_inverse_rows(a: RingElement, rows: slice) -> np.ndarray:
     """Inverse NTT of a's chain rows ``rows`` (a rescale needs only the top)."""
     tb = _tables(a.params)
-    q = a.params._q_col[rows]
-    q2 = q + q
-    x = a.residues[rows]
-    k, n = x.shape
-    h = n // 2
-    bufs = (np.empty_like(x), np.empty_like(x))
-    for s in reversed(range(len(tb.ipsi_stage))):
-        # x in [0, 2q): Gentleman-Sande butterflies on (x[2k], x[2k + 1])
-        w, w_q = tb.ipsi_stage[s][rows], tb.ipsi_stage_q[s][rows]
-        pairs = x.reshape(k, h, 2)
-        u, v = pairs[:, :, 0], pairs[:, :, 1]
-        x = bufs[s & 1]
-        x[:, :h] = _reduce(u + v, q2)
-        diff = ((u + q2) - v).reshape(k, -1, w.shape[2])
-        x[:, h:] = _mul_lazy(diff, w, w_q, q[:, :, None]).reshape(k, h)
-    return _reduce(_mul_lazy(x, tb.n_inv[rows], tb.n_inv_q[rows], q), q)
+    out = np.empty((rows.stop - rows.start, a.params.ring_degree), np.uint64)
+    for chunk in _chunks(rows, a.params.ring_degree):
+        x, (u, v, s), f, e = _pass_buffers(a.residues[chunk])
+        k, n = x.shape
+        h = n // 2
+        x_lo, x_hi = x[:, :h], x[:, h:]
+        even, odd = x.reshape(k, h, 2).transpose(2, 0, 1)
+        f_h, e_h = f[: k * h], e[: k * h]
+        q, q2 = tb.q_half[chunk], tb.q2_half[chunk]
+        for w, w_q in zip(reversed(tb.ipsi_stage), reversed(tb.ipsi_stage_q)):
+            # x in [0, 2q): Gentleman-Sande butterflies on (x[2k], x[2k + 1])
+            # into (x[k], x[k + N/2]), with u + v reduced below 2q
+            np.copyto(u, even)
+            np.copyto(v, odd)
+            np.add(u, v, out=s)
+            u += q2
+            u -= v
+            np.minimum(s, np.subtract(s, q2, out=v), out=x_lo)
+            by_w = (k, -1, w.shape[2])
+            _mul(
+                u.reshape(by_w), w[chunk], w_q[chunk], q.reshape(by_w),
+                x_hi.reshape(by_w), f_h.reshape(by_w), e_h.reshape(by_w),
+            )
+        q = tb.q[chunk]
+        _mul(
+            x, tb.n_inv_wide[chunk], tb.n_inv_q[chunk], q,
+            x, f.reshape(k, n), e.reshape(k, n),
+        )
+        out[chunk.start - rows.start : chunk.stop - rows.start] = _reduce(x, q)
+    return out
 
 
 def ntt_inverse(a: RingElement) -> RingElement:
@@ -424,19 +532,20 @@ def to_domain(a: RingElement, domain: Domain) -> RingElement:
 
 def ring_add(a: RingElement, b: RingElement) -> RingElement:
     _require_compatible(a, b)
-    return a._like(_reduce(a.residues + b.residues, a._q))
+    q = _tables(a.params).q[: a.level + 1]
+    return a._like(_reduce(a.residues + b.residues, q))
 
 
 def ring_sub(a: RingElement, b: RingElement) -> RingElement:
     _require_compatible(a, b)
     # a - b wraps below zero exactly when adding q brings it into [0, q)
     d = a.residues - b.residues
-    return a._like(np.minimum(d, d + a._q))
+    return a._like(np.minimum(d, d + _tables(a.params).q[: a.level + 1]))
 
 
 def ring_neg(a: RingElement) -> RingElement:
     d = -a.residues
-    return a._like(np.minimum(d, d + a._q))
+    return a._like(np.minimum(d, d + _tables(a.params).q[: a.level + 1]))
 
 
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
@@ -446,7 +555,12 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     _require_compatible(a, b)
     if a.domain != Domain.EVALUATION:
         raise ValueError("ring_mul expects Evaluation-domain operands")
-    return a._like(mulmod(a.residues, b.residues, a._q))
+    tb = _tables(a.params)
+    rows = slice(0, a.level + 1)
+    q = tb.q[rows]
+    y, w = a.residues, b.residues
+    r = _mul(y, w, w * tb.q_inv[rows], q, *_scratch(y.shape))
+    return a._like(_reduce(r, q))
 
 
 def drop_level(a: RingElement, new_level: int) -> RingElement:

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -786,6 +787,27 @@ class TestCliCommands:
             "--input", str(data), "--out", str(out),
         ) == 3
         assert not out.exists()
+
+    def test_oversized_feature_exit_code_3(self, tmp_path, params, keys, capsys):
+        # finite but beyond 2^62 / scale: a format error naming the limit,
+        # raised before the encoder's FFT could overflow and warn
+        params_file = tmp_path / "p.txt"
+        serialize.save_params(params, params_file)
+        pk = tmp_path / "pk.bin"
+        pk.write_bytes(serialize.public_key_to_bytes(keys.pk))
+        data = tmp_path / "x.csv"
+        data.write_text("0.5,0.1\n1e300,0.2\n")
+        out = tmp_path / "o.hct"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = self.run(
+                "encrypt", "--pk", str(pk), "--params", str(params_file),
+                "--input", str(data), "--out", str(out),
+            )
+        assert code == 3
+        assert not out.exists()
+        limit = encoding.MAX_COEFF / params.scale
+        assert f"{limit:.6g}" in capsys.readouterr().err
 
     def test_readme_walkthrough_depth_matches_pipeline(self):
         # the walkthrough's parameter file must fit the default pipeline

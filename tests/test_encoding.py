@@ -67,6 +67,22 @@ class TestEncodeConstant:
             expect = ring.ntt_forward(ring.from_int_coeffs(coeffs, params, level))
             assert np.array_equal(pt.poly.residues, expect.residues)
 
+    def test_residues_equal_from_int_coeffs_every_level(self):
+        # c0 mod q_j from Python ints against the int64 reduction of a full
+        # row; 2^62 - 512 is the largest c0 below the 2^62 cap that a float
+        # product value*scale can hit (2^62 - 1 rounds up to 2^62)
+        params = make_params(64, [42] + [41] * 12)
+        scale = 2.0 ** 20
+        q0 = params.moduli[0]
+        for c0 in (0, 1, -1, q0 - 1, -(q0 - 1), 2**62 - 512, -(2**62 - 512)):
+            for level in range(params.level_count):
+                pt = encoding.encode_constant(c0 / scale, scale, params, level)
+                want = ring.from_int_coeffs(
+                    np.full(64, c0, dtype=np.int64), params, level, ring.Domain.EVALUATION
+                )
+                assert pt.poly.residues.dtype == np.uint64
+                assert np.array_equal(pt.poly.residues, want.residues)
+
     def test_decodes_to_the_constant(self):
         params = make_params(16)
         pt = encoding.encode_constant(-0.625, 2.0 ** 20, params)

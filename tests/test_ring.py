@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hnn import ring
+from hnn import neural, ring, scheme
 from hnn.errors import ParameterError
 
 from helpers import (
@@ -254,12 +254,18 @@ class TestBatchedChain:
 # largest 42-bit and smallest 14-bit NTT primes of the N=1024 ring
 _Q_LARGEST = ring.prime_below(1 << 42, 2 * 1024)
 _Q_SMALLEST = ring.prime_above(1 << 13, 2 * 1024)
+# the 13-prime chain of the default head at 512 slots (N = 1024)
+_DEFAULT_CHAIN = scheme.param_gen(
+    128, 512, neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead())),
+    scale_bits=40, allow_insecure=True,
+).ring.moduli
+_Y_BOUND = 1 << 49
 
 
 def _pairs(q):
-    """Lists of (y, w) at the lazy product's input bounds y < 4q, w < q."""
+    """Lists of (y, w) at the product's input bounds y < 2^49, w < q."""
     return st.lists(
-        st.tuples(st.integers(0, 4 * q - 1), st.integers(0, q - 1)),
+        st.tuples(st.integers(0, _Y_BOUND - 1), st.integers(0, q - 1)),
         min_size=1, max_size=32,
     )
 
@@ -267,7 +273,7 @@ def _pairs(q):
 class TestDivisionFreeKernels:
     """The constant-geometry lazy kernels against the Cooley-Tukey /
     Gentleman-Sande slow path they replace, bit for bit, and the
-    float-quotient product against Python ints."""
+    biased float-quotient product against Python ints."""
 
     @pytest.mark.parametrize(
         "n, bit_sizes",
@@ -275,6 +281,8 @@ class TestDivisionFreeKernels:
             (64, [42] + [41] * 16),
             (1024, [42] + [41] * 15),
             (64, [20, 14, 17, 15, 19, 16, 18]),
+            # passes of 8 rows: the top levels take two row chunks
+            (2048, [42] + [41] * 12),
         ],
     )
     def test_kernels_match_slow_path_every_level(self, n, bit_sizes):
@@ -295,41 +303,91 @@ class TestDivisionFreeKernels:
                 top = slice(level, level + 1)
                 assert np.array_equal(ring._ntt_inverse_rows(ev, top), ntt_inverse_gs(ev, top))
 
+    def test_largest_growth_at_n_32768(self):
+        # without per-stage reduction the all-(q - 1) input grows the most,
+        # to below 31q after 15 stages; passes of one row, against moduli
+        # tables that are zero-stride views
+        chain = make_params(32768, [42] + [41] * 12)
+        res = np.broadcast_to(chain._q_col - np.uint64(1), (13, 32768)).copy()
+        el = ring.RingElement(chain, 12, res, ring.Domain.COEFFICIENT)
+        assert np.array_equal(ring.ntt_forward(el).residues, ntt_forward_ct(el))
+        ev = ring.RingElement(chain, 12, res, ring.Domain.EVALUATION)
+        assert np.array_equal(ring.ntt_inverse(ev).residues, ntt_inverse_gs(ev, slice(0, 13)))
+
+    def test_from_int_coeffs_small_path_matches_np_mod(self):
+        # below 2 min q the offset-and-subtract path, from 2 min q on np.mod;
+        # the chain mixes 14- to 42-bit primes, so rows see both sizes
+        chain = make_params(64, [42, 41, 20, 14, 17])
+        bound = 2 * min(chain.moduli)
+        rng = np.random.default_rng(24)
+        for c in (bound - 1, bound):
+            for sign in (1, -1):
+                coeffs = rng.integers(-c, c + 1, 64)
+                coeffs[:4] = (sign * c, -sign * c, 0, sign)
+                for level in range(chain.level_count):
+                    q = chain._q_col[: level + 1].astype(np.int64)
+                    got = ring.from_int_coeffs(coeffs, chain, level).residues
+                    assert got.dtype == np.uint64
+                    assert np.array_equal(got, np.mod(coeffs, q).astype(np.uint64))
+
     @staticmethod
     def _check_mul_lazy(pairs, q):
         y = np.array([p[0] for p in pairs], dtype=np.uint64)
         w = np.array([p[1] for p in pairs], dtype=np.uint64)
-        # the quotient as the twiddle tables store it
-        r = ring._mul_lazy(y, w, w / np.float64(q), np.uint64(q))
+        # the biased quotient, as the tables store it and mulmod forms it
+        r = ring._mul(y, w, ring._quotient(w, q), np.uint64(q), *ring._scratch(y.shape))
         for (yi, wi), ri in zip(pairs, r.tolist()):
-            assert ri % q == yi * wi % q
+            # r = y*w - est*q in wrapping uint64 with q odd fixes est, so
+            # r in [0, 2q) with r = y*w mod q says est is floor(y*w/q)
+            # or one below it
             assert 0 <= ri < 2 * q
-        # mulmod: the same product reduced into [0, q), for a < 4q, b < q
+            assert ri % q == yi * wi % q
+        # mulmod: the same product reduced into [0, q)
         assert ring.mulmod(y, w, np.uint64(q)).tolist() == [
             yi * wi % q for yi, wi in pairs
         ]
 
     @settings(max_examples=300, deadline=None)
     @given(pairs=_pairs(_Q_LARGEST))
-    @example(pairs=[(4 * _Q_LARGEST - 1, _Q_LARGEST - 1), (0, _Q_LARGEST - 1), (1, 1)])
+    @example(pairs=[(_Y_BOUND - 1, _Q_LARGEST - 1), (0, _Q_LARGEST - 1), (1, 1)])
+    @example(pairs=[(4 * _Q_LARGEST - 1, _Q_LARGEST - 1), (31 * _Q_LARGEST, 1)])
     @example(pairs=[(_Q_LARGEST - 1, _Q_LARGEST - 1), (_Q_LARGEST - 1, 0), (0, 0)])
     # the quotient estimate one short: the lazy result lies in [q, 2q)
     @example(pairs=[(14340003587109, 315425793342)])
+    # an unbiased quotient overshoots here: trunc(y*(w/q)) = floor(y*w/q) + 1
+    @example(pairs=[(16673870588240, 3952548027273)])
     def test_mul_lazy_largest_42_bit_prime(self, pairs):
         assert _Q_LARGEST.bit_length() == 42
         self._check_mul_lazy(pairs, _Q_LARGEST)
 
     @settings(max_examples=300, deadline=None)
     @given(pairs=_pairs(_Q_SMALLEST))
-    @example(pairs=[(4 * _Q_SMALLEST - 1, _Q_SMALLEST - 1), (0, _Q_SMALLEST - 1), (1, 1)])
+    @example(pairs=[(_Y_BOUND - 1, _Q_SMALLEST - 1), (0, _Q_SMALLEST - 1), (1, 1)])
+    @example(pairs=[(4 * _Q_SMALLEST - 1, _Q_SMALLEST - 1), (31 * _Q_SMALLEST, 1)])
     @example(pairs=[(_Q_SMALLEST - 1, _Q_SMALLEST - 1), (_Q_SMALLEST - 1, 0), (0, 0)])
     @example(pairs=[(_Q_SMALLEST, 13)])
     def test_mul_lazy_smallest_14_bit_prime(self, pairs):
         assert _Q_SMALLEST.bit_length() == 14
         self._check_mul_lazy(pairs, _Q_SMALLEST)
 
+    @pytest.mark.parametrize("q", (_Q_LARGEST, _Q_SMALLEST) + _DEFAULT_CHAIN)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_biased_estimate_floor_or_one_below(self, q, data):
+        # the product's quotient estimate est, read back from its
+        # remainder r = y*w - est*q, for y < 2^49 and w < q
+        pairs = data.draw(_pairs(q))
+        pairs += [(_Y_BOUND - 1, q - 1), (_Y_BOUND - 1, 1), (q, q - 1)]
+        y = np.array([p[0] for p in pairs], dtype=np.uint64)
+        w = np.array([p[1] for p in pairs], dtype=np.uint64)
+        r = ring._mul(y, w, ring._quotient(w, q), np.uint64(q), *ring._scratch(y.shape))
+        for (yi, wi), ri in zip(pairs, r.tolist()):
+            est, rem = divmod(yi * wi - ri, q)
+            assert rem == 0
+            assert est in (yi * wi // q - 1, yi * wi // q)
+
     def test_mulmod_matches_split_product_every_level(self):
-        # (16, 1024) blocks against the moduli column, as ring_mul runs it
+        # (16, 1024) blocks against the moduli column, as rescale runs it
         chain = make_params(1024, [42] + [41] * 15)
         rng = np.random.default_rng(22)
         q = chain._q_col
