@@ -5,8 +5,9 @@ scheme primitives:
 
 * exp on [-r, r]: Chebyshev-fitted polynomial, evaluated over a
   power-basis tree (y, y^2, y^4, ...) so multiplicative depth stays at
-  ceil(log2 d), with plaintext constants encoded at compensating scales
-  so every internal addition sees bit-matching scales.
+  ceil(log2 d), with its coefficients multiplied in as scalars
+  (scheme.mult_const, scheme.add_const) at compensating scales so every
+  internal addition sees bit-matching scales.
 * 1/x on [a, b]: k Newton steps z <- z(2 - x z) from z0 = 1/b, in
   their product form z_k = z0 * prod_{i<k} (1 + e^(2^i)) with
   e = 1 - z0 x (Goldschmidt division): e squares itself while z takes
@@ -29,7 +30,7 @@ import math
 import numpy as np
 from numpy.polynomial import chebyshev, polynomial
 
-from . import encoding, scheme
+from . import scheme
 from .errors import DomainViolation, LevelExhausted
 from .scheme import Ciphertext, RelinKey, SecretKey
 
@@ -101,18 +102,6 @@ def poly_eval_depth(degree: int) -> int:
     )
 
 
-# ---------------------------------------------------------------------------
-# Constant helpers with exact scale targeting
-# ---------------------------------------------------------------------------
-
-def _const_pt(ct: Ciphertext, value: float, scale: float) -> encoding.Plaintext:
-    return encoding.encode_constant(value, scale, ct.scheme.ring, ct.level)
-
-
-def add_const(ct: Ciphertext, value: float) -> Ciphertext:
-    return scheme.add_plain(ct, _const_pt(ct, value, ct.scale))
-
-
 def tree_sum(cts) -> Ciphertext:
     """Balanced pairwise sum.
 
@@ -130,11 +119,6 @@ def tree_sum(cts) -> Ciphertext:
         ]
         cts = nxt
     return cts[0]
-
-
-def mul_const_raw(ct: Ciphertext, value: float, pt_scale: float) -> Ciphertext:
-    """Multiply by a scalar at an explicit plaintext scale, no rescale."""
-    return scheme.mult_plain(ct, _const_pt(ct, value, pt_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +152,8 @@ def eval_poly_encrypted(
             y = scheme.ct_drop_level(base, level + 1)
             q = params.ring.moduli[level + 1]
             c1 = coeffs[1] if deg == 1 else 0.0
-            r = scheme.rescale(mul_const_raw(y, c1, scale * q / y.scale))
-            return add_const(r, coeffs[0])
+            r = scheme.rescale(scheme.mult_const(y, c1, scale * q / y.scale))
+            return scheme.add_const(r, coeffs[0])
         split = 1 << (int(math.ceil(math.log2(deg + 1))) - 1)
         ym = scheme.ct_drop_level(powers[int(math.log2(split))], level + 1)
         q = params.ring.moduli[level + 1]
@@ -230,14 +214,15 @@ def encrypted_reciprocal(
     e_cap = 1.0 - lower_bound / upper_bound
     # constants encoded at q_top, so each rescaled product keeps x's scale
     q_top = float(x.scheme.ring.moduli[x.level])
-    z = add_const(scheme.rescale(mul_const_raw(x, -z0 * z0, q_top)), 2.0 * z0)
+    z = scheme.rescale(scheme.mult_const(x, -z0 * z0, q_top))
+    z = scheme.add_const(z, 2.0 * z0)
     z = scheme.with_value_bound(z, min(z.value_bound, z_cap))
-    e = add_const(scheme.rescale(mul_const_raw(x, -z0, q_top)), 1.0)
+    e = scheme.add_const(scheme.rescale(scheme.mult_const(x, -z0, q_top)), 1.0)
     e = scheme.with_value_bound(e, min(e.value_bound, e_cap))
     for _ in range(iterations - 1):
         e = scheme.rescale(scheme.mult(e, e, evk))
         z = scheme.rescale(
-            scheme.mult(scheme.ct_drop_level(z, e.level), add_const(e, 1.0), evk)
+            scheme.mult(scheme.ct_drop_level(z, e.level), scheme.add_const(e, 1.0), evk)
         )
         z = scheme.with_value_bound(z, min(z.value_bound, z_cap))
     return z
@@ -377,7 +362,7 @@ def encrypted_soft_argmax(
         logit_cts, cfg, evk, probe_key, soft_argmax_min_levels(cfg)
     )
     weighted = tree_sum(
-        mul_const_raw(e, float(i + 1), INDEX_SCALE) for i, e in enumerate(exps)
+        scheme.mult_const(e, float(i + 1), INDEX_SCALE) for i, e in enumerate(exps)
     )
     out = scheme.rescale(
         scheme.mult(scheme.ct_drop_level(weighted, inv.level), inv, evk)

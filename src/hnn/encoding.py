@@ -8,6 +8,9 @@ polynomial add/mul act slotwise on the decoded values.
 
 The fast transform is a size-N FFT with a 2N-th-root twist; tests check
 it against an O(N^2) high-precision oracle.
+
+A scalar constant gets no polynomial: encode_constant rounds it to an
+integer, which ``scheme`` applies as one residue per prime.
 """
 
 from __future__ import annotations
@@ -63,10 +66,7 @@ def _twist(ring_degree: int) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class Plaintext:
-    """Encoded ring element plus its scale.
-
-    encode yields a Coefficient-domain poly and encode_constant an
-    Evaluation-domain one; consumers convert with ring.to_domain.
+    """Encoded Coefficient-domain ring element plus its scale.
 
     round_error: measured max slot-domain error introduced by coefficient
     rounding at encode time (absolute, in units of scale), kept so the
@@ -131,24 +131,10 @@ def encode(
 
     full = np.zeros(n // 2)
     full[: len(values)] = values
-    if np.all(full == 0.0):
-        # exact: embedding of zero is zero
-        poly = ring.zero(params, level)
-        return Plaintext(poly, float(scale), 0.0, 0.0)
-    if np.all(full == full[0]):
-        # the embedding of a constant vector is the constant polynomial
-        coeffs = np.zeros(n)
-        coeffs[0] = full[0] * scale
-        ints = np.rint(coeffs).astype(np.int64)
-        rounded_err = abs(float(coeffs[0] - ints[0]))
-        poly = ring.from_int_coeffs(ints, params, level)
-        return Plaintext(
-            poly, float(scale), rounded_err, float(abs(full[0])) + rounded_err / scale
-        )
-
-    coeffs = embed_to_coeffs(full, n) * scale
-    if np.max(np.abs(coeffs)) >= MAX_COEFF:
+    # |coefficient| <= max|slot|; by division, so huge slots cannot overflow
+    if np.max(np.abs(full)) >= MAX_COEFF / scale:
         raise ValueError("scaled coefficients exceed exact integer range")
+    coeffs = embed_to_coeffs(full, n) * scale
     ints = np.rint(coeffs).astype(np.int64)
     # honest rounding cost, measured in the slot domain
     residual = coeffs_to_slots(coeffs - ints, n)
@@ -160,40 +146,27 @@ def encode(
 
 def decode(pt: Plaintext) -> np.ndarray:
     """Slot values of a plaintext: embedding(poly) / scale, length N/2."""
-    signed, _ = ring.compose_signed(ring.to_domain(pt.poly, ring.Domain.COEFFICIENT))
+    signed, _ = ring.compose_signed(pt.poly)
     coeffs = signed.astype(np.float64)
     slots = coeffs_to_slots(coeffs, pt.poly.params.ring_degree)
     return np.real(slots) / pt.scale
 
 
-def encode_constant(
-    value: float,
-    scale: float,
-    params: ring.RingParams,
-    level: int = None,
-) -> Plaintext:
-    """Constant polynomial round(value*scale); exact when the product is
-    integral, which the evaluator exploits for index vectors and masks.
+def encode_constant(value: float, scale: float):
+    """(c0, round_error): the constant round(value*scale), half to even,
+    and its rounding error in units of scale. c0 is exact when value*scale
+    is integral, which the evaluator exploits for index constants.
 
-    The NTT of a constant polynomial is that constant at every root, so
-    the plaintext is built directly in the Evaluation domain, with no
-    transform.
+    A constant needs no polynomial: its NTT is c0 mod q_j at every root,
+    so ``scheme`` multiplies and adds it as one residue per prime.
     """
-    if level is None:
-        level = params.max_level
     if not np.isfinite(value):
         raise ValueError("constant must be finite")
     if scale < MIN_SCALE:
         raise ValueError(f"scale {scale} below precision floor {MIN_SCALE}")
-    scaled = value * scale
+    # Python floats: an overflow is inf, with no numpy warning
+    scaled = float(value) * float(scale)
     if abs(scaled) >= MAX_COEFF:
         raise ValueError("scaled constant exceeds exact integer range")
     c0 = int(np.rint(scaled))
-    # row j is c0 mod q_j, reduced once in Python ints
-    col = np.array([[c0 % q] for q in params.moduli[: level + 1]], dtype=np.uint64)
-    res = np.repeat(col, params.ring_degree, axis=1)
-    poly = ring.RingElement(params, level, res, ring.Domain.EVALUATION)
-    round_error = abs(scaled - c0)
-    return Plaintext(
-        poly, float(scale), round_error, abs(value) + round_error / scale
-    )
+    return c0, abs(scaled - c0)

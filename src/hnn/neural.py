@@ -310,19 +310,15 @@ def encrypted_logits(model: LinearModel, feature_cts):
         raise ValueError(
             f"{len(feature_cts)} feature ciphertexts for d_in={model.d_in}"
         )
-    params = feature_cts[0].scheme
-    q_top = float(params.ring.moduli[feature_cts[0].level])
+    q_top = float(feature_cts[0].scheme.ring.moduli[feature_cts[0].level])
     logit_cts = []
     for c in range(model.class_count):
         terms = [
-            approx.mul_const_raw(feature_cts[j], float(model.weights[j, c]), q_top)
+            scheme.mult_const(feature_cts[j], float(model.weights[j, c]), q_top)
             for j in range(model.d_in)
         ]
         logit = scheme.rescale(approx.tree_sum(terms))
-        bias_pt = encoding.encode_constant(
-            float(model.bias[c]), logit.scale, params.ring, logit.level
-        )
-        logit_cts.append(scheme.add_plain(logit, bias_pt))
+        logit_cts.append(scheme.add_const(logit, float(model.bias[c])))
     return logit_cts
 
 

@@ -12,6 +12,10 @@ biased low so that est = trunc(y*w_q) is floor(y*w/q) or one below and
 never above; y*w - est*q in wrapping uint64 then lies in [0, 2q) with
 no correction (Harvey, J. Symb. Comp. 2014, less the correction).
 
+A per-prime scalar (a constant's c mod q_j, rescale's q_top^-1, a CRT
+gadget's unit column, composition's M_j^-1) is a (level+1, 1) residue
+column, which scalar_mul and scalar_add apply to a whole element.
+
 The forward NTT does not reduce between stages. With the product t in
 [0, 2q), a butterfly writes lo + t and lo + (2q - t), so values grow by
 2q a stage, from [0, q) to below (2*log2(N) + 1)q, at most
@@ -524,12 +528,6 @@ def centered_coeffs(a: RingElement, rows: slice) -> np.ndarray:
     return np.where(x > q // 2, x - q, x)
 
 
-def to_domain(a: RingElement, domain: Domain) -> RingElement:
-    if a.domain == domain:
-        return a
-    return ntt_forward(a) if domain == Domain.EVALUATION else ntt_inverse(a)
-
-
 def ring_add(a: RingElement, b: RingElement) -> RingElement:
     _require_compatible(a, b)
     q = _tables(a.params).q[: a.level + 1]
@@ -561,6 +559,36 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     y, w = a.residues, b.residues
     r = _mul(y, w, w * tb.q_inv[rows], q, *_scratch(y.shape))
     return a._like(_reduce(r, q))
+
+
+def constant_column(c: int, params: RingParams, level: int) -> np.ndarray:
+    """c mod q_j as a (level+1, 1) uint64 column, reduced in Python ints."""
+    return np.array([[c % q] for q in params.moduli[: level + 1]], dtype=np.uint64)
+
+
+def _column_q(a: RingElement, col: np.ndarray) -> np.ndarray:
+    """a's full-width moduli table, once col is a (level+1, 1) uint64
+    column of residues below a's primes."""
+    if col.shape != (a.level + 1, 1) or col.dtype != np.uint64 or np.any(col >= a._q):
+        raise ValueError(f"expected a ({a.level + 1}, 1) uint64 column below q_j")
+    return _tables(a.params).q[: a.level + 1]
+
+
+def scalar_mul(a: RingElement, col: np.ndarray) -> RingElement:
+    """a times col, one residue per prime, in either domain; the biased
+    quotient is formed on the column, not on an N-wide block."""
+    q = _column_q(a, col)
+    r = _mul(a.residues, col, _quotient(col, a._q), q, *_scratch(a.residues.shape))
+    return a._like(_reduce(r, q))
+
+
+def scalar_add(a: RingElement, col: np.ndarray) -> RingElement:
+    """a plus col, one residue per prime: Evaluation operands only, where
+    the constant polynomial c is c at every root."""
+    if a.domain != Domain.EVALUATION:
+        raise ValueError("scalar_add expects an Evaluation-domain operand")
+    q = _column_q(a, col)
+    return a._like(_reduce(a.residues + col, q))
 
 
 def drop_level(a: RingElement, new_level: int) -> RingElement:
@@ -660,7 +688,7 @@ def compose(a: RingElement):
     if a.domain != Domain.COEFFICIENT:
         raise ValueError("compose expects Coefficient domain")
     big_q, m, inv = _crt_constants(a.params, a.level)
-    t = mulmod(a.residues, inv, a._q)
+    t = scalar_mul(a, inv).residues
     return np.dot(m, t.astype(object)) % big_q, big_q
 
 

@@ -7,6 +7,12 @@ rescaled after products to keep the scale bounded. Relinearization after
 ciphertext-ciphertext products uses the CRT gadget: the third component's
 centred residue rows are the digits, one evaluation-key component each.
 
+A scalar constant (probe weight, bias, polynomial or Newton coefficient,
+index weight) is multiplied in or added by mult_const and add_const as
+one residue per prime, with no plaintext polynomial (CKKS's multByConst,
+Cheon et al., ASIACRYPT 2017). mult_plain and add_plain take slot-vector
+plaintexts; each pair shares one ledger rule.
+
 Every ciphertext carries a noise ledger: ``noise_bits`` is a heuristic
 upper bound on log2(max slot error * scale), updated by fixed rules per
 operation, and ``value_bound`` is an interval bound on |slot values|.
@@ -256,33 +262,23 @@ def keygen(params: SchemeParams, rng: np.random.Generator) -> KeyMaterial:
     """Sample (sk, pk, evk). Deterministic for a fixed Generator state."""
     rp = params.ring
     lv = rp.max_level
-    s = ring.ntt_forward(
-        ring.sample_ternary(rp, lv, params.secret_weight, rng)
-    )
-    a = ring.sample_uniform(rp, lv, rng)
-    e = ring.ntt_forward(
-        ring.sample_gaussian(rp, lv, params.err_std, rng, tail_bound=KEY_ERR_TAIL)
-    )
-    b = ring.ring_add(ring.ring_neg(ring.ring_mul(a, s)), e)
+    s = ring.ntt_forward(ring.sample_ternary(rp, lv, params.secret_weight, rng))
 
+    def masked(a):
+        """-a*s + e for a fresh key error e."""
+        e = ring.sample_gaussian(rp, lv, params.err_std, rng, tail_bound=KEY_ERR_TAIL)
+        return ring.ring_sub(ring.ntt_forward(e), ring.ring_mul(a, s))
+
+    a = ring.sample_uniform(rp, lv, rng)
+    pk = PublicKey(params, masked(a), a)
     s2 = ring.ring_mul(s, s)
     comps = []
     for j in range(rp.level_count):
         a_j = ring.sample_uniform(rp, lv, rng)
-        e_j = ring.ntt_forward(
-            ring.sample_gaussian(rp, lv, params.err_std, rng, tail_bound=KEY_ERR_TAIL)
-        )
-        gadget = np.zeros_like(s2.residues)
-        gadget[j] = s2.residues[j]
-        b_j = ring.ring_add(
-            ring.ring_add(ring.ring_neg(ring.ring_mul(a_j, s)), e_j), s2._like(gadget)
-        )
-        comps.append((b_j, a_j))
-    return KeyMaterial(
-        sk=SecretKey(params, s),
-        pk=PublicKey(params, b, a),
-        evk=RelinKey(params, tuple(comps)),
-    )
+        # s^2 times the unit column e_j: s^2's row j, the other rows zero
+        gadget = ring.scalar_mul(s2, np.eye(lv + 1, 1, -j, dtype=np.uint64))
+        comps.append((ring.ring_add(masked(a_j), gadget), a_j))
+    return KeyMaterial(SecretKey(params, s), pk, RelinKey(params, tuple(comps)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +387,7 @@ def decrypt(sk: SecretKey, ct: Ciphertext) -> Plaintext:
     s = ring.drop_level(sk.s, ct.level)
     acc = ring.ring_add(ct.parts[0], ring.ring_mul(ct.parts[1], s))
     poly = ring.ntt_inverse(acc)
-    return Plaintext(
-        poly, ct.scale, round_error=0.0, value_bound=ct.value_bound
-    )
+    return Plaintext(poly, ct.scale, value_bound=ct.value_bound)
 
 
 def decrypt_to_slots(sk: SecretKey, ct: Ciphertext) -> np.ndarray:
@@ -423,52 +417,74 @@ def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:
     )
 
 
-def negate(a: Ciphertext) -> Ciphertext:
-    parts = tuple(ring.ring_neg(p) for p in a.parts)
-    return dataclasses.replace(a, parts=parts)
-
-
-def _pt_for(ct: Ciphertext, pt: Plaintext) -> Plaintext:
+def _pt_for(ct: Ciphertext, pt: Plaintext) -> ring.RingElement:
+    """pt's polynomial at ct's level, in the Evaluation domain."""
     if pt.level < ct.level:
         raise ValueError(f"plaintext level {pt.level} below ciphertext {ct.level}")
-    poly = ring.to_domain(ring.drop_level(pt.poly, ct.level), ring.Domain.EVALUATION)
-    return dataclasses.replace(pt, poly=poly)
+    return ring.ntt_forward(ring.drop_level(pt.poly, ct.level))
 
 
-def add_plain(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-    if abs(ct.scale - pt.scale) > SCALE_REL_TOL * max(ct.scale, pt.scale):
-        raise ScaleMismatch(f"scales {ct.scale} vs {pt.scale}")
-    pt = _pt_for(ct, pt)
-    parts = (ring.ring_add(ct.parts[0], pt.poly),) + ct.parts[1:]
-    return Ciphertext(
-        scheme=ct.scheme,
-        parts=parts,
-        level=ct.level,
-        scale=ct.scale,
-        noise_bits=_log2_sum(ct.noise_bits, _log2_pos(pt.round_error)),
-        value_bound=ct.value_bound + pt.value_bound,
+def _plus(ct: Ciphertext, c0: ring.RingElement, round_error, value_bound):
+    """ct with first part c0, the old one plus a plaintext at ct's scale
+    with this rounding error and |slot| bound: an addition's ledger rule."""
+    return dataclasses.replace(
+        ct,
+        parts=(c0, ct.parts[1]),
+        noise_bits=_log2_sum(ct.noise_bits, _log2_pos(round_error)),
+        value_bound=ct.value_bound + value_bound,
     )
 
 
-def mult_plain(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-    """Slotwise product with a plaintext; scale multiplies, the caller
-    rescales when ready."""
-    pt = _pt_for(ct, pt)
-    parts = tuple(ring.ring_mul(p, pt.poly) for p in ct.parts)
-    re = _log2_pos(pt.round_error)
+def _times(ct: Ciphertext, parts, scale, round_error, value_bound):
+    """ct with ``parts``, the old ones times a plaintext at ``scale`` with
+    this rounding error and |slot| bound: a product's ledger rule."""
+    re = _log2_pos(round_error)
     noise = _log2_sum(
-        ct.noise_bits + _log2_pos(pt.value_bound * pt.scale),
+        ct.noise_bits + _log2_pos(value_bound * scale),
         re + _log2_pos(ct.value_bound * ct.scale),
         ct.noise_bits + re,
     )
-    return Ciphertext(
-        scheme=ct.scheme,
-        parts=parts,
-        level=ct.level,
-        scale=ct.scale * pt.scale,
-        noise_bits=noise,
-        value_bound=ct.value_bound * pt.value_bound,
+    return dataclasses.replace(
+        ct, parts=parts, scale=ct.scale * scale, noise_bits=noise,
+        value_bound=ct.value_bound * value_bound,
     )
+
+
+def add_plain(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
+    """Slotwise sum with a slot-vector plaintext at ct's scale."""
+    if abs(ct.scale - pt.scale) > SCALE_REL_TOL * max(ct.scale, pt.scale):
+        raise ScaleMismatch(f"scales {ct.scale} vs {pt.scale}")
+    c0 = ring.ring_add(ct.parts[0], _pt_for(ct, pt))
+    return _plus(ct, c0, pt.round_error, pt.value_bound)
+
+
+def mult_plain(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
+    """Slotwise product with a slot-vector plaintext; scale multiplies,
+    the caller rescales when ready."""
+    m = _pt_for(ct, pt)
+    parts = tuple(ring.ring_mul(p, m) for p in ct.parts)
+    return _times(ct, parts, pt.scale, pt.round_error, pt.value_bound)
+
+
+def _constant(ct: Ciphertext, value: float, scale: float):
+    """(residue column, round_error, value_bound) of ``value`` at ``scale``."""
+    c0, err = encoding.encode_constant(value, scale)
+    col = ring.constant_column(c0, ct.scheme.ring, ct.level)
+    return col, err, abs(value) + err / scale
+
+
+def add_const(ct: Ciphertext, value: float) -> Ciphertext:
+    """Slotwise sum with ``value`` encoded at ct's scale."""
+    col, err, bound = _constant(ct, value, ct.scale)
+    return _plus(ct, ring.scalar_add(ct.parts[0], col), err, bound)
+
+
+def mult_const(ct: Ciphertext, value: float, scale: float) -> Ciphertext:
+    """Slotwise product with ``value`` encoded at ``scale``; scale
+    multiplies, the caller rescales when ready."""
+    col, err, bound = _constant(ct, value, scale)
+    parts = tuple(ring.scalar_mul(p, col) for p in ct.parts)
+    return _times(ct, parts, float(scale), err, bound)
 
 
 def _relinearize(d2: ring.RingElement, evk: RelinKey, level: int):
@@ -537,14 +553,13 @@ def rescale(ct: Ciphertext) -> Ciphertext:
     rp = ct.scheme.ring
     lv = ct.level
     q_top = rp.moduli[lv]
-    q = rp._q_col[:lv]
     inv = np.array([[pow(q_top, -1, qj)] for qj in rp.moduli[:lv]], dtype=np.uint64)
     new_parts = []
     for part in ct.parts:
         top = ring.centered_coeffs(part, slice(lv, lv + 1))[0]
         lifted = ring.ntt_forward(ring.from_int_coeffs(top, rp, lv - 1))
         diff = ring.ring_sub(ring.drop_level(part, lv - 1), lifted)
-        new_parts.append(diff._like(ring.mulmod(diff.residues, inv, q)))
+        new_parts.append(ring.scalar_mul(diff, inv))
     params = ct.scheme
     noise = _log2_sum(
         ct.noise_bits - math.log2(q_top), params.rescale_round_bits()

@@ -186,7 +186,7 @@ def decrypt_three_part(sk, parts, scale):
     s2 = ring.ring_mul(s, s)
     acc = ring.ring_add(parts[0], ring.ring_mul(parts[1], s))
     acc = ring.ring_add(acc, ring.ring_mul(parts[2], s2))
-    return encoding.decode(encoding.Plaintext(acc, scale))
+    return encoding.decode(encoding.Plaintext(ring.ntt_inverse(acc), scale))
 
 
 def rescale_rows(ct):
@@ -258,7 +258,21 @@ def encrypt_four_ntt(pk, pt, rng):
     u = ring.ntt_forward(ring.sample_ternary(rp, lv, params.secret_weight, rng))
     e0 = ring.ntt_forward(ring.sample_gaussian(rp, lv, params.err_std, rng))
     e1 = ring.ntt_forward(ring.sample_gaussian(rp, lv, params.err_std, rng))
-    m = ring.to_domain(pt.poly, ring.Domain.EVALUATION)
+    m = ring.ntt_forward(pt.poly)
     c0 = ring.ring_add(ring.ring_add(ring.ring_mul(pk.b, u), e0), m)
     c1 = ring.ring_add(ring.ring_mul(pk.a, u), e1)
     return c0.residues, c1.residues
+
+
+def constant_plaintext(value, scale, params, level):
+    """The constant polynomial round(value*scale) as a Coefficient-domain
+    plaintext, whose NTT is the (level+1, N) block of c0 mod q_j: the
+    N-wide route that scheme.mult_const and add_const replace, fed to
+    mult_plain and add_plain."""
+    scaled = value * scale
+    c0 = int(np.rint(scaled))
+    coeffs = np.zeros(params.ring_degree, dtype=object)
+    coeffs[0] = c0
+    poly = ring.from_int_coeffs(coeffs, params, level)
+    err = abs(scaled - c0)
+    return encoding.Plaintext(poly, float(scale), err, abs(value) + err / scale)

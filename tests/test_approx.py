@@ -69,8 +69,8 @@ class TestBuildExpApprox:
 
 class TestEvalPoly:
     def test_degree_one_matches_plain_composition(self, head_keys, rng):
-        # c0 + c1*x via eval_poly equals the explicit mult_plain/add_plain
-        # route bit for bit
+        # c0 + c1*x via eval_poly equals the explicit mult_const/add_const
+        # route
         params = head_keys.scheme
         k = params.slot_capacity
         x = rng.uniform(-1, 1, k)
@@ -78,8 +78,8 @@ class TestEvalPoly:
         fit = approx.PolyApprox((0.25, -1.5), 1.0, 0.0, 1.75)
         via_eval = approx.eval_poly_encrypted(ct, fit, head_keys.evk)
         q = params.ring.moduli[ct.level]
-        manual = approx.add_const(
-            scheme.rescale(approx.mul_const_raw(ct, -1.5, float(q))), 0.25
+        manual = scheme.add_const(
+            scheme.rescale(scheme.mult_const(ct, -1.5, float(q))), 0.25
         )
         assert via_eval.scale == manual.scale
         a = scheme.decrypt_to_slots(head_keys.sk, via_eval)[:k]

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,19 +56,38 @@ class TestEncode:
         with pytest.raises(ValueError):
             encoding.encode([0.5], 2.0 ** 9, params)  # below scale floor
 
+    @pytest.mark.parametrize(
+        "values",
+        [np.full(8, 2.0 ** 23), [1e300, 0.2], [0.0, -(2.0 ** 22)]],
+        ids=["constant-vector", "overflowing", "at-cap"],
+    )
+    def test_rejects_scaled_slots_past_cap(self, values):
+        # max|slot| * scale >= 2^62 is refused before the FFT, with no
+        # numpy overflow or invalid-cast warning on the way
+        params = make_params(16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exact integer range"):
+                encoding.encode(values, 2.0 ** 40, params)
+
 
 class TestEncodeConstant:
     @pytest.mark.parametrize("value", [0.75, -1.3, 0.0, -2.0 ** 20, 3.0e6])
     def test_residues_equal_ntt_of_constant_polynomial(self, value):
+        # c0's residue column, added at every root of the zero element, is
+        # the NTT of the constant polynomial c0
         params = make_params(64, [42] + [41] * 5)
         scale = 2.0 ** 30
+        c0, err = encoding.encode_constant(value, scale)
+        assert c0 == int(np.rint(value * scale))
+        assert err == abs(value * scale - c0)
         for level in (0, 2, params.max_level):
-            pt = encoding.encode_constant(value, scale, params, level)
-            assert pt.poly.domain == ring.Domain.EVALUATION
+            col = ring.constant_column(c0, params, level)
+            zero = ring.zero(params, level, ring.Domain.EVALUATION)
             coeffs = np.zeros(64, dtype=np.int64)
-            coeffs[0] = int(np.rint(value * scale))
+            coeffs[0] = c0
             expect = ring.ntt_forward(ring.from_int_coeffs(coeffs, params, level))
-            assert np.array_equal(pt.poly.residues, expect.residues)
+            assert np.array_equal(ring.scalar_add(zero, col).residues, expect.residues)
 
     def test_residues_equal_from_int_coeffs_every_level(self):
         # c0 mod q_j from Python ints against the int64 reduction of a full
@@ -75,18 +97,47 @@ class TestEncodeConstant:
         scale = 2.0 ** 20
         q0 = params.moduli[0]
         for c0 in (0, 1, -1, q0 - 1, -(q0 - 1), 2**62 - 512, -(2**62 - 512)):
+            got, err = encoding.encode_constant(c0 / scale, scale)
+            assert (got, err) == (c0, 0.0)
+            row = np.full(64, c0, dtype=np.int64)
             for level in range(params.level_count):
-                pt = encoding.encode_constant(c0 / scale, scale, params, level)
-                want = ring.from_int_coeffs(
-                    np.full(64, c0, dtype=np.int64), params, level, ring.Domain.EVALUATION
-                )
-                assert pt.poly.residues.dtype == np.uint64
-                assert np.array_equal(pt.poly.residues, want.residues)
+                col = ring.constant_column(got, params, level)
+                want = ring.from_int_coeffs(row, params, level).residues
+                assert col.dtype == np.uint64 and col.shape == (level + 1, 1)
+                assert np.array_equal(np.broadcast_to(col, want.shape), want)
 
     def test_decodes_to_the_constant(self):
         params = make_params(16)
-        pt = encoding.encode_constant(-0.625, 2.0 ** 20, params)
+        c0, _ = encoding.encode_constant(-0.625, 2.0 ** 20)
+        coeffs = np.zeros(16, dtype=np.int64)
+        coeffs[0] = c0
+        pt = encoding.Plaintext(
+            ring.from_int_coeffs(coeffs, params, params.max_level), 2.0 ** 20
+        )
         assert np.max(np.abs(encoding.decode(pt) + 0.625)) < 1e-12
+
+    def test_rounds_half_to_even(self):
+        scale = 2.0 ** 10
+        for scaled, c0 in ((512.0, 512), (2.5, 2), (3.5, 4), (-2.5, -2), (2.75, 3)):
+            value = scaled / scale
+            assert encoding.encode_constant(value, scale) == (c0, abs(scaled - c0))
+
+    @pytest.mark.parametrize(
+        "value, scale",
+        [
+            (math.inf, 2.0 ** 20),
+            (math.nan, 2.0 ** 20),
+            (0.5, 2.0 ** 9),  # below the scale floor
+            (2.0 ** 22, 2.0 ** 40),  # value*scale = 2^62
+            (-(2.0 ** 22), 2.0 ** 40),
+            (1e300, 2.0 ** 40),  # value*scale overflows to inf
+        ],
+    )
+    def test_rejects_bad_inputs(self, value, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                encoding.encode_constant(value, scale)
 
 
 class TestDecode:

@@ -387,7 +387,7 @@ class TestDivisionFreeKernels:
             assert est in (yi * wi // q - 1, yi * wi // q)
 
     def test_mulmod_matches_split_product_every_level(self):
-        # (16, 1024) blocks against the moduli column, as rescale runs it
+        # (16, 1024) blocks against the moduli column, as the tables use it
         chain = make_params(1024, [42] + [41] * 15)
         rng = np.random.default_rng(22)
         q = chain._q_col
@@ -427,6 +427,65 @@ class TestDivisionFreeKernels:
             assert top.tolist() == want[-1:]
         with pytest.raises(ValueError):
             ring.centered_coeffs(ring.zero(chain, 0), slice(0, 1))
+
+
+class TestScalarKernels:
+    """scalar_mul and scalar_add against the N-wide route they replace:
+    the column broadcast to an (l+1, N) block, through mulmod, ring_mul
+    and ring_add."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        return make_params(1024, [42] + [41] * 12)
+
+    @staticmethod
+    def _columns(q, rng):
+        return (
+            rng.integers(0, q, q.shape, dtype=np.uint64),
+            q - np.uint64(1),
+            np.zeros_like(q),
+        )
+
+    def test_scalar_mul_matches_block_every_level(self, chain):
+        rng = np.random.default_rng(25)
+        for level in range(chain.level_count):
+            q = chain._q_col[: level + 1]
+            res = rng.integers(0, q, (level + 1, 1024), dtype=np.uint64)
+            res[:, :2] = q - np.uint64(1)
+            for col in self._columns(q, rng):
+                block = np.broadcast_to(col, res.shape).copy()
+                want = ring.mulmod(res, block, q)
+                for domain in ring.Domain:
+                    el = ring.RingElement(chain, level, res, domain)
+                    got = ring.scalar_mul(el, col)
+                    assert got.domain == domain and got.level == level
+                    assert np.array_equal(got.residues, want)
+                    assert np.array_equal(got.residues, mulmod_split(res, block, q))
+                ev = ring.RingElement(chain, level, res, ring.Domain.EVALUATION)
+                by_block = ring.ring_mul(ev, ev._like(block)).residues
+                assert np.array_equal(ring.scalar_mul(ev, col).residues, by_block)
+
+    def test_scalar_add_matches_block_every_level(self, chain):
+        rng = np.random.default_rng(26)
+        for level in range(chain.level_count):
+            q = chain._q_col[: level + 1]
+            res = rng.integers(0, q, (level + 1, 1024), dtype=np.uint64)
+            res[:, :2] = q - np.uint64(1)
+            ev = ring.RingElement(chain, level, res, ring.Domain.EVALUATION)
+            for col in self._columns(q, rng):
+                block = ev._like(np.broadcast_to(col, res.shape).copy())
+                got = ring.scalar_add(ev, col)
+                assert np.array_equal(got.residues, ring.ring_add(ev, block).residues)
+            with pytest.raises(ValueError, match="Evaluation"):
+                ring.scalar_add(ring.ntt_inverse(ev), col)
+
+    def test_bad_columns_rejected(self, chain):
+        el = ring.zero(chain, 2, ring.Domain.EVALUATION)
+        q = chain._q_col[:3]
+        for col in (q[:2], q[:, 0], (q - np.uint64(1)).astype(np.int64), q):
+            for op in (ring.scalar_mul, ring.scalar_add):
+                with pytest.raises(ValueError):
+                    op(el, col)
 
 
 class TestSchoolbook:

@@ -13,7 +13,13 @@ from hnn.errors import (
     ScaleMismatch,
 )
 
-from helpers import decrypt_three_part, encrypt_four_ntt, rescale_rows, tensor_no_relin
+from helpers import (
+    constant_plaintext,
+    decrypt_three_part,
+    encrypt_four_ntt,
+    rescale_rows,
+    tensor_no_relin,
+)
 
 
 def enc(keys, values, rng, scale=None):
@@ -151,13 +157,19 @@ class TestEncryptDecrypt:
         self, small_keys, monkeypatch, kind, domain
     ):
         # a Coefficient message is added to e0 before e0's NTT: the residues
-        # of four NTTs in three; an Evaluation-domain message is rejected
+        # of four NTTs in three; an Evaluation-domain message, which only a
+        # hand-built Plaintext can hold (here the constant -0.75 at every
+        # root), is rejected
         params = small_keys.scheme
+        rp = params.ring
         if kind == "encode":
             values = np.linspace(-1.0, 1.0, params.slot_capacity)
-            pt = encoding.encode(values, params.scale, params.ring)
+            pt = encoding.encode(values, params.scale, rp)
         else:
-            pt = encoding.encode_constant(-0.75, params.scale, params.ring)
+            c0, _ = encoding.encode_constant(-0.75, params.scale)
+            zero = ring.zero(rp, rp.max_level, ring.Domain.EVALUATION)
+            poly = ring.scalar_add(zero, ring.constant_column(c0, rp, rp.max_level))
+            pt = encoding.Plaintext(poly, params.scale)
         assert pt.poly.domain == domain
         if domain == ring.Domain.EVALUATION:
             with pytest.raises(ValueError):
@@ -356,6 +368,50 @@ class TestPlainOps:
         pt = encoding.encode(w, params.scale, params.ring)
         out = dec(small_keys, scheme.rescale(scheme.mult_plain(ct, pt)), k)
         assert np.max(np.abs(out - v * w)) < 2.0 ** -15
+
+
+class TestConstOps:
+    """mult_const and add_const against mult_plain and add_plain fed the
+    constant polynomial, whose NTT is the N-wide block of c0 mod q_j."""
+
+    VALUES = [0.75, -1.3, 0.0, -2.0 ** 20, 3.0e6]
+
+    @staticmethod
+    def _ct(params, level):
+        # uniform parts and a ledger with room for every product below
+        rng = np.random.default_rng(level)
+        return scheme.Ciphertext(
+            scheme=params,
+            parts=tuple(ring.sample_uniform(params.ring, level, rng) for _ in range(2)),
+            level=level,
+            scale=2.0 ** 10,
+            noise_bits=3.0,
+            value_bound=2.0 ** -4,
+        )
+
+    @staticmethod
+    def _same(got, want):
+        for g, w in zip(got.parts, want.parts):
+            assert np.array_equal(g.residues, w.residues)
+        assert (got.level, got.scale, got.noise_bits, got.value_bound) == (
+            want.level, want.scale, want.noise_bits, want.value_bound
+        )
+
+    @pytest.mark.parametrize("value", VALUES)
+    def test_mult_const_equals_mult_plain(self, small_params, value):
+        for level in (0, 2, small_params.max_level):
+            ct = self._ct(small_params, level)
+            pt = constant_plaintext(value, 2.0 ** 10, small_params.ring, level)
+            self._same(
+                scheme.mult_const(ct, value, 2.0 ** 10), scheme.mult_plain(ct, pt)
+            )
+
+    @pytest.mark.parametrize("value", VALUES)
+    def test_add_const_equals_add_plain(self, small_params, value):
+        for level in (0, 2, small_params.max_level):
+            ct = self._ct(small_params, level)
+            pt = constant_plaintext(value, ct.scale, small_params.ring, level)
+            self._same(scheme.add_const(ct, value), scheme.add_plain(ct, pt))
 
 
 class TestNoiseLedger:
