@@ -92,14 +92,7 @@ def build_exp_approx(
 
 def poly_eval_depth(degree: int) -> int:
     """Levels consumed by eval_poly_encrypted for a given degree."""
-    if degree <= 1:
-        return 1
-    split = 1 << (int(math.ceil(math.log2(degree + 1))) - 1)
-    return max(
-        poly_eval_depth(split - 1),
-        poly_eval_depth(degree - split) + 1,
-        int(math.log2(split)) + 1,
-    )
+    return max(1, math.ceil(math.log2(degree + 1)))
 
 
 def tree_sum(cts) -> Ciphertext:
@@ -142,7 +135,7 @@ def eval_poly_encrypted(
     params = ct.scheme
     base = scheme.with_value_bound(ct, min(ct.value_bound, approx.radius * (1 + 1e-9)))
     powers = [base]
-    for _ in range(1, int(math.ceil(math.log2(degree + 1)))):
+    for _ in range(1, depth):
         prev = powers[-1]
         powers.append(scheme.rescale(scheme.mult(prev, prev, evk)))
 

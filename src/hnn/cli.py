@@ -295,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_infer)
 
+    head = approx.SoftmaxConfig()  # the head knobs' defaults
     p = sub.add_parser("train", help="train the probe with noise injection")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -303,11 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--noise-std", type=float, default=0.0)
     p.add_argument("--range-penalty", type=float, default=1.0)
-    p.add_argument("--radius", type=float, default=2.0)
+    p.add_argument("--radius", type=float, default=head.radius)
     p.add_argument("--weight-decay", type=float, default=0.0)
     p.add_argument("--optimizer", choices=("sgd", "adamw"), default="sgd")
-    p.add_argument("--exp-degree", type=int, default=7)
-    p.add_argument("--inv-iterations", type=int, default=5)
+    p.add_argument("--exp-degree", type=int, default=head.exp_degree)
+    p.add_argument("--inv-iterations", type=int, default=head.inv_iterations)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 

@@ -280,18 +280,11 @@ def calibrate_temperature(
 # Encrypted forward pass (column packing, no rotations)
 # ---------------------------------------------------------------------------
 
-def head_config(
-    head: SoftArgmaxHead,
-    radius: float = 2.0,
-    exp_degree: int = 7,
-    inv_iterations: int = 5,
-) -> SoftmaxConfig:
+def head_config(head: SoftArgmaxHead, **knobs) -> SoftmaxConfig:
+    """The head's SoftmaxConfig; ``radius``, ``exp_degree`` and
+    ``inv_iterations`` default to SoftmaxConfig's own."""
     return SoftmaxConfig(
-        temperature=head.temperature,
-        class_count=head.class_count,
-        radius=radius,
-        exp_degree=exp_degree,
-        inv_iterations=inv_iterations,
+        temperature=head.temperature, class_count=head.class_count, **knobs
     )
 
 
@@ -360,6 +353,8 @@ def encrypt_features(pk: scheme.PublicKey, features, rng: np.random.Generator):
 
 def scores_to_classes(scores, class_count: int) -> np.ndarray:
     """Round decoded soft-argmax values to 0-based class labels."""
+    if class_count < 2:
+        raise ValueError(f"class count {class_count}: a soft-argmax head needs >= 2")
     rounded = np.rint(np.asarray(scores)).astype(np.int64)
     return np.clip(rounded, 1, class_count) - 1
 

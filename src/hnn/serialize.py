@@ -1,35 +1,46 @@
-"""Stable on-disk formats: key/ciphertext blobs, parameter files, bundles.
+"""Stable on-disk formats: one checksummed blob for keys and ciphertext
+bundles, plus the parameter and model text files.
 
-Blob layout (all integers little-endian):
+Blob layout, version 2 (integers little-endian):
 
-    magic    4 bytes  "HNN1"
-    kind     u8       0=pk 1=sk 2=evk 3=ct
-    version  u16
-    params_hash  32 bytes (sha256 of the canonical parameter file text)
-    payload_len  u64
-    payload      kind-specific
-    checksum     32 bytes sha256 of everything above
+    magic        4 bytes   "HNN1"
+    kind         u8        0 pk, 1 sk, 2 evk, 3 bundle
+    version      u16       2
+    params_hash  32 bytes  sha256 of the canonical parameter file text
+    payload      kind-specific, below
+    checksum     32 bytes  sha256 of everything above
 
-Ring elements serialize as level u32, domain u8 (0 Coefficient,
-1 Evaluation), then (level+1)*N coefficients as u64 words in chain order,
-coefficients ascending. Every key element (pk b, a; sk s; each evk pair)
-is at the top level in the Evaluation domain, and a key payload ends
-with its last element. Key blob sizes are a fixed function of the
-parameter set, independent of any circuit later evaluated. A bundle
-file is a manifest ("HNNB", version u16, kind u8, ciphertext count u32,
-slot occupancy u32, then the sha256 of those 15 bytes) followed by
-length-prefixed ciphertext blobs. An evk is a gadget byte 0 (one digit
-per prime), a u32 count, and one (b_j, a_j) pair per prime.
+A ring element is a bare residue block: an Evaluation-domain element at
+level l is (l+1)*N u64 words, one row per prime in chain order, each
+word below its prime. The block carries no level or domain of its own.
 
-Every load verifies the checksums and the parameter hash; a single
-flipped byte fails loudly.
+    kind    payload
+    pk      b, a                      top-level blocks
+    sk      s                         top-level block
+    evk     b_0, a_0, ..., b_L, a_L   top-level blocks, one pair per prime
+    bundle  bundle kind u8 (0 features, 1 scores), ciphertext count u32,
+            n_samples u32; then per ciphertext its record (level u32,
+            scale f64, noise_bits f64, value_bound f64) and its c0 and
+            c1 blocks at that level
+
+So a key blob's size is fixed by the parameter set. A feature bundle
+holds one ciphertext per input feature (column packing), a score bundle
+exactly one; n_samples is the slot occupancy.
+
+Every load checks magic, version, kind, length, checksum and parameter
+hash, then each field that can still vary: the bundle kind, count and
+n_samples, level <= max_level, a positive finite scale, a ledger that is
+neither NaN nor +inf, every residue below its prime, and no trailing
+bytes. Loaded residues are read-only views of the blob's bytes, and
+`scheme.Ciphertext` runs its ledger guards on every loaded ciphertext.
+A version 1 blob or an HNNB bundle is refused with a FormatError that
+says how to regenerate it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import math
 import struct
 
@@ -39,18 +50,20 @@ from . import ring, scheme
 from .errors import FormatError, ParamsHashMismatch
 
 MAGIC = b"HNN1"
-BUNDLE_MAGIC = b"HNNB"
-FORMAT_VERSION = 1
-BUNDLE_VERSION = 2  # v1 bundles had no manifest checksum
+FORMAT_VERSION = 2
 
 KIND_PK = 0
 KIND_SK = 1
 KIND_EVK = 2
-KIND_CT = 3
+KIND_BUNDLE = 3
 
 BUNDLE_FEATURES = 0
 BUNDLE_SCORES = 1
-_MANIFEST = struct.Struct("<4sHBII")
+
+_HEADER = struct.Struct("<4sBH32s")  # magic, kind, version, params hash
+_BUNDLE = struct.Struct("<BII")  # bundle kind, ciphertext count, n_samples
+_RECORD = struct.Struct("<Iddd")  # level, scale, noise_bits, value_bound
+_CHECKSUM = 32  # sha256 of everything before it
 
 
 def _add_field(kv: dict, line: str, what: str):
@@ -135,183 +148,112 @@ def load_params(path) -> scheme.SchemeParams:
 
 
 # ---------------------------------------------------------------------------
-# Primitive writers/readers
+# Blobs
 # ---------------------------------------------------------------------------
 
-def _write_element(buf: io.BytesIO, el: ring.RingElement):
-    buf.write(struct.pack("<IB", el.level, 1 if el.domain == ring.Domain.EVALUATION else 0))
-    buf.write(el.residues.astype("<u8").tobytes())
+def _words(el: ring.RingElement) -> np.ndarray:
+    """el's residue block as little-endian u64 words, a zero-copy view
+    on a little-endian machine."""
+    if el.domain != ring.Domain.EVALUATION:
+        raise ValueError("only Evaluation-domain elements are serialized")
+    return np.ascontiguousarray(el.residues, dtype="<u8")
 
 
-def _read_element(buf, params: scheme.SchemeParams) -> ring.RingElement:
-    raw = buf.read(5)
-    if len(raw) != 5:
-        raise FormatError("truncated ring element header")
-    level, domain_flag = struct.unpack("<IB", raw)
-    rp = params.ring
-    if level >= rp.level_count:
-        raise FormatError(f"element level {level} outside chain")
-    count = (level + 1) * rp.ring_degree
-    data = buf.read(8 * count)
-    if len(data) != 8 * count:
-        raise FormatError("truncated ring element body")
-    res = np.frombuffer(data, dtype="<u8").astype(np.uint64).reshape(
-        level + 1, rp.ring_degree
-    )
-    if np.any(res >= rp._q_col[: level + 1]):
-        raise FormatError("residue outside modulus range")
-    if domain_flag not in (0, 1):
-        raise FormatError(f"element domain flag {domain_flag}, not 0 or 1")
-    domain = ring.Domain.EVALUATION if domain_flag else ring.Domain.COEFFICIENT
-    return ring.RingElement(rp, level, res, domain)
+def _seal(kind: int, params: scheme.SchemeParams, payload: list) -> bytes:
+    """Header, payload pieces and the sha256 of both, joined once; the
+    pieces are hashed one by one, so no joined copy is made to hash."""
+    header = _HEADER.pack(MAGIC, kind, FORMAT_VERSION, params_hash(params))
+    pieces = [header, *payload]
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece)
+    pieces.append(digest.digest())
+    return b"".join(pieces)
 
 
-def _read_key_elements(buf, params: scheme.SchemeParams, count: int, what: str) -> list:
-    """``count`` elements that must be top-level, in the Evaluation domain,
-    and end the payload."""
-    rp = params.ring
-    els = [_read_element(buf, params) for _ in range(count)]
-    for el in els:
-        if el.level != rp.max_level or el.domain != ring.Domain.EVALUATION:
-            raise FormatError(f"{what} element not at the top level in Evaluation domain")
-    if buf.read(1):
-        raise FormatError(f"trailing bytes in {what}")
-    return els
-
-
-def _blob(kind: int, hash32: bytes, payload: bytes) -> bytes:
-    head = MAGIC + struct.pack("<BH", kind, FORMAT_VERSION) + hash32
-    head += struct.pack("<Q", len(payload))
-    body = head + payload
-    return body + hashlib.sha256(body).digest()
-
-
-def _open_blob(data: bytes, expected_kind: int, params: scheme.SchemeParams) -> bytes:
-    if len(data) < 4 + 3 + 32 + 8 + 32:
-        raise FormatError("blob too short")
-    if data[:4] != MAGIC:
-        raise FormatError("bad magic; not a key/ciphertext blob")
-    kind, version = struct.unpack("<BH", data[4:7])
+def _open(data, kind: int, params: scheme.SchemeParams, payload_size=None) -> bytes:
+    """``data`` as immutable bytes, once magic, version, kind, checksum,
+    parameter hash and (if ``payload_size`` fixes it) length all hold."""
+    data = bytes(data)
+    if data[:4] == b"HNNB":
+        raise FormatError(
+            "an HNNB ciphertext bundle from before blob version 2, which this "
+            "build no longer reads: re-encrypt the features"
+        )
+    if data[:4] != MAGIC or len(data) < _HEADER.size + _CHECKSUM:
+        raise FormatError("not an hnn blob (bad magic or too short)")
+    _, found, version, hash32 = _HEADER.unpack_from(data)
     if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported blob version {version}")
-    if kind != expected_kind:
-        raise FormatError(f"expected blob kind {expected_kind}, found {kind}")
-    hash32 = data[7:39]
-    (payload_len,) = struct.unpack("<Q", data[39:47])
-    end = 47 + payload_len
-    if len(data) != end + 32:
-        raise FormatError("blob length mismatch")
-    checksum = data[end:]
-    if hashlib.sha256(data[:end]).digest() != checksum:
+        raise FormatError(
+            f"blob version {version} unsupported: this build reads version "
+            f"{FORMAT_VERSION}; regenerate keys with `hnn keygen` and re-encrypt"
+        )
+    if found != kind:
+        raise FormatError(f"expected blob kind {kind}, found {found}")
+    if hashlib.sha256(memoryview(data)[:-_CHECKSUM]).digest() != data[-_CHECKSUM:]:
         raise FormatError("checksum failure; blob corrupted")
     if hash32 != params_hash(params):
-        raise ParamsHashMismatch(
-            "blob was produced under a different parameter set"
-        )
-    return data[47:end]
+        raise ParamsHashMismatch("blob was produced under a different parameter set")
+    if payload_size is not None:
+        size = _HEADER.size + payload_size + _CHECKSUM
+        if len(data) != size:
+            raise FormatError(f"blob of {len(data)} bytes, not the {size} expected")
+    return data
+
+
+def _elements(data: bytes, offset: int, count: int, level: int, params) -> list:
+    """``count`` residue blocks at ``level`` from data[offset:], each a
+    read-only view of ``data`` with every word below its q_j."""
+    rp = params.ring
+    shape = (count, level + 1, rp.ring_degree)
+    words = math.prod(shape)
+    if offset + 8 * words > len(data) - _CHECKSUM:
+        raise FormatError("truncated residue block")
+    res = np.frombuffer(data, "<u8", words, offset).reshape(shape)
+    if np.any(res >= rp._q_col[: level + 1]):
+        raise FormatError("residue outside modulus range")
+    res = res.astype(np.uint64, copy=False)
+    return [ring.RingElement(rp, level, r, ring.Domain.EVALUATION) for r in res]
 
 
 # ---------------------------------------------------------------------------
 # Keys
 # ---------------------------------------------------------------------------
 
+def _key_elements(data, kind: int, params: scheme.SchemeParams, count: int) -> list:
+    """The ``count`` top-level elements that make up a key payload."""
+    rp = params.ring
+    size = 8 * count * rp.level_count * rp.ring_degree
+    data = _open(data, kind, params, size)
+    return _elements(data, _HEADER.size, count, rp.max_level, params)
+
+
 def public_key_to_bytes(pk: scheme.PublicKey) -> bytes:
-    buf = io.BytesIO()
-    _write_element(buf, pk.b)
-    _write_element(buf, pk.a)
-    return _blob(KIND_PK, params_hash(pk.scheme), buf.getvalue())
+    return _seal(KIND_PK, pk.scheme, [_words(pk.b), _words(pk.a)])
 
 
 def public_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.PublicKey:
-    buf = io.BytesIO(_open_blob(data, KIND_PK, params))
-    b, a = _read_key_elements(buf, params, 2, "public key")
+    b, a = _key_elements(data, KIND_PK, params, 2)
     return scheme.PublicKey(params, b, a)
 
 
 def secret_key_to_bytes(sk: scheme.SecretKey) -> bytes:
-    buf = io.BytesIO()
-    _write_element(buf, sk.s)
-    return _blob(KIND_SK, params_hash(sk.scheme), buf.getvalue())
+    return _seal(KIND_SK, sk.scheme, [_words(sk.s)])
 
 
 def secret_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.SecretKey:
-    buf = io.BytesIO(_open_blob(data, KIND_SK, params))
-    (s,) = _read_key_elements(buf, params, 1, "secret key")
+    (s,) = _key_elements(data, KIND_SK, params, 1)
     return scheme.SecretKey(params, s)
 
 
 def relin_key_to_bytes(evk: scheme.RelinKey) -> bytes:
-    buf = io.BytesIO()
-    buf.write(struct.pack("<BI", 0, len(evk.components)))
-    for b_j, a_j in evk.components:
-        _write_element(buf, b_j)
-        _write_element(buf, a_j)
-    return _blob(KIND_EVK, params_hash(evk.scheme), buf.getvalue())
+    words = [_words(el) for pair in evk.components for el in pair]
+    return _seal(KIND_EVK, evk.scheme, words)
 
 
 def relin_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.RelinKey:
-    buf = io.BytesIO(_open_blob(data, KIND_EVK, params))
-    raw = buf.read(5)
-    if len(raw) != 5:
-        raise FormatError("truncated relin key header")
-    gadget, count = struct.unpack("<BI", raw)
-    if gadget != 0:
-        raise FormatError(
-            f"relin key gadget byte {gadget}, not 0: a key with 20 there uses the "
-            "retired base-2^20 gadget and must be regenerated (hnn keygen)"
-        )
-    rp = params.ring
-    if count != rp.level_count:
-        raise FormatError(f"relin key has {count} components for {rp.level_count} primes")
-    parts = _read_key_elements(buf, params, 2 * count, "relin key")
-    return scheme.RelinKey(params, tuple(zip(parts[::2], parts[1::2])))
-
-
-# ---------------------------------------------------------------------------
-# Ciphertexts
-# ---------------------------------------------------------------------------
-
-def ciphertext_to_bytes(ct: scheme.Ciphertext) -> bytes:
-    buf = io.BytesIO()
-    buf.write(
-        struct.pack(
-            "<BIddd", len(ct.parts), ct.level, ct.scale, ct.noise_bits, ct.value_bound
-        )
-    )
-    for p in ct.parts:
-        _write_element(buf, p)
-    return _blob(KIND_CT, params_hash(ct.scheme), buf.getvalue())
-
-
-def ciphertext_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.Ciphertext:
-    buf = io.BytesIO(_open_blob(data, KIND_CT, params))
-    raw = buf.read(29)
-    if len(raw) != 29:
-        raise FormatError("truncated ciphertext header")
-    n_parts, level, scale, noise_bits, value_bound = struct.unpack("<BIddd", raw)
-    if n_parts != 2:
-        raise FormatError(f"ciphertext with {n_parts} parts, not 2")
-    # noise_bits may be -inf: the ledger's log2 of an exact zero error
-    finite = noise_bits < math.inf and math.isfinite(value_bound)
-    if not (0 < scale < math.inf and finite):
-        raise FormatError(
-            f"bad ciphertext ledger: scale={scale}, noise_bits={noise_bits}, "
-            f"value_bound={value_bound}"
-        )
-    parts = tuple(_read_element(buf, params) for _ in range(n_parts))
-    for p in parts:
-        if p.level != level or p.domain != ring.Domain.EVALUATION:
-            raise FormatError("ciphertext part level or domain disagrees with header")
-    if buf.read(1):
-        raise FormatError("trailing bytes in ciphertext")
-    return scheme.Ciphertext(
-        scheme=params,
-        parts=parts,
-        level=level,
-        scale=scale,
-        noise_bits=noise_bits,
-        value_bound=value_bound,
-    )
+    els = _key_elements(data, KIND_EVK, params, 2 * params.ring.level_count)
+    return scheme.RelinKey(params, tuple(zip(els[::2], els[1::2])))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +262,7 @@ def ciphertext_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.Ci
 
 @dataclasses.dataclass
 class Bundle:
-    """Ordered ciphertexts plus a manifest.
+    """Ordered ciphertexts of one kind.
 
     kind BUNDLE_FEATURES: one ciphertext per input feature (column
     packing); kind BUNDLE_SCORES: a single soft-argmax ciphertext.
@@ -333,49 +275,49 @@ class Bundle:
 
 
 def bundle_to_bytes(bundle: Bundle, params: scheme.SchemeParams) -> bytes:
-    manifest = _MANIFEST.pack(
-        BUNDLE_MAGIC, BUNDLE_VERSION, bundle.kind, len(bundle.ciphertexts),
-        bundle.n_samples,
-    )
-    # joined once: a growing buffer is reallocated as it grows, which left
-    # peak memory to the allocator's state
-    pieces = [manifest, hashlib.sha256(manifest).digest()]
+    payload = [_BUNDLE.pack(bundle.kind, len(bundle.ciphertexts), bundle.n_samples)]
     for ct in bundle.ciphertexts:
-        blob = ciphertext_to_bytes(ct)
-        pieces += [struct.pack("<Q", len(blob)), blob]
-    return b"".join(pieces)
+        if ct.scheme != params:
+            raise ValueError("a bundle ciphertext was made under other parameters")
+        payload.append(_RECORD.pack(ct.level, ct.scale, ct.noise_bits, ct.value_bound))
+        payload += [_words(p) for p in ct.parts]
+    return _seal(KIND_BUNDLE, params, payload)
 
 
 def bundle_from_bytes(data: bytes, params: scheme.SchemeParams) -> Bundle:
-    if len(data) < _MANIFEST.size or data[:4] != BUNDLE_MAGIC:
-        raise FormatError("not a ciphertext bundle")
-    _, version, kind, count, n_samples = _MANIFEST.unpack_from(data)
-    if version != BUNDLE_VERSION:
-        raise FormatError(
-            f"bundle version {version} unsupported: this build reads version "
-            f"{BUNDLE_VERSION}, whose manifest is checksummed; re-encrypt"
-        )
-    off = _MANIFEST.size + 32
-    if hashlib.sha256(data[: _MANIFEST.size]).digest() != data[_MANIFEST.size : off]:
-        raise FormatError("bundle manifest truncated or corrupted")
-    slots = params.ring.ring_degree // 2
+    data = _open(data, KIND_BUNDLE, params)
+    end = len(data) - _CHECKSUM
+    off = _HEADER.size + _BUNDLE.size
+    if off > end:
+        raise FormatError("truncated bundle header")
+    kind, count, n_samples = _BUNDLE.unpack_from(data, _HEADER.size)
+    rp = params.ring
+    slots = rp.ring_degree // 2
     bad_count = count < 1 or (kind == BUNDLE_SCORES and count != 1)
     if kind not in (BUNDLE_FEATURES, BUNDLE_SCORES) or n_samples > slots or bad_count:
         raise FormatError(
-            f"bad bundle manifest: kind {kind}, {count} ciphertexts (features need "
+            f"bad bundle header: kind {kind}, {count} ciphertexts (features need "
             f">= 1, scores 1), {n_samples} samples, {slots} slots"
         )
     cts = []
     for _ in range(count):
-        if off + 8 > len(data):
+        if off + _RECORD.size > end:
             raise FormatError("truncated bundle")
-        (blen,) = struct.unpack("<Q", data[off : off + 8])
-        off += 8
-        if off + blen > len(data):
-            raise FormatError("truncated bundle entry")
-        cts.append(ciphertext_from_bytes(data[off : off + blen], params))
-        off += blen
-    if off != len(data):
+        record = _RECORD.unpack_from(data, off)
+        level, scale, noise_bits, value_bound = record
+        if level > rp.max_level:
+            raise FormatError(f"ciphertext level {level} above the top, {rp.max_level}")
+        # noise_bits may be -inf: the ledger's log2 of an exact zero error
+        finite = noise_bits < math.inf and math.isfinite(value_bound)
+        if not (0 < scale < math.inf and finite):
+            raise FormatError(
+                f"bad ciphertext ledger: scale={scale}, noise_bits={noise_bits}, "
+                f"value_bound={value_bound}"
+            )
+        parts = _elements(data, off + _RECORD.size, 2, level, params)
+        off += _RECORD.size + 16 * (level + 1) * rp.ring_degree
+        cts.append(scheme.Ciphertext(params, tuple(parts), *record))
+    if off != end:
         raise FormatError("trailing bytes in bundle")
     return Bundle(kind, n_samples, cts)
 

@@ -338,6 +338,15 @@ class TestDepthBookkeeping:
         assert approx.softmax_depth(cfg) == 10
         assert approx.soft_argmax_min_levels(cfg) == 11
 
+    @pytest.mark.parametrize("degree", range(1, 16))
+    def test_poly_eval_consumes_declared_depth(self, head_keys, rng, degree):
+        # the closed form max(1, ceil(log2(d + 1))) is what the tree spends
+        assert approx.poly_eval_depth(degree) == max(1, math.ceil(math.log2(degree + 1)))
+        fit = approx.build_exp_approx(2.0, degree, tol=None)
+        ct = enc(head_keys, rng.uniform(-2, 2, 8), rng)
+        out = approx.eval_poly_encrypted(ct, fit, head_keys.evk)
+        assert out.level == ct.level - approx.poly_eval_depth(degree)
+
     def test_softmax_consumes_exactly_declared_depth(self, head_keys, rng):
         cfg = approx.SoftmaxConfig()
         k = head_keys.scheme.slot_capacity

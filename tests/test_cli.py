@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnn import approx, cli, encoding, neural, ring, scheme, serialize
-from hnn.errors import FormatError, ParamsHashMismatch
+from hnn.errors import FormatError, NoiseBudgetExceeded, ParamsHashMismatch
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,97 @@ class TestParamsFile:
             serialize.params_from_text("\n".join(lines))
 
 
+# a blob is a 39-byte header (magic, kind u8, version u16, params hash),
+# the payload and a 32-byte sha256; a bundle payload opens with its kind
+# u8, ciphertext count u32 and n_samples u32, then the first ciphertext's
+# record "<Iddd" (level, scale, noise_bits, value_bound) and its c0 block
+_HEAD = 4 + 3 + 32
+_BUNDLE_HEAD = _HEAD + 9
+_CT_LEVEL, _CT_SCALE, _CT_NOISE, _CT_BOUND, _CT_C0 = 48, 52, 60, 68, 76
+
+
+def _reseal(blob, offset, packed):
+    """Overwrite bytes of a blob and recompute its checksum, so only the
+    semantic checks can catch the change."""
+    body = bytearray(blob[:-32])
+    body[offset : offset + len(packed)] = packed
+    return bytes(body) + hashlib.sha256(body).digest()
+
+
+def _with_payload(blob, payload):
+    """``blob``'s header over another payload, checksummed again."""
+    body = blob[:_HEAD] + payload
+    return body + hashlib.sha256(body).digest()
+
+
+def _v1_blob(kind, scheme_params, payload):
+    """A blob in the retired version 1 layout, which had a u64 payload
+    length after the params hash."""
+    body = (
+        b"HNN1" + struct.pack("<BH", kind, 1) + serialize.params_hash(scheme_params)
+        + struct.pack("<Q", len(payload)) + payload
+    )
+    return body + hashlib.sha256(body).digest()
+
+
+def _v1_elements(els):
+    """Version 1 elements: level u32, domain u8 (1 Evaluation), residues."""
+    return b"".join(struct.pack("<IB", el.level, 1) + el.residues.tobytes() for el in els)
+
+
+def _v1_key(key, gadget=20):
+    """A pk, sk or evk as the version 1 writer laid it out; an evk's
+    gadget byte 20 marks the retired base-2^20 gadget."""
+    if isinstance(key, scheme.RelinKey):
+        els = [el for pair in key.components for el in pair]
+        payload = struct.pack("<BI", gadget, len(key.components)) + _v1_elements(els)
+        return _v1_blob(serialize.KIND_EVK, key.scheme, payload)
+    if isinstance(key, scheme.PublicKey):
+        return _v1_blob(serialize.KIND_PK, key.scheme, _v1_elements([key.b, key.a]))
+    return _v1_blob(serialize.KIND_SK, key.scheme, _v1_elements([key.s]))
+
+
+def _hnnb_bundle(kind, cts, n_samples, version=2):
+    """A bundle in the retired HNNB container: a manifest (checksummed
+    from its version 2) and one length-prefixed version 1 blob per
+    ciphertext."""
+    fields = b"HNNB" + struct.pack("<HBII", version, kind, len(cts), n_samples)
+    out = fields + (hashlib.sha256(fields).digest() if version >= 2 else b"")
+    for ct in cts:
+        header = struct.pack("<BIddd", 2, ct.level, ct.scale, ct.noise_bits, ct.value_bound)
+        blob = _v1_blob(3, ct.scheme, header + _v1_elements(ct.parts))
+        out += struct.pack("<Q", len(blob)) + blob
+    return out
+
+
+def _score_blob(params, ct, n_samples=4):
+    return serialize.bundle_to_bytes(
+        serialize.Bundle(serialize.BUNDLE_SCORES, n_samples, [ct]), params
+    )
+
+
+def _blobs(params, keys):
+    """name -> (blob, loader) for every blob kind, on the test ring."""
+    rng = np.random.default_rng(15)
+    cts = neural.encrypt_features(keys.pk, rng.uniform(-1, 1, (4, 2)), rng)
+    return {
+        "pk": (serialize.public_key_to_bytes(keys.pk), serialize.public_key_from_bytes),
+        "sk": (serialize.secret_key_to_bytes(keys.sk), serialize.secret_key_from_bytes),
+        "evk": (serialize.relin_key_to_bytes(keys.evk), serialize.relin_key_from_bytes),
+        "features": (
+            serialize.bundle_to_bytes(
+                serialize.Bundle(serialize.BUNDLE_FEATURES, 4, cts), params
+            ),
+            serialize.bundle_from_bytes,
+        ),
+        # a lower-level ciphertext, as an inferred score would be
+        "scores": (
+            _score_blob(params, scheme.ct_drop_level(cts[0], 1)),
+            serialize.bundle_from_bytes,
+        ),
+    }
+
+
 class TestBlobs:
     def test_key_roundtrips(self, params, keys):
         pk2 = serialize.public_key_from_bytes(
@@ -95,11 +186,13 @@ class TestBlobs:
         ct = scheme.encrypt(
             keys.pk, encoding.encode(v, params.scale, params.ring), rng
         )
-        ct2 = serialize.ciphertext_from_bytes(
-            serialize.ciphertext_to_bytes(ct), params
+        data = serialize.bundle_to_bytes(
+            serialize.Bundle(serialize.BUNDLE_FEATURES, len(v), [ct]), params
         )
-        assert ct2.scale == ct.scale
-        assert ct2.noise_bits == ct.noise_bits
+        (ct2,) = serialize.bundle_from_bytes(data, params).ciphertexts
+        assert (ct2.level, ct2.scale, ct2.noise_bits, ct2.value_bound) == (
+            ct.level, ct.scale, ct.noise_bits, ct.value_bound,
+        )
         got = scheme.decrypt_to_slots(keys.sk, ct2)[: params.slot_capacity]
         assert np.max(np.abs(got - v)) < 2.0 ** -20
 
@@ -128,11 +221,28 @@ class TestBlobs:
         # pristine blob still loads
         serialize.public_key_from_bytes(bytes(blob), params)
 
+    @pytest.mark.parametrize("name", ["pk", "sk", "evk", "features", "scores"])
+    def test_every_offset_flip_and_truncation_rejected(self, params, keys, name):
+        blob, load = _blobs(params, keys)[name]
+        load(blob, params)
+        for off in range(len(blob)):
+            bad = bytearray(blob)
+            bad[off] ^= 1 << (off % 8)
+            with pytest.raises(FormatError):
+                load(bytes(bad), params)
+            with pytest.raises(FormatError):
+                load(blob[:off], params)
+
     def test_wrong_params_hash_rejected(self, params, keys):
         other = scheme.param_gen(128, 16, 2, scale_bits=40, allow_insecure=True)
         blob = serialize.public_key_to_bytes(keys.pk)
         with pytest.raises(ParamsHashMismatch):
             serialize.public_key_from_bytes(blob, other)
+
+    def test_resealed_params_hash_rejected(self, params, keys):
+        blob = _reseal(serialize.public_key_to_bytes(keys.pk), 7, bytes(32))
+        with pytest.raises(ParamsHashMismatch):
+            serialize.public_key_from_bytes(blob, params)
 
     def test_wrong_kind_rejected(self, params, keys):
         blob = serialize.public_key_to_bytes(keys.pk)
@@ -143,9 +253,13 @@ class TestBlobs:
         blob = serialize.public_key_to_bytes(keys.pk)
         assert blob[:4] == b"HNN1"
         assert blob[4] == serialize.KIND_PK
-        # version u16 little-endian: 0x0001 -> bytes 01 00
-        assert blob[5:7] == b"\x01\x00"
+        # version u16 little-endian: 0x0002 -> bytes 02 00
+        assert blob[5:7] == b"\x02\x00"
         assert blob[7:39] == serialize.params_hash(params)
+        # the payload is b's residue block, then a's, as u64 LE words
+        words = np.concatenate([keys.pk.b.residues, keys.pk.a.residues])
+        assert blob[39:-32] == words.astype("<u8").tobytes()
+        assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
 
     def test_key_blob_sizes_fixed_by_params(self, params):
         # sizes depend only on the parameter set, not on anything later
@@ -161,67 +275,137 @@ class TestBlobs:
             )
         assert len(sizes) == 1
         pk_len = next(iter(sizes))[0]
-        overhead = 4 + 3 + 32 + 8 + 32
+        overhead = 4 + 3 + 32 + 32
         element_bytes = 8 * params.ring.ring_degree * params.ring.level_count
-        assert pk_len == overhead + 2 * (5 + element_bytes)
+        assert pk_len == overhead + 2 * element_bytes
+
+    @pytest.mark.parametrize("name", ["pk", "sk"])  # evk: TestRelinKeyBlob
+    def test_version_1_key_names_keygen(self, params, keys, name):
+        key = {"pk": keys.pk, "sk": keys.sk}[name]
+        _, load = _blobs(params, keys)[name]
+        with pytest.raises(FormatError, match="version 1 .*`hnn keygen`"):
+            load(_v1_key(key), params)
+
+    def test_hnnb_bundle_says_re_encrypt(self, params, keys):
+        # the last HNNB version; TestBundleManifest has version 1
+        rng = np.random.default_rng(16)
+        cts = neural.encrypt_features(keys.pk, rng.uniform(-1, 1, (4, 2)), rng)
+        data = _hnnb_bundle(serialize.BUNDLE_FEATURES, cts, 4)
+        with pytest.raises(FormatError, match="HNNB.*re-encrypt"):
+            serialize.bundle_from_bytes(data, params)
 
 
-def _reseal(blob, offset, packed):
-    """Overwrite bytes of a blob and recompute its checksum, so only the
-    semantic checks can catch the change."""
-    body = bytearray(blob[:-32])
-    body[offset : offset + len(packed)] = packed
-    return bytes(body) + hashlib.sha256(body).digest()
+def _setup_files(tmp_path, params, keys):
+    """Parameter, key, model and bundle files of one small pipeline."""
+    rng = np.random.default_rng(17)
+    files = {name: tmp_path / f"{name}.bin" for name in ("pk", "sk", "evk")}
+    files.update(
+        features=tmp_path / "features.hct", scores=tmp_path / "scores.hct",
+        params=tmp_path / "p.txt", model=tmp_path / "m.txt", csv=tmp_path / "x.csv",
+    )
+    for name, (blob, _) in _blobs(params, keys).items():
+        files[name].write_bytes(blob)
+    serialize.save_params(params, files["params"])
+    files["model"].write_text(
+        serialize.model_to_text(
+            neural.LinearModel(rng.normal(0, 0.1, (2, 2)), np.zeros(2)),
+            neural.SoftArgmaxHead(1.0, 2), 2.0, 7, 5,
+        )
+    )
+    np.savetxt(files["csv"], rng.uniform(-1, 1, (4, 2)), delimiter=",")
+    return files
 
 
-# ciphertext payload header "<BIddd" starts after the 47-byte blob header
-_CT_PARTS, _CT_LEVEL, _CT_SCALE, _CT_NOISE, _CT_BOUND = 47, 48, 52, 60, 68
+def _command(files, name, out):
+    """The hnn command that loads the blob ``name`` first."""
+    p = str(files["params"])
+    if name == "pk":
+        return ["encrypt", "--pk", str(files["pk"]), "--params", p,
+                "--input", str(files["csv"]), "--out", str(out)]
+    if name in ("evk", "features"):
+        cmd = ["infer", "--model", str(files["model"]), "--evk", str(files["evk"])]
+        return cmd + ["--params", p, "--input", str(files["features"]), "--out", str(out)]
+    bundle = files["scores" if name == "scores" else "features"]
+    return ["decrypt", "--sk", str(files["sk"]), "--params", p,
+            "--input", str(bundle), "--out", str(out)]
 
 
-def _appended_part(blob, n_parts):
-    """A 2-part ciphertext blob resealed with a copy of its first part
-    appended and the header's part count set to ``n_parts``."""
-    payload = bytearray(blob[47:-32])
-    payload[0] = n_parts
-    payload += payload[29 : 29 + (len(payload) - 29) // 2]
-    body = blob[:39] + struct.pack("<Q", len(payload)) + bytes(payload)
-    return body + hashlib.sha256(body).digest()
+class TestBlobsThroughCli:
+    @pytest.mark.parametrize("damage", ["flip", "truncate"])
+    @pytest.mark.parametrize("name", ["pk", "sk", "evk", "features", "scores"])
+    def test_damaged_blob_exit_code_3(self, tmp_path, params, keys, name, damage):
+        files = _setup_files(tmp_path, params, keys)
+        blob = bytearray(files[name].read_bytes())
+        mid = len(blob) // 2
+        if damage == "flip":
+            blob[mid] ^= 0x10
+        else:
+            del blob[mid:]
+        files[name].write_bytes(bytes(blob))
+        out = tmp_path / "out"
+        assert cli.main(_command(files, name, out)) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["pk", "sk", "evk"])
+    def test_version_1_key_exit_code_3(self, tmp_path, params, keys, capsys, name):
+        files = _setup_files(tmp_path, params, keys)
+        key = {"pk": keys.pk, "sk": keys.sk, "evk": keys.evk}[name]
+        files[name].write_bytes(_v1_key(key))
+        assert cli.main(_command(files, name, tmp_path / "out")) == 3
+        assert "`hnn keygen`" in capsys.readouterr().err
+
+    def test_hnnb_bundle_exit_code_3(self, tmp_path, params, keys, capsys):
+        files = _setup_files(tmp_path, params, keys)
+        rng = np.random.default_rng(18)
+        cts = neural.encrypt_features(keys.pk, rng.uniform(-1, 1, (4, 2)), rng)
+        files["features"].write_bytes(_hnnb_bundle(serialize.BUNDLE_FEATURES, cts, 4))
+        assert cli.main(_command(files, "features", tmp_path / "out")) == 3
+        assert "re-encrypt" in capsys.readouterr().err
 
 
 def _tampered(ct, what):
-    blob = serialize.ciphertext_to_bytes(ct)
-    if what in ("three parts", "trailing part"):
-        return _appended_part(blob, 3 if what == "three parts" else 2)
+    """A one-ciphertext score bundle with one defect in its record or its
+    residue blocks, resealed so that only the loader's checks catch it."""
+    params = ct.scheme
+    blob = _score_blob(params, ct)
+    half = (len(blob) - 32 - _CT_C0) // 2
+    c0, c1 = blob[_CT_C0 : _CT_C0 + half], blob[_CT_C0 + half : -32]
+    parts = {
+        "zero parts": [],
+        "three parts": [c0, c1, c0],
+        "four parts": [c0, c1, c0, c1],
+        "trailing part": [c0, c1, c0[: 8 * params.ring.ring_degree]],  # one row
+    }
+    if what in parts:
+        return _with_payload(blob, blob[_HEAD:_CT_C0] + b"".join(parts[what]))
+    if what == "level above top":
+        # a row more in each part, so that only the level rule can see it
+        row = 8 * params.ring.ring_degree
+        level = struct.pack("<I", params.ring.max_level + 1)
+        payload = blob[_HEAD:_CT_LEVEL] + level + blob[_CT_SCALE:_CT_C0]
+        return _with_payload(blob, payload + c0 + c0[:row] + c1 + c1[:row])
     offset, fmt, value = {
-        "zero parts": (_CT_PARTS, "<B", 0),
-        "four parts": (_CT_PARTS, "<B", 4),
         "part level": (_CT_LEVEL, "<I", ct.level - 1),
         "zero scale": (_CT_SCALE, "<d", 0.0),
         "negative scale": (_CT_SCALE, "<d", -ct.scale),
         "inf scale": (_CT_SCALE, "<d", math.inf),
+        "nan scale": (_CT_SCALE, "<d", math.nan),
         "nan noise": (_CT_NOISE, "<d", math.nan),
         "inf noise": (_CT_NOISE, "<d", math.inf),
         "nan bound": (_CT_BOUND, "<d", math.nan),
         "inf bound": (_CT_BOUND, "<d", math.inf),
-        # domain flag of the first part: level u32, then domain u8
-        "coefficient part": (_CT_BOUND + 8 + 4, "<B", 0),
-        "part domain flag 2": (_CT_BOUND + 8 + 4, "<B", 2),
+        # c0's first word is in row 0; c1's last word is in row `level`
+        "residue at q_0": (_CT_C0, "<Q", params.ring.moduli[0]),
+        "residue at q_level": (len(blob) - 40, "<Q", params.ring.moduli[ct.level]),
     }[what]
     return _reseal(blob, offset, struct.pack(fmt, value))
 
 
-def _manifest(kind, count, n_samples, version=serialize.BUNDLE_VERSION):
-    """Bundle manifest written out by hand: fields, then their sha256."""
-    fields = serialize.BUNDLE_MAGIC + struct.pack(
-        "<HBII", version, kind, count, n_samples
-    )
-    return fields + hashlib.sha256(fields).digest()
-
-
 _TAMPERS = [
-    "zero parts", "three parts", "trailing part", "four parts", "part level", "zero scale", "negative scale",
-    "inf scale", "nan noise", "inf noise", "nan bound", "inf bound",
-    "coefficient part", "part domain flag 2",
+    "zero parts", "three parts", "trailing part", "four parts", "part level",
+    "level above top", "zero scale", "negative scale", "inf scale", "nan scale",
+    "nan noise", "inf noise", "nan bound", "inf bound", "residue at q_0",
+    "residue at q_level",
 ]
 
 
@@ -232,16 +416,26 @@ class TestCiphertextHeader:
         return neural.encrypt_features(keys.pk, rng.uniform(-1, 1, (4, 1)), rng)[0]
 
     def test_pristine_blob_loads_through_guards(self, params, ct):
-        blob = serialize.ciphertext_to_bytes(ct)
-        back = serialize.ciphertext_from_bytes(blob, params)
+        (back,) = serialize.bundle_from_bytes(_score_blob(params, ct), params).ciphertexts
         assert (back.level, back.scale, back.noise_bits) == (
             ct.level, ct.scale, ct.noise_bits,
         )
+        for p, q in zip(back.parts, ct.parts):
+            assert np.array_equal(p.residues, q.residues)
+
+    def test_over_budget_ledger_is_crypto_state_error(self, params, ct):
+        # a well-formed ledger past the budget fails Ciphertext's own guard
+        blob = _reseal(
+            _score_blob(params, ct), _CT_NOISE,
+            struct.pack("<d", params.noise_budget_bits + 1.0),
+        )
+        with pytest.raises(NoiseBudgetExceeded):
+            serialize.bundle_from_bytes(blob, params)
 
     @pytest.mark.parametrize("what", _TAMPERS)
     def test_tampered_header_is_format_error(self, params, ct, what):
         with pytest.raises(FormatError):
-            serialize.ciphertext_from_bytes(_tampered(ct, what), params)
+            serialize.bundle_from_bytes(_tampered(ct, what), params)
 
     @pytest.mark.parametrize("what", _TAMPERS)
     def test_tampered_header_exit_code_3(self, tmp_path, params, keys, ct, what):
@@ -249,13 +443,8 @@ class TestCiphertextHeader:
         serialize.save_params(params, params_file)
         sk_file = tmp_path / "sk.bin"
         sk_file.write_bytes(serialize.secret_key_to_bytes(keys.sk))
-        blob = _tampered(ct, what)
         bundle = tmp_path / "scores.hct"
-        bundle.write_bytes(
-            _manifest(serialize.BUNDLE_SCORES, 1, 4)
-            + struct.pack("<Q", len(blob))
-            + blob
-        )
+        bundle.write_bytes(_tampered(ct, what))
         code = cli.main([
             "decrypt", "--sk", str(sk_file), "--params", str(params_file),
             "--input", str(bundle), "--out", str(tmp_path / "out.csv"),
@@ -263,46 +452,41 @@ class TestCiphertextHeader:
         assert code == 3
 
 
-# relin key payload header "<BI" (gadget byte, component count) after
-# the blob header; the first component's domain flag follows its level
-_EVK_GADGET, _EVK_COUNT, _EVK_FIRST_DOMAIN = 47, 48, 47 + 5 + 4
-
 _EVK_TAMPERS = [
-    "gadget 20", "gadget 1", "short count", "long count", "low component",
-    "coefficient component", "trailing bytes",
+    "gadget 20", "gadget 1", "short count", "long count", "low component", "trailing bytes",
+    "residue at q_top",
 ]
 
 
 def _tampered_evk(evk, what):
     blob = serialize.relin_key_to_bytes(evk)
-    count = len(evk.components)
-    if what == "short count":
-        # a well-formed blob one component short: only the count rule sees it
-        return serialize.relin_key_to_bytes(
-            dataclasses.replace(evk, components=evk.components[:-1])
-        )
-    if what == "low component":
-        b, a = evk.components[0]
-        low = (ring.drop_level(b, b.level - 1), ring.drop_level(a, a.level - 1))
-        return serialize.relin_key_to_bytes(
-            dataclasses.replace(evk, components=(low,) + evk.components[1:])
-        )
+    comps = evk.components
+    if what.startswith("gadget"):
+        # the gadget byte is gone with version 1, which is refused whole
+        return _v1_key(evk, int(what.split()[1]))
     if what == "trailing bytes":
-        payload = blob[47:-32] + b"\0"
-        return serialize._blob(serialize.KIND_EVK, blob[7:39], payload)
-    offset, fmt, value = {
-        "gadget 20": (_EVK_GADGET, "<B", 20),
-        "gadget 1": (_EVK_GADGET, "<B", 1),
-        "long count": (_EVK_COUNT, "<I", count + 1),
-        "coefficient component": (_EVK_FIRST_DOMAIN, "<B", 0),
+        return _with_payload(blob, blob[_HEAD:-32] + b"\0")
+    if what == "residue at q_top":
+        # the last word of the last block is in the top row
+        top = evk.scheme.ring.moduli[-1]
+        return _reseal(blob, len(blob) - 40, struct.pack("<Q", top))
+    # well-formed blobs of other shapes: only the length rule sees them
+    b, a = comps[0]
+    low = (ring.drop_level(b, b.level - 1), ring.drop_level(a, a.level - 1))
+    comps = {
+        "short count": comps[:-1],
+        "long count": comps + comps[:1],
+        "low component": (low,) + comps[1:],
     }[what]
-    return _reseal(blob, offset, struct.pack(fmt, value))
+    return serialize.relin_key_to_bytes(dataclasses.replace(evk, components=comps))
 
 
 class TestRelinKeyBlob:
     def test_one_component_per_prime_round_trip(self, params, keys):
         blob = serialize.relin_key_to_bytes(keys.evk)
-        assert blob[_EVK_GADGET] == 0
+        rp = params.ring
+        # one (b_j, a_j) pair of top-level blocks per prime, nothing else
+        assert len(blob) == _HEAD + 2 * rp.level_count * 8 * rp.level_count * rp.ring_degree + 32
         evk = serialize.relin_key_from_bytes(blob, params)
         assert len(evk.components) == params.ring.level_count
 
@@ -312,9 +496,9 @@ class TestRelinKeyBlob:
             serialize.relin_key_from_bytes(_tampered_evk(keys.evk, what), params)
 
     def test_old_gadget_names_the_regeneration(self, params, keys):
+        # a key from the base-2^20 gadget era is a version 1 blob
         blob = _tampered_evk(keys.evk, "gadget 20")
-        msg = "20 there uses the retired base-2\\^20 gadget and must be regenerated"
-        with pytest.raises(FormatError, match=msg):
+        with pytest.raises(FormatError, match="version 1 .*regenerate keys with `hnn keygen`"):
             serialize.relin_key_from_bytes(blob, params)
 
     @pytest.mark.parametrize("what", _EVK_TAMPERS)
@@ -346,18 +530,15 @@ class TestRelinKeyBlob:
         assert code == 3
 
 
-# a pk or sk payload starts with its first element: level u32, domain u8
-_KEY_FIRST_DOMAIN = 47 + 4
-
-_KEY_TAMPERS = ["coefficient element", "domain flag 2", "low element", "trailing bytes"]
+_KEY_TAMPERS = ["low element", "trailing bytes", "residue at q_0"]
 
 
 def _tampered_key(key, what):
     """A pk or sk blob with one defect in its first element or its payload
     end, resealed so that only the loader's semantic checks can catch it."""
-    to_bytes, kind, first = {
-        scheme.PublicKey: (serialize.public_key_to_bytes, serialize.KIND_PK, "b"),
-        scheme.SecretKey: (serialize.secret_key_to_bytes, serialize.KIND_SK, "s"),
+    to_bytes, first = {
+        scheme.PublicKey: (serialize.public_key_to_bytes, "b"),
+        scheme.SecretKey: (serialize.secret_key_to_bytes, "s"),
     }[type(key)]
     blob = to_bytes(key)
     if what == "low element":
@@ -365,9 +546,9 @@ def _tampered_key(key, what):
         low = ring.drop_level(el, el.level - 1)
         return to_bytes(dataclasses.replace(key, **{first: low}))
     if what == "trailing bytes":
-        return serialize._blob(kind, blob[7:39], blob[47:-32] + b"junk")
-    flag = {"coefficient element": 0, "domain flag 2": 2}[what]
-    return _reseal(blob, _KEY_FIRST_DOMAIN, struct.pack("<B", flag))
+        return _with_payload(blob, blob[_HEAD:-32] + b"junk")
+    # the payload's first word is row 0 of the first element
+    return _reseal(blob, _HEAD, struct.pack("<Q", key.scheme.ring.moduli[0]))
 
 
 class TestPublicSecretKeyBlobs:
@@ -440,10 +621,29 @@ class TestBundles:
         with pytest.raises(FormatError):
             serialize.bundle_from_bytes(data[:-5], params)
 
+    def test_loaded_residues_are_read_only_and_keep_no_alias(self, params, keys):
+        # residues are views of immutable bytes, so a caller's bytearray
+        # cannot change a loaded ciphertext afterwards
+        rng = np.random.default_rng(19)
+        cts = neural.encrypt_features(keys.pk, rng.uniform(-1, 1, (4, 1)), rng)
+        buf = bytearray(_score_blob(params, cts[0]))
+        (ct,) = serialize.bundle_from_bytes(buf, params).ciphertexts
+        buf[_CT_C0 : _CT_C0 + 8] = bytes(8)
+        assert np.array_equal(ct.parts[0].residues, cts[0].parts[0].residues)
+        assert not ct.parts[0].residues.flags.writeable
+
+    def test_ciphertext_under_other_params_refused(self, params, keys):
+        rng = np.random.default_rng(20)
+        cts = neural.encrypt_features(keys.pk, rng.uniform(-1, 1, (4, 1)), rng)
+        other = scheme.param_gen(128, 16, 2, scale_bits=40, allow_insecure=True)
+        with pytest.raises(ValueError, match="other parameters"):
+            serialize.bundle_to_bytes(
+                serialize.Bundle(serialize.BUNDLE_FEATURES, 4, cts), other
+            )
 
     def test_ciphertext_count_rules(self, params, keys):
         # a feature bundle needs at least one ciphertext, a score bundle
-        # exactly one; both manifests are checksummed, so only the count
+        # exactly one; both headers are checksummed, so only the count
         # rule can reject them
         rng = np.random.default_rng(10)
         cts = neural.encrypt_features(keys.pk, rng.uniform(-1, 1, (4, 2)), rng)
@@ -476,7 +676,9 @@ class TestBundles:
 
 
 class TestBundleManifest:
-    MANIFEST_LEN = 15 + 32
+    """The bundle header: blob header, then kind, count and n_samples."""
+
+    MANIFEST_LEN = _BUNDLE_HEAD
 
     @pytest.fixture(scope="class")
     def data(self, params, keys):
@@ -486,8 +688,12 @@ class TestBundleManifest:
             serialize.Bundle(serialize.BUNDLE_FEATURES, 16, cts), params
         )
 
-    def test_golden_layout(self, data):
-        assert data[: self.MANIFEST_LEN] == _manifest(serialize.BUNDLE_FEATURES, 1, 16)
+    def test_golden_layout(self, params, data):
+        assert data[: self.MANIFEST_LEN] == (
+            b"HNN1" + struct.pack("<BH", serialize.KIND_BUNDLE, 2)
+            + serialize.params_hash(params)
+            + struct.pack("<BII", serialize.BUNDLE_FEATURES, 1, 16)
+        )
 
     def test_every_manifest_bit_flip_rejected(self, params, data):
         for off in range(self.MANIFEST_LEN):
@@ -502,21 +708,19 @@ class TestBundleManifest:
             with pytest.raises(FormatError):
                 serialize.bundle_from_bytes(data[:end], params)
 
-    def test_version_1_bundle_rejected_with_reason(self, params, data):
-        v1 = (
-            serialize.BUNDLE_MAGIC
-            + struct.pack("<HBII", 1, serialize.BUNDLE_FEATURES, 1, 16)
-            + data[self.MANIFEST_LEN :]
-        )
-        with pytest.raises(FormatError, match="bundle version 1"):
+    def test_version_1_bundle_rejected_with_reason(self, params, keys):
+        rng = np.random.default_rng(21)
+        cts = neural.encrypt_features(keys.pk, rng.uniform(-1, 1, (16, 1)), rng)
+        v1 = _hnnb_bundle(serialize.BUNDLE_FEATURES, cts, 16, version=1)
+        with pytest.raises(FormatError, match="HNNB.*re-encrypt"):
             serialize.bundle_from_bytes(v1, params)
 
     @pytest.mark.parametrize("kind,n_samples", [(2, 16), (0, 17), (0, 1 << 24)])
     def test_checksummed_bad_fields_rejected(self, params, data, kind, n_samples):
         # params.ring has N = 32, so 16 slots
         assert params.ring.ring_degree // 2 == 16
-        bad = _manifest(kind, 1, n_samples) + data[self.MANIFEST_LEN :]
-        with pytest.raises(FormatError):
+        bad = _reseal(data, _HEAD, struct.pack("<BII", kind, 1, n_samples))
+        with pytest.raises(FormatError, match="bad bundle header"):
             serialize.bundle_from_bytes(bad, params)
 
     def test_flipped_manifest_exit_code_3(self, tmp_path, params, keys, data):
@@ -525,7 +729,7 @@ class TestBundleManifest:
         sk_file = tmp_path / "sk.bin"
         sk_file.write_bytes(serialize.secret_key_to_bytes(keys.sk))
         bad = bytearray(data)
-        bad[6] ^= 1  # kind: features -> scores
+        bad[_HEAD] ^= 1  # bundle kind: features -> scores
         bundle = tmp_path / "b.hct"
         bundle.write_bytes(bytes(bad))
         code = cli.main([
@@ -844,6 +1048,33 @@ class TestCliCommands:
             str(tmp_path / "o.hct"),
         )
         assert code == 5
+
+    @pytest.mark.parametrize("classes", ["0", "1"])
+    def test_decrypt_class_count_below_two_exit_code_2(
+        self, tmp_path, params, keys, classes
+    ):
+        # --classes 0 used to label every sample -1, and --classes 1 every 0
+        params_file = tmp_path / "p.txt"
+        serialize.save_params(params, params_file)
+        sk_file = tmp_path / "sk.bin"
+        sk_file.write_bytes(serialize.secret_key_to_bytes(keys.sk))
+        rng = np.random.default_rng(22)
+        ct = neural.encrypt_features(keys.pk, rng.uniform(1, 2, (4, 1)), rng)[0]
+        bundle = tmp_path / "scores.hct"
+        bundle.write_bytes(_score_blob(params, ct))
+        out = tmp_path / "out.csv"
+        argv = ["decrypt", "--sk", str(sk_file), "--params", str(params_file),
+                "--input", str(bundle), "--out", str(out)]
+        assert self.run(*argv, "--classes", classes) == 2
+        assert not out.exists()
+        assert self.run(*argv, "--classes", "2") == 0
+
+    def test_train_head_defaults_are_softmax_config_defaults(self):
+        args = cli.build_parser().parse_args(["train", "--data", "d", "--out", "m"])
+        cfg = approx.SoftmaxConfig()
+        assert (args.radius, args.exp_degree, args.inv_iterations) == (
+            cfg.radius, cfg.exp_degree, cfg.inv_iterations,
+        )
 
     def test_bad_params_value_exit_code(self, tmp_path, params):
         text = serialize.params_to_text(params).replace(

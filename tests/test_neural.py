@@ -374,6 +374,18 @@ class TestMetrics:
         m = neural.compute_metrics(scores, labels)
         assert abs(m["auroc"] - 0.5) < 0.02
 
+    @pytest.mark.parametrize("classes", [0, 1, -2])
+    def test_scores_to_classes_needs_two_classes(self, classes):
+        # a class count below 2 used to clip every label to -1 or 0
+        with pytest.raises(ValueError, match="class count"):
+            neural.scores_to_classes(np.array([1.0, 2.0, 3.0]), classes)
+
+    def test_head_config_defaults_are_softmax_config_defaults(self):
+        head = neural.SoftArgmaxHead(1.3, 3)
+        assert neural.head_config(head) == approx.SoftmaxConfig(1.3, 3)
+        cfg = neural.head_config(head, radius=1.5, exp_degree=9, inv_iterations=4)
+        assert (cfg.radius, cfg.exp_degree, cfg.inv_iterations) == (1.5, 9, 4)
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             neural.compute_metrics(np.array([1.0, 2.0]), np.array([1, 1]))
