@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from hnn import encoding, ring, scheme
+from hnn import encoding, scheme
 
 
 def main() -> int:
@@ -26,14 +26,9 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    moduli = ring.find_ntt_primes(args.ring_degree, [42] + [41] * args.depth)
-    params = scheme.SchemeParams(
-        security_level=128,
-        ring=ring.RingParams(args.ring_degree, moduli),
-        scale=2.0 ** 40,
-        slot_capacity=args.ring_degree // 2,
-        secret_weight=min(64, args.ring_degree // 2),
-        allow_insecure=True,
+    # one 42-bit base prime and a 41-bit prime per squaring
+    params = scheme.param_gen(
+        128, args.ring_degree // 2, args.depth, 40, allow_insecure=True
     )
     keys = scheme.keygen(params, np.random.default_rng(args.seed))
     rng = np.random.default_rng(args.seed + 1)

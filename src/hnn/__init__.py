@@ -12,14 +12,14 @@ Layers, bottom up:
 * :mod:`hnn.neural` — plaintext probe training with noise injection,
   temperature calibration, metrics, and the encrypted forward pass.
 * :mod:`hnn.serialize` / :mod:`hnn.cli` — stable file formats and the
-  command-line surface.
+  command-line surface. ``hnn.cli`` is not imported here, so that
+  ``python -m hnn.cli`` runs it once; ``from hnn import cli`` loads it.
 """
 
-from . import approx, cli, encoding, errors, neural, ring, scheme, serialize
+from . import approx, encoding, errors, neural, ring, scheme, serialize
 
 __all__ = [
     "approx",
-    "cli",
     "encoding",
     "errors",
     "neural",

@@ -1,7 +1,8 @@
 """Command-line surface: params/keygen/encrypt/infer/decrypt/train/
 calibrate.
 
-Exit codes: 0 success, 2 usage or bad parameters, 3 format/checksum
+Exit codes: 0 success, 2 usage or bad parameters (also decrypted
+scores that no --classes-class head can give), 3 format/checksum
 problems, 4 crypto-state (noise budget / level exhaustion, raised when
 a ciphertext is built or loaded), 5 I/O.
 
@@ -146,6 +147,12 @@ def cmd_decrypt(args) -> int:
     if bundle.kind == serialize.BUNDLE_SCORES:
         scores = scheme.decrypt_to_slots(sk, bundle.ciphertexts[0])
         scores = scores[: bundle.n_samples]
+        top = args.classes + 0.5  # a soft-argmax over 1..C lies in [1, C]
+        if not np.all((scores >= 0.5) & (scores <= top)):
+            raise ValueError(
+                f"scores in [{scores.min():.6g}, {scores.max():.6g}] lie outside "
+                f"[0.5, {top:g}]: a wrong --classes, or an sk that does not match"
+            )
         classes = neural.scores_to_classes(scores, args.classes)
         rows = np.column_stack([scores, classes.astype(np.float64)])
         np.savetxt(args.out, rows, delimiter=",", fmt="%.10g")

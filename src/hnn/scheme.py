@@ -24,7 +24,8 @@ a decryption could silently wrap.
 
 Parameter sets are vetted against the standard (N, max log2 Q) security
 table for uniform ternary secrets; undersized test parameters require an
-explicit allow_insecure flag.
+explicit allow_insecure flag. The secret weight, error width and ledger
+budget are derived from the set, never chosen by a caller or a file.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ SECURITY_TABLE = {
     256: {1024: 14, 2048: 29, 4096: 58, 8192: 118, 16384: 237, 32768: 476},
 }
 
-DEFAULT_ERR_STD = 3.2    # fresh error standard deviation
+ERR_STD = 3.2           # fresh error standard deviation
 KEY_ERR_TAIL = 6.0       # keygen errors resampled into +-6 sigma
 SCALE_REL_TOL = 2.0 ** -30  # scales must agree to this relative tolerance
 
@@ -80,21 +81,19 @@ class SchemeParams:
     ring: degree and modulus chain.
     scale: default encoding scale (power of two).
     slot_capacity: slots the caller intends to use (<= N/2).
-    secret_weight: Hamming weight of the ternary secret.
-    err_std: fresh-error standard deviation.
-    noise_budget_bits: ledger budget; exceeding it is an error state.
     allow_insecure: accept parameter sets that fail the security table
     (small test rings); never set for production keys.
+
+    Derived, so no caller or file can weaken the keys: the error width
+    ERR_STD, ``secret_weight`` and the ledger's ``noise_budget_bits``.
     """
 
     security_level: int
     ring: ring.RingParams
     scale: float
     slot_capacity: int
-    secret_weight: int
-    err_std: float = DEFAULT_ERR_STD
-    noise_budget_bits: float = None
     allow_insecure: bool = False
+    noise_budget_bits: float = dataclasses.field(init=False, compare=False)
 
     def __post_init__(self):
         if self.security_level not in SECURITY_TABLE:
@@ -107,10 +106,6 @@ class SchemeParams:
             raise ParameterError(
                 f"slot capacity {self.slot_capacity} exceeds N/2 = {n // 2}"
             )
-        if not 0 < self.secret_weight <= n:
-            raise ParameterError("secret weight outside (0, N]")
-        if self.err_std <= 0:
-            raise ParameterError("error std must be positive")
         bound = SECURITY_TABLE[self.security_level].get(n)
         total = self.ring.total_bits()
         if not self.allow_insecure and (bound is None or total > bound):
@@ -119,18 +114,15 @@ class SchemeParams:
                 f"{self.security_level}-bit table (max {bound}); "
                 f"set allow_insecure for test rings"
             )
-        if self.noise_budget_bits is None:
-            # total - scale - 10 keeps >= 10 bits of final slack on deep
-            # chains; the floor keeps shallow (depth 0/1) chains usable
-            # for fresh encryptions plus a few additions.
-            default = total - math.log2(self.scale) - 10.0
-            object.__setattr__(
-                self,
-                "noise_budget_bits",
-                float(max(default, self.fresh_noise_bits() + 6.0)),
-            )
-        if self.noise_budget_bits <= 0:
-            raise ParameterError("noise budget must be positive")
+        # >= 10 bits of final slack on deep chains; the floor keeps
+        # shallow (depth 0/1) chains usable for a few additions
+        budget = max(total - math.log2(self.scale) - 10.0, self.fresh_noise_bits() + 6)
+        object.__setattr__(self, "noise_budget_bits", float(budget))
+
+    @property
+    def secret_weight(self) -> int:
+        """Hamming weight of the ternary secrets s and u."""
+        return min(64, self.ring.ring_degree // 2)
 
     @property
     def max_level(self) -> int:
@@ -141,11 +133,11 @@ class SchemeParams:
 
     def fresh_noise_bits(self) -> float:
         """Ledger charge for a fresh encryption: the error polynomial
-        e*u + e0 + e1*s has coefficient std ~ err_std*sqrt(2h+1), and the
+        e*u + e0 + e1*s has coefficient std ~ ERR_STD*sqrt(2h+1), and the
         embedding spreads it by sqrt(N); 8x covers the max-slot tail."""
         n = self.ring.ring_degree
         return _log2_pos(
-            8.0 * self.err_std * math.sqrt((2 * self.secret_weight + 1) * n)
+            8.0 * ERR_STD * math.sqrt((2 * self.secret_weight + 1) * n)
         )
 
     def rescale_round_bits(self) -> float:
@@ -156,11 +148,11 @@ class SchemeParams:
 
     def relin_noise_bits(self, level: int) -> float:
         """Key switching at ``level``: sum_j d_j*e_j, |d_j| <= q_j/2, has
-        coefficient std err_std*sqrt(N*sum q_j^2/12); the embedding adds
+        coefficient std ERR_STD*sqrt(N*sum q_j^2/12); the embedding adds
         sqrt(N) and 8x covers the max-slot tail."""
         n = self.ring.ring_degree
         digit_var = sum(q * q for q in self.ring.moduli[: level + 1]) / 12.0
-        return _log2_pos(8.0 * self.err_std * n * math.sqrt(digit_var))
+        return _log2_pos(8.0 * ERR_STD * n * math.sqrt(digit_var))
 
 
 def param_gen(
@@ -208,7 +200,6 @@ def param_gen(
                 ring=rp,
                 scale=float(2 ** sb),
                 slot_capacity=min(slot_need, n // 2),
-                secret_weight=min(64, n // 2),
                 allow_insecure=allow_insecure,
             )
         if allow_insecure:
@@ -266,7 +257,7 @@ def keygen(params: SchemeParams, rng: np.random.Generator) -> KeyMaterial:
 
     def masked(a):
         """-a*s + e for a fresh key error e."""
-        e = ring.sample_gaussian(rp, lv, params.err_std, rng, tail_bound=KEY_ERR_TAIL)
+        e = ring.sample_gaussian(rp, lv, ERR_STD, rng, tail_bound=KEY_ERR_TAIL)
         return ring.ring_sub(ring.ntt_forward(e), ring.ring_mul(a, s))
 
     a = ring.sample_uniform(rp, lv, rng)
@@ -362,8 +353,8 @@ def encrypt(
         )
     lv = rp.max_level
     u = ring.ntt_forward(ring.sample_ternary(rp, lv, params.secret_weight, rng))
-    e0 = ring.sample_gaussian(rp, lv, params.err_std, rng)
-    e1 = ring.ntt_forward(ring.sample_gaussian(rp, lv, params.err_std, rng))
+    e0 = ring.sample_gaussian(rp, lv, ERR_STD, rng)
+    e1 = ring.ntt_forward(ring.sample_gaussian(rp, lv, ERR_STD, rng))
     # NTT(e0 + m) = NTT(e0) + NTT(m): the Coefficient message shares e0's NTT
     e0_m = ring.ntt_forward(ring.ring_add(e0, pt.poly))
     c0 = ring.ring_add(ring.ring_mul(pk.b, u), e0_m)

@@ -35,6 +35,11 @@ bytes. Loaded residues are read-only views of the blob's bytes, and
 `scheme.Ciphertext` runs its ledger guards on every loaded ciphertext.
 A version 1 blob or an HNNB bundle is refused with a FormatError that
 says how to regenerate it.
+
+The parameter file is ``key = value`` text under an ``hnn-params v2``
+header: lambda, ring_degree, modulus_bits (the primes' bit sizes),
+scale_bits, slots and allow_insecure. All else is derived
+(``scheme.SchemeParams``), so any other line is an unknown field.
 """
 
 from __future__ import annotations
@@ -84,15 +89,12 @@ def params_to_text(params: scheme.SchemeParams) -> str:
     """Canonical text rendering; loading and re-saving is the identity."""
     bits = ",".join(str(q.bit_length()) for q in params.ring.moduli)
     lines = [
-        "hnn-params v1",
+        "hnn-params v2",
         f"lambda = {params.security_level}",
         f"ring_degree = {params.ring.ring_degree}",
         f"modulus_bits = {bits}",
         f"scale_bits = {int(round(math.log2(params.scale)))}",
         f"slots = {params.slot_capacity}",
-        f"secret_weight = {params.secret_weight}",
-        f"err_std = {params.err_std:.17g}",
-        f"noise_budget_bits = {params.noise_budget_bits:.17g}",
         f"allow_insecure = {'true' if params.allow_insecure else 'false'}",
     ]
     return "\n".join(lines) + "\n"
@@ -100,8 +102,11 @@ def params_to_text(params: scheme.SchemeParams) -> str:
 
 def params_from_text(text: str) -> scheme.SchemeParams:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0] != "hnn-params v1":
-        raise FormatError("not a parameter file (missing 'hnn-params v1' header)")
+    if lines and lines[0] == "hnn-params v1":
+        raise FormatError("parameter file version 1 unsupported: regenerate it "
+                          "with `hnn params`, then the keys with `hnn keygen`")
+    if not lines or lines[0] != "hnn-params v2":
+        raise FormatError("not a parameter file (missing 'hnn-params v2' header)")
     kv = {}
     for ln in lines[1:]:
         if "=" not in ln:
@@ -116,9 +121,6 @@ def params_from_text(text: str) -> scheme.SchemeParams:
             security_level=int(kv.pop("lambda")),
             scale=float(2 ** int(kv.pop("scale_bits"))),
             slot_capacity=int(kv.pop("slots")),
-            secret_weight=int(kv.pop("secret_weight")),
-            err_std=float(kv.pop("err_std")),
-            noise_budget_bits=float(kv.pop("noise_budget_bits")),
             allow_insecure={"true": True, "false": False}[kv.pop("allow_insecure")],
         )
     except KeyError as exc:
@@ -127,8 +129,6 @@ def params_from_text(text: str) -> scheme.SchemeParams:
         raise FormatError(f"malformed parameter value: {exc}") from exc
     if kv:
         raise FormatError(f"unknown parameter fields {sorted(kv)}")
-    if not all(map(math.isfinite, (fields["err_std"], fields["noise_budget_bits"]))):
-        raise FormatError("err_std and noise_budget_bits must be finite")
     rp = ring.RingParams(n, ring.find_ntt_primes(n, bits))
     return scheme.SchemeParams(ring=rp, **fields)
 

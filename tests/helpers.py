@@ -8,7 +8,7 @@ embeddings, central finite differences, and plain numpy reference math.
 import mpmath
 import numpy as np
 
-from hnn import encoding, ring
+from hnn import encoding, ring, scheme
 
 
 def naive_negacyclic_transform(coeffs, n, q, psi):
@@ -256,8 +256,8 @@ def encrypt_four_ntt(pk, pt, rng):
     rp = params.ring
     lv = rp.max_level
     u = ring.ntt_forward(ring.sample_ternary(rp, lv, params.secret_weight, rng))
-    e0 = ring.ntt_forward(ring.sample_gaussian(rp, lv, params.err_std, rng))
-    e1 = ring.ntt_forward(ring.sample_gaussian(rp, lv, params.err_std, rng))
+    e0 = ring.ntt_forward(ring.sample_gaussian(rp, lv, scheme.ERR_STD, rng))
+    e1 = ring.ntt_forward(ring.sample_gaussian(rp, lv, scheme.ERR_STD, rng))
     m = ring.ntt_forward(pt.poly)
     c0 = ring.ring_add(ring.ring_add(ring.ring_mul(pk.b, u), e0), m)
     c1 = ring.ring_add(ring.ring_mul(pk.a, u), e1)

@@ -265,7 +265,6 @@ class TestEncryptedSoftArgmax:
             ring=ring_mod.RingParams(16, moduli),
             scale=2.0 ** 40,
             slot_capacity=8,
-            secret_weight=8,
             allow_insecure=True,
         )
         keys = scheme.keygen(params, np.random.default_rng(42))

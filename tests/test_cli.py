@@ -4,6 +4,8 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -52,9 +54,6 @@ class TestParamsFile:
         [
             ("ring_degree", "lots"),
             ("modulus_bits", "42,x"),
-            ("err_std", "3.2.1"),
-            ("err_std", "nan"),
-            ("noise_budget_bits", "inf"),
             ("allow_insecure", "maybe"),
             ("scale_bits", "40\nscale_bits = 30"),
             ("scale_bits", "40\nscale_bit = 30"),
@@ -68,6 +67,38 @@ class TestParamsFile:
         ]
         with pytest.raises(FormatError):
             serialize.params_from_text("\n".join(lines))
+
+    def test_six_fields(self, params):
+        keys = [ln.split(" =")[0] for ln in serialize.params_to_text(params).splitlines()]
+        assert keys == [
+            "hnn-params v2", "lambda", "ring_degree", "modulus_bits",
+            "scale_bits", "slots", "allow_insecure",
+        ]
+
+    @pytest.mark.parametrize(
+        "line", ["secret_weight = 1", "err_std = 1e-300", "noise_budget_bits = 1e9"]
+    )
+    def test_derived_value_line_is_unknown_field(self, params, tmp_path, line):
+        # the secret weight, error width and budget are derived, so a
+        # file cannot set them, not even to keys with no secret or noise
+        text = serialize.params_to_text(params) + line + "\n"
+        with pytest.raises(FormatError, match="unknown parameter fields"):
+            serialize.params_from_text(text)
+        bad = tmp_path / "p.txt"
+        bad.write_text(text)
+        out = tmp_path / "keys"
+        assert cli.main(["keygen", "--params", str(bad), "--out-dir", str(out)]) == 3
+        assert not out.exists()
+
+    def test_version_1_names_hnn_params(self, params, tmp_path, capsys):
+        text = serialize.params_to_text(params).replace("hnn-params v2", "hnn-params v1")
+        text += "secret_weight = 16\nerr_std = 3.2000000000000002\n"
+        with pytest.raises(FormatError, match="version 1 .*`hnn params`"):
+            serialize.params_from_text(text)
+        bad = tmp_path / "p.txt"
+        bad.write_text(text)
+        assert cli.main(["keygen", "--params", str(bad), "--out-dir", str(tmp_path)]) == 3
+        assert "`hnn params`" in capsys.readouterr().err
 
 
 # a blob is a 39-byte header (magic, kind u8, version u16, params hash),
@@ -206,7 +237,7 @@ class TestBlobs:
         )
         e = ring.ring_add(pk2.b, ring.ring_mul(pk2.a, sk2.s))
         signed, _ = ring.compose_signed(ring.ntt_inverse(e))
-        assert max(abs(int(x)) for x in signed) < 6 * params.err_std
+        assert max(abs(int(x)) for x in signed) < 6 * scheme.ERR_STD
 
     def test_single_byte_corruption_detected(self, params, keys):
         rng = np.random.default_rng(1)
@@ -1068,6 +1099,52 @@ class TestCliCommands:
         assert self.run(*argv, "--classes", classes) == 2
         assert not out.exists()
         assert self.run(*argv, "--classes", "2") == 0
+
+    def _score_argv(self, tmp_path, params, keys, sk, value):
+        """decrypt argv for a score bundle whose slots all hold ``value``
+        under ``keys``, decrypted with ``sk``."""
+        params_file = tmp_path / "p.txt"
+        serialize.save_params(params, params_file)
+        sk_file = tmp_path / "sk.bin"
+        sk_file.write_bytes(serialize.secret_key_to_bytes(sk))
+        rng = np.random.default_rng(23)
+        ct = neural.encrypt_features(keys.pk, np.full((4, 1), value), rng)[0]
+        bundle = tmp_path / "scores.hct"
+        bundle.write_bytes(_score_blob(params, ct))
+        return ["decrypt", "--sk", str(sk_file), "--params", str(params_file),
+                "--input", str(bundle), "--out", str(tmp_path / "out.csv")]
+
+    def test_decrypt_score_beyond_classes_exit_code_2(
+        self, tmp_path, params, keys, capsys
+    ):
+        # 3.0 used to be clipped silently to class 1 under the default
+        # --classes 2; only a head over >= 3 classes can produce it
+        argv = self._score_argv(tmp_path, params, keys, keys.sk, 3.0)
+        assert self.run(*argv) == 2
+        assert not (tmp_path / "out.csv").exists()
+        assert "outside [0.5, 2.5]" in capsys.readouterr().err
+        assert self.run(*argv, "--classes", "3") == 0
+        rows = np.loadtxt(tmp_path / "out.csv", delimiter=",", ndmin=2)
+        assert np.array_equal(rows[:, 1], [2, 2, 2, 2])
+
+    def test_decrypt_with_other_sk_exit_code_2(self, tmp_path, params, keys):
+        # a non-matching sk decodes to noise the size of the modulus
+        other = scheme.keygen(params, np.random.default_rng(31338))
+        argv = self._score_argv(tmp_path, params, keys, other.sk, 1.5)
+        assert self.run(*argv) == 2
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_python_m_hnn_cli_warns_nothing(self):
+        # hnn/__init__ must not import cli, or runpy warns that hnn.cli
+        # is already in sys.modules before running it as __main__
+        src = Path(__file__).parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hnn.cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: hnn" in proc.stdout
 
     def test_train_head_defaults_are_softmax_config_defaults(self):
         args = cli.build_parser().parse_args(["train", "--data", "d", "--out", "m"])

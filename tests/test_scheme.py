@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hnn import encoding, ring, scheme
+from hnn import encoding, neural, ring, scheme
 from hnn.errors import (
     InsecureParameterError,
     LevelExhausted,
@@ -61,7 +61,25 @@ class TestParamGen:
     def test_insecure_rejected_without_override(self):
         moduli = ring.find_ntt_primes(32, [42, 41, 41])
         with pytest.raises(InsecureParameterError):
-            scheme.SchemeParams(128, ring.RingParams(32, moduli), 2.0 ** 40, 16, 16)
+            scheme.SchemeParams(128, ring.RingParams(32, moduli), 2.0 ** 40, 16)
+
+    def test_only_five_fields_are_set(self, small_params):
+        init = [f.name for f in dataclasses.fields(scheme.SchemeParams) if f.init]
+        assert init == [
+            "security_level", "ring", "scale", "slot_capacity", "allow_insecure",
+        ]
+        with pytest.raises(ValueError, match="noise_budget_bits"):
+            dataclasses.replace(small_params, noise_budget_bits=1e9)
+
+    def test_derived_budget_matches_the_stored_one(self):
+        # the N=1024 pipeline ring that version 1 parameter files stored
+        # with noise_budget_bits = 484: 534 chain bits - 40 - 10
+        cfg = neural.head_config(neural.SoftArgmaxHead())
+        params = scheme.param_gen(
+            128, 512, neural.pipeline_depth(cfg), 40, allow_insecure=True
+        )
+        assert params.ring.total_bits() == 534
+        assert params.noise_budget_bits == 484.0
 
     def test_explicit_scale_bits_respected(self):
         params = scheme.param_gen(128, 64, 1, scale_bits=40)
@@ -80,7 +98,7 @@ class TestKeygen:
             )
             signed, _ = ring.compose_signed(ring.ntt_inverse(e))
             worst = max(abs(int(v)) for v in signed)
-            assert worst < 6 * small_params.err_std
+            assert worst < 6 * scheme.ERR_STD
 
     def test_seeds_distinguish_keys(self, small_params):
         k1 = scheme.keygen(small_params, np.random.default_rng(1))
@@ -104,7 +122,7 @@ class TestKeygen:
                 ring.ring_add(b_j, ring.ring_mul(a_j, s)), s2._like(masked)
             )
             signed, _ = ring.compose_signed(ring.ntt_inverse(residual))
-            assert max(abs(int(v)) for v in signed) < 6 * params.err_std
+            assert max(abs(int(v)) for v in signed) < 6 * scheme.ERR_STD
 
 
 class TestEncryptDecrypt:
@@ -487,16 +505,17 @@ class TestNoiseLedger:
         with pytest.raises(NoiseBudgetExceeded):
             dataclasses.replace(ct, value_bound=wrap)
 
-    def test_budget_exceeded_on_tiny_budget(self, small_params, rng):
-        import dataclasses
-
-        tight = dataclasses.replace(small_params, noise_budget_bits=1.0)
-        keys = scheme.keygen(tight, np.random.default_rng(0))
-        pt = encoding.encode(
-            np.zeros(tight.slot_capacity), tight.scale, tight.ring
-        )
-        with pytest.raises(NoiseBudgetExceeded):
-            scheme.encrypt(keys.pk, pt, rng)
+    def test_budget_exceeded_on_tiny_budget(self, rng):
+        # a depth-0 chain gets the floor budget, fresh noise + 6 bits, so
+        # doubling a fresh ciphertext seven times runs past it
+        params = scheme.param_gen(128, 16, 0, scale_bits=20, allow_insecure=True)
+        assert params.noise_budget_bits == params.fresh_noise_bits() + 6.0
+        keys = scheme.keygen(params, np.random.default_rng(0))
+        pt = encoding.encode(np.zeros(16), params.scale, params.ring)
+        ct = scheme.encrypt(keys.pk, pt, rng)
+        with pytest.raises(NoiseBudgetExceeded, match="exceeds budget"):
+            for _ in range(7):
+                ct = scheme.add(ct, ct)
 
 
 class TestHomomorphismProperty:
