@@ -121,8 +121,9 @@ class SchemeParams:
 
     @property
     def secret_weight(self) -> int:
-        """Hamming weight of the ternary secrets s and u."""
-        return min(64, self.ring.ring_degree // 2)
+        """Hamming weight of the ternary secrets s and u: floor(2N/3), the
+        mean of a uniform ternary draw, which the security table assumes."""
+        return 2 * self.ring.ring_degree // 3
 
     @property
     def max_level(self) -> int:

@@ -100,6 +100,18 @@ class TestKeygen:
             worst = max(abs(int(v)) for v in signed)
             assert worst < 6 * scheme.ERR_STD
 
+    @pytest.mark.parametrize("n", [32, 1024])
+    def test_secret_has_two_thirds_weight(self, n):
+        # floor(2N/3) entries of +-1: a uniform ternary draw's mean weight,
+        # the distribution the security table is computed for
+        params = scheme.param_gen(128, n // 2, 1, scale_bits=40, allow_insecure=True)
+        assert params.ring.ring_degree == n
+        keys = scheme.keygen(params, np.random.default_rng(5))
+        signed, _ = ring.compose_signed(ring.ntt_inverse(keys.sk.s))
+        coeffs = np.array([int(v) for v in signed])
+        assert set(coeffs.tolist()) == {-1, 0, 1}
+        assert np.count_nonzero(coeffs) == 2 * n // 3
+
     def test_seeds_distinguish_keys(self, small_params):
         k1 = scheme.keygen(small_params, np.random.default_rng(1))
         k2 = scheme.keygen(small_params, np.random.default_rng(2))
