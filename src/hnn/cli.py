@@ -2,7 +2,7 @@
 calibrate.
 
 Exit codes: 0 success, 2 usage or bad parameters (also decrypted
-scores that no --classes-class head can give), 3 format/checksum
+scores that --classes rules out), 3 format/checksum
 problems, 4 crypto-state (noise budget / level exhaustion, raised when
 a ciphertext is built or loaded), 5 I/O.
 

@@ -53,7 +53,7 @@ SECURITY_TABLE = {
     256: {1024: 14, 2048: 29, 4096: 58, 8192: 118, 16384: 237, 32768: 476},
 }
 
-ERR_STD = 3.2           # fresh error standard deviation
+ERR_STD = 3.2            # fresh error standard deviation
 KEY_ERR_TAIL = 6.0       # keygen errors resampled into +-6 sigma
 SCALE_REL_TOL = 2.0 ** -30  # scales must agree to this relative tolerance
 
@@ -116,7 +116,7 @@ class SchemeParams:
             )
         # >= 10 bits of final slack on deep chains; the floor keeps
         # shallow (depth 0/1) chains usable for a few additions
-        budget = max(total - math.log2(self.scale) - 10.0, self.fresh_noise_bits() + 6)
+        budget = max(total - math.log2(self.scale) - 10, self.fresh_noise_bits() + 6)
         object.__setattr__(self, "noise_budget_bits", float(budget))
 
     @property
