@@ -18,7 +18,8 @@ scheme primitives:
   into the plaintext probe; zero-mean inputs pin the exp-sum into
   [n(1-eps), n cosh(r) + n eps], which lets a few Newton steps converge.
 * soft-argmax: (sum_i i*e_i) * reciprocal, one ciphertext product; the
-  exact index constants i sit at a small auxiliary scale, costing no level.
+  index sum is one scheme.weighted_sums pass, whose exact index constants
+  i sit at a small auxiliary scale, costing no level.
 """
 
 from __future__ import annotations
@@ -95,25 +96,6 @@ def poly_eval_depth(degree: int) -> int:
     return max(1, math.ceil(math.log2(degree + 1)))
 
 
-def tree_sum(cts) -> Ciphertext:
-    """Balanced pairwise sum.
-
-    A left fold charges the ledger max+1 per addition (+k bits for k
-    terms); the tree charges +ceil(log2 k), which matches the true
-    worst-case growth of a k-term sum.
-    """
-    cts = list(cts)
-    if not cts:
-        raise ValueError("empty sum")
-    while len(cts) > 1:
-        nxt = [
-            scheme.add(cts[i], cts[i + 1]) if i + 1 < len(cts) else cts[i]
-            for i in range(0, len(cts), 2)
-        ]
-        cts = nxt
-    return cts[0]
-
-
 # ---------------------------------------------------------------------------
 # Encrypted polynomial evaluation
 # ---------------------------------------------------------------------------
@@ -132,31 +114,37 @@ def eval_poly_encrypted(
         raise LevelExhausted(
             f"degree {degree} needs {depth + 1} levels, have {ct.level}"
         )
-    params = ct.scheme
     base = scheme.with_value_bound(ct, min(ct.value_bound, approx.radius * (1 + 1e-9)))
     powers = [base]
     for _ in range(1, depth):
         prev = powers[-1]
         powers.append(scheme.rescale(scheme.mult(prev, prev, evk)))
-
-    def node(coeffs, level, scale):
-        deg = len(coeffs) - 1
-        if deg <= 1:
-            y = scheme.ct_drop_level(base, level + 1)
-            q = params.ring.moduli[level + 1]
-            c1 = coeffs[1] if deg == 1 else 0.0
-            r = scheme.rescale(scheme.mult_const(y, c1, scale * q / y.scale))
-            return scheme.add_const(r, coeffs[0])
-        split = 1 << (int(math.ceil(math.log2(deg + 1))) - 1)
-        ym = scheme.ct_drop_level(powers[int(math.log2(split))], level + 1)
-        q = params.ring.moduli[level + 1]
-        hi = node(coeffs[split:], level + 1, scale * q / ym.scale)
-        prod = scheme.rescale(scheme.mult(ym, hi, evk))
-        lo = node(coeffs[:split], level, scale)
-        return scheme.add(prod, lo)
-
-    out = node(list(approx.coefficients), ct.level - depth, ct.scale)
+    out = _poly_node(
+        list(approx.coefficients), ct.level - depth, ct.scale, powers, evk
+    )
     return scheme.with_value_bound(out, approx.max_abs + approx.sup_error)
+
+
+def _poly_node(coeffs, level, scale, powers, evk) -> Ciphertext:
+    """sum_k coeffs[k] y^k at ``level`` and ``scale``, from the power tree
+    powers[i] = y^(2^i): the high half times the largest power below the
+    degree, plus the low half. A module function, not a closure, so one
+    evaluation leaves no reference cycle pinning the powers and the evk.
+    """
+    params = powers[0].scheme
+    q = params.ring.moduli[level + 1]
+    deg = len(coeffs) - 1
+    if deg <= 1:
+        y = scheme.ct_drop_level(powers[0], level + 1)
+        c1 = coeffs[1] if deg == 1 else 0.0
+        r = scheme.rescale(scheme.mult_const(y, c1, scale * q / y.scale))
+        return scheme.add_const(r, coeffs[0])
+    split = 1 << (int(math.ceil(math.log2(deg + 1))) - 1)
+    ym = scheme.ct_drop_level(powers[int(math.log2(split))], level + 1)
+    hi = _poly_node(coeffs[split:], level + 1, scale * q / ym.scale, powers, evk)
+    prod = scheme.rescale(scheme.mult(ym, hi, evk))
+    lo = _poly_node(coeffs[:split], level, scale, powers, evk)
+    return scheme.add(prod, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +298,7 @@ def _exps_and_reciprocal(logit_cts, cfg, evk, probe_key, need):
                 )
         exps.append(eval_poly_encrypted(y, cfg.exp_approx(), evk))
     lo, hi = cfg.sum_interval()
-    total_exp = scheme.with_value_bound(tree_sum(exps), hi)
+    total_exp = scheme.with_value_bound(scheme.tree_sum(exps), hi)
     return exps, encrypted_reciprocal(total_exp, lo, hi, cfg.inv_iterations, evk)
 
 
@@ -346,7 +334,8 @@ def encrypted_soft_argmax(
     probe_key: SecretKey = None,
 ) -> Ciphertext:
     """Weighted index sum  sum_i sigma_i * i  with indices 1..n, computed
-    as (sum_i i * e_i) * inv on encrypted_softmax's inputs.
+    as (sum_i i * e_i) * inv on encrypted_softmax's inputs, the index sum
+    being scheme.weighted_sums over the exps with the (n, 1) column 1..n.
 
     Slots land in [1, n]; rounding the decoded value and subtracting one
     recovers a 0-based class label.
@@ -354,9 +343,8 @@ def encrypted_soft_argmax(
     exps, inv = _exps_and_reciprocal(
         logit_cts, cfg, evk, probe_key, soft_argmax_min_levels(cfg)
     )
-    weighted = tree_sum(
-        scheme.mult_const(e, float(i + 1), INDEX_SCALE) for i, e in enumerate(exps)
-    )
+    index = np.arange(1.0, len(exps) + 1.0)[:, None]
+    (weighted,) = scheme.weighted_sums(exps, index, INDEX_SCALE)
     out = scheme.rescale(
         scheme.mult(scheme.ct_drop_level(weighted, inv.level), inv, evk)
     )

@@ -297,22 +297,21 @@ def encrypted_logits(model: LinearModel, feature_cts):
     """Per-class logit ciphertexts via plaintext-weight products.
 
     feature_cts[j] holds feature j for the whole batch in its slots, so
-    each logit is a rotation-free weighted slot sum plus the bias.
+    each logit is a rotation-free weighted slot sum plus the bias. All
+    classes come from one scheme.weighted_sums pass over the features,
+    with the weights encoded at the top prime, which each logit's
+    rescale divides back out.
     """
     if len(feature_cts) != model.d_in:
         raise ValueError(
             f"{len(feature_cts)} feature ciphertexts for d_in={model.d_in}"
         )
     q_top = float(feature_cts[0].scheme.ring.moduli[feature_cts[0].level])
-    logit_cts = []
-    for c in range(model.class_count):
-        terms = [
-            scheme.mult_const(feature_cts[j], float(model.weights[j, c]), q_top)
-            for j in range(model.d_in)
-        ]
-        logit = scheme.rescale(approx.tree_sum(terms))
-        logit_cts.append(scheme.add_const(logit, float(model.bias[c])))
-    return logit_cts
+    sums = scheme.weighted_sums(feature_cts, model.weights, q_top)
+    return [
+        scheme.add_const(scheme.rescale(s), float(b))
+        for s, b in zip(sums, model.bias)
+    ]
 
 
 def _folded_probe(model: LinearModel, temperature: float) -> LinearModel:
@@ -355,8 +354,11 @@ def scores_to_classes(scores, class_count: int) -> np.ndarray:
     """Round decoded soft-argmax values to 0-based class labels."""
     if class_count < 2:
         raise ValueError(f"class count {class_count}: a soft-argmax head needs >= 2")
-    rounded = np.rint(np.asarray(scores)).astype(np.int64)
-    return np.clip(rounded, 1, class_count) - 1
+    rounded = np.rint(np.asarray(scores, dtype=np.float64))
+    if np.any(np.isnan(rounded)):
+        raise ValueError("NaN score has no class")
+    # clip in float first: a score beyond the int64 range has no cast
+    return np.clip(rounded, 1, class_count).astype(np.int64) - 1
 
 
 def measured_noise_std(

@@ -6,7 +6,7 @@ with no Python loop over primes. All primes satisfy q ≡ 1 (mod 2N), so
 a negacyclic NTT exists per prime and multiplication runs pointwise in
 the NTT (Evaluation) domain.
 
-There is one modular product and no kernel divides. y*w mod q, for
+There is one modular product, and no product divides. y*w mod q, for
 y < 2^49 and w < q, takes the float64 quotient w_q = (w/q)(1 - 2^-50),
 biased low so that est = trunc(y*w_q) is floor(y*w/q) or one below and
 never above; y*w - est*q in wrapping uint64 then lies in [0, 2q) with
@@ -15,6 +15,9 @@ no correction (Harvey, J. Symb. Comp. 2014, less the correction).
 A per-prime scalar (a constant's c mod q_j, rescale's q_top^-1, a CRT
 gadget's unit column, composition's M_j^-1) is a (level+1, 1) residue
 column, which scalar_mul and scalar_add apply to a whole element.
+scalar_mul_sums applies a block of them to many elements and adds the
+lazy products up; like the reduction of large integers (from_int_coeffs,
+constant_column), its one final reduction of the sums divides.
 
 The forward NTT does not reduce between stages. With the product t in
 [0, 2q), a butterfly writes lo + t and lo + (2q - t), so values grow by
@@ -62,6 +65,10 @@ _BIAS = 1.0 - 2.0 ** -50
 # Most elements in one row chunk of an NTT pass: a chunk's half-width
 # scratch then stays in a core's L2 cache, which pays from N = 4096 on.
 _NTT_CHUNK = 1 << 14
+
+# Lazy products lie in [0, 2q) below 2^43, so this many of them add
+# exactly in uint64 (see scalar_mul_sums).
+MAX_SUM_TERMS = 1 << 21
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -561,9 +568,11 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     return a._like(_reduce(r, q))
 
 
-def constant_column(c: int, params: RingParams, level: int) -> np.ndarray:
-    """c mod q_j as a (level+1, 1) uint64 column, reduced in Python ints."""
-    return np.array([[c % q] for q in params.moduli[: level + 1]], dtype=np.uint64)
+def constant_column(c, params: RingParams, level: int) -> np.ndarray:
+    """c mod q_j as a (level+1, 1) uint64 column, for an integer |c| < 2^63;
+    an integer array c gives one column per entry, c.shape + (level+1, 1)."""
+    c = np.asarray(c, dtype=np.int64)[..., None, None]
+    return np.mod(c, params._q_col[: level + 1].astype(np.int64)).astype(np.uint64)
 
 
 def _column_q(a: RingElement, col: np.ndarray) -> np.ndarray:
@@ -589,6 +598,50 @@ def scalar_add(a: RingElement, col: np.ndarray) -> RingElement:
         raise ValueError("scalar_add expects an Evaluation-domain operand")
     q = _column_q(a, col)
     return a._like(_reduce(a.residues + col, q))
+
+
+def scalar_mul_sums(groups, cols) -> list:
+    """sum_k groups[k][p] * cols[k, c] mod q_j for every column c and
+    position p, in one pass over the d groups: groups holds d equal-length
+    tuples of elements at one level and domain (a ciphertext's parts,
+    say), cols is a (d, C, level+1, 1) uint64 block of residues below
+    q_j. Returns C tuples, one element per position.
+
+    Each group's lazy products against all C columns come from one _mul,
+    in [0, 2q) below 2^43, and add into a (P, C, level+1, N) uint64
+    accumulator, exact for up to MAX_SUM_TERMS groups; one remainder by
+    q_j finishes every sum. Only the accumulator and one product block
+    are alive, however many groups there are.
+    """
+    d = len(groups)
+    if not 0 < d <= MAX_SUM_TERMS:
+        raise ValueError(f"{d} terms outside [1, {MAX_SUM_TERMS}]")
+    first = groups[0][0]
+    for g in groups:
+        if len(g) != len(groups[0]):
+            raise ValueError("groups of unequal length")
+        for el in g:
+            _require_compatible(first, el)
+    lv = first.level
+    if (
+        cols.ndim != 4 or cols.shape[0] != d or cols.shape[2:] != (lv + 1, 1)
+        or cols.dtype != np.uint64 or np.any(cols >= first._q)
+    ):
+        raise ValueError(f"expected a ({d}, C, {lv + 1}, 1) uint64 block below q_j")
+    shape = (len(groups[0]), cols.shape[1], lv + 1, first.params.ring_degree)
+    q = _tables(first.params).q[: lv + 1]
+    cols_q = _quotient(cols, first._q)
+    acc = np.zeros(shape, np.uint64)
+    out, f, e = _scratch(shape)
+    for g, w, w_q in zip(groups, cols, cols_q):
+        for p, el in enumerate(g):
+            _mul(el.residues, w, w_q, q, out[p], f[p], e[p])
+        np.add(acc, out, out=acc)
+    np.remainder(acc, first._q, out=acc)
+    return [
+        tuple(first._like(acc[p, c]) for p in range(shape[0]))
+        for c in range(shape[1])
+    ]
 
 
 def drop_level(a: RingElement, new_level: int) -> RingElement:

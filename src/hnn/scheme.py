@@ -11,7 +11,10 @@ A scalar constant (probe weight, bias, polynomial or Newton coefficient,
 index weight) is multiplied in or added by mult_const and add_const as
 one residue per prime, with no plaintext polynomial (CKKS's multByConst,
 Cheon et al., ASIACRYPT 2017). mult_plain and add_plain take slot-vector
-plaintexts; each pair shares one ledger rule.
+plaintexts; each pair shares one ledger rule. weighted_sums forms the C
+sums sum_k w[k, c]*ct_k of a plaintext (d, C) weight matrix in one
+streaming pass over the d inputs, with the residues and ledgers of
+tree_sum over mult_consts but without a ciphertext per term.
 
 Every ciphertext carries a noise ledger: ``noise_bits`` is a heuristic
 upper bound on log2(max slot error * scale), updated by fixed rules per
@@ -393,20 +396,56 @@ def _require_aligned(a: Ciphertext, b: Ciphertext):
         raise ValueError(f"level mismatch: {a.level} vs {b.level}")
 
 
-def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:
-    """Slotwise sum; scales must match to 2^-30 relative."""
+def _require_summable(a: Ciphertext, b: Ciphertext):
+    """a and b align and their scales match to 2^-30 relative."""
     _require_aligned(a, b)
     if abs(a.scale - b.scale) > SCALE_REL_TOL * max(a.scale, b.scale):
         raise ScaleMismatch(f"scales {a.scale} vs {b.scale}")
+
+
+def _sum_ledger(a, b):
+    """An addition's ledger rule on (noise_bits, value_bound) pairs."""
+    return max(a[0], b[0]) + 1.0, a[1] + b[1]
+
+
+def _pairwise(items, combine):
+    """Balanced pairwise fold: combine neighbours until one item is left.
+
+    On ledgers, a left fold charges max+1 per addition (+k bits for k
+    terms); the tree charges +ceil(log2 k), which matches the true
+    worst-case growth of a k-term sum.
+    """
+    items = list(items)
+    if not items:
+        raise ValueError("empty sum")
+    while len(items) > 1:
+        items = [
+            combine(items[i], items[i + 1]) if i + 1 < len(items) else items[i]
+            for i in range(0, len(items), 2)
+        ]
+    return items[0]
+
+
+def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:
+    """Slotwise sum; scales must match to 2^-30 relative."""
+    _require_summable(a, b)
     parts = tuple(ring.ring_add(x, y) for x, y in zip(a.parts, b.parts))
+    noise, bound = _sum_ledger(
+        (a.noise_bits, a.value_bound), (b.noise_bits, b.value_bound)
+    )
     return Ciphertext(
         scheme=a.scheme,
         parts=parts,
         level=a.level,
         scale=a.scale,
-        noise_bits=max(a.noise_bits, b.noise_bits) + 1.0,
-        value_bound=a.value_bound + b.value_bound,
+        noise_bits=noise,
+        value_bound=bound,
     )
+
+
+def tree_sum(cts) -> Ciphertext:
+    """Balanced pairwise sum of ciphertexts (see _pairwise)."""
+    return _pairwise(cts, add)
 
 
 def _pt_for(ct: Ciphertext, pt: Plaintext) -> ring.RingElement:
@@ -427,8 +466,8 @@ def _plus(ct: Ciphertext, c0: ring.RingElement, round_error, value_bound):
     )
 
 
-def _times(ct: Ciphertext, parts, scale, round_error, value_bound):
-    """ct with ``parts``, the old ones times a plaintext at ``scale`` with
+def _times_ledger(ct: Ciphertext, scale, round_error, value_bound):
+    """(noise_bits, value_bound) of ct times a plaintext at ``scale`` with
     this rounding error and |slot| bound: a product's ledger rule."""
     re = _log2_pos(round_error)
     noise = _log2_sum(
@@ -436,9 +475,16 @@ def _times(ct: Ciphertext, parts, scale, round_error, value_bound):
         re + _log2_pos(ct.value_bound * ct.scale),
         ct.noise_bits + re,
     )
+    return noise, ct.value_bound * value_bound
+
+
+def _times(ct: Ciphertext, parts, scale, round_error, value_bound):
+    """ct with ``parts``, the old ones times a plaintext at ``scale``:
+    _times_ledger's rule."""
+    noise, bound = _times_ledger(ct, scale, round_error, value_bound)
     return dataclasses.replace(
         ct, parts=parts, scale=ct.scale * scale, noise_bits=noise,
-        value_bound=ct.value_bound * value_bound,
+        value_bound=bound,
     )
 
 
@@ -458,11 +504,16 @@ def mult_plain(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
     return _times(ct, parts, pt.scale, pt.round_error, pt.value_bound)
 
 
+def _encoded(value: float, scale: float):
+    """(c0, round_error, value_bound) of ``value`` encoded at ``scale``."""
+    c0, err = encoding.encode_constant(value, scale)
+    return c0, err, abs(value) + err / scale
+
+
 def _constant(ct: Ciphertext, value: float, scale: float):
     """(residue column, round_error, value_bound) of ``value`` at ``scale``."""
-    c0, err = encoding.encode_constant(value, scale)
-    col = ring.constant_column(c0, ct.scheme.ring, ct.level)
-    return col, err, abs(value) + err / scale
+    c0, err, bound = _encoded(value, scale)
+    return ring.constant_column(c0, ct.scheme.ring, ct.level), err, bound
 
 
 def add_const(ct: Ciphertext, value: float) -> Ciphertext:
@@ -477,6 +528,50 @@ def mult_const(ct: Ciphertext, value: float, scale: float) -> Ciphertext:
     col, err, bound = _constant(ct, value, scale)
     parts = tuple(ring.scalar_mul(p, col) for p in ct.parts)
     return _times(ct, parts, float(scale), err, bound)
+
+
+def weighted_sums(cts, weights, scale: float) -> list:
+    """sum_k weights[k, c] * cts[k] for each column c of the (d, C) matrix
+    ``weights``, each weight encoded at ``scale`` as by mult_const: scale
+    multiplies, the caller rescales when ready.
+
+    Residues and ledgers equal those of tree_sum over the d mult_consts
+    of each column: every weight goes through encode_constant, each
+    term's ledger is mult_const's, and the terms fold in tree_sum's order
+    by add's rule. One streaming pass (ring.scalar_mul_sums) takes the
+    place of the d*C term ciphertexts. The only ciphertexts built are
+    the C results, whose guards bound every partial sum, since the fold
+    only grows noise_bits and value_bound.
+    """
+    cts = list(cts)
+    weights = np.asarray(weights, dtype=np.float64)
+    if not cts:
+        raise ValueError("empty sum")
+    if weights.ndim != 2 or weights.shape[0] != len(cts):
+        raise ValueError(f"weights of shape {weights.shape} for {len(cts)} ciphertexts")
+    if len(cts) > ring.MAX_SUM_TERMS:
+        raise ValueError(f"{len(cts)} terms exceed {ring.MAX_SUM_TERMS}")
+    first = cts[0]
+    for ct in cts[1:]:
+        _require_summable(first, ct)
+    scale = float(scale)
+    c0s, ledgers = np.empty(weights.shape, np.int64), []
+    for k, ct in enumerate(cts):
+        row = []
+        for c, w in enumerate(weights[k].tolist()):
+            c0s[k, c], err, bound = _encoded(w, scale)
+            row.append(_times_ledger(ct, scale, err, bound))
+        ledgers.append(row)
+    cols = ring.constant_column(c0s, first.scheme.ring, first.level)
+    sums = ring.scalar_mul_sums([ct.parts for ct in cts], cols)
+    out = []
+    for c, parts in enumerate(sums):
+        noise, bound = _pairwise((row[c] for row in ledgers), _sum_ledger)
+        out.append(dataclasses.replace(
+            first, parts=parts, scale=first.scale * scale, noise_bits=noise,
+            value_bound=bound,
+        ))
+    return out
 
 
 def _relinearize(d2: ring.RingElement, evk: RelinKey, level: int):

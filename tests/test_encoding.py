@@ -90,13 +90,15 @@ class TestEncodeConstant:
             assert np.array_equal(ring.scalar_add(zero, col).residues, expect.residues)
 
     def test_residues_equal_from_int_coeffs_every_level(self):
-        # c0 mod q_j from Python ints against the int64 reduction of a full
-        # row; 2^62 - 512 is the largest c0 below the 2^62 cap that a float
-        # product value*scale can hit (2^62 - 1 rounds up to 2^62)
+        # c0's column against c0 mod q_j in Python ints and against the
+        # reduction of a full row; 2^62 - 512 is the largest c0 below the
+        # 2^62 cap that a float product value*scale can hit (2^62 - 1
+        # rounds up to 2^62). An array of them gives the same columns.
         params = make_params(64, [42] + [41] * 12)
         scale = 2.0 ** 20
         q0 = params.moduli[0]
-        for c0 in (0, 1, -1, q0 - 1, -(q0 - 1), 2**62 - 512, -(2**62 - 512)):
+        c0s = (0, 1, -1, q0 - 1, -(q0 - 1), 2**62 - 512, -(2**62 - 512))
+        for c0 in c0s:
             got, err = encoding.encode_constant(c0 / scale, scale)
             assert (got, err) == (c0, 0.0)
             row = np.full(64, c0, dtype=np.int64)
@@ -104,7 +106,13 @@ class TestEncodeConstant:
                 col = ring.constant_column(got, params, level)
                 want = ring.from_int_coeffs(row, params, level).residues
                 assert col.dtype == np.uint64 and col.shape == (level + 1, 1)
+                assert col[:, 0].tolist() == [c0 % q for q in params.moduli[: level + 1]]
                 assert np.array_equal(np.broadcast_to(col, want.shape), want)
+        grid = np.array(c0s).reshape(7, 1)
+        cols = ring.constant_column(grid, params, params.max_level)
+        assert cols.shape == (7, 1, params.level_count, 1)
+        for c0, col in zip(c0s, cols[:, 0]):
+            assert np.array_equal(col, ring.constant_column(c0, params, params.max_level))
 
     def test_decodes_to_the_constant(self):
         params = make_params(16)

@@ -1,4 +1,6 @@
+import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -333,6 +335,22 @@ class TestEncryptedForward:
         plain_pred = model.logits(feats).argmax(axis=1)
         assert np.array_equal(neural.scores_to_classes(scores, 2), plain_pred)
 
+    def test_forward_leaves_no_reference_cycles(self, head_keys, rng):
+        # a cycle would pin the batch's ciphertexts and the evk until the
+        # cyclic collector happens to run
+        k = head_keys.scheme.slot_capacity
+        model = neural.LinearModel(rng.normal(0, 0.4, (3, 3)), rng.normal(0, 0.1, 3))
+        head = neural.SoftArgmaxHead(1.2, 3)
+        cts = neural.encrypt_features(head_keys.pk, rng.uniform(-1, 1, (k, 3)), rng)
+        neural.forward_encrypted(model, head, cts, head_keys.evk)  # fill lazy caches
+        gc.collect()
+        gc.disable()
+        try:
+            neural.forward_encrypted(model, head, cts, head_keys.evk)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_encrypted_matches_plain_head(self, head_keys, rng):
         params = head_keys.scheme
         k = params.slot_capacity
@@ -379,6 +397,18 @@ class TestMetrics:
         # a class count below 2 used to clip every label to -1 or 0
         with pytest.raises(ValueError, match="class count"):
             neural.scores_to_classes(np.array([1.0, 2.0, 3.0]), classes)
+
+    @pytest.mark.parametrize("classes", [2, 3, 5])
+    def test_scores_beyond_int64_clip_without_a_cast_warning(self, classes):
+        # a foreign sk decodes to huge scores; they clip to the end classes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = neural.scores_to_classes(
+                np.array([1e30, -1e30, np.inf, -np.inf, 2.2]), classes
+            )
+            assert got.tolist() == [classes - 1, 0, classes - 1, 0, 1]
+            with pytest.raises(ValueError, match="NaN"):
+                neural.scores_to_classes(np.array([1.0, np.nan]), classes)
 
     def test_head_config_defaults_are_softmax_config_defaults(self):
         head = neural.SoftArgmaxHead(1.3, 3)

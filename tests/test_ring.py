@@ -479,6 +479,60 @@ class TestScalarKernels:
             with pytest.raises(ValueError, match="Evaluation"):
                 ring.scalar_add(ring.ntt_inverse(ev), col)
 
+    def test_scalar_mul_sums_match_per_term_products(self, chain):
+        # sum_k groups[k][p] * cols[k, c] against 21-bit split products
+        # summed in Python ints, with columns 0 and q - 1 among random ones
+        rng = np.random.default_rng(27)
+        for level in (0, 5, chain.max_level):
+            q = chain._q_col[: level + 1]
+            for d, c in ((1, 1), (3, 2), (17, 3)):
+                groups = [
+                    tuple(
+                        ring.RingElement(
+                            chain, level,
+                            rng.integers(0, q, (level + 1, 1024), dtype=np.uint64),
+                            ring.Domain.EVALUATION,
+                        )
+                        for _ in range(2)
+                    )
+                    for _ in range(d)
+                ]
+                cols = rng.integers(0, q, (d, c, level + 1, 1), dtype=np.uint64)
+                cols[0, 0], cols[-1, -1] = q - np.uint64(1), 0
+                sums = ring.scalar_mul_sums(groups, cols)
+                assert len(sums) == c
+                for j in range(c):
+                    for p in range(2):
+                        want = sum(
+                            mulmod_split(g[p].residues, np.broadcast_to(
+                                cols[k, j], g[p].residues.shape), q).astype(object)
+                            for k, g in enumerate(groups)
+                        ) % q.astype(object)
+                        got = sums[j][p]
+                        assert got.level == level and got.domain == ring.Domain.EVALUATION
+                        assert np.array_equal(got.residues, want.astype(np.uint64))
+
+    def test_scalar_mul_sums_reject_bad_input(self, chain):
+        el = ring.zero(chain, 2, ring.Domain.EVALUATION)
+        q = chain._q_col[:3]
+        cols = np.zeros((2, 1, 3, 1), np.uint64)
+        bad = [
+            ([], cols[:0]),
+            ([(el, el), (el,)], cols),
+            ([(el, el), (el, ring.zero(chain, 1, ring.Domain.EVALUATION))], cols),
+            ([(el, el), (el, ring.ntt_inverse(el))], cols),
+            ([(el, el)] * 2, cols[:1]),
+            ([(el, el)] * 2, cols[:, :, :2]),
+            ([(el, el)] * 2, cols.astype(np.int64)),
+            ([(el, el)] * 2, cols + q[None, None]),
+        ]
+        for groups, c in bad:
+            with pytest.raises(ValueError):
+                ring.scalar_mul_sums(groups, c)
+        n = ring.MAX_SUM_TERMS + 1
+        with pytest.raises(ValueError, match="terms outside"):
+            ring.scalar_mul_sums([(el,)] * n, np.broadcast_to(cols[:1], (n, 1, 3, 1)))
+
     def test_bad_columns_rejected(self, chain):
         el = ring.zero(chain, 2, ring.Domain.EVALUATION)
         q = chain._q_col[:3]

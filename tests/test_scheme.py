@@ -6,6 +6,7 @@ import pytest
 
 from hnn import encoding, neural, ring, scheme
 from hnn.errors import (
+    CryptoStateError,
     InsecureParameterError,
     LevelExhausted,
     NoiseBudgetExceeded,
@@ -442,6 +443,127 @@ class TestConstOps:
             ct = self._ct(small_params, level)
             pt = constant_plaintext(value, ct.scale, small_params.ring, level)
             self._same(scheme.add_const(ct, value), scheme.add_plain(ct, pt))
+
+
+class TestWeightedSums:
+    """weighted_sums against the path it replaces, tree_sum over the
+    mult_consts of each column, on the 13-prime N = 1024 chain: the same
+    residues and ledgers, or the same error."""
+
+    SCALE = 2.0 ** 10  # weight scale; with 2^16 inputs a 256-term sum fits level 0
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        params = scheme.param_gen(128, 512, 12, 40, allow_insecure=True)
+        assert params.ring.level_count == 13 and params.ring.ring_degree == 1024
+        return params
+
+    @pytest.fixture(scope="class")
+    def top_cts(self, params):
+        # uniform parts, distinct ledgers, scales apart by less than the
+        # tolerance, so that every term's ledger and the result's scale count
+        rng = np.random.default_rng(31)
+        lv = params.max_level
+        return [
+            scheme.Ciphertext(
+                scheme=params,
+                parts=tuple(ring.sample_uniform(params.ring, lv, rng) for _ in range(2)),
+                level=lv,
+                scale=2.0 ** 16 * (1.0 + k * 2.0 ** -40),
+                noise_bits=float(rng.uniform(4.0, 12.0)) if k % 5 else -math.inf,
+                value_bound=float(rng.uniform(0.25, 2.0)),
+            )
+            for k in range(256)
+        ]
+
+    @staticmethod
+    def _reference(cts, weights, scale):
+        """tree_sum of mult_consts per column, or the exception it raises."""
+        try:
+            return [
+                scheme.tree_sum(
+                    scheme.mult_const(ct, float(w), scale)
+                    for ct, w in zip(cts, weights[:, c])
+                )
+                for c in range(weights.shape[1])
+            ]
+        except (ValueError, CryptoStateError) as exc:
+            return exc
+
+    def _check(self, cts, weights, scale=SCALE):
+        want = self._reference(cts, weights, scale)
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)):
+                scheme.weighted_sums(cts, weights, scale)
+            return want
+        got = scheme.weighted_sums(cts, weights, scale)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            TestConstOps._same(g, w)
+        return got
+
+    @staticmethod
+    def _weights(rng, d, c):
+        w = rng.normal(0.0, 1.0, (d, c))
+        w.flat[::5], w.flat[1::5], w.flat[2::5] = 0.0, 1.0, -1.0
+        return w
+
+    @pytest.mark.parametrize("d", [1, 2, 64, 256])
+    def test_matches_tree_sum_of_mult_const_every_level(self, params, top_cts, d):
+        rng = np.random.default_rng(d)
+        for level in range(params.ring.level_count):
+            cts = [scheme.ct_drop_level(ct, level) for ct in top_cts[:d]]
+            for c in (1, 2, 3):
+                got = self._check(cts, self._weights(rng, d, c))
+                assert not isinstance(got, Exception)
+
+    def test_weights_near_the_encoding_cap(self, params, top_cts):
+        # the largest weights encode_constant takes wrap the low levels,
+        # where both paths raise NoiseBudgetExceeded, and sum exactly above
+        cap = encoding.MAX_COEFF / self.SCALE
+        w = np.array([[cap * (1 - 2.0 ** -40), 0.0], [-cap / 2, 1.0], [1.0, -cap / 3]])
+        outcomes = []
+        for level in range(params.ring.level_count):
+            cts = [scheme.ct_drop_level(ct, level) for ct in top_cts[:3]]
+            outcomes.append(type(self._check(cts, w)))
+        assert outcomes[0] is NoiseBudgetExceeded and outcomes[-1] is list
+        with pytest.raises(ValueError, match="exceeds exact integer range"):
+            scheme.weighted_sums(top_cts[:1], np.array([[cap]]), self.SCALE)
+
+    def test_errors_match_the_per_term_path(self, params, small_params, top_cts):
+        cts = top_cts[:4]
+        w = np.ones((4, 2))
+        other = scheme.Ciphertext(
+            small_params, tuple(ring.zero(small_params.ring, 2, ring.Domain.EVALUATION)
+                                for _ in range(2)), 2, cts[0].scale, 0.0, 1.0,
+        )
+        cases = [
+            (cts[:3] + [scheme.ct_drop_level(cts[3], 5)], w, ValueError, "level"),
+            (cts[:3] + [dataclasses.replace(cts[3], scale=2.0 ** 17)], w,
+             ScaleMismatch, "scales"),
+            ([scheme.ct_drop_level(ct, 2) for ct in cts[:3]] + [other], w,
+             ValueError, "scheme parameter mismatch"),
+            (cts, np.where(np.eye(4, 2) > 0, np.nan, 1.0), ValueError, "finite"),
+            (cts[:3] + [dataclasses.replace(cts[3], noise_bits=params.noise_budget_bits)],
+             w, NoiseBudgetExceeded, "budget"),
+        ]
+        for terms, weights, exc, match in cases:
+            assert isinstance(self._reference(terms, weights, self.SCALE), exc)
+            with pytest.raises(exc, match=match):
+                scheme.weighted_sums(terms, weights, self.SCALE)
+        with pytest.raises(ValueError, match="empty sum"):
+            scheme.tree_sum([])
+        with pytest.raises(ValueError, match="empty sum"):
+            scheme.weighted_sums([], np.zeros((0, 2)), self.SCALE)
+        for bad in (np.ones((3, 2)), np.ones(4), np.ones((4, 2, 1))):
+            with pytest.raises(ValueError, match="weights of shape"):
+                scheme.weighted_sums(cts, bad, self.SCALE)
+
+    def test_too_many_terms_rejected_before_any_work(self, top_cts):
+        n = ring.MAX_SUM_TERMS + 1
+        weights = np.broadcast_to(np.zeros((1, 1)), (n, 1))
+        with pytest.raises(ValueError, match="exceed"):
+            scheme.weighted_sums([top_cts[0]] * n, weights, self.SCALE)
 
 
 class TestNoiseLedger:
