@@ -12,12 +12,15 @@ biased low so that est = trunc(y*w_q) is floor(y*w/q) or one below and
 never above; y*w - est*q in wrapping uint64 then lies in [0, 2q) with
 no correction (Harvey, J. Symb. Comp. 2014, less the correction).
 
-A per-prime scalar (a constant's c mod q_j, rescale's q_top^-1, a CRT
-gadget's unit column, composition's M_j^-1) is a (level+1, 1) residue
+A per-prime scalar (a constant's c mod q_j, rescale's q_top^-1, an
+evaluation key's P*E_i, composition's M_j^-1) is a (level+1, 1) residue
 column, which scalar_mul and scalar_add apply to a whole element.
 scalar_mul_sums applies a block of them to many elements and adds the
-lazy products up; like the reduction of large integers (from_int_coeffs,
-constant_column), its one final reduction of the sums divides.
+lazy products up; so do key switching's kernels, mul_sums (elements
+times key elements) and base_convert (a fast base conversion of some
+rows to another chain's primes). Like the reduction of large integers
+(from_int_coeffs, constant_column), their one final reduction of the
+sums divides.
 
 The forward NTT does not reduce between stages. With the product t in
 [0, 2q), a butterfly writes lo + t and lo + (2q - t), so values grow by
@@ -27,16 +30,18 @@ subtraction bring them into [0, q). The inverse reduces u + v into
 [0, 2q) at every stage. Both use the constant-geometry (Pease) layout:
 a stage copies the two halves (forward) or the even and odd entries
 (inverse) of the block into contiguous buffers, and the forward output
-is in the usual bit-reversed order. A pass transforms at most
-max(1, 2^14/N) rows at a time (all 13 primes at N = 1024), so that its
-buffers stay in a core's L2 cache.
+is in the usual bit-reversed order. A pass transforms about
+max(1, 2^14/N) rows at a time (all 13 primes at N = 1024, or the 17 of
+a key ring), so that its buffers stay in a core's L2 cache.
 
 Twiddles and moduli come from full-width tables, as numpy runs a ufunc
 over contiguous operands of one shape in a single loop but broadcasts a
 (rows, 1) column row by row; once a pass takes one row, the moduli
 tables are zero-stride views of the column. For 13 primes the tables
-hold 2.8 MiB at N = 1024 and 21.1 MiB at N = 32768. ring_add, ring_sub
-and ring_neg reduce with one np.minimum(x, x - m) each.
+hold 2.8 MiB at N = 1024 and 21.1 MiB at N = 32768; for the 17 primes of
+a key ring, 3.7 and 27.6 MiB, and the chain's tables are row views of
+those (see _tables). ring_add, ring_sub and ring_neg reduce with one
+np.minimum(x, x - m) each.
 
 Elements are immutable after construction (residue arrays are marked
 read-only); every operation returns a new element, so concurrent use is
@@ -280,6 +285,18 @@ class _NttTables:
         self.n_inv_wide = wide(self.n_inv, ring_degree)
         self.n_inv_q = wide(_quotient(self.n_inv, q_col), ring_degree)
 
+    def suffix(self, start: int) -> "_NttTables":
+        """Views of rows [start:] of every table: the tables of a chain that
+        ends this one, since each row depends on its prime alone."""
+        view = object.__new__(_NttTables)
+        for name in self.__slots__:
+            val = getattr(self, name)
+            if isinstance(val, tuple):
+                setattr(view, name, tuple(v[start:] for v in val))
+            else:
+                setattr(view, name, val[start:])
+        return view
+
     @staticmethod
     def _primitive_root(ring_degree: int, q: int) -> int:
         # psi = g^((q-1)/2N) is a 2N-th root; primitive iff psi^N = -1.
@@ -295,11 +312,23 @@ _TABLE_CACHE: dict = {}
 
 
 def _tables(params: RingParams) -> _NttTables:
-    """Tables of the full chain; one top-level NTT fills every level."""
-    key = (params.ring_degree, params.moduli)
+    """Tables of the full chain; one top-level NTT fills every level.
+
+    A chain that ends another (Q behind a key ring's special primes)
+    holds row views of the other's tables, whichever is built first.
+    """
+    n, moduli = key = (params.ring_degree, params.moduli)
     tb = _TABLE_CACHE.get(key)
     if tb is None:
-        tb = _TABLE_CACHE[key] = _NttTables(*key)
+        longer = [
+            (len(m) - len(moduli), t) for (d, m), t in _TABLE_CACHE.items()
+            if d == n and m[-len(moduli):] == moduli
+        ]
+        tb = longer[0][1].suffix(longer[0][0]) if longer else _NttTables(*key)
+        _TABLE_CACHE[key] = tb
+        for d, m in list(_TABLE_CACHE):
+            if d == n and len(m) < len(moduli) and moduli[-len(m):] == m:
+                _TABLE_CACHE[d, m] = tb.suffix(len(moduli) - len(m))
     return tb
 
 
@@ -410,7 +439,7 @@ def from_int_coeffs(
     """Reduce signed integer coefficients into RNS residues.
 
     int64 coefficients below twice the smallest prime in magnitude
-    (sampled secrets and errors, key-switching digits, rescale lifts)
+    (sampled secrets and errors, rescale lifts)
     are offset by 2q into (0, 4q) and reduced by two conditional
     subtractions; larger ones (encode) take np.mod.
     """
@@ -432,9 +461,14 @@ def zero(params: RingParams, level: int, domain=Domain.COEFFICIENT) -> RingEleme
 
 
 def _chunks(rows: slice, n: int):
-    """``rows`` split into slices of at most max(1, _NTT_CHUNK // n) rows."""
-    k = max(1, _NTT_CHUNK // n)
-    return [slice(r, min(r + k, rows.stop)) for r in range(rows.start, rows.stop, k)]
+    """``rows`` split into round(rows / k) slices of near-equal size, for
+    k = max(1, _NTT_CHUNK // n): every pass costs a fixed ~20 numpy calls
+    a stage, so a key-ring block of 17 rows at N = 1024 runs as one pass,
+    not as 16 rows and 1."""
+    count = rows.stop - rows.start
+    passes = max(1, round(count / max(1, _NTT_CHUNK // n)))
+    bounds = [rows.start + count * i // passes for i in range(passes + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _pass_buffers(residues: np.ndarray):
@@ -526,8 +560,7 @@ def ntt_inverse(a: RingElement) -> RingElement:
 
 def centered_coeffs(a: RingElement, rows: slice) -> np.ndarray:
     """Coefficients of a's chain rows ``rows``, inverse-NTT'd and centred
-    into (-q_j/2, q_j/2] as int64: the digits of key switching (all rows)
-    and the top-prime lift of a rescale (the top row)."""
+    into (-q_j/2, q_j/2] as int64: the top-prime lift of a rescale."""
     if a.domain != Domain.EVALUATION:
         raise ValueError("centered_coeffs expects Evaluation domain")
     x = _ntt_inverse_rows(a, rows).astype(np.int64)
@@ -642,6 +675,90 @@ def scalar_mul_sums(groups, cols) -> list:
         tuple(first._like(acc[p, c]) for p in range(shape[0]))
         for c in range(shape[1])
     ]
+
+
+def mul_sums(xs, keys) -> tuple:
+    """sum_i xs[i] * keys[i][p] mod q_j for each position p: xs are
+    Evaluation elements at one level, keys[i] equal-length tuples of
+    Evaluation elements of the same chain at that level or above, whose
+    row prefix serves (an evaluation key's components at a lower level).
+
+    Lazy products in [0, 2q) add into a (P, level+1, N) uint64
+    accumulator, exact for up to MAX_SUM_TERMS terms; one remainder by
+    q_j finishes every sum.
+    """
+    if not 0 < len(xs) <= MAX_SUM_TERMS or len(keys) != len(xs):
+        raise ValueError(f"{len(xs)} terms against {len(keys)} keys")
+    first = xs[0]
+    lv = first.level
+    for x, key in zip(xs, keys):
+        _require_compatible(first, x)
+        for el in key:
+            if el.params != first.params or el.level < lv or el.domain != x.domain:
+                raise ValueError("key element below the level or off the chain")
+    if first.domain != Domain.EVALUATION:
+        raise ValueError("mul_sums expects Evaluation-domain operands")
+    tb = _tables(first.params)
+    q, q_inv = tb.q[: lv + 1], tb.q_inv[: lv + 1]
+    shape = (len(keys[0]), lv + 1, first.params.ring_degree)
+    acc = np.zeros(shape, np.uint64)
+    out, f, e = _scratch(shape[1:])
+    for x, key in zip(xs, keys):
+        for p, el in enumerate(key):
+            w = el.residues[: lv + 1]
+            acc[p] += _mul(x.residues, w, w * q_inv, q, out, f, e)
+    np.remainder(acc, first._q, out=acc)
+    return tuple(first._like(a) for a in acc)
+
+
+class Conversion:
+    """Constants of a centred fast base conversion (Bajard et al., SAC
+    2016) from src's primes ``rows`` (q_j, S of them, product D) to dst's
+    primes [:level+1] (t, T of them): inv = (D/q_j)^-1 mod q_j as an
+    (S, 1) column, w = D/q_j mod t as an (S, T, 1) block, neg_d = -D mod t
+    as a (T, 1) column, and the biased quotients inv_q and w_q."""
+
+    __slots__ = ("rows", "inv", "inv_q", "w", "w_q", "neg_d")
+
+    def __init__(self, src: RingParams, rows: slice, dst: RingParams, level: int):
+        primes = src.moduli[rows]
+        targets = dst.moduli[: level + 1]
+        d = math.prod(primes)
+        self.rows = rows
+        self.inv = np.array([[pow(d // q % q, -1, q)] for q in primes], dtype=np.uint64)
+        self.inv_q = _quotient(self.inv, src._q_col[rows])
+        w = [[[d // q % t] for t in targets] for q in primes]
+        self.w = np.array(w, dtype=np.uint64).reshape(len(primes), len(targets), 1)
+        self.w_q = _quotient(self.w, dst._q_col[: level + 1])
+        self.neg_d = np.array([[-d % t] for t in targets], dtype=np.uint64)
+
+
+def base_convert(a: RingElement, conv: Conversion, dst: RingParams, level: int) -> RingElement:
+    """a's Coefficient rows conv.rows, read as one integer x mod D, to
+    dst's primes [:level+1]: sum_j y_j*(D/q_j) mod t with y_j =
+    x_j*(D/q_j)^-1 mod q_j centred into (-q_j/2, q_j/2], which is x + u*D
+    for an integer |u| <= S/2 (Bajard et al., SAC 2016).
+
+    Each y_j - q_j that centring takes adds -D, so the v of them add
+    v*neg_d; with the S lazy products in [0, 2t) the sum stays below
+    3S*2^42, and one remainder by t finishes it. With one source prime
+    it is the exact centred lift of that row.
+    """
+    if a.domain != Domain.COEFFICIENT:
+        raise ValueError("base_convert expects Coefficient domain")
+    if conv.rows.stop > a.level + 1 or conv.neg_d.shape[0] != level + 1:
+        raise ValueError(f"conversion does not fit level {a.level} -> {level}")
+    q_src = _tables(a.params).q[conv.rows]
+    x = a.residues[conv.rows]
+    y = _reduce(_mul(x, conv.inv, conv.inv_q, q_src, *_scratch(x.shape)), q_src)
+    v = np.sum(y > a.params._q_col[conv.rows] // 2, axis=0, dtype=np.uint64)
+    acc = v * conv.neg_d
+    out, f, e = _scratch(acc.shape)
+    q = _tables(dst).q[: level + 1]
+    for y_j, w, w_q in zip(y, conv.w, conv.w_q):
+        acc += _mul(y_j, w, w_q, q, out, f, e)
+    np.remainder(acc, dst._q_col[: level + 1], out=acc)
+    return RingElement(dst, level, acc, Domain.COEFFICIENT)
 
 
 def drop_level(a: RingElement, new_level: int) -> RingElement:

@@ -4,8 +4,11 @@ The scheme is the usual RLWE construction for approximate arithmetic:
 slot vectors are encoded with a fixed scale, encrypted under a public
 key (b, a) = (-a*s + e, a), operated on with slotwise add/mult, and
 rescaled after products to keep the scale bounded. Relinearization after
-ciphertext-ciphertext products uses the CRT gadget: the third component's
-centred residue rows are the digits, one evaluation-key component each.
+ciphertext-ciphertext products is hybrid key switching: the third
+component's residues split into digits of digit_size primes, each digit
+is extended to the special primes P and the rest of the chain, meets
+one evaluation-key component over P ∪ Q, and the sums are divided by P.
+With no special primes and one prime a digit, that is the CRT gadget.
 
 A scalar constant (probe weight, bias, polynomial or Newton coefficient,
 index weight) is multiplied in or added by mult_const and add_const as
@@ -26,9 +29,11 @@ by an operation, a loader or ``dataclasses.replace``: the budget check
 a decryption could silently wrap.
 
 Parameter sets are vetted against the standard (N, max log2 Q) security
-table for uniform ternary secrets; undersized test parameters require an
-explicit allow_insecure flag. The secret weight, error width and ledger
-budget are derived from the set, never chosen by a caller or a file.
+table for uniform ternary secrets, counting P's bits, since the
+evaluation key lives over Q*P; undersized test parameters require an
+explicit allow_insecure flag. The secret weight, error width, ledger
+budget and key switching's digit size and special primes are derived
+from the set, never chosen by a caller or a file.
 """
 
 from __future__ import annotations
@@ -88,7 +93,12 @@ class SchemeParams:
     (small test rings); never set for production keys.
 
     Derived, so no caller or file can weaken the keys: the error width
-    ERR_STD, ``secret_weight`` and the ledger's ``noise_budget_bits``.
+    ERR_STD, ``secret_weight``, the ledger's ``noise_budget_bits``, and
+    key switching's ``digit_size`` alpha and ``key_ring``. The key ring
+    is the chain Q behind k special primes P, 42-bit NTT primes apart
+    from the chain: alpha = k = ceil(sqrt(L+1)), stepped down on a set
+    that is not allow_insecure until log2(QP) fits the security table,
+    to alpha = 1, k = 0 (the CRT gadget, key_ring is ring) at the end.
     """
 
     security_level: int
@@ -97,6 +107,10 @@ class SchemeParams:
     slot_capacity: int
     allow_insecure: bool = False
     noise_budget_bits: float = dataclasses.field(init=False, compare=False)
+    digit_size: int = dataclasses.field(init=False, compare=False)
+    key_ring: ring.RingParams = dataclasses.field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.security_level not in SECURITY_TABLE:
@@ -111,12 +125,26 @@ class SchemeParams:
             )
         bound = SECURITY_TABLE[self.security_level].get(n)
         total = self.ring.total_bits()
-        if not self.allow_insecure and (bound is None or total > bound):
+        # ceil(sqrt(L+1)) special primes, dropped one by one until log2(QP)
+        # fits the table; the evaluation key lives over Q*P
+        special = _special_primes(self.ring, math.isqrt(self.ring.max_level) + 1)
+
+        def fits():
+            return bound is not None and total + sum(p.bit_length() for p in special) <= bound
+
+        while special and not (self.allow_insecure or fits()):
+            special = special[:-1]
+        if not (self.allow_insecure or fits()):
             raise InsecureParameterError(
                 f"N={n} with {total} modulus bits fails the "
                 f"{self.security_level}-bit table (max {bound}); "
                 f"set allow_insecure for test rings"
             )
+        key_ring = (
+            ring.RingParams(n, special + self.ring.moduli) if special else self.ring
+        )
+        object.__setattr__(self, "digit_size", max(len(special), 1))
+        object.__setattr__(self, "key_ring", key_ring)
         # >= 10 bits of final slack on deep chains; the floor keeps
         # shallow (depth 0/1) chains usable for a few additions
         budget = max(total - math.log2(self.scale) - 10, self.fresh_noise_bits() + 6)
@@ -131,6 +159,17 @@ class SchemeParams:
     @property
     def max_level(self) -> int:
         return self.ring.max_level
+
+    @property
+    def special_count(self) -> int:
+        """k, the special primes that lead the key ring's chain."""
+        return self.key_ring.level_count - self.ring.level_count
+
+    def digits(self, level: int) -> list:
+        """Key switching's digits at ``level``: the chain rows [0, level+1)
+        in runs of digit_size, the last one possibly shorter."""
+        a = self.digit_size
+        return [slice(i, min(i + a, level + 1)) for i in range(0, level + 1, a)]
 
     def log2_modulus(self, level: int) -> float:
         return math.log2(self.ring.modulus_product(level))
@@ -151,12 +190,32 @@ class SchemeParams:
         return _log2_pos(6.0 * math.sqrt((self.secret_weight + 4) * n))
 
     def relin_noise_bits(self, level: int) -> float:
-        """Key switching at ``level``: sum_j d_j*e_j, |d_j| <= q_j/2, has
-        coefficient std ERR_STD*sqrt(N*sum q_j^2/12); the embedding adds
-        sqrt(N) and 8x covers the max-slot tail."""
+        """Key switching at ``level``: a digit of S primes with product D
+        extends to S centred terms, each of variance D^2/12, so
+        sum_i d_i*e_i/P has coefficient std ERR_STD*sqrt(N*sum S*D^2/12)/P;
+        the embedding adds sqrt(N) and 8x covers the max-slot tail. ModDown
+        then rounds both parts by a sum of k centred fractions, variance
+        k/12: k rescale roundings."""
         n = self.ring.ring_degree
-        digit_var = sum(q * q for q in self.ring.moduli[: level + 1]) / 12.0
-        return _log2_pos(8.0 * ERR_STD * n * math.sqrt(digit_var))
+        moduli = self.ring.moduli
+        digit_var = sum(
+            (d.stop - d.start) * math.prod(moduli[d]) ** 2 for d in self.digits(level)
+        ) / 12.0
+        big_p = math.prod(self.key_ring.moduli[: self.special_count])
+        switch = _log2_pos(8.0 * ERR_STD * n * math.sqrt(digit_var) / big_p)
+        round_bits = self.rescale_round_bits() + 0.5 * _log2_pos(self.special_count)
+        return _log2_sum(switch, round_bits)
+
+
+def _special_primes(rp: ring.RingParams, count: int) -> tuple:
+    """The ``count`` largest primes ≡ 1 (mod 2N) below 2^42 that are not in
+    rp's chain, largest first."""
+    step, limit, out = 2 * rp.ring_degree, 1 << ring.MAX_PRIME_BITS, []
+    while len(out) < count:
+        limit = ring.prime_below(limit, step)
+        if limit not in rp.moduli:
+            out.append(limit)
+    return tuple(out)
 
 
 def param_gen(
@@ -235,11 +294,36 @@ class PublicKey:
 
 @dataclasses.dataclass(frozen=True)
 class RelinKey:
-    """CRT-gadget encryptions of s^2, one per prime: component j decrypts
-    to s^2*e_j, e_j = 1 mod q_j and 0 mod the others (row j of s^2)."""
+    """Encryptions of P*s^2 over the key ring P ∪ Q, one per digit:
+    component i is (-a_i*s + e_i + P*E_i*s^2, a_i), where E_i is the CRT
+    idempotent of digit i (1 mod its primes, 0 mod Q's others), so that
+    it decrypts to P*s^2 on the digit's rows and to zero on every other
+    row. With no special primes (P = 1) and one prime a digit, this is
+    the CRT gadget: s^2's row j, the other rows zero.
+
+    Built or loaded, the key derives ``switch``, key switching's
+    constants per level: the ModUp conversion of each digit into P ∪
+    Q_level, and with special primes the ModDown conversion of P into
+    Q_level and P^-1 mod Q_level.
+    """
 
     scheme: SchemeParams
-    components: tuple  # ((b_j, a_j), ...), len == ring.level_count
+    components: tuple  # ((b_i, a_i), ...), one pair per digit, key ring top level
+    switch: tuple = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        params = self.scheme
+        rp, kr, k = params.ring, params.key_ring, params.special_count
+        big_p = math.prod(kr.moduli[:k])
+        switch = []
+        for lv in range(rp.level_count):
+            ups = tuple(ring.Conversion(rp, d, kr, k + lv) for d in params.digits(lv))
+            down = (
+                ring.Conversion(kr, slice(0, k), rp, lv),
+                np.array([[pow(big_p, -1, q)] for q in rp.moduli[: lv + 1]], np.uint64),
+            ) if k else None
+            switch.append((ups, down))
+        object.__setattr__(self, "switch", tuple(switch))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -254,25 +338,32 @@ class KeyMaterial:
 
 
 def keygen(params: SchemeParams, rng: np.random.Generator) -> KeyMaterial:
-    """Sample (sk, pk, evk). Deterministic for a fixed Generator state."""
-    rp = params.ring
-    lv = rp.max_level
-    s = ring.ntt_forward(ring.sample_ternary(rp, lv, params.secret_weight, rng))
+    """Sample (sk, pk, evk). Deterministic for a fixed Generator state.
 
-    def masked(a):
-        """-a*s + e for a fresh key error e."""
-        e = ring.sample_gaussian(rp, lv, ERR_STD, rng, tail_bound=KEY_ERR_TAIL)
-        return ring.ring_sub(ring.ntt_forward(e), ring.ring_mul(a, s))
+    The secret is drawn once over the key ring P ∪ Q; the sk and pk hold
+    its chain rows, the evk all of them.
+    """
+    rp, kr, k = params.ring, params.key_ring, params.special_count
+    lv, top = rp.max_level, kr.max_level
+    s_key = ring.ntt_forward(ring.sample_ternary(kr, top, params.secret_weight, rng))
+    s = ring.RingElement(rp, lv, s_key.residues[k:].copy(), ring.Domain.EVALUATION)
+
+    def masked(a, secret):
+        """-a*secret + e for a fresh key error e."""
+        e = ring.sample_gaussian(a.params, a.level, ERR_STD, rng, tail_bound=KEY_ERR_TAIL)
+        return ring.ring_sub(ring.ntt_forward(e), ring.ring_mul(a, secret))
 
     a = ring.sample_uniform(rp, lv, rng)
-    pk = PublicKey(params, masked(a), a)
-    s2 = ring.ring_mul(s, s)
+    pk = PublicKey(params, masked(a, s), a)
+    s2 = ring.ring_mul(s_key, s_key)
+    big_p = math.prod(kr.moduli[:k])
     comps = []
-    for j in range(rp.level_count):
-        a_j = ring.sample_uniform(rp, lv, rng)
-        # s^2 times the unit column e_j: s^2's row j, the other rows zero
-        gadget = ring.scalar_mul(s2, np.eye(lv + 1, 1, -j, dtype=np.uint64))
-        comps.append((ring.ring_add(masked(a_j), gadget), a_j))
+    for d in params.digits(lv):
+        a_i = ring.sample_uniform(kr, top, rng)
+        # P*E_i*s^2: P*s^2 on digit i's rows, zero on every other row
+        col = np.zeros((top + 1, 1), np.uint64)
+        col[k + d.start : k + d.stop, 0] = [big_p % q for q in rp.moduli[d]]
+        comps.append((ring.ring_add(masked(a_i, s_key), ring.scalar_mul(s2, col)), a_i))
     return KeyMaterial(SecretKey(params, s), pk, RelinKey(params, tuple(comps)))
 
 
@@ -575,20 +666,35 @@ def weighted_sums(cts, weights, scale: float) -> list:
 
 
 def _relinearize(d2: ring.RingElement, evk: RelinKey, level: int):
-    """Fold c2 through the evk with the CRT gadget: c2 = sum_j d_j*e_j
-    mod Q_level, where the digit d_j is c2's residue row j centred into
-    (-q_j/2, q_j/2]."""
-    rp = evk.scheme.ring
-    digits = ring.centered_coeffs(d2, slice(0, level + 1))
-    acc0 = acc1 = None
-    for j in range(level + 1):
-        dig_el = ring.ntt_forward(ring.from_int_coeffs(digits[j], rp, level))
-        b_j, a_j = evk.components[j]
-        term0 = ring.ring_mul(dig_el, ring.drop_level(b_j, level))
-        term1 = ring.ring_mul(dig_el, ring.drop_level(a_j, level))
-        acc0 = term0 if acc0 is None else ring.ring_add(acc0, term0)
-        acc1 = term1 if acc1 is None else ring.ring_add(acc1, term1)
-    return acc0, acc1
+    """Hybrid key switching of c2 (Gentry, Halevi and Smart, CRYPTO 2012;
+    Han and Ki, CT-RSA 2020): one inverse NTT of c2; ModUp of each digit,
+    a centred fast base conversion into P ∪ Q_level, which is c2 mod the
+    digit's primes; the digits' inner product with the evk over P ∪
+    Q_level, which decrypts to P*c2*s^2 plus sum_i d_i*e_i; and ModDown,
+    which divides both sums by P with rounding. An element over P ∪
+    Q_level is the key ring's row prefix at level k + level.
+
+    With digit_size 1 and no special primes each digit is c2's residue
+    row centred into (-q_j/2, q_j/2], and P = 1 leaves nothing to divide:
+    the CRT gadget.
+    """
+    params = evk.scheme
+    rp, kr, k = params.ring, params.key_ring, params.special_count
+    ups, down = evk.switch[level]
+    c2 = ring.ntt_inverse(d2)
+    digits = [ring.ntt_forward(ring.base_convert(c2, up, kr, k + level)) for up in ups]
+    sums = ring.mul_sums(digits, evk.components[: len(ups)])
+    if not down:
+        return sums
+    conv, p_inv = down
+    out = []
+    for x in sums:
+        # x - (x mod P, centred) is divisible by P: ModDown in Q_level's rows
+        x_p = ring.ntt_inverse(ring.RingElement(kr, k - 1, x.residues[:k], x.domain))
+        lift = ring.ntt_forward(ring.base_convert(x_p, conv, rp, level))
+        x_q = ring.RingElement(rp, level, x.residues[k:], x.domain)
+        out.append(ring.scalar_mul(ring.ring_sub(x_q, lift), p_inv))
+    return out
 
 
 def mult(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:

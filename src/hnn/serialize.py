@@ -1,11 +1,11 @@
 """Stable on-disk formats: one checksummed blob for keys and ciphertext
 bundles, plus the parameter and model text files.
 
-Blob layout, version 2 (integers little-endian):
+Blob layout, version 3 (integers little-endian):
 
     magic        4 bytes   "HNN1"
     kind         u8        0 pk, 1 sk, 2 evk, 3 bundle
-    version      u16       2
+    version      u16       3
     params_hash  32 bytes  sha256 of the canonical parameter file text
     payload      kind-specific, below
     checksum     32 bytes  sha256 of everything above
@@ -17,15 +17,18 @@ word below its prime. The block carries no level or domain of its own.
     kind    payload
     pk      b, a                      top-level blocks
     sk      s                         top-level block
-    evk     b_0, a_0, ..., b_L, a_L   top-level blocks, one pair per prime
+    evk     b_0, a_0, ..., b_D, a_D   key-ring top-level blocks, one pair
+                                      per key-switching digit
     bundle  bundle kind u8 (0 features, 1 scores), ciphertext count u32,
             n_samples u32; then per ciphertext its record (level u32,
             scale f64, noise_bits f64, value_bound f64) and its c0 and
             c1 blocks at that level
 
-So a key blob's size is fixed by the parameter set. A feature bundle
-holds one ciphertext per input feature (column packing), a score bundle
-exactly one; n_samples is the slot occupancy.
+A key-ring block holds k + L + 1 rows: the k special primes, then the
+chain (``scheme.SchemeParams.key_ring``). So a key blob's size is fixed
+by the parameter set. A feature bundle holds one ciphertext per input
+feature (column packing), a score bundle exactly one; n_samples is the
+slot occupancy.
 
 Every load checks magic, version, kind, length, checksum and parameter
 hash, then each field that can still vary: the bundle kind, count and
@@ -33,7 +36,8 @@ n_samples, level <= max_level, a positive finite scale, a ledger that is
 neither NaN nor +inf, every residue below its prime, and no trailing
 bytes. Loaded residues are read-only views of the blob's bytes, and
 `scheme.Ciphertext` runs its ledger guards on every loaded ciphertext.
-A version 1 blob or an HNNB bundle is refused with a FormatError that
+A version 1 or 2 blob (version 2 held one evk component per prime, over
+the chain alone) or an HNNB bundle is refused with a FormatError that
 says how to regenerate it.
 
 The parameter file is ``key = value`` text under an ``hnn-params v2``
@@ -55,7 +59,7 @@ from . import ring, scheme
 from .errors import FormatError, ParamsHashMismatch
 
 MAGIC = b"HNN1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 KIND_PK = 0
 KIND_SK = 1
@@ -201,10 +205,10 @@ def _open(data, kind: int, params: scheme.SchemeParams, payload_size=None) -> by
     return data
 
 
-def _elements(data: bytes, offset: int, count: int, level: int, params) -> list:
-    """``count`` residue blocks at ``level`` from data[offset:], each a
-    read-only view of ``data`` with every word below its q_j."""
-    rp = params.ring
+def _elements(data: bytes, offset: int, count: int, level: int, rp) -> list:
+    """``count`` residue blocks of the chain ``rp`` at ``level`` from
+    data[offset:], each a read-only view of ``data`` with every word below
+    its q_j."""
     shape = (count, level + 1, rp.ring_degree)
     words = math.prod(shape)
     if offset + 8 * words > len(data) - _CHECKSUM:
@@ -220,12 +224,12 @@ def _elements(data: bytes, offset: int, count: int, level: int, params) -> list:
 # Keys
 # ---------------------------------------------------------------------------
 
-def _key_elements(data, kind: int, params: scheme.SchemeParams, count: int) -> list:
-    """The ``count`` top-level elements that make up a key payload."""
-    rp = params.ring
+def _key_elements(data, kind: int, params: scheme.SchemeParams, count: int, rp) -> list:
+    """The ``count`` top-level elements of the chain ``rp`` that make up a
+    key payload."""
     size = 8 * count * rp.level_count * rp.ring_degree
     data = _open(data, kind, params, size)
-    return _elements(data, _HEADER.size, count, rp.max_level, params)
+    return _elements(data, _HEADER.size, count, rp.max_level, rp)
 
 
 def public_key_to_bytes(pk: scheme.PublicKey) -> bytes:
@@ -233,7 +237,7 @@ def public_key_to_bytes(pk: scheme.PublicKey) -> bytes:
 
 
 def public_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.PublicKey:
-    b, a = _key_elements(data, KIND_PK, params, 2)
+    b, a = _key_elements(data, KIND_PK, params, 2, params.ring)
     return scheme.PublicKey(params, b, a)
 
 
@@ -242,7 +246,7 @@ def secret_key_to_bytes(sk: scheme.SecretKey) -> bytes:
 
 
 def secret_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.SecretKey:
-    (s,) = _key_elements(data, KIND_SK, params, 1)
+    (s,) = _key_elements(data, KIND_SK, params, 1, params.ring)
     return scheme.SecretKey(params, s)
 
 
@@ -252,7 +256,8 @@ def relin_key_to_bytes(evk: scheme.RelinKey) -> bytes:
 
 
 def relin_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.RelinKey:
-    els = _key_elements(data, KIND_EVK, params, 2 * params.ring.level_count)
+    count = 2 * len(params.digits(params.max_level))
+    els = _key_elements(data, KIND_EVK, params, count, params.key_ring)
     return scheme.RelinKey(params, tuple(zip(els[::2], els[1::2])))
 
 
@@ -314,7 +319,7 @@ def bundle_from_bytes(data: bytes, params: scheme.SchemeParams) -> Bundle:
                 f"bad ciphertext ledger: scale={scale}, noise_bits={noise_bits}, "
                 f"value_bound={value_bound}"
             )
-        parts = _elements(data, off + _RECORD.size, 2, level, params)
+        parts = _elements(data, off + _RECORD.size, 2, level, rp)
         off += _RECORD.size + 16 * (level + 1) * rp.ring_degree
         cts.append(scheme.Ciphertext(params, tuple(parts), *record))
     if off != end:

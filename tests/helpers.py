@@ -180,6 +180,24 @@ def tensor_no_relin(a, b):
     return d0, d1, d2
 
 
+def relinearize_crt(d2, evk, level):
+    """The CRT-gadget key switch: c2 = sum_j d_j*e_j mod Q_level, where
+    the digit d_j is c2's residue row j centred into (-q_j/2, q_j/2], and
+    evk component j encrypts s^2*e_j. The slow path of
+    scheme._relinearize with digit_size 1 and no special primes."""
+    rp = evk.scheme.ring
+    digits = ring.centered_coeffs(d2, slice(0, level + 1))
+    acc0 = acc1 = None
+    for j in range(level + 1):
+        dig_el = ring.ntt_forward(ring.from_int_coeffs(digits[j], rp, level))
+        b_j, a_j = evk.components[j]
+        term0 = ring.ring_mul(dig_el, ring.drop_level(b_j, level))
+        term1 = ring.ring_mul(dig_el, ring.drop_level(a_j, level))
+        acc0 = term0 if acc0 is None else ring.ring_add(acc0, term0)
+        acc1 = term1 if acc1 is None else ring.ring_add(acc1, term1)
+    return acc0, acc1
+
+
 def decrypt_three_part(sk, parts, scale):
     """Slots of c0 + c1*s + c2*s^2 at ``scale``."""
     s = ring.drop_level(sk.s, parts[0].level)

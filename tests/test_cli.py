@@ -284,8 +284,8 @@ class TestBlobs:
         blob = serialize.public_key_to_bytes(keys.pk)
         assert blob[:4] == b"HNN1"
         assert blob[4] == serialize.KIND_PK
-        # version u16 little-endian: 0x0002 -> bytes 02 00
-        assert blob[5:7] == b"\x02\x00"
+        # version u16 little-endian: 0x0003 -> bytes 03 00
+        assert blob[5:7] == b"\x03\x00"
         assert blob[7:39] == serialize.params_hash(params)
         # the payload is b's residue block, then a's, as u64 LE words
         words = np.concatenate([keys.pk.b.residues, keys.pk.a.residues])
@@ -316,6 +316,13 @@ class TestBlobs:
         _, load = _blobs(params, keys)[name]
         with pytest.raises(FormatError, match="version 1 .*`hnn keygen`"):
             load(_v1_key(key), params)
+
+    @pytest.mark.parametrize("name", ["pk", "sk", "evk", "features", "scores"])
+    def test_version_2_blob_names_keygen(self, params, keys, name):
+        # version 2 held one evk component per prime over the chain alone
+        blob, load = _blobs(params, keys)[name]
+        with pytest.raises(FormatError, match="version 2 .*`hnn keygen`"):
+            load(_reseal(blob, 5, struct.pack("<H", 2)), params)
 
     def test_hnnb_bundle_says_re_encrypt(self, params, keys):
         # the last HNNB version; TestBundleManifest has version 1
@@ -382,6 +389,14 @@ class TestBlobsThroughCli:
         files = _setup_files(tmp_path, params, keys)
         key = {"pk": keys.pk, "sk": keys.sk, "evk": keys.evk}[name]
         files[name].write_bytes(_v1_key(key))
+        assert cli.main(_command(files, name, tmp_path / "out")) == 3
+        assert "`hnn keygen`" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["pk", "sk", "evk", "features", "scores"])
+    def test_version_2_blob_exit_code_3(self, tmp_path, params, keys, capsys, name):
+        files = _setup_files(tmp_path, params, keys)
+        blob = files[name].read_bytes()
+        files[name].write_bytes(_reseal(blob, 5, struct.pack("<H", 2)))
         assert cli.main(_command(files, name, tmp_path / "out")) == 3
         assert "`hnn keygen`" in capsys.readouterr().err
 
@@ -513,13 +528,15 @@ def _tampered_evk(evk, what):
 
 
 class TestRelinKeyBlob:
-    def test_one_component_per_prime_round_trip(self, params, keys):
+    def test_one_component_per_digit_round_trip(self, params, keys):
         blob = serialize.relin_key_to_bytes(keys.evk)
-        rp = params.ring
-        # one (b_j, a_j) pair of top-level blocks per prime, nothing else
-        assert len(blob) == _HEAD + 2 * rp.level_count * 8 * rp.level_count * rp.ring_degree + 32
+        kr = params.key_ring
+        # 4 chain primes in 2 digits of 2, behind 2 special primes: one
+        # (b_i, a_i) pair of 6-row key-ring blocks per digit, nothing else
+        assert (params.digit_size, params.special_count, kr.level_count) == (2, 2, 6)
+        assert len(blob) == _HEAD + 2 * 2 * 8 * kr.level_count * kr.ring_degree + 32
         evk = serialize.relin_key_from_bytes(blob, params)
-        assert len(evk.components) == params.ring.level_count
+        assert len(evk.components) == 2
 
     @pytest.mark.parametrize("what", _EVK_TAMPERS)
     def test_tampered_evk_is_format_error(self, params, keys, what):
@@ -721,7 +738,7 @@ class TestBundleManifest:
 
     def test_golden_layout(self, params, data):
         assert data[: self.MANIFEST_LEN] == (
-            b"HNN1" + struct.pack("<BH", serialize.KIND_BUNDLE, 2)
+            b"HNN1" + struct.pack("<BH", serialize.KIND_BUNDLE, 3)
             + serialize.params_hash(params)
             + struct.pack("<BII", serialize.BUNDLE_FEATURES, 1, 16)
         )

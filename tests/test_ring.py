@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -540,6 +542,120 @@ class TestScalarKernels:
             for op in (ring.scalar_mul, ring.scalar_add):
                 with pytest.raises(ValueError):
                     op(el, col)
+
+
+class TestKeySwitchKernels:
+    """base_convert against the centred sum formed in Python integers, and
+    mul_sums against ring_mul and ring_add, on the default head's key
+    ring: four 42-bit special primes ahead of the 13-prime N=1024 chain."""
+
+    @pytest.fixture(scope="class")
+    def rings(self):
+        params = scheme.param_gen(
+            128, 512, neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead())),
+            scale_bits=40, allow_insecure=True,
+        )
+        return params.ring, params.key_ring
+
+    def test_base_convert_is_the_centred_sum(self, rings):
+        chain, key = rings
+        k = key.level_count - chain.level_count
+        rng = np.random.default_rng(41)
+        # ModUp digits (a full one, the top prime alone, a short one at a
+        # low level) and ModDown from the special primes, top and bottom
+        cases = [
+            (chain, slice(4, 8), key, k + 12), (chain, slice(12, 13), key, k + 12),
+            (chain, slice(0, 3), key, k + 2), (key, slice(0, k), chain, 12),
+            (key, slice(0, k), chain, 0),
+        ]
+        for src, rows, dst, level in cases:
+            q_src = src._q_col[: rows.stop]
+            x = rng.integers(0, q_src, (rows.stop, 1024), dtype=np.uint64)
+            x[:, :2] = q_src - np.uint64(1)
+            x[:, 2] = 0
+            a = ring.RingElement(src, rows.stop - 1, x, ring.Domain.COEFFICIENT)
+            out = ring.base_convert(a, ring.Conversion(src, rows, dst, level), dst, level)
+            assert (out.params, out.level, out.domain) == (dst, level, a.domain)
+            primes = src.moduli[rows]
+            d = math.prod(primes)
+            total = np.zeros(1024, dtype=object)
+            for row, q in zip(x[rows].astype(object), primes):
+                y = row * pow(d // q % q, -1, q) % q
+                total += np.where(y > q // 2, y - q, y) * (d // q)
+            # a lift of x mod D, off by at most S/2 multiples of D
+            for row, q in zip(x[rows].astype(object), primes):
+                assert np.all(total % q == row)
+            assert max(abs(v) for v in total) <= len(primes) * d // 2
+            want = np.array([total % t for t in dst.moduli[: level + 1]])
+            assert np.array_equal(out.residues, want.astype(np.uint64))
+
+    def test_base_convert_rejects_bad_input(self, rings):
+        chain, key = rings
+        conv = ring.Conversion(chain, slice(0, 2), key, 4)
+        with pytest.raises(ValueError, match="Coefficient"):
+            ring.base_convert(ring.zero(chain, 1, ring.Domain.EVALUATION), conv, key, 4)
+        # source rows above the element, or a target level the constants miss
+        for level, target in ((0, 4), (1, 5)):
+            with pytest.raises(ValueError, match="does not fit"):
+                ring.base_convert(ring.zero(chain, level), conv, key, target)
+
+    def test_chain_tables_are_rows_of_the_key_ring_tables(self, rings):
+        chain, key = rings
+        shared, whole = ring._tables(chain), ring._tables(key)
+        fresh = ring._NttTables(chain.ring_degree, chain.moduli)
+        assert np.shares_memory(shared.psi_rev, whole.psi_rev)
+        for name in fresh.__slots__:
+            want, got = getattr(fresh, name), getattr(shared, name)
+            if not isinstance(want, tuple):
+                want, got = (want,), (got,)
+            assert len(want) == len(got)
+            assert all(np.array_equal(w, g) for w, g in zip(want, got))
+
+    def test_ntt_does_not_depend_on_the_row_passes(self, rings, monkeypatch):
+        # 17 key-ring rows at N = 1024 run as one pass; with 4 rows a pass
+        # they run as 4 passes of 4 or 5 rows, with the same results
+        _, key = rings
+        el = ring.sample_uniform(key, key.max_level, np.random.default_rng(43))
+        one = (ring.ntt_inverse(el), ring.ntt_forward(ring.ntt_inverse(el)))
+        monkeypatch.setattr(ring, "_NTT_CHUNK", 4 * 1024)
+        assert len(ring._chunks(slice(0, 17), 1024)) == 4
+        many = (ring.ntt_inverse(el), ring.ntt_forward(ring.ntt_inverse(el)))
+        for a, b in zip(one, many):
+            assert np.array_equal(a.residues, b.residues)
+        assert np.array_equal(many[1].residues, el.residues)
+
+    def test_mul_sums_match_ring_mul_and_ring_add(self, rings):
+        _, key = rings
+        rng = np.random.default_rng(42)
+        for level in (0, 9, key.max_level):
+            xs = [ring.sample_uniform(key, level, rng) for _ in range(4)]
+            keys = [
+                tuple(ring.sample_uniform(key, key.max_level, rng) for _ in range(2))
+                for _ in range(4)
+            ]
+            got = ring.mul_sums(xs, keys)
+            for p in range(2):
+                want = None
+                for x, pair in zip(xs, keys):
+                    term = ring.ring_mul(x, ring.drop_level(pair[p], level))
+                    want = term if want is None else ring.ring_add(want, term)
+                assert got[p].level == level
+                assert np.array_equal(got[p].residues, want.residues)
+
+    def test_mul_sums_reject_bad_input(self, rings):
+        chain, key = rings
+        x = ring.zero(key, 5, ring.Domain.EVALUATION)
+        top = ring.zero(key, key.max_level, ring.Domain.EVALUATION)
+        bad = [
+            ([], []),
+            ([x], [(top,), (top,)]),
+            ([x], [(ring.zero(key, 4, ring.Domain.EVALUATION),)]),
+            ([x], [(ring.zero(chain, chain.max_level, ring.Domain.EVALUATION),)]),
+            ([ring.ntt_inverse(x)], [(ring.ntt_inverse(top),)]),
+        ]
+        for xs, keys in bad:
+            with pytest.raises(ValueError):
+                ring.mul_sums(xs, keys)
 
 
 class TestSchoolbook:

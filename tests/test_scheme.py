@@ -18,6 +18,7 @@ from helpers import (
     constant_plaintext,
     decrypt_three_part,
     encrypt_four_ntt,
+    relinearize_crt,
     rescale_rows,
     tensor_no_relin,
 )
@@ -57,7 +58,35 @@ class TestParamGen:
                 except ParameterError:
                     continue
                 bound = scheme.SECURITY_TABLE[lam][params.ring.ring_degree]
-                assert params.ring.total_bits() <= bound
+                # the evk lives over Q*P, so P's bits count too
+                assert params.key_ring.total_bits() <= bound
+                assert params.key_ring.moduli[params.special_count :] == params.ring.moduli
+
+    def test_secure_128_keeps_four_special_primes(self):
+        # 534 chain bits + 4 * 42 = 702 <= 881 at N = 32768
+        cfg = neural.head_config(neural.SoftArgmaxHead())
+        params = scheme.param_gen(128, 16384, neural.pipeline_depth(cfg), 40)
+        assert params.ring.ring_degree == 32768 and params.ring.total_bits() == 534
+        assert (params.digit_size, params.special_count) == (4, 4)
+        assert params.key_ring.total_bits() == 702
+        special = params.key_ring.moduli[:4]
+        assert all(p.bit_length() == 42 and p not in params.ring.moduli for p in special)
+
+    def test_special_primes_step_down_to_fit_the_table(self):
+        # 62 chain bits at N = 4096 (max 109): two 42-bit special primes
+        # would make 146, one makes 104
+        moduli = ring.find_ntt_primes(4096, [42, 20])
+        params = scheme.SchemeParams(128, ring.RingParams(4096, moduli), 2.0 ** 19, 8)
+        assert (params.digit_size, params.special_count) == (1, 1)
+        assert params.key_ring.total_bits() == 104
+        insecure = dataclasses.replace(params, allow_insecure=True)
+        assert (insecure.digit_size, insecure.special_count) == (2, 2)
+
+    def test_small_secure_set_without_spare_bits_is_the_crt_gadget(self):
+        params = scheme.param_gen(128, 4, 1)
+        assert params.ring.total_bits() + 42 > scheme.SECURITY_TABLE[128][2048]
+        assert (params.digit_size, params.special_count) == (1, 0)
+        assert params.key_ring is params.ring
 
     def test_insecure_rejected_without_override(self):
         moduli = ring.find_ntt_primes(32, [42, 41, 41])
@@ -121,18 +150,29 @@ class TestKeygen:
         assert np.array_equal(k1.pk.b.residues, k1b.pk.b.residues)
         assert np.array_equal(k1.sk.s.residues, k1b.sk.s.residues)
 
-    def test_relin_key_components_decrypt_to_masked_s2(self, small_keys):
-        # b_j + a_j*s - s^2*e_j must be a small error polynomial, where
-        # s^2*e_j is s^2's residue row j with every other row zero
+    def test_relin_key_components_decrypt_to_p_times_masked_s2(self, small_keys):
+        # b_i + a_i*s - P*E_i*s^2 over the key ring P ∪ Q must be a small
+        # error polynomial, where E_i is the integer mod Q that is 1 mod
+        # digit i's primes and 0 mod the chain's others
         params = small_keys.scheme
-        s = small_keys.sk.s
+        rp, kr, k = params.ring, params.key_ring, params.special_count
+        assert (params.digit_size, k, kr.moduli[k:]) == (2, 2, rp.moduli)
+        # the ternary secret's coefficients, lifted from Q to P ∪ Q
+        signed, _ = ring.compose_signed(ring.ntt_inverse(small_keys.sk.s))
+        coeffs = np.array([int(v) for v in signed], dtype=np.int64)
+        s = ring.ntt_forward(ring.from_int_coeffs(coeffs, kr, kr.max_level))
         s2 = ring.ring_mul(s, s)
-        assert len(small_keys.evk.components) == params.ring.level_count
-        for j, (b_j, a_j) in enumerate(small_keys.evk.components):
-            masked = np.zeros_like(s2.residues)
-            masked[j] = s2.residues[j]
+        big_q, big_p = math.prod(rp.moduli), math.prod(kr.moduli[:k])
+        digits = params.digits(params.max_level)
+        assert len(small_keys.evk.components) == len(digits) == 2
+        for d, (b_i, a_i) in zip(digits, small_keys.evk.components):
+            assert (b_i.params, b_i.level) == (kr, kr.max_level)
+            e_i = sum(
+                big_q // q * pow(big_q // q, -1, q) for q in rp.moduli[d]
+            ) % big_q
+            col = np.array([[big_p * e_i % t] for t in kr.moduli], dtype=np.uint64)
             residual = ring.ring_sub(
-                ring.ring_add(b_j, ring.ring_mul(a_j, s)), s2._like(masked)
+                ring.ring_add(b_i, ring.ring_mul(a_i, s)), ring.scalar_mul(s2, col)
             )
             signed, _ = ring.compose_signed(ring.ntt_inverse(residual))
             assert max(abs(int(v)) for v in signed) < 6 * scheme.ERR_STD
@@ -353,8 +393,8 @@ class TestMultRescale:
     def test_relinearized_matches_three_part_decrypt_every_level(
         self, small_keys, rng
     ):
-        # the CRT-gadget key switch may move the decryption by at most
-        # the ledger's relinearization charge
+        # hybrid key switching may move the decryption by at most the
+        # ledger's relinearization charge
         params = small_keys.scheme
         k = params.slot_capacity
         top_u = enc(small_keys, rng.uniform(-1, 1, k), rng)
@@ -371,6 +411,32 @@ class TestMultRescale:
                 )
             )
             assert diff <= 2.0 ** params.relin_noise_bits(level) / relin.scale
+
+    def test_digit_size_one_is_the_crt_gadget_every_level(self):
+        # a 13-prime 128-bit chain whose 426 bits leave no room for a
+        # 42-bit special prime (max 438): the same code path must give the
+        # CRT-gadget oracle's residues at every level
+        moduli = ring.find_ntt_primes(16384, [42] + [32] * 12)
+        params = scheme.SchemeParams(128, ring.RingParams(16384, moduli), 2.0 ** 30, 8)
+        assert (params.digit_size, params.special_count) == (1, 0)
+        evk = scheme.keygen(params, np.random.default_rng(3)).evk
+        assert len(evk.components) == 13
+        rng = np.random.default_rng(4)
+        for level in range(params.max_level, 0, -1):
+            d2 = ring.sample_uniform(params.ring, level, rng)
+            got = scheme._relinearize(d2, evk, level)
+            want = relinearize_crt(d2, evk, level)
+            for g, w in zip(got, want):
+                assert (g.params, g.level) == (params.ring, level)
+                assert np.array_equal(g.residues, w.residues)
+
+    def test_key_switching_noise_is_below_a_rescale(self, head_keys):
+        # with special primes, sum d_i*e_i/P is far below ModDown's
+        # rounding, which is a few rescale roundings
+        params = head_keys.scheme
+        assert params.special_count > 0
+        for level in range(1, params.max_level + 1):
+            assert params.relin_noise_bits(level) < params.rescale_round_bits() + 2
 
     def test_rescale_at_level_zero_rejected(self, small_keys, rng):
         ct = enc(small_keys, np.zeros(small_keys.scheme.slot_capacity), rng)
