@@ -12,15 +12,17 @@ biased low so that est = trunc(y*w_q) is floor(y*w/q) or one below and
 never above; y*w - est*q in wrapping uint64 then lies in [0, 2q) with
 no correction (Harvey, J. Symb. Comp. 2014, less the correction).
 
-A per-prime scalar (a constant's c mod q_j, rescale's q_top^-1, an
-evaluation key's P*E_i, composition's M_j^-1) is a (level+1, 1) residue
-column, which scalar_mul and scalar_add apply to a whole element.
-scalar_mul_sums applies a block of them to many elements and adds the
-lazy products up; so do key switching's kernels, mul_sums (elements
-times key elements) and base_convert (a fast base conversion of some
-rows to another chain's primes). Like the reduction of large integers
+A per-prime scalar (a constant's c mod q_j, an evaluation key's P*E_i,
+composition's M_j^-1) is a (level+1, 1) residue column, which
+scalar_mul and scalar_add apply to a whole element. scalar_mul_sums
+applies a block of them to many elements and adds the lazy products
+up; so do key switching's kernels, mul_sums (elements times key
+elements) and base_convert (a fast base conversion of some rows to
+another chain's primes). Like the reduction of large integers
 (from_int_coeffs, constant_column), their one final reduction of the
-sums divides.
+sums divides. divide is both rescale and key switching's ModDown: it
+divides a ciphertext's parts by the product D of their top prime or of
+the special primes P, as (x_keep - NTT(convert(INTT(x_drop)))) * D^-1.
 
 The forward NTT does not reduce between stages. With the product t in
 [0, 2q), a butterfly writes lo + t and lo + (2q - t), so values grow by
@@ -30,9 +32,10 @@ subtraction bring them into [0, q). The inverse reduces u + v into
 [0, 2q) at every stage. Both use the constant-geometry (Pease) layout:
 a stage copies the two halves (forward) or the even and odd entries
 (inverse) of the block into contiguous buffers, and the forward output
-is in the usual bit-reversed order. A pass transforms about
-max(1, 2^14/N) rows at a time (all 13 primes at N = 1024, or the 17 of
-a key ring), so that its buffers stay in a core's L2 cache.
+is in the usual bit-reversed order. The kernels take a (parts, rows, N)
+block. A pass transforms about max(1, 2^14/N) rows at a time (all 13
+primes at N = 1024, or the 17 of a key ring), so that its buffers stay
+in a core's L2 cache.
 
 Twiddles and moduli come from full-width tables, as numpy runs a ufunc
 over contiguous operands of one shape in a single loop but broadcasts a
@@ -171,6 +174,11 @@ def prime_above(start: int, step: int) -> int:
         k += 1
 
 
+def _check_degree(n: int):
+    if n < 8 or n & (n - 1) != 0:
+        raise ParameterError(f"ring degree {n} must be a power of two >= 8")
+
+
 def find_ntt_primes(ring_degree: int, bit_sizes: Sequence[int]) -> tuple:
     """Deterministic NTT-friendly modulus chain for X^N + 1.
 
@@ -180,6 +188,7 @@ def find_ntt_primes(ring_degree: int, bit_sizes: Sequence[int]) -> tuple:
     the scale they divide, so the tracked scale drifts down, never up,
     protecting the base-level headroom.
     """
+    _check_degree(ring_degree)
     step = 2 * ring_degree
     if not bit_sizes:
         raise ParameterError("empty modulus chain")
@@ -352,8 +361,7 @@ class RingParams:
 
     def __post_init__(self):
         n = self.ring_degree
-        if n < 8 or n & (n - 1) != 0:
-            raise ParameterError(f"ring degree {n} must be a power of two >= 8")
+        _check_degree(n)
         if len(set(self.moduli)) != len(self.moduli):
             raise ParameterError("modulus chain contains duplicates")
         for q in self.moduli:
@@ -439,9 +447,9 @@ def from_int_coeffs(
     """Reduce signed integer coefficients into RNS residues.
 
     int64 coefficients below twice the smallest prime in magnitude
-    (sampled secrets and errors, rescale lifts)
-    are offset by 2q into (0, 4q) and reduced by two conditional
-    subtractions; larger ones (encode) take np.mod.
+    (sampled secrets and errors) are offset by 2q into (0, 4q) and
+    reduced by two conditional subtractions; larger ones (encode) take
+    np.mod.
     """
     c = np.asarray(coeffs)
     rows = slice(0, level + 1)
@@ -460,74 +468,70 @@ def zero(params: RingParams, level: int, domain=Domain.COEFFICIENT) -> RingEleme
     return RingElement(params, level, res, domain)
 
 
-def _chunks(rows: slice, n: int):
-    """``rows`` split into round(rows / k) slices of near-equal size, for
-    k = max(1, _NTT_CHUNK // n): every pass costs a fixed ~20 numpy calls
-    a stage, so a key-ring block of 17 rows at N = 1024 runs as one pass,
-    not as 16 rows and 1."""
-    count = rows.stop - rows.start
-    passes = max(1, round(count / max(1, _NTT_CHUNK // n)))
-    bounds = [rows.start + count * i // passes for i in range(passes + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+def _passes(parts: int, count: int, n: int):
+    """(parts, rows) slices of the passes over a (parts, count, N) block:
+    the whole block while it rounds to one pass of k = max(1, _NTT_CHUNK
+    // n) rows, else each part alone in round(count / k) near-equal row
+    slices, as numpy's loops cost less over (k, N) than (2, k/2, N)."""
+    per = max(1, _NTT_CHUNK // n)
+    if round(parts * count / per) <= 1:
+        return [(slice(0, parts), slice(0, count))]
+    passes = max(1, round(count / per))
+    bounds = [count * i // passes for i in range(passes + 1)]
+    row_slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return [(slice(p, p + 1), rows) for p in range(parts) for rows in row_slices]
 
 
-def _pass_buffers(residues: np.ndarray):
-    """Scratch of one NTT pass over a (k, N) row chunk: the work block x,
-    three contiguous (k, N/2) uint64 buffers, and the float64 and int64
-    scratch of _mul, (k, N) and flat, whose first k*N/2 entries serve
-    the (k, N/2) halves."""
-    x = residues.copy()
-    k, n = x.shape
-    bufs = tuple(np.empty((k, n // 2), np.uint64) for _ in range(3))
-    return x, bufs, np.empty(k * n), np.empty(k * n, np.int64)
+def _pass_buffers(block: np.ndarray):
+    """One NTT pass over a (p, k, N) block: the work block x, (k, N) if
+    p = 1; views of its halves and of its even and odd entries; three
+    buffers of the halves' shape; and _mul's float64 and int64 scratch of
+    x's shape, whose first x.size/2 entries serve the halves."""
+    x = block[0].copy() if len(block) == 1 else block.copy()
+    h = x.shape[-1] // 2
+    pairs = x.reshape(x.shape[:-1] + (h, 2))
+    bufs = tuple(np.empty(x.shape[:-1] + (h,), np.uint64) for _ in range(3))
+    scratch = np.empty(x.shape), np.empty(x.shape, np.int64)
+    return x, (x[..., :h], x[..., h:]), (pairs[..., 0], pairs[..., 1]), bufs, *scratch
 
 
-def ntt_forward(a: RingElement) -> RingElement:
-    """Negacyclic NTT per residue prime; exact, O(N log N) per prime."""
-    if a.domain != Domain.COEFFICIENT:
-        raise ValueError("element already in Evaluation domain")
-    tb = _tables(a.params)
-    out = np.empty_like(a.residues)
-    for rows in _chunks(slice(0, a.level + 1), a.params.ring_degree):
-        x, (lo, hi, t), f, e = _pass_buffers(a.residues[rows])
-        k, n = x.shape
-        h = n // 2
-        x_lo, x_hi = x[:, :h], x[:, h:]
-        even, odd = x.reshape(k, h, 2).transpose(2, 0, 1)
-        f_h, e_h = f[: k * h], e[: k * h]
-        q, q2 = tb.q_half[rows], tb.q2_half[rows]
+def _ntt_forward_block(block: np.ndarray, tb: _NttTables, start: int) -> np.ndarray:
+    """Forward NTT of a (parts, k, N) block of Coefficient residues whose
+    rows are the chain rows [start, start + k), every part alike."""
+    out = np.empty_like(block)
+    for parts, chunk in _passes(*block.shape):
+        x, (x_lo, x_hi), (even, odd), (lo, hi, t), f, e = _pass_buffers(block[parts, chunk])
+        rs = slice(start + chunk.start, start + chunk.stop)
+        f_h, e_h = (a.reshape(-1)[: x.size // 2] for a in (f, e))
+        q, q2 = tb.q_half[rs], tb.q2_half[rs]
         for w, w_q in zip(tb.psi_stage, tb.psi_stage_q):
             # x below (2s + 1)q after s stages: Cooley-Tukey butterflies on
             # (x[k], x[k + N/2]) into (x[2k], x[2k + 1]), with t in [0, 2q)
             np.copyto(lo, x_lo)
             np.copyto(hi, x_hi)
-            by_w = (k, -1, w.shape[2])
+            by_w = x.shape[:-1] + (-1, w.shape[2])
             _mul(
-                hi.reshape(by_w), w[rows], w_q[rows], q.reshape(by_w),
+                hi.reshape(by_w), w[rs], w_q[rs], q.reshape(by_w[-3:]),
                 t.reshape(by_w), f_h.reshape(by_w), e_h.reshape(by_w),
             )
             np.add(lo, t, out=even)
             lo += q2
             np.subtract(lo, t, out=odd)
         # the product by one brings x below 2q
-        q = tb.q[rows]
-        _mul(x, np.uint64(1), tb.q_inv[rows], q, x, f.reshape(k, n), e.reshape(k, n))
-        out[rows] = _reduce(x, q)
-    return a._like(out, Domain.EVALUATION)
+        q = tb.q[rs]
+        _mul(x, np.uint64(1), tb.q_inv[rs], q, x, f, e)
+        out[parts, chunk] = _reduce(x, q)
+    return out
 
 
-def _ntt_inverse_rows(a: RingElement, rows: slice) -> np.ndarray:
-    """Inverse NTT of a's chain rows ``rows`` (a rescale needs only the top)."""
-    tb = _tables(a.params)
-    out = np.empty((rows.stop - rows.start, a.params.ring_degree), np.uint64)
-    for chunk in _chunks(rows, a.params.ring_degree):
-        x, (u, v, s), f, e = _pass_buffers(a.residues[chunk])
-        k, n = x.shape
-        h = n // 2
-        x_lo, x_hi = x[:, :h], x[:, h:]
-        even, odd = x.reshape(k, h, 2).transpose(2, 0, 1)
-        f_h, e_h = f[: k * h], e[: k * h]
-        q, q2 = tb.q_half[chunk], tb.q2_half[chunk]
+def _ntt_inverse_block(block: np.ndarray, tb: _NttTables, start: int) -> np.ndarray:
+    """Inverse of :func:`_ntt_forward_block`."""
+    out = np.empty_like(block)
+    for parts, chunk in _passes(*block.shape):
+        x, (x_lo, x_hi), (even, odd), (u, v, s), f, e = _pass_buffers(block[parts, chunk])
+        rs = slice(start + chunk.start, start + chunk.stop)
+        f_h, e_h = (a.reshape(-1)[: x.size // 2] for a in (f, e))
+        q, q2 = tb.q_half[rs], tb.q2_half[rs]
         for w, w_q in zip(reversed(tb.ipsi_stage), reversed(tb.ipsi_stage_q)):
             # x in [0, 2q): Gentleman-Sande butterflies on (x[2k], x[2k + 1])
             # into (x[k], x[k + N/2]), with u + v reduced below 2q
@@ -537,35 +541,31 @@ def _ntt_inverse_rows(a: RingElement, rows: slice) -> np.ndarray:
             u += q2
             u -= v
             np.minimum(s, np.subtract(s, q2, out=v), out=x_lo)
-            by_w = (k, -1, w.shape[2])
+            by_w = x.shape[:-1] + (-1, w.shape[2])
             _mul(
-                u.reshape(by_w), w[chunk], w_q[chunk], q.reshape(by_w),
+                u.reshape(by_w), w[rs], w_q[rs], q.reshape(by_w[-3:]),
                 x_hi.reshape(by_w), f_h.reshape(by_w), e_h.reshape(by_w),
             )
-        q = tb.q[chunk]
-        _mul(
-            x, tb.n_inv_wide[chunk], tb.n_inv_q[chunk], q,
-            x, f.reshape(k, n), e.reshape(k, n),
-        )
-        out[chunk.start - rows.start : chunk.stop - rows.start] = _reduce(x, q)
+        q = tb.q[rs]
+        _mul(x, tb.n_inv_wide[rs], tb.n_inv_q[rs], q, x, f, e)
+        out[parts, chunk] = _reduce(x, q)
     return out
+
+
+def ntt_forward(a: RingElement) -> RingElement:
+    """Negacyclic NTT per residue prime; exact, O(N log N) per prime."""
+    if a.domain != Domain.COEFFICIENT:
+        raise ValueError("element already in Evaluation domain")
+    out = _ntt_forward_block(a.residues[None], _tables(a.params), 0)
+    return a._like(out[0], Domain.EVALUATION)
 
 
 def ntt_inverse(a: RingElement) -> RingElement:
     """Inverse of :func:`ntt_forward`; bit-exact round trip."""
     if a.domain != Domain.EVALUATION:
         raise ValueError("element already in Coefficient domain")
-    return a._like(_ntt_inverse_rows(a, slice(0, a.level + 1)), Domain.COEFFICIENT)
-
-
-def centered_coeffs(a: RingElement, rows: slice) -> np.ndarray:
-    """Coefficients of a's chain rows ``rows``, inverse-NTT'd and centred
-    into (-q_j/2, q_j/2] as int64: the top-prime lift of a rescale."""
-    if a.domain != Domain.EVALUATION:
-        raise ValueError("centered_coeffs expects Evaluation domain")
-    x = _ntt_inverse_rows(a, rows).astype(np.int64)
-    q = a.params._q_col[rows].astype(np.int64)
-    return np.where(x > q // 2, x - q, x)
+    out = _ntt_inverse_block(a.residues[None], _tables(a.params), 0)
+    return a._like(out[0], Domain.COEFFICIENT)
 
 
 def ring_add(a: RingElement, b: RingElement) -> RingElement:
@@ -716,28 +716,41 @@ class Conversion:
     2016) from src's primes ``rows`` (q_j, S of them, product D) to dst's
     primes [:level+1] (t, T of them): inv = (D/q_j)^-1 mod q_j as an
     (S, 1) column, w = D/q_j mod t as an (S, T, 1) block, neg_d = -D mod t
-    as a (T, 1) column, and the biased quotients inv_q and w_q."""
+    as a (T, 1) column; a lower level reads the targets' row prefix."""
 
-    __slots__ = ("rows", "inv", "inv_q", "w", "w_q", "neg_d")
+    __slots__ = ("src", "rows", "dst", "level", "inv", "w", "neg_d")
 
     def __init__(self, src: RingParams, rows: slice, dst: RingParams, level: int):
         primes = src.moduli[rows]
         targets = dst.moduli[: level + 1]
         d = math.prod(primes)
-        self.rows = rows
+        self.src, self.rows, self.dst, self.level = src, rows, dst, level
         self.inv = np.array([[pow(d // q % q, -1, q)] for q in primes], dtype=np.uint64)
-        self.inv_q = _quotient(self.inv, src._q_col[rows])
-        w = [[[d // q % t] for t in targets] for q in primes]
-        self.w = np.array(w, dtype=np.uint64).reshape(len(primes), len(targets), 1)
-        self.w_q = _quotient(self.w, dst._q_col[: level + 1])
+        self.w = np.array([[[d // q % t] for t in targets] for q in primes], np.uint64)
         self.neg_d = np.array([[-d % t] for t in targets], dtype=np.uint64)
 
 
-def base_convert(a: RingElement, conv: Conversion, dst: RingParams, level: int) -> RingElement:
+def _convert(x: np.ndarray, conv: Conversion, level: int) -> np.ndarray:
+    """The (..., S, N) Coefficient residues x of conv's source rows,
+    converted to conv.dst's primes [:level+1] (see :func:`base_convert`)."""
+    q_src, q_col = _tables(conv.src).q[conv.rows], conv.src._q_col[conv.rows]
+    inv_q = _quotient(conv.inv, q_col)
+    y = _reduce(_mul(x, conv.inv, inv_q, q_src, *_scratch(x.shape)), q_src)
+    v = np.sum(y > q_col // 2, axis=-2, dtype=np.uint64)
+    t = slice(0, level + 1)
+    acc = v[..., None, :] * conv.neg_d[t]
+    out, f, e = _scratch(acc.shape)
+    q, w = _tables(conv.dst).q[t], conv.w[:, t]
+    for j, (w_j, w_q) in enumerate(zip(w, _quotient(w, conv.dst._q_col[t]))):
+        acc += _mul(y[..., j : j + 1, :], w_j, w_q, q, out, f, e)
+    return np.remainder(acc, conv.dst._q_col[t], out=acc)
+
+
+def base_convert(a: RingElement, conv: Conversion, level: int) -> RingElement:
     """a's Coefficient rows conv.rows, read as one integer x mod D, to
-    dst's primes [:level+1]: sum_j y_j*(D/q_j) mod t with y_j =
-    x_j*(D/q_j)^-1 mod q_j centred into (-q_j/2, q_j/2], which is x + u*D
-    for an integer |u| <= S/2 (Bajard et al., SAC 2016).
+    conv.dst's primes [:level+1], level <= conv.level: sum_j y_j*(D/q_j)
+    mod t with y_j = x_j*(D/q_j)^-1 mod q_j centred into (-q_j/2, q_j/2],
+    which is x + u*D for an integer |u| <= S/2 (Bajard et al., SAC 2016).
 
     Each y_j - q_j that centring takes adds -D, so the v of them add
     v*neg_d; with the S lazy products in [0, 2t) the sum stays below
@@ -746,19 +759,51 @@ def base_convert(a: RingElement, conv: Conversion, dst: RingParams, level: int) 
     """
     if a.domain != Domain.COEFFICIENT:
         raise ValueError("base_convert expects Coefficient domain")
-    if conv.rows.stop > a.level + 1 or conv.neg_d.shape[0] != level + 1:
+    if a.params != conv.src or conv.rows.stop > a.level + 1 or level > conv.level:
         raise ValueError(f"conversion does not fit level {a.level} -> {level}")
-    q_src = _tables(a.params).q[conv.rows]
-    x = a.residues[conv.rows]
-    y = _reduce(_mul(x, conv.inv, conv.inv_q, q_src, *_scratch(x.shape)), q_src)
-    v = np.sum(y > a.params._q_col[conv.rows] // 2, axis=0, dtype=np.uint64)
-    acc = v * conv.neg_d
-    out, f, e = _scratch(acc.shape)
-    q = _tables(dst).q[: level + 1]
-    for y_j, w, w_q in zip(y, conv.w, conv.w_q):
-        acc += _mul(y_j, w, w_q, q, out, f, e)
-    np.remainder(acc, dst._q_col[: level + 1], out=acc)
-    return RingElement(dst, level, acc, Domain.COEFFICIENT)
+    out = _convert(a.residues[conv.rows], conv, level)
+    return RingElement(conv.dst, level, out, Domain.COEFFICIENT)
+
+
+def divisor(src: RingParams, rows: slice, dst: RingParams, level: int) -> tuple:
+    """(conv, d_inv) for :func:`divide`: the conversion of src's primes
+    ``rows`` (product D) to dst's [:level+1], and D^-1 mod those."""
+    d = math.prod(src.moduli[rows])
+    inv = np.array([[pow(d, -1, q)] for q in dst.moduli[: level + 1]], np.uint64)
+    return Conversion(src, rows, dst, level), inv
+
+
+def divide(parts, conv: Conversion, d_inv: np.ndarray) -> tuple:
+    """Each Evaluation element of ``parts`` divided by D, the product of
+    its rows conv.rows (a prefix or the suffix), with rounding: (x_keep -
+    NTT(lift)) * D^-1 for lift = conv's centred lift of INTT(x_drop), x mod
+    D (Cheon et al., SAC 2018); exact for a rescale's one prime. All parts
+    go through one inverse and one forward NTT kernel call."""
+    first = parts[0]
+    for el in parts[1:]:
+        _require_compatible(first, el)
+    if first.domain != Domain.EVALUATION:
+        raise ValueError("divide expects Evaluation-domain operands")
+    drop, top = conv.rows, first.level + 1
+    keep = slice(drop.stop, top) if drop.start == 0 else slice(0, drop.start)
+    level = keep.stop - keep.start - 1
+    if (
+        first.params != conv.src or (drop.start and drop.stop != top)
+        or level > conv.level or first.moduli[keep] != conv.dst.moduli[: level + 1]
+    ):
+        raise ValueError(f"division does not fit level {first.level}")
+    x_drop = np.stack([el.residues[drop] for el in parts])
+    y = _ntt_inverse_block(x_drop, _tables(conv.src), drop.start)
+    tb, rows = _tables(conv.dst), slice(0, level + 1)
+    x = _ntt_forward_block(_convert(y, conv, level), tb, 0)
+    # x_keep + (q - lift) in (0, 2q), inside _mul's range, formed in place
+    d_inv, q = d_inv[rows], tb.q[rows]
+    np.subtract(q, x, out=x)
+    x += np.stack([el.residues[keep] for el in parts])
+    f, e = np.empty(x.shape), np.empty(x.shape, np.int64)
+    _mul(x, d_inv, _quotient(d_inv, conv.dst._q_col[rows]), q, x, f, e)
+    np.minimum(x, x - q, out=x)
+    return tuple(RingElement(conv.dst, level, r, Domain.EVALUATION) for r in x)
 
 
 def drop_level(a: RingElement, new_level: int) -> RingElement:
@@ -834,30 +879,13 @@ def sample_gaussian(
 # CRT composition (off the hot path; object arrays hold Python bigints).
 # ---------------------------------------------------------------------------
 
-_CRT_CACHE: dict = {}
-
-
-def _crt_constants(params: RingParams, level: int):
-    """(Q, M, inv): M_j = Q/q_j as an object row, inv_j = M_j^-1 mod q_j
-    as a uint64 column."""
-    key = (params.ring_degree, params.moduli[: level + 1])
-    consts = _CRT_CACHE.get(key)
-    if consts is None:
-        primes = params.moduli[: level + 1]
-        big_q = params.modulus_product(level)
-        m = np.array([big_q // q for q in primes], dtype=object)
-        inv = np.array(
-            [pow(big_q // q % q, -1, q) for q in primes], dtype=np.uint64
-        )[:, None]
-        consts = _CRT_CACHE[key] = (big_q, m, inv)
-    return consts
-
-
 def compose(a: RingElement):
     """CRT-combine residues to integers in [0, Q); returns (values, Q)."""
     if a.domain != Domain.COEFFICIENT:
         raise ValueError("compose expects Coefficient domain")
-    big_q, m, inv = _crt_constants(a.params, a.level)
+    big_q = a.params.modulus_product(a.level)
+    m = np.array([big_q // q for q in a.moduli], dtype=object)
+    inv = np.array([[pow(big_q // q % q, -1, q)] for q in a.moduli], np.uint64)
     t = scalar_mul(a, inv).residues
     return np.dot(m, t.astype(object)) % big_q, big_q
 

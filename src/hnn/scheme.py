@@ -9,6 +9,8 @@ component's residues split into digits of digit_size primes, each digit
 is extended to the special primes P and the rest of the chain, meets
 one evaluation-key component over P ∪ Q, and the sums are divided by P.
 With no special primes and one prime a digit, that is the CRT gadget.
+A rescale divides by the top prime the same way: both are ring.divide,
+with constants that SchemeParams derives once.
 
 A scalar constant (probe weight, bias, polynomial or Newton coefficient,
 index weight) is multiplied in or added by mult_const and add_const as
@@ -99,6 +101,10 @@ class SchemeParams:
     from the chain: alpha = k = ceil(sqrt(L+1)), stepped down on a set
     that is not allow_insecure until log2(QP) fits the security table,
     to alpha = 1, k = 0 (the CRT gadget, key_ring is ring) at the end.
+
+    So are the constants of key switching and rescale: ``mod_up[l]``, the
+    conversions of level l's digits into P ∪ Q, and ring.divisor's pairs
+    ``mod_down`` (by P, None if k = 0) and ``rescale_div[l]`` (by q_l).
     """
 
     security_level: int
@@ -111,6 +117,9 @@ class SchemeParams:
     key_ring: ring.RingParams = dataclasses.field(
         init=False, compare=False, repr=False
     )
+    mod_up: tuple = dataclasses.field(init=False, compare=False, repr=False)
+    mod_down: tuple = dataclasses.field(init=False, compare=False, repr=False)
+    rescale_div: tuple = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.security_level not in SECURITY_TABLE:
@@ -119,9 +128,9 @@ class SchemeParams:
                 f"{sorted(SECURITY_TABLE)}"
             )
         n = self.ring.ring_degree
-        if self.slot_capacity > n // 2:
+        if not 1 <= self.slot_capacity <= n // 2:
             raise ParameterError(
-                f"slot capacity {self.slot_capacity} exceeds N/2 = {n // 2}"
+                f"slot capacity {self.slot_capacity} outside [1, N/2 = {n // 2}]"
             )
         bound = SECURITY_TABLE[self.security_level].get(n)
         total = self.ring.total_bits()
@@ -145,6 +154,18 @@ class SchemeParams:
         )
         object.__setattr__(self, "digit_size", max(len(special), 1))
         object.__setattr__(self, "key_ring", key_ring)
+        rp, k, levels = self.ring, len(special), range(self.ring.level_count)
+        # the digit ending at row j is level j's last: up[j] converts it
+        top = key_ring.max_level
+        up = [ring.Conversion(rp, self.digits(j)[-1], key_ring, top) for j in levels]
+        object.__setattr__(self, "mod_up", tuple(
+            tuple(up[d.stop - 1] for d in self.digits(lv)) for lv in levels
+        ))
+        mod_down = ring.divisor(key_ring, slice(0, k), rp, rp.max_level) if k else None
+        object.__setattr__(self, "mod_down", mod_down)
+        object.__setattr__(self, "rescale_div", (None,) + tuple(
+            ring.divisor(rp, slice(lv, lv + 1), rp, lv - 1) for lv in levels[1:]
+        ))
         # >= 10 bits of final slack on deep chains; the floor keeps
         # shallow (depth 0/1) chains usable for a few additions
         budget = max(total - math.log2(self.scale) - 10, self.fresh_noise_bits() + 6)
@@ -300,30 +321,10 @@ class RelinKey:
     it decrypts to P*s^2 on the digit's rows and to zero on every other
     row. With no special primes (P = 1) and one prime a digit, this is
     the CRT gadget: s^2's row j, the other rows zero.
-
-    Built or loaded, the key derives ``switch``, key switching's
-    constants per level: the ModUp conversion of each digit into P ∪
-    Q_level, and with special primes the ModDown conversion of P into
-    Q_level and P^-1 mod Q_level.
     """
 
     scheme: SchemeParams
     components: tuple  # ((b_i, a_i), ...), one pair per digit, key ring top level
-    switch: tuple = dataclasses.field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        params = self.scheme
-        rp, kr, k = params.ring, params.key_ring, params.special_count
-        big_p = math.prod(kr.moduli[:k])
-        switch = []
-        for lv in range(rp.level_count):
-            ups = tuple(ring.Conversion(rp, d, kr, k + lv) for d in params.digits(lv))
-            down = (
-                ring.Conversion(kr, slice(0, k), rp, lv),
-                np.array([[pow(big_p, -1, q)] for q in rp.moduli[: lv + 1]], np.uint64),
-            ) if k else None
-            switch.append((ups, down))
-        object.__setattr__(self, "switch", tuple(switch))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -340,13 +341,15 @@ class KeyMaterial:
 def keygen(params: SchemeParams, rng: np.random.Generator) -> KeyMaterial:
     """Sample (sk, pk, evk). Deterministic for a fixed Generator state.
 
-    The secret is drawn once over the key ring P ∪ Q; the sk and pk hold
-    its chain rows, the evk all of them.
+    The sk and pk hold the ternary secret s over the chain, the evk over
+    the key ring P ∪ Q: level 0's ModUp, the centred lift of s mod q_0,
+    which is s itself.
     """
     rp, kr, k = params.ring, params.key_ring, params.special_count
     lv, top = rp.max_level, kr.max_level
-    s_key = ring.ntt_forward(ring.sample_ternary(kr, top, params.secret_weight, rng))
-    s = ring.RingElement(rp, lv, s_key.residues[k:].copy(), ring.Domain.EVALUATION)
+    s = ring.sample_ternary(rp, lv, params.secret_weight, rng)
+    s_key = ring.ntt_forward(ring.base_convert(s, params.mod_up[0][0], top))
+    s = ring.ntt_forward(s)
 
     def masked(a, secret):
         """-a*secret + e for a fresh key error e."""
@@ -671,30 +674,17 @@ def _relinearize(d2: ring.RingElement, evk: RelinKey, level: int):
     a centred fast base conversion into P ∪ Q_level, which is c2 mod the
     digit's primes; the digits' inner product with the evk over P ∪
     Q_level, which decrypts to P*c2*s^2 plus sum_i d_i*e_i; and ModDown,
-    which divides both sums by P with rounding. An element over P ∪
-    Q_level is the key ring's row prefix at level k + level.
+    ring.divide of both sums by P with rounding.
 
     With digit_size 1 and no special primes each digit is c2's residue
     row centred into (-q_j/2, q_j/2], and P = 1 leaves nothing to divide:
     the CRT gadget.
     """
     params = evk.scheme
-    rp, kr, k = params.ring, params.key_ring, params.special_count
-    ups, down = evk.switch[level]
-    c2 = ring.ntt_inverse(d2)
-    digits = [ring.ntt_forward(ring.base_convert(c2, up, kr, k + level)) for up in ups]
-    sums = ring.mul_sums(digits, evk.components[: len(ups)])
-    if not down:
-        return sums
-    conv, p_inv = down
-    out = []
-    for x in sums:
-        # x - (x mod P, centred) is divisible by P: ModDown in Q_level's rows
-        x_p = ring.ntt_inverse(ring.RingElement(kr, k - 1, x.residues[:k], x.domain))
-        lift = ring.ntt_forward(ring.base_convert(x_p, conv, rp, level))
-        x_q = ring.RingElement(rp, level, x.residues[k:], x.domain)
-        out.append(ring.scalar_mul(ring.ring_sub(x_q, lift), p_inv))
-    return out
+    c2, top = ring.ntt_inverse(d2), params.special_count + level
+    digits = [ring.ntt_forward(ring.base_convert(c2, u, top)) for u in params.mod_up[level]]
+    sums = ring.mul_sums(digits, evk.components[: len(digits)])
+    return ring.divide(sums, *params.mod_down) if params.mod_down else sums
 
 
 def mult(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
@@ -735,35 +725,16 @@ def mult(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
 
 
 def rescale(ct: Ciphertext) -> Ciphertext:
-    """Drop the top prime, dividing scale (and value*scale payload) by it.
-
-    Exact RNS rounding: subtract the centered top residue, then multiply
-    by q_top^-1 modulo each surviving prime, in the Evaluation domain:
-    only the top row and its lift pass through an NTT.
-    """
+    """Drop the top prime, dividing scale (and value*scale payload) by it:
+    ring.divide by q_top, exact RNS rounding in the Evaluation domain, in
+    which only the parts' top rows and their lifts pass through an NTT."""
     if ct.level < 1:
         raise LevelExhausted("rescale at level 0")
-    rp = ct.scheme.ring
-    lv = ct.level
-    q_top = rp.moduli[lv]
-    inv = np.array([[pow(q_top, -1, qj)] for qj in rp.moduli[:lv]], dtype=np.uint64)
-    new_parts = []
-    for part in ct.parts:
-        top = ring.centered_coeffs(part, slice(lv, lv + 1))[0]
-        lifted = ring.ntt_forward(ring.from_int_coeffs(top, rp, lv - 1))
-        diff = ring.ring_sub(ring.drop_level(part, lv - 1), lifted)
-        new_parts.append(ring.scalar_mul(diff, inv))
-    params = ct.scheme
-    noise = _log2_sum(
-        ct.noise_bits - math.log2(q_top), params.rescale_round_bits()
-    )
-    return Ciphertext(
-        scheme=params,
-        parts=tuple(new_parts),
-        level=lv - 1,
-        scale=ct.scale / q_top,
-        noise_bits=noise,
-        value_bound=ct.value_bound,
+    params, lv, q_top = ct.scheme, ct.level, ct.scheme.ring.moduli[ct.level]
+    noise = _log2_sum(ct.noise_bits - math.log2(q_top), params.rescale_round_bits())
+    return dataclasses.replace(
+        ct, parts=ring.divide(ct.parts, *params.rescale_div[lv]), level=lv - 1,
+        scale=ct.scale / q_top, noise_bits=noise,
     )
 
 

@@ -5,6 +5,8 @@ the implementation: naive O(N^2) transforms, arbitrary-precision
 embeddings, central finite differences, and plain numpy reference math.
 """
 
+import math
+
 import mpmath
 import numpy as np
 
@@ -180,13 +182,21 @@ def tensor_no_relin(a, b):
     return d0, d1, d2
 
 
+def centered_rows(el, rows):
+    """Coefficients of the Evaluation element el's chain rows ``rows``,
+    inverse-NTT'd whole and centred into (-q_j/2, q_j/2] as int64."""
+    x = ring.ntt_inverse(el).residues[rows].astype(np.int64)
+    q = el.params._q_col[rows].astype(np.int64)
+    return np.where(x > q // 2, x - q, x)
+
+
 def relinearize_crt(d2, evk, level):
     """The CRT-gadget key switch: c2 = sum_j d_j*e_j mod Q_level, where
     the digit d_j is c2's residue row j centred into (-q_j/2, q_j/2], and
     evk component j encrypts s^2*e_j. The slow path of
     scheme._relinearize with digit_size 1 and no special primes."""
     rp = evk.scheme.ring
-    digits = ring.centered_coeffs(d2, slice(0, level + 1))
+    digits = centered_rows(d2, slice(0, level + 1))
     acc0 = acc1 = None
     for j in range(level + 1):
         dig_el = ring.ntt_forward(ring.from_int_coeffs(digits[j], rp, level))
@@ -225,6 +235,41 @@ def rescale_rows(ct):
     return out
 
 
+def rescale_lift(parts):
+    """Rescale of each Evaluation part on its own: the top row centred,
+    lifted by from_int_coeffs, subtracted and multiplied by q_top^-1: the
+    slow path of ring.divide by the top prime."""
+    rp = parts[0].params
+    lv = parts[0].level
+    q_top = rp.moduli[lv]
+    inv = np.array([[pow(q_top, -1, q)] for q in rp.moduli[:lv]], dtype=np.uint64)
+    out = []
+    for part in parts:
+        top = centered_rows(part, slice(lv, lv + 1))[0]
+        lifted = ring.ntt_forward(ring.from_int_coeffs(top, rp, lv - 1))
+        diff = ring.ring_sub(ring.drop_level(part, lv - 1), lifted)
+        out.append(ring.scalar_mul(diff, inv))
+    return out
+
+
+def mod_down_parts(parts, params, level):
+    """ModDown of each part over P ∪ Q_level on its own: an inverse NTT
+    of its k special-prime rows, their fast base conversion to Q_level, a
+    forward NTT, the difference with its Q_level rows and the product by
+    P^-1: the slow path of ring.divide by the special primes."""
+    rp, kr, k = params.ring, params.key_ring, params.special_count
+    big_p = math.prod(kr.moduli[:k])
+    p_inv = np.array([[pow(big_p, -1, q)] for q in rp.moduli[: level + 1]], np.uint64)
+    conv = ring.Conversion(kr, slice(0, k), rp, level)
+    out = []
+    for x in parts:
+        x_p = ring.ntt_inverse(ring.RingElement(kr, k - 1, x.residues[:k], x.domain))
+        lift = ring.ntt_forward(ring.base_convert(x_p, conv, level))
+        x_q = ring.RingElement(rp, level, x.residues[k:], x.domain)
+        out.append(ring.scalar_mul(ring.ring_sub(x_q, lift), p_inv))
+    return out
+
+
 def ntt_forward_ct(el):
     """In-place Cooley-Tukey forward NTT on strided (rows, m, 2, t) blocks,
     every step reduced with % and every product by mulmod_split: the slow
@@ -248,7 +293,7 @@ def ntt_forward_ct(el):
 def ntt_inverse_gs(el, rows):
     """In-place Gentleman-Sande inverse NTT of el's chain rows ``rows``,
     every step reduced with % and every product by mulmod_split: the slow
-    path of ring._ntt_inverse_rows."""
+    path of ring._ntt_inverse_block."""
     tb = ring._tables(el.params)
     q_col, ipsi = el.params._q_col[rows], tb.ipsi_rev[rows]
     q = q_col[:, :, None]

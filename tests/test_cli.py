@@ -15,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnn import approx, cli, encoding, neural, ring, scheme, serialize
-from hnn.errors import FormatError, NoiseBudgetExceeded, ParamsHashMismatch
+from hnn.errors import (
+    FormatError,
+    NoiseBudgetExceeded,
+    ParameterError,
+    ParamsHashMismatch,
+)
 
 
 @pytest.fixture(scope="module")
@@ -1177,6 +1182,25 @@ class TestCliCommands:
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
         assert self.run("keygen", "--params", str(bad), "--out-dir", str(tmp_path)) == 3
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("ring_degree", "0"), ("ring_degree", "3"), ("slots", "0"), ("slots", "-4")],
+    )
+    def test_out_of_range_params_value_exit_code_2(self, tmp_path, params, field, value):
+        # ring degree 0 once divided by zero in the prime search (exit 1),
+        # and a slot count below 1 loaded and made keys (exit 0)
+        text = re.sub(
+            rf"^{field} = .*$", f"{field} = {value}", serialize.params_to_text(params),
+            flags=re.M,
+        )
+        with pytest.raises(ParameterError):
+            serialize.params_from_text(text)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        out = tmp_path / "keys"
+        assert self.run("keygen", "--params", str(bad), "--out-dir", str(out)) == 2
+        assert not out.exists()
 
     def test_crypto_state_exit_code(self, tmp_path, params, keys):
         # infer on a shallow chain exhausts levels -> exit 4

@@ -9,6 +9,7 @@ from hnn import neural, ring, scheme
 from hnn.errors import ParameterError
 
 from helpers import (
+    mod_down_parts,
     mulmod_split,
     naive_negacyclic_transform,
     ntt_forward_ct,
@@ -16,6 +17,7 @@ from helpers import (
     poly_mul,
     primitive_2n_root,
     random_ring_element,
+    rescale_lift,
     schoolbook_int_negacyclic,
     schoolbook_mul,
 )
@@ -303,7 +305,8 @@ class TestDivisionFreeKernels:
                 assert np.array_equal(ring.ntt_inverse(ev).residues, ntt_inverse_gs(ev, every))
                 # the one-row inverse a rescale runs on the top prime
                 top = slice(level, level + 1)
-                assert np.array_equal(ring._ntt_inverse_rows(ev, top), ntt_inverse_gs(ev, top))
+                got = ring._ntt_inverse_block(res[None, top], ring._tables(chain), level)
+                assert np.array_equal(got[0], ntt_inverse_gs(ev, top))
 
     def test_largest_growth_at_n_32768(self):
         # without per-stage reduction the all-(q - 1) input grows the most,
@@ -404,11 +407,12 @@ class TestDivisionFreeKernels:
                 mulmod_split(a[rows], b[rows], q[rows]),
             )
 
-    def test_centered_coeffs_match_python_ints_every_level(self):
-        # the centred lift of key switching (all rows) and rescale (top row)
+    def test_one_prime_conversion_is_the_centred_lift_every_level(self):
+        # the lift of a rescale: the top row centred in Python integers,
+        # reduced mod every prime below it
         chain = make_params(64, [42] + [41] * 16)
         rng = np.random.default_rng(23)
-        for level in range(chain.level_count):
+        for level in range(1, chain.level_count):
             q = chain._q_col[: level + 1]
             res = rng.integers(0, q, (level + 1, 64), dtype=np.uint64)
             # the centring boundary q//2 -> itself, q//2 + 1 -> negative
@@ -416,19 +420,14 @@ class TestDivisionFreeKernels:
             res[:, 1] = q[:, 0] // np.uint64(2) + np.uint64(1)
             res[:, 2] = q[:, 0] - np.uint64(1)
             res[:, 3] = 0
-            el = ring.ntt_forward(ring.RingElement(chain, level, res, ring.Domain.COEFFICIENT))
-            want = [
-                [int(c) - qj if int(c) > qj // 2 else int(c) for c in row]
-                for row, qj in zip(res, chain.moduli)
-            ]
-            got = ring.centered_coeffs(el, slice(0, level + 1))
-            assert got.dtype == np.int64
-            assert got.tolist() == want
-            assert want[-1][:2] == [chain.moduli[level] // 2, -(chain.moduli[level] // 2)]
-            top = ring.centered_coeffs(el, slice(level, level + 1))
-            assert top.tolist() == want[-1:]
-        with pytest.raises(ValueError):
-            ring.centered_coeffs(ring.zero(chain, 0), slice(0, 1))
+            el = ring.RingElement(chain, level, res, ring.Domain.COEFFICIENT)
+            q_top = chain.moduli[level]
+            top = [int(c) - q_top if int(c) > q_top // 2 else int(c) for c in res[level]]
+            assert top[:2] == [q_top // 2, -(q_top // 2)]
+            conv = ring.Conversion(chain, slice(level, level + 1), chain, level - 1)
+            got = ring.base_convert(el, conv, level - 1)
+            want = [[c % qj for c in top] for qj in chain.moduli[:level]]
+            assert got.residues.tolist() == want
 
 
 class TestScalarKernels:
@@ -574,7 +573,7 @@ class TestKeySwitchKernels:
             x[:, :2] = q_src - np.uint64(1)
             x[:, 2] = 0
             a = ring.RingElement(src, rows.stop - 1, x, ring.Domain.COEFFICIENT)
-            out = ring.base_convert(a, ring.Conversion(src, rows, dst, level), dst, level)
+            out = ring.base_convert(a, ring.Conversion(src, rows, dst, level), level)
             assert (out.params, out.level, out.domain) == (dst, level, a.domain)
             primes = src.moduli[rows]
             d = math.prod(primes)
@@ -588,20 +587,25 @@ class TestKeySwitchKernels:
             assert max(abs(v) for v in total) <= len(primes) * d // 2
             want = np.array([total % t for t in dst.moduli[: level + 1]])
             assert np.array_equal(out.residues, want.astype(np.uint64))
+            # constants built for dst's whole chain serve every level
+            whole = ring.Conversion(src, rows, dst, dst.max_level)
+            assert np.array_equal(ring.base_convert(a, whole, level).residues, out.residues)
 
     def test_base_convert_rejects_bad_input(self, rings):
         chain, key = rings
         conv = ring.Conversion(chain, slice(0, 2), key, 4)
         with pytest.raises(ValueError, match="Coefficient"):
-            ring.base_convert(ring.zero(chain, 1, ring.Domain.EVALUATION), conv, key, 4)
-        # source rows above the element, or a target level the constants miss
-        for level, target in ((0, 4), (1, 5)):
+            ring.base_convert(ring.zero(chain, 1, ring.Domain.EVALUATION), conv, 4)
+        # source rows above the element, an element of another chain, or a
+        # target level above the constants'
+        bad = ((ring.zero(chain, 0), 4), (ring.zero(key, 1), 4), (ring.zero(chain, 1), 5))
+        for el, level in bad:
             with pytest.raises(ValueError, match="does not fit"):
-                ring.base_convert(ring.zero(chain, level), conv, key, target)
+                ring.base_convert(el, conv, level)
 
     def test_chain_tables_are_rows_of_the_key_ring_tables(self, rings):
         chain, key = rings
-        shared, whole = ring._tables(chain), ring._tables(key)
+        whole, shared = ring._tables(key), ring._tables(chain)
         fresh = ring._NttTables(chain.ring_degree, chain.moduli)
         assert np.shares_memory(shared.psi_rev, whole.psi_rev)
         for name in fresh.__slots__:
@@ -618,7 +622,7 @@ class TestKeySwitchKernels:
         el = ring.sample_uniform(key, key.max_level, np.random.default_rng(43))
         one = (ring.ntt_inverse(el), ring.ntt_forward(ring.ntt_inverse(el)))
         monkeypatch.setattr(ring, "_NTT_CHUNK", 4 * 1024)
-        assert len(ring._chunks(slice(0, 17), 1024)) == 4
+        assert len(ring._passes(1, 17, 1024)) == 4
         many = (ring.ntt_inverse(el), ring.ntt_forward(ring.ntt_inverse(el)))
         for a, b in zip(one, many):
             assert np.array_equal(a.residues, b.residues)
@@ -656,6 +660,104 @@ class TestKeySwitchKernels:
         for xs, keys in bad:
             with pytest.raises(ValueError):
                 ring.mul_sums(xs, keys)
+
+
+class TestDivide:
+    """ring.divide against the per-part slow paths it replaces, on the
+    default head's 13-prime N=1024 chain and its 17-prime key ring, and
+    the stacked NTT kernels against one-element NTTs."""
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        return scheme.param_gen(
+            128, 512, neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead())),
+            scale_bits=40, allow_insecure=True,
+        )
+
+    @staticmethod
+    def parts(rp, level, rng):
+        # random residues, with the extremes 0 and q - 1 in every row
+        out = []
+        for _ in range(2):
+            x = ring.sample_uniform(rp, level, rng).residues.copy()
+            x[:, :2] = rp._q_col[: level + 1] - np.uint64(1)
+            x[:, 2] = 0
+            out.append(ring.RingElement(rp, level, x, ring.Domain.EVALUATION))
+        return tuple(out)
+
+    def test_rescale_matches_the_lift_every_level(self, params):
+        rp = params.ring
+        assert rp.level_count == 13
+        rng = np.random.default_rng(51)
+        for level in range(1, rp.level_count):
+            parts = self.parts(rp, level, rng)
+            got = ring.divide(parts, *params.rescale_div[level])
+            for g, w in zip(got, rescale_lift(parts)):
+                assert (g.params, g.level, g.domain) == (rp, level - 1, w.domain)
+                assert np.array_equal(g.residues, w.residues)
+
+    def test_mod_down_matches_per_part_every_level(self, params):
+        rp, kr, k = params.ring, params.key_ring, params.special_count
+        assert kr.level_count == 17
+        rng = np.random.default_rng(52)
+        for level in range(rp.level_count):
+            parts = self.parts(kr, k + level, rng)
+            got = ring.divide(parts, *params.mod_down)
+            for g, w in zip(got, mod_down_parts(parts, params, level)):
+                assert (g.params, g.level, g.domain) == (rp, level, w.domain)
+                assert np.array_equal(g.residues, w.residues)
+
+    def test_divide_rejects_what_does_not_fit(self, params):
+        rp, kr, k = params.ring, params.key_ring, params.special_count
+        rng = np.random.default_rng(53)
+        ev = self.parts(rp, 5, rng)
+        with pytest.raises(ValueError, match="Evaluation"):
+            ring.divide(tuple(ring.ntt_inverse(p) for p in ev), *params.rescale_div[5])
+        # constants of another level, or of the key ring on a chain element
+        for consts in (params.rescale_div[4], params.mod_down):
+            with pytest.raises(ValueError, match="does not fit"):
+                ring.divide(ev, *consts)
+        with pytest.raises(ValueError, match="level mismatch"):
+            ring.divide((ev[0], ring.drop_level(ev[1], 4)), *params.rescale_div[5])
+
+    @pytest.mark.parametrize("n, bit_sizes", [(1024, [42] + [41] * 12), (16384, [42, 41, 41])])
+    def test_stacked_kernels_equal_single_element_ntts(self, n, bit_sizes):
+        # at N = 16384 every pass takes one row of one part
+        chain = make_params(n, bit_sizes)
+        tb, lv = ring._tables(chain), chain.max_level
+        rng = np.random.default_rng(54)
+        x = np.stack([rng.integers(0, chain._q_col, (lv + 1, n), dtype=np.uint64) for _ in range(2)])
+        x[1, :, :3] = chain._q_col - np.uint64(1)
+        for kernel, one, domain in (
+            (ring._ntt_forward_block, ring.ntt_forward, ring.Domain.COEFFICIENT),
+            (ring._ntt_inverse_block, ring.ntt_inverse, ring.Domain.EVALUATION),
+        ):
+            want = [one(ring.RingElement(chain, lv, r, domain)).residues for r in x]
+            assert np.array_equal(kernel(x, tb, 0), np.stack(want))
+            # the top row alone, as a rescale transforms it
+            assert np.array_equal(kernel(x[:, lv:], tb, lv), np.stack(want)[:, lv:])
+
+    def test_one_kernel_call_each_way(self, params, monkeypatch):
+        calls = {"forward": 0, "inverse": 0}
+
+        def counted(name, kernel):
+            def wrapper(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return wrapper
+
+        monkeypatch.setattr(ring, "_ntt_forward_block", counted("forward", ring._ntt_forward_block))
+        monkeypatch.setattr(ring, "_ntt_inverse_block", counted("inverse", ring._ntt_inverse_block))
+        rp, kr, k = params.ring, params.key_ring, params.special_count
+        rng = np.random.default_rng(55)
+        for level in (1, 6, rp.max_level):
+            ct = scheme.Ciphertext(params, self.parts(rp, level, rng), level, params.scale, 10.0, 1.0)
+            calls.update(forward=0, inverse=0)
+            scheme.rescale(ct)
+            assert calls == {"forward": 1, "inverse": 1}
+            calls.update(forward=0, inverse=0)
+            ring.divide(self.parts(kr, k + level, rng), *params.mod_down)
+            assert calls == {"forward": 1, "inverse": 1}
 
 
 class TestSchoolbook:

@@ -93,6 +93,12 @@ class TestParamGen:
         with pytest.raises(InsecureParameterError):
             scheme.SchemeParams(128, ring.RingParams(32, moduli), 2.0 ** 40, 16)
 
+    @pytest.mark.parametrize("slots", [0, -4, 17])
+    def test_slot_capacity_outside_one_to_half_n_rejected(self, small_params, slots):
+        assert small_params.ring.ring_degree == 32
+        with pytest.raises(ParameterError, match="slot capacity"):
+            dataclasses.replace(small_params, slot_capacity=slots)
+
     def test_only_five_fields_are_set(self, small_params):
         init = [f.name for f in dataclasses.fields(scheme.SchemeParams) if f.init]
         assert init == [
