@@ -2,9 +2,12 @@
 
 Each element keeps one residue row per prime of the modulus chain, as a
 (level+1, N) uint64 block, and every kernel works on the whole block,
-with no Python loop over primes. All primes satisfy q ≡ 1 (mod 2N), so
-a negacyclic NTT exists per prime and multiplication runs pointwise in
-the NTT (Evaluation) domain.
+with no Python loop over primes. An RLWE pair (a ciphertext's (c0, c1),
+a public or evaluation key's (b, a)) is one element whose block has a
+leading parts axis, (2, level+1, N). Sums take operands of one shape; a
+product may broadcast a one-part operand across a pair's parts. All
+primes satisfy q ≡ 1 (mod 2N), so a negacyclic NTT exists per prime and
+multiplication runs pointwise in the NTT (Evaluation) domain.
 
 There is one modular product, and no product divides. y*w mod q, for
 y < 2^49 and w < q, takes the float64 quotient w_q = (w/q)(1 - 2^-50),
@@ -17,12 +20,13 @@ composition's M_j^-1) is a (level+1, 1) residue column, which
 scalar_mul and scalar_add apply to a whole element. scalar_mul_sums
 applies a block of them to many elements and adds the lazy products
 up; so do key switching's kernels, mul_sums (elements times key
-elements) and base_convert (a fast base conversion of some rows to
-another chain's primes). Like the reduction of large integers
-(from_int_coeffs, constant_column), their one final reduction of the
-sums divides. divide is both rescale and key switching's ModDown: it
-divides a ciphertext's parts by the product D of their top prime or of
-the special primes P, as (x_keep - NTT(convert(INTT(x_drop)))) * D^-1.
+pairs) and base_convert (a fast base conversion of some rows to
+another chain's primes), all through one lazy-sum loop. Like the
+reduction of large integers (from_int_coeffs, constant_column), its one
+final reduction of the sums divides. divide is both rescale and key
+switching's ModDown: it divides a pair by the product D of its top
+prime or of the special primes P, as
+(x_keep - NTT(convert(INTT(x_drop)))) * D^-1.
 
 The forward NTT does not reduce between stages. With the product t in
 [0, 2q), a butterfly writes lo + t and lo + (2q - t), so values grow by
@@ -43,7 +47,7 @@ over contiguous operands of one shape in a single loop but broadcasts a
 tables are zero-stride views of the column. For 13 primes the tables
 hold 2.8 MiB at N = 1024 and 21.1 MiB at N = 32768; for the 17 primes of
 a key ring, 3.7 and 27.6 MiB, and the chain's tables are row views of
-those (see _tables). ring_add, ring_sub and ring_neg reduce with one
+those (see _tables). ring_add and ring_sub reduce with one
 np.minimum(x, x - m) each.
 
 Elements are immutable after construction (residue arrays are marked
@@ -396,7 +400,8 @@ class RingParams:
 
 @dataclasses.dataclass(frozen=True)
 class RingElement:
-    """Polynomial residues: shape (level+1, N) uint64, one row per prime.
+    """Polynomial residues: shape (level+1, N) uint64, one row per prime,
+    behind any parts axes: (2, level+1, N) for an RLWE pair.
 
     Rows are reduced into [0, q_j). Arrays are frozen read-only; all ops
     return fresh elements.
@@ -408,7 +413,7 @@ class RingElement:
     domain: Domain
 
     def __post_init__(self):
-        if self.residues.shape != (self.level + 1, self.params.ring_degree):
+        if self.residues.shape[-2:] != (self.level + 1, self.params.ring_degree):
             raise ValueError(
                 f"residue shape {self.residues.shape} does not match "
                 f"level {self.level}, N {self.params.ring_degree}"
@@ -422,6 +427,15 @@ class RingElement:
             self.params, self.level, residues, domain or self.domain
         )
 
+    def part(self, i) -> "RingElement":
+        """Part i (or the parts a slice i picks), as a view."""
+        return self._like(self.residues[i])
+
+    @property
+    def parts_shape(self) -> tuple:
+        """The block's parts axes: (2,) for a pair, () for one part."""
+        return self.residues.shape[:-2]
+
     @property
     def moduli(self) -> tuple:
         return self.params.moduli[: self.level + 1]
@@ -432,13 +446,30 @@ class RingElement:
         return self.params._q_col[: self.level + 1]
 
 
-def _require_compatible(a: RingElement, b: RingElement, same_domain=True):
+def _require_compatible(a: RingElement, b: RingElement, broadcast=False):
+    """a and b share params, level and domain, and their blocks one shape,
+    or with ``broadcast`` one of them is a single part."""
     if a.params is not b.params and a.params != b.params:
         raise ValueError("ring parameter mismatch")
     if a.level != b.level:
         raise ValueError(f"level mismatch: {a.level} vs {b.level}")
-    if same_domain and a.domain != b.domain:
+    if a.domain != b.domain:
         raise ValueError(f"domain mismatch: {a.domain} vs {b.domain}")
+    if a.parts_shape != b.parts_shape and not (
+        broadcast and () in (a.parts_shape, b.parts_shape)
+    ):
+        raise ValueError(f"parts mismatch: {a.parts_shape} vs {b.parts_shape}")
+
+
+def pair(a: RingElement, b: RingElement = None) -> RingElement:
+    """The pair (a, b) of one-part elements, (a, 0) if b is None, as one
+    (2, level+1, N) element."""
+    _require_compatible(a, a if b is None else b)
+    if a.parts_shape:
+        raise ValueError(f"a pair's parts are single, not {a.parts_shape}")
+    res = np.empty((2,) + a.residues.shape, np.uint64)
+    res[0], res[1] = a.residues, 0 if b is None else b.residues
+    return a._like(res)
 
 
 def from_int_coeffs(
@@ -552,19 +583,25 @@ def _ntt_inverse_block(block: np.ndarray, tb: _NttTables, start: int) -> np.ndar
     return out
 
 
+def _one_part(a: RingElement, domain: Domain) -> np.ndarray:
+    """a's (1, level+1, N) block for an NTT kernel: one part in ``domain``."""
+    if a.domain != domain:
+        raise ValueError(f"element not in {domain.value} domain")
+    if a.parts_shape:
+        raise ValueError(f"the NTT takes one part, not {a.parts_shape}")
+    return a.residues[None]
+
+
 def ntt_forward(a: RingElement) -> RingElement:
-    """Negacyclic NTT per residue prime; exact, O(N log N) per prime."""
-    if a.domain != Domain.COEFFICIENT:
-        raise ValueError("element already in Evaluation domain")
-    out = _ntt_forward_block(a.residues[None], _tables(a.params), 0)
+    """Negacyclic NTT per residue prime of one part; exact, O(N log N)
+    per prime."""
+    out = _ntt_forward_block(_one_part(a, Domain.COEFFICIENT), _tables(a.params), 0)
     return a._like(out[0], Domain.EVALUATION)
 
 
 def ntt_inverse(a: RingElement) -> RingElement:
     """Inverse of :func:`ntt_forward`; bit-exact round trip."""
-    if a.domain != Domain.EVALUATION:
-        raise ValueError("element already in Coefficient domain")
-    out = _ntt_inverse_block(a.residues[None], _tables(a.params), 0)
+    out = _ntt_inverse_block(_one_part(a, Domain.EVALUATION), _tables(a.params), 0)
     return a._like(out[0], Domain.COEFFICIENT)
 
 
@@ -581,23 +618,19 @@ def ring_sub(a: RingElement, b: RingElement) -> RingElement:
     return a._like(np.minimum(d, d + _tables(a.params).q[: a.level + 1]))
 
 
-def ring_neg(a: RingElement) -> RingElement:
-    d = -a.residues
-    return a._like(np.minimum(d, d + _tables(a.params).q[: a.level + 1]))
-
-
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     """Product mod (X^N + 1, q_j) per prime, pointwise on Evaluation
-    operands. Coefficient operands are rejected: multiplying them
-    pointwise would not be the ring product."""
-    _require_compatible(a, b)
+    operands; a one-part operand multiplies each part of a pair.
+    Coefficient operands are rejected: multiplying them pointwise would
+    not be the ring product."""
+    _require_compatible(a, b, broadcast=True)
     if a.domain != Domain.EVALUATION:
         raise ValueError("ring_mul expects Evaluation-domain operands")
     tb = _tables(a.params)
     rows = slice(0, a.level + 1)
     q = tb.q[rows]
     y, w = a.residues, b.residues
-    r = _mul(y, w, w * tb.q_inv[rows], q, *_scratch(y.shape))
+    r = _mul(y, w, w * tb.q_inv[rows], q, *_scratch(np.broadcast_shapes(y.shape, w.shape)))
     return a._like(_reduce(r, q))
 
 
@@ -608,107 +641,101 @@ def constant_column(c, params: RingParams, level: int) -> np.ndarray:
     return np.mod(c, params._q_col[: level + 1].astype(np.int64)).astype(np.uint64)
 
 
-def _column_q(a: RingElement, col: np.ndarray) -> np.ndarray:
-    """a's full-width moduli table, once col is a (level+1, 1) uint64
-    column of residues below a's primes."""
-    if col.shape != (a.level + 1, 1) or col.dtype != np.uint64 or np.any(col >= a._q):
-        raise ValueError(f"expected a ({a.level + 1}, 1) uint64 column below q_j")
+def _column_q(a: RingElement, col: np.ndarray, parts=()) -> np.ndarray:
+    """a's full-width moduli table, once col is a parts + (level+1, 1)
+    uint64 block of residues below a's primes."""
+    shape = parts + (a.level + 1, 1)
+    if col.shape != shape or col.dtype != np.uint64 or np.any(col >= a._q):
+        raise ValueError(f"expected a {shape} uint64 column below q_j")
     return _tables(a.params).q[: a.level + 1]
 
 
 def scalar_mul(a: RingElement, col: np.ndarray) -> RingElement:
-    """a times col, one residue per prime, in either domain; the biased
-    quotient is formed on the column, not on an N-wide block."""
+    """a times col, one residue per prime, in either domain and on every
+    part alike; the biased quotient is formed on the column, not on an
+    N-wide block."""
     q = _column_q(a, col)
     r = _mul(a.residues, col, _quotient(col, a._q), q, *_scratch(a.residues.shape))
     return a._like(_reduce(r, q))
 
 
 def scalar_add(a: RingElement, col: np.ndarray) -> RingElement:
-    """a plus col, one residue per prime: Evaluation operands only, where
-    the constant polynomial c is c at every root."""
+    """a plus col, one residue per part and prime (col has a's shape with
+    N = 1): Evaluation operands only, where the constant polynomial c is
+    c at every root."""
     if a.domain != Domain.EVALUATION:
         raise ValueError("scalar_add expects an Evaluation-domain operand")
-    q = _column_q(a, col)
+    q = _column_q(a, col, a.parts_shape)
     return a._like(_reduce(a.residues + col, q))
 
 
-def scalar_mul_sums(groups, cols) -> list:
-    """sum_k groups[k][p] * cols[k, c] mod q_j for every column c and
-    position p, in one pass over the d groups: groups holds d equal-length
-    tuples of elements at one level and domain (a ciphertext's parts,
-    say), cols is a (d, C, level+1, 1) uint64 block of residues below
-    q_j. Returns C tuples, one element per position.
+def _lazy_sum(acc: np.ndarray, terms, q: np.ndarray, q_col: np.ndarray) -> np.ndarray:
+    """acc plus the sum of y*w mod q over the (y, w, w_q) terms, with w_q
+    = _quotient(w, q): each lazy product, in [0, 2q) below 2^43, adds into
+    the uint64 block acc, exact for up to MAX_SUM_TERMS of them, and one
+    remainder by the column q_col finishes every sum in place. Only acc
+    and one product block are alive, however many terms there are."""
+    out, f, e = _scratch(acc.shape)
+    for y, w, w_q in terms:
+        acc += _mul(y, w, w_q, q, out, f, e)
+    return np.remainder(acc, q_col, out=acc)
 
-    Each group's lazy products against all C columns come from one _mul,
-    in [0, 2q) below 2^43, and add into a (P, C, level+1, N) uint64
-    accumulator, exact for up to MAX_SUM_TERMS groups; one remainder by
-    q_j finishes every sum. Only the accumulator and one product block
-    are alive, however many groups there are.
+
+def scalar_mul_sums(els, cols) -> list:
+    """sum_k els[k] * cols[k, c] mod q_j for every column c, in one pass
+    over the d elements: els are d elements of one shape, level and domain
+    (ciphertexts' pairs, say), cols is a (d, C, level+1, 1) uint64 block
+    of residues below q_j, each column applied to every part alike.
+    Returns C elements of els' shape.
+
+    Each element's lazy products against all C columns come from one
+    _mul and add into a (C, parts, level+1, N) accumulator (_lazy_sum).
     """
-    d = len(groups)
+    d = len(els)
     if not 0 < d <= MAX_SUM_TERMS:
         raise ValueError(f"{d} terms outside [1, {MAX_SUM_TERMS}]")
-    first = groups[0][0]
-    for g in groups:
-        if len(g) != len(groups[0]):
-            raise ValueError("groups of unequal length")
-        for el in g:
-            _require_compatible(first, el)
+    first = els[0]
+    for el in els:
+        _require_compatible(first, el)
     lv = first.level
     if (
         cols.ndim != 4 or cols.shape[0] != d or cols.shape[2:] != (lv + 1, 1)
         or cols.dtype != np.uint64 or np.any(cols >= first._q)
     ):
         raise ValueError(f"expected a ({d}, C, {lv + 1}, 1) uint64 block below q_j")
-    shape = (len(groups[0]), cols.shape[1], lv + 1, first.params.ring_degree)
-    q = _tables(first.params).q[: lv + 1]
-    cols_q = _quotient(cols, first._q)
-    acc = np.zeros(shape, np.uint64)
-    out, f, e = _scratch(shape)
-    for g, w, w_q in zip(groups, cols, cols_q):
-        for p, el in enumerate(g):
-            _mul(el.residues, w, w_q, q, out[p], f[p], e[p])
-        np.add(acc, out, out=acc)
-    np.remainder(acc, first._q, out=acc)
-    return [
-        tuple(first._like(acc[p, c]) for p in range(shape[0]))
-        for c in range(shape[1])
-    ]
+    # a unit axis per parts axis, so that a column meets every part
+    cols = cols.reshape(cols.shape[:2] + (1,) * len(first.parts_shape) + cols.shape[2:])
+    terms = zip((el.residues for el in els), cols, _quotient(cols, first._q))
+    acc = np.zeros((cols.shape[1],) + first.residues.shape, np.uint64)
+    acc = _lazy_sum(acc, terms, _tables(first.params).q[: lv + 1], first._q)
+    return [first._like(a) for a in acc]
 
 
-def mul_sums(xs, keys) -> tuple:
-    """sum_i xs[i] * keys[i][p] mod q_j for each position p: xs are
-    Evaluation elements at one level, keys[i] equal-length tuples of
-    Evaluation elements of the same chain at that level or above, whose
-    row prefix serves (an evaluation key's components at a lower level).
-
-    Lazy products in [0, 2q) add into a (P, level+1, N) uint64
-    accumulator, exact for up to MAX_SUM_TERMS terms; one remainder by
-    q_j finishes every sum.
-    """
+def mul_sums(xs, keys) -> RingElement:
+    """sum_i xs[i] * keys[i] mod q_j: xs are one-part Evaluation elements
+    at one level, each multiplying every part of keys[i], Evaluation
+    elements of one parts shape (an evaluation key's pairs) on the same
+    chain at that level or above, whose row prefix serves. The lazy
+    products add up as in _lazy_sum."""
     if not 0 < len(xs) <= MAX_SUM_TERMS or len(keys) != len(xs):
         raise ValueError(f"{len(xs)} terms against {len(keys)} keys")
-    first = xs[0]
+    first, parts = xs[0], keys[0].parts_shape
     lv = first.level
     for x, key in zip(xs, keys):
         _require_compatible(first, x)
-        for el in key:
-            if el.params != first.params or el.level < lv or el.domain != x.domain:
-                raise ValueError("key element below the level or off the chain")
-    if first.domain != Domain.EVALUATION:
-        raise ValueError("mul_sums expects Evaluation-domain operands")
+        if (
+            key.params != first.params or key.level < lv or key.domain != x.domain
+            or key.parts_shape != parts
+        ):
+            raise ValueError("key element below the level, off the chain or of other parts")
+    if first.domain != Domain.EVALUATION or first.parts_shape:
+        raise ValueError("mul_sums expects one-part Evaluation-domain xs")
     tb = _tables(first.params)
     q, q_inv = tb.q[: lv + 1], tb.q_inv[: lv + 1]
-    shape = (len(keys[0]), lv + 1, first.params.ring_degree)
-    acc = np.zeros(shape, np.uint64)
-    out, f, e = _scratch(shape[1:])
-    for x, key in zip(xs, keys):
-        for p, el in enumerate(key):
-            w = el.residues[: lv + 1]
-            acc[p] += _mul(x.residues, w, w * q_inv, q, out, f, e)
-    np.remainder(acc, first._q, out=acc)
-    return tuple(first._like(a) for a in acc)
+    ws = (key.residues[..., : lv + 1, :] for key in keys)
+    terms = ((x.residues, w, w * q_inv) for x, w in zip(xs, ws))
+    acc = np.zeros(parts + first.residues.shape, np.uint64)
+    return first._like(_lazy_sum(acc, terms, q, first._q))
 
 
 class Conversion:
@@ -738,12 +765,10 @@ def _convert(x: np.ndarray, conv: Conversion, level: int) -> np.ndarray:
     y = _reduce(_mul(x, conv.inv, inv_q, q_src, *_scratch(x.shape)), q_src)
     v = np.sum(y > q_col // 2, axis=-2, dtype=np.uint64)
     t = slice(0, level + 1)
-    acc = v[..., None, :] * conv.neg_d[t]
-    out, f, e = _scratch(acc.shape)
-    q, w = _tables(conv.dst).q[t], conv.w[:, t]
-    for j, (w_j, w_q) in enumerate(zip(w, _quotient(w, conv.dst._q_col[t]))):
-        acc += _mul(y[..., j : j + 1, :], w_j, w_q, q, out, f, e)
-    return np.remainder(acc, conv.dst._q_col[t], out=acc)
+    q_dst, w = conv.dst._q_col[t], conv.w[:, t]
+    # y's row j, as (..., 1, N), times the (T, 1) column w[j]
+    terms = zip(np.moveaxis(y, -2, 0)[..., None, :], w, _quotient(w, q_dst))
+    return _lazy_sum(v[..., None, :] * conv.neg_d[t], terms, _tables(conv.dst).q[t], q_dst)
 
 
 def base_convert(a: RingElement, conv: Conversion, level: int) -> RingElement:
@@ -773,37 +798,34 @@ def divisor(src: RingParams, rows: slice, dst: RingParams, level: int) -> tuple:
     return Conversion(src, rows, dst, level), inv
 
 
-def divide(parts, conv: Conversion, d_inv: np.ndarray) -> tuple:
-    """Each Evaluation element of ``parts`` divided by D, the product of
-    its rows conv.rows (a prefix or the suffix), with rounding: (x_keep -
-    NTT(lift)) * D^-1 for lift = conv's centred lift of INTT(x_drop), x mod
-    D (Cheon et al., SAC 2018); exact for a rescale's one prime. All parts
-    go through one inverse and one forward NTT kernel call."""
-    first = parts[0]
-    for el in parts[1:]:
-        _require_compatible(first, el)
-    if first.domain != Domain.EVALUATION:
-        raise ValueError("divide expects Evaluation-domain operands")
-    drop, top = conv.rows, first.level + 1
+def divide(x: RingElement, conv: Conversion, d_inv: np.ndarray) -> RingElement:
+    """x, an Evaluation element with one parts axis (a pair), divided by D,
+    the product of its rows conv.rows (a prefix or the suffix), with
+    rounding: (x_keep - NTT(lift)) * D^-1 for lift = conv's centred lift
+    of INTT(x_drop), x mod D (Cheon et al., SAC 2018); exact for a
+    rescale's one prime. All parts go through one inverse and one forward
+    NTT kernel call."""
+    if x.domain != Domain.EVALUATION or len(x.parts_shape) != 1:
+        raise ValueError("divide expects an Evaluation-domain element with one parts axis")
+    drop, top = conv.rows, x.level + 1
     keep = slice(drop.stop, top) if drop.start == 0 else slice(0, drop.start)
     level = keep.stop - keep.start - 1
     if (
-        first.params != conv.src or (drop.start and drop.stop != top)
-        or level > conv.level or first.moduli[keep] != conv.dst.moduli[: level + 1]
+        x.params != conv.src or (drop.start and drop.stop != top)
+        or level > conv.level or x.moduli[keep] != conv.dst.moduli[: level + 1]
     ):
-        raise ValueError(f"division does not fit level {first.level}")
-    x_drop = np.stack([el.residues[drop] for el in parts])
-    y = _ntt_inverse_block(x_drop, _tables(conv.src), drop.start)
+        raise ValueError(f"division does not fit level {x.level}")
+    y = _ntt_inverse_block(x.residues[:, drop], _tables(conv.src), drop.start)
     tb, rows = _tables(conv.dst), slice(0, level + 1)
-    x = _ntt_forward_block(_convert(y, conv, level), tb, 0)
+    out = _ntt_forward_block(_convert(y, conv, level), tb, 0)
     # x_keep + (q - lift) in (0, 2q), inside _mul's range, formed in place
     d_inv, q = d_inv[rows], tb.q[rows]
-    np.subtract(q, x, out=x)
-    x += np.stack([el.residues[keep] for el in parts])
-    f, e = np.empty(x.shape), np.empty(x.shape, np.int64)
-    _mul(x, d_inv, _quotient(d_inv, conv.dst._q_col[rows]), q, x, f, e)
-    np.minimum(x, x - q, out=x)
-    return tuple(RingElement(conv.dst, level, r, Domain.EVALUATION) for r in x)
+    np.subtract(q, out, out=out)
+    out += x.residues[:, keep]
+    f, e = np.empty(out.shape), np.empty(out.shape, np.int64)
+    _mul(out, d_inv, _quotient(d_inv, conv.dst._q_col[rows]), q, out, f, e)
+    np.minimum(out, out - q, out=out)
+    return RingElement(conv.dst, level, out, Domain.EVALUATION)
 
 
 def drop_level(a: RingElement, new_level: int) -> RingElement:
@@ -815,7 +837,7 @@ def drop_level(a: RingElement, new_level: int) -> RingElement:
     if new_level == a.level:
         return a
     return RingElement(
-        a.params, new_level, a.residues[: new_level + 1].copy(), a.domain
+        a.params, new_level, a.residues[..., : new_level + 1, :].copy(), a.domain
     )
 
 

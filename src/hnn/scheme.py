@@ -83,13 +83,20 @@ def _log2_pos(x: float) -> float:
     return math.log2(x) if x > 0 else -math.inf
 
 
+def _check_scale_bits(bits: int):
+    """The scale rule: a scale is 2^bits for 14 <= bits <= MAX_PRIME_BITS
+    - 2, so that its rescale primes of bits + 1 bits fit the chain."""
+    if not 14 <= bits <= ring.MAX_PRIME_BITS - 2:
+        raise ParameterError(f"scale_bits {bits} outside [14, {ring.MAX_PRIME_BITS - 2}]")
+
+
 @dataclasses.dataclass(frozen=True)
 class SchemeParams:
     """Everything needed to instantiate the scheme.
 
     security_level: target bits (128/192/256) from the embedded table.
     ring: degree and modulus chain.
-    scale: default encoding scale (power of two).
+    scale: default encoding scale, a power of two (_check_scale_bits).
     slot_capacity: slots the caller intends to use (<= N/2).
     allow_insecure: accept parameter sets that fail the security table
     (small test rings); never set for production keys.
@@ -127,6 +134,10 @@ class SchemeParams:
                 f"security level {self.security_level} not in "
                 f"{sorted(SECURITY_TABLE)}"
             )
+        mantissa, exponent = math.frexp(self.scale)
+        if mantissa != 0.5:
+            raise ParameterError(f"scale {self.scale!r} is not a power of two")
+        _check_scale_bits(exponent - 1)
         n = self.ring.ring_degree
         if not 1 <= self.slot_capacity <= n // 2:
             raise ParameterError(
@@ -260,8 +271,7 @@ def param_gen(
         raise ParameterError(f"depth_need {depth_need} outside [0, 30]")
     scale_options = [scale_bits] if scale_bits is not None else [40, 30, 20]
     for sb in scale_options:
-        if not 14 <= sb <= ring.MAX_PRIME_BITS - 2:
-            raise ParameterError(f"scale_bits {sb} unsupported")
+        _check_scale_bits(sb)
 
     n = max(8, 1 << (2 * slot_need - 1).bit_length())
     max_n = max(SECURITY_TABLE[security_level])
@@ -309,8 +319,7 @@ class SecretKey:
 @dataclasses.dataclass(frozen=True)
 class PublicKey:
     scheme: SchemeParams
-    b: ring.RingElement  # -a*s + e
-    a: ring.RingElement
+    pair: ring.RingElement  # (b, a) = (-a*s + e, a), one (2, L+1, N) block
 
 
 @dataclasses.dataclass(frozen=True)
@@ -324,7 +333,7 @@ class RelinKey:
     """
 
     scheme: SchemeParams
-    components: tuple  # ((b_i, a_i), ...), one pair per digit, key ring top level
+    components: tuple  # (b_i, a_i) pairs, one per digit, at the key ring's top level
 
 
 @dataclasses.dataclass(frozen=True)
@@ -351,13 +360,15 @@ def keygen(params: SchemeParams, rng: np.random.Generator) -> KeyMaterial:
     s_key = ring.ntt_forward(ring.base_convert(s, params.mod_up[0][0], top))
     s = ring.ntt_forward(s)
 
-    def masked(a, secret):
-        """-a*secret + e for a fresh key error e."""
+    def masked(a, secret, m=None):
+        """The pair (-a*secret + e + m, a) for a fresh key error e; m = None
+        is zero."""
         e = ring.sample_gaussian(a.params, a.level, ERR_STD, rng, tail_bound=KEY_ERR_TAIL)
-        return ring.ring_sub(ring.ntt_forward(e), ring.ring_mul(a, secret))
+        e = ring.ntt_forward(e)
+        b = ring.ring_sub(e if m is None else ring.ring_add(e, m), ring.ring_mul(a, secret))
+        return ring.pair(b, a)
 
-    a = ring.sample_uniform(rp, lv, rng)
-    pk = PublicKey(params, masked(a, s), a)
+    pk = PublicKey(params, masked(ring.sample_uniform(rp, lv, rng), s))
     s2 = ring.ring_mul(s_key, s_key)
     big_p = math.prod(kr.moduli[:k])
     comps = []
@@ -366,7 +377,7 @@ def keygen(params: SchemeParams, rng: np.random.Generator) -> KeyMaterial:
         # P*E_i*s^2: P*s^2 on digit i's rows, zero on every other row
         col = np.zeros((top + 1, 1), np.uint64)
         col[k + d.start : k + d.stop, 0] = [big_p % q for q in rp.moduli[d]]
-        comps.append((ring.ring_add(masked(a_i, s_key), ring.scalar_mul(s2, col)), a_i))
+        comps.append(masked(a_i, s_key, ring.scalar_mul(s2, col)))
     return KeyMaterial(SecretKey(params, s), pk, RelinKey(params, tuple(comps)))
 
 
@@ -376,7 +387,8 @@ def keygen(params: SchemeParams, rng: np.random.Generator) -> KeyMaterial:
 
 @dataclasses.dataclass(frozen=True)
 class Ciphertext:
-    """(c0, c1) with scale, ledgered noise, and a slot-value bound.
+    """The pair (c0, c1), one (2, level+1, N) Evaluation element, with
+    scale, ledgered noise, and a slot-value bound.
 
     Construction runs the ledger guards, so no ciphertext exists whose
     ledger is non-finite, over budget, or whose payload would wrap the
@@ -384,20 +396,19 @@ class Ciphertext:
     """
 
     scheme: SchemeParams
-    parts: tuple
+    parts: ring.RingElement
     level: int
     scale: float
     noise_bits: float
     value_bound: float
 
     def __post_init__(self):
-        if len(self.parts) != 2:
-            raise ValueError(f"ciphertext needs 2 parts, got {len(self.parts)}")
-        for p in self.parts:
-            if p.level != self.level:
-                raise ValueError("part level mismatch")
-            if p.domain != ring.Domain.EVALUATION:
-                raise ValueError("ciphertext parts must stay in Evaluation domain")
+        if self.parts.parts_shape != (2,):
+            raise ValueError(f"ciphertext needs 2 parts, got {self.parts.parts_shape}")
+        if self.parts.level != self.level:
+            raise ValueError("part level mismatch")
+        if self.parts.domain != ring.Domain.EVALUATION:
+            raise ValueError("ciphertext parts must stay in Evaluation domain")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
         # a NaN or infinite ledger field would slip past both comparisons
@@ -442,30 +453,17 @@ def encrypt(
 
     Randomized: repeated calls on one plaintext give distinct ciphertexts.
     """
-    params = pk.scheme
-    rp = params.ring
-    if pt.level != rp.max_level:
-        raise ValueError(
-            f"plaintext at level {pt.level}, encryption requires top level "
-            f"{rp.max_level}"
-        )
-    lv = rp.max_level
+    params, rp, lv = pk.scheme, pk.scheme.ring, pk.scheme.max_level
+    if pt.level != lv:
+        raise ValueError(f"plaintext at level {pt.level}, encryption requires top level {lv}")
     u = ring.ntt_forward(ring.sample_ternary(rp, lv, params.secret_weight, rng))
     e0 = ring.sample_gaussian(rp, lv, ERR_STD, rng)
     e1 = ring.ntt_forward(ring.sample_gaussian(rp, lv, ERR_STD, rng))
     # NTT(e0 + m) = NTT(e0) + NTT(m): the Coefficient message shares e0's NTT
     e0_m = ring.ntt_forward(ring.ring_add(e0, pt.poly))
-    c0 = ring.ring_add(ring.ring_mul(pk.b, u), e0_m)
-    c1 = ring.ring_add(ring.ring_mul(pk.a, u), e1)
+    parts = ring.ring_add(ring.ring_mul(pk.pair, u), ring.pair(e0_m, e1))
     noise = _log2_sum(params.fresh_noise_bits(), _log2_pos(pt.round_error))
-    return Ciphertext(
-        scheme=params,
-        parts=(c0, c1),
-        level=lv,
-        scale=pt.scale,
-        noise_bits=noise,
-        value_bound=pt.value_bound,
-    )
+    return Ciphertext(params, parts, lv, pt.scale, noise, pt.value_bound)
 
 
 def decrypt(sk: SecretKey, ct: Ciphertext) -> Plaintext:
@@ -474,7 +472,7 @@ def decrypt(sk: SecretKey, ct: Ciphertext) -> Plaintext:
     Deterministic; a wrong key is not detected, it just yields noise.
     """
     s = ring.drop_level(sk.s, ct.level)
-    acc = ring.ring_add(ct.parts[0], ring.ring_mul(ct.parts[1], s))
+    acc = ring.ring_add(ct.parts.part(0), ring.ring_mul(ct.parts.part(1), s))
     poly = ring.ntt_inverse(acc)
     return Plaintext(poly, ct.scale, value_bound=ct.value_bound)
 
@@ -523,18 +521,9 @@ def _pairwise(items, combine):
 def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:
     """Slotwise sum; scales must match to 2^-30 relative."""
     _require_summable(a, b)
-    parts = tuple(ring.ring_add(x, y) for x, y in zip(a.parts, b.parts))
-    noise, bound = _sum_ledger(
-        (a.noise_bits, a.value_bound), (b.noise_bits, b.value_bound)
-    )
-    return Ciphertext(
-        scheme=a.scheme,
-        parts=parts,
-        level=a.level,
-        scale=a.scale,
-        noise_bits=noise,
-        value_bound=bound,
-    )
+    parts = ring.ring_add(a.parts, b.parts)
+    noise, bound = _sum_ledger((a.noise_bits, a.value_bound), (b.noise_bits, b.value_bound))
+    return dataclasses.replace(a, parts=parts, noise_bits=noise, value_bound=bound)
 
 
 def tree_sum(cts) -> Ciphertext:
@@ -549,12 +538,13 @@ def _pt_for(ct: Ciphertext, pt: Plaintext) -> ring.RingElement:
     return ring.ntt_forward(ring.drop_level(pt.poly, ct.level))
 
 
-def _plus(ct: Ciphertext, c0: ring.RingElement, round_error, value_bound):
-    """ct with first part c0, the old one plus a plaintext at ct's scale
-    with this rounding error and |slot| bound: an addition's ledger rule."""
+def _plus(ct: Ciphertext, parts: ring.RingElement, round_error, value_bound):
+    """ct with ``parts``, the old ones plus a plaintext at ct's scale with
+    this rounding error and |slot| bound in the first part: an addition's
+    ledger rule."""
     return dataclasses.replace(
         ct,
-        parts=(c0, ct.parts[1]),
+        parts=parts,
         noise_bits=_log2_sum(ct.noise_bits, _log2_pos(round_error)),
         value_bound=ct.value_bound + value_bound,
     )
@@ -586,15 +576,14 @@ def add_plain(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
     """Slotwise sum with a slot-vector plaintext at ct's scale."""
     if abs(ct.scale - pt.scale) > SCALE_REL_TOL * max(ct.scale, pt.scale):
         raise ScaleMismatch(f"scales {ct.scale} vs {pt.scale}")
-    c0 = ring.ring_add(ct.parts[0], _pt_for(ct, pt))
-    return _plus(ct, c0, pt.round_error, pt.value_bound)
+    parts = ring.ring_add(ct.parts, ring.pair(_pt_for(ct, pt)))
+    return _plus(ct, parts, pt.round_error, pt.value_bound)
 
 
 def mult_plain(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
     """Slotwise product with a slot-vector plaintext; scale multiplies,
     the caller rescales when ready."""
-    m = _pt_for(ct, pt)
-    parts = tuple(ring.ring_mul(p, m) for p in ct.parts)
+    parts = ring.ring_mul(ct.parts, _pt_for(ct, pt))
     return _times(ct, parts, pt.scale, pt.round_error, pt.value_bound)
 
 
@@ -604,24 +593,20 @@ def _encoded(value: float, scale: float):
     return c0, err, abs(value) + err / scale
 
 
-def _constant(ct: Ciphertext, value: float, scale: float):
-    """(residue column, round_error, value_bound) of ``value`` at ``scale``."""
-    c0, err, bound = _encoded(value, scale)
-    return ring.constant_column(c0, ct.scheme.ring, ct.level), err, bound
-
-
 def add_const(ct: Ciphertext, value: float) -> Ciphertext:
-    """Slotwise sum with ``value`` encoded at ct's scale."""
-    col, err, bound = _constant(ct, value, ct.scale)
-    return _plus(ct, ring.scalar_add(ct.parts[0], col), err, bound)
+    """Slotwise sum with ``value`` encoded at ct's scale: the columns of
+    (c0, 0) added to the parts."""
+    c0, err, bound = _encoded(value, ct.scale)
+    cols = ring.constant_column([c0, 0], ct.scheme.ring, ct.level)
+    return _plus(ct, ring.scalar_add(ct.parts, cols), err, bound)
 
 
 def mult_const(ct: Ciphertext, value: float, scale: float) -> Ciphertext:
     """Slotwise product with ``value`` encoded at ``scale``; scale
     multiplies, the caller rescales when ready."""
-    col, err, bound = _constant(ct, value, scale)
-    parts = tuple(ring.scalar_mul(p, col) for p in ct.parts)
-    return _times(ct, parts, float(scale), err, bound)
+    c0, err, bound = _encoded(value, scale)
+    col = ring.constant_column(c0, ct.scheme.ring, ct.level)
+    return _times(ct, ring.scalar_mul(ct.parts, col), float(scale), err, bound)
 
 
 def weighted_sums(cts, weights, scale: float) -> list:
@@ -674,7 +659,7 @@ def _relinearize(d2: ring.RingElement, evk: RelinKey, level: int):
     a centred fast base conversion into P ∪ Q_level, which is c2 mod the
     digit's primes; the digits' inner product with the evk over P ∪
     Q_level, which decrypts to P*c2*s^2 plus sum_i d_i*e_i; and ModDown,
-    ring.divide of both sums by P with rounding.
+    ring.divide of the pair of sums by P with rounding.
 
     With digit_size 1 and no special primes each digit is c2's residue
     row centred into (-q_j/2, q_j/2], and P = 1 leaves nothing to divide:
@@ -696,15 +681,11 @@ def mult(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
     _require_aligned(a, b)
     if a.level < 1:
         raise LevelExhausted("multiplication at level 0 leaves no rescale room")
-    d0 = ring.ring_mul(a.parts[0], b.parts[0])
-    d1 = ring.ring_add(
-        ring.ring_mul(a.parts[0], b.parts[1]),
-        ring.ring_mul(a.parts[1], b.parts[0]),
-    )
-    d2 = ring.ring_mul(a.parts[1], b.parts[1])
-    r0, r1 = _relinearize(d2, evk, a.level)
-    c0 = ring.ring_add(d0, r0)
-    c1 = ring.ring_add(d1, r1)
+    # (a0b0, a1b1) and (a0b1, a1b0): d0 and d2, and d1's two terms
+    t = ring.ring_mul(a.parts, b.parts)
+    x = ring.ring_mul(a.parts, b.parts.part(slice(None, None, -1)))
+    d01 = ring.pair(t.part(0), ring.ring_add(x.part(0), x.part(1)))
+    parts = ring.ring_add(d01, _relinearize(t.part(1), evk, a.level))
     params = a.scheme
     # triangle inequality over |m1 nu2| + |m2 nu1| + |nu1 nu2| + relin;
     # each term is an upper bound, so their log-sum needs no extra pad
@@ -714,20 +695,15 @@ def mult(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
         a.noise_bits + b.noise_bits,
         params.relin_noise_bits(a.level),
     )
-    return Ciphertext(
-        scheme=params,
-        parts=(c0, c1),
-        level=a.level,
-        scale=a.scale * b.scale,
-        noise_bits=noise,
-        value_bound=a.value_bound * b.value_bound,
-    )
+    bound = a.value_bound * b.value_bound
+    return Ciphertext(params, parts, a.level, a.scale * b.scale, noise, bound)
 
 
 def rescale(ct: Ciphertext) -> Ciphertext:
     """Drop the top prime, dividing scale (and value*scale payload) by it:
-    ring.divide by q_top, exact RNS rounding in the Evaluation domain, in
-    which only the parts' top rows and their lifts pass through an NTT."""
+    ring.divide of the pair by q_top, exact RNS rounding in the Evaluation
+    domain, in which only the parts' top rows and their lifts pass through
+    an NTT."""
     if ct.level < 1:
         raise LevelExhausted("rescale at level 0")
     params, lv, q_top = ct.scheme, ct.level, ct.scheme.ring.moduli[ct.level]
@@ -744,7 +720,7 @@ def ct_drop_level(ct: Ciphertext, new_level: int) -> Ciphertext:
         raise ValueError(f"cannot raise level {ct.level} to {new_level}")
     if new_level == ct.level:
         return ct
-    parts = tuple(ring.drop_level(p, new_level) for p in ct.parts)
+    parts = ring.drop_level(ct.parts, new_level)
     return dataclasses.replace(ct, parts=parts, level=new_level)
 
 

@@ -13,16 +13,18 @@ Blob layout, version 3 (integers little-endian):
 A ring element is a bare residue block: an Evaluation-domain element at
 level l is (l+1)*N u64 words, one row per prime in chain order, each
 word below its prime. The block carries no level or domain of its own.
+An RLWE pair, held as one (2, l+1, N) element, is its two parts' blocks
+back to back, so each pair below is written and read as one block.
 
     kind    payload
-    pk      b, a                      top-level blocks
+    pk      b, a                      one top-level pair
     sk      s                         top-level block
-    evk     b_0, a_0, ..., b_D, a_D   key-ring top-level blocks, one pair
-                                      per key-switching digit
+    evk     b_0, a_0, ..., b_D, a_D   key-ring top-level pairs, one per
+                                      key-switching digit
     bundle  bundle kind u8 (0 features, 1 scores), ciphertext count u32,
             n_samples u32; then per ciphertext its record (level u32,
-            scale f64, noise_bits f64, value_bound f64) and its c0 and
-            c1 blocks at that level
+            scale f64, noise_bits f64, value_bound f64) and its c0, c1
+            pair at that level
 
 A key-ring block holds k + L + 1 rows: the k special primes, then the
 chain (``scheme.SchemeParams.key_ring``). So a key blob's size is fixed
@@ -205,40 +207,37 @@ def _open(data, kind: int, params: scheme.SchemeParams, payload_size=None) -> by
     return data
 
 
-def _elements(data: bytes, offset: int, count: int, level: int, rp) -> list:
-    """``count`` residue blocks of the chain ``rp`` at ``level`` from
-    data[offset:], each a read-only view of ``data`` with every word below
-    its q_j."""
-    shape = (count, level + 1, rp.ring_degree)
+def _element(data: bytes, offset: int, parts: tuple, level: int, rp) -> ring.RingElement:
+    """The Evaluation element of the chain ``rp`` at ``level`` whose parts
+    + (level+1, N) residue block starts at data[offset], a read-only view
+    of ``data`` with every word below its q_j."""
+    shape = parts + (level + 1, rp.ring_degree)
     words = math.prod(shape)
     if offset + 8 * words > len(data) - _CHECKSUM:
         raise FormatError("truncated residue block")
     res = np.frombuffer(data, "<u8", words, offset).reshape(shape)
     if np.any(res >= rp._q_col[: level + 1]):
         raise FormatError("residue outside modulus range")
-    res = res.astype(np.uint64, copy=False)
-    return [ring.RingElement(rp, level, r, ring.Domain.EVALUATION) for r in res]
+    return ring.RingElement(rp, level, res.astype(np.uint64, copy=False), ring.Domain.EVALUATION)
 
 
 # ---------------------------------------------------------------------------
 # Keys
 # ---------------------------------------------------------------------------
 
-def _key_elements(data, kind: int, params: scheme.SchemeParams, count: int, rp) -> list:
-    """The ``count`` top-level elements of the chain ``rp`` that make up a
-    key payload."""
-    size = 8 * count * rp.level_count * rp.ring_degree
-    data = _open(data, kind, params, size)
-    return _elements(data, _HEADER.size, count, rp.max_level, rp)
+def _key_element(data, kind: int, params: scheme.SchemeParams, parts: tuple, rp):
+    """The top-level element of the chain ``rp`` that makes up a key
+    payload."""
+    size = 8 * math.prod(parts) * rp.level_count * rp.ring_degree
+    return _element(_open(data, kind, params, size), _HEADER.size, parts, rp.max_level, rp)
 
 
 def public_key_to_bytes(pk: scheme.PublicKey) -> bytes:
-    return _seal(KIND_PK, pk.scheme, [_words(pk.b), _words(pk.a)])
+    return _seal(KIND_PK, pk.scheme, [_words(pk.pair)])
 
 
 def public_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.PublicKey:
-    b, a = _key_elements(data, KIND_PK, params, 2, params.ring)
-    return scheme.PublicKey(params, b, a)
+    return scheme.PublicKey(params, _key_element(data, KIND_PK, params, (2,), params.ring))
 
 
 def secret_key_to_bytes(sk: scheme.SecretKey) -> bytes:
@@ -246,19 +245,17 @@ def secret_key_to_bytes(sk: scheme.SecretKey) -> bytes:
 
 
 def secret_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.SecretKey:
-    (s,) = _key_elements(data, KIND_SK, params, 1, params.ring)
-    return scheme.SecretKey(params, s)
+    return scheme.SecretKey(params, _key_element(data, KIND_SK, params, (), params.ring))
 
 
 def relin_key_to_bytes(evk: scheme.RelinKey) -> bytes:
-    words = [_words(el) for pair in evk.components for el in pair]
-    return _seal(KIND_EVK, evk.scheme, words)
+    return _seal(KIND_EVK, evk.scheme, [_words(pair) for pair in evk.components])
 
 
 def relin_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.RelinKey:
-    count = 2 * len(params.digits(params.max_level))
-    els = _key_elements(data, KIND_EVK, params, count, params.key_ring)
-    return scheme.RelinKey(params, tuple(zip(els[::2], els[1::2])))
+    count = len(params.digits(params.max_level))
+    comps = _key_element(data, KIND_EVK, params, (count, 2), params.key_ring)
+    return scheme.RelinKey(params, tuple(comps.part(i) for i in range(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +282,7 @@ def bundle_to_bytes(bundle: Bundle, params: scheme.SchemeParams) -> bytes:
         if ct.scheme != params:
             raise ValueError("a bundle ciphertext was made under other parameters")
         payload.append(_RECORD.pack(ct.level, ct.scale, ct.noise_bits, ct.value_bound))
-        payload += [_words(p) for p in ct.parts]
+        payload.append(_words(ct.parts))
     return _seal(KIND_BUNDLE, params, payload)
 
 
@@ -319,9 +316,9 @@ def bundle_from_bytes(data: bytes, params: scheme.SchemeParams) -> Bundle:
                 f"bad ciphertext ledger: scale={scale}, noise_bits={noise_bits}, "
                 f"value_bound={value_bound}"
             )
-        parts = _elements(data, off + _RECORD.size, 2, level, rp)
-        off += _RECORD.size + 16 * (level + 1) * rp.ring_degree
-        cts.append(scheme.Ciphertext(params, tuple(parts), *record))
+        parts = _element(data, off + _RECORD.size, (2,), level, rp)
+        off += _RECORD.size + parts.residues.nbytes
+        cts.append(scheme.Ciphertext(params, parts, *record))
     if off != end:
         raise FormatError("trailing bytes in bundle")
     return Bundle(kind, n_samples, cts)

@@ -164,6 +164,17 @@ def random_ring_element(params, level, rng, domain=ring.Domain.COEFFICIENT):
     return ring.RingElement(params, level, res, domain)
 
 
+def uniform_pair(params, level, rng):
+    """The pair of two uniform Evaluation elements, drawn one after the
+    other, as one (2, level+1, N) element."""
+    return ring.pair(*(ring.sample_uniform(params, level, rng) for _ in range(2)))
+
+
+def split(pair):
+    """A pair's two parts, as one-part elements."""
+    return pair.part(0), pair.part(1)
+
+
 def poly_mul(a, b):
     """Negacyclic product of Coefficient elements through the NTT: forward
     transforms, ring.ring_mul's pointwise product, inverse transform."""
@@ -173,12 +184,10 @@ def poly_mul(a, b):
 def tensor_no_relin(a, b):
     """(d0, d1, d2), the unrelinearized product of two ciphertexts: it
     decrypts under (1, s, s^2) at scale a.scale * b.scale."""
-    d0 = ring.ring_mul(a.parts[0], b.parts[0])
-    d1 = ring.ring_add(
-        ring.ring_mul(a.parts[0], b.parts[1]),
-        ring.ring_mul(a.parts[1], b.parts[0]),
-    )
-    d2 = ring.ring_mul(a.parts[1], b.parts[1])
+    (a0, a1), (b0, b1) = split(a.parts), split(b.parts)
+    d0 = ring.ring_mul(a0, b0)
+    d1 = ring.ring_add(ring.ring_mul(a0, b1), ring.ring_mul(a1, b0))
+    d2 = ring.ring_mul(a1, b1)
     return d0, d1, d2
 
 
@@ -194,13 +203,14 @@ def relinearize_crt(d2, evk, level):
     """The CRT-gadget key switch: c2 = sum_j d_j*e_j mod Q_level, where
     the digit d_j is c2's residue row j centred into (-q_j/2, q_j/2], and
     evk component j encrypts s^2*e_j. The slow path of
-    scheme._relinearize with digit_size 1 and no special primes."""
+    scheme._relinearize with digit_size 1 and no special primes, part by
+    part: returns (acc0, acc1)."""
     rp = evk.scheme.ring
     digits = centered_rows(d2, slice(0, level + 1))
     acc0 = acc1 = None
     for j in range(level + 1):
         dig_el = ring.ntt_forward(ring.from_int_coeffs(digits[j], rp, level))
-        b_j, a_j = evk.components[j]
+        b_j, a_j = split(evk.components[j])
         term0 = ring.ring_mul(dig_el, ring.drop_level(b_j, level))
         term1 = ring.ring_mul(dig_el, ring.drop_level(a_j, level))
         acc0 = term0 if acc0 is None else ring.ring_add(acc0, term0)
@@ -224,7 +234,7 @@ def rescale_rows(ct):
     lv = ct.level
     q_top = rp.moduli[lv]
     out = []
-    for part in ct.parts:
+    for part in split(ct.parts):
         coeff = ring.ntt_inverse(part).residues
         top = [int(x) - q_top if int(x) > q_top // 2 else int(x) for x in coeff[lv]]
         rows = []
@@ -235,16 +245,16 @@ def rescale_rows(ct):
     return out
 
 
-def rescale_lift(parts):
-    """Rescale of each Evaluation part on its own: the top row centred,
-    lifted by from_int_coeffs, subtracted and multiplied by q_top^-1: the
-    slow path of ring.divide by the top prime."""
-    rp = parts[0].params
-    lv = parts[0].level
+def rescale_lift(pair):
+    """Rescale of each Evaluation part of a pair on its own: the top row
+    centred, lifted by from_int_coeffs, subtracted and multiplied by
+    q_top^-1: the slow path of ring.divide by the top prime."""
+    rp = pair.params
+    lv = pair.level
     q_top = rp.moduli[lv]
     inv = np.array([[pow(q_top, -1, q)] for q in rp.moduli[:lv]], dtype=np.uint64)
     out = []
-    for part in parts:
+    for part in split(pair):
         top = centered_rows(part, slice(lv, lv + 1))[0]
         lifted = ring.ntt_forward(ring.from_int_coeffs(top, rp, lv - 1))
         diff = ring.ring_sub(ring.drop_level(part, lv - 1), lifted)
@@ -252,17 +262,18 @@ def rescale_lift(parts):
     return out
 
 
-def mod_down_parts(parts, params, level):
-    """ModDown of each part over P ∪ Q_level on its own: an inverse NTT
-    of its k special-prime rows, their fast base conversion to Q_level, a
-    forward NTT, the difference with its Q_level rows and the product by
-    P^-1: the slow path of ring.divide by the special primes."""
+def mod_down_parts(pair, params, level):
+    """ModDown of each part of a pair over P ∪ Q_level on its own: an
+    inverse NTT of its k special-prime rows, their fast base conversion
+    to Q_level, a forward NTT, the difference with its Q_level rows and
+    the product by P^-1: the slow path of ring.divide by the special
+    primes."""
     rp, kr, k = params.ring, params.key_ring, params.special_count
     big_p = math.prod(kr.moduli[:k])
     p_inv = np.array([[pow(big_p, -1, q)] for q in rp.moduli[: level + 1]], np.uint64)
     conv = ring.Conversion(kr, slice(0, k), rp, level)
     out = []
-    for x in parts:
+    for x in split(pair):
         x_p = ring.ntt_inverse(ring.RingElement(kr, k - 1, x.residues[:k], x.domain))
         lift = ring.ntt_forward(ring.base_convert(x_p, conv, level))
         x_q = ring.RingElement(rp, level, x.residues[k:], x.domain)
@@ -322,8 +333,9 @@ def encrypt_four_ntt(pk, pt, rng):
     e0 = ring.ntt_forward(ring.sample_gaussian(rp, lv, scheme.ERR_STD, rng))
     e1 = ring.ntt_forward(ring.sample_gaussian(rp, lv, scheme.ERR_STD, rng))
     m = ring.ntt_forward(pt.poly)
-    c0 = ring.ring_add(ring.ring_add(ring.ring_mul(pk.b, u), e0), m)
-    c1 = ring.ring_add(ring.ring_mul(pk.a, u), e1)
+    b, a = split(pk.pair)
+    c0 = ring.ring_add(ring.ring_add(ring.ring_mul(b, u), e0), m)
+    c1 = ring.ring_add(ring.ring_mul(a, u), e1)
     return c0.residues, c1.residues
 
 

@@ -22,6 +22,8 @@ from hnn.errors import (
     ParamsHashMismatch,
 )
 
+from helpers import split
+
 
 @pytest.fixture(scope="module")
 def params():
@@ -95,6 +97,21 @@ class TestParamsFile:
         assert cli.main(["keygen", "--params", str(bad), "--out-dir", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("bits", [0, -3, 60, 100])
+    def test_scale_outside_the_rule_keygen_exit_code_2(self, params, tmp_path, capsys, bits):
+        # the scale rule of `hnn params` holds for a hand-edited file too
+        text = serialize.params_to_text(params).replace(
+            "scale_bits = 40", f"scale_bits = {bits}"
+        )
+        with pytest.raises(ParameterError, match=f"scale_bits {bits} outside"):
+            serialize.params_from_text(text)
+        bad = tmp_path / "p.txt"
+        bad.write_text(text)
+        out = tmp_path / "keys"
+        assert cli.main(["keygen", "--params", str(bad), "--out-dir", str(out)]) == 2
+        assert "scale_bits" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_1_names_hnn_params(self, params, tmp_path, capsys):
         text = serialize.params_to_text(params).replace("hnn-params v2", "hnn-params v1")
         text += "secret_weight = 16\nerr_std = 3.2000000000000002\n"
@@ -148,11 +165,11 @@ def _v1_key(key, gadget=20):
     """A pk, sk or evk as the version 1 writer laid it out; an evk's
     gadget byte 20 marks the retired base-2^20 gadget."""
     if isinstance(key, scheme.RelinKey):
-        els = [el for pair in key.components for el in pair]
+        els = [el for pair in key.components for el in split(pair)]
         payload = struct.pack("<BI", gadget, len(key.components)) + _v1_elements(els)
         return _v1_blob(serialize.KIND_EVK, key.scheme, payload)
     if isinstance(key, scheme.PublicKey):
-        return _v1_blob(serialize.KIND_PK, key.scheme, _v1_elements([key.b, key.a]))
+        return _v1_blob(serialize.KIND_PK, key.scheme, _v1_elements(split(key.pair)))
     return _v1_blob(serialize.KIND_SK, key.scheme, _v1_elements([key.s]))
 
 
@@ -164,7 +181,7 @@ def _hnnb_bundle(kind, cts, n_samples, version=2):
     out = fields + (hashlib.sha256(fields).digest() if version >= 2 else b"")
     for ct in cts:
         header = struct.pack("<BIddd", 2, ct.level, ct.scale, ct.noise_bits, ct.value_bound)
-        blob = _v1_blob(3, ct.scheme, header + _v1_elements(ct.parts))
+        blob = _v1_blob(3, ct.scheme, header + _v1_elements(split(ct.parts)))
         out += struct.pack("<Q", len(blob)) + blob
     return out
 
@@ -202,8 +219,7 @@ class TestBlobs:
         pk2 = serialize.public_key_from_bytes(
             serialize.public_key_to_bytes(keys.pk), params
         )
-        assert np.array_equal(pk2.b.residues, keys.pk.b.residues)
-        assert np.array_equal(pk2.a.residues, keys.pk.a.residues)
+        assert np.array_equal(pk2.pair.residues, keys.pk.pair.residues)
         sk2 = serialize.secret_key_from_bytes(
             serialize.secret_key_to_bytes(keys.sk), params
         )
@@ -212,9 +228,8 @@ class TestBlobs:
             serialize.relin_key_to_bytes(keys.evk), params
         )
         assert len(evk2.components) == len(keys.evk.components)
-        for (b1, a1), (b2, a2) in zip(keys.evk.components, evk2.components):
-            assert np.array_equal(b1.residues, b2.residues)
-            assert np.array_equal(a1.residues, a2.residues)
+        for c1, c2 in zip(keys.evk.components, evk2.components):
+            assert np.array_equal(c1.residues, c2.residues)
 
     def test_ciphertext_roundtrip_and_decrypt(self, params, keys):
         rng = np.random.default_rng(0)
@@ -240,7 +255,8 @@ class TestBlobs:
         sk2 = serialize.secret_key_from_bytes(
             serialize.secret_key_to_bytes(keys.sk), params
         )
-        e = ring.ring_add(pk2.b, ring.ring_mul(pk2.a, sk2.s))
+        b, a = split(pk2.pair)
+        e = ring.ring_add(b, ring.ring_mul(a, sk2.s))
         signed, _ = ring.compose_signed(ring.ntt_inverse(e))
         assert max(abs(int(x)) for x in signed) < 6 * scheme.ERR_STD
 
@@ -293,7 +309,8 @@ class TestBlobs:
         assert blob[5:7] == b"\x03\x00"
         assert blob[7:39] == serialize.params_hash(params)
         # the payload is b's residue block, then a's, as u64 LE words
-        words = np.concatenate([keys.pk.b.residues, keys.pk.a.residues])
+        b, a = split(keys.pk.pair)
+        words = np.concatenate([b.residues, a.residues])
         assert blob[39:-32] == words.astype("<u8").tobytes()
         assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
 
@@ -471,8 +488,7 @@ class TestCiphertextHeader:
         assert (back.level, back.scale, back.noise_bits) == (
             ct.level, ct.scale, ct.noise_bits,
         )
-        for p, q in zip(back.parts, ct.parts):
-            assert np.array_equal(p.residues, q.residues)
+        assert np.array_equal(back.parts.residues, ct.parts.residues)
 
     def test_over_budget_ledger_is_crypto_state_error(self, params, ct):
         # a well-formed ledger past the budget fails Ciphertext's own guard
@@ -522,8 +538,7 @@ def _tampered_evk(evk, what):
         top = evk.scheme.ring.moduli[-1]
         return _reseal(blob, len(blob) - 40, struct.pack("<Q", top))
     # well-formed blobs of other shapes: only the length rule sees them
-    b, a = comps[0]
-    low = (ring.drop_level(b, b.level - 1), ring.drop_level(a, a.level - 1))
+    low = ring.drop_level(comps[0], comps[0].level - 1)
     comps = {
         "short count": comps[:-1],
         "long count": comps + comps[:1],
@@ -590,7 +605,7 @@ def _tampered_key(key, what):
     """A pk or sk blob with one defect in its first element or its payload
     end, resealed so that only the loader's semantic checks can catch it."""
     to_bytes, first = {
-        scheme.PublicKey: (serialize.public_key_to_bytes, "b"),
+        scheme.PublicKey: (serialize.public_key_to_bytes, "pair"),
         scheme.SecretKey: (serialize.secret_key_to_bytes, "s"),
     }[type(key)]
     blob = to_bytes(key)
@@ -682,8 +697,8 @@ class TestBundles:
         buf = bytearray(_score_blob(params, cts[0]))
         (ct,) = serialize.bundle_from_bytes(buf, params).ciphertexts
         buf[_CT_C0 : _CT_C0 + 8] = bytes(8)
-        assert np.array_equal(ct.parts[0].residues, cts[0].parts[0].residues)
-        assert not ct.parts[0].residues.flags.writeable
+        assert np.array_equal(ct.parts.residues[0], cts[0].parts.residues[0])
+        assert not ct.parts.residues.flags.writeable
 
     def test_ciphertext_under_other_params_refused(self, params, keys):
         rng = np.random.default_rng(20)

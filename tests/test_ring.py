@@ -20,6 +20,8 @@ from helpers import (
     rescale_lift,
     schoolbook_int_negacyclic,
     schoolbook_mul,
+    split,
+    uniform_pair,
 )
 
 
@@ -195,7 +197,7 @@ class TestBatchedChain:
                 poly_mul(a, b).residues, schoolbook_mul(a, b).residues
             )
 
-    def test_add_sub_neg_match_python_ints(self, chain):
+    def test_add_sub_match_python_ints(self, chain):
         rng = np.random.default_rng(14)
         level = 9
         a = random_ring_element(chain, level, rng)
@@ -217,7 +219,6 @@ class TestBatchedChain:
                 assert ring.ring_sub(left, right).residues[j].tolist() == [
                     (u - v) % q for u, v in zip(x, y)
                 ]
-                assert ring.ring_neg(left).residues[j].tolist() == [-u % q for u in x]
 
     def test_compose_matches_python_crt(self, chain):
         rng = np.random.default_rng(15)
@@ -481,58 +482,59 @@ class TestScalarKernels:
                 ring.scalar_add(ring.ntt_inverse(ev), col)
 
     def test_scalar_mul_sums_match_per_term_products(self, chain):
-        # sum_k groups[k][p] * cols[k, c] against 21-bit split products
-        # summed in Python ints, with columns 0 and q - 1 among random ones
+        # sum_k pairs[k] * cols[k, c] against 21-bit split products of each
+        # part summed in Python ints, with columns 0 and q - 1 among random
+        # ones
         rng = np.random.default_rng(27)
         for level in (0, 5, chain.max_level):
             q = chain._q_col[: level + 1]
             for d, c in ((1, 1), (3, 2), (17, 3)):
-                groups = [
-                    tuple(
-                        ring.RingElement(
-                            chain, level,
-                            rng.integers(0, q, (level + 1, 1024), dtype=np.uint64),
-                            ring.Domain.EVALUATION,
-                        )
-                        for _ in range(2)
+                pairs = [
+                    ring.RingElement(
+                        chain, level,
+                        rng.integers(0, q, (2, level + 1, 1024), dtype=np.uint64),
+                        ring.Domain.EVALUATION,
                     )
                     for _ in range(d)
                 ]
                 cols = rng.integers(0, q, (d, c, level + 1, 1), dtype=np.uint64)
                 cols[0, 0], cols[-1, -1] = q - np.uint64(1), 0
-                sums = ring.scalar_mul_sums(groups, cols)
+                sums = ring.scalar_mul_sums(pairs, cols)
                 assert len(sums) == c
                 for j in range(c):
+                    got = sums[j]
+                    assert (got.level, got.domain, got.parts_shape) == (
+                        level, ring.Domain.EVALUATION, (2,),
+                    )
                     for p in range(2):
                         want = sum(
-                            mulmod_split(g[p].residues, np.broadcast_to(
-                                cols[k, j], g[p].residues.shape), q).astype(object)
-                            for k, g in enumerate(groups)
+                            mulmod_split(x.residues[p], np.broadcast_to(
+                                cols[k, j], x.residues[p].shape), q).astype(object)
+                            for k, x in enumerate(pairs)
                         ) % q.astype(object)
-                        got = sums[j][p]
-                        assert got.level == level and got.domain == ring.Domain.EVALUATION
-                        assert np.array_equal(got.residues, want.astype(np.uint64))
+                        assert np.array_equal(got.residues[p], want.astype(np.uint64))
 
     def test_scalar_mul_sums_reject_bad_input(self, chain):
         el = ring.zero(chain, 2, ring.Domain.EVALUATION)
+        two = ring.pair(el)
         q = chain._q_col[:3]
         cols = np.zeros((2, 1, 3, 1), np.uint64)
         bad = [
             ([], cols[:0]),
-            ([(el, el), (el,)], cols),
-            ([(el, el), (el, ring.zero(chain, 1, ring.Domain.EVALUATION))], cols),
-            ([(el, el), (el, ring.ntt_inverse(el))], cols),
-            ([(el, el)] * 2, cols[:1]),
-            ([(el, el)] * 2, cols[:, :, :2]),
-            ([(el, el)] * 2, cols.astype(np.int64)),
-            ([(el, el)] * 2, cols + q[None, None]),
+            ([two, el], cols),
+            ([two, ring.pair(ring.zero(chain, 1, ring.Domain.EVALUATION))], cols),
+            ([two, ring.pair(ring.ntt_inverse(el))], cols),
+            ([two] * 2, cols[:1]),
+            ([two] * 2, cols[:, :, :2]),
+            ([two] * 2, cols.astype(np.int64)),
+            ([two] * 2, cols + q[None, None]),
         ]
-        for groups, c in bad:
+        for els, c in bad:
             with pytest.raises(ValueError):
-                ring.scalar_mul_sums(groups, c)
+                ring.scalar_mul_sums(els, c)
         n = ring.MAX_SUM_TERMS + 1
         with pytest.raises(ValueError, match="terms outside"):
-            ring.scalar_mul_sums([(el,)] * n, np.broadcast_to(cols[:1], (n, 1, 3, 1)))
+            ring.scalar_mul_sums([two] * n, np.broadcast_to(cols[:1], (n, 1, 3, 1)))
 
     def test_bad_columns_rejected(self, chain):
         el = ring.zero(chain, 2, ring.Domain.EVALUATION)
@@ -633,39 +635,135 @@ class TestKeySwitchKernels:
         rng = np.random.default_rng(42)
         for level in (0, 9, key.max_level):
             xs = [ring.sample_uniform(key, level, rng) for _ in range(4)]
-            keys = [
-                tuple(ring.sample_uniform(key, key.max_level, rng) for _ in range(2))
-                for _ in range(4)
-            ]
+            keys = [uniform_pair(key, key.max_level, rng) for _ in range(4)]
             got = ring.mul_sums(xs, keys)
+            assert (got.level, got.parts_shape) == (level, (2,))
             for p in range(2):
                 want = None
                 for x, pair in zip(xs, keys):
-                    term = ring.ring_mul(x, ring.drop_level(pair[p], level))
+                    term = ring.ring_mul(x, ring.drop_level(pair.part(p), level))
                     want = term if want is None else ring.ring_add(want, term)
-                assert got[p].level == level
-                assert np.array_equal(got[p].residues, want.residues)
+                assert np.array_equal(got.residues[p], want.residues)
 
     def test_mul_sums_reject_bad_input(self, rings):
         chain, key = rings
         x = ring.zero(key, 5, ring.Domain.EVALUATION)
-        top = ring.zero(key, key.max_level, ring.Domain.EVALUATION)
+        top = ring.pair(ring.zero(key, key.max_level, ring.Domain.EVALUATION))
         bad = [
             ([], []),
-            ([x], [(top,), (top,)]),
-            ([x], [(ring.zero(key, 4, ring.Domain.EVALUATION),)]),
-            ([x], [(ring.zero(chain, chain.max_level, ring.Domain.EVALUATION),)]),
-            ([ring.ntt_inverse(x)], [(ring.ntt_inverse(top),)]),
+            ([x], [top, top]),
+            ([x], [ring.pair(ring.zero(key, 4, ring.Domain.EVALUATION))]),
+            ([x], [ring.pair(ring.zero(chain, chain.max_level, ring.Domain.EVALUATION))]),
+            ([ring.ntt_inverse(x)], [ring.pair(ring.ntt_inverse(top.part(0)))]),
+            # keys of other parts, and a pair in place of a one-part x
+            ([x, x], [top, top.part(0)]),
+            ([ring.pair(x)], [top]),
         ]
         for xs, keys in bad:
             with pytest.raises(ValueError):
                 ring.mul_sums(xs, keys)
 
 
+class TestPairs:
+    """Each kernel on a pair, one (2, level+1, N) element, against the
+    per-part path it replaces, at every level of the default head's
+    13-prime N=1024 chain."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        params = scheme.param_gen(
+            128, 512, neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead())),
+            scale_bits=40, allow_insecure=True,
+        )
+        assert params.ring.level_count == 13
+        return params.ring
+
+    @staticmethod
+    def levels(chain, seed):
+        # (level, x, y, one): two pairs with the extremes 0 and q - 1 in
+        # every row, and a one-part element
+        rng = np.random.default_rng(seed)
+        for level in range(chain.level_count):
+            x, y = (uniform_pair(chain, level, rng).residues.copy() for _ in range(2))
+            x[..., :2] = y[..., 1:3] = chain._q_col[: level + 1] - np.uint64(1)
+            x[..., 2] = y[..., 0] = 0
+            x, y = (ring.RingElement(chain, level, r, ring.Domain.EVALUATION) for r in (x, y))
+            yield level, x, y, ring.sample_uniform(chain, level, rng)
+
+    @staticmethod
+    def same(got, parts):
+        assert got.parts_shape == (2,)
+        for p, want in enumerate(parts):
+            assert (got.level, got.domain) == (want.level, want.domain)
+            assert np.array_equal(got.residues[p], want.residues)
+
+    def test_products_match_per_part(self, chain):
+        for _, x, y, one in self.levels(chain, 61):
+            per_part = [ring.ring_mul(a, b) for a, b in zip(split(x), split(y))]
+            self.same(ring.ring_mul(x, y), per_part)
+            by_one = [ring.ring_mul(a, one) for a in split(x)]
+            self.same(ring.ring_mul(x, one), by_one)
+            self.same(ring.ring_mul(one, x), by_one)
+
+    def test_sums_and_scalar_products_match_per_part(self, chain):
+        rng = np.random.default_rng(62)
+        for level, x, y, _ in self.levels(chain, 63):
+            for op in (ring.ring_add, ring.ring_sub):
+                self.same(op(x, y), [op(a, b) for a, b in zip(split(x), split(y))])
+            q = chain._q_col[: level + 1]
+            col, cols = (rng.integers(0, q, s + q.shape, dtype=np.uint64) for s in ((), (2,)))
+            parts = split(x)
+            self.same(ring.scalar_mul(x, col), [ring.scalar_mul(a, col) for a in parts])
+            by_cols = [ring.scalar_add(a, c) for a, c in zip(parts, cols)]
+            self.same(ring.scalar_add(x, cols), by_cols)
+            low = level // 2
+            self.same(ring.drop_level(x, low), [ring.drop_level(a, low) for a in parts])
+
+    def test_weighted_and_key_sums_match_per_part(self, chain):
+        rng = np.random.default_rng(64)
+        for level, x, y, one in self.levels(chain, 65):
+            q = chain._q_col[: level + 1]
+            cols = rng.integers(0, q, (2, 3) + q.shape, dtype=np.uint64)
+            sums = ring.scalar_mul_sums([x, y], cols)
+            for c, got in enumerate(sums):
+                self.same(got, [
+                    ring.ring_add(*(ring.scalar_mul(el, w) for el, w in zip(ab, cols[:, c])))
+                    for ab in zip(split(x), split(y))
+                ])
+            two = ring.sample_uniform(chain, level, rng)
+            self.same(ring.mul_sums([one, two], [x, y]), [
+                ring.ring_add(ring.ring_mul(one, a), ring.ring_mul(two, b))
+                for a, b in zip(split(x), split(y))
+            ])
+
+    def test_a_pair_and_one_part_do_not_mix(self, chain):
+        _, x, _, one = next(self.levels(chain, 66))
+        for op in (ring.ring_add, ring.ring_sub):
+            for a, b in ((x, one), (one, x)):
+                with pytest.raises(ValueError, match="parts mismatch"):
+                    op(a, b)
+        with pytest.raises(ValueError, match=r"expected a \(2, 1, 1\)"):
+            ring.scalar_add(x, chain._q_col[:1] - np.uint64(1))
+        with pytest.raises(ValueError, match="one part"):
+            ring.ntt_inverse(x)
+        with pytest.raises(ValueError, match="single"):
+            ring.pair(x)
+
+    def test_ciphertext_block_needs_two_parts(self, chain):
+        params = scheme.param_gen(128, 16, 3, scale_bits=40, allow_insecure=True)
+        rp, rng = params.ring, np.random.default_rng(67)
+        one = ring.sample_uniform(rp, 2, rng)
+        three = one._like(np.stack([one.residues] * 3))
+        for block in (one, three):
+            with pytest.raises(ValueError, match="needs 2 parts"):
+                scheme.Ciphertext(params, block, 2, params.scale, 10.0, 1.0)
+        scheme.Ciphertext(params, ring.pair(one, one), 2, params.scale, 10.0, 1.0)
+
+
 class TestDivide:
     """ring.divide against the per-part slow paths it replaces, on the
     default head's 13-prime N=1024 chain and its 17-prime key ring, and
-    the stacked NTT kernels against one-element NTTs."""
+    the (parts, rows, N) NTT kernels against one-element NTTs."""
 
     @pytest.fixture(scope="class")
     def params(self):
@@ -675,25 +773,23 @@ class TestDivide:
         )
 
     @staticmethod
-    def parts(rp, level, rng):
+    def pair(rp, level, rng):
         # random residues, with the extremes 0 and q - 1 in every row
-        out = []
-        for _ in range(2):
-            x = ring.sample_uniform(rp, level, rng).residues.copy()
-            x[:, :2] = rp._q_col[: level + 1] - np.uint64(1)
-            x[:, 2] = 0
-            out.append(ring.RingElement(rp, level, x, ring.Domain.EVALUATION))
-        return tuple(out)
+        x = uniform_pair(rp, level, rng).residues.copy()
+        x[..., :2] = rp._q_col[: level + 1] - np.uint64(1)
+        x[..., 2] = 0
+        return ring.RingElement(rp, level, x, ring.Domain.EVALUATION)
 
     def test_rescale_matches_the_lift_every_level(self, params):
         rp = params.ring
         assert rp.level_count == 13
         rng = np.random.default_rng(51)
         for level in range(1, rp.level_count):
-            parts = self.parts(rp, level, rng)
-            got = ring.divide(parts, *params.rescale_div[level])
-            for g, w in zip(got, rescale_lift(parts)):
-                assert (g.params, g.level, g.domain) == (rp, level - 1, w.domain)
+            pair = self.pair(rp, level, rng)
+            got = ring.divide(pair, *params.rescale_div[level])
+            assert (got.params, got.level, got.parts_shape) == (rp, level - 1, (2,))
+            for g, w in zip(split(got), rescale_lift(pair)):
+                assert g.domain == w.domain
                 assert np.array_equal(g.residues, w.residues)
 
     def test_mod_down_matches_per_part_every_level(self, params):
@@ -701,24 +797,26 @@ class TestDivide:
         assert kr.level_count == 17
         rng = np.random.default_rng(52)
         for level in range(rp.level_count):
-            parts = self.parts(kr, k + level, rng)
-            got = ring.divide(parts, *params.mod_down)
-            for g, w in zip(got, mod_down_parts(parts, params, level)):
-                assert (g.params, g.level, g.domain) == (rp, level, w.domain)
+            pair = self.pair(kr, k + level, rng)
+            got = ring.divide(pair, *params.mod_down)
+            assert (got.params, got.level, got.parts_shape) == (rp, level, (2,))
+            for g, w in zip(split(got), mod_down_parts(pair, params, level)):
+                assert g.domain == w.domain
                 assert np.array_equal(g.residues, w.residues)
 
     def test_divide_rejects_what_does_not_fit(self, params):
         rp, kr, k = params.ring, params.key_ring, params.special_count
         rng = np.random.default_rng(53)
-        ev = self.parts(rp, 5, rng)
-        with pytest.raises(ValueError, match="Evaluation"):
-            ring.divide(tuple(ring.ntt_inverse(p) for p in ev), *params.rescale_div[5])
+        ev = self.pair(rp, 5, rng)
+        coeff = ring.pair(*(ring.ntt_inverse(p) for p in split(ev)))
+        # a Coefficient pair, or one part without a parts axis
+        for x in (coeff, ev.part(0)):
+            with pytest.raises(ValueError, match="Evaluation-domain element with one parts axis"):
+                ring.divide(x, *params.rescale_div[5])
         # constants of another level, or of the key ring on a chain element
         for consts in (params.rescale_div[4], params.mod_down):
             with pytest.raises(ValueError, match="does not fit"):
                 ring.divide(ev, *consts)
-        with pytest.raises(ValueError, match="level mismatch"):
-            ring.divide((ev[0], ring.drop_level(ev[1], 4)), *params.rescale_div[5])
 
     @pytest.mark.parametrize("n, bit_sizes", [(1024, [42] + [41] * 12), (16384, [42, 41, 41])])
     def test_stacked_kernels_equal_single_element_ntts(self, n, bit_sizes):
@@ -751,12 +849,13 @@ class TestDivide:
         rp, kr, k = params.ring, params.key_ring, params.special_count
         rng = np.random.default_rng(55)
         for level in (1, 6, rp.max_level):
-            ct = scheme.Ciphertext(params, self.parts(rp, level, rng), level, params.scale, 10.0, 1.0)
+            pair = self.pair(rp, level, rng)
+            ct = scheme.Ciphertext(params, pair, level, params.scale, 10.0, 1.0)
             calls.update(forward=0, inverse=0)
             scheme.rescale(ct)
             assert calls == {"forward": 1, "inverse": 1}
             calls.update(forward=0, inverse=0)
-            ring.divide(self.parts(kr, k + level, rng), *params.mod_down)
+            ring.divide(self.pair(kr, k + level, rng), *params.mod_down)
             assert calls == {"forward": 1, "inverse": 1}
 
 
@@ -967,4 +1066,5 @@ class TestAlgebraicProperties:
         out = el
         for _ in range(8):
             out = schoolbook_mul(out, x)
-        assert np.array_equal(out.residues, ring.ring_neg(el).residues)
+        zero = ring.zero(params, el.level)
+        assert np.array_equal(out.residues, ring.ring_sub(zero, el).residues)

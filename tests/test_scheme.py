@@ -20,7 +20,9 @@ from helpers import (
     encrypt_four_ntt,
     relinearize_crt,
     rescale_rows,
+    split,
     tensor_no_relin,
+    uniform_pair,
 )
 
 
@@ -99,6 +101,19 @@ class TestParamGen:
         with pytest.raises(ParameterError, match="slot capacity"):
             dataclasses.replace(small_params, slot_capacity=slots)
 
+    @pytest.mark.parametrize("scale", [3e12, 2.0 ** 40 + 1, 0.0, -2.0 ** 40, math.inf, math.nan])
+    def test_scale_must_be_a_power_of_two(self, small_params, scale):
+        # 3e12 would be saved as scale_bits = 42, the text of another set
+        with pytest.raises(ParameterError, match="not a power of two"):
+            dataclasses.replace(small_params, scale=scale)
+
+    @pytest.mark.parametrize("bits", [13, 41, 60, -3])
+    def test_scale_bits_outside_the_rule_rejected(self, small_params, bits):
+        with pytest.raises(ParameterError, match=f"scale_bits {bits} outside"):
+            dataclasses.replace(small_params, scale=2.0 ** bits)
+        with pytest.raises(ParameterError, match=f"scale_bits {bits} outside"):
+            scheme.param_gen(128, 16, 3, scale_bits=bits, allow_insecure=True)
+
     def test_only_five_fields_are_set(self, small_params):
         init = [f.name for f in dataclasses.fields(scheme.SchemeParams) if f.init]
         assert init == [
@@ -129,9 +144,8 @@ class TestKeygen:
         # below 6*err_std (structural via tail resampling), 100 seeds
         for seed in range(100):
             keys = scheme.keygen(small_params, np.random.default_rng(seed))
-            e = ring.ring_add(
-                keys.pk.b, ring.ring_mul(keys.pk.a, keys.sk.s)
-            )
+            b, a = split(keys.pk.pair)
+            e = ring.ring_add(b, ring.ring_mul(a, keys.sk.s))
             signed, _ = ring.compose_signed(ring.ntt_inverse(e))
             worst = max(abs(int(v)) for v in signed)
             assert worst < 6 * scheme.ERR_STD
@@ -152,8 +166,8 @@ class TestKeygen:
         k1 = scheme.keygen(small_params, np.random.default_rng(1))
         k2 = scheme.keygen(small_params, np.random.default_rng(2))
         k1b = scheme.keygen(small_params, np.random.default_rng(1))
-        assert not np.array_equal(k1.pk.b.residues, k2.pk.b.residues)
-        assert np.array_equal(k1.pk.b.residues, k1b.pk.b.residues)
+        assert not np.array_equal(k1.pk.pair.residues, k2.pk.pair.residues)
+        assert np.array_equal(k1.pk.pair.residues, k1b.pk.pair.residues)
         assert np.array_equal(k1.sk.s.residues, k1b.sk.s.residues)
 
     def test_relin_key_components_decrypt_to_p_times_masked_s2(self, small_keys):
@@ -171,8 +185,9 @@ class TestKeygen:
         big_q, big_p = math.prod(rp.moduli), math.prod(kr.moduli[:k])
         digits = params.digits(params.max_level)
         assert len(small_keys.evk.components) == len(digits) == 2
-        for d, (b_i, a_i) in zip(digits, small_keys.evk.components):
-            assert (b_i.params, b_i.level) == (kr, kr.max_level)
+        for d, comp in zip(digits, small_keys.evk.components):
+            assert (comp.params, comp.level, comp.parts_shape) == (kr, kr.max_level, (2,))
+            b_i, a_i = split(comp)
             e_i = sum(
                 big_q // q * pow(big_q // q, -1, q) for q in rp.moduli[d]
             ) % big_q
@@ -202,7 +217,7 @@ class TestEncryptDecrypt:
         pt = encoding.encode(v, small_keys.scheme.scale, small_keys.scheme.ring)
         c1 = scheme.encrypt(small_keys.pk, pt, rng)
         c2 = scheme.encrypt(small_keys.pk, pt, rng)
-        assert not np.array_equal(c1.parts[0].residues, c2.parts[0].residues)
+        assert not np.array_equal(c1.parts.residues[0], c2.parts.residues[0])
 
     def test_thousand_encryptions_all_distinct(self, small_keys, rng):
         v = np.full(small_keys.scheme.slot_capacity, 0.5)
@@ -210,7 +225,7 @@ class TestEncryptDecrypt:
         seen = set()
         for _ in range(1000):
             ct = scheme.encrypt(small_keys.pk, pt, rng)
-            seen.add(ct.parts[0].residues.tobytes())
+            seen.add(ct.parts.residues[0].tobytes())
         assert len(seen) == 1000
 
     def test_decrypt_deterministic(self, small_keys, rng):
@@ -258,8 +273,8 @@ class TestEncryptDecrypt:
         ct = scheme.encrypt(small_keys.pk, pt, np.random.default_rng(41))
         monkeypatch.undo()
         c0, c1 = encrypt_four_ntt(small_keys.pk, pt, np.random.default_rng(41))
-        assert np.array_equal(ct.parts[0].residues, c0)
-        assert np.array_equal(ct.parts[1].residues, c1)
+        assert np.array_equal(ct.parts.residues[0], c0)
+        assert np.array_equal(ct.parts.residues[1], c1)
         assert len(calls) == 3
 
     def test_three_part_decrypt(self, small_keys, rng):
@@ -271,8 +286,9 @@ class TestEncryptDecrypt:
         tensor = tensor_no_relin(cu, cv)
         slots = decrypt_three_part(small_keys.sk, tensor, cu.scale * cv.scale)[:k]
         assert np.max(np.abs(slots - u * v)) < 2.0 ** -15
-        with pytest.raises(ValueError):
-            dataclasses.replace(cu, parts=tensor)
+        block = np.stack([d.residues for d in tensor])
+        with pytest.raises(ValueError, match="needs 2 parts"):
+            dataclasses.replace(cu, parts=tensor[0]._like(block))
 
 
 class TestAdd:
@@ -393,7 +409,7 @@ class TestMultRescale:
                 prod = scheme.mult(ct, ct, keys.evk)
                 expect = rescale_rows(prod)
                 ct = scheme.rescale(prod)
-                for part, rows in zip(ct.parts, expect):
+                for part, rows in zip(split(ct.parts), expect):
                     assert np.array_equal(ring.ntt_inverse(part).residues, rows)
 
     def test_relinearized_matches_three_part_decrypt_every_level(
@@ -432,7 +448,7 @@ class TestMultRescale:
             d2 = ring.sample_uniform(params.ring, level, rng)
             got = scheme._relinearize(d2, evk, level)
             want = relinearize_crt(d2, evk, level)
-            for g, w in zip(got, want):
+            for g, w in zip(split(got), want):
                 assert (g.params, g.level) == (params.ring, level)
                 assert np.array_equal(g.residues, w.residues)
 
@@ -485,7 +501,7 @@ class TestConstOps:
         rng = np.random.default_rng(level)
         return scheme.Ciphertext(
             scheme=params,
-            parts=tuple(ring.sample_uniform(params.ring, level, rng) for _ in range(2)),
+            parts=uniform_pair(params.ring, level, rng),
             level=level,
             scale=2.0 ** 10,
             noise_bits=3.0,
@@ -494,8 +510,7 @@ class TestConstOps:
 
     @staticmethod
     def _same(got, want):
-        for g, w in zip(got.parts, want.parts):
-            assert np.array_equal(g.residues, w.residues)
+        assert np.array_equal(got.parts.residues, want.parts.residues)
         assert (got.level, got.scale, got.noise_bits, got.value_bound) == (
             want.level, want.scale, want.noise_bits, want.value_bound
         )
@@ -539,7 +554,7 @@ class TestWeightedSums:
         return [
             scheme.Ciphertext(
                 scheme=params,
-                parts=tuple(ring.sample_uniform(params.ring, lv, rng) for _ in range(2)),
+                parts=uniform_pair(params.ring, lv, rng),
                 level=lv,
                 scale=2.0 ** 16 * (1.0 + k * 2.0 ** -40),
                 noise_bits=float(rng.uniform(4.0, 12.0)) if k % 5 else -math.inf,
@@ -606,8 +621,8 @@ class TestWeightedSums:
         cts = top_cts[:4]
         w = np.ones((4, 2))
         other = scheme.Ciphertext(
-            small_params, tuple(ring.zero(small_params.ring, 2, ring.Domain.EVALUATION)
-                                for _ in range(2)), 2, cts[0].scale, 0.0, 1.0,
+            small_params, ring.pair(ring.zero(small_params.ring, 2, ring.Domain.EVALUATION)),
+            2, cts[0].scale, 0.0, 1.0,
         )
         cases = [
             (cts[:3] + [scheme.ct_drop_level(cts[3], 5)], w, ValueError, "level"),
@@ -663,7 +678,7 @@ class TestNoiseLedger:
         z = ring.ntt_forward(ring.zero(params.ring, params.max_level))
         ct = scheme.Ciphertext(
             scheme=params,
-            parts=(z, z),
+            parts=ring.pair(z, z),
             level=params.max_level,
             scale=params.scale,
             noise_bits=-math.inf,
