@@ -26,7 +26,14 @@ reduction of large integers (from_int_coeffs, constant_column), its one
 final reduction of the sums divides. divide is both rescale and key
 switching's ModDown: it divides a pair by the product D of its top
 prime or of the special primes P, as
-(x_keep - NTT(convert(INTT(x_drop)))) * D^-1.
+(x_keep - NTT(convert(INTT(x_drop)))) * D^-1, or a Coefficient pair as
+NTT((x_keep - convert(x_drop)) * D^-1).
+
+fft_mul multiplies an element by a ternary polynomial exactly, in the
+Coefficient domain and with no NTT: the element's centred residues,
+split into two 21-bit limbs, meet the ternary factor in numpy's float
+FFT folded for X^N + 1, and the rounded limb products recombine mod
+q_j (encryption's pk*u).
 
 The forward NTT does not reduce between stages. With the product t in
 [0, 2q), a butterfly writes lo + t and lo + (2q - t), so values grow by
@@ -583,6 +590,16 @@ def _ntt_inverse_block(block: np.ndarray, tb: _NttTables, start: int) -> np.ndar
     return out
 
 
+def to_evaluation(a: RingElement) -> RingElement:
+    """a in the Evaluation domain, all its parts through one forward-NTT
+    kernel call; a itself if it is there already."""
+    if a.domain == Domain.EVALUATION:
+        return a
+    block = a.residues.reshape((-1,) + a.residues.shape[-2:])
+    out = _ntt_forward_block(block, _tables(a.params), 0)
+    return a._like(out.reshape(a.residues.shape), Domain.EVALUATION)
+
+
 def _one_part(a: RingElement, domain: Domain) -> np.ndarray:
     """a's (1, level+1, N) block for an NTT kernel: one part in ``domain``."""
     if a.domain != domain:
@@ -799,14 +816,15 @@ def divisor(src: RingParams, rows: slice, dst: RingParams, level: int) -> tuple:
 
 
 def divide(x: RingElement, conv: Conversion, d_inv: np.ndarray) -> RingElement:
-    """x, an Evaluation element with one parts axis (a pair), divided by D,
-    the product of its rows conv.rows (a prefix or the suffix), with
-    rounding: (x_keep - NTT(lift)) * D^-1 for lift = conv's centred lift
-    of INTT(x_drop), x mod D (Cheon et al., SAC 2018); exact for a
-    rescale's one prime. All parts go through one inverse and one forward
-    NTT kernel call."""
-    if x.domain != Domain.EVALUATION or len(x.parts_shape) != 1:
-        raise ValueError("divide expects an Evaluation-domain element with one parts axis")
+    """x, an element with one parts axis (a pair), divided by D, the
+    product of its rows conv.rows (a prefix or the suffix), with
+    rounding, returned in the Evaluation domain: (x_keep - lift) * D^-1
+    for lift = conv's centred lift of x_drop, x mod D (Cheon et al., SAC
+    2018); exact for a rescale's one prime. All parts go through one NTT
+    kernel call each way: for an Evaluation x, INTT(x_drop) and NTT(lift);
+    for a Coefficient x, none and NTT of the quotient."""
+    if len(x.parts_shape) != 1:
+        raise ValueError("divide expects an element with one parts axis")
     drop, top = conv.rows, x.level + 1
     keep = slice(drop.stop, top) if drop.start == 0 else slice(0, drop.start)
     level = keep.stop - keep.start - 1
@@ -815,9 +833,14 @@ def divide(x: RingElement, conv: Conversion, d_inv: np.ndarray) -> RingElement:
         or level > conv.level or x.moduli[keep] != conv.dst.moduli[: level + 1]
     ):
         raise ValueError(f"division does not fit level {x.level}")
-    y = _ntt_inverse_block(x.residues[:, drop], _tables(conv.src), drop.start)
+    evaluation = x.domain == Domain.EVALUATION
+    y = x.residues[:, drop]
+    if evaluation:
+        y = _ntt_inverse_block(y, _tables(conv.src), drop.start)
     tb, rows = _tables(conv.dst), slice(0, level + 1)
-    out = _ntt_forward_block(_convert(y, conv, level), tb, 0)
+    out = _convert(y, conv, level)
+    if evaluation:
+        out = _ntt_forward_block(out, tb, 0)
     # x_keep + (q - lift) in (0, 2q), inside _mul's range, formed in place
     d_inv, q = d_inv[rows], tb.q[rows]
     np.subtract(q, out, out=out)
@@ -825,6 +848,8 @@ def divide(x: RingElement, conv: Conversion, d_inv: np.ndarray) -> RingElement:
     f, e = np.empty(out.shape), np.empty(out.shape, np.int64)
     _mul(out, d_inv, _quotient(d_inv, conv.dst._q_col[rows]), q, out, f, e)
     np.minimum(out, out - q, out=out)
+    if not evaluation:
+        out = _ntt_forward_block(out, tb, 0)
     return RingElement(conv.dst, level, out, Domain.EVALUATION)
 
 
@@ -839,6 +864,92 @@ def drop_level(a: RingElement, new_level: int) -> RingElement:
     return RingElement(
         a.params, new_level, a.residues[..., : new_level + 1, :].copy(), a.domain
     )
+
+
+# ---------------------------------------------------------------------------
+# Exact products by a ternary polynomial through numpy's float FFT.
+# ---------------------------------------------------------------------------
+
+_LIMB_BITS = 21  # a centred residue, |x| <= q/2 < 2^41, is lo + 2^21*hi
+
+
+def _folded_fft(x: np.ndarray) -> np.ndarray:
+    """FFT of real coefficients x (last axis N) folded into N/2 complex
+    values (x_j + i*x_{j+N/2})*zeta^j, zeta = e^(i*pi/N): x's values at
+    the N/2 roots r of X^N = -1 with r^(N/2) = i, which determine a real
+    product mod X^N + 1."""
+    n = x.shape[-1]
+    h = n // 2
+    z = np.empty(x.shape[:-1] + (h,), np.complex128)
+    z.real, z.imag = x[..., :h], x[..., h:]
+    z *= np.exp(1j * np.pi / n * np.arange(h))
+    return np.fft.fft(z)
+
+
+def fft_spectra(a: RingElement) -> np.ndarray:
+    """The spectra fft_mul needs for a: its coefficients centred into
+    (-q_j/2, q_j/2], split into two signed 21-bit limbs lo + 2^21*hi and
+    folded and transformed, a (2,) + a.residues.shape[:-1] + (N/2,)
+    complex block. An Evaluation a goes through one inverse-NTT kernel
+    call."""
+    tb = _tables(a.params)
+    x = a.residues.reshape((-1,) + a.residues.shape[-2:])
+    if a.domain == Domain.EVALUATION:
+        x = _ntt_inverse_block(x, tb, 0)
+    # x - q where x > q/2, formed in wrapping uint64 and read as int64
+    q = tb.q[: a.level + 1]
+    x = x.reshape(a.residues.shape)
+    x = (x - q * (x > q >> np.uint64(1))).view(np.int64)
+    half = 1 << (_LIMB_BITS - 1)
+    lo = ((x + half) & ((1 << _LIMB_BITS) - 1)) - half
+    spectra = _folded_fft(np.stack((lo, (x - lo) >> _LIMB_BITS)))
+    spectra.flags.writeable = False
+    return spectra
+
+
+def fft_mul(a: RingElement, spectra: np.ndarray, u: np.ndarray) -> RingElement:
+    """a*u exactly, as a Coefficient element, for N int coefficients u in
+    {-1, 0, 1} and spectra = fft_spectra(a): per limb one product of
+    folded spectra and one batched inverse FFT, then the rounded limb
+    products recombined as lo + 2^21*hi mod q_j.
+
+    A limb product's coefficients are integers of magnitude at most
+    weight(u)*2^20 <= 2^35 at N = 32768. The FFT's round-off on a
+    convolution of x and y is below |x|*|y|*3k*(2 + sqrt(5))*2^-53 to
+    first order for a transform of 2^k points with roots accurate to
+    2^-53 (Percival, Math. Comp. 72, 2003, Thm. 5.1): with |x| <=
+    2^20*sqrt(N) and |u| = sqrt(weight), about 2^-11 at N = 32768 and
+    weight 2N/3, far below 1/2. A result more than 1/4 from an integer
+    raises FloatingPointError rather than round wrongly.
+    """
+    n = a.params.ring_degree
+    u = np.asarray(u)
+    if spectra.shape != (2,) + a.residues.shape[:-1] + (n // 2,):
+        raise ValueError(f"spectra of shape {spectra.shape} do not fit {a.residues.shape}")
+    if u.shape != (n,) or np.any(np.abs(u) > 1):
+        raise ValueError(f"expected {n} coefficients in {{-1, 0, 1}}")
+    h = n // 2
+    z = np.fft.ifft(spectra * _folded_fft(u))
+    z *= np.exp(-1j * np.pi / n * np.arange(h))
+    # (..., N/2, 2) float view: the limb products' coefficients j, j + N/2
+    f = z.view(np.float64).reshape(z.shape + (2,))
+    rounded = np.rint(f)
+    f -= rounded
+    if not np.max(np.abs(f, out=f)) <= 0.25:
+        raise FloatingPointError("FFT product too far from an integer to round")
+    x = np.empty(z.shape[:-1] + (n,), np.int64)
+    x[..., :h], x[..., h:] = rounded[..., 0], rounded[..., 1]
+    x[1] <<= _LIMB_BITS
+    x = np.add(x[0], x[1], out=x[0])
+    # |x| < 2^57, so est = floor(x*(1/q)) is floor(x/q) within one, and
+    # x - est*q + q, formed in wrapping uint64, lies in (0, 3q)
+    tb, rows = _tables(a.params), slice(0, a.level + 1)
+    q = tb.q[rows]
+    est = np.floor(x * tb.q_inv[rows]).astype(np.int64).view(np.uint64)
+    r = x.view(np.uint64)
+    r -= est * q
+    r += q
+    return a._like(_reduce(_reduce(r, q), q), Domain.COEFFICIENT)
 
 
 # ---------------------------------------------------------------------------
@@ -858,17 +969,22 @@ def sample_uniform(
     return RingElement(params, level, res, Domain.EVALUATION)
 
 
-def sample_ternary(
-    params: RingParams, level: int, hamming_weight: int, rng: np.random.Generator
-) -> RingElement:
-    """Exactly hamming_weight nonzero coefficients, each ±1."""
-    n = params.ring_degree
+def ternary_coeffs(n: int, hamming_weight: int, rng: np.random.Generator) -> np.ndarray:
+    """N int64 coefficients, exactly hamming_weight of them nonzero, each
+    ±1."""
     if not 0 < hamming_weight <= n:
         raise ValueError(f"hamming weight {hamming_weight} outside (0, {n}]")
     coeffs = np.zeros(n, dtype=np.int64)
     pos = rng.choice(n, hamming_weight, replace=False)
     coeffs[pos] = rng.integers(0, 2, hamming_weight) * 2 - 1
-    return from_int_coeffs(coeffs, params, level)
+    return coeffs
+
+
+def sample_ternary(
+    params: RingParams, level: int, hamming_weight: int, rng: np.random.Generator
+) -> RingElement:
+    """:func:`ternary_coeffs` as a Coefficient element."""
+    return from_int_coeffs(ternary_coeffs(params.ring_degree, hamming_weight, rng), params, level)
 
 
 def sample_gaussian(

@@ -3,11 +3,14 @@
 The scheme is the usual RLWE construction for approximate arithmetic:
 slot vectors are encoded with a fixed scale, encrypted under a public
 key (b, a) = (-a*s + e, a), operated on with slotwise add/mult, and
-rescaled after products to keep the scale bounded. Relinearization after
-ciphertext-ciphertext products is hybrid key switching: the third
-component's residues split into digits of digit_size primes, each digit
-is extended to the special primes P and the rest of the chain, meets
-one evaluation-key component over P ∪ Q, and the sums are divided by P.
+rescaled after products to keep the scale bounded. A fresh ciphertext
+is in the Coefficient domain, where encryption needs no NTT; the first
+rescale brings it to the Evaluation domain, where products run.
+Relinearization after ciphertext-ciphertext products is hybrid key
+switching: the third component's residues split into digits of
+digit_size primes, each digit is extended to the special primes P and
+the rest of the chain, meets one evaluation-key component over P ∪ Q,
+and the sums are divided by P.
 With no special primes and one prime a digit, that is the CRT gadget.
 A rescale divides by the top prime the same way: both are ring.divide,
 with constants that SchemeParams derives once.
@@ -15,8 +18,8 @@ with constants that SchemeParams derives once.
 A scalar constant (probe weight, bias, polynomial or Newton coefficient,
 index weight) is multiplied in or added by mult_const and add_const as
 one residue per prime, with no plaintext polynomial (CKKS's multByConst,
-Cheon et al., ASIACRYPT 2017). mult_plain and add_plain take slot-vector
-plaintexts; each pair shares one ledger rule. weighted_sums forms the C
+Cheon et al., ASIACRYPT 2017). mult_plain takes a slot-vector
+plaintext, with mult_const's ledger rule. weighted_sums forms the C
 sums sum_k w[k, c]*ct_k of a plaintext (d, C) weight matrix in one
 streaming pass over the d inputs, with the residues and ledgers of
 tree_sum over mult_consts but without a ciphertext per term.
@@ -318,8 +321,15 @@ class SecretKey:
 
 @dataclasses.dataclass(frozen=True)
 class PublicKey:
+    """(b, a) = (-a*s + e, a), one (2, L+1, N) Evaluation block, and its
+    ring.fft_spectra for encrypt, derived when the key is built or loaded."""
+
     scheme: SchemeParams
-    pair: ring.RingElement  # (b, a) = (-a*s + e, a), one (2, L+1, N) block
+    pair: ring.RingElement
+    spectra: np.ndarray = dataclasses.field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "spectra", ring.fft_spectra(self.pair))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -387,8 +397,11 @@ def keygen(params: SchemeParams, rng: np.random.Generator) -> KeyMaterial:
 
 @dataclasses.dataclass(frozen=True)
 class Ciphertext:
-    """The pair (c0, c1), one (2, level+1, N) Evaluation element, with
-    scale, ledgered noise, and a slot-value bound.
+    """The pair (c0, c1), one (2, level+1, N) element, with scale,
+    ledgered noise, and a slot-value bound. A fresh ciphertext is in the
+    Coefficient domain, and stays there through add, mult_const,
+    weighted_sums and ct_drop_level; rescale returns it in the Evaluation
+    domain, and every other op brings it there first (to_evaluation).
 
     Construction runs the ledger guards, so no ciphertext exists whose
     ledger is non-finite, over budget, or whose payload would wrap the
@@ -407,8 +420,6 @@ class Ciphertext:
             raise ValueError(f"ciphertext needs 2 parts, got {self.parts.parts_shape}")
         if self.parts.level != self.level:
             raise ValueError("part level mismatch")
-        if self.parts.domain != ring.Domain.EVALUATION:
-            raise ValueError("ciphertext parts must stay in Evaluation domain")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
         # a NaN or infinite ledger field would slip past both comparisons
@@ -448,22 +459,32 @@ def with_value_bound(ct: Ciphertext, bound: float) -> Ciphertext:
 def encrypt(
     pk: PublicKey, pt: Plaintext, rng: np.random.Generator
 ) -> Ciphertext:
-    """(b*u + e0 + m, a*u + e1) with ternary u and Gaussian e0, e1; pt
-    is a Coefficient-domain plaintext, as ``encoding.encode`` returns.
+    """(b*u + e0 + m, a*u + e1) with ternary u and Gaussian e0, e1, in the
+    Coefficient domain, with no NTT: (b, a)*u is ring.fft_mul's exact
+    product against the key's spectra, and e0, e1 and the message m, a
+    Coefficient-domain plaintext as ``encoding.encode`` returns, are
+    added as coefficients.
 
     Randomized: repeated calls on one plaintext give distinct ciphertexts.
     """
     params, rp, lv = pk.scheme, pk.scheme.ring, pk.scheme.max_level
     if pt.level != lv:
         raise ValueError(f"plaintext at level {pt.level}, encryption requires top level {lv}")
-    u = ring.ntt_forward(ring.sample_ternary(rp, lv, params.secret_weight, rng))
+    u = ring.ternary_coeffs(rp.ring_degree, params.secret_weight, rng)
     e0 = ring.sample_gaussian(rp, lv, ERR_STD, rng)
-    e1 = ring.ntt_forward(ring.sample_gaussian(rp, lv, ERR_STD, rng))
-    # NTT(e0 + m) = NTT(e0) + NTT(m): the Coefficient message shares e0's NTT
-    e0_m = ring.ntt_forward(ring.ring_add(e0, pt.poly))
-    parts = ring.ring_add(ring.ring_mul(pk.pair, u), ring.pair(e0_m, e1))
+    e1 = ring.sample_gaussian(rp, lv, ERR_STD, rng)
+    errors = ring.pair(ring.ring_add(e0, pt.poly), e1)
+    parts = ring.ring_add(ring.fft_mul(pk.pair, pk.spectra, u), errors)
     noise = _log2_sum(params.fresh_noise_bits(), _log2_pos(pt.round_error))
     return Ciphertext(params, parts, lv, pt.scale, noise, pt.value_bound)
+
+
+def to_evaluation(ct: Ciphertext) -> Ciphertext:
+    """ct with its parts in the Evaluation domain: one forward-NTT kernel
+    call on the pair, or ct itself if they are there already."""
+    if ct.parts.domain == ring.Domain.EVALUATION:
+        return ct
+    return dataclasses.replace(ct, parts=ring.to_evaluation(ct.parts))
 
 
 def decrypt(sk: SecretKey, ct: Ciphertext) -> Plaintext:
@@ -471,6 +492,7 @@ def decrypt(sk: SecretKey, ct: Ciphertext) -> Plaintext:
 
     Deterministic; a wrong key is not detected, it just yields noise.
     """
+    ct = to_evaluation(ct)
     s = ring.drop_level(sk.s, ct.level)
     acc = ring.ring_add(ct.parts.part(0), ring.ring_mul(ct.parts.part(1), s))
     poly = ring.ntt_inverse(acc)
@@ -519,8 +541,11 @@ def _pairwise(items, combine):
 
 
 def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:
-    """Slotwise sum; scales must match to 2^-30 relative."""
+    """Slotwise sum; scales must match to 2^-30 relative. Operands of one
+    domain sum in it, mixed ones in the Evaluation domain."""
     _require_summable(a, b)
+    if a.parts.domain != b.parts.domain:
+        a, b = to_evaluation(a), to_evaluation(b)
     parts = ring.ring_add(a.parts, b.parts)
     noise, bound = _sum_ledger((a.noise_bits, a.value_bound), (b.noise_bits, b.value_bound))
     return dataclasses.replace(a, parts=parts, noise_bits=noise, value_bound=bound)
@@ -529,25 +554,6 @@ def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:
 def tree_sum(cts) -> Ciphertext:
     """Balanced pairwise sum of ciphertexts (see _pairwise)."""
     return _pairwise(cts, add)
-
-
-def _pt_for(ct: Ciphertext, pt: Plaintext) -> ring.RingElement:
-    """pt's polynomial at ct's level, in the Evaluation domain."""
-    if pt.level < ct.level:
-        raise ValueError(f"plaintext level {pt.level} below ciphertext {ct.level}")
-    return ring.ntt_forward(ring.drop_level(pt.poly, ct.level))
-
-
-def _plus(ct: Ciphertext, parts: ring.RingElement, round_error, value_bound):
-    """ct with ``parts``, the old ones plus a plaintext at ct's scale with
-    this rounding error and |slot| bound in the first part: an addition's
-    ledger rule."""
-    return dataclasses.replace(
-        ct,
-        parts=parts,
-        noise_bits=_log2_sum(ct.noise_bits, _log2_pos(round_error)),
-        value_bound=ct.value_bound + value_bound,
-    )
 
 
 def _times_ledger(ct: Ciphertext, scale, round_error, value_bound):
@@ -572,18 +578,13 @@ def _times(ct: Ciphertext, parts, scale, round_error, value_bound):
     )
 
 
-def add_plain(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-    """Slotwise sum with a slot-vector plaintext at ct's scale."""
-    if abs(ct.scale - pt.scale) > SCALE_REL_TOL * max(ct.scale, pt.scale):
-        raise ScaleMismatch(f"scales {ct.scale} vs {pt.scale}")
-    parts = ring.ring_add(ct.parts, ring.pair(_pt_for(ct, pt)))
-    return _plus(ct, parts, pt.round_error, pt.value_bound)
-
-
 def mult_plain(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
     """Slotwise product with a slot-vector plaintext; scale multiplies,
     the caller rescales when ready."""
-    parts = ring.ring_mul(ct.parts, _pt_for(ct, pt))
+    if pt.level < ct.level:
+        raise ValueError(f"plaintext level {pt.level} below ciphertext {ct.level}")
+    ct = to_evaluation(ct)
+    parts = ring.ring_mul(ct.parts, ring.ntt_forward(ring.drop_level(pt.poly, ct.level)))
     return _times(ct, parts, pt.scale, pt.round_error, pt.value_bound)
 
 
@@ -595,10 +596,15 @@ def _encoded(value: float, scale: float):
 
 def add_const(ct: Ciphertext, value: float) -> Ciphertext:
     """Slotwise sum with ``value`` encoded at ct's scale: the columns of
-    (c0, 0) added to the parts."""
+    (c0, 0) added to the parts; the rounding error adds to the ledger."""
+    ct = to_evaluation(ct)
     c0, err, bound = _encoded(value, ct.scale)
     cols = ring.constant_column([c0, 0], ct.scheme.ring, ct.level)
-    return _plus(ct, ring.scalar_add(ct.parts, cols), err, bound)
+    return dataclasses.replace(
+        ct, parts=ring.scalar_add(ct.parts, cols),
+        noise_bits=_log2_sum(ct.noise_bits, _log2_pos(err)),
+        value_bound=ct.value_bound + bound,
+    )
 
 
 def mult_const(ct: Ciphertext, value: float, scale: float) -> Ciphertext:
@@ -620,7 +626,8 @@ def weighted_sums(cts, weights, scale: float) -> list:
     by add's rule. One streaming pass (ring.scalar_mul_sums) takes the
     place of the d*C term ciphertexts. The only ciphertexts built are
     the C results, whose guards bound every partial sum, since the fold
-    only grows noise_bits and value_bound.
+    only grows noise_bits and value_bound. The sums are in the inputs'
+    domain, or the Evaluation domain if the inputs mix domains.
     """
     cts = list(cts)
     weights = np.asarray(weights, dtype=np.float64)
@@ -633,6 +640,8 @@ def weighted_sums(cts, weights, scale: float) -> list:
     first = cts[0]
     for ct in cts[1:]:
         _require_summable(first, ct)
+    if len({ct.parts.domain for ct in cts}) > 1:
+        cts = [to_evaluation(ct) for ct in cts]
     scale = float(scale)
     c0s, ledgers = np.empty(weights.shape, np.int64), []
     for k, ct in enumerate(cts):
@@ -681,6 +690,7 @@ def mult(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
     _require_aligned(a, b)
     if a.level < 1:
         raise LevelExhausted("multiplication at level 0 leaves no rescale room")
+    a, b = to_evaluation(a), to_evaluation(b)
     # (a0b0, a1b1) and (a0b1, a1b0): d0 and d2, and d1's two terms
     t = ring.ring_mul(a.parts, b.parts)
     x = ring.ring_mul(a.parts, b.parts.part(slice(None, None, -1)))
@@ -701,9 +711,10 @@ def mult(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
 
 def rescale(ct: Ciphertext) -> Ciphertext:
     """Drop the top prime, dividing scale (and value*scale payload) by it:
-    ring.divide of the pair by q_top, exact RNS rounding in the Evaluation
-    domain, in which only the parts' top rows and their lifts pass through
-    an NTT."""
+    ring.divide of the pair by q_top, exact RNS rounding, returned in the
+    Evaluation domain. From the Evaluation domain only the parts' top
+    rows and their lifts pass through an NTT; from the Coefficient domain
+    only the quotient does."""
     if ct.level < 1:
         raise LevelExhausted("rescale at level 0")
     params, lv, q_top = ct.scheme, ct.level, ct.scheme.ring.moduli[ct.level]

@@ -1,20 +1,21 @@
 """Stable on-disk formats: one checksummed blob for keys and ciphertext
 bundles, plus the parameter and model text files.
 
-Blob layout, version 3 (integers little-endian):
+Blob layout, version 4 (integers little-endian):
 
     magic        4 bytes   "HNN1"
     kind         u8        0 pk, 1 sk, 2 evk, 3 bundle
-    version      u16       3
+    version      u16       4
     params_hash  32 bytes  sha256 of the canonical parameter file text
     payload      kind-specific, below
     checksum     32 bytes  sha256 of everything above
 
-A ring element is a bare residue block: an Evaluation-domain element at
-level l is (l+1)*N u64 words, one row per prime in chain order, each
-word below its prime. The block carries no level or domain of its own.
-An RLWE pair, held as one (2, l+1, N) element, is its two parts' blocks
-back to back, so each pair below is written and read as one block.
+A ring element is a bare residue block: an element at level l is
+(l+1)*N u64 words, one row per prime in chain order, each word below its
+prime. The block carries no level or domain of its own: a key's is the
+Evaluation domain, and a ciphertext's record gives both. An RLWE pair,
+held as one (2, l+1, N) element, is its two parts' blocks back to back,
+so each pair below is written and read as one block.
 
     kind    payload
     pk      b, a                      one top-level pair
@@ -23,8 +24,9 @@ back to back, so each pair below is written and read as one block.
                                       key-switching digit
     bundle  bundle kind u8 (0 features, 1 scores), ciphertext count u32,
             n_samples u32; then per ciphertext its record (level u32,
-            scale f64, noise_bits f64, value_bound f64) and its c0, c1
-            pair at that level
+            scale f64, noise_bits f64, value_bound f64, domain u8:
+            0 Coefficient, 1 Evaluation) and its c0, c1 pair at that
+            level and in that domain
 
 A key-ring block holds k + L + 1 rows: the k special primes, then the
 chain (``scheme.SchemeParams.key_ring``). So a key blob's size is fixed
@@ -35,12 +37,13 @@ slot occupancy.
 Every load checks magic, version, kind, length, checksum and parameter
 hash, then each field that can still vary: the bundle kind, count and
 n_samples, level <= max_level, a positive finite scale, a ledger that is
-neither NaN nor +inf, every residue below its prime, and no trailing
-bytes. Loaded residues are read-only views of the blob's bytes, and
-`scheme.Ciphertext` runs its ledger guards on every loaded ciphertext.
-A version 1 or 2 blob (version 2 held one evk component per prime, over
-the chain alone) or an HNNB bundle is refused with a FormatError that
-says how to regenerate it.
+neither NaN nor +inf, a domain byte of 0 or 1, every residue below its
+prime, and no trailing bytes. Loaded residues are read-only views of the
+blob's bytes, and `scheme.Ciphertext` runs its ledger guards on every
+loaded ciphertext. A blob of versions 1 to 3 (version 2 held one evk
+component per prime, over the chain alone; version 3's bundle records
+had no domain byte and held Evaluation-domain pairs) or an HNNB bundle
+is refused with a FormatError that says how to regenerate it.
 
 The parameter file is ``key = value`` text under an ``hnn-params v2``
 header: lambda, ring_degree, modulus_bits (the primes' bit sizes),
@@ -61,7 +64,7 @@ from . import ring, scheme
 from .errors import FormatError, ParamsHashMismatch
 
 MAGIC = b"HNN1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 KIND_PK = 0
 KIND_SK = 1
@@ -73,7 +76,8 @@ BUNDLE_SCORES = 1
 
 _HEADER = struct.Struct("<4sBH32s")  # magic, kind, version, params hash
 _BUNDLE = struct.Struct("<BII")  # bundle kind, ciphertext count, n_samples
-_RECORD = struct.Struct("<Iddd")  # level, scale, noise_bits, value_bound
+_RECORD = struct.Struct("<IdddB")  # level, scale, noise_bits, value_bound, domain
+_DOMAINS = (ring.Domain.COEFFICIENT, ring.Domain.EVALUATION)  # by domain byte
 _CHECKSUM = 32  # sha256 of everything before it
 
 
@@ -160,8 +164,6 @@ def load_params(path) -> scheme.SchemeParams:
 def _words(el: ring.RingElement) -> np.ndarray:
     """el's residue block as little-endian u64 words, a zero-copy view
     on a little-endian machine."""
-    if el.domain != ring.Domain.EVALUATION:
-        raise ValueError("only Evaluation-domain elements are serialized")
     return np.ascontiguousarray(el.residues, dtype="<u8")
 
 
@@ -207,10 +209,12 @@ def _open(data, kind: int, params: scheme.SchemeParams, payload_size=None) -> by
     return data
 
 
-def _element(data: bytes, offset: int, parts: tuple, level: int, rp) -> ring.RingElement:
-    """The Evaluation element of the chain ``rp`` at ``level`` whose parts
-    + (level+1, N) residue block starts at data[offset], a read-only view
-    of ``data`` with every word below its q_j."""
+def _element(
+    data: bytes, offset: int, parts: tuple, level: int, rp, domain=ring.Domain.EVALUATION
+) -> ring.RingElement:
+    """The element of the chain ``rp`` at ``level`` in ``domain`` whose
+    parts + (level+1, N) residue block starts at data[offset], a read-only
+    view of ``data`` with every word below its q_j."""
     shape = parts + (level + 1, rp.ring_degree)
     words = math.prod(shape)
     if offset + 8 * words > len(data) - _CHECKSUM:
@@ -218,12 +222,19 @@ def _element(data: bytes, offset: int, parts: tuple, level: int, rp) -> ring.Rin
     res = np.frombuffer(data, "<u8", words, offset).reshape(shape)
     if np.any(res >= rp._q_col[: level + 1]):
         raise FormatError("residue outside modulus range")
-    return ring.RingElement(rp, level, res.astype(np.uint64, copy=False), ring.Domain.EVALUATION)
+    return ring.RingElement(rp, level, res.astype(np.uint64, copy=False), domain)
 
 
 # ---------------------------------------------------------------------------
 # Keys
 # ---------------------------------------------------------------------------
+
+def _key_blob(kind: int, params: scheme.SchemeParams, els) -> bytes:
+    """The blob of a key payload: Evaluation elements, back to back."""
+    if any(el.domain != ring.Domain.EVALUATION for el in els):
+        raise ValueError("only Evaluation-domain keys are serialized")
+    return _seal(kind, params, [_words(el) for el in els])
+
 
 def _key_element(data, kind: int, params: scheme.SchemeParams, parts: tuple, rp):
     """The top-level element of the chain ``rp`` that makes up a key
@@ -233,7 +244,7 @@ def _key_element(data, kind: int, params: scheme.SchemeParams, parts: tuple, rp)
 
 
 def public_key_to_bytes(pk: scheme.PublicKey) -> bytes:
-    return _seal(KIND_PK, pk.scheme, [_words(pk.pair)])
+    return _key_blob(KIND_PK, pk.scheme, [pk.pair])
 
 
 def public_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.PublicKey:
@@ -241,7 +252,7 @@ def public_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.Pu
 
 
 def secret_key_to_bytes(sk: scheme.SecretKey) -> bytes:
-    return _seal(KIND_SK, sk.scheme, [_words(sk.s)])
+    return _key_blob(KIND_SK, sk.scheme, [sk.s])
 
 
 def secret_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.SecretKey:
@@ -249,7 +260,7 @@ def secret_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.Se
 
 
 def relin_key_to_bytes(evk: scheme.RelinKey) -> bytes:
-    return _seal(KIND_EVK, evk.scheme, [_words(pair) for pair in evk.components])
+    return _key_blob(KIND_EVK, evk.scheme, evk.components)
 
 
 def relin_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.RelinKey:
@@ -281,7 +292,8 @@ def bundle_to_bytes(bundle: Bundle, params: scheme.SchemeParams) -> bytes:
     for ct in bundle.ciphertexts:
         if ct.scheme != params:
             raise ValueError("a bundle ciphertext was made under other parameters")
-        payload.append(_RECORD.pack(ct.level, ct.scale, ct.noise_bits, ct.value_bound))
+        domain = _DOMAINS.index(ct.parts.domain)
+        payload.append(_RECORD.pack(ct.level, ct.scale, ct.noise_bits, ct.value_bound, domain))
         payload.append(_words(ct.parts))
     return _seal(KIND_BUNDLE, params, payload)
 
@@ -305,10 +317,11 @@ def bundle_from_bytes(data: bytes, params: scheme.SchemeParams) -> Bundle:
     for _ in range(count):
         if off + _RECORD.size > end:
             raise FormatError("truncated bundle")
-        record = _RECORD.unpack_from(data, off)
-        level, scale, noise_bits, value_bound = record
+        level, scale, noise_bits, value_bound, domain = _RECORD.unpack_from(data, off)
         if level > rp.max_level:
             raise FormatError(f"ciphertext level {level} above the top, {rp.max_level}")
+        if domain >= len(_DOMAINS):
+            raise FormatError(f"ciphertext domain byte {domain}, not 0 or 1")
         # noise_bits may be -inf: the ledger's log2 of an exact zero error
         finite = noise_bits < math.inf and math.isfinite(value_bound)
         if not (0 < scale < math.inf and finite):
@@ -316,9 +329,9 @@ def bundle_from_bytes(data: bytes, params: scheme.SchemeParams) -> Bundle:
                 f"bad ciphertext ledger: scale={scale}, noise_bits={noise_bits}, "
                 f"value_bound={value_bound}"
             )
-        parts = _element(data, off + _RECORD.size, (2,), level, rp)
+        parts = _element(data, off + _RECORD.size, (2,), level, rp, _DOMAINS[domain])
         off += _RECORD.size + parts.residues.nbytes
-        cts.append(scheme.Ciphertext(params, parts, *record))
+        cts.append(scheme.Ciphertext(params, parts, level, scale, noise_bits, value_bound))
     if off != end:
         raise FormatError("trailing bytes in bundle")
     return Bundle(kind, n_samples, cts)

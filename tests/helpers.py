@@ -5,6 +5,7 @@ the implementation: naive O(N^2) transforms, arbitrary-precision
 embeddings, central finite differences, and plain numpy reference math.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -184,6 +185,7 @@ def poly_mul(a, b):
 def tensor_no_relin(a, b):
     """(d0, d1, d2), the unrelinearized product of two ciphertexts: it
     decrypts under (1, s, s^2) at scale a.scale * b.scale."""
+    a, b = scheme.to_evaluation(a), scheme.to_evaluation(b)
     (a0, a1), (b0, b1) = split(a.parts), split(b.parts)
     d0 = ring.ring_mul(a0, b0)
     d1 = ring.ring_add(ring.ring_mul(a0, b1), ring.ring_mul(a1, b0))
@@ -337,6 +339,20 @@ def encrypt_four_ntt(pk, pt, rng):
     c0 = ring.ring_add(ring.ring_add(ring.ring_mul(b, u), e0), m)
     c1 = ring.ring_add(ring.ring_mul(a, u), e1)
     return c0.residues, c1.residues
+
+
+def add_plain(ct, pt):
+    """Slotwise sum of a ciphertext and a slot-vector plaintext at its
+    scale, NTT'd and added to c0, with add_const's ledger rule: the slow
+    path of scheme.add_const, fed constant_plaintext."""
+    ct = scheme.to_evaluation(ct)
+    poly = ring.ntt_forward(ring.drop_level(pt.poly, ct.level))
+    return dataclasses.replace(
+        ct,
+        parts=ring.ring_add(ct.parts, ring.pair(poly)),
+        noise_bits=scheme._log2_sum(ct.noise_bits, scheme._log2_pos(pt.round_error)),
+        value_bound=ct.value_bound + pt.value_bound,
+    )
 
 
 def constant_plaintext(value, scale, params, level):

@@ -126,10 +126,11 @@ class TestParamsFile:
 # a blob is a 39-byte header (magic, kind u8, version u16, params hash),
 # the payload and a 32-byte sha256; a bundle payload opens with its kind
 # u8, ciphertext count u32 and n_samples u32, then the first ciphertext's
-# record "<Iddd" (level, scale, noise_bits, value_bound) and its c0 block
+# record "<IdddB" (level, scale, noise_bits, value_bound, domain) and its
+# c0 block
 _HEAD = 4 + 3 + 32
 _BUNDLE_HEAD = _HEAD + 9
-_CT_LEVEL, _CT_SCALE, _CT_NOISE, _CT_BOUND, _CT_C0 = 48, 52, 60, 68, 76
+_CT_LEVEL, _CT_SCALE, _CT_NOISE, _CT_BOUND, _CT_DOMAIN, _CT_C0 = 48, 52, 60, 68, 76, 77
 
 
 def _reseal(blob, offset, packed):
@@ -305,8 +306,8 @@ class TestBlobs:
         blob = serialize.public_key_to_bytes(keys.pk)
         assert blob[:4] == b"HNN1"
         assert blob[4] == serialize.KIND_PK
-        # version u16 little-endian: 0x0003 -> bytes 03 00
-        assert blob[5:7] == b"\x03\x00"
+        # version u16 little-endian: 0x0004 -> bytes 04 00
+        assert blob[5:7] == b"\x04\x00"
         assert blob[7:39] == serialize.params_hash(params)
         # the payload is b's residue block, then a's, as u64 LE words
         b, a = split(keys.pk.pair)
@@ -345,6 +346,15 @@ class TestBlobs:
         blob, load = _blobs(params, keys)[name]
         with pytest.raises(FormatError, match="version 2 .*`hnn keygen`"):
             load(_reseal(blob, 5, struct.pack("<H", 2)), params)
+
+    @pytest.mark.parametrize("name", ["pk", "sk", "evk", "features", "scores"])
+    def test_version_3_blob_names_keygen(self, params, keys, name):
+        # version 3 bundle records had no domain byte; read in today's
+        # layout, a feature bundle would give wrong scores, so every v3
+        # blob is refused by its version
+        blob, load = _blobs(params, keys)[name]
+        with pytest.raises(FormatError, match="version 3 .*`hnn keygen`"):
+            load(_reseal(blob, 5, struct.pack("<H", 3)), params)
 
     def test_hnnb_bundle_says_re_encrypt(self, params, keys):
         # the last HNNB version; TestBundleManifest has version 1
@@ -422,6 +432,15 @@ class TestBlobsThroughCli:
         assert cli.main(_command(files, name, tmp_path / "out")) == 3
         assert "`hnn keygen`" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["pk", "sk", "evk", "features", "scores"])
+    def test_version_3_blob_exit_code_3(self, tmp_path, params, keys, capsys, name):
+        files = _setup_files(tmp_path, params, keys)
+        blob = files[name].read_bytes()
+        files[name].write_bytes(_reseal(blob, 5, struct.pack("<H", 3)))
+        assert cli.main(_command(files, name, tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "version 3" in err and "`hnn keygen`" in err
+
     def test_hnnb_bundle_exit_code_3(self, tmp_path, params, keys, capsys):
         files = _setup_files(tmp_path, params, keys)
         rng = np.random.default_rng(18)
@@ -462,6 +481,8 @@ def _tampered(ct, what):
         "inf noise": (_CT_NOISE, "<d", math.inf),
         "nan bound": (_CT_BOUND, "<d", math.nan),
         "inf bound": (_CT_BOUND, "<d", math.inf),
+        "domain byte 2": (_CT_DOMAIN, "<B", 2),
+        "domain byte 255": (_CT_DOMAIN, "<B", 255),
         # c0's first word is in row 0; c1's last word is in row `level`
         "residue at q_0": (_CT_C0, "<Q", params.ring.moduli[0]),
         "residue at q_level": (len(blob) - 40, "<Q", params.ring.moduli[ct.level]),
@@ -473,7 +494,7 @@ _TAMPERS = [
     "zero parts", "three parts", "trailing part", "four parts", "part level",
     "level above top", "zero scale", "negative scale", "inf scale", "nan scale",
     "nan noise", "inf noise", "nan bound", "inf bound", "residue at q_0",
-    "residue at q_level",
+    "residue at q_level", "domain byte 2", "domain byte 255",
 ]
 
 
@@ -758,7 +779,7 @@ class TestBundleManifest:
 
     def test_golden_layout(self, params, data):
         assert data[: self.MANIFEST_LEN] == (
-            b"HNN1" + struct.pack("<BH", serialize.KIND_BUNDLE, 3)
+            b"HNN1" + struct.pack("<BH", serialize.KIND_BUNDLE, 4)
             + serialize.params_hash(params)
             + struct.pack("<BII", serialize.BUNDLE_FEATURES, 1, 16)
         )

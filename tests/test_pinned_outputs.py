@@ -15,12 +15,12 @@ import pytest
 from hnn import neural, scheme, serialize
 
 BLOBS = {
-    "pk": ("81ab508660f13cdc", 213_063),
-    "sk": ("8fb9e7b7e6d6273e", 106_567),
-    "evk": ("67d42d4eb3d490b0", 1_114_183),
-    "features": ("ac013a0fd884e227", 13_633_360),
-    "scores-2": ("07da5b9c399e541e", 32_876),
-    "scores-3": ("48f0a75dcbb68021", 32_876),
+    "pk": ("227f0d3ef687385f", 213_063),
+    "sk": ("55dd628527d2cadd", 106_567),
+    "evk": ("fa435afcb4c7eb5f", 1_114_183),
+    "features": ("22e1577ad7603571", 13_633_424),
+    "scores-2": ("10171120777ccd73", 32_877),
+    "scores-3": ("d4725d8ebe12ed14", 32_877),
 }
 NOISE_BITS = {2: 45.36412730187316, 3: 47.678699165567195}
 

@@ -804,15 +804,33 @@ class TestDivide:
                 assert g.domain == w.domain
                 assert np.array_equal(g.residues, w.residues)
 
+    def test_coefficient_pair_divides_as_its_evaluation_form(self, params, monkeypatch):
+        # a fresh ciphertext's rescale: no inverse NTT, one forward kernel
+        # call on the quotient, and the residues of the Evaluation path
+        rp = params.ring
+        rng = np.random.default_rng(56)
+        calls = []
+        for level in range(1, rp.level_count):
+            ev = self.pair(rp, level, rng)
+            coeff = ring.pair(*(ring.ntt_inverse(p) for p in split(ev)))
+            want = ring.divide(ev, *params.rescale_div[level])
+            with monkeypatch.context() as m:
+                for name in ("_ntt_forward_block", "_ntt_inverse_block"):
+                    kernel = getattr(ring, name)
+                    m.setattr(ring, name, lambda *a, k=kernel, n=name: calls.append(n) or k(*a))
+                got = ring.divide(coeff, *params.rescale_div[level])
+            assert calls == ["_ntt_forward_block"]
+            calls.clear()
+            assert (got.domain, got.level) == (ring.Domain.EVALUATION, level - 1)
+            assert np.array_equal(got.residues, want.residues)
+
     def test_divide_rejects_what_does_not_fit(self, params):
         rp, kr, k = params.ring, params.key_ring, params.special_count
         rng = np.random.default_rng(53)
         ev = self.pair(rp, 5, rng)
-        coeff = ring.pair(*(ring.ntt_inverse(p) for p in split(ev)))
-        # a Coefficient pair, or one part without a parts axis
-        for x in (coeff, ev.part(0)):
-            with pytest.raises(ValueError, match="Evaluation-domain element with one parts axis"):
-                ring.divide(x, *params.rescale_div[5])
+        # one part without a parts axis
+        with pytest.raises(ValueError, match="one parts axis"):
+            ring.divide(ev.part(0), *params.rescale_div[5])
         # constants of another level, or of the key ring on a chain element
         for consts in (params.rescale_div[4], params.mod_down):
             with pytest.raises(ValueError, match="does not fit"):
@@ -857,6 +875,108 @@ class TestDivide:
             calls.update(forward=0, inverse=0)
             ring.divide(self.pair(kr, k + level, rng), *params.mod_down)
             assert calls == {"forward": 1, "inverse": 1}
+
+
+class TestFftProduct:
+    """ring.fft_mul, the exact product of an RLWE pair with a ternary u
+    through the float FFT, against the NTT product it replaces,
+    INTT(pair * NTT(u)), on 13-prime chains."""
+
+    EXTREMES = (0, 1, "q//2", "q//2+1", "q-1")
+
+    @classmethod
+    def pair(cls, rp, rng):
+        """A Coefficient pair of random residues whose first columns hold
+        0, 1, floor(q/2), floor(q/2) + 1 and q - 1 in every row, the limb
+        split's corners."""
+        q = rp._q_col
+        x = rng.integers(0, q, (2, rp.level_count, rp.ring_degree), dtype=np.uint64)
+        col = {0: 0, 1: 1, "q//2": q // 2, "q//2+1": q // 2 + 1, "q-1": q - 1}
+        for j, key in enumerate(cls.EXTREMES):
+            x[..., j : j + 1] = col[key]
+        return ring.RingElement(rp, rp.max_level, x, ring.Domain.COEFFICIENT)
+
+    @pytest.mark.parametrize("n", [1024, 32768])
+    def test_matches_ntt_product(self, n):
+        rp = make_params(n, [42] + [41] * 12)
+        rng = np.random.default_rng(61)
+        coeff = self.pair(rp, rng)
+        ev = ring.to_evaluation(coeff)
+        # the spectra of both domains agree, as a key's are built from Evaluation
+        spectra = ring.fft_spectra(ev)
+        assert np.array_equal(spectra, ring.fft_spectra(coeff))
+        # weight N (all +-1), the largest limb products, and weight 2N/3
+        for u in (
+            rng.integers(0, 2, n) * 2 - 1,
+            ring.ternary_coeffs(n, 2 * n // 3, rng),
+        ):
+            u_ev = ring.ntt_forward(from_coeffs(u, rp))
+            want = ring.ring_mul(ev, u_ev)
+            got = ring.fft_mul(ev, spectra, u)
+            assert got.domain == ring.Domain.COEFFICIENT
+            for g, w in zip(split(got), split(want)):
+                assert np.array_equal(g.residues, ring.ntt_inverse(w).residues)
+
+    def test_product_that_is_a_multiple_of_q(self):
+        # q//2 + q//2 + 1 = q in coefficient 2 of a*(1 + X + X^2): the
+        # biased quotient estimate of a positive multiple of q is one
+        # below, which the recombination's second subtraction undoes
+        rp = make_params(1024, [42] + [41] * 12)
+        x = np.zeros((2, rp.level_count, 1024), np.uint64)
+        x[..., :2] = rp._q_col // 2
+        x[..., 2] = 1
+        a = ring.RingElement(rp, rp.max_level, x, ring.Domain.COEFFICIENT)
+        u = np.zeros(1024, np.int64)
+        u[:3] = 1
+        got = ring.fft_mul(a, ring.fft_spectra(a), u)
+        want = ring.ring_mul(ring.to_evaluation(a), ring.ntt_forward(from_coeffs(u, rp)))
+        assert not got.residues[..., 2].any()
+        for g, w in zip(split(got), split(want)):
+            assert np.array_equal(g.residues, ring.ntt_inverse(w).residues)
+
+    def test_perturbed_fft_trips_the_tripwire(self, monkeypatch):
+        rp = make_params(1024, [42] + [41] * 12)
+        rng = np.random.default_rng(62)
+        a = self.pair(rp, rng)
+        spectra, u = ring.fft_spectra(a), ring.ternary_coeffs(1024, 682, rng)
+        ring.fft_mul(a, spectra, u)
+        ifft = np.fft.ifft
+
+        def perturbed(x):
+            z = ifft(x)
+            # 0.3 off an integer once untwisted: coefficient 0 of a hi-limb
+            # row, whose twist is 1
+            z[1, 0, 5, 0] += 0.3
+            return z
+
+        monkeypatch.setattr(np.fft, "ifft", perturbed)
+        with pytest.raises(FloatingPointError, match="integer"):
+            ring.fft_mul(a, spectra, u)
+
+    def test_rejects_bad_input(self):
+        rp = make_params(64, [42, 41, 41])
+        rng = np.random.default_rng(63)
+        a = self.pair(rp, rng)
+        spectra = ring.fft_spectra(a)
+        u = ring.ternary_coeffs(64, 40, rng)
+        for bad_u in (u[:32], np.where(u == 1, 2, u)):
+            with pytest.raises(ValueError, match="coefficients"):
+                ring.fft_mul(a, spectra, bad_u)
+        for bad in (spectra[0], spectra[:, :1], spectra[..., :16]):
+            with pytest.raises(ValueError, match="spectra"):
+                ring.fft_mul(a, bad, u)
+
+    def test_to_evaluation_is_one_forward_kernel_call(self, monkeypatch):
+        rp = make_params(1024, [42] + [41] * 12)
+        coeff = self.pair(rp, np.random.default_rng(64))
+        want = [ring.ntt_forward(p).residues for p in split(coeff)]
+        calls = []
+        kernel = ring._ntt_forward_block
+        monkeypatch.setattr(ring, "_ntt_forward_block", lambda *a: calls.append(a) or kernel(*a))
+        ev = ring.to_evaluation(coeff)
+        assert len(calls) == 1 and ev.domain == ring.Domain.EVALUATION
+        assert np.array_equal(ev.residues, np.stack(want))
+        assert ring.to_evaluation(ev) is ev and len(calls) == 1
 
 
 class TestSchoolbook:

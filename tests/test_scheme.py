@@ -15,6 +15,7 @@ from hnn.errors import (
 )
 
 from helpers import (
+    add_plain,
     constant_plaintext,
     decrypt_three_part,
     encrypt_four_ntt,
@@ -248,10 +249,10 @@ class TestEncryptDecrypt:
     def test_encrypt_matches_four_ntt_reference(
         self, small_keys, monkeypatch, kind, domain
     ):
-        # a Coefficient message is added to e0 before e0's NTT: the residues
-        # of four NTTs in three; an Evaluation-domain message, which only a
-        # hand-built Plaintext can hold (here the constant -0.75 at every
-        # root), is rejected
+        # a fresh ciphertext is in the Coefficient domain and runs no NTT;
+        # its NTT has the residues of the four-NTT encryption; an
+        # Evaluation-domain message, which only a hand-built Plaintext can
+        # hold (here the constant -0.75 at every root), is rejected
         params = small_keys.scheme
         rp = params.ring
         if kind == "encode":
@@ -268,14 +269,19 @@ class TestEncryptDecrypt:
                 scheme.encrypt(small_keys.pk, pt, np.random.default_rng(41))
             return
         calls = []
-        forward = ring.ntt_forward
-        monkeypatch.setattr(ring, "ntt_forward", lambda a: calls.append(a) or forward(a))
+        for name in ("_ntt_forward_block", "_ntt_inverse_block"):
+            kernel = getattr(ring, name)
+            monkeypatch.setattr(
+                ring, name, lambda *a, k=kernel: calls.append(a) or k(*a)
+            )
         ct = scheme.encrypt(small_keys.pk, pt, np.random.default_rng(41))
         monkeypatch.undo()
+        assert ct.parts.domain == ring.Domain.COEFFICIENT
+        assert len(calls) == 0
         c0, c1 = encrypt_four_ntt(small_keys.pk, pt, np.random.default_rng(41))
-        assert np.array_equal(ct.parts.residues[0], c0)
-        assert np.array_equal(ct.parts.residues[1], c1)
-        assert len(calls) == 3
+        ev = scheme.to_evaluation(ct)
+        assert np.array_equal(ev.parts.residues[0], c0)
+        assert np.array_equal(ev.parts.residues[1], c1)
 
     def test_three_part_decrypt(self, small_keys, rng):
         # the unrelinearized tensor exists only as a test oracle: it
@@ -289,6 +295,101 @@ class TestEncryptDecrypt:
         block = np.stack([d.residues for d in tensor])
         with pytest.raises(ValueError, match="needs 2 parts"):
             dataclasses.replace(cu, parts=tensor[0]._like(block))
+
+
+class TestFreshCiphertextDomain:
+    """A fresh ciphertext is in the Coefficient domain: its NTT equals the
+    four-NTT encryption it replaces, and each op keeps the domain or
+    brings it to the Evaluation domain with the residues of the op on
+    the Evaluation form."""
+
+    @pytest.fixture(scope="class")
+    def default_keys(self):
+        depth = neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead()))
+        params = scheme.param_gen(128, 512, depth, 40, allow_insecure=True)
+        assert params.ring.level_count == 13 and params.ring.ring_degree == 1024
+        return scheme.keygen(params, np.random.default_rng(71))
+
+    @pytest.fixture(scope="class")
+    def secure_keys(self):
+        # N = 8192 on the 128-bit table, with two special primes
+        params = scheme.param_gen(128, 4096, 2, 40)
+        assert not params.allow_insecure and params.special_count == 2
+        return scheme.keygen(params, np.random.default_rng(71))
+
+    @pytest.mark.parametrize("ring_keys", ["default_keys", "secure_keys"])
+    def test_ntt_of_fresh_ciphertext_is_the_four_ntt_encryption(self, request, ring_keys):
+        keys = request.getfixturevalue(ring_keys)
+        params = keys.scheme
+        values = np.linspace(-1.0, 1.0, params.slot_capacity)
+        pt = encoding.encode(values, params.scale, params.ring)
+        for seed in range(3):
+            ct = scheme.encrypt(keys.pk, pt, np.random.default_rng(seed))
+            assert ct.parts.domain == ring.Domain.COEFFICIENT
+            c0, c1 = encrypt_four_ntt(keys.pk, pt, np.random.default_rng(seed))
+            ev = scheme.to_evaluation(ct)
+            assert ev.parts.domain == ring.Domain.EVALUATION
+            assert np.array_equal(ev.parts.residues, np.stack([c0, c1]))
+            assert (ev.level, ev.scale, ev.noise_bits, ev.value_bound) == (
+                ct.level, ct.scale, ct.noise_bits, ct.value_bound
+            )
+            assert scheme.to_evaluation(ev) is ev
+
+    def test_rescale_of_coefficient_ct_every_level(self, default_keys):
+        params = default_keys.scheme
+        rp = params.ring
+        rng = np.random.default_rng(72)
+        for level in range(1, rp.level_count):
+            ev = uniform_pair(rp, level, rng).residues.copy()
+            ev[..., :2] = rp._q_col[: level + 1] - np.uint64(1)
+            ev[..., 2] = 0
+            coeff = ring.pair(*(ring.ntt_inverse(p) for p in split(
+                ring.RingElement(rp, level, ev, ring.Domain.EVALUATION)
+            )))
+            ct = scheme.Ciphertext(params, coeff, level, params.scale, 10.0, 1.0)
+            got, want = scheme.rescale(ct), scheme.rescale(scheme.to_evaluation(ct))
+            assert got.parts.domain == ring.Domain.EVALUATION
+            assert np.array_equal(got.parts.residues, want.parts.residues)
+            assert (got.level, got.scale, got.noise_bits, got.value_bound) == (
+                want.level, want.scale, want.noise_bits, want.value_bound
+            )
+
+    def test_ops_keep_or_bring_the_domain(self, default_keys):
+        keys = default_keys
+        params = keys.scheme
+        rng = np.random.default_rng(73)
+        k = params.slot_capacity
+        x, y = (
+            scheme.encrypt(keys.pk, encoding.encode(rng.uniform(-1, 1, k), params.scale, params.ring), rng)
+            for _ in range(2)
+        )
+        xe, ye = scheme.to_evaluation(x), scheme.to_evaluation(y)
+        coeff, evaluation = ring.Domain.COEFFICIENT, ring.Domain.EVALUATION
+        w = rng.normal(0.0, 1.0, (2, 2))
+        q_top = float(params.ring.moduli[params.max_level])
+        pt = encoding.encode(rng.uniform(-1, 1, k), params.scale, params.ring)
+        cases = [
+            # (op on the Coefficient operands, the op on their Evaluation forms, its domain)
+            (scheme.add(x, y), scheme.add(xe, ye), coeff),
+            (scheme.add(x, ye), scheme.add(xe, ye), evaluation),
+            (scheme.add(xe, y), scheme.add(xe, ye), evaluation),
+            (scheme.mult_const(x, -0.75, q_top), scheme.mult_const(xe, -0.75, q_top), coeff),
+            (scheme.ct_drop_level(x, 4), scheme.ct_drop_level(xe, 4), coeff),
+            (scheme.weighted_sums([x, y], w, q_top)[1], scheme.weighted_sums([xe, ye], w, q_top)[1], coeff),
+            (scheme.weighted_sums([x, ye], w, q_top)[0], scheme.weighted_sums([xe, ye], w, q_top)[0], evaluation),
+            (scheme.mult(x, y, keys.evk), scheme.mult(xe, ye, keys.evk), evaluation),
+            (scheme.mult_plain(x, pt), scheme.mult_plain(xe, pt), evaluation),
+            (scheme.add_const(x, 0.5), scheme.add_const(xe, 0.5), evaluation),
+            (scheme.rescale(x), scheme.rescale(xe), evaluation),
+        ]
+        for got, want, domain in cases:
+            assert got.parts.domain == domain
+            assert np.array_equal(scheme.to_evaluation(got).parts.residues, want.parts.residues)
+            assert (got.level, got.scale, got.noise_bits, got.value_bound) == (
+                want.level, want.scale, want.noise_bits, want.value_bound
+            )
+        got, want = scheme.decrypt(keys.sk, x), scheme.decrypt(keys.sk, xe)
+        assert np.array_equal(got.poly.residues, want.poly.residues)
 
 
 class TestAdd:
@@ -475,7 +576,7 @@ class TestPlainOps:
         w = rng.uniform(-1, 1, k)
         ct = enc(small_keys, v, rng)
         pt = encoding.encode(w, ct.scale, params.ring)
-        out = dec(small_keys, scheme.add_plain(ct, pt), k)
+        out = dec(small_keys, add_plain(ct, pt), k)
         assert np.max(np.abs(out - (v + w))) < 2.0 ** -19
 
     def test_mult_plain(self, small_keys, rng):
@@ -529,7 +630,7 @@ class TestConstOps:
         for level in (0, 2, small_params.max_level):
             ct = self._ct(small_params, level)
             pt = constant_plaintext(value, ct.scale, small_params.ring, level)
-            self._same(scheme.add_const(ct, value), scheme.add_plain(ct, pt))
+            self._same(scheme.add_const(ct, value), add_plain(ct, pt))
 
 
 class TestWeightedSums:
