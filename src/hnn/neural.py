@@ -17,7 +17,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import approx, encoding, scheme
 from .approx import SoftmaxConfig
@@ -382,25 +381,30 @@ def measured_noise_std(
 # ---------------------------------------------------------------------------
 
 def compute_metrics(scores, labels) -> dict:
-    """Accuracy/precision/recall/F1 on rounded classes, AUROC by ranks.
+    """Accuracy/precision/recall/F1 on rounded classes, and the AUROC.
 
-    scores are soft-argmax values in [1, n]; class = round(score) - 1.
-    Binary labels only for AUROC (class 1 is the positive class).
+    scores are soft-argmax values in [1, 2]; class = round(score) - 1.
+    Labels are binary, class 1 the positive class. The AUROC is the
+    Mann-Whitney count: the share of (positive, negative) pairs whose
+    positive scores higher, a tie counting 1/2.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise ValueError("scores and labels length mismatch")
-    classes = np.unique(labels)
-    if len(classes) < 2:
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("compute_metrics takes binary labels, 0 or 1")
+    pos = labels == 1
+    neg = np.sort(scores[~pos])
+    n_pos, n_neg = int(pos.sum()), len(neg)
+    if n_pos == 0 or n_neg == 0:
         raise ValueError("AUROC undefined for a single-class label set")
-    n_classes = int(labels.max()) + 1
-    pred = scores_to_classes(scores, max(n_classes, 2))
+    pred = scores_to_classes(scores, 2)
 
     accuracy = float(np.mean(pred == labels))
-    tp = float(np.sum((pred == 1) & (labels == 1)))
-    fp = float(np.sum((pred == 1) & (labels == 0)))
-    fn = float(np.sum((pred == 0) & (labels == 1)))
+    tp = float(np.sum((pred == 1) & pos))
+    fp = float(np.sum((pred == 1) & ~pos))
+    fn = float(np.sum((pred == 0) & pos))
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
     f1 = (
@@ -409,10 +413,14 @@ def compute_metrics(scores, labels) -> dict:
         else 0.0
     )
 
-    ranks = rankdata(scores)
-    pos = labels == 1
-    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
-    auroc = (float(ranks[pos].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    # a positive wins over the negatives below it and half its ties:
+    # twice that is the sum of its left and right insertion points
+    placed = scores[pos]
+    twice_wins = int(
+        np.searchsorted(neg, placed, "left").sum()
+        + np.searchsorted(neg, placed, "right").sum()
+    )
+    auroc = twice_wins / 2.0 / (n_pos * n_neg)
 
     return {
         "accuracy": accuracy,

@@ -90,6 +90,10 @@ _NTT_CHUNK = 1 << 14
 MAX_SUM_TERMS = 1 << 21
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Bases 2..17 decide every n below this (Jaeschke, Math. Comp. 1993),
+# which covers every prime of at most 42 bits; it is itself a strong
+# pseudoprime to all seven.
+_MR_SEVEN_BASES_BELOW = 341_550_071_728_321
 
 
 def _reduce(x, m):
@@ -137,7 +141,8 @@ def mulmod(a, b, q) -> np.ndarray:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 2^64."""
+    """Deterministic Miller-Rabin, valid for all n < 2^64: the first seven
+    bases below _MR_SEVEN_BASES_BELOW, all twelve above."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -147,7 +152,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:7] if n < _MR_SEVEN_BASES_BELOW else _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -209,10 +214,14 @@ def find_ntt_primes(ring_degree: int, bit_sizes: Sequence[int]) -> tuple:
                 f"prime size {b} outside supported range [14, {MAX_PRIME_BITS}]"
             )
     chain = [prime_below(1 << bit_sizes[0], step)]
+    # each size resumes above the last prime it took: every prime between
+    # 2^(b-1) and that one is already in the chain, so the walk is linear
+    last = {}
     for b in bit_sizes[1:]:
-        p = prime_above(1 << (b - 1), step)
+        p = prime_above(last.get(b, 1 << (b - 1)), step)
         while p in chain:
             p = prime_above(p, step)
+        last[b] = p
         chain.append(p)
     return tuple(chain)
 

@@ -66,6 +66,11 @@ SECURITY_TABLE = {
     256: {1024: 14, 2048: 29, 4096: 58, 8192: 118, 16384: 237, 32768: 476},
 }
 
+# The largest shape a caller or parameter file may ask for: param_gen's
+# depth of at most 30 plus the base prime, over the table's largest degree
+MAX_CHAIN_PRIMES = 31
+MAX_RING_DEGREE = max(max(table) for table in SECURITY_TABLE.values())
+
 ERR_STD = 3.2            # fresh error standard deviation
 KEY_ERR_TAIL = 6.0       # keygen errors resampled into +-6 sigma
 SCALE_REL_TOL = 2.0 ** -30  # scales must agree to this relative tolerance
@@ -93,12 +98,26 @@ def _check_scale_bits(bits: int):
         raise ParameterError(f"scale_bits {bits} outside [14, {ring.MAX_PRIME_BITS - 2}]")
 
 
+def check_ring_shape(ring_degree: int, prime_count: int = 1):
+    """The size rule: at most MAX_CHAIN_PRIMES primes over a degree of at
+    most MAX_RING_DEGREE, checked before a parameter file or param_gen
+    searches a chain. SchemeParams checks the degree alone: a chain built
+    by hand, its primes already found, may run deeper."""
+    if ring_degree > MAX_RING_DEGREE:
+        raise ParameterError(f"ring degree {ring_degree} exceeds {MAX_RING_DEGREE}")
+    if prime_count > MAX_CHAIN_PRIMES:
+        raise ParameterError(
+            f"modulus chain of {prime_count} primes exceeds {MAX_CHAIN_PRIMES}"
+        )
+
+
 @dataclasses.dataclass(frozen=True)
 class SchemeParams:
     """Everything needed to instantiate the scheme.
 
     security_level: target bits (128/192/256) from the embedded table.
-    ring: degree and modulus chain.
+    ring: degree and modulus chain; the degree obeys the size rule
+    (check_ring_shape).
     scale: default encoding scale, a power of two (_check_scale_bits).
     slot_capacity: slots the caller intends to use (<= N/2).
     allow_insecure: accept parameter sets that fail the security table
@@ -142,6 +161,7 @@ class SchemeParams:
             raise ParameterError(f"scale {self.scale!r} is not a power of two")
         _check_scale_bits(exponent - 1)
         n = self.ring.ring_degree
+        check_ring_shape(n)
         if not 1 <= self.slot_capacity <= n // 2:
             raise ParameterError(
                 f"slot capacity {self.slot_capacity} outside [1, N/2 = {n // 2}]"
@@ -268,10 +288,14 @@ def param_gen(
     shallow circuits land on small rings; pass scale_bits explicitly when
     precision matters more than ring size.
     """
-    if not 1 <= slot_need <= 2 ** 15:
-        raise ParameterError(f"slot_need {slot_need} outside [1, 2^15]")
-    if not 0 <= depth_need <= 30:
-        raise ParameterError(f"depth_need {depth_need} outside [0, 30]")
+    if not 1 <= slot_need <= MAX_RING_DEGREE // 2:
+        raise ParameterError(
+            f"slot_need {slot_need} outside [1, {MAX_RING_DEGREE // 2}]"
+        )
+    if not 0 <= depth_need < MAX_CHAIN_PRIMES:
+        raise ParameterError(
+            f"depth_need {depth_need} outside [0, {MAX_CHAIN_PRIMES - 1}]"
+        )
     scale_options = [scale_bits] if scale_bits is not None else [40, 30, 20]
     for sb in scale_options:
         _check_scale_bits(sb)

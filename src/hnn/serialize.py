@@ -139,6 +139,7 @@ def params_from_text(text: str) -> scheme.SchemeParams:
         raise FormatError(f"malformed parameter value: {exc}") from exc
     if kv:
         raise FormatError(f"unknown parameter fields {sorted(kv)}")
+    scheme.check_ring_shape(n, len(bits))
     rp = ring.RingParams(n, ring.find_ntt_primes(n, bits))
     return scheme.SchemeParams(ring=rp, **fields)
 

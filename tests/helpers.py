@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 
 from hnn import encoding, ring, scheme
+from hnn.errors import ParameterError
 
 
 def naive_negacyclic_transform(coeffs, n, q, psi):
@@ -85,6 +86,49 @@ def mulmod_split(a, b, q):
     hi = ((a >> _SPLIT) * b) % q
     lo = (a & _MASK21) * b
     return ((hi << _SPLIT) + lo) % q
+
+
+def miller_rabin(n, bases=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+    """Strong-probable-prime test of odd n > 37 to every base: with all
+    twelve default bases, exact for n < 2^64."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def find_ntt_primes_quadratic(ring_degree, bit_sizes):
+    """The chain search as first written: every b-bit prime walks up from
+    2^(b-1) and re-tests each prime the chain already holds, so its cost
+    is quadratic in the chain length. The reference for
+    ring.find_ntt_primes' resumed walk."""
+    ring._check_degree(ring_degree)
+    step = 2 * ring_degree
+    if not bit_sizes:
+        raise ParameterError("empty modulus chain")
+    for b in bit_sizes:
+        if not 14 <= b <= ring.MAX_PRIME_BITS:
+            raise ParameterError(
+                f"prime size {b} outside supported range [14, {ring.MAX_PRIME_BITS}]"
+            )
+    chain = [ring.prime_below(1 << bit_sizes[0], step)]
+    for b in bit_sizes[1:]:
+        p = ring.prime_above(1 << (b - 1), step)
+        while p in chain:
+            p = ring.prime_above(p, step)
+        chain.append(p)
+    return tuple(chain)
 
 
 def hp_embed_to_coeffs(values, n, prec_bits=200):

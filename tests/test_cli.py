@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -1203,6 +1204,58 @@ class TestCliCommands:
         )
         assert proc.returncode == 0, proc.stderr
         assert "usage: hnn" in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        # the AUROC is a numpy pair count, so numpy is the one dependency
+        src = Path(__file__).parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = (
+            "import sys, hnn, hnn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("modulus_bits", ",".join(["42"] + ["41"] * 199), "200 primes exceeds 31"),
+            ("ring_degree", "1073741824", "ring degree 1073741824 exceeds 32768"),
+        ],
+        ids=["200-primes", "degree-2^30"],
+    )
+    def test_oversized_params_file_refused_before_any_search(
+        self, tmp_path, params, capsys, field, value, match
+    ):
+        # a 200-prime chain once took seconds to load, and a 2^30 degree
+        # loaded and then asked for 8 GiB NTT tables
+        text = re.sub(
+            rf"^{field} = .*$", f"{field} = {value}", serialize.params_to_text(params),
+            flags=re.M,
+        )
+        assert "allow_insecure = true" in text
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match=match):
+            serialize.params_from_text(text)
+        assert time.perf_counter() - start < 0.1
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        for name in ("m.txt", "evk.bin", "in.hct"):
+            (tmp_path / name).write_bytes(b"")
+        start = time.perf_counter()
+        code = self.run(
+            "infer", "--model", str(tmp_path / "m.txt"), "--evk",
+            str(tmp_path / "evk.bin"), "--params", str(bad), "--input",
+            str(tmp_path / "in.hct"), "--out", str(tmp_path / "out.hct"),
+        )
+        assert time.perf_counter() - start < 0.1
+        assert code == 2
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "out.hct").exists()
 
     def test_train_head_defaults_are_softmax_config_defaults(self):
         args = cli.build_parser().parse_args(["train", "--data", "d", "--out", "m"])

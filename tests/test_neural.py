@@ -392,6 +392,34 @@ class TestMetrics:
         m = neural.compute_metrics(scores, labels)
         assert abs(m["auroc"] - 0.5) < 0.02
 
+    @pytest.mark.parametrize("ties", [True, False])
+    def test_auroc_equals_brute_force_pair_count(self, ties):
+        rng = np.random.default_rng(21 + ties)
+        for _ in range(50):
+            n = int(rng.integers(2, 120))
+            # integer-valued scores on 1..2 in steps of 1/4: many ties
+            scores = (
+                1.0 + rng.integers(0, 5, n) / 4.0 if ties else rng.uniform(1, 2, n)
+            )
+            labels = rng.integers(0, 2, n)
+            labels[:2] = [0, 1]
+            pos, neg = scores[labels == 1], scores[labels == 0]
+            wins = sum(
+                1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg
+            )
+            want = wins / (len(pos) * len(neg))
+            assert neural.compute_metrics(scores, labels)["auroc"] == pytest.approx(
+                want, rel=1e-15
+            )
+
+    @pytest.mark.parametrize(
+        "labels", [[0, 1, 2, 1], [0, 1, -1, 1], [0.0, 1.0, 0.5, 1.0], [1, 1, 3, 3]]
+    )
+    def test_labels_must_be_binary(self, labels):
+        # class 1 against the rest once gave one-vs-rest numbers for {0, 1, 2}
+        with pytest.raises(ValueError, match="binary labels"):
+            neural.compute_metrics(np.array([1.0, 2.0, 1.5, 1.2]), np.array(labels))
+
     @pytest.mark.parametrize("classes", [0, 1, -2])
     def test_scores_to_classes_needs_two_classes(self, classes):
         # a class count below 2 used to clip every label to -1 or 0

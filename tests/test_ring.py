@@ -9,6 +9,8 @@ from hnn import neural, ring, scheme
 from hnn.errors import ParameterError
 
 from helpers import (
+    find_ntt_primes_quadratic,
+    miller_rabin,
     mod_down_parts,
     mulmod_split,
     naive_negacyclic_transform,
@@ -59,6 +61,84 @@ class TestParams:
         assert primes[0].bit_length() == 42
         for q in primes[1:]:
             assert q.bit_length() == 41
+
+
+def _chernick_carmichaels(lo, count):
+    """The first ``count`` Carmichael numbers (6k+1)(12k+1)(18k+1) >= lo
+    whose three factors are prime."""
+    k, out = max(1, int((lo / 1296) ** (1 / 3)) - 1), []
+    while len(out) < count:
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(miller_rabin(f) for f in factors) and math.prod(factors) >= lo:
+            out.append(math.prod(factors))
+        k += 1
+    return out
+
+
+class TestPrimeSearch:
+    @pytest.mark.parametrize("n", [8, 16, 64, 256, 1024, 4096, 16384, 32768])
+    @pytest.mark.parametrize(
+        "bit_sizes",
+        [
+            [42] + [41] * 12,
+            [30, 20, 30, 20],
+            [42, 20, 20, 30, 20, 30, 30],
+            [36, 17, 18, 17, 18, 17],
+            [42, 14, 14, 15],
+            [20] * 6,
+        ],
+    )
+    def test_resumed_walk_equals_quadratic_walk(self, n, bit_sizes):
+        # at N = 32768 the 14- to 18-bit walks all start at 65537, so
+        # their sizes take primes from one shared run of candidates
+        assert ring.find_ntt_primes(n, bit_sizes) == find_ntt_primes_quadratic(
+            n, bit_sizes
+        )
+
+    @pytest.mark.parametrize(
+        "n, bit_sizes",
+        [(4, [42]), (24, [42]), (0, [42]), (64, []), (64, [13]), (64, [42, 43]),
+         (32768, [14]), (16384, [15, 20])],
+    )
+    def test_same_errors_as_quadratic_walk(self, n, bit_sizes):
+        with pytest.raises(ParameterError) as want:
+            find_ntt_primes_quadratic(n, bit_sizes)
+        with pytest.raises(ParameterError) as got:
+            ring.find_ntt_primes(n, bit_sizes)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "n", [3215031751, 2152302898747, 3474749660383, 341550071728321]
+    )
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # the least strong pseudoprimes to all of the bases 2..7, 2..11,
+        # 2..13 and 2..17; the last is the seven-base bound itself, so
+        # only the twelve bases reject it
+        assert miller_rabin(n, (2, 3, 5, 7, 11, 13, 17)) == (n == 341550071728321)
+        assert not ring.is_prime(n)
+
+    def test_carmichael_numbers_are_composite(self):
+        small = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265]
+        for n in small + _chernick_carmichaels(2 ** 40, 3) + _chernick_carmichaels(2 ** 49, 3):
+            assert not ring.is_prime(n), n
+
+    def test_agrees_with_twelve_bases_on_bench_rings(self):
+        depth = neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead()))
+        for slots, insecure in ((512, True), (16384, False)):
+            params = scheme.param_gen(128, slots, depth, 40, allow_insecure=insecure)
+            primes = params.key_ring.moduli
+            assert set(params.ring.moduli) <= set(primes)
+            for q in primes:
+                assert ring.is_prime(q) and miller_rabin(q)
+                # the odd neighbours of a chain prime are composite
+                for c in (q - 2, q + 2, q + 2 * params.ring.ring_degree):
+                    assert ring.is_prime(c) == miller_rabin(c)
+
+    def test_agrees_with_twelve_bases_below_and_above_the_bound(self):
+        rng = np.random.default_rng(19)
+        for top in (2 ** 42, 341550071728321, 2 ** 62):
+            for n in rng.integers(top // 2, top, 4000, dtype=np.int64) | 1:
+                assert ring.is_prime(int(n)) == miller_rabin(int(n))
 
 
 class TestNtt:

@@ -91,6 +91,18 @@ class TestParamGen:
         assert (params.digit_size, params.special_count) == (1, 0)
         assert params.key_ring is params.ring
 
+    def test_size_rule_bounds(self):
+        # one rule, shared with the parameter file: 31 primes (depth 30
+        # plus the base) over a degree of at most 32768
+        assert (scheme.MAX_CHAIN_PRIMES, scheme.MAX_RING_DEGREE) == (31, 32768)
+        with pytest.raises(ParameterError, match=r"depth_need 31 outside \[0, 30\]"):
+            scheme.param_gen(128, 4, 31, allow_insecure=True)
+        with pytest.raises(ParameterError, match=r"slot_need 16385 outside \[1, 16384\]"):
+            scheme.param_gen(128, 16385, 1, allow_insecure=True)
+        big = ring.RingParams(65536, ring.find_ntt_primes(65536, [42]))
+        with pytest.raises(ParameterError, match="ring degree 65536 exceeds 32768"):
+            scheme.SchemeParams(128, big, 2.0 ** 40, 8, allow_insecure=True)
+
     def test_insecure_rejected_without_override(self):
         moduli = ring.find_ntt_primes(32, [42, 41, 41])
         with pytest.raises(InsecureParameterError):
