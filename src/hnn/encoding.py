@@ -1,13 +1,13 @@
 """Canonical-embedding encoder: real slot vectors <-> scaled plaintexts.
 
-A length-(N/2) real vector is placed on the slot positions 5^k mod 2N of
-the conjugate-symmetric evaluation space of X^N + 1, pulled back through
-the embedding, scaled by a fixed factor, and rounded (half-to-even) to
-integer coefficients. Because the embedding is a ring homomorphism,
-polynomial add/mul act slotwise on the decoded values.
-
-The fast transform is a size-N FFT with a 2N-th-root twist; tests check
-it against an O(N^2) high-precision oracle.
+A length-(N/2) real vector is placed on the roots zeta^(5^k mod 2N) of
+X^N + 1 (zeta = e^(i*pi/N); a real polynomial takes the conjugate values
+at their conjugates), pulled back through the embedding, scaled by a
+fixed factor, and rounded (half-to-even) to integer coefficients.
+Because the embedding is a ring homomorphism, polynomial add/mul act
+slotwise on the decoded values. The transform is ring's folded N/2-point
+FFT, which encryption's exact product runs on; tests check it against
+the N-point twisted FFT and an O(N^2) high-precision oracle.
 
 A scalar constant gets no polynomial: encode_constant rounds it to an
 integer, which ``scheme`` applies as one residue per prime.
@@ -31,37 +31,23 @@ MIN_SCALE = 2.0 ** 10
 MAX_COEFF = 2.0 ** 62
 
 _SLOT_CACHE: dict = {}
-_TWIST_CACHE: dict = {}
 
 
 def slot_positions(ring_degree: int) -> np.ndarray:
-    """Indices into the odd-power evaluation array for each slot.
+    """Index of each slot among ring.folded_fft's N/2 outputs.
 
-    Slot k lives at the primitive 2N-th root psi^(5^k mod 2N); the odd
-    exponent j maps to array position (j-1)/2. The conjugate of slot k
-    sits at position N-1-pos[k].
+    Slot k lives at the root zeta^(5^k mod 2N), zeta = e^(i*pi/N), and
+    output m of the folded transform at zeta^(1 - 4m); as 5^k ≡ 1
+    (mod 4), slot k is output ((1 - 5^k)/4) mod N/2. The slots fill the
+    outputs, each once.
     """
     pos = _SLOT_CACHE.get(ring_degree)
     if pos is None:
-        m = 2 * ring_degree
-        pos = np.empty(ring_degree // 2, dtype=np.int64)
-        j = 1
-        for k in range(ring_degree // 2):
-            pos[k] = (j - 1) // 2
-            j = (j * 5) % m
+        h = ring_degree // 2
+        pos = np.array([(1 - pow(5, k, 2 * ring_degree)) // 4 % h for k in range(h)])
         pos.flags.writeable = False
         _SLOT_CACHE[ring_degree] = pos
     return pos
-
-
-def _twist(ring_degree: int) -> np.ndarray:
-    tw = _TWIST_CACHE.get(ring_degree)
-    if tw is None:
-        j = np.arange(ring_degree)
-        tw = np.exp(1j * np.pi * j / ring_degree)
-        tw.flags.writeable = False
-        _TWIST_CACHE[ring_degree] = tw
-    return tw
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,19 +76,14 @@ class Plaintext:
 
 def embed_to_coeffs(values: np.ndarray, ring_degree: int) -> np.ndarray:
     """Pull a full slot vector back through the embedding (float result)."""
-    pos = slot_positions(ring_degree)
-    evals = np.zeros(ring_degree, dtype=np.complex128)
-    evals[pos] = values
-    evals[ring_degree - 1 - pos] = np.conj(values)
-    coeffs = np.fft.fft(evals) / ring_degree / _twist(ring_degree)
-    return np.real(coeffs)
+    z = np.zeros(ring_degree // 2, dtype=np.complex128)
+    z[slot_positions(ring_degree)] = values
+    return ring.folded_ifft(z)
 
 
 def coeffs_to_slots(coeffs: np.ndarray, ring_degree: int) -> np.ndarray:
     """Evaluate float coefficients at the slot roots (complex result)."""
-    pos = slot_positions(ring_degree)
-    evals = np.fft.ifft(coeffs * _twist(ring_degree)) * ring_degree
-    return evals[pos]
+    return ring.folded_fft(coeffs)[slot_positions(ring_degree)]
 
 
 def encode(

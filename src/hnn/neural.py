@@ -328,9 +328,13 @@ def forward_encrypted(
     cfg: SoftmaxConfig = None,
     probe_key: scheme.SecretKey = None,
 ) -> scheme.Ciphertext:
-    """Soft-argmax ciphertext for a column-packed batch of samples."""
+    """Soft-argmax ciphertext for a column-packed batch of samples. A
+    given cfg carries the approximation knobs; its temperature and class
+    count must be the head's."""
     if cfg is None:
         cfg = head_config(head)
+    elif (cfg.temperature, cfg.class_count) != (head.temperature, head.class_count):
+        raise ValueError(f"{cfg} contradicts the head {head}")
     logit_cts = encrypted_logits(_folded_probe(model, cfg.temperature), feature_cts)
     return approx.encrypted_soft_argmax(logit_cts, cfg, evk, probe_key)
 

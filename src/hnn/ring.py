@@ -29,11 +29,13 @@ prime or of the special primes P, as
 (x_keep - NTT(convert(INTT(x_drop)))) * D^-1, or a Coefficient pair as
 NTT((x_keep - convert(x_drop)) * D^-1).
 
-fft_mul multiplies an element by a ternary polynomial exactly, in the
+folded_fft evaluates real polynomials at the N/2 roots of X^N + 1 that
+hold one of each conjugate pair, with one N/2-point float FFT, and
+folded_ifft inverts it: the canonical embedding (encoding), and fft_mul,
+which multiplies an element by a ternary polynomial exactly, in the
 Coefficient domain and with no NTT: the element's centred residues,
-split into two 21-bit limbs, meet the ternary factor in numpy's float
-FFT folded for X^N + 1, and the rounded limb products recombine mod
-q_j (encryption's pk*u).
+split into two 21-bit limbs, meet the ternary factor there, and the
+rounded limb products recombine mod q_j (encryption's pk*u).
 
 The forward NTT does not reduce between stages. With the product t in
 [0, 2q), a butterfly writes lo + t and lo + (2q - t), so values grow by
@@ -44,16 +46,17 @@ subtraction bring them into [0, q). The inverse reduces u + v into
 a stage copies the two halves (forward) or the even and odd entries
 (inverse) of the block into contiguous buffers, and the forward output
 is in the usual bit-reversed order. The kernels take a (parts, rows, N)
-block. A pass transforms about max(1, 2^14/N) rows at a time (all 13
-primes at N = 1024, or the 17 of a key ring), so that its buffers stay
-in a core's L2 cache.
+block, so ntt_forward and ntt_inverse take an element of any parts
+shape in one kernel call. A pass transforms about max(1, 2^14/N) rows at
+a time (all 13 primes at N = 1024, or the 17 of a key ring), so that
+its buffers stay in a core's L2 cache.
 
 Twiddles and moduli come from full-width tables, as numpy runs a ufunc
 over contiguous operands of one shape in a single loop but broadcasts a
 (rows, 1) column row by row; once a pass takes one row, the moduli
 tables are zero-stride views of the column. For 13 primes the tables
-hold 2.8 MiB at N = 1024 and 21.1 MiB at N = 32768; for the 17 primes of
-a key ring, 3.7 and 27.6 MiB, and the chain's tables are row views of
+hold 2.6 MiB at N = 1024 and 14.6 MiB at N = 32768; for the 17 primes of
+a key ring, 3.45 and 19.1 MiB, and the chain's tables are row views of
 those (see _tables). ring_add and ring_sub reduce with one
 np.minimum(x, x - m) each.
 
@@ -202,7 +205,9 @@ def find_ntt_primes(ring_degree: int, bit_sizes: Sequence[int]) -> tuple:
     ≡ 1 (mod 2N) below 2^bits. Each further entry of b bits is the next
     unused prime just above 2^(b-1). Rescale primes sit slightly above
     the scale they divide, so the tracked scale drifts down, never up,
-    protecting the base-level headroom.
+    protecting the base-level headroom. Every prime has the size asked:
+    where a size has none left, a wider rescale prime would make the
+    scale drift on, so that is a ParameterError.
     """
     _check_degree(ring_degree)
     step = 2 * ring_degree
@@ -223,6 +228,9 @@ def find_ntt_primes(ring_degree: int, bit_sizes: Sequence[int]) -> tuple:
             p = prime_above(p, step)
         last[b] = p
         chain.append(p)
+    for p, b in zip(chain, bit_sizes):
+        if p.bit_length() != b:
+            raise ParameterError(f"no unused {b}-bit prime ≡ 1 mod {step}")
     return tuple(chain)
 
 
@@ -242,18 +250,16 @@ def bit_reverse_permutation(n: int) -> np.ndarray:
 class _NttTables:
     """Twiddle factors and moduli for a whole chain, one row per prime.
 
-    Row j of psi_rev / ipsi_rev holds the powers of psi_j (a primitive
-    2N-th root of unity mod q_j) and of its inverse in bit-reversed
-    order. The forward transform returns the evaluations of the
-    polynomial at psi^(2k+1) in bit-reversed k order.
-
-    Stage s of the forward transform multiplies half-index k by
-    psi_rev[2^s + (k mod 2^s)], a sequence of period 2^s. psi_stage[s]
-    holds its first W = min(max(2^s, 512), N/2) terms as a (primes, 1, W)
-    block that broadcasts over the half viewed as (rows, N/2W, W): every
-    stage is full-width up to N = 1024, and numpy's inner loops stay long
-    beyond. ipsi_stage is the same for the inverse, and the *_q tables
-    hold each twiddle's biased quotient.
+    psi_j is a primitive 2N-th root of unity mod q_j. The forward
+    transform returns the evaluations of the polynomial at psi^(2k+1) in
+    bit-reversed k order. Stage s multiplies half-index k by
+    psi^rev(2^s + (k mod 2^s)), rev the log2(N)-bit reversal, a sequence
+    of period 2^s. psi_stage[s] holds its first
+    W = min(max(2^s, 512), N/2) terms as a (primes, 1, W) block that
+    broadcasts over the half viewed as (rows, N/2W, W): every stage is
+    full-width up to N = 1024, and numpy's inner loops stay long beyond.
+    ipsi_stage is the same for psi^-1, and the *_q tables hold each
+    twiddle's biased quotient.
 
     The moduli are full-width as well, because numpy runs a ufunc over
     contiguous operands of one shape in a single loop but broadcasts a
@@ -261,14 +267,13 @@ class _NttTables:
     n_inv_wide and n_inv_q (N^-1 and its quotient) are (primes, N), and
     q_half and q2_half are (primes, N/2) for the NTT's halves. From
     N = _NTT_CHUNK on, where an NTT pass takes one row, they are
-    zero-stride views of the column. n_inv is the (primes, 1) column. An
-    element at level l uses rows [:l+1].
+    zero-stride views of the column. An element at level l uses rows
+    [:l+1].
     """
 
     __slots__ = (
-        "psi_rev", "ipsi_rev", "n_inv", "psi_stage", "psi_stage_q",
-        "ipsi_stage", "ipsi_stage_q", "q", "q2", "q_inv", "q_half",
-        "q2_half", "n_inv_wide", "n_inv_q",
+        "psi_stage", "psi_stage_q", "ipsi_stage", "ipsi_stage_q", "q", "q2",
+        "q_inv", "q_half", "q2_half", "n_inv_wide", "n_inv_q",
     )
 
     def __init__(self, ring_degree: int, moduli: tuple):
@@ -284,19 +289,14 @@ class _NttTables:
             step = mulmod(step, step, q_col)
             m <<= 1
         perm = bit_reverse_permutation(ring_degree)
-        self.psi_rev = powers[:, perm]
-        self.ipsi_rev = powers[:, (2 * ring_degree - perm) % (2 * ring_degree)]
-        self.n_inv = np.array(
-            [pow(ring_degree, -1, q) for q in moduli], dtype=np.uint64
-        )[:, None]
         h = ring_degree // 2
         stage_index = [
             (1 << s) + (np.arange(min(max(1 << s, 512), h)) % (1 << s))
             for s in range(ring_degree.bit_length() - 1)
         ]
         self.psi_stage, self.ipsi_stage = (
-            tuple(rev[:, None, idx] for idx in stage_index)
-            for rev in (self.psi_rev, self.ipsi_rev)
+            tuple(powers[:, None, exps[idx]] for idx in stage_index)
+            for exps in (perm, (2 * ring_degree - perm) % (2 * ring_degree))
         )
         q_3d = q_col[:, :, None]
         self.psi_stage_q = tuple(_quotient(w, q_3d) for w in self.psi_stage)
@@ -308,11 +308,12 @@ class _NttTables:
             full = np.broadcast_to(col, (len(moduli), width))
             return full if ring_degree >= _NTT_CHUNK else np.ascontiguousarray(full)
 
+        n_inv = np.array([[pow(ring_degree, -1, q)] for q in moduli], dtype=np.uint64)
         self.q, self.q_half = wide(q_col, ring_degree), wide(q_col, h)
         self.q2, self.q2_half = wide(2 * q_col, ring_degree), wide(2 * q_col, h)
         self.q_inv = wide(_quotient(1, q_col), ring_degree)
-        self.n_inv_wide = wide(self.n_inv, ring_degree)
-        self.n_inv_q = wide(_quotient(self.n_inv, q_col), ring_degree)
+        self.n_inv_wide = wide(n_inv, ring_degree)
+        self.n_inv_q = wide(_quotient(n_inv, q_col), ring_degree)
 
     def suffix(self, start: int) -> "_NttTables":
         """Views of rows [start:] of every table: the tables of a chain that
@@ -477,15 +478,12 @@ def _require_compatible(a: RingElement, b: RingElement, broadcast=False):
         raise ValueError(f"parts mismatch: {a.parts_shape} vs {b.parts_shape}")
 
 
-def pair(a: RingElement, b: RingElement = None) -> RingElement:
-    """The pair (a, b) of one-part elements, (a, 0) if b is None, as one
-    (2, level+1, N) element."""
-    _require_compatible(a, a if b is None else b)
+def pair(a: RingElement, b: RingElement) -> RingElement:
+    """The pair (a, b) of one-part elements as one (2, level+1, N) element."""
+    _require_compatible(a, b)
     if a.parts_shape:
         raise ValueError(f"a pair's parts are single, not {a.parts_shape}")
-    res = np.empty((2,) + a.residues.shape, np.uint64)
-    res[0], res[1] = a.residues, 0 if b is None else b.residues
-    return a._like(res)
+    return a._like(np.stack((a.residues, b.residues)))
 
 
 def from_int_coeffs(
@@ -599,36 +597,24 @@ def _ntt_inverse_block(block: np.ndarray, tb: _NttTables, start: int) -> np.ndar
     return out
 
 
-def to_evaluation(a: RingElement) -> RingElement:
-    """a in the Evaluation domain, all its parts through one forward-NTT
-    kernel call; a itself if it is there already."""
-    if a.domain == Domain.EVALUATION:
-        return a
+def _ntt(a: RingElement, kernel, src: Domain, dst: Domain) -> RingElement:
+    """a, in ``src``, through ``kernel`` with all its parts in one call."""
+    if a.domain != src:
+        raise ValueError(f"element not in {src.value} domain")
     block = a.residues.reshape((-1,) + a.residues.shape[-2:])
-    out = _ntt_forward_block(block, _tables(a.params), 0)
-    return a._like(out.reshape(a.residues.shape), Domain.EVALUATION)
-
-
-def _one_part(a: RingElement, domain: Domain) -> np.ndarray:
-    """a's (1, level+1, N) block for an NTT kernel: one part in ``domain``."""
-    if a.domain != domain:
-        raise ValueError(f"element not in {domain.value} domain")
-    if a.parts_shape:
-        raise ValueError(f"the NTT takes one part, not {a.parts_shape}")
-    return a.residues[None]
+    out = kernel(block, _tables(a.params), 0)
+    return a._like(out.reshape(a.residues.shape), dst)
 
 
 def ntt_forward(a: RingElement) -> RingElement:
-    """Negacyclic NTT per residue prime of one part; exact, O(N log N)
-    per prime."""
-    out = _ntt_forward_block(_one_part(a, Domain.COEFFICIENT), _tables(a.params), 0)
-    return a._like(out[0], Domain.EVALUATION)
+    """Negacyclic NTT per residue prime of every part of a, in one kernel
+    call; exact, O(N log N) per row."""
+    return _ntt(a, _ntt_forward_block, Domain.COEFFICIENT, Domain.EVALUATION)
 
 
 def ntt_inverse(a: RingElement) -> RingElement:
     """Inverse of :func:`ntt_forward`; bit-exact round trip."""
-    out = _ntt_inverse_block(_one_part(a, Domain.EVALUATION), _tables(a.params), 0)
-    return a._like(out[0], Domain.COEFFICIENT)
+    return _ntt(a, _ntt_inverse_block, Domain.EVALUATION, Domain.COEFFICIENT)
 
 
 def ring_add(a: RingElement, b: RingElement) -> RingElement:
@@ -876,42 +862,67 @@ def drop_level(a: RingElement, new_level: int) -> RingElement:
 
 
 # ---------------------------------------------------------------------------
-# Exact products by a ternary polynomial through numpy's float FFT.
+# numpy's float FFT, folded for X^N + 1: the canonical embedding, and exact
+# products by a ternary polynomial.
 # ---------------------------------------------------------------------------
 
-_LIMB_BITS = 21  # a centred residue, |x| <= q/2 < 2^41, is lo + 2^21*hi
+_FOLD_CACHE: dict = {}
 
 
-def _folded_fft(x: np.ndarray) -> np.ndarray:
-    """FFT of real coefficients x (last axis N) folded into N/2 complex
-    values (x_j + i*x_{j+N/2})*zeta^j, zeta = e^(i*pi/N): x's values at
-    the N/2 roots r of X^N = -1 with r^(N/2) = i, which determine a real
-    product mod X^N + 1."""
+def _fold_twist(n: int) -> np.ndarray:
+    """(2, N/2) complex: zeta^j and zeta^-j for j < N/2, zeta = e^(i*pi/N)."""
+    tw = _FOLD_CACHE.get(n)
+    if tw is None:
+        tw = np.exp(1j * np.pi / n * np.arange(n // 2))
+        tw = np.stack((tw, tw.conj()))
+        tw.flags.writeable = False
+        _FOLD_CACHE[n] = tw
+    return tw
+
+
+def folded_fft(x: np.ndarray) -> np.ndarray:
+    """Real polynomials x (N coefficients on the last axis) at the roots
+    zeta^(1 - 4m), m < N/2, of X^N + 1, zeta = e^(i*pi/N): one of each
+    conjugate pair, so they determine x. Output m is x(zeta^(1 - 4m)),
+    the N/2-point FFT of (x_j + i*x_{j+N/2})*zeta^j, as r^(N/2) = i at
+    each of these roots r."""
     n = x.shape[-1]
     h = n // 2
     z = np.empty(x.shape[:-1] + (h,), np.complex128)
     z.real, z.imag = x[..., :h], x[..., h:]
-    z *= np.exp(1j * np.pi / n * np.arange(h))
+    z *= _fold_twist(n)[0]
     return np.fft.fft(z)
+
+
+def folded_ifft(z: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`folded_fft`: the N real coefficients of the
+    polynomial with values z[..., m] at zeta^(1 - 4m) and their
+    conjugates at the conjugate roots; the real and imaginary parts of
+    IFFT(z)*zeta^-j are coefficients j and j + N/2."""
+    h = z.shape[-1]
+    w = np.fft.ifft(z)
+    w *= _fold_twist(2 * h)[1]
+    x = np.empty(w.shape[:-1] + (2 * h,))
+    x[..., :h], x[..., h:] = w.real, w.imag
+    return x
+
+
+_LIMB_BITS = 21  # a centred residue, |x| <= q/2 < 2^41, is lo + 2^21*hi
 
 
 def fft_spectra(a: RingElement) -> np.ndarray:
     """The spectra fft_mul needs for a: its coefficients centred into
     (-q_j/2, q_j/2], split into two signed 21-bit limbs lo + 2^21*hi and
-    folded and transformed, a (2,) + a.residues.shape[:-1] + (N/2,)
-    complex block. An Evaluation a goes through one inverse-NTT kernel
-    call."""
-    tb = _tables(a.params)
-    x = a.residues.reshape((-1,) + a.residues.shape[-2:])
+    folded_fft'd, a (2,) + a.residues.shape[:-1] + (N/2,) complex block.
+    An Evaluation a goes through ntt_inverse first."""
     if a.domain == Domain.EVALUATION:
-        x = _ntt_inverse_block(x, tb, 0)
+        a = ntt_inverse(a)
     # x - q where x > q/2, formed in wrapping uint64 and read as int64
-    q = tb.q[: a.level + 1]
-    x = x.reshape(a.residues.shape)
+    q, x = _tables(a.params).q[: a.level + 1], a.residues
     x = (x - q * (x > q >> np.uint64(1))).view(np.int64)
     half = 1 << (_LIMB_BITS - 1)
     lo = ((x + half) & ((1 << _LIMB_BITS) - 1)) - half
-    spectra = _folded_fft(np.stack((lo, (x - lo) >> _LIMB_BITS)))
+    spectra = folded_fft(np.stack((lo, (x - lo) >> _LIMB_BITS)))
     spectra.flags.writeable = False
     return spectra
 
@@ -919,7 +930,7 @@ def fft_spectra(a: RingElement) -> np.ndarray:
 def fft_mul(a: RingElement, spectra: np.ndarray, u: np.ndarray) -> RingElement:
     """a*u exactly, as a Coefficient element, for N int coefficients u in
     {-1, 0, 1} and spectra = fft_spectra(a): per limb one product of
-    folded spectra and one batched inverse FFT, then the rounded limb
+    folded spectra and one batched folded_ifft, then the rounded limb
     products recombined as lo + 2^21*hi mod q_j.
 
     A limb product's coefficients are integers of magnitude at most
@@ -937,17 +948,13 @@ def fft_mul(a: RingElement, spectra: np.ndarray, u: np.ndarray) -> RingElement:
         raise ValueError(f"spectra of shape {spectra.shape} do not fit {a.residues.shape}")
     if u.shape != (n,) or np.any(np.abs(u) > 1):
         raise ValueError(f"expected {n} coefficients in {{-1, 0, 1}}")
-    h = n // 2
-    z = np.fft.ifft(spectra * _folded_fft(u))
-    z *= np.exp(-1j * np.pi / n * np.arange(h))
-    # (..., N/2, 2) float view: the limb products' coefficients j, j + N/2
-    f = z.view(np.float64).reshape(z.shape + (2,))
+    f = folded_ifft(spectra * folded_fft(u))
     rounded = np.rint(f)
     f -= rounded
     if not np.max(np.abs(f, out=f)) <= 0.25:
         raise FloatingPointError("FFT product too far from an integer to round")
-    x = np.empty(z.shape[:-1] + (n,), np.int64)
-    x[..., :h], x[..., h:] = rounded[..., 0], rounded[..., 1]
+    del f  # before x is allocated
+    x = rounded.astype(np.int64)
     x[1] <<= _LIMB_BITS
     x = np.add(x[0], x[1], out=x[0])
     # |x| < 2^57, so est = floor(x*(1/q)) is floor(x/q) within one, and

@@ -142,7 +142,6 @@ class SchemeParams:
     slot_capacity: int
     allow_insecure: bool = False
     noise_budget_bits: float = dataclasses.field(init=False, compare=False)
-    digit_size: int = dataclasses.field(init=False, compare=False)
     key_ring: ring.RingParams = dataclasses.field(
         init=False, compare=False, repr=False
     )
@@ -186,7 +185,6 @@ class SchemeParams:
         key_ring = (
             ring.RingParams(n, special + self.ring.moduli) if special else self.ring
         )
-        object.__setattr__(self, "digit_size", max(len(special), 1))
         object.__setattr__(self, "key_ring", key_ring)
         rp, k, levels = self.ring, len(special), range(self.ring.level_count)
         # the digit ending at row j is level j's last: up[j] converts it
@@ -219,6 +217,11 @@ class SchemeParams:
     def special_count(self) -> int:
         """k, the special primes that lead the key ring's chain."""
         return self.key_ring.level_count - self.ring.level_count
+
+    @property
+    def digit_size(self) -> int:
+        """alpha, the primes of a key switching digit: k, or 1 if k = 0."""
+        return max(self.special_count, 1)
 
     def digits(self, level: int) -> list:
         """Key switching's digits at ``level``: the chain rows [0, level+1)
@@ -302,6 +305,7 @@ def param_gen(
 
     n = max(8, 1 << (2 * slot_need - 1).bit_length())
     max_n = max(SECURITY_TABLE[security_level])
+    reason = ""
     while n <= max_n:
         for sb in scale_options:
             base_bits = min(sb + 10, ring.MAX_PRIME_BITS)
@@ -313,7 +317,8 @@ def param_gen(
             bit_sizes = [base_bits] + [sb + 1] * depth_need
             try:
                 moduli = ring.find_ntt_primes(n, bit_sizes)
-            except ParameterError:
+            except ParameterError as exc:
+                reason = f": {exc}"
                 continue
             rp = ring.RingParams(n, moduli)
             return SchemeParams(
@@ -329,7 +334,7 @@ def param_gen(
         n <<= 1
     raise ParameterError(
         f"no secure parameter set for slots={slot_need}, depth={depth_need}, "
-        f"security={security_level}"
+        f"security={security_level}{reason}"
     )
 
 
@@ -508,7 +513,7 @@ def to_evaluation(ct: Ciphertext) -> Ciphertext:
     call on the pair, or ct itself if they are there already."""
     if ct.parts.domain == ring.Domain.EVALUATION:
         return ct
-    return dataclasses.replace(ct, parts=ring.to_evaluation(ct.parts))
+    return dataclasses.replace(ct, parts=ring.ntt_forward(ct.parts))
 
 
 def decrypt(sk: SecretKey, ct: Ciphertext) -> Plaintext:

@@ -131,6 +131,31 @@ def find_ntt_primes_quadratic(ring_degree, bit_sizes):
     return tuple(chain)
 
 
+def twisted_slot_positions(n):
+    """Slot k's index (5^k mod 2N - 1)/2 among the N roots zeta^(2j+1)."""
+    return np.array([(pow(5, k, 2 * n) - 1) // 2 for k in range(n // 2)])
+
+
+def twisted_embed_to_coeffs(values, n):
+    """The inverse embedding as one N-point FFT: the slots and their
+    conjugates placed on all N roots zeta^(2j+1), zeta = e^(i*pi/N), an
+    FFT and the 2N-th-root untwist: the slow path of
+    encoding.embed_to_coeffs."""
+    pos = twisted_slot_positions(n)
+    evals = np.zeros(n, dtype=np.complex128)
+    evals[pos] = values
+    evals[n - 1 - pos] = np.conj(values)
+    return np.real(np.fft.fft(evals) / n / np.exp(1j * np.pi * np.arange(n) / n))
+
+
+def twisted_coeffs_to_slots(coeffs, n):
+    """The embedding as one N-point inverse FFT of the twisted
+    coefficients, read at the slots: the slow path of
+    encoding.coeffs_to_slots."""
+    evals = np.fft.ifft(coeffs * np.exp(1j * np.pi * np.arange(n) / n)) * n
+    return evals[twisted_slot_positions(n)]
+
+
 def hp_embed_to_coeffs(values, n, prec_bits=200):
     """Arbitrary-precision inverse canonical embedding (O(N^2))."""
     with mpmath.workprec(prec_bits):
@@ -145,12 +170,13 @@ def hp_embed_to_coeffs(values, n, prec_bits=200):
         for k, e in enumerate(exps):
             evals[e] = mpmath.mpc(values[k])
             evals[m - e] = mpmath.conj(mpmath.mpc(values[k]))
+        # the 2N distinct powers e^(-i*pi*t/N), t = e*i mod 2N
+        roots = [mpmath.expjpi(mpmath.mpf(-t) / n) for t in range(m)]
         coeffs = []
         for i in range(n):
             acc = mpmath.mpc(0)
             for e, z in evals.items():
-                root = mpmath.e ** (-1j * mpmath.pi * e * i / n)
-                acc += z * root
+                acc += z * roots[e * i % m]
             coeffs.append(acc / n)
         return np.array([float(mpmath.re(c)) for c in coeffs])
 
@@ -164,13 +190,12 @@ def hp_coeffs_to_slots(coeffs, n, prec_bits=200):
         for _ in range(n // 2):
             exps.append(j)
             j = (j * 5) % m
+        roots = [mpmath.expjpi(mpmath.mpf(t) / n) for t in range(m)]
         out = []
         for e in exps:
             acc = mpmath.mpc(0)
             for i in range(n):
-                acc += mpmath.mpf(float(coeffs[i])) * mpmath.e ** (
-                    1j * mpmath.pi * e * i / n
-                )
+                acc += mpmath.mpf(float(coeffs[i])) * roots[e * i % m]
             out.append(complex(acc))
         return np.array(out)
 
@@ -213,6 +238,11 @@ def uniform_pair(params, level, rng):
     """The pair of two uniform Evaluation elements, drawn one after the
     other, as one (2, level+1, N) element."""
     return ring.pair(*(ring.sample_uniform(params, level, rng) for _ in range(2)))
+
+
+def pair_with_zero(a):
+    """The pair (a, 0) as one (2, level+1, N) element."""
+    return ring.pair(a, a._like(np.zeros_like(a.residues)))
 
 
 def split(pair):
@@ -327,12 +357,28 @@ def mod_down_parts(pair, params, level):
     return out
 
 
+def psi_rev_rows(n, moduli, inverse=False):
+    """Row j holds psi_j^rev(i) (psi_j^-rev(i) if ``inverse``) for i < N,
+    rev the log2(N)-bit reversal and psi_j = primitive_2n_root(n, q_j),
+    from Python ints: the twiddles of the textbook NTTs below."""
+    rows, perm = [], ring.bit_reverse_permutation(n).tolist()
+    for q in moduli:
+        psi = primitive_2n_root(n, q)
+        if inverse:
+            psi = pow(psi, -1, q)
+        powers = [1] * n
+        for i in range(1, n):
+            powers[i] = powers[i - 1] * psi % q
+        rows.append([powers[i] for i in perm])
+    return np.array(rows, dtype=np.uint64)
+
+
 def ntt_forward_ct(el):
     """In-place Cooley-Tukey forward NTT on strided (rows, m, 2, t) blocks,
     every step reduced with % and every product by mulmod_split: the slow
     path of ring.ntt_forward."""
     rows, n = el.residues.shape
-    psi_rev = ring._tables(el.params).psi_rev
+    psi_rev = psi_rev_rows(n, el.moduli)
     q = el._q[:, :, None]
     out = el.residues.copy()
     t, m = n, 1
@@ -340,7 +386,7 @@ def ntt_forward_ct(el):
         t >>= 1
         blocks = out.reshape(rows, m, 2, t)
         u = blocks[:, :, 0].copy()
-        w = mulmod_split(blocks[:, :, 1], psi_rev[:rows, m : 2 * m, None], q)
+        w = mulmod_split(blocks[:, :, 1], psi_rev[:, m : 2 * m, None], q)
         blocks[:, :, 0] = (u + w) % q
         blocks[:, :, 1] = (u + (q - w)) % q
         m <<= 1
@@ -351,8 +397,9 @@ def ntt_inverse_gs(el, rows):
     """In-place Gentleman-Sande inverse NTT of el's chain rows ``rows``,
     every step reduced with % and every product by mulmod_split: the slow
     path of ring._ntt_inverse_block."""
-    tb = ring._tables(el.params)
-    q_col, ipsi = el.params._q_col[rows], tb.ipsi_rev[rows]
+    moduli = el.params.moduli[rows]
+    q_col = np.array(moduli, dtype=np.uint64)[:, None]
+    ipsi = psi_rev_rows(el.params.ring_degree, moduli, inverse=True)
     q = q_col[:, :, None]
     out = el.residues[rows].copy()
     k, n = out.shape
@@ -366,7 +413,8 @@ def ntt_inverse_gs(el, rows):
         blocks[:, :, 1] = mulmod_split((u + (q - w)) % q, ipsi[:, h:m, None], q)
         t <<= 1
         m = h
-    return mulmod_split(out, tb.n_inv[rows], q_col)
+    n_inv = np.array([[pow(n, -1, q)] for q in moduli], dtype=np.uint64)
+    return mulmod_split(out, n_inv, q_col)
 
 
 def encrypt_four_ntt(pk, pt, rng):
@@ -393,7 +441,7 @@ def add_plain(ct, pt):
     poly = ring.ntt_forward(ring.drop_level(pt.poly, ct.level))
     return dataclasses.replace(
         ct,
-        parts=ring.ring_add(ct.parts, ring.pair(poly)),
+        parts=ring.ring_add(ct.parts, pair_with_zero(poly)),
         noise_bits=scheme._log2_sum(ct.noise_bits, scheme._log2_pos(pt.round_error)),
         value_bound=ct.value_bound + pt.value_bound,
     )

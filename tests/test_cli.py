@@ -58,6 +58,36 @@ class TestParamsFile:
             serialize.params_from_text("not a params file")
 
     @pytest.mark.parametrize(
+        "slots, depth, scale_bits",
+        [(4, 0, 14), (16, 3, 20), (512, 12, 40), (512, 6, None), (2048, 20, 30), (16384, 2, 40)],
+    )
+    def test_canonical_file_roundtrip_identity(self, slots, depth, scale_bits):
+        # every chain param_gen picks has the sizes its file names, so the
+        # file loads to the same chain and writes back unchanged
+        made = scheme.param_gen(128, slots, depth, scale_bits, allow_insecure=True)
+        text = serialize.params_to_text(made)
+        again = serialize.params_from_text(text)
+        assert again.ring.moduli == made.ring.moduli
+        assert serialize.params_to_text(again) == text
+
+    def test_prime_of_another_size_keygen_exit_code_2(self, tmp_path, capsys):
+        # at N = 32768 the first prime ≡ 1 mod 2N is 65537, 17 bits: this
+        # file once loaded as a 42,17,20 chain and wrote the 17 back
+        text = "\n".join([
+            "hnn-params v2", "lambda = 128", "ring_degree = 32768",
+            "modulus_bits = 42,14,20", "scale_bits = 20", "slots = 16",
+            "allow_insecure = true",
+        ]) + "\n"
+        with pytest.raises(ParameterError, match="no unused 14-bit prime"):
+            serialize.params_from_text(text)
+        bad = tmp_path / "p.txt"
+        bad.write_text(text)
+        out = tmp_path / "keys"
+        assert cli.main(["keygen", "--params", str(bad), "--out-dir", str(out)]) == 2
+        assert "14-bit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "field, bad",
         [
             ("ring_degree", "lots"),

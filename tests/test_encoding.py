@@ -6,7 +6,13 @@ import pytest
 
 from hnn import encoding, ring
 
-from helpers import hp_coeffs_to_slots, hp_embed_to_coeffs, poly_mul
+from helpers import (
+    hp_coeffs_to_slots,
+    hp_embed_to_coeffs,
+    poly_mul,
+    twisted_coeffs_to_slots,
+    twisted_embed_to_coeffs,
+)
 
 
 def make_params(n=8, bits=(42,)):
@@ -218,3 +224,40 @@ class TestHomomorphisms:
                 worst_c = max(worst_c, err * scale / n)
         print(f"\nencode/decode round-trip constant c = {worst_c:.4f} (err <= c*N/scale)")
         assert worst_c < 1.0
+
+
+class TestFoldedEmbedding:
+    """The embedding on ring's folded N/2-point FFT against the N-point
+    twisted FFT it replaces and the high-precision oracle."""
+
+    @pytest.mark.parametrize("n", [2 ** k for k in range(3, 16)])
+    def test_matches_the_twisted_fft(self, n):
+        rng = np.random.default_rng(n)
+        v = rng.uniform(-1, 1, n // 2)
+        got, want = encoding.embed_to_coeffs(v, n), twisted_embed_to_coeffs(v, n)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        # encode's integers at scale 2^40
+        ints = np.rint(got * 2.0 ** 40)
+        assert np.array_equal(ints, np.rint(want * 2.0 ** 40))
+        slots, ref = encoding.coeffs_to_slots(ints, n), twisted_coeffs_to_slots(ints, n)
+        assert np.max(np.abs(slots - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_matches_the_high_precision_oracle(self, n):
+        rng = np.random.default_rng(n + 1)
+        v = rng.uniform(-1, 1, n // 2)
+        want = hp_embed_to_coeffs(v, n)
+        assert np.max(np.abs(encoding.embed_to_coeffs(v, n) - want)) <= 1e-15 * np.max(np.abs(want))
+        hp = hp_coeffs_to_slots(want, n)
+        got = encoding.coeffs_to_slots(want, n)
+        assert np.max(np.abs(got - hp)) <= 1e-14 * np.max(np.abs(hp))
+        assert np.max(np.abs(got.real - v)) < 1e-14
+
+    def test_slots_fill_the_folded_outputs(self):
+        # slot k at zeta^(5^k), which is output m of the folded transform
+        # when 1 - 4m ≡ 5^k (mod 2N)
+        for n in (8, 64, 1024, 32768):
+            pos = encoding.slot_positions(n)
+            assert sorted(pos.tolist()) == list(range(n // 2))
+            for k in (0, 1, 2, n // 2 - 1):
+                assert (1 - 4 * int(pos[k]) - pow(5, k, 2 * n)) % (2 * n) == 0

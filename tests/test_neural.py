@@ -351,6 +351,24 @@ class TestEncryptedForward:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [approx.SoftmaxConfig(temperature=1.0), approx.SoftmaxConfig(temperature=1.3, class_count=3)],
+        ids=["temperature", "class-count"],
+    )
+    def test_cfg_that_contradicts_the_head_is_refused(self, head_keys, rng, cfg):
+        # a cfg's temperature was once folded into the probe in place of
+        # the head's, so T = 1.0 scores came back for a T = 1.3 head
+        k = head_keys.scheme.slot_capacity
+        model = neural.LinearModel(rng.normal(0, 0.4, (2, 2)), np.zeros(2))
+        head = neural.SoftArgmaxHead(1.3, 2)
+        cts = neural.encrypt_features(head_keys.pk, rng.uniform(-1, 1, (k, 2)), rng)
+        with pytest.raises(ValueError, match="contradicts the head"):
+            neural.forward_encrypted(model, head, cts, head_keys.evk, cfg)
+        # the head's own numbers, with a knob of cfg's own, still run
+        agree = approx.SoftmaxConfig(temperature=1.3, class_count=2, radius=1.5)
+        neural.forward_encrypted(model, head, cts, head_keys.evk, agree)
+
     def test_encrypted_matches_plain_head(self, head_keys, rng):
         params = head_keys.scheme
         k = params.slot_capacity

@@ -16,6 +16,7 @@ from helpers import (
     naive_negacyclic_transform,
     ntt_forward_ct,
     ntt_inverse_gs,
+    pair_with_zero,
     poly_mul,
     primitive_2n_root,
     random_ring_element,
@@ -89,11 +90,34 @@ class TestPrimeSearch:
         ],
     )
     def test_resumed_walk_equals_quadratic_walk(self, n, bit_sizes):
-        # at N = 32768 the 14- to 18-bit walks all start at 65537, so
-        # their sizes take primes from one shared run of candidates
-        assert ring.find_ntt_primes(n, bit_sizes) == find_ntt_primes_quadratic(
-            n, bit_sizes
-        )
+        # the same chain wherever the quadratic walk finds every prime of
+        # the size asked; where it takes a wider one (small sizes at large
+        # N, whose walks can share one run of candidates from 65537 on),
+        # the resumed walk refuses the sizes
+        want = find_ntt_primes_quadratic(n, bit_sizes)
+        if [q.bit_length() for q in want] == bit_sizes:
+            assert ring.find_ntt_primes(n, bit_sizes) == want
+        else:
+            with pytest.raises(ParameterError, match="no unused"):
+                ring.find_ntt_primes(n, bit_sizes)
+
+    @pytest.mark.parametrize(
+        "n, bit_sizes, size",
+        [
+            (32768, [42, 14, 20], 14),  # 65537 is the first candidate
+            (1024, [42, 14, 14, 15], 14),
+            (16384, [20] * 6, 20),  # four 21-bit primes once filled the chain
+            (32768, [18], 18),  # a base prime: 65537 is the largest below 2^18
+            (8192, [19, 41], 19),
+        ],
+    )
+    def test_refuses_a_prime_of_another_size(self, n, bit_sizes, size):
+        # the quadratic walk returns a prime of another size, which would
+        # let the tracked scale drift with no warning
+        got = [q.bit_length() for q in find_ntt_primes_quadratic(n, bit_sizes)]
+        assert got != bit_sizes
+        with pytest.raises(ParameterError, match=f"no unused {size}-bit prime ≡ 1 mod {2 * n}"):
+            ring.find_ntt_primes(n, bit_sizes)
 
     @pytest.mark.parametrize(
         "n, bit_sizes",
@@ -244,17 +268,29 @@ class TestBatchedChain:
             assert np.array_equal(back.residues, el.residues)
 
     def test_twiddle_tables_match_python_pow(self, chain):
-        # the doubling build against one Python pow per entry
-        tb = ring._NttTables(chain.ring_degree, chain.moduli)
-        perm = ring.bit_reverse_permutation(chain.ring_degree)
-        for j, q in enumerate(chain.moduli):
-            psi = ring._NttTables._primitive_root(chain.ring_degree, q)
-            ipsi = pow(psi, -1, q)
-            want = [pow(psi, int(i), q) for i in perm]
-            want_inv = [pow(ipsi, int(i), q) for i in perm]
-            assert tb.psi_rev[j].tolist() == want
-            assert tb.ipsi_rev[j].tolist() == want_inv
-        assert tb.psi_rev.dtype == tb.ipsi_rev.dtype == np.uint64
+        # the doubling build against one Python pow per entry: stage s
+        # multiplies half-index k by psi^rev(2^s + k mod 2^s), and its
+        # table holds the first min(max(2^s, 512), N/2) of them; at
+        # N = 2048 the early stages' tables repeat their period
+        for n, moduli in ((64, chain.moduli), (2048, ring.find_ntt_primes(2048, [42, 41]))):
+            tb = ring._NttTables(n, moduli)
+            bits = n.bit_length() - 1
+            assert len(tb.psi_stage) == len(tb.ipsi_stage) == bits
+            for j, q in enumerate(moduli):
+                psi = primitive_2n_root(n, q)
+                for s, (w, iw, w_q, iw_q) in enumerate(
+                    zip(tb.psi_stage, tb.ipsi_stage, tb.psi_stage_q, tb.ipsi_stage_q)
+                ):
+                    width = min(max(1 << s, 512), n // 2)
+                    exps = [ring._bit_reverse((1 << s) + k % (1 << s), bits) for k in range(width)]
+                    assert w.shape == iw.shape == (len(moduli), 1, width)
+                    assert w[j, 0].tolist() == [pow(psi, e, q) for e in exps]
+                    assert iw[j, 0].tolist() == [pow(psi, -e, q) for e in exps]
+                    assert np.array_equal(w_q[j], ring._quotient(w[j], q))
+                    assert np.array_equal(iw_q[j], ring._quotient(iw[j], q))
+                assert (tb.n_inv_wide[j] == pow(n, -1, q)).all()
+                assert np.array_equal(tb.n_inv_q[j], ring._quotient(tb.n_inv_wide[j], q))
+                assert (tb.q[j] == q).all() and (tb.q2_half[j] == 2 * q).all()
 
     def test_ntt_rows_match_single_prime_rings(self, chain):
         # row j of a chain NTT equals the NTT over the one-prime ring q_j
@@ -596,14 +632,14 @@ class TestScalarKernels:
 
     def test_scalar_mul_sums_reject_bad_input(self, chain):
         el = ring.zero(chain, 2, ring.Domain.EVALUATION)
-        two = ring.pair(el)
+        two = pair_with_zero(el)
         q = chain._q_col[:3]
         cols = np.zeros((2, 1, 3, 1), np.uint64)
         bad = [
             ([], cols[:0]),
             ([two, el], cols),
-            ([two, ring.pair(ring.zero(chain, 1, ring.Domain.EVALUATION))], cols),
-            ([two, ring.pair(ring.ntt_inverse(el))], cols),
+            ([two, pair_with_zero(ring.zero(chain, 1, ring.Domain.EVALUATION))], cols),
+            ([two, pair_with_zero(ring.ntt_inverse(el))], cols),
             ([two] * 2, cols[:1]),
             ([two] * 2, cols[:, :, :2]),
             ([two] * 2, cols.astype(np.int64)),
@@ -689,7 +725,7 @@ class TestKeySwitchKernels:
         chain, key = rings
         whole, shared = ring._tables(key), ring._tables(chain)
         fresh = ring._NttTables(chain.ring_degree, chain.moduli)
-        assert np.shares_memory(shared.psi_rev, whole.psi_rev)
+        assert np.shares_memory(shared.psi_stage[0], whole.psi_stage[0])
         for name in fresh.__slots__:
             want, got = getattr(fresh, name), getattr(shared, name)
             if not isinstance(want, tuple):
@@ -728,16 +764,16 @@ class TestKeySwitchKernels:
     def test_mul_sums_reject_bad_input(self, rings):
         chain, key = rings
         x = ring.zero(key, 5, ring.Domain.EVALUATION)
-        top = ring.pair(ring.zero(key, key.max_level, ring.Domain.EVALUATION))
+        top = pair_with_zero(ring.zero(key, key.max_level, ring.Domain.EVALUATION))
         bad = [
             ([], []),
             ([x], [top, top]),
-            ([x], [ring.pair(ring.zero(key, 4, ring.Domain.EVALUATION))]),
-            ([x], [ring.pair(ring.zero(chain, chain.max_level, ring.Domain.EVALUATION))]),
-            ([ring.ntt_inverse(x)], [ring.pair(ring.ntt_inverse(top.part(0)))]),
+            ([x], [pair_with_zero(ring.zero(key, 4, ring.Domain.EVALUATION))]),
+            ([x], [pair_with_zero(ring.zero(chain, chain.max_level, ring.Domain.EVALUATION))]),
+            ([ring.ntt_inverse(x)], [pair_with_zero(ring.ntt_inverse(top.part(0)))]),
             # keys of other parts, and a pair in place of a one-part x
             ([x, x], [top, top.part(0)]),
-            ([ring.pair(x)], [top]),
+            ([pair_with_zero(x)], [top]),
         ]
         for xs, keys in bad:
             with pytest.raises(ValueError):
@@ -824,10 +860,23 @@ class TestPairs:
                     op(a, b)
         with pytest.raises(ValueError, match=r"expected a \(2, 1, 1\)"):
             ring.scalar_add(x, chain._q_col[:1] - np.uint64(1))
-        with pytest.raises(ValueError, match="one part"):
-            ring.ntt_inverse(x)
         with pytest.raises(ValueError, match="single"):
-            ring.pair(x)
+            ring.pair(x, x)
+
+    def test_ntts_match_per_part_in_one_kernel_call(self, chain, monkeypatch):
+        # a pair through ntt_forward or ntt_inverse, every part in one
+        # kernel call, is each part transformed alone
+        for _, x, _, _ in self.levels(chain, 68):
+            coeff = x._like(x.residues, ring.Domain.COEFFICIENT)
+            for op, pair in ((ring.ntt_forward, coeff), (ring.ntt_inverse, x)):
+                want = [op(p) for p in split(pair)]
+                with monkeypatch.context() as m:
+                    calls = []
+                    for name in ("_ntt_forward_block", "_ntt_inverse_block"):
+                        kernel = getattr(ring, name)
+                        m.setattr(ring, name, lambda *a, k=kernel: calls.append(a) or k(*a))
+                    self.same(op(pair), want)
+                    assert len(calls) == 1 and calls[0][0].shape == pair.residues.shape
 
     def test_ciphertext_block_needs_two_parts(self, chain):
         params = scheme.param_gen(128, 16, 3, scale_bits=40, allow_insecure=True)
@@ -976,12 +1025,26 @@ class TestFftProduct:
             x[..., j : j + 1] = col[key]
         return ring.RingElement(rp, rp.max_level, x, ring.Domain.COEFFICIENT)
 
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_folded_fft_evaluates_at_the_roots(self, n):
+        # output m is x(zeta^(1 - 4m)), zeta = e^(i*pi/N), by direct
+        # evaluation; folded_ifft inverts it, with or without leading axes
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-1, 1, (2, 3, n))
+        roots = np.exp(1j * np.pi / n * (1 - 4 * np.arange(n // 2)))
+        want = x @ roots[None, :] ** np.arange(n)[:, None]
+        got = ring.folded_fft(x)
+        assert got.shape == (2, 3, n // 2)
+        assert np.max(np.abs(got - want)) < 1e-13
+        assert np.max(np.abs(ring.folded_ifft(got) - x)) < 1e-15
+        assert np.max(np.abs(ring.folded_ifft(got[1, 2]) - x[1, 2])) < 1e-15
+
     @pytest.mark.parametrize("n", [1024, 32768])
     def test_matches_ntt_product(self, n):
         rp = make_params(n, [42] + [41] * 12)
         rng = np.random.default_rng(61)
         coeff = self.pair(rp, rng)
-        ev = ring.to_evaluation(coeff)
+        ev = ring.ntt_forward(coeff)
         # the spectra of both domains agree, as a key's are built from Evaluation
         spectra = ring.fft_spectra(ev)
         assert np.array_equal(spectra, ring.fft_spectra(coeff))
@@ -1009,7 +1072,7 @@ class TestFftProduct:
         u = np.zeros(1024, np.int64)
         u[:3] = 1
         got = ring.fft_mul(a, ring.fft_spectra(a), u)
-        want = ring.ring_mul(ring.to_evaluation(a), ring.ntt_forward(from_coeffs(u, rp)))
+        want = ring.ring_mul(ring.ntt_forward(a), ring.ntt_forward(from_coeffs(u, rp)))
         assert not got.residues[..., 2].any()
         for g, w in zip(split(got), split(want)):
             assert np.array_equal(g.residues, ring.ntt_inverse(w).residues)
@@ -1045,18 +1108,6 @@ class TestFftProduct:
         for bad in (spectra[0], spectra[:, :1], spectra[..., :16]):
             with pytest.raises(ValueError, match="spectra"):
                 ring.fft_mul(a, bad, u)
-
-    def test_to_evaluation_is_one_forward_kernel_call(self, monkeypatch):
-        rp = make_params(1024, [42] + [41] * 12)
-        coeff = self.pair(rp, np.random.default_rng(64))
-        want = [ring.ntt_forward(p).residues for p in split(coeff)]
-        calls = []
-        kernel = ring._ntt_forward_block
-        monkeypatch.setattr(ring, "_ntt_forward_block", lambda *a: calls.append(a) or kernel(*a))
-        ev = ring.to_evaluation(coeff)
-        assert len(calls) == 1 and ev.domain == ring.Domain.EVALUATION
-        assert np.array_equal(ev.residues, np.stack(want))
-        assert ring.to_evaluation(ev) is ev and len(calls) == 1
 
 
 class TestSchoolbook:

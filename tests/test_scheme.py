@@ -19,6 +19,7 @@ from helpers import (
     constant_plaintext,
     decrypt_three_part,
     encrypt_four_ntt,
+    pair_with_zero,
     relinearize_crt,
     rescale_rows,
     split,
@@ -52,6 +53,12 @@ class TestParamGen:
     def test_impossible_demand_errors(self):
         with pytest.raises(ParameterError):
             scheme.param_gen(256, 4, 30)
+
+    def test_chain_without_primes_of_its_size_names_them(self):
+        # at N = 32768 there are three 21-bit primes ≡ 1 mod 2N; this set
+        # once loaded with three 22-bit rescale primes
+        with pytest.raises(ParameterError, match="no unused 21-bit prime ≡ 1 mod 65536"):
+            scheme.param_gen(128, 16384, 6, 20, allow_insecure=True)
 
     def test_every_generated_set_passes_embedded_table(self):
         for lam in (128, 192, 256):
@@ -734,7 +741,7 @@ class TestWeightedSums:
         cts = top_cts[:4]
         w = np.ones((4, 2))
         other = scheme.Ciphertext(
-            small_params, ring.pair(ring.zero(small_params.ring, 2, ring.Domain.EVALUATION)),
+            small_params, pair_with_zero(ring.zero(small_params.ring, 2, ring.Domain.EVALUATION)),
             2, cts[0].scale, 0.0, 1.0,
         )
         cases = [
