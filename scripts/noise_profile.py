@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Profile the noise ledger against measured noise over squaring chains.
 
-For each depth the script multiplies a fresh ciphertext into itself,
-rescales, and compares the ledger's estimate with the ground-truth probe
-(max |decoded - expected| * scale, in bits). The margin column is the
-headroom the static worst-case rules keep above reality; the script exits
-1 if any margin is negative.
+For each depth the script squares a fresh ciphertext two ways: with
+mult then rescale, two divisions a product, and with mult_rescale, one
+division by P*q_l. It compares each chain's ledger estimate with the
+ground-truth probe (max |decoded - expected| * scale, in bits). The
+margin columns are the headroom the static worst-case rules keep above
+reality; the script exits 1 if any margin is negative.
 
 Example:
     python scripts/noise_profile.py --ring-degree 2048 --depth 8
@@ -34,22 +35,26 @@ def main() -> int:
     rng = np.random.default_rng(args.seed + 1)
 
     v = rng.uniform(-1.0, 1.0, params.slot_capacity)
-    ct = scheme.encrypt(
+    two = one = scheme.encrypt(
         keys.pk, encoding.encode(v, params.scale, params.ring), rng
     )
     vals = v.copy()
 
-    print(f"{'stage':<12} {'estimated':>10} {'measured':>10} {'margin':>8}")
+    print(f"{'':<12} {'rescale(mult())':>30} {'mult_rescale':>30}")
+    print(f"{'stage':<12}" + f" {'estimated':>10} {'measured':>10} {'margin':>8}" * 2)
     margins = []
     for depth in range(args.depth + 1):
         if depth:
-            ct = scheme.rescale(scheme.mult(ct, ct, keys.evk))
+            two = scheme.rescale(scheme.mult(two, two, keys.evk))
+            one = scheme.mult_rescale(one, one, keys.evk)
             vals = vals * vals
-        measured = scheme.noise_measure(keys.sk, ct, vals)
-        margins.append(ct.noise_bits - measured)
         name = f"square^{depth}" if depth else "fresh"
-        print(f"{name:<12} {ct.noise_bits:>10.1f} {measured:>10.1f} "
-              f"{margins[-1]:>8.1f}")
+        line = f"{name:<12}"
+        for ct in (two, one):
+            measured = scheme.noise_measure(keys.sk, ct, vals)
+            margins.append(ct.noise_bits - measured)
+            line += f" {ct.noise_bits:>10.1f} {measured:>10.1f} {margins[-1]:>8.1f}"
+        print(line)
     if min(margins) < 0:
         print("FAIL: measured noise above the ledger estimate")
         return 1

@@ -20,6 +20,11 @@ scheme primitives:
 * soft-argmax: (sum_i i*e_i) * reciprocal, one ciphertext product; the
   index sum is one scheme.weighted_sums pass, whose exact index constants
   i sit at a small auxiliary scale, costing no level.
+
+Every ciphertext product here is rescaled at once, so each is one
+scheme.mult_rescale: a single ring.divide by P*q_l where mult and
+rescale would run one by P and one by q_l. The scalar products
+(mult_const) still rescale on their own.
 """
 
 from __future__ import annotations
@@ -118,7 +123,7 @@ def eval_poly_encrypted(
     powers = [base]
     for _ in range(1, depth):
         prev = powers[-1]
-        powers.append(scheme.rescale(scheme.mult(prev, prev, evk)))
+        powers.append(scheme.mult_rescale(prev, prev, evk))
     out = _poly_node(
         list(approx.coefficients), ct.level - depth, ct.scale, powers, evk
     )
@@ -142,7 +147,7 @@ def _poly_node(coeffs, level, scale, powers, evk) -> Ciphertext:
     split = 1 << (int(math.ceil(math.log2(deg + 1))) - 1)
     ym = scheme.ct_drop_level(powers[int(math.log2(split))], level + 1)
     hi = _poly_node(coeffs[split:], level + 1, scale * q / ym.scale, powers, evk)
-    prod = scheme.rescale(scheme.mult(ym, hi, evk))
+    prod = scheme.mult_rescale(ym, hi, evk)
     lo = _poly_node(coeffs[:split], level, scale, powers, evk)
     return scheme.add(prod, lo)
 
@@ -201,9 +206,9 @@ def encrypted_reciprocal(
     e = scheme.add_const(scheme.rescale(scheme.mult_const(x, -z0, q_top)), 1.0)
     e = scheme.with_value_bound(e, min(e.value_bound, e_cap))
     for _ in range(iterations - 1):
-        e = scheme.rescale(scheme.mult(e, e, evk))
-        z = scheme.rescale(
-            scheme.mult(scheme.ct_drop_level(z, e.level), scheme.add_const(e, 1.0), evk)
+        e = scheme.mult_rescale(e, e, evk)
+        z = scheme.mult_rescale(
+            scheme.ct_drop_level(z, e.level), scheme.add_const(e, 1.0), evk
         )
         z = scheme.with_value_bound(z, min(z.value_bound, z_cap))
     return z
@@ -322,7 +327,7 @@ def encrypted_softmax(
     cap = cfg.sigma_cap()
     sigmas = []
     for e in exps:
-        sig = scheme.rescale(scheme.mult(scheme.ct_drop_level(e, inv.level), inv, evk))
+        sig = scheme.mult_rescale(scheme.ct_drop_level(e, inv.level), inv, evk)
         sigmas.append(scheme.with_value_bound(sig, min(sig.value_bound, cap)))
     return sigmas
 
@@ -345,8 +350,6 @@ def encrypted_soft_argmax(
     )
     index = np.arange(1.0, len(exps) + 1.0)[:, None]
     (weighted,) = scheme.weighted_sums(exps, index, INDEX_SCALE)
-    out = scheme.rescale(
-        scheme.mult(scheme.ct_drop_level(weighted, inv.level), inv, evk)
-    )
+    out = scheme.mult_rescale(scheme.ct_drop_level(weighted, inv.level), inv, evk)
     bound = 1.0 + (cfg.class_count - 1) * cfg.sigma_cap()
     return scheme.with_value_bound(out, min(out.value_bound, bound))

@@ -23,11 +23,15 @@ up; so do key switching's kernels, mul_sums (elements times key
 pairs) and base_convert (a fast base conversion of some rows to
 another chain's primes), all through one lazy-sum loop. Like the
 reduction of large integers (from_int_coeffs, constant_column), its one
-final reduction of the sums divides. divide is both rescale and key
-switching's ModDown: it divides a pair by the product D of its top
-prime or of the special primes P, as
+final reduction of the sums divides. divide serves rescale, key
+switching's ModDown and a product's fused division: it divides a pair
+by the product D of the rows it drops (the top prime q_l, the special
+primes P, or P and q_l at once), as
 (x_keep - NTT(convert(INTT(x_drop)))) * D^-1, or a Coefficient pair as
-NTT((x_keep - convert(x_drop)) * D^-1).
+NTT((x_keep - convert(x_drop)) * D^-1). The NTT kernels take the rows
+of a block as the first table row or as an index array, so the inverse
+of P's rows and q_l's reads them from the key ring's tables, with no
+tables built per level.
 
 folded_fft evaluates real polynomials at the N/2 roots of X^N + 1 that
 hold one of each conjugate pair, with one N/2-point float FFT, and
@@ -69,6 +73,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from typing import Sequence
 
@@ -143,9 +148,14 @@ def mulmod(a, b, q) -> np.ndarray:
     return _reduce(_mul(a, b, _quotient(b, q), q, *_scratch(shape)), q)
 
 
+@functools.lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 2^64: the first seven
-    bases below _MR_SEVEN_BASES_BELOW, all twelve above."""
+    bases below _MR_SEVEN_BASES_BELOW, all twelve above.
+
+    Memoized, so that one parameter load proves each prime once: the
+    chain's search, its RingParams and the key ring's RingParams, and the
+    special primes' search, all ask about the same numbers."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -259,7 +269,8 @@ class _NttTables:
     broadcasts over the half viewed as (rows, N/2W, W): every stage is
     full-width up to N = 1024, and numpy's inner loops stay long beyond.
     ipsi_stage is the same for psi^-1, and the *_q tables hold each
-    twiddle's biased quotient.
+    twiddle's biased quotient. The blocks are C-contiguous, so a pass
+    reads each row's twiddles unstrided.
 
     The moduli are full-width as well, because numpy runs a ufunc over
     contiguous operands of one shape in a single loop but broadcasts a
@@ -294,8 +305,9 @@ class _NttTables:
             (1 << s) + (np.arange(min(max(1 << s, 512), h)) % (1 << s))
             for s in range(ring_degree.bit_length() - 1)
         ]
+        # fancy indexing leaves the prime axis innermost in memory
         self.psi_stage, self.ipsi_stage = (
-            tuple(powers[:, None, exps[idx]] for idx in stage_index)
+            tuple(np.ascontiguousarray(powers[:, None, exps[idx]]) for idx in stage_index)
             for exps in (perm, (2 * ring_degree - perm) % (2 * ring_degree))
         )
         q_3d = q_col[:, :, None]
@@ -540,13 +552,31 @@ def _pass_buffers(block: np.ndarray):
     return x, (x[..., :h], x[..., h:]), (pairs[..., 0], pairs[..., 1]), bufs, *scratch
 
 
-def _ntt_forward_block(block: np.ndarray, tb: _NttTables, start: int) -> np.ndarray:
-    """Forward NTT of a (parts, k, N) block of Coefficient residues whose
-    rows are the chain rows [start, start + k), every part alike."""
+def _table_rows(rows, chunk: slice):
+    """The table rows of a pass over the block rows ``chunk``, where rows
+    is the table row of the block's first row, the slice of table rows
+    the block holds, or an increasing index array of the table row of
+    each: a slice (views of the tables) while they run consecutively,
+    else the index array (a gather)."""
+    if isinstance(rows, slice):
+        rows = rows.start
+    if isinstance(rows, (int, np.integer)):
+        return slice(rows + chunk.start, rows + chunk.stop)
+    r = rows[chunk]
+    if r[-1] - r[0] == len(r) - 1:
+        return slice(int(r[0]), int(r[-1]) + 1)
+    return r
+
+
+def _ntt_forward_block(block: np.ndarray, tb: _NttTables, rows) -> np.ndarray:
+    """Forward NTT of a (parts, k, N) block of Coefficient residues, every
+    part alike, whose rows are the chain rows that ``rows`` gives (see
+    _table_rows): k rows from a first row or a slice's start, or those
+    of an index array."""
     out = np.empty_like(block)
     for parts, chunk in _passes(*block.shape):
         x, (x_lo, x_hi), (even, odd), (lo, hi, t), f, e = _pass_buffers(block[parts, chunk])
-        rs = slice(start + chunk.start, start + chunk.stop)
+        rs = _table_rows(rows, chunk)
         f_h, e_h = (a.reshape(-1)[: x.size // 2] for a in (f, e))
         q, q2 = tb.q_half[rs], tb.q2_half[rs]
         for w, w_q in zip(tb.psi_stage, tb.psi_stage_q):
@@ -569,12 +599,12 @@ def _ntt_forward_block(block: np.ndarray, tb: _NttTables, start: int) -> np.ndar
     return out
 
 
-def _ntt_inverse_block(block: np.ndarray, tb: _NttTables, start: int) -> np.ndarray:
+def _ntt_inverse_block(block: np.ndarray, tb: _NttTables, rows) -> np.ndarray:
     """Inverse of :func:`_ntt_forward_block`."""
     out = np.empty_like(block)
     for parts, chunk in _passes(*block.shape):
         x, (x_lo, x_hi), (even, odd), (u, v, s), f, e = _pass_buffers(block[parts, chunk])
-        rs = slice(start + chunk.start, start + chunk.stop)
+        rs = _table_rows(rows, chunk)
         f_h, e_h = (a.reshape(-1)[: x.size // 2] for a in (f, e))
         q, q2 = tb.q_half[rs], tb.q2_half[rs]
         for w, w_q in zip(reversed(tb.ipsi_stage), reversed(tb.ipsi_stage_q)):
@@ -723,12 +753,15 @@ def scalar_mul_sums(els, cols) -> list:
     return [first._like(a) for a in acc]
 
 
-def mul_sums(xs, keys) -> RingElement:
+def mul_sums(xs, keys, base: RingElement = None) -> RingElement:
     """sum_i xs[i] * keys[i] mod q_j: xs are one-part Evaluation elements
     at one level, each multiplying every part of keys[i], Evaluation
     elements of one parts shape (an evaluation key's pairs) on the same
     chain at that level or above, whose row prefix serves. The lazy
-    products add up as in _lazy_sum."""
+    products add up as in _lazy_sum, onto ``base`` if given: an
+    Evaluation element of keys' parts shape on a chain that ends xs'
+    chain at its level (Q_l behind the key ring's P), added to the rows
+    it shares with them."""
     if not 0 < len(xs) <= MAX_SUM_TERMS or len(keys) != len(xs):
         raise ValueError(f"{len(xs)} terms against {len(keys)} keys")
     first, parts = xs[0], keys[0].parts_shape
@@ -747,6 +780,14 @@ def mul_sums(xs, keys) -> RingElement:
     ws = (key.residues[..., : lv + 1, :] for key in keys)
     terms = ((x.residues, w, w * q_inv) for x, w in zip(xs, ws))
     acc = np.zeros(parts + first.residues.shape, np.uint64)
+    if base is not None:
+        shared = base.level + 1
+        if (
+            base.domain != Domain.EVALUATION or base.parts_shape != parts
+            or base.moduli != first.moduli[-shared:]
+        ):
+            raise ValueError("base element not of the keys' parts on the sums' last rows")
+        acc[..., -shared:, :] = base.residues
     return first._like(_lazy_sum(acc, terms, q, first._q))
 
 
@@ -754,19 +795,34 @@ class Conversion:
     """Constants of a centred fast base conversion (Bajard et al., SAC
     2016) from src's primes ``rows`` (q_j, S of them, product D) to dst's
     primes [:level+1] (t, T of them): inv = (D/q_j)^-1 mod q_j as an
-    (S, 1) column, w = D/q_j mod t as an (S, T, 1) block, neg_d = -D mod t
-    as a (T, 1) column; a lower level reads the targets' row prefix."""
+    (S, 1) column, and w, an (S + 1, T, 1) block of D/q_j mod t for each
+    source prime and, last, -D mod t (one array, as a parameter set holds
+    some 40 conversions and each array costs a header); a lower level
+    reads the targets' row prefix. rows is a slice, or a sequence of
+    increasing rows (P's and a top row), kept as an index array."""
 
-    __slots__ = ("src", "rows", "dst", "level", "inv", "w", "neg_d")
+    __slots__ = ("src", "rows", "dst", "level", "inv", "w")
 
-    def __init__(self, src: RingParams, rows: slice, dst: RingParams, level: int):
-        primes = src.moduli[rows]
+    def __init__(self, src: RingParams, rows, dst: RingParams, level: int):
+        if not isinstance(rows, slice):
+            rows = np.array(rows, dtype=np.int64)
+        self.src, self.rows, self.dst, self.level = src, rows, dst, level
+        index = self.index
+        if not index or index[-1] >= src.level_count or index != sorted(set(index)):
+            raise ValueError(f"conversion rows {index} are not increasing rows of the source")
+        primes = [src.moduli[i] for i in index]
         targets = dst.moduli[: level + 1]
         d = math.prod(primes)
-        self.src, self.rows, self.dst, self.level = src, rows, dst, level
         self.inv = np.array([[pow(d // q % q, -1, q)] for q in primes], dtype=np.uint64)
-        self.w = np.array([[[d // q % t] for t in targets] for q in primes], np.uint64)
-        self.neg_d = np.array([[-d % t] for t in targets], dtype=np.uint64)
+        self.w = np.array([[[d // q % t] for t in targets] for q in primes]
+                          + [[[-d % t] for t in targets]], np.uint64)
+
+    @property
+    def index(self) -> list:
+        """The source rows, as ints."""
+        if isinstance(self.rows, slice):
+            return list(range(self.src.level_count)[self.rows])
+        return self.rows.tolist()
 
 
 def _convert(x: np.ndarray, conv: Conversion, level: int) -> np.ndarray:
@@ -777,10 +833,10 @@ def _convert(x: np.ndarray, conv: Conversion, level: int) -> np.ndarray:
     y = _reduce(_mul(x, conv.inv, inv_q, q_src, *_scratch(x.shape)), q_src)
     v = np.sum(y > q_col // 2, axis=-2, dtype=np.uint64)
     t = slice(0, level + 1)
-    q_dst, w = conv.dst._q_col[t], conv.w[:, t]
+    q_dst, w, neg_d = conv.dst._q_col[t], conv.w[:-1, t], conv.w[-1, t]
     # y's row j, as (..., 1, N), times the (T, 1) column w[j]
     terms = zip(np.moveaxis(y, -2, 0)[..., None, :], w, _quotient(w, q_dst))
-    return _lazy_sum(v[..., None, :] * conv.neg_d[t], terms, _tables(conv.dst).q[t], q_dst)
+    return _lazy_sum(v[..., None, :] * neg_d, terms, _tables(conv.dst).q[t], q_dst)
 
 
 def base_convert(a: RingElement, conv: Conversion, level: int) -> RingElement:
@@ -790,48 +846,54 @@ def base_convert(a: RingElement, conv: Conversion, level: int) -> RingElement:
     which is x + u*D for an integer |u| <= S/2 (Bajard et al., SAC 2016).
 
     Each y_j - q_j that centring takes adds -D, so the v of them add
-    v*neg_d; with the S lazy products in [0, 2t) the sum stays below
+    v*(-D mod t); with the S lazy products in [0, 2t) the sum stays below
     3S*2^42, and one remainder by t finishes it. With one source prime
     it is the exact centred lift of that row.
     """
     if a.domain != Domain.COEFFICIENT:
         raise ValueError("base_convert expects Coefficient domain")
-    if a.params != conv.src or conv.rows.stop > a.level + 1 or level > conv.level:
+    if a.params != conv.src or conv.index[-1] > a.level or level > conv.level:
         raise ValueError(f"conversion does not fit level {a.level} -> {level}")
     out = _convert(a.residues[conv.rows], conv, level)
     return RingElement(conv.dst, level, out, Domain.COEFFICIENT)
 
 
-def divisor(src: RingParams, rows: slice, dst: RingParams, level: int) -> tuple:
+def divisor(src: RingParams, rows, dst: RingParams, level: int) -> tuple:
     """(conv, d_inv) for :func:`divide`: the conversion of src's primes
     ``rows`` (product D) to dst's [:level+1], and D^-1 mod those."""
-    d = math.prod(src.moduli[rows])
+    conv = Conversion(src, rows, dst, level)
+    d = math.prod(src.moduli[i] for i in conv.index)
     inv = np.array([[pow(d, -1, q)] for q in dst.moduli[: level + 1]], np.uint64)
-    return Conversion(src, rows, dst, level), inv
+    return conv, inv
 
 
 def divide(x: RingElement, conv: Conversion, d_inv: np.ndarray) -> RingElement:
     """x, an element with one parts axis (a pair), divided by D, the
-    product of its rows conv.rows (a prefix or the suffix), with
-    rounding, returned in the Evaluation domain: (x_keep - lift) * D^-1
-    for lift = conv's centred lift of x_drop, x mod D (Cheon et al., SAC
-    2018); exact for a rescale's one prime. All parts go through one NTT
-    kernel call each way: for an Evaluation x, INTT(x_drop) and NTT(lift);
+    product of its rows conv.rows, with rounding, returned in the
+    Evaluation domain: (x_keep - lift) * D^-1 for lift = conv's centred
+    lift of x_drop, x mod D (Cheon et al., SAC 2018). The kept rows run
+    in one block: the dropped ones are a prefix (ModDown's P), the top
+    row (a rescale's q_l; the lift is exact) or both (a product's P*q_l).
+    All parts go through one NTT kernel call each way: for an Evaluation
+    x, INTT(x_drop), on the dropped rows of x's tables, and NTT(lift);
     for a Coefficient x, none and NTT of the quotient."""
     if len(x.parts_shape) != 1:
         raise ValueError("divide expects an element with one parts axis")
-    drop, top = conv.rows, x.level + 1
-    keep = slice(drop.stop, top) if drop.start == 0 else slice(0, drop.start)
+    drop, top = conv.index, x.level + 1
+    lead = 0  # the dropped prefix; the other dropped rows must end x
+    while lead < len(drop) and drop[lead] == lead:
+        lead += 1
+    keep = slice(lead, top - len(drop) + lead)
     level = keep.stop - keep.start - 1
     if (
-        x.params != conv.src or (drop.start and drop.stop != top)
-        or level > conv.level or x.moduli[keep] != conv.dst.moduli[: level + 1]
+        x.params != conv.src or drop[lead:] != list(range(keep.stop, top))
+        or not 0 <= level <= conv.level or x.moduli[keep] != conv.dst.moduli[: level + 1]
     ):
         raise ValueError(f"division does not fit level {x.level}")
     evaluation = x.domain == Domain.EVALUATION
-    y = x.residues[:, drop]
+    y = x.residues[:, conv.rows]
     if evaluation:
-        y = _ntt_inverse_block(y, _tables(conv.src), drop.start)
+        y = _ntt_inverse_block(y, _tables(conv.src), conv.rows)
     tb, rows = _tables(conv.dst), slice(0, level + 1)
     out = _convert(y, conv, level)
     if evaluation:

@@ -9,11 +9,13 @@ rescale brings it to the Evaluation domain, where products run.
 Relinearization after ciphertext-ciphertext products is hybrid key
 switching: the third component's residues split into digits of
 digit_size primes, each digit is extended to the special primes P and
-the rest of the chain, meets one evaluation-key component over P ∪ Q,
-and the sums are divided by P.
+the rest of the chain, and meets one evaluation-key component over
+P ∪ Q; P*(d0, d1) joins the sums there, and the whole is divided by P.
 With no special primes and one prime a digit, that is the CRT gadget.
-A rescale divides by the top prime the same way: both are ring.divide,
-with constants that SchemeParams derives once.
+A rescale divides by the top prime the same way, and mult_rescale, the
+product that the pipeline rescales at once, divides by P*q_l in one
+step (Cheon, Han, Kim, Kim and Song, SAC 2018): all three are
+ring.divide, with constants that SchemeParams derives once.
 
 A scalar constant (probe weight, bias, polynomial or Newton coefficient,
 index weight) is multiplied in or added by mult_const and add_const as
@@ -132,8 +134,10 @@ class SchemeParams:
     to alpha = 1, k = 0 (the CRT gadget, key_ring is ring) at the end.
 
     So are the constants of key switching and rescale: ``mod_up[l]``, the
-    conversions of level l's digits into P ∪ Q, and ring.divisor's pairs
-    ``mod_down`` (by P, None if k = 0) and ``rescale_div[l]`` (by q_l).
+    conversions of level l's digits into P ∪ Q; ``p_mod_q``, P mod q_j as
+    an (L+1, 1) column; and ring.divisor's pairs ``mod_down`` (by P, None
+    if k = 0), ``rescale_div[l]`` (by q_l) and ``mult_rescale_div[l]``
+    (by P*q_l, which is rescale_div[l] if k = 0).
     """
 
     security_level: int
@@ -146,8 +150,10 @@ class SchemeParams:
         init=False, compare=False, repr=False
     )
     mod_up: tuple = dataclasses.field(init=False, compare=False, repr=False)
+    p_mod_q: np.ndarray = dataclasses.field(init=False, compare=False, repr=False)
     mod_down: tuple = dataclasses.field(init=False, compare=False, repr=False)
     rescale_div: tuple = dataclasses.field(init=False, compare=False, repr=False)
+    mult_rescale_div: tuple = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.security_level not in SECURITY_TABLE:
@@ -193,10 +199,19 @@ class SchemeParams:
         object.__setattr__(self, "mod_up", tuple(
             tuple(up[d.stop - 1] for d in self.digits(lv)) for lv in levels
         ))
+        big_p = math.prod(special)
+        p_mod_q = np.array([[big_p % q] for q in rp.moduli], np.uint64)
+        object.__setattr__(self, "p_mod_q", p_mod_q)
         mod_down = ring.divisor(key_ring, slice(0, k), rp, rp.max_level) if k else None
         object.__setattr__(self, "mod_down", mod_down)
-        object.__setattr__(self, "rescale_div", (None,) + tuple(
+        rescale_div = (None,) + tuple(
             ring.divisor(rp, slice(lv, lv + 1), rp, lv - 1) for lv in levels[1:]
+        )
+        object.__setattr__(self, "rescale_div", rescale_div)
+        # P's rows and q_l's, which is key ring row k + l
+        object.__setattr__(self, "mult_rescale_div", (None,) + tuple(
+            ring.divisor(key_ring, [*range(k), k + lv], rp, lv - 1) if k
+            else rescale_div[lv] for lv in levels[1:]
         ))
         # >= 10 bits of final slack on deep chains; the floor keeps
         # shallow (depth 0/1) chains usable for a few additions
@@ -247,22 +262,32 @@ class SchemeParams:
         n = self.ring.ring_degree
         return _log2_pos(6.0 * math.sqrt((self.secret_weight + 4) * n))
 
-    def relin_noise_bits(self, level: int) -> float:
-        """Key switching at ``level``: a digit of S primes with product D
-        extends to S centred terms, each of variance D^2/12, so
-        sum_i d_i*e_i/P has coefficient std ERR_STD*sqrt(N*sum S*D^2/12)/P;
-        the embedding adds sqrt(N) and 8x covers the max-slot tail. ModDown
-        then rounds both parts by a sum of k centred fractions, variance
-        k/12: k rescale roundings."""
+    def division_round_bits(self, primes: int) -> float:
+        """Rounding noise of ring.divide by a product of ``primes`` primes:
+        its conversion rounds both parts by a sum of that many centred
+        fractions, variance primes/12: that many rescale roundings."""
+        return self.rescale_round_bits() + 0.5 * _log2_pos(primes)
+
+    def switch_noise_bits(self, level: int) -> float:
+        """Key switching's error at ``level``, divided by P: a digit of S
+        primes with product D extends to S centred terms, each of variance
+        D^2/12, so sum_i d_i*e_i/P has coefficient std
+        ERR_STD*sqrt(N*sum S*D^2/12)/P; the embedding adds sqrt(N) and 8x
+        covers the max-slot tail."""
         n = self.ring.ring_degree
         moduli = self.ring.moduli
         digit_var = sum(
             (d.stop - d.start) * math.prod(moduli[d]) ** 2 for d in self.digits(level)
         ) / 12.0
         big_p = math.prod(self.key_ring.moduli[: self.special_count])
-        switch = _log2_pos(8.0 * ERR_STD * n * math.sqrt(digit_var) / big_p)
-        round_bits = self.rescale_round_bits() + 0.5 * _log2_pos(self.special_count)
-        return _log2_sum(switch, round_bits)
+        return _log2_pos(8.0 * ERR_STD * n * math.sqrt(digit_var) / big_p)
+
+    def relin_noise_bits(self, level: int) -> float:
+        """Relinearization at ``level``: key switching's error, and
+        ModDown's rounding, a division by k primes."""
+        return _log2_sum(
+            self.switch_noise_bits(level), self.division_round_bits(self.special_count)
+        )
 
 
 def _special_primes(rp: ring.RingParams, count: int) -> tuple:
@@ -451,31 +476,29 @@ class Ciphertext:
             raise ValueError("part level mismatch")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        # a NaN or infinite ledger field would slip past both comparisons
-        if not (
-            self.noise_bits < math.inf
-            and math.isfinite(self.value_bound)
-            and math.isfinite(self.scale)
-        ):
-            raise NoiseBudgetExceeded(
-                f"non-finite ledger: noise_bits={self.noise_bits}, "
-                f"value_bound={self.value_bound}, scale={self.scale}"
-            )
-        params = self.scheme
-        if self.noise_bits > params.noise_budget_bits:
-            raise NoiseBudgetExceeded(
-                f"ledger at {self.noise_bits:.1f} bits exceeds budget "
-                f"{params.noise_budget_bits:.1f}"
-            )
-        payload_bits = _log2_sum(
-            _log2_pos(self.value_bound * self.scale),
-            self.noise_bits + _GUARD_MARGIN_BITS,
+        _check_ledger(self.scheme, self.level, self.scale, self.noise_bits, self.value_bound)
+
+
+def _check_ledger(params, level, scale, noise_bits, value_bound):
+    """The ledger guards of a ciphertext at ``level``: finite fields,
+    noise within the budget, and a payload that cannot wrap Q_level."""
+    # a NaN or infinite ledger field would slip past both comparisons
+    if not (noise_bits < math.inf and math.isfinite(value_bound) and math.isfinite(scale)):
+        raise NoiseBudgetExceeded(
+            f"non-finite ledger: noise_bits={noise_bits}, "
+            f"value_bound={value_bound}, scale={scale}"
         )
-        if payload_bits > params.log2_modulus(self.level) - 1.0:
-            raise NoiseBudgetExceeded(
-                f"payload {payload_bits:.1f} bits would wrap the level-{self.level} "
-                f"modulus ({params.log2_modulus(self.level):.1f} bits)"
-            )
+    if noise_bits > params.noise_budget_bits:
+        raise NoiseBudgetExceeded(
+            f"ledger at {noise_bits:.1f} bits exceeds budget "
+            f"{params.noise_budget_bits:.1f}"
+        )
+    payload_bits = _log2_sum(_log2_pos(value_bound * scale), noise_bits + _GUARD_MARGIN_BITS)
+    if payload_bits > params.log2_modulus(level) - 1.0:
+        raise NoiseBudgetExceeded(
+            f"payload {payload_bits:.1f} bits would wrap the level-{level} "
+            f"modulus ({params.log2_modulus(level):.1f} bits)"
+        )
 
 
 def with_value_bound(ct: Ciphertext, bound: float) -> Ciphertext:
@@ -691,51 +714,92 @@ def weighted_sums(cts, weights, scale: float) -> list:
     return out
 
 
-def _relinearize(d2: ring.RingElement, evk: RelinKey, level: int):
+def _relinearize(d2: ring.RingElement, evk: RelinKey, level: int, base=None):
     """Hybrid key switching of c2 (Gentry, Halevi and Smart, CRYPTO 2012;
-    Han and Ki, CT-RSA 2020): one inverse NTT of c2; ModUp of each digit,
-    a centred fast base conversion into P ∪ Q_level, which is c2 mod the
-    digit's primes; the digits' inner product with the evk over P ∪
-    Q_level, which decrypts to P*c2*s^2 plus sum_i d_i*e_i; and ModDown,
-    ring.divide of the pair of sums by P with rounding.
+    Han and Ki, CT-RSA 2020) up to its division by P: one inverse NTT of
+    c2; ModUp of each digit, a centred fast base conversion into P ∪
+    Q_level, which is c2 mod the digit's primes; and the digits' inner
+    product with the evk over P ∪ Q_level, added onto ``base`` (on Q_level
+    or P ∪ Q_level), which decrypts to P*c2*s^2 plus sum_i d_i*e_i.
 
     With digit_size 1 and no special primes each digit is c2's residue
     row centred into (-q_j/2, q_j/2], and P = 1 leaves nothing to divide:
-    the CRT gadget.
+    the CRT gadget, whose sums are the relinearized pair.
     """
     params = evk.scheme
     c2, top = ring.ntt_inverse(d2), params.special_count + level
     digits = [ring.ntt_forward(ring.base_convert(c2, u, top)) for u in params.mod_up[level]]
-    sums = ring.mul_sums(digits, evk.components[: len(digits)])
-    return ring.divide(sums, *params.mod_down) if params.mod_down else sums
+    return ring.mul_sums(digits, evk.components[: len(digits)], base)
 
 
-def mult(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
-    """Tensor product immediately relinearized back to two parts.
-
-    Result scale is scale_a * scale_b; rescale afterwards to bring it
-    back down. Raises LevelExhausted when no rescale level would remain.
+def _product(a: Ciphertext, b: Ciphertext, evk: RelinKey):
+    """(x, terms, noise, bound): the tensor product of a and b,
+    relinearized and not yet divided, x = P*(d0, d1) plus key switching's
+    sums for d2 over P ∪ Q_l, which decrypts to P*a*b (see
+    _relinearize); the tensor's noise terms in bits at scale
+    a.scale*b.scale; and mult's ledger, which passes the guards at level
+    l before any work.
     """
     _require_aligned(a, b)
     if a.level < 1:
         raise LevelExhausted("multiplication at level 0 leaves no rescale room")
+    params, lv = a.scheme, a.level
+    # triangle inequality over |m1 nu2| + |m2 nu1| + |nu1 nu2|; each term
+    # is an upper bound, so their log-sum needs no extra pad
+    terms = (
+        a.noise_bits + _log2_pos(b.value_bound * b.scale),
+        b.noise_bits + _log2_pos(a.value_bound * a.scale),
+        a.noise_bits + b.noise_bits,
+    )
+    bound = a.value_bound * b.value_bound
+    noise = _log2_sum(*terms, params.relin_noise_bits(lv))
+    _check_ledger(params, lv, a.scale * b.scale, noise, bound)
     a, b = to_evaluation(a), to_evaluation(b)
     # (a0b0, a1b1) and (a0b1, a1b0): d0 and d2, and d1's two terms
     t = ring.ring_mul(a.parts, b.parts)
     x = ring.ring_mul(a.parts, b.parts.part(slice(None, None, -1)))
     d01 = ring.pair(t.part(0), ring.ring_add(x.part(0), x.part(1)))
-    parts = ring.ring_add(d01, _relinearize(t.part(1), evk, a.level))
+    if params.special_count:
+        d01 = ring.scalar_mul(d01, params.p_mod_q[: lv + 1])
+    return _relinearize(t.part(1), evk, lv, d01), terms, noise, bound
+
+
+def mult(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
+    """Tensor product immediately relinearized back to two parts: the
+    _product divided by P.
+
+    Result scale is scale_a * scale_b; rescale afterwards to bring it
+    back down, or call mult_rescale. Raises LevelExhausted when no
+    rescale level would remain.
+    """
+    x, _, noise, bound = _product(a, b, evk)
     params = a.scheme
-    # triangle inequality over |m1 nu2| + |m2 nu1| + |nu1 nu2| + relin;
-    # each term is an upper bound, so their log-sum needs no extra pad
-    noise = _log2_sum(
-        a.noise_bits + _log2_pos(b.value_bound * b.scale),
-        b.noise_bits + _log2_pos(a.value_bound * a.scale),
-        a.noise_bits + b.noise_bits,
-        params.relin_noise_bits(a.level),
-    )
-    bound = a.value_bound * b.value_bound
+    parts = ring.divide(x, *params.mod_down) if params.mod_down else x
     return Ciphertext(params, parts, a.level, a.scale * b.scale, noise, bound)
+
+
+def mult_rescale(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
+    """rescale(mult(a, b, evk)) with one division instead of two: the
+    _product divided by P*q_l, rounded once, at level l - 1 in the
+    Evaluation domain (Cheon, Han, Kim, Kim and Song, SAC 2018; Han and
+    Ki, CT-RSA 2020). The residues differ from the two-step form's by
+    its two roundings, at most floor(k/2) + 1 per coefficient for k
+    special primes, and equal them for k = 0.
+
+    The ledger: the tensor's terms and key switching's error, each over
+    q_l, and one rounding of the (k+1)-prime division. mult's ledger
+    guards the product at level l before the division.
+    """
+    x, terms, _, bound = _product(a, b, evk)
+    params, lv = a.scheme, a.level
+    q_top = params.ring.moduli[lv]
+    q_bits = math.log2(q_top)
+    noise = _log2_sum(
+        *(t - q_bits for t in (*terms, params.switch_noise_bits(lv))),
+        params.division_round_bits(params.special_count + 1),
+    )
+    parts = ring.divide(x, *params.mult_rescale_div[lv])
+    return Ciphertext(params, parts, lv - 1, a.scale * b.scale / q_top, noise, bound)
 
 
 def rescale(ct: Ciphertext) -> Ciphertext:

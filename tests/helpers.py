@@ -357,6 +357,27 @@ def mod_down_parts(pair, params, level):
     return out
 
 
+def gadget_params():
+    """A 128-bit set with no room for a special prime, so that k = 0 and
+    key switching is the CRT gadget: N = 4096 over 42 + 3*22 = 108 chain
+    bits, where the table allows 109."""
+    moduli = ring.find_ntt_primes(4096, [42, 22, 22, 22])
+    params = scheme.SchemeParams(128, ring.RingParams(4096, moduli), 2.0 ** 21, 8)
+    assert params.special_count == 0
+    return params
+
+
+def divided_by_python_ints(pair, d):
+    """Each Evaluation part of ``pair``, read as centred integers x mod its
+    modulus, divided by d and rounded: the exact quotient that
+    ring.divide approximates, as a list of two object arrays."""
+    out = []
+    for part in split(ring.ntt_inverse(pair)):
+        x, _ = ring.compose_signed(part)
+        out.append((2 * x + d) // (2 * d))
+    return out
+
+
 def psi_rev_rows(n, moduli, inverse=False):
     """Row j holds psi_j^rev(i) (psi_j^-rev(i) if ``inverse``) for i < N,
     rev the log2(N)-bit reversal and psi_j = primitive_2n_root(n, q_j),

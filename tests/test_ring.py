@@ -9,7 +9,9 @@ from hnn import neural, ring, scheme
 from hnn.errors import ParameterError
 
 from helpers import (
+    divided_by_python_ints,
     find_ntt_primes_quadratic,
+    gadget_params,
     miller_rabin,
     mod_down_parts,
     mulmod_split,
@@ -52,6 +54,16 @@ class TestParams:
             ring.RingParams(8, (19,))  # prime but not 1 mod 16
         with pytest.raises(ParameterError):
             ring.RingParams(8, (17, 17))  # duplicate
+
+    def test_hand_built_chain_refuses_a_composite_whatever_is_cached(self):
+        # is_prime keeps a bounded cache of its answers: once 17 and 97
+        # are proved, their product, also 1 mod 16, is still refused
+        assert ring.is_prime.cache_info().maxsize is not None
+        ring.RingParams(8, (17, 97))
+        assert ring.is_prime(17) and ring.is_prime(97)
+        with pytest.raises(ParameterError, match="1649 is not prime"):
+            ring.RingParams(8, (17, 97, 17 * 97))
+        assert not ring.is_prime(17 * 97)
 
     def test_find_ntt_primes_properties(self):
         primes = ring.find_ntt_primes(64, [42, 41, 41, 41])
@@ -711,6 +723,9 @@ class TestKeySwitchKernels:
 
     def test_base_convert_rejects_bad_input(self, rings):
         chain, key = rings
+        for rows in ([3, 1], [2, 2], [], [0, 13]):
+            with pytest.raises(ValueError, match="increasing rows"):
+                ring.Conversion(chain, rows, key, 4)
         conv = ring.Conversion(chain, slice(0, 2), key, 4)
         with pytest.raises(ValueError, match="Coefficient"):
             ring.base_convert(ring.zero(chain, 1, ring.Domain.EVALUATION), conv, 4)
@@ -732,6 +747,16 @@ class TestKeySwitchKernels:
                 want, got = (want,), (got,)
             assert len(want) == len(got)
             assert all(np.array_equal(w, g) for w, g in zip(want, got))
+
+    def test_stage_tables_are_contiguous(self, rings):
+        # a butterfly reads a row's twiddles, so every stage table of the
+        # key ring, and the chain's row views of them, is C-contiguous
+        for rp in rings:
+            tb = ring._tables(rp)
+            for name in ("psi_stage", "psi_stage_q", "ipsi_stage", "ipsi_stage_q"):
+                for w in getattr(tb, name):
+                    assert w.flags.c_contiguous
+                    assert w[4:9].flags.c_contiguous and w[7:8].flags.c_contiguous
 
     def test_ntt_does_not_depend_on_the_row_passes(self, rings, monkeypatch):
         # 17 key-ring rows at N = 1024 run as one pass; with 4 rows a pass
@@ -778,6 +803,13 @@ class TestKeySwitchKernels:
         for xs, keys in bad:
             with pytest.raises(ValueError):
                 ring.mul_sums(xs, keys)
+        # a base of one part, or on rows the sums' last rows are not
+        for base in (
+            ring.zero(chain, 1, ring.Domain.EVALUATION),
+            pair_with_zero(ring.zero(key, 2, ring.Domain.EVALUATION)),
+        ):
+            with pytest.raises(ValueError, match="base element"):
+                ring.mul_sums([x], [top], base)
 
 
 class TestPairs:
@@ -961,9 +993,13 @@ class TestDivide:
         with pytest.raises(ValueError, match="one parts axis"):
             ring.divide(ev.part(0), *params.rescale_div[5])
         # constants of another level, or of the key ring on a chain element
-        for consts in (params.rescale_div[4], params.mod_down):
+        for consts in (params.rescale_div[4], params.mod_down, params.mult_rescale_div[5]):
             with pytest.raises(ValueError, match="does not fit"):
                 ring.divide(ev, *consts)
+        # a product's division at a level above or below the element's
+        for level in (4, 6):
+            with pytest.raises(ValueError, match="does not fit"):
+                ring.divide(self.pair(kr, k + 5, rng), *params.mult_rescale_div[level])
 
     @pytest.mark.parametrize("n, bit_sizes", [(1024, [42] + [41] * 12), (16384, [42, 41, 41])])
     def test_stacked_kernels_equal_single_element_ntts(self, n, bit_sizes):
@@ -1001,9 +1037,61 @@ class TestDivide:
             calls.update(forward=0, inverse=0)
             scheme.rescale(ct)
             assert calls == {"forward": 1, "inverse": 1}
-            calls.update(forward=0, inverse=0)
-            ring.divide(self.pair(kr, k + level, rng), *params.mod_down)
-            assert calls == {"forward": 1, "inverse": 1}
+            for consts in (params.mod_down, params.mult_rescale_div[level]):
+                calls.update(forward=0, inverse=0)
+                ring.divide(self.pair(kr, k + level, rng), *consts)
+                assert calls == {"forward": 1, "inverse": 1}
+
+
+class TestProductDivision:
+    """ring.divide by P*q_l, mult_rescale's division, which drops P's
+    rows and the top row in one call: against the exact quotient in
+    Python integers at every level, on the N = 32 test ring (k = 2), the
+    default head's N = 1024 ring (k = 4) and a k = 0 ring, where it is a
+    rescale; and its gathered-row inverse kernel against the per-row one."""
+
+    @pytest.fixture(scope="class", params=["n32", "n1024", "gadget"])
+    def params(self, request):
+        if request.param == "gadget":
+            return gadget_params()
+        slots, depth = (16, 3) if request.param == "n32" else (
+            512, neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead()))
+        )
+        return scheme.param_gen(128, slots, depth, scale_bits=40, allow_insecure=True)
+
+    def test_matches_the_rounded_quotient_every_level(self, params):
+        rp, kr, k = params.ring, params.key_ring, params.special_count
+        big_p = math.prod(kr.moduli[:k])
+        rng = np.random.default_rng(57)
+        for level in range(1, rp.level_count):
+            consts = params.mult_rescale_div[level]
+            assert list(consts[0].index) == [*range(k), k + level]
+            if k == 0:
+                assert consts is params.rescale_div[level]
+            pair = TestDivide.pair(kr, k + level, rng)
+            got = ring.divide(pair, *consts)
+            assert (got.params, got.level, got.domain) == (rp, level - 1, ring.Domain.EVALUATION)
+            want = divided_by_python_ints(pair, big_p * rp.moduli[level])
+            q = rp.modulus_product(level - 1)
+            for g, w in zip(split(got), want):
+                diff = (ring.compose(ring.ntt_inverse(g))[0] - w) % q
+                # the conversion's centring adds u*D for |u| <= (k+1)/2
+                worst = max(min(int(v), q - int(v)) for v in diff)
+                assert worst <= (k + 1) // 2
+
+    @pytest.mark.parametrize("n", [1024, 4096, 16384])
+    def test_gathered_rows_equal_per_row_kernels(self, n):
+        # P's rows and a top row, as a product's division drops them: at
+        # N = 1024 one gathered pass, at 4096 passes of 4 rows, one of
+        # them gathered, at 16384 one row a pass
+        chain = make_params(n, [42] * 4 + [41] * 5)
+        tb, rows = ring._tables(chain), np.array([0, 1, 2, 3, 7])
+        rng = np.random.default_rng(58)
+        x = rng.integers(0, chain._q_col[rows], (2, 5, n), dtype=np.uint64)
+        x[1, :, :3] = chain._q_col[rows] - np.uint64(1)
+        for kernel in (ring._ntt_inverse_block, ring._ntt_forward_block):
+            want = [kernel(x[:, i : i + 1], tb, int(r)) for i, r in enumerate(rows)]
+            assert np.array_equal(kernel(x, tb, rows), np.concatenate(want, axis=1))
 
 
 class TestFftProduct:

@@ -19,6 +19,7 @@ from helpers import (
     constant_plaintext,
     decrypt_three_part,
     encrypt_four_ntt,
+    gadget_params,
     pair_with_zero,
     relinearize_crt,
     rescale_rows,
@@ -585,6 +586,94 @@ class TestMultRescale:
         bottom = scheme.ct_drop_level(ct, 0)
         with pytest.raises(LevelExhausted):
             scheme.rescale(bottom)
+
+
+class TestFusedProduct:
+    """scheme.mult_rescale, one division by P*q_l, against rescale(mult()),
+    which divides by P and then by q_l, at every level of the default
+    head's 13-prime N = 1024 chain (k = 4) and of a k = 0 chain."""
+
+    @pytest.fixture(scope="class", params=["default", "gadget"])
+    def keys(self, request):
+        if request.param == "gadget":
+            params = gadget_params()
+        else:
+            depth = neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead()))
+            params = scheme.param_gen(128, 512, depth, 40, allow_insecure=True)
+            assert (params.ring.level_count, params.special_count) == (13, 4)
+        return scheme.keygen(params, np.random.default_rng(81))
+
+    @pytest.fixture(scope="class")
+    def operands(self, keys):
+        """Two fresh top-level ciphertexts and their slot values."""
+        rng = np.random.default_rng(82)
+        values = [rng.uniform(-1, 1, keys.scheme.slot_capacity) for _ in range(2)]
+        return values, [enc(keys, v, rng) for v in values]
+
+    def levels(self, keys, operands):
+        (v, w), (a, b) = operands
+        for level in range(keys.scheme.max_level, 0, -1):
+            yield level, v * w, scheme.ct_drop_level(a, level), scheme.ct_drop_level(b, level)
+
+    def test_matches_rescale_of_mult_every_level(self, keys, operands):
+        # both are the exact quotient x/(P*q_l) of the undivided product
+        # plus their roundings. Two steps: ModDown's conversion of k primes
+        # errs by a sum of k centred fractions, |e1| < k/2, which the
+        # rescale divides by q_l, and the rescale's exact lift by |e2| < 1/2.
+        # One step: a conversion of k + 1 primes, |e3| < (k + 1)/2. So the
+        # two differ by less than (k + 2)/2 + k/(2 q_l): at most
+        # floor(k/2) + 1 per coefficient, and not at all for k = 0, where
+        # both run mult's sums through the same rescale
+        k = keys.scheme.special_count
+        bound = k // 2 + 1 if k else 0
+        for level, _, a, b in self.levels(keys, operands):
+            one = scheme.mult_rescale(a, b, keys.evk)
+            two = scheme.rescale(scheme.mult(a, b, keys.evk))
+            assert one.parts.domain == two.parts.domain == ring.Domain.EVALUATION
+            assert (one.level, one.scale, one.value_bound) == (two.level, two.scale, two.value_bound)
+            q = one.parts._q.astype(np.int64)
+            diff = (
+                ring.ntt_inverse(one.parts).residues.astype(np.int64)
+                - ring.ntt_inverse(two.parts).residues.astype(np.int64)
+            ) % q
+            assert np.max(np.minimum(diff, q - diff)) <= bound
+
+    def test_ledger_rule_bounds_measured_noise_every_level(self, keys, operands):
+        # the tensor's terms and key switching's error, each over q_l, and
+        # one rounding of the division by k + 1 primes
+        params = keys.scheme
+        k = params.special_count
+        for level, product, a, b in self.levels(keys, operands):
+            one = scheme.mult_rescale(a, b, keys.evk)
+            terms = (
+                a.noise_bits + math.log2(b.value_bound * b.scale),
+                b.noise_bits + math.log2(a.value_bound * a.scale),
+                a.noise_bits + b.noise_bits,
+                params.switch_noise_bits(level),
+            )
+            q_bits = math.log2(params.ring.moduli[level])
+            round_bits = params.rescale_round_bits() + 0.5 * math.log2(k + 1)
+            want = scheme._log2_sum(*(t - q_bits for t in terms), round_bits)
+            assert one.noise_bits == pytest.approx(want, abs=1e-12)
+            assert scheme.noise_measure(keys.sk, one, product) <= one.noise_bits
+
+    def test_guards_run_before_any_ring_work(self, keys, operands, monkeypatch):
+        # a product whose payload would wrap Q_l: mult's ledger at level l
+        # and scale a.scale*b.scale stops mult_rescale, as it stops mult,
+        # before any product or division
+        params = keys.scheme
+        ct = scheme.ct_drop_level(operands[1][0], 1)
+        log_q, log_s = params.log2_modulus(1), math.log2(ct.scale)
+        big = scheme.with_value_bound(ct, 2.0 ** ((log_q - 2 * log_s) / 2 + 1))
+        calls = []
+        for name in ("ring_mul", "mul_sums", "divide"):
+            monkeypatch.setattr(ring, name, lambda *a, n=name: calls.append(n))
+        for op in (scheme.mult, scheme.mult_rescale):
+            with pytest.raises(NoiseBudgetExceeded, match="would wrap the level-1"):
+                op(big, big, keys.evk)
+        assert calls == []
+        with pytest.raises(LevelExhausted):
+            scheme.mult_rescale(scheme.ct_drop_level(ct, 0), scheme.ct_drop_level(ct, 0), keys.evk)
 
 
 class TestPlainOps:
