@@ -6,9 +6,9 @@ scores that --classes rules out), 3 format/checksum
 problems, 4 crypto-state (noise budget / level exhaustion, raised when
 a ciphertext is built or loaded), 5 I/O.
 
-Trust model: the data owner holds sk and runs encrypt/decrypt; the model
-host holds pk, evk, and the model file and runs infer. sk.bin never
-needs to leave the data owner's machine.
+Trust model: the data owner holds sk and pk and runs encrypt/decrypt;
+the model host holds evk, the parameter file and the model file and runs
+infer. sk.bin never needs to leave the data owner's machine.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
 SK_BANNER = (
     "SECURITY: sk.bin is the decryption key. Anyone holding it can read "
     "every ciphertext made under the matching pk. Keep it with the data "
-    "owner; the model host only ever needs pk.bin, evk.bin and the model."
+    "owner; the model host needs only evk.bin, the parameter file and the model."
 )
 
 

@@ -39,7 +39,7 @@ folded_ifft inverts it: the canonical embedding (encoding), and fft_mul,
 which multiplies an element by a ternary polynomial exactly, in the
 Coefficient domain and with no NTT: the element's centred residues,
 split into two 21-bit limbs, meet the ternary factor there, and the
-rounded limb products recombine mod q_j (encryption's pk*u).
+rounded limb products recombine mod q_j (encryption's pk*u + e).
 
 The forward NTT does not reduce between stages. With the product t in
 [0, 2q), a butterfly writes lo + t and lo + (2q - t), so values grow by
@@ -960,9 +960,10 @@ def folded_ifft(z: np.ndarray) -> np.ndarray:
     """Inverse of :func:`folded_fft`: the N real coefficients of the
     polynomial with values z[..., m] at zeta^(1 - 4m) and their
     conjugates at the conjugate roots; the real and imaginary parts of
-    IFFT(z)*zeta^-j are coefficients j and j + N/2."""
+    IFFT(z)*zeta^-j are coefficients j and j + N/2. Consumes z: the IFFT
+    runs in its buffer (numpy 2's out=), which the caller may reuse."""
     h = z.shape[-1]
-    w = np.fft.ifft(z)
+    w = np.fft.ifft(z, out=z)
     w *= _fold_twist(2 * h)[1]
     x = np.empty(w.shape[:-1] + (2 * h,))
     x[..., :h], x[..., h:] = w.real, w.imag
@@ -989,45 +990,53 @@ def fft_spectra(a: RingElement) -> np.ndarray:
     return spectra
 
 
-def fft_mul(a: RingElement, spectra: np.ndarray, u: np.ndarray) -> RingElement:
-    """a*u exactly, as a Coefficient element, for N int coefficients u in
-    {-1, 0, 1} and spectra = fft_spectra(a): per limb one product of
-    folded spectra and one batched folded_ifft, then the rounded limb
-    products recombined as lo + 2^21*hi mod q_j.
+def fft_mul(a: RingElement, spectra: np.ndarray, u: np.ndarray, plus: np.ndarray) -> RingElement:
+    """a*u + plus exactly, as a Coefficient element, for N int coefficients
+    u in {-1, 0, 1}, spectra = fft_spectra(a) and an int64 plus that
+    broadcasts to a's (parts, rows, N) block: per limb one product
+    of folded spectra, one batched folded_ifft, then the rounded limb
+    products recombined as lo + 2^21*hi, plus added, and one reduction.
 
     A limb product's coefficients are integers of magnitude at most
     weight(u)*2^20 <= 2^35 at N = 32768. The FFT's round-off on a
-    convolution of x and y is below |x|*|y|*3k*(2 + sqrt(5))*2^-53 to
-    first order for a transform of 2^k points with roots accurate to
-    2^-53 (Percival, Math. Comp. 72, 2003, Thm. 5.1): with |x| <=
+    convolution of x and y is below |x|*|y|*3k*(2 + sqrt(5))*2^-53 for
+    2^k points (Percival, Math. Comp. 72, 2003, Thm. 5.1): with |x| <=
     2^20*sqrt(N) and |u| = sqrt(weight), about 2^-11 at N = 32768 and
-    weight 2N/3, far below 1/2. A result more than 1/4 from an integer
-    raises FloatingPointError rather than round wrongly.
+    weight 2N/3. A result more than 1/4 from an integer raises
+    FloatingPointError rather than round wrongly. With centred |a| <
+    2^41 and plus below 2^42 (a residue and a small error e), the sum is
+    |x| <= weight(u)*2^41 + 2^42 + |e|, below 2^56 at N = 32768 and
+    weight 2N/3, where the quotient estimate rint(x*(1/q_j)) is within
+    one of x/q_j.
     """
-    n = a.params.ring_degree
+    n, shape = a.params.ring_degree, a.residues.shape
     u = np.asarray(u)
-    if spectra.shape != (2,) + a.residues.shape[:-1] + (n // 2,):
-        raise ValueError(f"spectra of shape {spectra.shape} do not fit {a.residues.shape}")
+    if spectra.shape != (2,) + shape[:-1] + (n // 2,):
+        raise ValueError(f"spectra of shape {spectra.shape} do not fit {shape}")
     if u.shape != (n,) or np.any(np.abs(u) > 1):
         raise ValueError(f"expected {n} coefficients in {{-1, 0, 1}}")
-    f = folded_ifft(spectra * folded_fft(u))
-    rounded = np.rint(f)
+    if getattr(plus, "dtype", None) != np.int64 or np.broadcast_shapes(plus.shape, shape) != shape:
+        raise ValueError(f"plus must be an int64 array that broadcasts to {shape}")
+    z = spectra * folded_fft(u)
+    f = folded_ifft(z)
+    rounded = np.rint(f, out=z.view(np.float64))
     f -= rounded
     if not np.max(np.abs(f, out=f)) <= 0.25:
         raise FloatingPointError("FFT product too far from an integer to round")
-    del f  # before x is allocated
-    x = rounded.astype(np.int64)
+    # f's buffer takes the limb products as int64, rounded's the reduction
+    x = f.view(np.int64)
+    np.copyto(x, rounded, casting="unsafe")
     x[1] <<= _LIMB_BITS
     x = np.add(x[0], x[1], out=x[0])
-    # |x| < 2^57, so est = floor(x*(1/q)) is floor(x/q) within one, and
-    # x - est*q + q, formed in wrapping uint64, lies in (0, 3q)
+    x += plus
+    # est = rint(x*(1/q)) is within one of x/q, so r = x - est*q, formed
+    # in wrapping uint64, lies in (-q, q), and min(r, r + q) is r mod q
     tb, rows = _tables(a.params), slice(0, a.level + 1)
-    q = tb.q[rows]
-    est = np.floor(x * tb.q_inv[rows]).astype(np.int64).view(np.uint64)
-    r = x.view(np.uint64)
-    r -= est * q
-    r += q
-    return a._like(_reduce(_reduce(r, q), q), Domain.COEFFICIENT)
+    q, t, est = tb.q[rows], rounded[0], rounded[1].view(np.int64)
+    np.copyto(est, np.rint(np.multiply(x, tb.q_inv[rows], out=t), out=t), casting="unsafe")
+    est, r = est.view(np.uint64), x.view(np.uint64)
+    r -= np.multiply(est, q, out=est)
+    return a._like(np.minimum(r, np.add(r, q, out=est)), Domain.COEFFICIENT)
 
 
 # ---------------------------------------------------------------------------
@@ -1065,30 +1074,25 @@ def sample_ternary(
     return from_int_coeffs(ternary_coeffs(params.ring_degree, hamming_weight, rng), params, level)
 
 
-def sample_gaussian(
-    params: RingParams,
-    level: int,
-    std: float,
-    rng: np.random.Generator,
-    tail_bound: float = None,
-) -> RingElement:
-    """Coefficients rounded from N(0, std^2), reduced mod each prime.
+def gaussian_coeffs(n: int, std: float, rng: np.random.Generator, tail_bound=None) -> np.ndarray:
+    """N int64 coefficients rounded from N(0, std^2).
 
     With tail_bound set, coefficients beyond tail_bound*std are resampled
     (used by key generation to make error-size invariants structural).
     """
     if std <= 0:
         raise ValueError("std must be positive")
-    n = params.ring_degree
     g = rng.normal(0.0, std, n)
-    if tail_bound is not None:
-        cap = tail_bound * std
-        bad = np.abs(np.rint(g)) >= cap
-        while np.any(bad):
-            g[bad] = rng.normal(0.0, std, int(bad.sum()))
-            bad = np.abs(np.rint(g)) >= cap
-    coeffs = np.rint(g).astype(np.int64)
-    return from_int_coeffs(coeffs, params, level)
+    while tail_bound is not None and np.any(bad := np.abs(np.rint(g)) >= tail_bound * std):
+        g[bad] = rng.normal(0.0, std, int(bad.sum()))
+    return np.rint(g).astype(np.int64)
+
+
+def sample_gaussian(
+    params: RingParams, level: int, std: float, rng: np.random.Generator, tail_bound=None
+) -> RingElement:
+    """:func:`gaussian_coeffs` as a Coefficient element."""
+    return from_int_coeffs(gaussian_coeffs(params.ring_degree, std, rng, tail_bound), params, level)
 
 
 # ---------------------------------------------------------------------------

@@ -512,21 +512,20 @@ def encrypt(
     pk: PublicKey, pt: Plaintext, rng: np.random.Generator
 ) -> Ciphertext:
     """(b*u + e0 + m, a*u + e1) with ternary u and Gaussian e0, e1, in the
-    Coefficient domain, with no NTT: (b, a)*u is ring.fft_mul's exact
-    product against the key's spectra, and e0, e1 and the message m, a
-    Coefficient-domain plaintext as ``encoding.encode`` returns, are
-    added as coefficients.
-
-    Randomized: repeated calls on one plaintext give distinct ciphertexts.
+    Coefficient domain with no NTT and one reduction: ring.fft_mul forms
+    the exact product (b, a)*u against the key's spectra and adds m, a
+    Coefficient plaintext as ``encoding.encode`` returns, and the errors
+    as integers. Randomized: calls on one plaintext give distinct
+    ciphertexts.
     """
     params, rp, lv = pk.scheme, pk.scheme.ring, pk.scheme.max_level
-    if pt.level != lv:
-        raise ValueError(f"plaintext at level {pt.level}, encryption requires top level {lv}")
-    u = ring.ternary_coeffs(rp.ring_degree, params.secret_weight, rng)
-    e0 = ring.sample_gaussian(rp, lv, ERR_STD, rng)
-    e1 = ring.sample_gaussian(rp, lv, ERR_STD, rng)
-    errors = ring.pair(ring.ring_add(e0, pt.poly), e1)
-    parts = ring.ring_add(ring.fft_mul(pk.pair, pk.spectra, u), errors)
+    m, n = pt.poly, rp.ring_degree
+    if pt.level != lv or m.domain != ring.Domain.COEFFICIENT or m.params != rp:
+        raise ValueError(f"encryption takes a Coefficient plaintext of the key ring at level {lv}")
+    u = ring.ternary_coeffs(n, params.secret_weight, rng)
+    e0, e1 = (ring.gaussian_coeffs(n, ERR_STD, rng) for _ in range(2))
+    plus = np.stack((m.residues.view(np.int64) + e0, np.broadcast_to(e1, m.residues.shape)))
+    parts = ring.fft_mul(pk.pair, pk.spectra, u, plus)
     noise = _log2_sum(params.fresh_noise_bits(), _log2_pos(pt.round_error))
     return Ciphertext(params, parts, lv, pt.scale, noise, pt.value_bound)
 

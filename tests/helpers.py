@@ -454,6 +454,31 @@ def encrypt_four_ntt(pk, pt, rng):
     return c0.residues, c1.residues
 
 
+def fft_mul_two_step(a, spectra, u, m, e0, e1):
+    """(b*u + e0 + m, a*u + e1) as fresh encryption composed it before
+    fft_mul took the sum: ring.fft_mul reduces the product, the errors
+    go through from_int_coeffs and pair, and two ring_adds add them and
+    the message m, a one-part Coefficient element."""
+    rp, lv = a.params, a.level
+    e0, e1 = (ring.from_int_coeffs(e, rp, lv) for e in (e0, e1))
+    errors = ring.pair(ring.ring_add(e0, m), e1)
+    product = ring.fft_mul(a, spectra, u, np.zeros((1, 1, 1), np.int64))
+    return ring.ring_add(product, errors)
+
+
+def gaussian_draws(n, std, rng, tail_bound):
+    """sample_gaussian's draw sequence, written out: N normals, then
+    every coefficient that rounds to tail_bound*std or beyond drawn again
+    until none does."""
+    g = rng.normal(0.0, std, n)
+    cap = tail_bound * std
+    while True:
+        bad = np.abs(np.rint(g)) >= cap
+        if not bad.any():
+            return np.rint(g).astype(np.int64)
+        g[bad] = rng.normal(0.0, std, int(bad.sum()))
+
+
 def add_plain(ct, pt):
     """Slotwise sum of a ciphertext and a slot-vector plaintext at its
     scale, NTT'd and added to c0, with add_const's ledger rule: the slow

@@ -1043,6 +1043,17 @@ class TestCliCommands:
         agreement = np.mean(out[:, 1].astype(int) == plain_pred)
         assert agreement >= 0.99
 
+    def test_banner_names_what_infer_reads(self):
+        # the model host runs infer, which takes evk.bin and no public key
+        args = cli.build_parser().parse_args(
+            ["infer", "--model", "m", "--evk", "e", "--params", "p", "--input", "i", "--out", "o"]
+        )
+        assert (args.evk, args.params, args.model) == ("e", "p", "m")
+        assert not hasattr(args, "pk")
+        host = cli.SK_BANNER.split("model host", 1)[1]
+        assert "evk.bin" in host
+        assert "pk.bin" not in cli.SK_BANNER
+
     def test_keygen_deterministic_digests(self, tmp_path, params):
         params_file = tmp_path / "p.txt"
         serialize.save_params(params, params_file)

@@ -10,7 +10,9 @@ from hnn.errors import ParameterError
 
 from helpers import (
     divided_by_python_ints,
+    fft_mul_two_step,
     find_ntt_primes_quadratic,
+    gaussian_draws,
     gadget_params,
     miller_rabin,
     mod_down_parts,
@@ -1100,6 +1102,8 @@ class TestFftProduct:
     INTT(pair * NTT(u)), on 13-prime chains."""
 
     EXTREMES = (0, 1, "q//2", "q//2+1", "q-1")
+    # a zero term that broadcasts to any block: the bare product a*u
+    NO_PLUS = np.zeros((1, 1, 1), np.int64)
 
     @classmethod
     def pair(cls, rp, rng):
@@ -1124,7 +1128,8 @@ class TestFftProduct:
         got = ring.folded_fft(x)
         assert got.shape == (2, 3, n // 2)
         assert np.max(np.abs(got - want)) < 1e-13
-        assert np.max(np.abs(ring.folded_ifft(got) - x)) < 1e-15
+        # folded_ifft consumes its input, and got is used again below
+        assert np.max(np.abs(ring.folded_ifft(got.copy()) - x)) < 1e-15
         assert np.max(np.abs(ring.folded_ifft(got[1, 2]) - x[1, 2])) < 1e-15
 
     @pytest.mark.parametrize("n", [1024, 32768])
@@ -1143,15 +1148,15 @@ class TestFftProduct:
         ):
             u_ev = ring.ntt_forward(from_coeffs(u, rp))
             want = ring.ring_mul(ev, u_ev)
-            got = ring.fft_mul(ev, spectra, u)
+            got = ring.fft_mul(ev, spectra, u, self.NO_PLUS)
             assert got.domain == ring.Domain.COEFFICIENT
             for g, w in zip(split(got), split(want)):
                 assert np.array_equal(g.residues, ring.ntt_inverse(w).residues)
 
     def test_product_that_is_a_multiple_of_q(self):
         # q//2 + q//2 + 1 = q in coefficient 2 of a*(1 + X + X^2): the
-        # biased quotient estimate of a positive multiple of q is one
-        # below, which the recombination's second subtraction undoes
+        # biased quotient of a positive multiple of q lies just below an
+        # integer, and the reduction must still give 0, not q
         rp = make_params(1024, [42] + [41] * 12)
         x = np.zeros((2, rp.level_count, 1024), np.uint64)
         x[..., :2] = rp._q_col // 2
@@ -1159,7 +1164,7 @@ class TestFftProduct:
         a = ring.RingElement(rp, rp.max_level, x, ring.Domain.COEFFICIENT)
         u = np.zeros(1024, np.int64)
         u[:3] = 1
-        got = ring.fft_mul(a, ring.fft_spectra(a), u)
+        got = ring.fft_mul(a, ring.fft_spectra(a), u, self.NO_PLUS)
         want = ring.ring_mul(ring.ntt_forward(a), ring.ntt_forward(from_coeffs(u, rp)))
         assert not got.residues[..., 2].any()
         for g, w in zip(split(got), split(want)):
@@ -1170,11 +1175,11 @@ class TestFftProduct:
         rng = np.random.default_rng(62)
         a = self.pair(rp, rng)
         spectra, u = ring.fft_spectra(a), ring.ternary_coeffs(1024, 682, rng)
-        ring.fft_mul(a, spectra, u)
+        ring.fft_mul(a, spectra, u, self.NO_PLUS)
         ifft = np.fft.ifft
 
-        def perturbed(x):
-            z = ifft(x)
+        def perturbed(x, **kwargs):
+            z = ifft(x, **kwargs)
             # 0.3 off an integer once untwisted: coefficient 0 of a hi-limb
             # row, whose twist is 1
             z[1, 0, 5, 0] += 0.3
@@ -1182,7 +1187,68 @@ class TestFftProduct:
 
         monkeypatch.setattr(np.fft, "ifft", perturbed)
         with pytest.raises(FloatingPointError, match="integer"):
-            ring.fft_mul(a, spectra, u)
+            ring.fft_mul(a, spectra, u, self.NO_PLUS)
+
+    @pytest.mark.parametrize("n", [1024, 32768])
+    def test_plus_matches_two_step(self, n):
+        # fft_mul's one reduction of a*u + plus against the reduced
+        # product plus the reduced message and errors, residue for residue,
+        # with message residues at q_j - 1 and errors at the keygen tail
+        rp = make_params(n, [42] + [41] * 12)
+        rng = np.random.default_rng(64)
+        a = self.pair(rp, rng)
+        spectra = ring.fft_spectra(a)
+        q = rp._q_col
+        m = rng.integers(0, q, (rp.level_count, n), dtype=np.uint64)
+        m[:, : n // 4] = q - 1
+        tail = math.ceil(scheme.KEY_ERR_TAIL * scheme.ERR_STD)
+        e0, e1 = (ring.gaussian_coeffs(n, scheme.ERR_STD, rng) for _ in range(2))
+        e0[:8], e1[:8] = tail, -tail
+        e0[8:16], e1[8:16] = -tail, tail
+        msg = ring.RingElement(rp, rp.max_level, m, ring.Domain.COEFFICIENT)
+        plus = np.stack((m.view(np.int64) + e0, np.broadcast_to(e1, m.shape)))
+        for u in (
+            rng.integers(0, 2, n) * 2 - 1,
+            ring.ternary_coeffs(n, 2 * n // 3, rng),
+        ):
+            got = ring.fft_mul(a, spectra, u, plus)
+            want = fft_mul_two_step(a, spectra, u, msg, e0, e1)
+            assert got.domain == ring.Domain.COEFFICIENT
+            assert np.array_equal(got.residues, want.residues)
+
+    def test_plus_broadcasts(self):
+        # a term of one row, or of one part, is added to every row or part
+        rp = make_params(64, [42, 41, 41])
+        rng = np.random.default_rng(65)
+        a = self.pair(rp, rng)
+        spectra, u = ring.fft_spectra(a), ring.ternary_coeffs(64, 40, rng)
+        e = rng.integers(-30, 30, 64)
+        zero = np.zeros(64, np.int64)
+        for plus in (e, e[None, None, :], np.broadcast_to(e, (3, 64))):
+            want = fft_mul_two_step(a, spectra, u, ring.zero(rp, rp.max_level), e, e)
+            assert np.array_equal(ring.fft_mul(a, spectra, u, plus).residues, want.residues)
+        want = fft_mul_two_step(a, spectra, u, ring.zero(rp, rp.max_level), zero, e)
+        plus = np.stack((zero, e))[:, None, :]
+        assert np.array_equal(ring.fft_mul(a, spectra, u, plus).residues, want.residues)
+
+    def test_rejects_bad_plus(self):
+        rp = make_params(64, [42, 41, 41])
+        rng = np.random.default_rng(66)
+        a = self.pair(rp, rng)
+        spectra, u = ring.fft_spectra(a), ring.ternary_coeffs(64, 40, rng)
+        good = np.zeros((2, 3, 64), np.int64)
+        for bad in (
+            good[..., :32],
+            np.zeros((3, 3, 64), np.int64),
+            np.zeros((2, 2, 64), np.int64),
+            np.zeros((1, 2, 3, 64), np.int64),
+            good.astype(np.uint64),
+            good.astype(np.float64),
+            good.tolist(),
+            None,
+        ):
+            with pytest.raises(ValueError, match="plus|broadcast"):
+                ring.fft_mul(a, spectra, u, bad)
 
     def test_rejects_bad_input(self):
         rp = make_params(64, [42, 41, 41])
@@ -1192,10 +1258,10 @@ class TestFftProduct:
         u = ring.ternary_coeffs(64, 40, rng)
         for bad_u in (u[:32], np.where(u == 1, 2, u)):
             with pytest.raises(ValueError, match="coefficients"):
-                ring.fft_mul(a, spectra, bad_u)
+                ring.fft_mul(a, spectra, bad_u, self.NO_PLUS)
         for bad in (spectra[0], spectra[:, :1], spectra[..., :16]):
             with pytest.raises(ValueError, match="spectra"):
-                ring.fft_mul(a, bad, u)
+                ring.fft_mul(a, bad, u, self.NO_PLUS)
 
 
 class TestSchoolbook:
@@ -1312,6 +1378,19 @@ class TestSamplers:
             a = sampler(np.random.default_rng(99))
             b = sampler(np.random.default_rng(99))
             assert np.array_equal(a.residues, b.residues)
+
+    def test_gaussian_keygen_draws_unchanged(self):
+        # keygen's tail-bounded errors are gaussian_coeffs reduced, with
+        # the draw sequence written out in helpers, and leave the
+        # Generator where that sequence does; a small tail forces redraws
+        params = make_params(64, [42, 41])
+        for tail in (scheme.KEY_ERR_TAIL, 0.5):
+            rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+            el = ring.sample_gaussian(params, 1, scheme.ERR_STD, rng, tail_bound=tail)
+            want = gaussian_draws(64, scheme.ERR_STD, ref, tail)
+            assert np.array_equal(el.residues, from_coeffs(want, params).residues)
+            assert rng.integers(0, 1 << 62) == ref.integers(0, 1 << 62)
+        assert np.abs(want).max() < 0.5 * scheme.ERR_STD
 
     @pytest.mark.parametrize("bit_sizes", [[42] + [41] * 16, [20, 14, 17]])
     def test_uniform_matches_per_row_draws(self, bit_sizes):
