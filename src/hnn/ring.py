@@ -17,13 +17,18 @@ no correction (Harvey, J. Symb. Comp. 2014, less the correction).
 
 A per-prime scalar (a constant's c mod q_j, an evaluation key's P*E_i,
 composition's M_j^-1) is a (level+1, 1) residue column, which
-scalar_mul and scalar_add apply to a whole element. scalar_mul_sums
-applies a block of them to many elements and adds the lazy products
-up; so do key switching's kernels, mul_sums (elements times key
-pairs) and base_convert (a fast base conversion of some rows to
-another chain's primes), all through one lazy-sum loop. Like the
+scalar_mul and scalar_add apply to a whole element. Key switching's
+kernels, mul_sums (elements times key pairs) and base_convert (a fast
+base conversion of some rows to another chain's primes; mod_up, the
+same into the Evaluation domain, converts only the rows of other
+primes), add lazy products up through one lazy-sum loop. Like the
 reduction of large integers (from_int_coeffs, constant_column), its one
-final reduction of the sums divides. divide serves rescale, key
+final reduction of the sums divides. scalar_mul_sums, the linear
+layer, takes integer weights, not columns: sums of d elements times a
+(d, C) weight matrix run as exact float64 matrix products (numpy's
+BLAS) of 21-bit limbs, the weights' three and the residues' two, each
+limb product at most 2^41 and each float sum of at most 4096 of them an
+integer of at most 2^53, recombined mod q_j. divide serves rescale, key
 switching's ModDown and a product's fused division: it divides a pair
 by the product D of the rows it drops (the top prime q_l, the special
 primes P, or P and q_l at once), as
@@ -94,8 +99,26 @@ _BIAS = 1.0 - 2.0 ** -50
 _NTT_CHUNK = 1 << 14
 
 # Lazy products lie in [0, 2q) below 2^43, so this many of them add
-# exactly in uint64 (see scalar_mul_sums).
+# exactly in uint64 (see _lazy_sum); it also caps a weighted sum's terms.
 MAX_SUM_TERMS = 1 << 21
+
+# A signed limb is lo in [-2^20, 2^20) of x = lo + 2^21*rest (_limbs).
+_LIMB_BITS = 21
+
+# scalar_mul_sums' float64 products. A weight |w| <= MAX_WEIGHT (an
+# encoded constant's cap) splits into three limbs of magnitude at most
+# 2^20 and a residue into two of at most 2^21, so a limb product is at
+# most 2^41 and _SUM_FLUSH of them add to an exact integer of at most
+# 2^53. A matrix product takes _SUM_FEATURES elements' limbs over
+# _SUM_SPAN entries of a row span (two rows at N = 1024): a (16, 2, 2,
+# 2048) float64 block of 1 MiB for pairs.
+MAX_WEIGHT = 1 << 62
+_SUM_FLUSH = 1 << 12
+_SUM_FEATURES = 16
+_SUM_SPAN = 1 << 11
+# x + _SPLIT - _SPLIT is x rounded to a multiple of 2^21, for 0 <= x <=
+# 2^42: float64 values in [2^73, 2^74) are 2^21 apart.
+_SPLIT = 1.5 * 2.0 ** 73
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Bases 2..17 decide every n below this (Jaeschke, Math. Comp. 1993),
@@ -723,15 +746,30 @@ def _lazy_sum(acc: np.ndarray, terms, q: np.ndarray, q_col: np.ndarray) -> np.nd
     return np.remainder(acc, q_col, out=acc)
 
 
-def scalar_mul_sums(els, cols) -> list:
-    """sum_k els[k] * cols[k, c] mod q_j for every column c, in one pass
-    over the d elements: els are d elements of one shape, level and domain
-    (ciphertexts' pairs, say), cols is a (d, C, level+1, 1) uint64 block
-    of residues below q_j, each column applied to every part alike.
+def _limbs(x: np.ndarray):
+    """(lo, rest) with x = lo + 2^21*rest and lo in [-2^20, 2^20), for int64 x."""
+    half = 1 << (_LIMB_BITS - 1)
+    lo = ((x + half) & ((1 << _LIMB_BITS) - 1)) - half
+    return lo, (x - lo) >> _LIMB_BITS
+
+
+def scalar_mul_sums(els, weights) -> list:
+    """sum_k els[k] * weights[k, c] mod q_j for every column c of the int64
+    (d, C) matrix ``weights``, |weights| <= MAX_WEIGHT, in one pass over
+    the d elements: els are d elements of one shape, level and domain
+    (ciphertexts' pairs, say), and each weight meets every part alike.
     Returns C elements of els' shape.
 
-    Each element's lazy products against all C columns come from one
-    _mul and add into a (C, parts, level+1, N) accumulator (_lazy_sum).
+    The sums are exact float64 matrix products (Dumas, Giorgi and Pernet,
+    ACM TOMS 2008). A weight splits into three signed limbs, w = w0 +
+    2^21*w1 + 2^42*w2 with |w_a| <= 2^20, and a residue x < 2^42 into two,
+    x = x0 + 2^21*x1 with |x0| <= 2^20 and 0 <= x1 <= 2^21, so a limb
+    product is an integer of magnitude at most 2^41 and a sum of
+    _SUM_FLUSH = 4096 of them one of at most 2^53: exact in float64,
+    whatever order or FMA the BLAS sums in. The elements stream in blocks
+    (_limb_sums), and every _SUM_FLUSH of them the six limb-pair sums are
+    reduced and recombined mod q_j (_recombine); no (d, parts, level+1, N)
+    stack is built.
     """
     d = len(els)
     if not 0 < d <= MAX_SUM_TERMS:
@@ -739,18 +777,90 @@ def scalar_mul_sums(els, cols) -> list:
     first = els[0]
     for el in els:
         _require_compatible(first, el)
-    lv = first.level
     if (
-        cols.ndim != 4 or cols.shape[0] != d or cols.shape[2:] != (lv + 1, 1)
-        or cols.dtype != np.uint64 or np.any(cols >= first._q)
+        not isinstance(weights, np.ndarray) or weights.dtype != np.int64
+        or weights.ndim != 2 or weights.shape[0] != d
+        or np.any((weights < -MAX_WEIGHT) | (weights > MAX_WEIGHT))
     ):
-        raise ValueError(f"expected a ({d}, C, {lv + 1}, 1) uint64 block below q_j")
-    # a unit axis per parts axis, so that a column meets every part
-    cols = cols.reshape(cols.shape[:2] + (1,) * len(first.parts_shape) + cols.shape[2:])
-    terms = zip((el.residues for el in els), cols, _quotient(cols, first._q))
-    acc = np.zeros((cols.shape[1],) + first.residues.shape, np.uint64)
-    acc = _lazy_sum(acc, terms, _tables(first.params).q[: lv + 1], first._q)
-    return [first._like(a) for a in acc]
+        raise ValueError(f"expected a ({d}, C) int64 matrix of weights within ±2^62")
+    w0, rest = _limbs(weights)
+    w1, w2 = _limbs(rest)
+    c = weights.shape[1]
+    # row a*C + c holds limb a of column c
+    w = np.stack((w0, w1, w2)).transpose(0, 2, 1).reshape(3 * c, d).astype(np.float64)
+    n, rows_all = first.params.ring_degree, first.level + 1
+    q_col = first._q
+    two21 = np.uint64(1 << _LIMB_BITS) % q_col
+    shift = (two21, _quotient(two21, q_col))
+    xs = [el.residues.view(np.int64) for el in els]
+    out = np.empty((c,) + first.residues.shape, np.uint64)
+    step = max(1, _SUM_SPAN // n)
+    for r0 in range(0, rows_all, step):
+        rows = slice(r0, min(r0 + step, rows_all))
+        q, sh = q_col[rows], tuple(s[rows] for s in shift)
+        for n0 in range(0, n, _SUM_SPAN):
+            block = (Ellipsis, rows, slice(n0, n0 + _SUM_SPAN))
+            for k0 in range(0, d, _SUM_FLUSH):
+                k = slice(k0, k0 + _SUM_FLUSH)
+                t = _recombine(_limb_sums(w[:, k], xs[k], block), q, sh)
+                out[block] = t if k0 == 0 else _reduce(out[block] + t, q)
+    return [first._like(a) for a in out]
+
+
+def _limb_sums(w: np.ndarray, xs: list, block: tuple) -> np.ndarray:
+    """The (3, C, 2) + block-shape sums, over the elements xs (int64 views
+    of residues) at ``block``, of weight limb a times residue limb b, for
+    the (3C, len(xs)) weight limbs w. _SUM_FEATURES elements at a time
+    are copied into a float64 block and split there, x into 2^21*x1 (x
+    rounded by _SPLIT) and x0 = x - 2^21*x1, and one np.matmul adds their
+    products. Limb 1's sums carry the 2^21 until the end, when they are
+    scaled back, so every entry is an exact integer."""
+    shape = xs[0][block].shape
+    size = math.prod(shape)
+    buf = np.empty(min(len(xs), _SUM_FEATURES) * 2 * size)
+    acc, part = np.empty((w.shape[0], 2 * size)), None
+    for k0 in range(0, len(xs), _SUM_FEATURES):
+        group = xs[k0 : k0 + _SUM_FEATURES]
+        x = buf[: len(group) * 2 * size].reshape((len(group), 2) + shape)
+        lo, hi = x[:, 0], x[:, 1]
+        for i, xi in enumerate(group):
+            np.copyto(lo[i], xi[block], casting="unsafe")
+        np.add(lo, _SPLIT, out=hi)
+        hi -= _SPLIT
+        lo -= hi
+        wk, x = w[:, k0 : k0 + len(group)], x.reshape(len(group), -1)
+        if k0 == 0:
+            np.matmul(wk, x, out=acc)
+        else:
+            part = np.matmul(wk, x, out=part)
+            acc += part
+    acc = acc.reshape((3, w.shape[0] // 3, 2) + shape)
+    acc[:, :, 1] *= 2.0 ** -_LIMB_BITS
+    return acc
+
+
+def _recombine(s: np.ndarray, q: np.ndarray, shift: tuple) -> np.ndarray:
+    """sum over a, b of s[a, :, b] * 2^(21(a+b)) mod q, in [0, q), for the
+    exact integer sums s of :func:`_limb_sums` (|s| <= 2^53) and the
+    (2^21 mod q, its quotient) columns ``shift``. Each sum is reduced into
+    (0, 2q) as s - rint(s/q)*q + q, in int64; those of one shift add up,
+    and Horner's rule in 2^21 mod q joins the shifts 2^0, 2^21, 2^42 and
+    2^63 with three lazy products."""
+    q_i = q.view(np.int64)
+    est = np.rint(np.multiply(s, 1.0 / q.astype(np.float64)))
+    y = s.astype(np.int64)
+    y -= est.astype(np.int64) * q_i
+    y += q_i
+    y = y.view(np.uint64)
+    # the sums at shift 2^21 and 2^42, each below 4q
+    y[1, :, 0] += y[0, :, 1]
+    y[2, :, 0] += y[1, :, 1]
+    t, scratch = y[2, :, 1], _scratch(y.shape[1:2] + y.shape[3:])
+    for g in (y[2, :, 0], y[1, :, 0], y[0, :, 0]):
+        # t below 6q, then 4q after the last step
+        t = _mul(t, *shift, q, *scratch)
+        t += g
+    return _reduce(_reduce(t, 2 * q), q)
 
 
 def mul_sums(xs, keys, base: RingElement = None) -> RingElement:
@@ -825,18 +935,25 @@ class Conversion:
         return self.rows.tolist()
 
 
-def _convert(x: np.ndarray, conv: Conversion, level: int) -> np.ndarray:
+def _convert(x: np.ndarray, conv: Conversion, t) -> np.ndarray:
     """The (..., S, N) Coefficient residues x of conv's source rows,
-    converted to conv.dst's primes [:level+1] (see :func:`base_convert`)."""
+    converted to conv.dst's primes t, a slice of [:conv.level+1] or an
+    index array into it (see :func:`base_convert`)."""
     q_src, q_col = _tables(conv.src).q[conv.rows], conv.src._q_col[conv.rows]
     inv_q = _quotient(conv.inv, q_col)
     y = _reduce(_mul(x, conv.inv, inv_q, q_src, *_scratch(x.shape)), q_src)
     v = np.sum(y > q_col // 2, axis=-2, dtype=np.uint64)
-    t = slice(0, level + 1)
     q_dst, w, neg_d = conv.dst._q_col[t], conv.w[:-1, t], conv.w[-1, t]
     # y's row j, as (..., 1, N), times the (T, 1) column w[j]
     terms = zip(np.moveaxis(y, -2, 0)[..., None, :], w, _quotient(w, q_dst))
     return _lazy_sum(v[..., None, :] * neg_d, terms, _tables(conv.dst).q[t], q_dst)
+
+
+def _check_conversion(a: RingElement, conv: Conversion, level: int):
+    if a.domain != Domain.COEFFICIENT:
+        raise ValueError("a base conversion expects the Coefficient domain")
+    if a.params != conv.src or conv.index[-1] > a.level or level > conv.level:
+        raise ValueError(f"conversion does not fit level {a.level} -> {level}")
 
 
 def base_convert(a: RingElement, conv: Conversion, level: int) -> RingElement:
@@ -850,12 +967,33 @@ def base_convert(a: RingElement, conv: Conversion, level: int) -> RingElement:
     3S*2^42, and one remainder by t finishes it. With one source prime
     it is the exact centred lift of that row.
     """
-    if a.domain != Domain.COEFFICIENT:
-        raise ValueError("base_convert expects Coefficient domain")
-    if a.params != conv.src or conv.index[-1] > a.level or level > conv.level:
-        raise ValueError(f"conversion does not fit level {a.level} -> {level}")
-    out = _convert(a.residues[conv.rows], conv, level)
+    _check_conversion(a, conv, level)
+    out = _convert(a.residues[conv.rows], conv, slice(0, level + 1))
     return RingElement(conv.dst, level, out, Domain.COEFFICIENT)
+
+
+def mod_up(a: RingElement, a_eval: RingElement, conv: Conversion, level: int) -> RingElement:
+    """ntt_forward(base_convert(a, conv, level)) for a one-part a, given
+    a_eval = ntt_forward(a). Mod a source prime the conversion is a's own
+    row, so only the rows of the other primes are converted and
+    transformed, in one kernel call on their index array; the source
+    primes' rows are a_eval's."""
+    _check_conversion(a, conv, level)
+    if (
+        a.parts_shape or a_eval.domain != Domain.EVALUATION
+        or a_eval.params != a.params or a_eval.level != a.level
+    ):
+        raise ValueError("mod_up expects a one-part element and its Evaluation form")
+    row_of = {a.params.moduli[i]: i for i in conv.index}
+    targets = conv.dst.moduli[: level + 1]
+    own = [t for t, p in enumerate(targets) if p in row_of]
+    rest = np.array([t for t, p in enumerate(targets) if p not in row_of], np.int64)
+    out = np.empty((level + 1, a.params.ring_degree), np.uint64)
+    out[own] = a_eval.residues[[row_of[targets[t]] for t in own]]
+    if len(rest):
+        y = _convert(a.residues[conv.rows], conv, rest)
+        out[rest] = _ntt_forward_block(y[None], _tables(conv.dst), rest)[0]
+    return RingElement(conv.dst, level, out, Domain.EVALUATION)
 
 
 def divisor(src: RingParams, rows, dst: RingParams, level: int) -> tuple:
@@ -895,7 +1033,7 @@ def divide(x: RingElement, conv: Conversion, d_inv: np.ndarray) -> RingElement:
     if evaluation:
         y = _ntt_inverse_block(y, _tables(conv.src), conv.rows)
     tb, rows = _tables(conv.dst), slice(0, level + 1)
-    out = _convert(y, conv, level)
+    out = _convert(y, conv, rows)
     if evaluation:
         out = _ntt_forward_block(out, tb, 0)
     # x_keep + (q - lift) in (0, 2q), inside _mul's range, formed in place
@@ -970,9 +1108,6 @@ def folded_ifft(z: np.ndarray) -> np.ndarray:
     return x
 
 
-_LIMB_BITS = 21  # a centred residue, |x| <= q/2 < 2^41, is lo + 2^21*hi
-
-
 def fft_spectra(a: RingElement) -> np.ndarray:
     """The spectra fft_mul needs for a: its coefficients centred into
     (-q_j/2, q_j/2], split into two signed 21-bit limbs lo + 2^21*hi and
@@ -983,9 +1118,7 @@ def fft_spectra(a: RingElement) -> np.ndarray:
     # x - q where x > q/2, formed in wrapping uint64 and read as int64
     q, x = _tables(a.params).q[: a.level + 1], a.residues
     x = (x - q * (x > q >> np.uint64(1))).view(np.int64)
-    half = 1 << (_LIMB_BITS - 1)
-    lo = ((x + half) & ((1 << _LIMB_BITS) - 1)) - half
-    spectra = folded_fft(np.stack((lo, (x - lo) >> _LIMB_BITS)))
+    spectra = folded_fft(np.stack(_limbs(x)))
     spectra.flags.writeable = False
     return spectra
 

@@ -46,6 +46,7 @@ from the set, never chosen by a caller or a file.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -375,15 +376,16 @@ class SecretKey:
 
 @dataclasses.dataclass(frozen=True)
 class PublicKey:
-    """(b, a) = (-a*s + e, a), one (2, L+1, N) Evaluation block, and its
-    ring.fft_spectra for encrypt, derived when the key is built or loaded."""
+    """(b, a) = (-a*s + e, a), one (2, L+1, N) Evaluation block. Its
+    ring.fft_spectra, which only encrypt reads, are derived on the first
+    encryption and kept, so keygen and a key load do not pay for them."""
 
     scheme: SchemeParams
     pair: ring.RingElement
-    spectra: np.ndarray = dataclasses.field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "spectra", ring.fft_spectra(self.pair))
+    @functools.cached_property
+    def spectra(self) -> np.ndarray:
+        return ring.fft_spectra(self.pair)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -420,9 +422,9 @@ def keygen(params: SchemeParams, rng: np.random.Generator) -> KeyMaterial:
     """
     rp, kr, k = params.ring, params.key_ring, params.special_count
     lv, top = rp.max_level, kr.max_level
-    s = ring.sample_ternary(rp, lv, params.secret_weight, rng)
-    s_key = ring.ntt_forward(ring.base_convert(s, params.mod_up[0][0], top))
-    s = ring.ntt_forward(s)
+    s_coeff = ring.sample_ternary(rp, lv, params.secret_weight, rng)
+    s = ring.ntt_forward(s_coeff)
+    s_key = ring.mod_up(s_coeff, s, params.mod_up[0][0], top)
 
     def masked(a, secret, m=None):
         """The pair (-a*secret + e + m, a) for a fresh key error e; m = None
@@ -674,8 +676,9 @@ def weighted_sums(cts, weights, scale: float) -> list:
     Residues and ledgers equal those of tree_sum over the d mult_consts
     of each column: every weight goes through encode_constant, each
     term's ledger is mult_const's, and the terms fold in tree_sum's order
-    by add's rule. One streaming pass (ring.scalar_mul_sums) takes the
-    place of the d*C term ciphertexts. The only ciphertexts built are
+    by add's rule. One streaming pass (ring.scalar_mul_sums, exact
+    float64 matrix products of the encoded integers) takes the place of
+    the d*C term ciphertexts. The only ciphertexts built are
     the C results, whose guards bound every partial sum, since the fold
     only grows noise_bits and value_bound. The sums are in the inputs'
     domain, or the Evaluation domain if the inputs mix domains.
@@ -701,8 +704,7 @@ def weighted_sums(cts, weights, scale: float) -> list:
             c0s[k, c], err, bound = _encoded(w, scale)
             row.append(_times_ledger(ct, scale, err, bound))
         ledgers.append(row)
-    cols = ring.constant_column(c0s, first.scheme.ring, first.level)
-    sums = ring.scalar_mul_sums([ct.parts for ct in cts], cols)
+    sums = ring.scalar_mul_sums([ct.parts for ct in cts], c0s)
     out = []
     for c, parts in enumerate(sums):
         noise, bound = _pairwise((row[c] for row in ledgers), _sum_ledger)
@@ -717,7 +719,8 @@ def _relinearize(d2: ring.RingElement, evk: RelinKey, level: int, base=None):
     """Hybrid key switching of c2 (Gentry, Halevi and Smart, CRYPTO 2012;
     Han and Ki, CT-RSA 2020) up to its division by P: one inverse NTT of
     c2; ModUp of each digit, a centred fast base conversion into P ∪
-    Q_level, which is c2 mod the digit's primes; and the digits' inner
+    Q_level, which is c2 mod the digit's primes, so that only the other
+    rows are converted (ring.mod_up); and the digits' inner
     product with the evk over P ∪ Q_level, added onto ``base`` (on Q_level
     or P ∪ Q_level), which decrypts to P*c2*s^2 plus sum_i d_i*e_i.
 
@@ -727,7 +730,7 @@ def _relinearize(d2: ring.RingElement, evk: RelinKey, level: int, base=None):
     """
     params = evk.scheme
     c2, top = ring.ntt_inverse(d2), params.special_count + level
-    digits = [ring.ntt_forward(ring.base_convert(c2, u, top)) for u in params.mod_up[level]]
+    digits = [ring.mod_up(c2, d2, u, top) for u in params.mod_up[level]]
     return ring.mul_sums(digits, evk.components[: len(digits)], base)
 
 

@@ -221,7 +221,8 @@ def _element(
     if offset + 8 * words > len(data) - _CHECKSUM:
         raise FormatError("truncated residue block")
     res = np.frombuffer(data, "<u8", words, offset).reshape(shape)
-    if np.any(res >= rp._q_col[: level + 1]):
+    # row maxima against a vector of moduli: no (rows, 1) column broadcast
+    if np.any(res.max(axis=-1) >= rp._q_col[: level + 1, 0]):
         raise FormatError("residue outside modulus range")
     return ring.RingElement(rp, level, res.astype(np.uint64, copy=False), domain)
 

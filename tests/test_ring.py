@@ -612,10 +612,11 @@ class TestScalarKernels:
                 ring.scalar_add(ring.ntt_inverse(ev), col)
 
     def test_scalar_mul_sums_match_per_term_products(self, chain):
-        # sum_k pairs[k] * cols[k, c] against 21-bit split products of each
-        # part summed in Python ints, with columns 0 and q - 1 among random
-        # ones
+        # sum_k pairs[k] * weights[k, c] against 21-bit split products of
+        # each part by the weight's residues, summed in Python ints, with
+        # weights 0, ±1 and ±2^62 among random ones
         rng = np.random.default_rng(27)
+        cap = ring.MAX_WEIGHT
         for level in (0, 5, chain.max_level):
             q = chain._q_col[: level + 1]
             for d, c in ((1, 1), (3, 2), (17, 3)):
@@ -627,9 +628,10 @@ class TestScalarKernels:
                     )
                     for _ in range(d)
                 ]
-                cols = rng.integers(0, q, (d, c, level + 1, 1), dtype=np.uint64)
-                cols[0, 0], cols[-1, -1] = q - np.uint64(1), 0
-                sums = ring.scalar_mul_sums(pairs, cols)
+                weights = rng.integers(-cap, cap, (d, c), endpoint=True)
+                extremes = [0, 1, -1, cap, -cap]
+                weights.flat[: len(extremes)] = extremes[: weights.size]
+                sums = ring.scalar_mul_sums(pairs, weights)
                 assert len(sums) == c
                 for j in range(c):
                     got = sums[j]
@@ -639,32 +641,101 @@ class TestScalarKernels:
                     for p in range(2):
                         want = sum(
                             mulmod_split(x.residues[p], np.broadcast_to(
-                                cols[k, j], x.residues[p].shape), q).astype(object)
+                                ring.constant_column(weights[k, j], chain, level),
+                                x.residues[p].shape), q).astype(object)
                             for k, x in enumerate(pairs)
                         ) % q.astype(object)
                         assert np.array_equal(got.residues[p], want.astype(np.uint64))
 
+    @pytest.mark.parametrize("classes", [1, 3])
+    def test_scalar_mul_sums_equal_the_per_term_path(self, chain, classes):
+        # the slow path the kernel replaced: one scalar_mul per term by the
+        # weight's residue column, folded by ring_add; both domains, levels
+        # 0, mid and top, residues 0 and q - 1 among random ones
+        rng = np.random.default_rng(28 + classes)
+        big = ring.MAX_WEIGHT - 1
+        for level in (0, 6, chain.max_level):
+            q = chain._q_col[: level + 1]
+            for domain in ring.Domain:
+                pairs = []
+                for _ in range(6):
+                    res = rng.integers(0, q, (2, level + 1, 1024), dtype=np.uint64)
+                    res[:, :, :3] = q - np.uint64(1)
+                    res[:, :, 3] = 0
+                    pairs.append(ring.RingElement(chain, level, res, domain))
+                # weights 0, ±1, ±(2^62 - 1) and one more, every column mixed
+                values = [0, 1, -1, big, -big, -(3 << 40)]
+                weights = np.array(
+                    [[values[(k + c) % 6] for c in range(classes)] for k in range(6)], np.int64
+                )
+                sums = ring.scalar_mul_sums(pairs, weights)
+                for c, got in enumerate(sums):
+                    want = None
+                    for el, w in zip(pairs, weights[:, c]):
+                        term = ring.scalar_mul(el, ring.constant_column(w, chain, level))
+                        want = term if want is None else ring.ring_add(want, term)
+                    assert (got.level, got.domain) == (level, domain)
+                    assert np.array_equal(got.residues, want.residues)
+
+    def test_scalar_mul_sums_exact_across_the_float_flush(self):
+        # 4097 terms on N = 32 cross the flush after 4096, at the edge of
+        # float64's exact integers. The base prime lies within 2^20 of
+        # 2^42, so on part 0, q - 1 has the high limb 2^21, which the
+        # weight -2^62, top limb -2^20, takes to exactly -2^53 over 4096
+        # terms. On part 1 the high limb is 2^21 - 1, and the weight
+        # 2^62 - 2^42 + 12345 has the top limb 2^20 - 1: odd products
+        # whose sum over all 4097 terms, past 2^53, would round in float64.
+        rp = make_params(32, (42, 41, 30))
+        q = rp._q_col
+        assert q[0, 0] > (1 << 42) - (1 << 20)
+        rng = np.random.default_rng(29)
+        d = 4097
+        assert ring._SUM_FLUSH == d - 1
+        pairs = []
+        for _ in range(d):
+            res = np.broadcast_to(q - np.uint64(1), (2, 3, 32)).copy()
+            res[1] = rng.integers(0, q, (3, 32), dtype=np.uint64)
+            res[1, 0] = q[0] - np.uint64(1 + (1 << 20)) - rng.integers(0, 1 << 19, 32, dtype=np.uint64)
+            pairs.append(ring.RingElement(rp, rp.max_level, res, ring.Domain.COEFFICIENT))
+        weights = np.empty((d, 3), np.int64)
+        weights[:, 0] = -ring.MAX_WEIGHT
+        weights[:, 1] = ring.MAX_WEIGHT - (1 << 42) + 12345
+        weights[:, 2] = rng.integers(-ring.MAX_WEIGHT, ring.MAX_WEIGHT, d, endpoint=True)
+        sums = ring.scalar_mul_sums(pairs, weights)
+        cols = ring.constant_column(weights, rp, rp.max_level)
+        for c, got in enumerate(sums):
+            want = None
+            for el, col in zip(pairs, cols[:, c]):
+                term = ring.scalar_mul(el, col)
+                want = term if want is None else ring.ring_add(want, term)
+            assert np.array_equal(got.residues, want.residues)
+
     def test_scalar_mul_sums_reject_bad_input(self, chain):
         el = ring.zero(chain, 2, ring.Domain.EVALUATION)
         two = pair_with_zero(el)
-        q = chain._q_col[:3]
-        cols = np.zeros((2, 1, 3, 1), np.uint64)
+        w = np.zeros((2, 1), np.int64)
+        cap = ring.MAX_WEIGHT
         bad = [
-            ([], cols[:0]),
-            ([two, el], cols),
-            ([two, pair_with_zero(ring.zero(chain, 1, ring.Domain.EVALUATION))], cols),
-            ([two, pair_with_zero(ring.ntt_inverse(el))], cols),
-            ([two] * 2, cols[:1]),
-            ([two] * 2, cols[:, :, :2]),
-            ([two] * 2, cols.astype(np.int64)),
-            ([two] * 2, cols + q[None, None]),
+            ([], w[:0]),
+            ([two, el], w),
+            ([two, pair_with_zero(ring.zero(chain, 1, ring.Domain.EVALUATION))], w),
+            ([two, pair_with_zero(ring.ntt_inverse(el))], w),
+            ([two] * 2, w[:1]),
+            ([two] * 2, w[:, 0]),
+            ([two] * 2, w[:, :, None]),
+            ([two] * 2, w.astype(np.float64)),
+            ([two] * 2, w.astype(np.uint64)),
+            ([two] * 2, w.tolist()),
+            ([two] * 2, w + (cap + 1)),
+            ([two] * 2, w - (cap + 1)),
+            ([two] * 2, w + np.iinfo(np.int64).min),
         ]
-        for els, c in bad:
+        for els, weights in bad:
             with pytest.raises(ValueError):
-                ring.scalar_mul_sums(els, c)
+                ring.scalar_mul_sums(els, weights)
         n = ring.MAX_SUM_TERMS + 1
         with pytest.raises(ValueError, match="terms outside"):
-            ring.scalar_mul_sums([two] * n, np.broadcast_to(cols[:1], (n, 1, 3, 1)))
+            ring.scalar_mul_sums([two] * n, np.broadcast_to(w[:1], (n, 1)))
 
     def test_bad_columns_rejected(self, chain):
         el = ring.zero(chain, 2, ring.Domain.EVALUATION)
@@ -681,12 +752,53 @@ class TestKeySwitchKernels:
     ring: four 42-bit special primes ahead of the 13-prime N=1024 chain."""
 
     @pytest.fixture(scope="class")
-    def rings(self):
-        params = scheme.param_gen(
+    def params(self):
+        return scheme.param_gen(
             128, 512, neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead())),
             scale_bits=40, allow_insecure=True,
         )
+
+    @pytest.fixture(scope="class")
+    def rings(self, params):
         return params.ring, params.key_ring
+
+    def test_mod_up_equals_the_full_conversion_every_level(self, params):
+        # each digit's ModUp into P ∪ Q_l, with its own rows taken from the
+        # Evaluation input, against the NTT of the conversion of every row,
+        # at every level of the 13-prime chain; and on the CRT gadget's
+        # chain (k = 0, a digit per prime)
+        rng = np.random.default_rng(44)
+        for ps in (params, gadget_params()):
+            chain, key, k = ps.ring, ps.key_ring, ps.special_count
+            n = chain.ring_degree
+            for level in range(chain.level_count) if ps is params else (1, chain.max_level):
+                q = chain._q_col[: level + 1]
+                x = rng.integers(0, q, (level + 1, n), dtype=np.uint64)
+                x[:, :2] = q - np.uint64(1)
+                c2 = ring.RingElement(chain, level, x, ring.Domain.COEFFICIENT)
+                d2 = ring.ntt_forward(c2)
+                for conv in ps.mod_up[level]:
+                    got = ring.mod_up(c2, d2, conv, k + level)
+                    want = ring.ntt_forward(ring.base_convert(c2, conv, k + level))
+                    assert (got.params, got.level, got.domain) == (
+                        key, k + level, ring.Domain.EVALUATION,
+                    )
+                    assert np.array_equal(got.residues, want.residues)
+
+    def test_mod_up_rejects_bad_input(self, params):
+        chain, key = params.ring, params.key_ring
+        c2 = ring.sample_uniform(chain, 5, np.random.default_rng(45))
+        d2, c2 = c2, ring.ntt_inverse(c2)
+        conv = params.mod_up[5][0]
+        bad = [
+            (d2, d2), (c2, c2), (c2, ring.drop_level(d2, 4)),
+            (pair_with_zero(c2), pair_with_zero(d2)),
+        ]
+        for a, a_eval in bad:
+            with pytest.raises(ValueError):
+                ring.mod_up(a, a_eval, conv, key.max_level)
+        with pytest.raises(ValueError, match="does not fit"):
+            ring.mod_up(c2, d2, conv, key.max_level + 1)
 
     def test_base_convert_is_the_centred_sum(self, rings):
         chain, key = rings
@@ -872,9 +984,9 @@ class TestPairs:
     def test_weighted_and_key_sums_match_per_part(self, chain):
         rng = np.random.default_rng(64)
         for level, x, y, one in self.levels(chain, 65):
-            q = chain._q_col[: level + 1]
-            cols = rng.integers(0, q, (2, 3) + q.shape, dtype=np.uint64)
-            sums = ring.scalar_mul_sums([x, y], cols)
+            weights = rng.integers(-ring.MAX_WEIGHT, ring.MAX_WEIGHT, (2, 3), endpoint=True)
+            cols = ring.constant_column(weights, chain, level)
+            sums = ring.scalar_mul_sums([x, y], weights)
             for c, got in enumerate(sums):
                 self.same(got, [
                     ring.ring_add(*(ring.scalar_mul(el, w) for el, w in zip(ab, cols[:, c])))

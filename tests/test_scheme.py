@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hnn import encoding, neural, ring, scheme
+from hnn import encoding, neural, ring, scheme, serialize
 from hnn.errors import (
     CryptoStateError,
     InsecureParameterError,
@@ -218,6 +218,30 @@ class TestKeygen:
             )
             signed, _ = ring.compose_signed(ring.ntt_inverse(residual))
             assert max(abs(int(v)) for v in signed) < 6 * scheme.ERR_STD
+
+    def test_pk_spectra_are_derived_on_the_first_encryption(self, small_params, monkeypatch):
+        # keygen and a pk load leave the spectra underived; the first
+        # encryption derives them once, and the bytes are those of a key
+        # whose spectra came first
+        calls = []
+        derive = ring.fft_spectra
+        monkeypatch.setattr(ring, "fft_spectra", lambda a: calls.append(a) or derive(a))
+        keys = scheme.keygen(small_params, np.random.default_rng(6))
+        pk = serialize.public_key_from_bytes(
+            serialize.public_key_to_bytes(keys.pk), small_params
+        )
+        assert calls == []
+        eager = scheme.PublicKey(small_params, keys.pk.pair)
+        assert np.array_equal(eager.spectra, derive(keys.pk.pair))
+        assert len(calls) == 1
+        v = np.linspace(-1.0, 1.0, small_params.slot_capacity)
+        pt = encoding.encode(v, small_params.scale, small_params.ring)
+        for _ in range(2):
+            got = scheme.encrypt(pk, pt, np.random.default_rng(7))
+            want = scheme.encrypt(eager, pt, np.random.default_rng(7))
+            assert np.array_equal(got.parts.residues, want.parts.residues)
+        assert len(calls) == 2
+        assert pk.spectra is pk.spectra
 
 
 class TestEncryptDecrypt:
