@@ -57,17 +57,9 @@ def _read_blob(path):
 
 
 def _model_meta(args_model):
-    model, head, meta, prov = serialize.model_from_text(
-        open(args_model).read()
-    )
-    cfg = approx.SoftmaxConfig(
-        temperature=head.temperature,
-        class_count=head.class_count,
-        radius=meta["radius"],
-        exp_degree=meta["exp_degree"],
-        inv_iterations=meta["inv_iterations"],
-    )
-    return model, head, cfg, prov
+    with open(args_model) as fh:
+        model, head, meta, prov = serialize.model_from_text(fh.read())
+    return model, head, neural.head_config(head, **meta), prov
 
 
 # ---------------------------------------------------------------------------

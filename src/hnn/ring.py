@@ -18,9 +18,9 @@ no correction (Harvey, J. Symb. Comp. 2014, less the correction).
 A per-prime scalar (a constant's c mod q_j, an evaluation key's P*E_i,
 composition's M_j^-1) is a (level+1, 1) residue column, which
 scalar_mul and scalar_add apply to a whole element. Key switching's
-kernels, mul_sums (elements times key pairs) and base_convert (a fast
-base conversion of some rows to another chain's primes; mod_up, the
-same into the Evaluation domain, converts only the rows of other
+kernels, mul_sums (elements times key pairs) and _convert (a fast
+base conversion of some rows to another chain's primes, fixed once as
+a Conversion; mod_up, a digit's ModUp, converts only the rows of other
 primes), add lazy products up through one lazy-sum loop. Like the
 reduction of large integers (from_int_coeffs, constant_column), its one
 final reduction of the sums divides. scalar_mul_sums, the linear
@@ -577,12 +577,9 @@ def _pass_buffers(block: np.ndarray):
 
 def _table_rows(rows, chunk: slice):
     """The table rows of a pass over the block rows ``chunk``, where rows
-    is the table row of the block's first row, the slice of table rows
-    the block holds, or an increasing index array of the table row of
-    each: a slice (views of the tables) while they run consecutively,
-    else the index array (a gather)."""
-    if isinstance(rows, slice):
-        rows = rows.start
+    is the table row of the block's first row or an increasing index
+    array of the table row of each: a slice (views of the tables) while
+    they run consecutively, else the index array (a gather)."""
     if isinstance(rows, (int, np.integer)):
         return slice(rows + chunk.start, rows + chunk.stop)
     r = rows[chunk]
@@ -594,8 +591,7 @@ def _table_rows(rows, chunk: slice):
 def _ntt_forward_block(block: np.ndarray, tb: _NttTables, rows) -> np.ndarray:
     """Forward NTT of a (parts, k, N) block of Coefficient residues, every
     part alike, whose rows are the chain rows that ``rows`` gives (see
-    _table_rows): k rows from a first row or a slice's start, or those
-    of an index array."""
+    _table_rows): k rows from a first row, or those of an index array."""
     out = np.empty_like(block)
     for parts, chunk in _passes(*block.shape):
         x, (x_lo, x_hi), (even, odd), (lo, hi, t), f, e = _pass_buffers(block[parts, chunk])
@@ -903,42 +899,49 @@ def mul_sums(xs, keys, base: RingElement = None) -> RingElement:
 
 class Conversion:
     """Constants of a centred fast base conversion (Bajard et al., SAC
-    2016) from src's primes ``rows`` (q_j, S of them, product D) to dst's
-    primes [:level+1] (t, T of them): inv = (D/q_j)^-1 mod q_j as an
-    (S, 1) column, and w, an (S + 1, T, 1) block of D/q_j mod t for each
-    source prime and, last, -D mod t (one array, as a parameter set holds
-    some 40 conversions and each array costs a header); a lower level
-    reads the targets' row prefix. rows is a slice, or a sequence of
-    increasing rows (P's and a top row), kept as an index array."""
+    2016) from src's primes ``rows`` (q_j, S of them, product D; a slice
+    or increasing ints, kept as an int64 index array) to dst's primes
+    [:level+1] (t, T of them), fixed once: ``lead``, how many rows open
+    src's chain (0 for q_l, k for P and P*q_l); ``own``, the targets'
+    rows of those source primes they hold, in source order (a ModUp
+    digit's rows in P ∪ Q); inv = (D/q_j)^-1 mod q_j as an (S, 1)
+    column; and w, an (S + 1, T, 1) block of D/q_j mod t for each source
+    prime and, last, -D mod t (one array, as a parameter set holds some
+    40 conversions and each array costs a header). A lower level reads
+    the targets' row prefix."""
 
-    __slots__ = ("src", "rows", "dst", "level", "inv", "w")
+    __slots__ = ("src", "rows", "dst", "level", "lead", "own", "inv", "w")
 
     def __init__(self, src: RingParams, rows, dst: RingParams, level: int):
-        if not isinstance(rows, slice):
-            rows = np.array(rows, dtype=np.int64)
-        self.src, self.rows, self.dst, self.level = src, rows, dst, level
-        index = self.index
-        if not index or index[-1] >= src.level_count or index != sorted(set(index)):
-            raise ValueError(f"conversion rows {index} are not increasing rows of the source")
+        if isinstance(rows, slice):
+            rows = range(src.level_count)[rows]
+        index = [int(i) for i in rows]
+        if not index or index != sorted(set(index) & set(range(src.level_count))):
+            raise ValueError(f"conversion rows {index} are not increasing source rows")
         primes = [src.moduli[i] for i in index]
         targets = dst.moduli[: level + 1]
+        self.src, self.rows, self.dst, self.level = src, np.array(index, np.int64), dst, level
+        # index[i] == i holds for every i below the first gap
+        self.lead = sum(i == j for j, i in enumerate(index))
+        self.own = np.array([targets.index(q) for q in primes if q in targets], np.int64)
         d = math.prod(primes)
         self.inv = np.array([[pow(d // q % q, -1, q)] for q in primes], dtype=np.uint64)
         self.w = np.array([[[d // q % t] for t in targets] for q in primes]
                           + [[[-d % t] for t in targets]], np.uint64)
 
-    @property
-    def index(self) -> list:
-        """The source rows, as ints."""
-        if isinstance(self.rows, slice):
-            return list(range(self.src.level_count)[self.rows])
-        return self.rows.tolist()
-
 
 def _convert(x: np.ndarray, conv: Conversion, t) -> np.ndarray:
-    """The (..., S, N) Coefficient residues x of conv's source rows,
-    converted to conv.dst's primes t, a slice of [:conv.level+1] or an
-    index array into it (see :func:`base_convert`)."""
+    """The (..., S, N) Coefficient residues x of conv's source rows, read
+    as one integer x mod D, converted to conv.dst's primes t, a slice of
+    [:conv.level+1] or an index array into it: sum_j y_j*(D/q_j) mod t
+    with y_j = x_j*(D/q_j)^-1 mod q_j centred into (-q_j/2, q_j/2], which
+    is x + u*D for an integer |u| <= S/2 (Bajard et al., SAC 2016).
+
+    Each y_j - q_j that centring takes adds -D, so the v of them add
+    v*(-D mod t); with the S lazy products in [0, 2t) the sum stays below
+    3S*2^42, and one remainder by t finishes it. With one source prime
+    it is the exact centred lift of that row; mod a source prime, x's row.
+    """
     q_src, q_col = _tables(conv.src).q[conv.rows], conv.src._q_col[conv.rows]
     inv_q = _quotient(conv.inv, q_col)
     y = _reduce(_mul(x, conv.inv, inv_q, q_src, *_scratch(x.shape)), q_src)
@@ -949,47 +952,25 @@ def _convert(x: np.ndarray, conv: Conversion, t) -> np.ndarray:
     return _lazy_sum(v[..., None, :] * neg_d, terms, _tables(conv.dst).q[t], q_dst)
 
 
-def _check_conversion(a: RingElement, conv: Conversion, level: int):
-    if a.domain != Domain.COEFFICIENT:
-        raise ValueError("a base conversion expects the Coefficient domain")
-    if a.params != conv.src or conv.index[-1] > a.level or level > conv.level:
-        raise ValueError(f"conversion does not fit level {a.level} -> {level}")
-
-
-def base_convert(a: RingElement, conv: Conversion, level: int) -> RingElement:
-    """a's Coefficient rows conv.rows, read as one integer x mod D, to
-    conv.dst's primes [:level+1], level <= conv.level: sum_j y_j*(D/q_j)
-    mod t with y_j = x_j*(D/q_j)^-1 mod q_j centred into (-q_j/2, q_j/2],
-    which is x + u*D for an integer |u| <= S/2 (Bajard et al., SAC 2016).
-
-    Each y_j - q_j that centring takes adds -D, so the v of them add
-    v*(-D mod t); with the S lazy products in [0, 2t) the sum stays below
-    3S*2^42, and one remainder by t finishes it. With one source prime
-    it is the exact centred lift of that row.
-    """
-    _check_conversion(a, conv, level)
-    out = _convert(a.residues[conv.rows], conv, slice(0, level + 1))
-    return RingElement(conv.dst, level, out, Domain.COEFFICIENT)
-
-
 def mod_up(a: RingElement, a_eval: RingElement, conv: Conversion, level: int) -> RingElement:
-    """ntt_forward(base_convert(a, conv, level)) for a one-part a, given
-    a_eval = ntt_forward(a). Mod a source prime the conversion is a's own
-    row, so only the rows of the other primes are converted and
-    transformed, in one kernel call on their index array; the source
-    primes' rows are a_eval's."""
-    _check_conversion(a, conv, level)
+    """ModUp of a digit: ntt_forward of _convert of a one-part Coefficient
+    a's rows conv.rows to conv.dst's primes [:level+1], level <=
+    conv.level, given a_eval = ntt_forward(a). The source primes, targets
+    at or below ``level``, take a_eval's rows at conv.own; only the other
+    rows are converted and transformed, in one kernel call."""
     if (
-        a.parts_shape or a_eval.domain != Domain.EVALUATION
+        a.domain != Domain.COEFFICIENT or a.parts_shape or a_eval.domain != Domain.EVALUATION
         or a_eval.params != a.params or a_eval.level != a.level
     ):
-        raise ValueError("mod_up expects a one-part element and its Evaluation form")
-    row_of = {a.params.moduli[i]: i for i in conv.index}
-    targets = conv.dst.moduli[: level + 1]
-    own = [t for t, p in enumerate(targets) if p in row_of]
-    rest = np.array([t for t, p in enumerate(targets) if p not in row_of], np.int64)
+        raise ValueError("mod_up expects a one-part Coefficient element and its Evaluation form")
+    if (
+        a.params != conv.src or conv.rows[-1] > a.level or level > conv.level
+        or len(conv.own) < len(conv.rows) or conv.own.max() > level
+    ):
+        raise ValueError(f"conversion does not fit level {a.level} -> {level}")
     out = np.empty((level + 1, a.params.ring_degree), np.uint64)
-    out[own] = a_eval.residues[[row_of[targets[t]] for t in own]]
+    out[conv.own] = a_eval.residues[conv.rows]
+    rest = np.delete(np.arange(level + 1), conv.own)
     if len(rest):
         y = _convert(a.residues[conv.rows], conv, rest)
         out[rest] = _ntt_forward_block(y[None], _tables(conv.dst), rest)[0]
@@ -1000,7 +981,7 @@ def divisor(src: RingParams, rows, dst: RingParams, level: int) -> tuple:
     """(conv, d_inv) for :func:`divide`: the conversion of src's primes
     ``rows`` (product D) to dst's [:level+1], and D^-1 mod those."""
     conv = Conversion(src, rows, dst, level)
-    d = math.prod(src.moduli[i] for i in conv.index)
+    d = math.prod(src.moduli[i] for i in conv.rows.tolist())
     inv = np.array([[pow(d, -1, q)] for q in dst.moduli[: level + 1]], np.uint64)
     return conv, inv
 
@@ -1010,22 +991,20 @@ def divide(x: RingElement, conv: Conversion, d_inv: np.ndarray) -> RingElement:
     product of its rows conv.rows, with rounding, returned in the
     Evaluation domain: (x_keep - lift) * D^-1 for lift = conv's centred
     lift of x_drop, x mod D (Cheon et al., SAC 2018). The kept rows run
-    in one block: the dropped ones are a prefix (ModDown's P), the top
-    row (a rescale's q_l; the lift is exact) or both (a product's P*q_l).
-    All parts go through one NTT kernel call each way: for an Evaluation
-    x, INTT(x_drop), on the dropped rows of x's tables, and NTT(lift);
-    for a Coefficient x, none and NTT of the quotient."""
+    in one block: the dropped ones are conv.lead rows that open x
+    (ModDown's P), x's top rows (a rescale's q_l; the lift is exact) or
+    both (a product's P*q_l). All parts go through one NTT kernel call
+    each way: for an Evaluation x, INTT(x_drop) on x's tables' dropped
+    rows and NTT(lift); for a Coefficient x, NTT of the quotient alone."""
     if len(x.parts_shape) != 1:
         raise ValueError("divide expects an element with one parts axis")
-    drop, top = conv.index, x.level + 1
-    lead = 0  # the dropped prefix; the other dropped rows must end x
-    while lead < len(drop) and drop[lead] == lead:
-        lead += 1
-    keep = slice(lead, top - len(drop) + lead)
-    level = keep.stop - keep.start - 1
+    drop, lead, top = len(conv.rows), conv.lead, x.level + 1
+    level = top - drop - 1
+    keep = slice(lead, lead + level + 1)
     if (
-        x.params != conv.src or drop[lead:] != list(range(keep.stop, top))
-        or not 0 <= level <= conv.level or x.moduli[keep] != conv.dst.moduli[: level + 1]
+        x.params != conv.src or not 0 <= level <= conv.level
+        or (lead < drop and (conv.rows[lead] != keep.stop or conv.rows[-1] != top - 1))
+        or x.moduli[keep] != conv.dst.moduli[: level + 1]
     ):
         raise ValueError(f"division does not fit level {x.level}")
     evaluation = x.domain == Domain.EVALUATION
@@ -1200,13 +1179,6 @@ def ternary_coeffs(n: int, hamming_weight: int, rng: np.random.Generator) -> np.
     return coeffs
 
 
-def sample_ternary(
-    params: RingParams, level: int, hamming_weight: int, rng: np.random.Generator
-) -> RingElement:
-    """:func:`ternary_coeffs` as a Coefficient element."""
-    return from_int_coeffs(ternary_coeffs(params.ring_degree, hamming_weight, rng), params, level)
-
-
 def gaussian_coeffs(n: int, std: float, rng: np.random.Generator, tail_bound=None) -> np.ndarray:
     """N int64 coefficients rounded from N(0, std^2).
 
@@ -1219,13 +1191,6 @@ def gaussian_coeffs(n: int, std: float, rng: np.random.Generator, tail_bound=Non
     while tail_bound is not None and np.any(bad := np.abs(np.rint(g)) >= tail_bound * std):
         g[bad] = rng.normal(0.0, std, int(bad.sum()))
     return np.rint(g).astype(np.int64)
-
-
-def sample_gaussian(
-    params: RingParams, level: int, std: float, rng: np.random.Generator, tail_bound=None
-) -> RingElement:
-    """:func:`gaussian_coeffs` as a Coefficient element."""
-    return from_int_coeffs(gaussian_coeffs(params.ring_degree, std, rng, tail_bound), params, level)
 
 
 # ---------------------------------------------------------------------------

@@ -422,15 +422,16 @@ def keygen(params: SchemeParams, rng: np.random.Generator) -> KeyMaterial:
     """
     rp, kr, k = params.ring, params.key_ring, params.special_count
     lv, top = rp.max_level, kr.max_level
-    s_coeff = ring.sample_ternary(rp, lv, params.secret_weight, rng)
+    s_int = ring.ternary_coeffs(rp.ring_degree, params.secret_weight, rng)
+    s_coeff = ring.from_int_coeffs(s_int, rp, lv)
     s = ring.ntt_forward(s_coeff)
     s_key = ring.mod_up(s_coeff, s, params.mod_up[0][0], top)
 
     def masked(a, secret, m=None):
         """The pair (-a*secret + e + m, a) for a fresh key error e; m = None
         is zero."""
-        e = ring.sample_gaussian(a.params, a.level, ERR_STD, rng, tail_bound=KEY_ERR_TAIL)
-        e = ring.ntt_forward(e)
+        e = ring.gaussian_coeffs(a.params.ring_degree, ERR_STD, rng, KEY_ERR_TAIL)
+        e = ring.ntt_forward(ring.from_int_coeffs(e, a.params, a.level))
         b = ring.ring_sub(e if m is None else ring.ring_add(e, m), ring.ring_mul(a, secret))
         return ring.pair(b, a)
 

@@ -340,21 +340,34 @@ def rescale_lift(pair):
 
 def mod_down_parts(pair, params, level):
     """ModDown of each part of a pair over P ∪ Q_level on its own: an
-    inverse NTT of its k special-prime rows, their fast base conversion
-    to Q_level, a forward NTT, the difference with its Q_level rows and
-    the product by P^-1: the slow path of ring.divide by the special
-    primes."""
+    inverse NTT of its k special-prime rows, their centred fast base
+    conversion to Q_level in Python integers (centred_sum), a forward
+    NTT, the difference with its Q_level rows and the product by P^-1:
+    the slow path of ring.divide by the special primes."""
     rp, kr, k = params.ring, params.key_ring, params.special_count
     big_p = math.prod(kr.moduli[:k])
     p_inv = np.array([[pow(big_p, -1, q)] for q in rp.moduli[: level + 1]], np.uint64)
-    conv = ring.Conversion(kr, slice(0, k), rp, level)
     out = []
     for x in split(pair):
         x_p = ring.ntt_inverse(ring.RingElement(kr, k - 1, x.residues[:k], x.domain))
-        lift = ring.ntt_forward(ring.base_convert(x_p, conv, level))
+        lift = centred_sum(x_p.residues, kr.moduli[:k])
+        lift = ring.ntt_forward(ring.from_int_coeffs(lift, rp, level))
         x_q = ring.RingElement(rp, level, x.residues[k:], x.domain)
         out.append(ring.scalar_mul(ring.ring_sub(x_q, lift), p_inv))
     return out
+
+
+def centred_sum(rows, primes):
+    """The centred fast base conversion of the (S, N) residues ``rows``
+    mod ``primes`` (product D), in Python integers: sum_j y_j*(D/q_j) with
+    y_j = x_j*(D/q_j)^-1 mod q_j centred into (-q_j/2, q_j/2], an object
+    array of N integers, each x mod D plus u*D for some |u| <= S/2."""
+    d = math.prod(primes)
+    total = np.zeros(rows.shape[-1], dtype=object)
+    for row, q in zip(rows.astype(object), primes):
+        y = row * pow(d // q % q, -1, q) % q
+        total += np.where(y > q // 2, y - q, y) * (d // q)
+    return total
 
 
 def gadget_params():
@@ -444,9 +457,14 @@ def encrypt_four_ntt(pk, pt, rng):
     params = pk.scheme
     rp = params.ring
     lv = rp.max_level
-    u = ring.ntt_forward(ring.sample_ternary(rp, lv, params.secret_weight, rng))
-    e0 = ring.ntt_forward(ring.sample_gaussian(rp, lv, scheme.ERR_STD, rng))
-    e1 = ring.ntt_forward(ring.sample_gaussian(rp, lv, scheme.ERR_STD, rng))
+    n = rp.ring_degree
+    u, e0, e1 = (
+        ring.ntt_forward(ring.from_int_coeffs(c, rp, lv)) for c in (
+            ring.ternary_coeffs(n, params.secret_weight, rng),
+            ring.gaussian_coeffs(n, scheme.ERR_STD, rng),
+            ring.gaussian_coeffs(n, scheme.ERR_STD, rng),
+        )
+    )
     m = ring.ntt_forward(pt.poly)
     b, a = split(pk.pair)
     c0 = ring.ring_add(ring.ring_add(ring.ring_mul(b, u), e0), m)
@@ -467,7 +485,7 @@ def fft_mul_two_step(a, spectra, u, m, e0, e1):
 
 
 def gaussian_draws(n, std, rng, tail_bound):
-    """sample_gaussian's draw sequence, written out: N normals, then
+    """gaussian_coeffs' draw sequence, written out: N normals, then
     every coefficient that rounds to tail_bound*std or beyond drawn again
     until none does."""
     g = rng.normal(0.0, std, n)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import math
 import os
@@ -1091,6 +1092,23 @@ class TestCliCommands:
             "params", "--slots", "4", "--depth", "25", "--scale-bits", "40",
             "--allow-insecure", "-o", str(out),
         ) == 0
+
+    def test_calibrate_closes_the_model_file(self, tmp_path):
+        # an unclosed file warns when it is collected, which python -X dev
+        # shows; calibrate and infer read the model through one helper
+        data = neural.two_blob_dataset(16, 2, np.random.default_rng(3))
+        csv = tmp_path / "d.csv"
+        np.savetxt(csv, np.column_stack([data.features, data.labels]), delimiter=",")
+        model_file = tmp_path / "m.txt"
+        model_file.write_text(_model_text())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.run(
+                "calibrate", "--model", str(model_file), "--data", str(csv),
+                "--out", str(tmp_path / "out.txt"),
+            ) == 0
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     @pytest.mark.parametrize("command", ["train", "calibrate"])
     @pytest.mark.parametrize("label", ["1.5", "nan", "-1"])

@@ -9,6 +9,7 @@ from hnn import neural, ring, scheme
 from hnn.errors import ParameterError
 
 from helpers import (
+    centred_sum,
     divided_by_python_ints,
     fft_mul_two_step,
     find_ntt_primes_quadratic,
@@ -540,25 +541,88 @@ class TestDivisionFreeKernels:
 
     def test_one_prime_conversion_is_the_centred_lift_every_level(self):
         # the lift of a rescale: the top row centred in Python integers,
-        # reduced mod every prime below it
+        # so that a Coefficient pair divided by q_top is (x_j - top) *
+        # q_top^-1 mod every prime q_j below it
         chain = make_params(64, [42] + [41] * 16)
         rng = np.random.default_rng(23)
         for level in range(1, chain.level_count):
             q = chain._q_col[: level + 1]
-            res = rng.integers(0, q, (level + 1, 64), dtype=np.uint64)
+            res = rng.integers(0, q, (2, level + 1, 64), dtype=np.uint64)
             # the centring boundary q//2 -> itself, q//2 + 1 -> negative
-            res[:, 0] = q[:, 0] // np.uint64(2)
-            res[:, 1] = q[:, 0] // np.uint64(2) + np.uint64(1)
-            res[:, 2] = q[:, 0] - np.uint64(1)
-            res[:, 3] = 0
+            res[0, :, 0] = q[:, 0] // np.uint64(2)
+            res[0, :, 1] = q[:, 0] // np.uint64(2) + np.uint64(1)
+            res[0, :, 2] = q[:, 0] - np.uint64(1)
+            res[0, :, 3] = 0
             el = ring.RingElement(chain, level, res, ring.Domain.COEFFICIENT)
             q_top = chain.moduli[level]
-            top = [int(c) - q_top if int(c) > q_top // 2 else int(c) for c in res[level]]
-            assert top[:2] == [q_top // 2, -(q_top // 2)]
-            conv = ring.Conversion(chain, slice(level, level + 1), chain, level - 1)
-            got = ring.base_convert(el, conv, level - 1)
-            want = [[c % qj for c in top] for qj in chain.moduli[:level]]
-            assert got.residues.tolist() == want
+            tops = [[c - q_top if c > q_top // 2 else c for c in x[level].tolist()] for x in res]
+            assert tops[0][:2] == [q_top // 2, -(q_top // 2)]
+            conv, d_inv = ring.divisor(chain, slice(level, level + 1), chain, level - 1)
+            got = ring.ntt_inverse(ring.divide(el, conv, d_inv))
+            for part, x, top in zip(got.residues, res, tops):
+                want = [
+                    [(c - t) * pow(q_top, -1, qj) % qj for c, t in zip(row, top)]
+                    for row, qj in zip(x.tolist(), chain.moduli[:level])
+                ]
+                assert part.tolist() == want
+
+
+class TestConversionRows:
+    """Every conversion SchemeParams builds holds the row facts that
+    divide and mod_up once derived on each call, fixed when it is built:
+    its rows as an int64 index array, lead and own, against those per-call
+    derivations written out here, on the N = 32 test ring (k = 2), the
+    default head's N = 1024 ring (k = 4) and a CRT gadget set (k = 0)."""
+
+    @pytest.fixture(scope="class", params=["n32", "n1024", "gadget"])
+    def params(self, request):
+        if request.param == "n32":
+            return request.getfixturevalue("small_params")
+        if request.param == "gadget":
+            params = scheme.param_gen(128, 4, 1)
+            assert params.special_count == 0
+            return params
+        depth = neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead()))
+        return scheme.param_gen(128, 512, depth, scale_bits=40, allow_insecure=True)
+
+    @staticmethod
+    def lead(rows):
+        """divide's: the dropped rows that open the chain."""
+        lead = 0
+        while lead < len(rows) and rows[lead] == lead:
+            lead += 1
+        return lead
+
+    @staticmethod
+    def own(conv, level):
+        """mod_up's: the target rows [:level+1] that hold source primes,
+        and the source row of each."""
+        row_of = {conv.src.moduli[i]: i for i in conv.rows.tolist()}
+        targets = conv.dst.moduli[: level + 1]
+        own = [t for t, p in enumerate(targets) if p in row_of]
+        return own, [row_of[targets[t]] for t in own]
+
+    def test_lead_and_own_equal_the_per_call_derivation(self, params):
+        rp, k = params.ring, params.special_count
+        ups = {id(conv) for convs in params.mod_up for conv in convs}
+        assert len(ups) == rp.level_count
+        for lv in range(rp.level_count):
+            for d, conv in zip(params.digits(lv), params.mod_up[lv], strict=True):
+                rows = conv.rows.tolist()
+                assert conv.rows.dtype == np.int64 and rows == list(range(d.start, d.stop))
+                own, src_rows = self.own(conv, k + lv)
+                assert conv.own.tolist() == own and src_rows == rows
+                assert conv.lead == self.lead(rows)
+        divs = [(params.mod_down[0], list(range(k)))] if k else []
+        for lv in range(1, rp.level_count):
+            divs += [(params.rescale_div[lv][0], [lv])]
+            divs += [(params.mult_rescale_div[lv][0], [*range(k), k + lv])]
+            if not k:
+                assert params.mult_rescale_div[lv] is params.rescale_div[lv]
+        for conv, rows in divs:
+            assert conv.rows.dtype == np.int64 and conv.rows.tolist() == rows
+            assert conv.lead == self.lead(rows)
+            assert conv.own.tolist() == self.own(conv, conv.level)[0] == []
 
 
 class TestScalarKernels:
@@ -747,9 +811,10 @@ class TestScalarKernels:
 
 
 class TestKeySwitchKernels:
-    """base_convert against the centred sum formed in Python integers, and
-    mul_sums against ring_mul and ring_add, on the default head's key
-    ring: four 42-bit special primes ahead of the 13-prime N=1024 chain."""
+    """mod_up and divide against the centred sum formed in Python
+    integers, and mul_sums against ring_mul and ring_add, on the default
+    head's key ring: four 42-bit special primes ahead of the 13-prime
+    N=1024 chain."""
 
     @pytest.fixture(scope="class")
     def params(self):
@@ -762,31 +827,39 @@ class TestKeySwitchKernels:
     def rings(self, params):
         return params.ring, params.key_ring
 
+    @staticmethod
+    def residues(rp, shape, rng):
+        # random residues, with the extremes 0 and q - 1 in every row
+        q = rp._q_col[: shape[-2]]
+        x = rng.integers(0, q, shape, dtype=np.uint64)
+        x[..., :2] = q - np.uint64(1)
+        x[..., 2] = 0
+        return x
+
     def test_mod_up_equals_the_full_conversion_every_level(self, params):
         # each digit's ModUp into P ∪ Q_l, with its own rows taken from the
-        # Evaluation input, against the NTT of the conversion of every row,
-        # at every level of the 13-prime chain; and on the CRT gadget's
-        # chain (k = 0, a digit per prime)
+        # Evaluation input, against the NTT of the centred sum of the
+        # digit's rows, at every level of the 13-prime chain; and on the
+        # CRT gadget's chain (k = 0, a digit per prime)
         rng = np.random.default_rng(44)
         for ps in (params, gadget_params()):
             chain, key, k = ps.ring, ps.key_ring, ps.special_count
             n = chain.ring_degree
             for level in range(chain.level_count) if ps is params else (1, chain.max_level):
-                q = chain._q_col[: level + 1]
-                x = rng.integers(0, q, (level + 1, n), dtype=np.uint64)
-                x[:, :2] = q - np.uint64(1)
+                x = self.residues(chain, (level + 1, n), rng)
                 c2 = ring.RingElement(chain, level, x, ring.Domain.COEFFICIENT)
                 d2 = ring.ntt_forward(c2)
                 for conv in ps.mod_up[level]:
                     got = ring.mod_up(c2, d2, conv, k + level)
-                    want = ring.ntt_forward(ring.base_convert(c2, conv, k + level))
+                    total = centred_sum(x[conv.rows], [chain.moduli[i] for i in conv.rows])
+                    want = ring.ntt_forward(ring.from_int_coeffs(total, key, k + level))
                     assert (got.params, got.level, got.domain) == (
                         key, k + level, ring.Domain.EVALUATION,
                     )
                     assert np.array_equal(got.residues, want.residues)
 
     def test_mod_up_rejects_bad_input(self, params):
-        chain, key = params.ring, params.key_ring
+        chain, key, k = params.ring, params.key_ring, params.special_count
         c2 = ring.sample_uniform(chain, 5, np.random.default_rng(45))
         d2, c2 = c2, ring.ntt_inverse(c2)
         conv = params.mod_up[5][0]
@@ -799,56 +872,85 @@ class TestKeySwitchKernels:
                 ring.mod_up(a, a_eval, conv, key.max_level)
         with pytest.raises(ValueError, match="does not fit"):
             ring.mod_up(c2, d2, conv, key.max_level + 1)
+        # a digit above the element (rows 8-11 at level 5), a digit above
+        # the target level (row 12 into P ∪ Q_5), and conversions whose
+        # source primes are not all targets: a rescale's, and one prime
+        # of two
+        d12 = ring.sample_uniform(chain, 12, np.random.default_rng(46))
+        cases = [
+            (c2, d2, params.mod_up[12][2], key.max_level),
+            (ring.ntt_inverse(d12), d12, params.mod_up[12][-1], k + 5),
+            (c2, d2, params.rescale_div[5][0], 4),
+            (c2, d2, ring.Conversion(chain, [3, 5], chain, 4), 4),
+        ]
+        for a, a_eval, conv, level in cases:
+            with pytest.raises(ValueError, match="does not fit"):
+                ring.mod_up(a, a_eval, conv, level)
 
-    def test_base_convert_is_the_centred_sum(self, rings):
-        chain, key = rings
-        k = key.level_count - chain.level_count
+    def test_mod_up_and_divide_are_the_centred_sum(self, params):
+        chain, key, k = params.ring, params.key_ring, params.special_count
         rng = np.random.default_rng(41)
         # ModUp digits (a full one, the top prime alone, a short one at a
-        # low level) and ModDown from the special primes, top and bottom
-        cases = [
-            (chain, slice(4, 8), key, k + 12), (chain, slice(12, 13), key, k + 12),
-            (chain, slice(0, 3), key, k + 2), (key, slice(0, k), chain, 12),
-            (key, slice(0, k), chain, 0),
-        ]
-        for src, rows, dst, level in cases:
-            q_src = src._q_col[: rows.stop]
-            x = rng.integers(0, q_src, (rows.stop, 1024), dtype=np.uint64)
-            x[:, :2] = q_src - np.uint64(1)
-            x[:, 2] = 0
-            a = ring.RingElement(src, rows.stop - 1, x, ring.Domain.COEFFICIENT)
-            out = ring.base_convert(a, ring.Conversion(src, rows, dst, level), level)
-            assert (out.params, out.level, out.domain) == (dst, level, a.domain)
-            primes = src.moduli[rows]
-            d = math.prod(primes)
-            total = np.zeros(1024, dtype=object)
-            for row, q in zip(x[rows].astype(object), primes):
-                y = row * pow(d // q % q, -1, q) % q
-                total += np.where(y > q // 2, y - q, y) * (d // q)
+        # low level) and ModDown from the special primes, top and bottom;
+        # constants built for dst's whole chain serve every level
+        for rows, level in ((slice(4, 8), 12), (slice(12, 13), 12), (slice(0, 3), 2)):
+            primes = chain.moduli[rows]
+            x = self.residues(chain, (level + 1, 1024), rng)
+            total = centred_sum(x[rows], primes)
             # a lift of x mod D, off by at most S/2 multiples of D
             for row, q in zip(x[rows].astype(object), primes):
                 assert np.all(total % q == row)
+            d = math.prod(primes)
             assert max(abs(v) for v in total) <= len(primes) * d // 2
-            want = np.array([total % t for t in dst.moduli[: level + 1]])
-            assert np.array_equal(out.residues, want.astype(np.uint64))
-            # constants built for dst's whole chain serve every level
-            whole = ring.Conversion(src, rows, dst, dst.max_level)
-            assert np.array_equal(ring.base_convert(a, whole, level).residues, out.residues)
+            a = ring.RingElement(chain, level, x, ring.Domain.COEFFICIENT)
+            want = np.array([total % t for t in key.moduli[: k + level + 1]]).astype(np.uint64)
+            for top in (k + level, key.max_level):
+                conv = ring.Conversion(chain, rows, key, top)
+                out = ring.mod_up(a, ring.ntt_forward(a), conv, k + level)
+                assert (out.params, out.level, out.domain) == (key, k + level, ring.Domain.EVALUATION)
+                assert np.array_equal(ring.ntt_inverse(out).residues, want)
+        big_p = math.prod(key.moduli[:k])
+        for level in (12, 0):
+            x = self.residues(key, (2, k + level + 1, 1024), rng)
+            pair = ring.RingElement(key, k + level, x, ring.Domain.COEFFICIENT)
+            for top in (level, chain.max_level):
+                out = ring.divide(pair, *ring.divisor(key, slice(0, k), chain, top))
+                assert (out.params, out.level, out.domain) == (chain, level, ring.Domain.EVALUATION)
+                for got, part in zip(ring.ntt_inverse(out).residues, x):
+                    total = centred_sum(part[:k], key.moduli[:k])
+                    want = [
+                        (row.astype(object) - total) * pow(big_p, -1, q) % q
+                        for row, q in zip(part[k:], chain.moduli)
+                    ]
+                    assert np.array_equal(got, np.array(want).astype(np.uint64))
 
-    def test_base_convert_rejects_bad_input(self, rings):
-        chain, key = rings
-        for rows in ([3, 1], [2, 2], [], [0, 13]):
-            with pytest.raises(ValueError, match="increasing rows"):
+    def test_conversion_rejects_bad_input(self, params):
+        chain, key, k = params.ring, params.key_ring, params.special_count
+        for rows in ([3, 1], [2, 2], [], [0, 13], [-1], slice(5, 5)):
+            with pytest.raises(ValueError, match="increasing"):
                 ring.Conversion(chain, rows, key, 4)
-        conv = ring.Conversion(chain, slice(0, 2), key, 4)
+        conv = ring.Conversion(chain, slice(0, 2), key, k + 4)
+        a = ring.sample_uniform(chain, 1, np.random.default_rng(47))
         with pytest.raises(ValueError, match="Coefficient"):
-            ring.base_convert(ring.zero(chain, 1, ring.Domain.EVALUATION), conv, 4)
+            ring.mod_up(a, a, conv, k + 4)
         # source rows above the element, an element of another chain, or a
         # target level above the constants'
-        bad = ((ring.zero(chain, 0), 4), (ring.zero(key, 1), 4), (ring.zero(chain, 1), 5))
+        bad = ((ring.zero(chain, 0), k + 4), (ring.zero(key, 1), k + 4), (ring.zero(chain, 1), k + 5))
         for el, level in bad:
             with pytest.raises(ValueError, match="does not fit"):
-                ring.base_convert(el, conv, level)
+                ring.mod_up(el, ring.ntt_forward(el), conv, level)
+        # a division whose dropped rows past P are not the element's top
+        # rows: below them, with a gap, or beyond them (constants of the
+        # chain's whole length, so that the level fits; no D^-1 exists)
+        pair = ring.RingElement(
+            key, k + 5, np.zeros((2, k + 6, 1024), np.uint64), ring.Domain.EVALUATION,
+        )
+        d_inv = np.ones((chain.level_count, 1), np.uint64)
+        for tail in ([k + 3], [k + 3, k + 5], [k + 4, k + 6]):
+            conv = ring.Conversion(key, [*range(k), *tail], chain, chain.max_level)
+            with pytest.raises(ValueError, match="does not fit"):
+                ring.divide(pair, conv, d_inv)
+        assert ring.divide(pair, *ring.divisor(key, [*range(k), k + 5], chain, 4)).level == 4
 
     def test_chain_tables_are_rows_of_the_key_ring_tables(self, rings):
         chain, key = rings
@@ -1179,7 +1281,7 @@ class TestProductDivision:
         rng = np.random.default_rng(57)
         for level in range(1, rp.level_count):
             consts = params.mult_rescale_div[level]
-            assert list(consts[0].index) == [*range(k), k + level]
+            assert consts[0].rows.tolist() == [*range(k), k + level]
             if k == 0:
                 assert consts is params.rescale_div[level]
             pair = TestDivide.pair(kr, k + level, rng)
@@ -1444,52 +1546,37 @@ class TestSchoolbook:
 
 class TestSamplers:
     def test_ternary_weight_exact(self):
-        params = make_params(64)
         rng = np.random.default_rng(4)
-        el = ring.sample_ternary(params, 0, 32, rng)
-        signed = np.where(
-            el.residues[0] > params.moduli[0] // 2,
-            el.residues[0].astype(np.int64) - params.moduli[0],
-            el.residues[0].astype(np.int64),
-        )
-        assert np.sum(signed != 0) == 32
-        assert set(np.unique(signed)) <= {-1, 0, 1}
+        coeffs = ring.ternary_coeffs(64, 32, rng)
+        assert coeffs.dtype == np.int64 and coeffs.shape == (64,)
+        assert np.sum(coeffs != 0) == 32
+        assert set(np.unique(coeffs)) <= {-1, 0, 1}
 
     def test_ternary_weight_bounds(self):
-        params = make_params(8, (17,))
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError):
-            ring.sample_ternary(params, 0, 9, rng)
+            ring.ternary_coeffs(8, 9, rng)
         with pytest.raises(ValueError):
-            ring.sample_ternary(params, 0, 0, rng)
+            ring.ternary_coeffs(8, 0, rng)
 
     def test_gaussian_empirical_mean(self):
         # mean of 1e5 signed draws within 5*sigma/sqrt(1e5) of zero
-        params = make_params(64)
         rng = np.random.default_rng(6)
         sigma = 3.2
-        draws = []
-        for _ in range(100_000 // 64):
-            el = ring.sample_gaussian(params, 0, sigma, rng)
-            signed = np.where(
-                el.residues[0] > params.moduli[0] // 2,
-                el.residues[0].astype(np.int64) - params.moduli[0],
-                el.residues[0].astype(np.int64),
-            )
-            draws.append(signed)
+        draws = [ring.gaussian_coeffs(64, sigma, rng) for _ in range(100_000 // 64)]
         flat = np.concatenate(draws).astype(np.float64)
         assert abs(flat.mean()) < 5 * sigma / np.sqrt(len(flat))
 
     def test_fixed_seed_reproduces(self):
         params = make_params(64)
         for sampler in (
-            lambda r: ring.sample_uniform(params, 1, r),
-            lambda r: ring.sample_ternary(params, 1, 16, r),
-            lambda r: ring.sample_gaussian(params, 1, 3.2, r),
+            lambda r: ring.sample_uniform(params, 1, r).residues,
+            lambda r: ring.ternary_coeffs(64, 16, r),
+            lambda r: ring.gaussian_coeffs(64, 3.2, r),
         ):
             a = sampler(np.random.default_rng(99))
             b = sampler(np.random.default_rng(99))
-            assert np.array_equal(a.residues, b.residues)
+            assert np.array_equal(a, b)
 
     def test_gaussian_keygen_draws_unchanged(self):
         # keygen's tail-bounded errors are gaussian_coeffs reduced, with
@@ -1498,7 +1585,8 @@ class TestSamplers:
         params = make_params(64, [42, 41])
         for tail in (scheme.KEY_ERR_TAIL, 0.5):
             rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-            el = ring.sample_gaussian(params, 1, scheme.ERR_STD, rng, tail_bound=tail)
+            coeffs = ring.gaussian_coeffs(64, scheme.ERR_STD, rng, tail)
+            el = ring.from_int_coeffs(coeffs, params, 1)
             want = gaussian_draws(64, scheme.ERR_STD, ref, tail)
             assert np.array_equal(el.residues, from_coeffs(want, params).residues)
             assert rng.integers(0, 1 << 62) == ref.integers(0, 1 << 62)
