@@ -71,7 +71,9 @@ np.minimum(x, x - m) each.
 
 Elements are immutable after construction (residue arrays are marked
 read-only); every operation returns a new element, so concurrent use is
-safe. Samplers take an explicit numpy Generator.
+safe. The secret and error samplers take an explicit numpy Generator;
+sample_uniform expands a 32-byte seed, so a key's uniform half ships as
+its seed.
 """
 
 from __future__ import annotations
@@ -908,9 +910,14 @@ class Conversion:
     column; and w, an (S + 1, T, 1) block of D/q_j mod t for each source
     prime and, last, -D mod t (one array, as a parameter set holds some
     40 conversions and each array costs a header). A lower level reads
-    the targets' row prefix."""
+    the targets' row prefix.
 
-    __slots__ = ("src", "rows", "dst", "level", "lead", "own", "inv", "w")
+    A divisor, whose source primes are none of its targets (a rescale's
+    q_l, ModDown's P, a product's P*q_l), also holds ``d_inv``, D^-1 mod
+    the targets as a (T, 1) column, which :func:`divide` reads; a ModUp
+    digit's conversion has d_inv None, as D is 0 mod its own rows."""
+
+    __slots__ = ("src", "rows", "dst", "level", "lead", "own", "inv", "w", "d_inv")
 
     def __init__(self, src: RingParams, rows, dst: RingParams, level: int):
         if isinstance(rows, slice):
@@ -928,6 +935,9 @@ class Conversion:
         self.inv = np.array([[pow(d // q % q, -1, q)] for q in primes], dtype=np.uint64)
         self.w = np.array([[[d // q % t] for t in targets] for q in primes]
                           + [[[-d % t] for t in targets]], np.uint64)
+        self.d_inv = None if len(self.own) else np.array(
+            [[pow(d, -1, t)] for t in targets], np.uint64
+        )
 
 
 def _convert(x: np.ndarray, conv: Conversion, t) -> np.ndarray:
@@ -977,25 +987,18 @@ def mod_up(a: RingElement, a_eval: RingElement, conv: Conversion, level: int) ->
     return RingElement(conv.dst, level, out, Domain.EVALUATION)
 
 
-def divisor(src: RingParams, rows, dst: RingParams, level: int) -> tuple:
-    """(conv, d_inv) for :func:`divide`: the conversion of src's primes
-    ``rows`` (product D) to dst's [:level+1], and D^-1 mod those."""
-    conv = Conversion(src, rows, dst, level)
-    d = math.prod(src.moduli[i] for i in conv.rows.tolist())
-    inv = np.array([[pow(d, -1, q)] for q in dst.moduli[: level + 1]], np.uint64)
-    return conv, inv
-
-
-def divide(x: RingElement, conv: Conversion, d_inv: np.ndarray) -> RingElement:
+def divide(x: RingElement, conv: Conversion) -> RingElement:
     """x, an element with one parts axis (a pair), divided by D, the
     product of its rows conv.rows, with rounding, returned in the
-    Evaluation domain: (x_keep - lift) * D^-1 for lift = conv's centred
-    lift of x_drop, x mod D (Cheon et al., SAC 2018). The kept rows run
-    in one block: the dropped ones are conv.lead rows that open x
+    Evaluation domain: (x_keep - lift) * conv.d_inv for lift = conv's
+    centred lift of x_drop, x mod D (Cheon et al., SAC 2018). The kept
+    rows run in one block: the dropped ones are conv.lead rows that open x
     (ModDown's P), x's top rows (a rescale's q_l; the lift is exact) or
     both (a product's P*q_l). All parts go through one NTT kernel call
     each way: for an Evaluation x, INTT(x_drop) on x's tables' dropped
     rows and NTT(lift); for a Coefficient x, NTT of the quotient alone."""
+    if conv.d_inv is None:
+        raise ValueError("divide by a ModUp conversion, whose primes are among its targets")
     if len(x.parts_shape) != 1:
         raise ValueError("divide expects an element with one parts axis")
     drop, lead, top = len(conv.rows), conv.lead, x.level + 1
@@ -1016,7 +1019,7 @@ def divide(x: RingElement, conv: Conversion, d_inv: np.ndarray) -> RingElement:
     if evaluation:
         out = _ntt_forward_block(out, tb, 0)
     # x_keep + (q - lift) in (0, 2q), inside _mul's range, formed in place
-    d_inv, q = d_inv[rows], tb.q[rows]
+    d_inv, q = conv.d_inv[rows], tb.q[rows]
     np.subtract(q, out, out=out)
     out += x.residues[:, keep]
     f, e = np.empty(out.shape), np.empty(out.shape, np.int64)
@@ -1152,19 +1155,35 @@ def fft_mul(a: RingElement, spectra: np.ndarray, u: np.ndarray, plus: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Samplers. All take an explicit numpy Generator; fixed seed => fixed output.
+# Samplers. The secret and error samplers take an explicit numpy
+# Generator, the uniform one a seed; fixed seed => fixed output.
 # ---------------------------------------------------------------------------
 
-def sample_uniform(
-    params: RingParams, level: int, rng: np.random.Generator
-) -> RingElement:
-    """Uniform element of R_q: per prime, coefficients i.i.d. in [0, q).
+SEED_BYTES = 32
 
-    The single draw against the moduli column is row-major: row j equals
-    rng.integers(0, q_j, N) drawn in turn, row by row.
+
+def sample_uniform(params: RingParams, level: int, seed: bytes) -> RingElement:
+    """The uniform element of R_q that a 32-byte seed fixes, in the
+    Evaluation domain (uniform in either): row by row, N words of the
+    PCG64 stream seeded with the seed read as a little-endian integer,
+    each word at or above floor(2^64/q_j)*q_j rejected and replaced by
+    the stream's next, then reduced mod q_j. Only numpy's bit-generator
+    stream is used, which numpy keeps stable across releases (NEP 19);
+    the seed is public, so the element needs no secrecy, only
+    uniformity and independence from the secret.
     """
-    q = params._q_col[: level + 1]
-    res = rng.integers(0, q, (level + 1, params.ring_degree), dtype=np.uint64)
+    if not isinstance(seed, bytes) or len(seed) != SEED_BYTES:
+        raise ValueError(f"a uniform element's seed is {SEED_BYTES} bytes, not {seed!r:.40}")
+    bits = np.random.PCG64(int.from_bytes(seed, "little"))
+    n = params.ring_degree
+    res = np.empty((level + 1, n), np.uint64)
+    for row, q in zip(res, params.moduli[: level + 1]):
+        limit = np.uint64((1 << 64) // q * q)
+        words = bits.random_raw(n)
+        while (kept := words[words < limit]).size < n:
+            words = np.concatenate((kept, bits.random_raw(n - kept.size)))
+        row[:] = kept
+    np.remainder(res, params._q_col[: level + 1], out=res)
     return RingElement(params, level, res, Domain.EVALUATION)
 
 

@@ -136,9 +136,9 @@ class SchemeParams:
 
     So are the constants of key switching and rescale: ``mod_up[l]``, the
     conversions of level l's digits into P ∪ Q; ``p_mod_q``, P mod q_j as
-    an (L+1, 1) column; and ring.divisor's pairs ``mod_down`` (by P, None
-    if k = 0), ``rescale_div[l]`` (by q_l) and ``mult_rescale_div[l]``
-    (by P*q_l, which is rescale_div[l] if k = 0).
+    an (L+1, 1) column; and the divisors (conversions that hold D^-1)
+    ``mod_down`` (by P, None if k = 0), ``rescale_div[l]`` (by q_l) and
+    ``mult_rescale_div[l]`` (by P*q_l, which is rescale_div[l] if k = 0).
     """
 
     security_level: int
@@ -203,15 +203,15 @@ class SchemeParams:
         big_p = math.prod(special)
         p_mod_q = np.array([[big_p % q] for q in rp.moduli], np.uint64)
         object.__setattr__(self, "p_mod_q", p_mod_q)
-        mod_down = ring.divisor(key_ring, slice(0, k), rp, rp.max_level) if k else None
+        mod_down = ring.Conversion(key_ring, slice(0, k), rp, rp.max_level) if k else None
         object.__setattr__(self, "mod_down", mod_down)
         rescale_div = (None,) + tuple(
-            ring.divisor(rp, slice(lv, lv + 1), rp, lv - 1) for lv in levels[1:]
+            ring.Conversion(rp, slice(lv, lv + 1), rp, lv - 1) for lv in levels[1:]
         )
         object.__setattr__(self, "rescale_div", rescale_div)
         # P's rows and q_l's, which is key ring row k + l
         object.__setattr__(self, "mult_rescale_div", (None,) + tuple(
-            ring.divisor(key_ring, [*range(k), k + lv], rp, lv - 1) if k
+            ring.Conversion(key_ring, [*range(k), k + lv], rp, lv - 1) if k
             else rescale_div[lv] for lv in levels[1:]
         ))
         # >= 10 bits of final slack on deep chains; the floor keeps
@@ -376,12 +376,15 @@ class SecretKey:
 
 @dataclasses.dataclass(frozen=True)
 class PublicKey:
-    """(b, a) = (-a*s + e, a), one (2, L+1, N) Evaluation block. Its
-    ring.fft_spectra, which only encrypt reads, are derived on the first
-    encryption and kept, so keygen and a key load do not pay for them."""
+    """(b, a) = (-a*s + e, a), one (2, L+1, N) Evaluation block, where
+    a = ring.sample_uniform(ring, L, seed): a blob holds b and the seed.
+    Its ring.fft_spectra, which only encrypt reads, are derived on the
+    first encryption and kept, so keygen and a key load do not pay for
+    them."""
 
     scheme: SchemeParams
     pair: ring.RingElement
+    seed: bytes
 
     @functools.cached_property
     def spectra(self) -> np.ndarray:
@@ -395,11 +398,13 @@ class RelinKey:
     idempotent of digit i (1 mod its primes, 0 mod Q's others), so that
     it decrypts to P*s^2 on the digit's rows and to zero on every other
     row. With no special primes (P = 1) and one prime a digit, this is
-    the CRT gadget: s^2's row j, the other rows zero.
+    the CRT gadget: s^2's row j, the other rows zero. Each a_i is
+    ring.sample_uniform(key_ring, top, seeds[i]).
     """
 
     scheme: SchemeParams
     components: tuple  # (b_i, a_i) pairs, one per digit, at the key ring's top level
+    seeds: tuple  # one 32-byte seed per component
 
 
 @dataclasses.dataclass(frozen=True)
@@ -418,7 +423,8 @@ def keygen(params: SchemeParams, rng: np.random.Generator) -> KeyMaterial:
 
     The sk and pk hold the ternary secret s over the chain, the evk over
     the key ring P ∪ Q: level 0's ModUp, the centred lift of s mod q_0,
-    which is s itself.
+    which is s itself. After s, each uniform half a takes a 32-byte seed
+    from rng (rng.bytes), then its pair's error.
     """
     rp, kr, k = params.ring, params.key_ring, params.special_count
     lv, top = rp.max_level, kr.max_level
@@ -427,25 +433,30 @@ def keygen(params: SchemeParams, rng: np.random.Generator) -> KeyMaterial:
     s = ring.ntt_forward(s_coeff)
     s_key = ring.mod_up(s_coeff, s, params.mod_up[0][0], top)
 
-    def masked(a, secret, m=None):
-        """The pair (-a*secret + e + m, a) for a fresh key error e; m = None
-        is zero."""
-        e = ring.gaussian_coeffs(a.params.ring_degree, ERR_STD, rng, KEY_ERR_TAIL)
-        e = ring.ntt_forward(ring.from_int_coeffs(e, a.params, a.level))
+    def masked(chain, secret, m=None):
+        """(seed, (-a*secret + e + m, a)) for a fresh seed, its a over
+        chain's top level and a fresh key error e; m = None is zero."""
+        seed = rng.bytes(ring.SEED_BYTES)
+        a = ring.sample_uniform(chain, chain.max_level, seed)
+        e = ring.gaussian_coeffs(chain.ring_degree, ERR_STD, rng, KEY_ERR_TAIL)
+        e = ring.ntt_forward(ring.from_int_coeffs(e, chain, a.level))
         b = ring.ring_sub(e if m is None else ring.ring_add(e, m), ring.ring_mul(a, secret))
-        return ring.pair(b, a)
+        return seed, ring.pair(b, a)
 
-    pk = PublicKey(params, masked(ring.sample_uniform(rp, lv, rng), s))
+    pk_seed, pk_pair = masked(rp, s)
     s2 = ring.ring_mul(s_key, s_key)
     big_p = math.prod(kr.moduli[:k])
     comps = []
     for d in params.digits(lv):
-        a_i = ring.sample_uniform(kr, top, rng)
         # P*E_i*s^2: P*s^2 on digit i's rows, zero on every other row
         col = np.zeros((top + 1, 1), np.uint64)
         col[k + d.start : k + d.stop, 0] = [big_p % q for q in rp.moduli[d]]
-        comps.append(masked(a_i, s_key, ring.scalar_mul(s2, col)))
-    return KeyMaterial(SecretKey(params, s), pk, RelinKey(params, tuple(comps)))
+        comps.append(masked(kr, s_key, ring.scalar_mul(s2, col)))
+    seeds, pairs = zip(*comps)
+    return KeyMaterial(
+        SecretKey(params, s), PublicKey(params, pk_pair, pk_seed),
+        RelinKey(params, pairs, seeds),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +788,7 @@ def mult(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
     """
     x, _, noise, bound = _product(a, b, evk)
     params = a.scheme
-    parts = ring.divide(x, *params.mod_down) if params.mod_down else x
+    parts = ring.divide(x, params.mod_down) if params.mod_down else x
     return Ciphertext(params, parts, a.level, a.scale * b.scale, noise, bound)
 
 
@@ -801,7 +812,7 @@ def mult_rescale(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
         *(t - q_bits for t in (*terms, params.switch_noise_bits(lv))),
         params.division_round_bits(params.special_count + 1),
     )
-    parts = ring.divide(x, *params.mult_rescale_div[lv])
+    parts = ring.divide(x, params.mult_rescale_div[lv])
     return Ciphertext(params, parts, lv - 1, a.scale * b.scale / q_top, noise, bound)
 
 
@@ -816,7 +827,7 @@ def rescale(ct: Ciphertext) -> Ciphertext:
     params, lv, q_top = ct.scheme, ct.level, ct.scheme.ring.moduli[ct.level]
     noise = _log2_sum(ct.noise_bits - math.log2(q_top), params.rescale_round_bits())
     return dataclasses.replace(
-        ct, parts=ring.divide(ct.parts, *params.rescale_div[lv]), level=lv - 1,
+        ct, parts=ring.divide(ct.parts, params.rescale_div[lv]), level=lv - 1,
         scale=ct.scale / q_top, noise_bits=noise,
     )
 

@@ -1,11 +1,11 @@
 """Stable on-disk formats: one checksummed blob for keys and ciphertext
 bundles, plus the parameter and model text files.
 
-Blob layout, version 4 (integers little-endian):
+Blob layout, version 5 (integers little-endian):
 
     magic        4 bytes   "HNN1"
     kind         u8        0 pk, 1 sk, 2 evk, 3 bundle
-    version      u16       4
+    version      u16       5
     params_hash  32 bytes  sha256 of the canonical parameter file text
     payload      kind-specific, below
     checksum     32 bytes  sha256 of everything above
@@ -13,15 +13,16 @@ Blob layout, version 4 (integers little-endian):
 A ring element is a bare residue block: an element at level l is
 (l+1)*N u64 words, one row per prime in chain order, each word below its
 prime. The block carries no level or domain of its own: a key's is the
-Evaluation domain, and a ciphertext's record gives both. An RLWE pair,
-held as one (2, l+1, N) element, is its two parts' blocks back to back,
-so each pair below is written and read as one block.
+Evaluation domain, and a ciphertext's record gives both. A ciphertext's
+RLWE pair, held as one (2, l+1, N) element, is its two parts' blocks
+back to back. A key pair (b, a) ships b's block and the 32-byte seed
+that fixes its uniform half, a = ring.sample_uniform(chain, top, seed).
 
     kind    payload
-    pk      b, a                      one top-level pair
+    pk      b, seed                   one top-level pair
     sk      s                         top-level block
-    evk     b_0, a_0, ..., b_D, a_D   key-ring top-level pairs, one per
-                                      key-switching digit
+    evk     b_0, seed_0, ...,         key-ring top-level pairs, one per
+            b_D, seed_D               key-switching digit
     bundle  bundle kind u8 (0 features, 1 scores), ciphertext count u32,
             n_samples u32; then per ciphertext its record (level u32,
             scale f64, noise_bits f64, value_bound f64, domain u8:
@@ -38,12 +39,15 @@ Every load checks magic, version, kind, length, checksum and parameter
 hash, then each field that can still vary: the bundle kind, count and
 n_samples, level <= max_level, a positive finite scale, a ledger that is
 neither NaN nor +inf, a domain byte of 0 or 1, every residue below its
-prime, and no trailing bytes. Loaded residues are read-only views of the
-blob's bytes, and `scheme.Ciphertext` runs its ledger guards on every
-loaded ciphertext. A blob of versions 1 to 3 (version 2 held one evk
-component per prime, over the chain alone; version 3's bundle records
-had no domain byte and held Evaluation-domain pairs) or an HNNB bundle
-is refused with a FormatError that says how to regenerate it.
+prime, and no trailing bytes. A key loader expands each a from its seed
+(any seed is valid), so loaded keys hold full pairs. Other loaded
+residues are read-only views of the blob's bytes, and `scheme.Ciphertext`
+runs its ledger guards on every loaded ciphertext. A blob of versions 1
+to 4 (version 2 held one evk component per prime, over the chain alone;
+version 3's bundle records had no domain byte and held Evaluation-domain
+pairs; version 4 held each key's a block in place of its seed) or an
+HNNB bundle is refused with a FormatError that says how to regenerate
+it.
 
 The parameter file is ``key = value`` text under an ``hnn-params v2``
 header: lambda, ring_degree, modulus_bits (the primes' bit sizes),
@@ -64,7 +68,7 @@ from . import ring, scheme
 from .errors import FormatError, ParamsHashMismatch
 
 MAGIC = b"HNN1"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 KIND_PK = 0
 KIND_SK = 1
@@ -231,44 +235,63 @@ def _element(
 # Keys
 # ---------------------------------------------------------------------------
 
-def _key_blob(kind: int, params: scheme.SchemeParams, els) -> bytes:
-    """The blob of a key payload: Evaluation elements, back to back."""
+def _check_evaluation(els):
     if any(el.domain != ring.Domain.EVALUATION for el in els):
         raise ValueError("only Evaluation-domain keys are serialized")
-    return _seal(kind, params, [_words(el) for el in els])
 
 
-def _key_element(data, kind: int, params: scheme.SchemeParams, parts: tuple, rp):
-    """The top-level element of the chain ``rp`` that makes up a key
-    payload."""
-    size = 8 * math.prod(parts) * rp.level_count * rp.ring_degree
-    return _element(_open(data, kind, params, size), _HEADER.size, parts, rp.max_level, rp)
+def _seeded_blob(kind: int, params: scheme.SchemeParams, pairs, seeds) -> bytes:
+    """The blob of seeded pairs: each pair's b block, then its a's seed."""
+    _check_evaluation(pairs)
+    payload = []
+    for pair, seed in zip(pairs, seeds, strict=True):
+        payload += [_words(pair.part(0)), seed]
+    return _seal(kind, params, payload)
+
+
+def _seeded_pairs(data, kind: int, params: scheme.SchemeParams, count: int, rp):
+    """(pairs, seeds) of a seeded key payload of ``count`` top-level pairs
+    of the chain ``rp``: each b's residues checked against its q_j, each a
+    expanded from its seed."""
+    block = 8 * rp.level_count * rp.ring_degree + ring.SEED_BYTES
+    data = _open(data, kind, params, count * block)
+    pairs, seeds = [], []
+    for off in range(_HEADER.size, _HEADER.size + count * block, block):
+        b = _element(data, off, (), rp.max_level, rp)
+        seed = data[off + block - ring.SEED_BYTES : off + block]
+        pairs.append(ring.pair(b, ring.sample_uniform(rp, rp.max_level, seed)))
+        seeds.append(seed)
+    return pairs, seeds
 
 
 def public_key_to_bytes(pk: scheme.PublicKey) -> bytes:
-    return _key_blob(KIND_PK, pk.scheme, [pk.pair])
+    return _seeded_blob(KIND_PK, pk.scheme, [pk.pair], [pk.seed])
 
 
 def public_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.PublicKey:
-    return scheme.PublicKey(params, _key_element(data, KIND_PK, params, (2,), params.ring))
+    (pair,), (seed,) = _seeded_pairs(data, KIND_PK, params, 1, params.ring)
+    return scheme.PublicKey(params, pair, seed)
 
 
 def secret_key_to_bytes(sk: scheme.SecretKey) -> bytes:
-    return _key_blob(KIND_SK, sk.scheme, [sk.s])
+    _check_evaluation([sk.s])
+    return _seal(KIND_SK, sk.scheme, [_words(sk.s)])
 
 
 def secret_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.SecretKey:
-    return scheme.SecretKey(params, _key_element(data, KIND_SK, params, (), params.ring))
+    rp = params.ring
+    data = _open(data, KIND_SK, params, 8 * rp.level_count * rp.ring_degree)
+    return scheme.SecretKey(params, _element(data, _HEADER.size, (), rp.max_level, rp))
 
 
 def relin_key_to_bytes(evk: scheme.RelinKey) -> bytes:
-    return _key_blob(KIND_EVK, evk.scheme, evk.components)
+    return _seeded_blob(KIND_EVK, evk.scheme, evk.components, evk.seeds)
 
 
 def relin_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.RelinKey:
     count = len(params.digits(params.max_level))
-    comps = _key_element(data, KIND_EVK, params, (count, 2), params.key_ring)
-    return scheme.RelinKey(params, tuple(comps.part(i) for i in range(count)))
+    pairs, seeds = _seeded_pairs(data, KIND_EVK, params, count, params.key_ring)
+    return scheme.RelinKey(params, tuple(pairs), tuple(seeds))
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,7 @@ def random_ring_element(params, level, rng, domain=ring.Domain.COEFFICIENT):
 def uniform_pair(params, level, rng):
     """The pair of two uniform Evaluation elements, drawn one after the
     other, as one (2, level+1, N) element."""
-    return ring.pair(*(ring.sample_uniform(params, level, rng) for _ in range(2)))
+    return ring.pair(*(ring.sample_uniform(params, level, rng.bytes(32)) for _ in range(2)))
 
 
 def pair_with_zero(a):

@@ -338,13 +338,12 @@ class TestBlobs:
         blob = serialize.public_key_to_bytes(keys.pk)
         assert blob[:4] == b"HNN1"
         assert blob[4] == serialize.KIND_PK
-        # version u16 little-endian: 0x0004 -> bytes 04 00
-        assert blob[5:7] == b"\x04\x00"
+        # version u16 little-endian: 0x0005 -> bytes 05 00
+        assert blob[5:7] == b"\x05\x00"
         assert blob[7:39] == serialize.params_hash(params)
-        # the payload is b's residue block, then a's, as u64 LE words
-        b, a = split(keys.pk.pair)
-        words = np.concatenate([b.residues, a.residues])
-        assert blob[39:-32] == words.astype("<u8").tobytes()
+        # the payload is b's residue block as u64 LE words, then a's seed
+        b, _ = split(keys.pk.pair)
+        assert blob[39:-32] == b.residues.astype("<u8").tobytes() + keys.pk.seed
         assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
 
     def test_key_blob_sizes_fixed_by_params(self, params):
@@ -360,10 +359,15 @@ class TestBlobs:
                 )
             )
         assert len(sizes) == 1
-        pk_len = next(iter(sizes))[0]
+        pk_len, sk_len, evk_len = next(iter(sizes))
         overhead = 4 + 3 + 32 + 32
         element_bytes = 8 * params.ring.ring_degree * params.ring.level_count
-        assert pk_len == overhead + 2 * element_bytes
+        key_element_bytes = 8 * params.key_ring.ring_degree * params.key_ring.level_count
+        # a key pair ships its b block and the 32-byte seed of its a
+        assert pk_len == overhead + element_bytes + 32
+        assert sk_len == overhead + element_bytes
+        digits = len(params.digits(params.max_level))
+        assert evk_len == overhead + digits * (key_element_bytes + 32)
 
     @pytest.mark.parametrize("name", ["pk", "sk"])  # evk: TestRelinKeyBlob
     def test_version_1_key_names_keygen(self, params, keys, name):
@@ -387,6 +391,35 @@ class TestBlobs:
         blob, load = _blobs(params, keys)[name]
         with pytest.raises(FormatError, match="version 3 .*`hnn keygen`"):
             load(_reseal(blob, 5, struct.pack("<H", 3)), params)
+
+    @pytest.mark.parametrize("name", ["pk", "sk", "evk", "features", "scores"])
+    def test_version_4_blob_names_keygen(self, params, keys, name):
+        # version 4 keys held each a block in place of its seed; bundles
+        # kept their layout, but every v4 blob is refused by its version
+        blob, load = _blobs(params, keys)[name]
+        with pytest.raises(FormatError, match="version 4 .*`hnn keygen`"):
+            load(_reseal(blob, 5, struct.pack("<H", 4)), params)
+
+    @pytest.mark.parametrize("name", ["pk", "evk"])
+    def test_resealed_seed_is_expanded(self, params, keys, name):
+        # any seed is valid: a blob whose last seed is another loads, with
+        # the same b blocks, and the last a is what that seed expands to
+        blob, load = _blobs(params, keys)[name]
+        seed = b"\xa5" * 32
+        other = load(_reseal(blob, len(blob) - 32 - 32, seed), params)
+        key = load(blob, params)
+        if name == "pk":
+            pairs, others = [key.pair], [other.pair]
+        else:
+            pairs, others = key.components, other.components
+        for pair, got in zip(pairs, others, strict=True):
+            assert np.array_equal(got.residues[0], pair.residues[0])
+        for pair, got in zip(pairs[:-1], others[:-1]):
+            assert np.array_equal(got.residues[1], pair.residues[1])
+        got = others[-1]
+        want = ring.sample_uniform(got.params, got.level, seed)
+        assert np.array_equal(got.residues[1], want.residues)
+        assert not np.array_equal(got.residues[1], pairs[-1].residues[1])
 
     def test_hnnb_bundle_says_re_encrypt(self, params, keys):
         # the last HNNB version; TestBundleManifest has version 1
@@ -472,6 +505,15 @@ class TestBlobsThroughCli:
         assert cli.main(_command(files, name, tmp_path / "out")) == 3
         err = capsys.readouterr().err
         assert "version 3" in err and "`hnn keygen`" in err
+
+    @pytest.mark.parametrize("name", ["pk", "sk", "evk", "features", "scores"])
+    def test_version_4_blob_exit_code_3(self, tmp_path, params, keys, capsys, name):
+        files = _setup_files(tmp_path, params, keys)
+        blob = files[name].read_bytes()
+        files[name].write_bytes(_reseal(blob, 5, struct.pack("<H", 4)))
+        assert cli.main(_command(files, name, tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "version 4" in err and "`hnn keygen`" in err
 
     def test_hnnb_bundle_exit_code_3(self, tmp_path, params, keys, capsys):
         files = _setup_files(tmp_path, params, keys)
@@ -574,40 +616,47 @@ class TestCiphertextHeader:
 
 _EVK_TAMPERS = [
     "gadget 20", "gadget 1", "short count", "long count", "low component", "trailing bytes",
-    "residue at q_top",
+    "residue at q_top", "residue above p_0 in b_1",
 ]
 
 
 def _tampered_evk(evk, what):
     blob = serialize.relin_key_to_bytes(evk)
-    comps = evk.components
+    comps, seeds = evk.components, evk.seeds
     if what.startswith("gadget"):
         # the gadget byte is gone with version 1, which is refused whole
         return _v1_key(evk, int(what.split()[1]))
     if what == "trailing bytes":
         return _with_payload(blob, blob[_HEAD:-32] + b"\0")
     if what == "residue at q_top":
-        # the last word of the last block is in the top row
+        # the last b block's last word, before its seed, is in the top row
         top = evk.scheme.ring.moduli[-1]
-        return _reseal(blob, len(blob) - 40, struct.pack("<Q", top))
+        return _reseal(blob, len(blob) - 32 - 32 - 8, struct.pack("<Q", top))
+    if what == "residue above p_0 in b_1":
+        # b_1's first word, past b_0 and its seed, is in the first special
+        # prime's row
+        kr = evk.scheme.key_ring
+        b_1 = _HEAD + 8 * kr.level_count * kr.ring_degree + 32
+        return _reseal(blob, b_1, struct.pack("<Q", (1 << 64) - 1))
     # well-formed blobs of other shapes: only the length rule sees them
     low = ring.drop_level(comps[0], comps[0].level - 1)
-    comps = {
-        "short count": comps[:-1],
-        "long count": comps + comps[:1],
-        "low component": (low,) + comps[1:],
+    comps, seeds = {
+        "short count": (comps[:-1], seeds[:-1]),
+        "long count": (comps + comps[:1], seeds + seeds[:1]),
+        "low component": ((low,) + comps[1:], seeds),
     }[what]
-    return serialize.relin_key_to_bytes(dataclasses.replace(evk, components=comps))
+    return serialize.relin_key_to_bytes(dataclasses.replace(evk, components=comps, seeds=seeds))
 
 
 class TestRelinKeyBlob:
     def test_one_component_per_digit_round_trip(self, params, keys):
         blob = serialize.relin_key_to_bytes(keys.evk)
         kr = params.key_ring
-        # 4 chain primes in 2 digits of 2, behind 2 special primes: one
-        # (b_i, a_i) pair of 6-row key-ring blocks per digit, nothing else
+        # 4 chain primes in 2 digits of 2, behind 2 special primes: per
+        # digit a 6-row key-ring b_i block and a_i's 32-byte seed, nothing
+        # else
         assert (params.digit_size, params.special_count, kr.level_count) == (2, 2, 6)
-        assert len(blob) == _HEAD + 2 * 2 * 8 * kr.level_count * kr.ring_degree + 32
+        assert len(blob) == _HEAD + 2 * (8 * kr.level_count * kr.ring_degree + 32) + 32
         evk = serialize.relin_key_from_bytes(blob, params)
         assert len(evk.components) == 2
 
@@ -811,7 +860,7 @@ class TestBundleManifest:
 
     def test_golden_layout(self, params, data):
         assert data[: self.MANIFEST_LEN] == (
-            b"HNN1" + struct.pack("<BH", serialize.KIND_BUNDLE, 4)
+            b"HNN1" + struct.pack("<BH", serialize.KIND_BUNDLE, 5)
             + serialize.params_hash(params)
             + struct.pack("<BII", serialize.BUNDLE_FEATURES, 1, 16)
         )

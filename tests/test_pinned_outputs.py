@@ -15,13 +15,16 @@ import pytest
 from hnn import neural, scheme, serialize
 
 BLOBS = {
-    "pk": ("227f0d3ef687385f", 213_063),
-    "sk": ("55dd628527d2cadd", 106_567),
-    "evk": ("fa435afcb4c7eb5f", 1_114_183),
-    "features": ("a14a0d0831f7771e", 13_633_424),
-    "scores-2": ("2428cd81627ae2b4", 32_877),
-    "scores-3": ("a54efa32b3939627", 32_877),
+    "pk": ("74546719667086e3", 106_599),
+    "sk": ("75528a60326fff1b", 106_567),
+    "evk": ("4bff0a7ea2e01e3f", 557_255),
+    "features": ("8cee2a841fba900e", 13_633_424),
+    "scores-2": ("39e76dfbc5461700", 32_877),
+    "scores-3": ("50094c27a0c0d470", 32_877),
 }
+# the sk blob's residue block, between header and checksum: keygen draws
+# s before any seed, so it is the one that blob version 4 held too
+SK_RESIDUES = "0cc089124cb0794d"
 NOISE_BITS = {2: 45.42402993012839, 3: 47.70009267163758}
 
 
@@ -66,3 +69,8 @@ def test_blob_bytes_are_pinned(recipe, name):
 
 def test_score_ledgers_are_pinned(recipe):
     assert recipe[1] == NOISE_BITS
+
+
+def test_secret_key_residues_are_pinned(recipe):
+    sk = recipe[0]["sk"]
+    assert hashlib.sha256(sk[39:-32]).hexdigest()[:16] == SK_RESIDUES

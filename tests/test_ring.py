@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -557,8 +558,8 @@ class TestDivisionFreeKernels:
             q_top = chain.moduli[level]
             tops = [[c - q_top if c > q_top // 2 else c for c in x[level].tolist()] for x in res]
             assert tops[0][:2] == [q_top // 2, -(q_top // 2)]
-            conv, d_inv = ring.divisor(chain, slice(level, level + 1), chain, level - 1)
-            got = ring.ntt_inverse(ring.divide(el, conv, d_inv))
+            conv = ring.Conversion(chain, slice(level, level + 1), chain, level - 1)
+            got = ring.ntt_inverse(ring.divide(el, conv))
             for part, x, top in zip(got.residues, res, tops):
                 want = [
                     [(c - t) * pow(q_top, -1, qj) % qj for c, t in zip(row, top)]
@@ -613,16 +614,33 @@ class TestConversionRows:
                 own, src_rows = self.own(conv, k + lv)
                 assert conv.own.tolist() == own and src_rows == rows
                 assert conv.lead == self.lead(rows)
-        divs = [(params.mod_down[0], list(range(k)))] if k else []
+        divs = [(params.mod_down, list(range(k)))] if k else []
         for lv in range(1, rp.level_count):
-            divs += [(params.rescale_div[lv][0], [lv])]
-            divs += [(params.mult_rescale_div[lv][0], [*range(k), k + lv])]
+            divs += [(params.rescale_div[lv], [lv])]
+            divs += [(params.mult_rescale_div[lv], [*range(k), k + lv])]
             if not k:
                 assert params.mult_rescale_div[lv] is params.rescale_div[lv]
         for conv, rows in divs:
             assert conv.rows.dtype == np.int64 and conv.rows.tolist() == rows
             assert conv.lead == self.lead(rows)
             assert conv.own.tolist() == self.own(conv, conv.level)[0] == []
+
+    def test_divisors_hold_their_inverse_and_mod_up_has_none(self, params):
+        # D^-1 lives in the divisor, so divide cannot pair a conversion
+        # with another divisor's column; a ModUp digit has no D^-1
+        rp, k = params.ring, params.special_count
+        divs = [params.mod_down] if k else []
+        divs += [*params.rescale_div[1:], *params.mult_rescale_div[1:]]
+        for conv in divs:
+            d = math.prod(conv.src.moduli[i] for i in conv.rows.tolist())
+            want = [[pow(d, -1, t)] for t in conv.dst.moduli[: conv.level + 1]]
+            assert conv.d_inv.dtype == np.uint64 and conv.d_inv.tolist() == want
+        pair = ring.zero(params.key_ring, k + rp.max_level)
+        pair = ring.pair(pair, pair)
+        for conv in {id(c): c for convs in params.mod_up for c in convs}.values():
+            assert conv.d_inv is None
+            with pytest.raises(ValueError, match="ModUp"):
+                ring.divide(pair, conv)
 
 
 class TestScalarKernels:
@@ -860,7 +878,7 @@ class TestKeySwitchKernels:
 
     def test_mod_up_rejects_bad_input(self, params):
         chain, key, k = params.ring, params.key_ring, params.special_count
-        c2 = ring.sample_uniform(chain, 5, np.random.default_rng(45))
+        c2 = ring.sample_uniform(chain, 5, np.random.default_rng(45).bytes(32))
         d2, c2 = c2, ring.ntt_inverse(c2)
         conv = params.mod_up[5][0]
         bad = [
@@ -876,11 +894,11 @@ class TestKeySwitchKernels:
         # the target level (row 12 into P ∪ Q_5), and conversions whose
         # source primes are not all targets: a rescale's, and one prime
         # of two
-        d12 = ring.sample_uniform(chain, 12, np.random.default_rng(46))
+        d12 = ring.sample_uniform(chain, 12, np.random.default_rng(46).bytes(32))
         cases = [
             (c2, d2, params.mod_up[12][2], key.max_level),
             (ring.ntt_inverse(d12), d12, params.mod_up[12][-1], k + 5),
-            (c2, d2, params.rescale_div[5][0], 4),
+            (c2, d2, params.rescale_div[5], 4),
             (c2, d2, ring.Conversion(chain, [3, 5], chain, 4), 4),
         ]
         for a, a_eval, conv, level in cases:
@@ -914,7 +932,7 @@ class TestKeySwitchKernels:
             x = self.residues(key, (2, k + level + 1, 1024), rng)
             pair = ring.RingElement(key, k + level, x, ring.Domain.COEFFICIENT)
             for top in (level, chain.max_level):
-                out = ring.divide(pair, *ring.divisor(key, slice(0, k), chain, top))
+                out = ring.divide(pair, ring.Conversion(key, slice(0, k), chain, top))
                 assert (out.params, out.level, out.domain) == (chain, level, ring.Domain.EVALUATION)
                 for got, part in zip(ring.ntt_inverse(out).residues, x):
                     total = centred_sum(part[:k], key.moduli[:k])
@@ -930,7 +948,7 @@ class TestKeySwitchKernels:
             with pytest.raises(ValueError, match="increasing"):
                 ring.Conversion(chain, rows, key, 4)
         conv = ring.Conversion(chain, slice(0, 2), key, k + 4)
-        a = ring.sample_uniform(chain, 1, np.random.default_rng(47))
+        a = ring.sample_uniform(chain, 1, np.random.default_rng(47).bytes(32))
         with pytest.raises(ValueError, match="Coefficient"):
             ring.mod_up(a, a, conv, k + 4)
         # source rows above the element, an element of another chain, or a
@@ -940,17 +958,20 @@ class TestKeySwitchKernels:
             with pytest.raises(ValueError, match="does not fit"):
                 ring.mod_up(el, ring.ntt_forward(el), conv, level)
         # a division whose dropped rows past P are not the element's top
-        # rows: below them, with a gap, or beyond them (constants of the
-        # chain's whole length, so that the level fits; no D^-1 exists)
+        # rows: below them, with a gap, or beyond them. Over the chain's
+        # whole length the dropped primes are targets, so no D^-1 exists;
+        # over the kept rows alone, the tail check sees rows beyond the top
         pair = ring.RingElement(
             key, k + 5, np.zeros((2, k + 6, 1024), np.uint64), ring.Domain.EVALUATION,
         )
-        d_inv = np.ones((chain.level_count, 1), np.uint64)
         for tail in ([k + 3], [k + 3, k + 5], [k + 4, k + 6]):
             conv = ring.Conversion(key, [*range(k), *tail], chain, chain.max_level)
-            with pytest.raises(ValueError, match="does not fit"):
-                ring.divide(pair, conv, d_inv)
-        assert ring.divide(pair, *ring.divisor(key, [*range(k), k + 5], chain, 4)).level == 4
+            assert conv.d_inv is None
+            with pytest.raises(ValueError, match="ModUp"):
+                ring.divide(pair, conv)
+        with pytest.raises(ValueError, match="does not fit"):
+            ring.divide(pair, ring.Conversion(key, [*range(k), k + 6], chain, 4))
+        assert ring.divide(pair, ring.Conversion(key, [*range(k), k + 5], chain, 4)).level == 4
 
     def test_chain_tables_are_rows_of_the_key_ring_tables(self, rings):
         chain, key = rings
@@ -978,7 +999,7 @@ class TestKeySwitchKernels:
         # 17 key-ring rows at N = 1024 run as one pass; with 4 rows a pass
         # they run as 4 passes of 4 or 5 rows, with the same results
         _, key = rings
-        el = ring.sample_uniform(key, key.max_level, np.random.default_rng(43))
+        el = ring.sample_uniform(key, key.max_level, np.random.default_rng(43).bytes(32))
         one = (ring.ntt_inverse(el), ring.ntt_forward(ring.ntt_inverse(el)))
         monkeypatch.setattr(ring, "_NTT_CHUNK", 4 * 1024)
         assert len(ring._passes(1, 17, 1024)) == 4
@@ -991,7 +1012,7 @@ class TestKeySwitchKernels:
         _, key = rings
         rng = np.random.default_rng(42)
         for level in (0, 9, key.max_level):
-            xs = [ring.sample_uniform(key, level, rng) for _ in range(4)]
+            xs = [ring.sample_uniform(key, level, rng.bytes(32)) for _ in range(4)]
             keys = [uniform_pair(key, key.max_level, rng) for _ in range(4)]
             got = ring.mul_sums(xs, keys)
             assert (got.level, got.parts_shape) == (level, (2,))
@@ -1052,7 +1073,7 @@ class TestPairs:
             x[..., :2] = y[..., 1:3] = chain._q_col[: level + 1] - np.uint64(1)
             x[..., 2] = y[..., 0] = 0
             x, y = (ring.RingElement(chain, level, r, ring.Domain.EVALUATION) for r in (x, y))
-            yield level, x, y, ring.sample_uniform(chain, level, rng)
+            yield level, x, y, ring.sample_uniform(chain, level, rng.bytes(32))
 
     @staticmethod
     def same(got, parts):
@@ -1094,7 +1115,7 @@ class TestPairs:
                     ring.ring_add(*(ring.scalar_mul(el, w) for el, w in zip(ab, cols[:, c])))
                     for ab in zip(split(x), split(y))
                 ])
-            two = ring.sample_uniform(chain, level, rng)
+            two = ring.sample_uniform(chain, level, rng.bytes(32))
             self.same(ring.mul_sums([one, two], [x, y]), [
                 ring.ring_add(ring.ring_mul(one, a), ring.ring_mul(two, b))
                 for a, b in zip(split(x), split(y))
@@ -1129,7 +1150,7 @@ class TestPairs:
     def test_ciphertext_block_needs_two_parts(self, chain):
         params = scheme.param_gen(128, 16, 3, scale_bits=40, allow_insecure=True)
         rp, rng = params.ring, np.random.default_rng(67)
-        one = ring.sample_uniform(rp, 2, rng)
+        one = ring.sample_uniform(rp, 2, rng.bytes(32))
         three = one._like(np.stack([one.residues] * 3))
         for block in (one, three):
             with pytest.raises(ValueError, match="needs 2 parts"):
@@ -1163,7 +1184,7 @@ class TestDivide:
         rng = np.random.default_rng(51)
         for level in range(1, rp.level_count):
             pair = self.pair(rp, level, rng)
-            got = ring.divide(pair, *params.rescale_div[level])
+            got = ring.divide(pair, params.rescale_div[level])
             assert (got.params, got.level, got.parts_shape) == (rp, level - 1, (2,))
             for g, w in zip(split(got), rescale_lift(pair)):
                 assert g.domain == w.domain
@@ -1175,7 +1196,7 @@ class TestDivide:
         rng = np.random.default_rng(52)
         for level in range(rp.level_count):
             pair = self.pair(kr, k + level, rng)
-            got = ring.divide(pair, *params.mod_down)
+            got = ring.divide(pair, params.mod_down)
             assert (got.params, got.level, got.parts_shape) == (rp, level, (2,))
             for g, w in zip(split(got), mod_down_parts(pair, params, level)):
                 assert g.domain == w.domain
@@ -1190,12 +1211,12 @@ class TestDivide:
         for level in range(1, rp.level_count):
             ev = self.pair(rp, level, rng)
             coeff = ring.pair(*(ring.ntt_inverse(p) for p in split(ev)))
-            want = ring.divide(ev, *params.rescale_div[level])
+            want = ring.divide(ev, params.rescale_div[level])
             with monkeypatch.context() as m:
                 for name in ("_ntt_forward_block", "_ntt_inverse_block"):
                     kernel = getattr(ring, name)
                     m.setattr(ring, name, lambda *a, k=kernel, n=name: calls.append(n) or k(*a))
-                got = ring.divide(coeff, *params.rescale_div[level])
+                got = ring.divide(coeff, params.rescale_div[level])
             assert calls == ["_ntt_forward_block"]
             calls.clear()
             assert (got.domain, got.level) == (ring.Domain.EVALUATION, level - 1)
@@ -1207,15 +1228,15 @@ class TestDivide:
         ev = self.pair(rp, 5, rng)
         # one part without a parts axis
         with pytest.raises(ValueError, match="one parts axis"):
-            ring.divide(ev.part(0), *params.rescale_div[5])
+            ring.divide(ev.part(0), params.rescale_div[5])
         # constants of another level, or of the key ring on a chain element
         for consts in (params.rescale_div[4], params.mod_down, params.mult_rescale_div[5]):
             with pytest.raises(ValueError, match="does not fit"):
-                ring.divide(ev, *consts)
+                ring.divide(ev, consts)
         # a product's division at a level above or below the element's
         for level in (4, 6):
             with pytest.raises(ValueError, match="does not fit"):
-                ring.divide(self.pair(kr, k + 5, rng), *params.mult_rescale_div[level])
+                ring.divide(self.pair(kr, k + 5, rng), params.mult_rescale_div[level])
 
     @pytest.mark.parametrize("n, bit_sizes", [(1024, [42] + [41] * 12), (16384, [42, 41, 41])])
     def test_stacked_kernels_equal_single_element_ntts(self, n, bit_sizes):
@@ -1255,7 +1276,7 @@ class TestDivide:
             assert calls == {"forward": 1, "inverse": 1}
             for consts in (params.mod_down, params.mult_rescale_div[level]):
                 calls.update(forward=0, inverse=0)
-                ring.divide(self.pair(kr, k + level, rng), *consts)
+                ring.divide(self.pair(kr, k + level, rng), consts)
                 assert calls == {"forward": 1, "inverse": 1}
 
 
@@ -1281,11 +1302,11 @@ class TestProductDivision:
         rng = np.random.default_rng(57)
         for level in range(1, rp.level_count):
             consts = params.mult_rescale_div[level]
-            assert consts[0].rows.tolist() == [*range(k), k + level]
+            assert consts.rows.tolist() == [*range(k), k + level]
             if k == 0:
                 assert consts is params.rescale_div[level]
             pair = TestDivide.pair(kr, k + level, rng)
-            got = ring.divide(pair, *consts)
+            got = ring.divide(pair, consts)
             assert (got.params, got.level, got.domain) == (rp, level - 1, ring.Domain.EVALUATION)
             want = divided_by_python_ints(pair, big_p * rp.moduli[level])
             q = rp.modulus_product(level - 1)
@@ -1570,7 +1591,7 @@ class TestSamplers:
     def test_fixed_seed_reproduces(self):
         params = make_params(64)
         for sampler in (
-            lambda r: ring.sample_uniform(params, 1, r).residues,
+            lambda r: ring.sample_uniform(params, 1, r.bytes(32)).residues,
             lambda r: ring.ternary_coeffs(64, 16, r),
             lambda r: ring.gaussian_coeffs(64, 3.2, r),
         ):
@@ -1592,19 +1613,64 @@ class TestSamplers:
             assert rng.integers(0, 1 << 62) == ref.integers(0, 1 << 62)
         assert np.abs(want).max() < 0.5 * scheme.ERR_STD
 
-    @pytest.mark.parametrize("bit_sizes", [[42] + [41] * 16, [20, 14, 17]])
-    def test_uniform_matches_per_row_draws(self, bit_sizes):
-        # one batched draw consumes the Generator exactly like row-by-row
-        # draws, so fixed-seed keys stay the same
-        params = make_params(64, bit_sizes)
-        for level in (0, params.max_level // 2, params.max_level):
-            el = ring.sample_uniform(params, level, np.random.default_rng(7))
-            rows = np.random.default_rng(7)
-            expect = np.stack(
-                [rows.integers(0, q, 64, dtype=np.uint64) for q in el.moduli]
-            )
+    # sha256 prefixes of sample_uniform's top-level residue block (u64
+    # LE words) for the seeds 0^32 and 00 01 .. 1f: numpy keeps the PCG64
+    # stream stable (NEP 19), so a change here changes every key blob
+    UNIFORM_VECTORS = {
+        "n32": ("7c38202139d50bc0", "3c56c04646fe81cf"),
+        "n1024": ("79543fc2e852533f", "84e4588c227b1441"),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(UNIFORM_VECTORS))
+    def chain(self, request):
+        if request.param == "n32":
+            return request.getfixturevalue("small_params").ring
+        depth = neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead()))
+        return scheme.param_gen(128, 512, depth, scale_bits=40, allow_insecure=True).ring
+
+    def test_uniform_fixed_vectors(self, chain):
+        name = "n32" if chain.ring_degree == 32 else "n1024"
+        assert chain.level_count == {"n32": 4, "n1024": 13}[name]
+        for seed, want in zip((bytes(32), bytes(range(32))), self.UNIFORM_VECTORS[name]):
+            el = ring.sample_uniform(chain, chain.max_level, seed)
             assert el.domain == ring.Domain.EVALUATION
-            assert np.array_equal(el.residues, expect)
+            assert hashlib.sha256(el.residues.astype("<u8").tobytes()).hexdigest()[:16] == want
+            assert np.all(el.residues < chain._q_col)
+            # with no word rejected, the stream's words mod q_j, row by row
+            words = np.random.PCG64(int.from_bytes(seed, "little")).random_raw(el.residues.size)
+            words = words.reshape(el.residues.shape)
+            assert np.all(words < [[(1 << 64) // q * q] for q in chain.moduli])
+            assert np.array_equal(el.residues, words % chain._q_col)
+            # a lower level is the same stream's first rows
+            low = ring.sample_uniform(chain, 1, seed)
+            assert np.array_equal(low.residues, el.residues[:2])
+
+    def test_uniform_redraws_words_at_or_above_the_threshold(self, chain, monkeypatch):
+        # a scripted stream: word 5 is the largest u64, word 7 exactly
+        # floor(2^64/q_0)*q_0; both are dropped and the stream continues
+        n, rows = chain.ring_degree, chain.level_count
+        limit = (1 << 64) // chain.moduli[0] * chain.moduli[0]
+        stream = np.random.PCG64(3).random_raw(rows * n + 2)
+        stream[5], stream[7] = (1 << 64) - 1, limit
+
+        class Scripted:
+            def __init__(self, seed):
+                assert seed == int.from_bytes(b"seed" * 8, "little")
+                self.pos = 0
+
+            def random_raw(self, size):
+                self.pos += size
+                return stream[self.pos - size : self.pos].copy()
+
+        monkeypatch.setattr(np.random, "PCG64", Scripted)
+        el = ring.sample_uniform(chain, chain.max_level, b"seed" * 8)
+        kept = np.delete(stream, [5, 7]).reshape(rows, n)
+        assert np.array_equal(el.residues, kept % chain._q_col)
+
+    def test_uniform_needs_a_32_byte_seed(self, small_params):
+        for seed in (bytes(31), bytes(33), np.random.default_rng(1), "x" * 32):
+            with pytest.raises(ValueError, match="32 bytes"):
+                ring.sample_uniform(small_params.ring, 0, seed)
 
 
 class TestDropLevel:

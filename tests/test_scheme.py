@@ -191,6 +191,19 @@ class TestKeygen:
         assert np.array_equal(k1.pk.pair.residues, k1b.pk.pair.residues)
         assert np.array_equal(k1.sk.s.residues, k1b.sk.s.residues)
 
+    def test_uniform_halves_expand_from_their_seeds(self, small_keys):
+        # each key's a is sample_uniform of its own 32-byte seed, so a
+        # blob can ship the seed in its place
+        params = small_keys.scheme
+        keys = [(small_keys.pk.pair, small_keys.pk.seed, params.ring)]
+        keys += [(c, sd, params.key_ring) for c, sd in zip(
+            small_keys.evk.components, small_keys.evk.seeds, strict=True
+        )]
+        for pair, seed, chain in keys:
+            want = ring.sample_uniform(chain, chain.max_level, seed)
+            assert np.array_equal(split(pair)[1].residues, want.residues)
+        assert len({seed for _, seed, _ in keys}) == len(keys)
+
     def test_relin_key_components_decrypt_to_p_times_masked_s2(self, small_keys):
         # b_i + a_i*s - P*E_i*s^2 over the key ring P ∪ Q must be a small
         # error polynomial, where E_i is the integer mod Q that is 1 mod
@@ -231,7 +244,7 @@ class TestKeygen:
             serialize.public_key_to_bytes(keys.pk), small_params
         )
         assert calls == []
-        eager = scheme.PublicKey(small_params, keys.pk.pair)
+        eager = scheme.PublicKey(small_params, keys.pk.pair, keys.pk.seed)
         assert np.array_equal(eager.spectra, derive(keys.pk.pair))
         assert len(calls) == 1
         v = np.linspace(-1.0, 1.0, small_params.slot_capacity)
@@ -590,7 +603,7 @@ class TestMultRescale:
         assert len(evk.components) == 13
         rng = np.random.default_rng(4)
         for level in range(params.max_level, 0, -1):
-            d2 = ring.sample_uniform(params.ring, level, rng)
+            d2 = ring.sample_uniform(params.ring, level, rng.bytes(32))
             got = scheme._relinearize(d2, evk, level)
             want = relinearize_crt(d2, evk, level)
             for g, w in zip(split(got), want):
