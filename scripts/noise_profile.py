@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Profile the noise ledger against measured noise over squaring chains.
+"""Profile the noise ledger against measured noise over squaring chains
+and sums of products.
 
 For each depth the script squares a fresh ciphertext two ways: with
 mult then rescale, two divisions a product, and with mult_rescale, one
-division by P*q_l. It compares each chain's ledger estimate with the
-ground-truth probe (max |decoded - expected| * scale, in bits). The
-margin columns are the headroom the static worst-case rules keep above
-reality; the script exits 1 if any margin is negative.
+division by P*q_l. It then evaluates two sums of products, each under
+one key switch and one division a sum: x*x + y*y + z through
+mult_rescale_sum, and the head's degree-7 exp fit through
+eval_poly_encrypted (when the chain is deep enough). It compares each
+ledger estimate with the ground-truth probe (max |decoded - expected| *
+scale, in bits). The margin columns are the headroom the static
+worst-case rules keep above reality; the script exits 1 if any margin
+is negative.
 
 Example:
     python scripts/noise_profile.py --ring-degree 2048 --depth 8
@@ -17,7 +22,7 @@ import sys
 
 import numpy as np
 
-from hnn import encoding, scheme
+from hnn import approx, encoding, scheme
 
 
 def main() -> int:
@@ -34,10 +39,12 @@ def main() -> int:
     keys = scheme.keygen(params, np.random.default_rng(args.seed))
     rng = np.random.default_rng(args.seed + 1)
 
+    def fresh(values):
+        pt = encoding.encode(values, params.scale, params.ring)
+        return scheme.encrypt(keys.pk, pt, rng)
+
     v = rng.uniform(-1.0, 1.0, params.slot_capacity)
-    two = one = scheme.encrypt(
-        keys.pk, encoding.encode(v, params.scale, params.ring), rng
-    )
+    two = one = fresh(v)
     vals = v.copy()
 
     print(f"{'':<12} {'rescale(mult())':>30} {'mult_rescale':>30}")
@@ -55,6 +62,22 @@ def main() -> int:
             margins.append(ct.noise_bits - measured)
             line += f" {ct.noise_bits:>10.1f} {measured:>10.1f} {margins[-1]:>8.1f}"
         print(line)
+
+    print(f"\n{'sum of products':<16} {'estimated':>10} {'measured':>10} {'margin':>8}")
+    w, z = (rng.uniform(-1.0, 1.0, params.slot_capacity) for _ in range(2))
+    x, y = fresh(v), fresh(w)
+    rows = []
+    if params.max_level >= 1:
+        addend = scheme.mult_const(fresh(z), 1.0, params.scale)
+        out = scheme.mult_rescale_sum([(x, x), (y, y)], keys.evk, addend)
+        rows.append(("x*x + y*y + z", out, v * v + w * w + z))
+    fit = approx.build_exp_approx(2.0, 7)
+    if params.max_level > approx.poly_eval_depth(fit.degree):
+        rows.append(("exp fit, deg 7", approx.eval_poly_encrypted(x, fit, keys.evk), fit(v)))
+    for name, ct, want in rows:
+        measured = scheme.noise_measure(keys.sk, ct, want)
+        margins.append(ct.noise_bits - measured)
+        print(f"{name:<16} {ct.noise_bits:>10.1f} {measured:>10.1f} {margins[-1]:>8.1f}")
     if min(margins) < 0:
         print("FAIL: measured noise above the ledger estimate")
         return 1

@@ -7,7 +7,8 @@ scheme primitives:
   power-basis tree (y, y^2, y^4, ...) so multiplicative depth stays at
   ceil(log2 d), with its coefficients multiplied in as scalars
   (scheme.mult_const, scheme.add_const) at compensating scales so every
-  internal addition sees bit-matching scales.
+  internal sum sees matching scales. A node's products share one key
+  switch, so a degree-7, 15 or 31 fit takes 4, 7 or 12.
 * 1/x on [a, b]: k Newton steps z <- z(2 - x z) from z0 = 1/b, in
   their product form z_k = z0 * prod_{i<k} (1 + e^(2^i)) with
   e = 1 - z0 x (Goldschmidt division): e squares itself while z takes
@@ -21,10 +22,11 @@ scheme primitives:
   index sum is one scheme.weighted_sums pass, whose exact index constants
   i sit at a small auxiliary scale, costing no level.
 
-Every ciphertext product here is rescaled at once, so each is one
-scheme.mult_rescale: a single ring.divide by P*q_l where mult and
-rescale would run one by P and one by q_l. The scalar products
-(mult_const) still rescale on their own.
+Every ciphertext product here is rescaled at once, by one ring.divide
+by P*q_l where mult and rescale would run two, and the products of one
+sum share it and their key switch (scheme.mult_rescale_sum): an exp
+tree node's, with its c1*y as the addend. The other scalar products
+(mult_const) rescale on their own.
 """
 
 from __future__ import annotations
@@ -132,24 +134,27 @@ def eval_poly_encrypted(
 
 def _poly_node(coeffs, level, scale, powers, evk) -> Ciphertext:
     """sum_k coeffs[k] y^k at ``level`` and ``scale``, from the power tree
-    powers[i] = y^(2^i): the high half times the largest power below the
-    degree, plus the low half. A module function, not a closure, so one
-    evaluation leaves no reference cycle pinning the powers and the evk.
+    powers[i] = y^(2^i), as sum_j y^(2^j)*p_j + c1*y + c0 with p_j, the
+    coefficients [2^j, 2^(j+1)), a node one level up: the products and
+    c1*y, at level + 1 and scale*q, share one key switch and division;
+    c0, which at scale*q would pass encode_constant's range, comes after.
+    A module function, not a closure, so one evaluation leaves no
+    reference cycle pinning the powers and the evk.
     """
-    params = powers[0].scheme
-    q = params.ring.moduli[level + 1]
-    deg = len(coeffs) - 1
-    if deg <= 1:
-        y = scheme.ct_drop_level(powers[0], level + 1)
-        c1 = coeffs[1] if deg == 1 else 0.0
-        r = scheme.rescale(scheme.mult_const(y, c1, scale * q / y.scale))
-        return scheme.add_const(r, coeffs[0])
-    split = 1 << (int(math.ceil(math.log2(deg + 1))) - 1)
-    ym = scheme.ct_drop_level(powers[int(math.log2(split))], level + 1)
-    hi = _poly_node(coeffs[split:], level + 1, scale * q / ym.scale, powers, evk)
-    prod = scheme.mult_rescale(ym, hi, evk)
-    lo = _poly_node(coeffs[:split], level, scale, powers, evk)
-    return scheme.add(prod, lo)
+    q = powers[0].scheme.ring.moduli[level + 1]
+    pairs = []
+    # the largest split first, so that its deeper subtree runs while no
+    # other operand of this sum is alive
+    for i in reversed(range(1, (len(coeffs) - 1).bit_length())):
+        y_i = powers[i]
+        hi = _poly_node(coeffs[1 << i : 2 << i], level + 1, scale * q / y_i.scale, powers, evk)
+        pairs.append((scheme.ct_drop_level(y_i, level + 1), hi))
+    c1 = coeffs[1] if len(coeffs) > 1 else 0.0
+    leaf = scheme.mult_const(
+        scheme.ct_drop_level(powers[0], level + 1), c1, scale * q / powers[0].scale
+    )
+    out = scheme.mult_rescale_sum(pairs, evk, leaf) if pairs else scheme.rescale(leaf)
+    return scheme.add_const(out, coeffs[0])
 
 
 # ---------------------------------------------------------------------------

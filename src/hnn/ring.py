@@ -1162,7 +1162,7 @@ def fft_mul(a: RingElement, spectra: np.ndarray, u: np.ndarray, plus: np.ndarray
 SEED_BYTES = 32
 
 
-def sample_uniform(params: RingParams, level: int, seed: bytes) -> RingElement:
+def sample_uniform(params: RingParams, level: int, seed: bytes, out=None) -> RingElement:
     """The uniform element of R_q that a 32-byte seed fixes, in the
     Evaluation domain (uniform in either): row by row, N words of the
     PCG64 stream seeded with the seed read as a little-endian integer,
@@ -1170,20 +1170,22 @@ def sample_uniform(params: RingParams, level: int, seed: bytes) -> RingElement:
     the stream's next, then reduced mod q_j. Only numpy's bit-generator
     stream is used, which numpy keeps stable across releases (NEP 19);
     the seed is public, so the element needs no secrecy, only
-    uniformity and independence from the secret.
+    uniformity and independence from the secret. With ``out``, a
+    (level+1, N) uint64 block such as a key pair's row, the residues
+    are written there.
     """
     if not isinstance(seed, bytes) or len(seed) != SEED_BYTES:
         raise ValueError(f"a uniform element's seed is {SEED_BYTES} bytes, not {seed!r:.40}")
     bits = np.random.PCG64(int.from_bytes(seed, "little"))
     n = params.ring_degree
-    res = np.empty((level + 1, n), np.uint64)
+    res = np.empty((level + 1, n), np.uint64) if out is None else out
     for row, q in zip(res, params.moduli[: level + 1]):
-        limit = np.uint64((1 << 64) // q * q)
+        limit, q = np.uint64((1 << 64) // q * q), np.uint64(q)
         words = bits.random_raw(n)
         while (kept := words[words < limit]).size < n:
             words = np.concatenate((kept, bits.random_raw(n - kept.size)))
-        row[:] = kept
-    np.remainder(res, params._q_col[: level + 1], out=res)
+        # a scalar divisor takes numpy's fast floor_divide
+        np.subtract(kept, np.floor_divide(kept, q, out=row) * q, out=row)
     return RingElement(params, level, res, Domain.EVALUATION)
 
 

@@ -12,10 +12,11 @@ digit_size primes, each digit is extended to the special primes P and
 the rest of the chain, and meets one evaluation-key component over
 P ∪ Q; P*(d0, d1) joins the sums there, and the whole is divided by P.
 With no special primes and one prime a digit, that is the CRT gadget.
-A rescale divides by the top prime the same way, and mult_rescale, the
-product that the pipeline rescales at once, divides by P*q_l in one
-step (Cheon, Han, Kim, Kim and Song, SAC 2018): all three are
-ring.divide, with constants that SchemeParams derives once.
+A rescale divides by the top prime the same way, and mult_rescale_sum,
+a sum of products that the pipeline rescales at once, sums the tensors
+first and then switches keys and divides by P*q_l once (Cheon, Han,
+Kim, Kim and Song, SAC 2018): all three are ring.divide, with constants
+that SchemeParams derives once. mult_rescale is its one-pair case.
 
 A scalar constant (probe weight, bias, polynomial or Newton coefficient,
 index weight) is multiplied in or added by mult_const and add_const as
@@ -575,11 +576,16 @@ def _require_aligned(a: Ciphertext, b: Ciphertext):
         raise ValueError(f"level mismatch: {a.level} vs {b.level}")
 
 
+def _require_scale(s: float, t: float):
+    """Scales s and t match to 2^-30 relative."""
+    if abs(s - t) > SCALE_REL_TOL * max(s, t):
+        raise ScaleMismatch(f"scales {s} vs {t}")
+
+
 def _require_summable(a: Ciphertext, b: Ciphertext):
     """a and b align and their scales match to 2^-30 relative."""
     _require_aligned(a, b)
-    if abs(a.scale - b.scale) > SCALE_REL_TOL * max(a.scale, b.scale):
-        raise ScaleMismatch(f"scales {a.scale} vs {b.scale}")
+    _require_scale(a.scale, b.scale)
 
 
 def _sum_ledger(a, b):
@@ -746,66 +752,88 @@ def _relinearize(d2: ring.RingElement, evk: RelinKey, level: int, base=None):
     return ring.mul_sums(digits, evk.components[: len(digits)], base)
 
 
-def _product(a: Ciphertext, b: Ciphertext, evk: RelinKey):
-    """(x, terms, noise, bound): the tensor product of a and b,
-    relinearized and not yet divided, x = P*(d0, d1) plus key switching's
-    sums for d2 over P ∪ Q_l, which decrypts to P*a*b (see
-    _relinearize); the tensor's noise terms in bits at scale
-    a.scale*b.scale; and mult's ledger, which passes the guards at level
-    l before any work.
+def _products(pairs, evk: RelinKey, addend: Ciphertext = None):
+    """(x, terms, noise, bound, scale) of sum_i a_i*b_i (+ addend), the
+    operands at one level l and the products and addend at one scale: x,
+    the products' tensors (d0, d1, d2) summed as two lazy sums
+    (ring.mul_sums, the addend joining (d0, d1)), relinearized once and
+    not yet divided, decrypts to P times the sum (see _relinearize);
+    terms, the noise terms in bits at that scale, three a product and
+    the addend's; and mult's ledger of the sum, which passes the guards
+    at level l before any work.
     """
-    _require_aligned(a, b)
-    if a.level < 1:
+    if not pairs:
+        raise ValueError("empty sum")
+    params, lv = pairs[0][0].scheme, pairs[0][0].level
+    scale = pairs[0][0].scale * pairs[0][1].scale
+    terms, bound = [], 0.0
+    for a, b in pairs:
+        _require_aligned(pairs[0][0], a)
+        _require_aligned(a, b)
+        _require_scale(scale, a.scale * b.scale)
+        # triangle inequality over |m1 nu2| + |m2 nu1| + |nu1 nu2|; each
+        # term is an upper bound, so their log-sum needs no extra pad
+        terms += (
+            a.noise_bits + _log2_pos(b.value_bound * b.scale),
+            b.noise_bits + _log2_pos(a.value_bound * a.scale),
+            a.noise_bits + b.noise_bits,
+        )
+        bound += a.value_bound * b.value_bound
+    if addend is not None:
+        _require_aligned(pairs[0][0], addend)
+        _require_scale(scale, addend.scale)
+        terms.append(addend.noise_bits)
+        bound += addend.value_bound
+    if lv < 1:
         raise LevelExhausted("multiplication at level 0 leaves no rescale room")
-    params, lv = a.scheme, a.level
-    # triangle inequality over |m1 nu2| + |m2 nu1| + |nu1 nu2|; each term
-    # is an upper bound, so their log-sum needs no extra pad
-    terms = (
-        a.noise_bits + _log2_pos(b.value_bound * b.scale),
-        b.noise_bits + _log2_pos(a.value_bound * a.scale),
-        a.noise_bits + b.noise_bits,
-    )
-    bound = a.value_bound * b.value_bound
     noise = _log2_sum(*terms, params.relin_noise_bits(lv))
-    _check_ledger(params, lv, a.scale * b.scale, noise, bound)
-    a, b = to_evaluation(a), to_evaluation(b)
-    # (a0b0, a1b1) and (a0b1, a1b0): d0 and d2, and d1's two terms
-    t = ring.ring_mul(a.parts, b.parts)
-    x = ring.ring_mul(a.parts, b.parts.part(slice(None, None, -1)))
-    d01 = ring.pair(t.part(0), ring.ring_add(x.part(0), x.part(1)))
+    _check_ledger(params, lv, scale, noise, bound)
+    ys, bs = zip(*((to_evaluation(a).parts, to_evaluation(b).parts) for a, b in pairs))
+    # sum_i a0*(b0, b1) + addend and sum_i a1*(b0, b1): d0 and d1, d1 and d2
+    base = None if addend is None else to_evaluation(addend).parts
+    x = ring.mul_sums([y.part(0) for y in ys], bs, base)
+    z = ring.mul_sums([y.part(1) for y in ys], bs)
+    d01 = ring.pair(x.part(0), ring.ring_add(x.part(1), z.part(0)))
     if params.special_count:
         d01 = ring.scalar_mul(d01, params.p_mod_q[: lv + 1])
-    return _relinearize(t.part(1), evk, lv, d01), terms, noise, bound
+    return _relinearize(z.part(1), evk, lv, d01), terms, noise, bound, scale
 
 
 def mult(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
     """Tensor product immediately relinearized back to two parts: the
-    _product divided by P.
+    product of _products divided by P.
 
     Result scale is scale_a * scale_b; rescale afterwards to bring it
     back down, or call mult_rescale. Raises LevelExhausted when no
     rescale level would remain.
     """
-    x, _, noise, bound = _product(a, b, evk)
+    x, _, noise, bound, scale = _products([(a, b)], evk)
     params = a.scheme
     parts = ring.divide(x, params.mod_down) if params.mod_down else x
-    return Ciphertext(params, parts, a.level, a.scale * b.scale, noise, bound)
+    return Ciphertext(params, parts, a.level, scale, noise, bound)
 
 
 def mult_rescale(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
-    """rescale(mult(a, b, evk)) with one division instead of two: the
-    _product divided by P*q_l, rounded once, at level l - 1 in the
-    Evaluation domain (Cheon, Han, Kim, Kim and Song, SAC 2018; Han and
-    Ki, CT-RSA 2020). The residues differ from the two-step form's by
-    its two roundings, at most floor(k/2) + 1 per coefficient for k
-    special primes, and equal them for k = 0.
+    """rescale(mult(a, b, evk)) with one division instead of two:
+    mult_rescale_sum of the one pair. The residues differ from the
+    two-step form's by its two roundings, at most floor(k/2) + 1 per
+    coefficient for k special primes, and equal them for k = 0."""
+    return mult_rescale_sum([(a, b)], evk)
 
-    The ledger: the tensor's terms and key switching's error, each over
-    q_l, and one rounding of the (k+1)-prime division. mult's ledger
-    guards the product at level l before the division.
+
+def mult_rescale_sum(pairs, evk: RelinKey, addend: Ciphertext = None) -> Ciphertext:
+    """sum_i a_i*b_i (+ addend) over ciphertext pairs (a_i, b_i), with one
+    key switch and one division by P*q_l for the whole sum, at level l - 1
+    in the Evaluation domain (Cheon, Han, Kim, Kim and Song, SAC 2018;
+    Bossuat, Mouchet, Troncoso-Pastoriza and Hubaux, EUROCRYPT 2021). The
+    operands share one level (else ValueError), and the products and the
+    addend one scale (else ScaleMismatch). The ledger: every tensor term,
+    the addend's noise and the switching error, each over q_l, and one
+    rounding of the (k+1)-prime division.
     """
-    x, terms, _, bound = _product(a, b, evk)
-    params, lv = a.scheme, a.level
+    pairs = list(pairs)
+    x, terms, _, bound, scale = _products(pairs, evk, addend)
+    params, lv = pairs[0][0].scheme, pairs[0][0].level
     q_top = params.ring.moduli[lv]
     q_bits = math.log2(q_top)
     noise = _log2_sum(
@@ -813,7 +841,7 @@ def mult_rescale(a: Ciphertext, b: Ciphertext, evk: RelinKey) -> Ciphertext:
         params.division_round_bits(params.special_count + 1),
     )
     parts = ring.divide(x, params.mult_rescale_div[lv])
-    return Ciphertext(params, parts, lv - 1, a.scale * b.scale / q_top, noise, bound)
+    return Ciphertext(params, parts, lv - 1, scale / q_top, noise, bound)
 
 
 def rescale(ct: Ciphertext) -> Ciphertext:

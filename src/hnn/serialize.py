@@ -259,7 +259,11 @@ def _seeded_pairs(data, kind: int, params: scheme.SchemeParams, count: int, rp):
     for off in range(_HEADER.size, _HEADER.size + count * block, block):
         b = _element(data, off, (), rp.max_level, rp)
         seed = data[off + block - ring.SEED_BYTES : off + block]
-        pairs.append(ring.pair(b, ring.sample_uniform(rp, rp.max_level, seed)))
+        # b and the expanded a written into one block, with no stack copy
+        pair = np.empty((2,) + b.residues.shape, np.uint64)
+        pair[0] = b.residues
+        ring.sample_uniform(rp, rp.max_level, seed, pair[1])
+        pairs.append(ring.RingElement(rp, rp.max_level, pair, ring.Domain.EVALUATION))
         seeds.append(seed)
     return pairs, seeds
 

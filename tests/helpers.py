@@ -523,3 +523,18 @@ def constant_plaintext(value, scale, params, level):
     poly = ring.from_int_coeffs(coeffs, params, level)
     err = abs(scaled - c0)
     return encoding.Plaintext(poly, float(scale), err, abs(value) + err / scale)
+
+
+def count_key_switches(monkeypatch):
+    """A live {"switch": n, "divide": n} count of scheme._relinearize and
+    ring.divide calls, the key switches and the divisions (rescales,
+    ModDowns and fused divisions by P*q_l) of what runs after it."""
+    counts = {"switch": 0, "divide": 0}
+    for mod, name, key in ((scheme, "_relinearize", "switch"), (ring, "divide", "divide")):
+
+        def counted(*args, fn=getattr(mod, name), key=key, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    return counts

@@ -6,7 +6,7 @@ import pytest
 from hnn import approx, encoding, neural, scheme
 from hnn.errors import DomainViolation, LevelExhausted
 
-from helpers import reference_soft_argmax, reference_softmax
+from helpers import count_key_switches, reference_soft_argmax, reference_softmax
 
 
 def enc(keys, values, rng):
@@ -112,6 +112,44 @@ class TestEvalPoly:
         fit = approx.build_exp_approx(2.0, 7)
         with pytest.raises(LevelExhausted):
             approx.eval_poly_encrypted(low, fit, small_keys.evk)
+
+
+class TestPolyTree:
+    """eval_poly_encrypted against PolyApprox.__call__ at every degree
+    up to 31, on an N = 32 ring of depth 6, and the key switches its
+    summed products take."""
+
+    @pytest.fixture(scope="class")
+    def deep_keys(self):
+        params = scheme.param_gen(128, 16, 6, scale_bits=40, allow_insecure=True)
+        assert params.ring.ring_degree == 32
+        return scheme.keygen(params, np.random.default_rng(91))
+
+    @pytest.mark.parametrize("degree", range(1, 32))
+    def test_matches_the_plain_polynomial_within_its_ledger(self, deep_keys, degree):
+        rng = np.random.default_rng(degree)
+        coeffs = rng.uniform(-1, 1, degree + 1)
+        fits = [
+            approx.build_exp_approx(2.0, degree, tol=None),
+            # |p| <= sum |c_k| on [-1, 1]
+            approx.PolyApprox(tuple(coeffs), 1.0, 0.0, float(np.sum(np.abs(coeffs)))),
+        ]
+        for fit in fits:
+            x = rng.uniform(-fit.radius, fit.radius, deep_keys.scheme.slot_capacity)
+            out = approx.eval_poly_encrypted(enc(deep_keys, x, rng), fit, deep_keys.evk)
+            assert out.level == deep_keys.scheme.max_level - approx.poly_eval_depth(degree)
+            assert scheme.noise_measure(deep_keys.sk, out, fit(x)) <= out.noise_bits
+
+    @pytest.mark.parametrize("degree, switches", [(7, 4), (15, 7), (31, 12)])
+    def test_key_switches_per_fit(self, deep_keys, monkeypatch, degree, switches):
+        # the power tree's depth - 1 squarings, then one switch per sum:
+        # each node's products and its c1*y share one key switch and one
+        # division; only the nodes' degree-one operands rescale alone
+        ct = enc(deep_keys, np.zeros(deep_keys.scheme.slot_capacity), np.random.default_rng(92))
+        counts = count_key_switches(monkeypatch)
+        approx.eval_poly_encrypted(ct, approx.build_exp_approx(2.0, degree, tol=None), deep_keys.evk)
+        hi_leaves = (degree + 1) // 4
+        assert counts == {"switch": switches, "divide": switches + hi_leaves}
 
 
 class TestEncryptedReciprocal:

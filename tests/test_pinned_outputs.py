@@ -14,18 +14,25 @@ import pytest
 
 from hnn import neural, scheme, serialize
 
+from helpers import count_key_switches
+
 BLOBS = {
     "pk": ("74546719667086e3", 106_599),
     "sk": ("75528a60326fff1b", 106_567),
     "evk": ("4bff0a7ea2e01e3f", 557_255),
     "features": ("8cee2a841fba900e", 13_633_424),
-    "scores-2": ("39e76dfbc5461700", 32_877),
-    "scores-3": ("50094c27a0c0d470", 32_877),
+    "scores-2": ("4c103ec16a164348", 32_877),
+    "scores-3": ("6750a00cb459260c", 32_877),
 }
 # the sk blob's residue block, between header and checksum: keygen draws
 # s before any seed, so it is the one that blob version 4 held too
 SK_RESIDUES = "0cc089124cb0794d"
-NOISE_BITS = {2: 45.42402993012839, 3: 47.70009267163758}
+NOISE_BITS = {2: 44.37785310981491, 3: 46.79786924314761}
+# key switches and ring.divide calls of one forward pass per class count
+COUNTS = {
+    2: {"switch": 17, "divide": 25},
+    3: {"switch": 21, "divide": 32},
+}
 
 
 @pytest.fixture(scope="module")
@@ -43,22 +50,24 @@ def recipe():
             serialize.Bundle(serialize.BUNDLE_FEATURES, 512, cts), params
         ),
     }
-    noise = {}
+    noise, counts = {}, {}
     for classes in (2, 3):
         rng = np.random.default_rng(10 + classes)
         weights = rng.normal(0.0, 0.1, (64, classes))
         bias = rng.normal(0.0, 0.1, classes)
-        out = neural.forward_encrypted(
-            neural.LinearModel(weights, bias),
-            neural.SoftArgmaxHead(1.3, classes),
-            cts,
-            keys.evk,
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            counts[classes] = count_key_switches(mp)
+            out = neural.forward_encrypted(
+                neural.LinearModel(weights, bias),
+                neural.SoftArgmaxHead(1.3, classes),
+                cts,
+                keys.evk,
+            )
         blobs[f"scores-{classes}"] = serialize.bundle_to_bytes(
             serialize.Bundle(serialize.BUNDLE_SCORES, 512, [out]), params
         )
         noise[classes] = out.noise_bits
-    return blobs, noise
+    return blobs, noise, counts
 
 
 @pytest.mark.parametrize("name", sorted(BLOBS))
@@ -69,6 +78,13 @@ def test_blob_bytes_are_pinned(recipe, name):
 
 def test_score_ledgers_are_pinned(recipe):
     assert recipe[1] == NOISE_BITS
+
+
+def test_key_switches_and_divisions_are_counted(recipe):
+    # C classes: C degree-7 exp fits of 4 switches and 6 divisions each,
+    # four Newton steps of 2 products, the final product, and the C
+    # logits' and the first Newton step's two rescales
+    assert recipe[2] == COUNTS
 
 
 def test_secret_key_residues_are_pinned(recipe):

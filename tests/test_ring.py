@@ -1672,6 +1672,14 @@ class TestSamplers:
             with pytest.raises(ValueError, match="32 bytes"):
                 ring.sample_uniform(small_params.ring, 0, seed)
 
+    def test_uniform_fills_a_given_block(self, chain):
+        # a key loader's pair: b in row 0, the seed's expansion in row 1
+        seed = bytes(range(32))
+        block = np.zeros((2, chain.level_count, chain.ring_degree), np.uint64)
+        el = ring.sample_uniform(chain, chain.max_level, seed, block[1])
+        assert np.shares_memory(el.residues, block) and not block[0].any()
+        assert np.array_equal(block[1], ring.sample_uniform(chain, chain.max_level, seed).residues)
+
 
 class TestDropLevel:
     def test_identity_and_idempotence(self):

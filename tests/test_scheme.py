@@ -713,6 +713,96 @@ class TestFusedProduct:
             scheme.mult_rescale(scheme.ct_drop_level(ct, 0), scheme.ct_drop_level(ct, 0), keys.evk)
 
 
+class TestProductSum:
+    """scheme.mult_rescale_sum, one key switch and one division for a sum
+    of products and an addend, against the path it replaces: a
+    mult_rescale per product and a rescale of the addend, added, on the
+    N = 32 ring and the default head's 13-prime N = 1024 chain."""
+
+    @pytest.fixture(scope="class", params=["n32", "default"])
+    def keys(self, request):
+        if request.param == "n32":
+            return request.getfixturevalue("small_keys")
+        depth = neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead()))
+        params = scheme.param_gen(128, 512, depth, 40, allow_insecure=True)
+        return scheme.keygen(params, np.random.default_rng(83))
+
+    @pytest.fixture(scope="class")
+    def operands(self, keys):
+        """Seven fresh top-level ciphertexts and their slot values, small
+        enough that three products sum within Q_1 at scale 2^80."""
+        rng = np.random.default_rng(84)
+        values = [rng.uniform(-0.5, 0.5, keys.scheme.slot_capacity) for _ in range(7)]
+        return values, [enc(keys, v, rng) for v in values]
+
+    def summands(self, keys, operands, count, level):
+        """count pairs and an addend (0.5 times the last operand, at the
+        products' scale) at ``level``, and the sum's slot values."""
+        vals, cts = operands
+        cts = [scheme.ct_drop_level(ct, level) for ct in cts]
+        pairs = [(cts[2 * i], cts[2 * i + 1]) for i in range(count)]
+        addend = scheme.mult_const(cts[6], 0.5, cts[0].scale)
+        want = sum(vals[2 * i] * vals[2 * i + 1] for i in range(count)) + 0.5 * vals[6]
+        return pairs, addend, want
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_matches_the_sum_of_mult_rescales_within_the_ledgers(self, keys, operands, count):
+        params, k = keys.scheme, keys.scheme.special_count
+        for level in (params.max_level, 1):
+            pairs, addend, want = self.summands(keys, operands, count, level)
+            fused = scheme.mult_rescale_sum(pairs, keys.evk, addend)
+            ref = scheme.tree_sum(
+                [scheme.mult_rescale(a, b, keys.evk) for a, b in pairs] + [scheme.rescale(addend)]
+            )
+            assert (fused.level, fused.parts.domain) == (level - 1, ring.Domain.EVALUATION)
+            assert fused.scale == pytest.approx(ref.scale, rel=1e-12)
+            assert fused.value_bound == pytest.approx(ref.value_bound, rel=1e-12)
+            # the ledger: every tensor term and the addend's noise over
+            # q_l, one switching error and one (k+1)-prime rounding
+            terms = [addend.noise_bits, params.switch_noise_bits(level)]
+            for a, b in pairs:
+                terms += (
+                    a.noise_bits + math.log2(b.value_bound * b.scale),
+                    b.noise_bits + math.log2(a.value_bound * a.scale),
+                    a.noise_bits + b.noise_bits,
+                )
+            q_bits = math.log2(params.ring.moduli[level])
+            want_bits = scheme._log2_sum(
+                *(t - q_bits for t in terms), params.division_round_bits(k + 1)
+            )
+            assert fused.noise_bits == pytest.approx(want_bits, abs=1e-12)
+            assert scheme.noise_measure(keys.sk, fused, want) <= fused.noise_bits
+            gap = np.max(np.abs(
+                scheme.decrypt_to_slots(keys.sk, fused) - scheme.decrypt_to_slots(keys.sk, ref)
+            ))
+            assert gap * fused.scale <= 2.0 ** fused.noise_bits + 2.0 ** ref.noise_bits
+
+    def test_mismatched_operands_are_refused_before_any_work(self, keys, operands, monkeypatch):
+        level = keys.scheme.max_level
+        pairs, addend, _ = self.summands(keys, operands, 2, level)
+        (a, b), (c, d) = pairs
+        low = scheme.ct_drop_level(c, level - 1)
+        wide = scheme.mult_const(c, 1.0, 2.0 ** 20)
+        calls = []
+        monkeypatch.setattr(ring, "mul_sums", lambda *args: calls.append(args))
+        refused = [
+            (ValueError, [], None),
+            (ValueError, [(a, b), (low, scheme.ct_drop_level(d, level - 1))], addend),
+            (ValueError, [(a, b), (low, d)], addend),
+            (ValueError, [(a, b)], scheme.ct_drop_level(addend, level - 1)),
+            (ScaleMismatch, [(a, b), (wide, d)], None),
+            (ScaleMismatch, [(a, b)], scheme.mult_const(addend, 1.0, 2.0 ** 20)),
+            (ScaleMismatch, [(a, b)], c),
+        ]
+        for error, sums, extra in refused:
+            with pytest.raises(error):
+                scheme.mult_rescale_sum(sums, keys.evk, extra)
+        with pytest.raises(LevelExhausted):
+            bottom = [scheme.ct_drop_level(ct, 0) for ct in (a, b)]
+            scheme.mult_rescale_sum([bottom], keys.evk)
+        assert calls == []
+
+
 class TestPlainOps:
     def test_add_plain(self, small_keys, rng):
         params = small_keys.scheme
