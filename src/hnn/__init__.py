@@ -14,9 +14,26 @@ Layers, bottom up:
 * :mod:`hnn.serialize` / :mod:`hnn.cli` — stable file formats and the
   command-line surface. ``hnn.cli`` is not imported here, so that
   ``python -m hnn.cli`` runs it once; ``from hnn import cli`` loads it.
+
+Importing hnn fixes glibc's mmap and trim thresholds, process-wide, at
+12 and 24 MiB. Left dynamic, they rise to the largest block freed and
+twice that, so a batch's ciphertexts and their bundle fill the brk heap
+right up to the trim threshold, and one result kept from the batch
+decides whether the heap shrinks. Fixed, a 512 x 64 batch's 13 MiB
+bundle is a mapping of its own, and the (2, 17, N) blocks of a key
+switch at N = 32768 (8.9 MB) still reuse heap pages.
 """
 
+import contextlib
+import ctypes
+
 from . import approx, encoding, errors, neural, ring, scheme, serialize
+
+with contextlib.suppress(OSError, AttributeError, TypeError):  # no glibc
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-3, 12 << 20)  # -3: M_MMAP_THRESHOLD
+    _mallopt(-1, 24 << 20)  # -1: M_TRIM_THRESHOLD
 
 __all__ = [
     "approx",

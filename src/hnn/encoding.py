@@ -10,12 +10,14 @@ FFT, which encryption's exact product runs on; tests check it against
 the N-point twisted FFT and an O(N^2) high-precision oracle.
 
 A scalar constant gets no polynomial: encode_constant rounds it to an
-integer, which ``scheme`` applies as one residue per prime.
+integer, which ``scheme`` applies as one residue per prime. The slot
+positions are derived once per ring degree, in numpy (functools.cache).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -30,23 +32,23 @@ MIN_SCALE = 2.0 ** 10
 # so slots below MAX_COEFF / scale always encode.
 MAX_COEFF = 2.0 ** 62
 
-_SLOT_CACHE: dict = {}
 
-
+@functools.cache
 def slot_positions(ring_degree: int) -> np.ndarray:
     """Index of each slot among ring.folded_fft's N/2 outputs.
 
     Slot k lives at the root zeta^(5^k mod 2N), zeta = e^(i*pi/N), and
     output m of the folded transform at zeta^(1 - 4m); as 5^k ≡ 1
     (mod 4), slot k is output ((1 - 5^k)/4) mod N/2. The slots fill the
-    outputs, each once.
+    outputs, each once; 5^k mod 2N for k in [m, 2m) is 5^(k-m)*5^m.
     """
-    pos = _SLOT_CACHE.get(ring_degree)
-    if pos is None:
-        h = ring_degree // 2
-        pos = np.array([(1 - pow(5, k, 2 * ring_degree)) // 4 % h for k in range(h)])
-        pos.flags.writeable = False
-        _SLOT_CACHE[ring_degree] = pos
+    h, two_n = ring_degree // 2, 2 * ring_degree
+    powers, step = np.ones(1, np.int64), 5
+    while len(powers) < h:
+        powers = np.concatenate((powers, powers * step % two_n))
+        step = step * step % two_n
+    pos = (1 - powers) // 4 % h
+    pos.flags.writeable = False
     return pos
 
 

@@ -22,6 +22,10 @@ from . import approx, encoding, scheme
 from .approx import SoftmaxConfig
 from .errors import TrainingDiverged
 
+# calibrate_temperature's step size and step count on log T
+CALIBRATION_LR = 0.2
+CALIBRATION_STEPS = 800
+
 
 @dataclasses.dataclass
 class LinearModel:
@@ -246,8 +250,6 @@ def calibrate_temperature(
     model: LinearModel,
     head: SoftArgmaxHead,
     data: Dataset,
-    lr: float = 0.2,
-    steps: int = 800,
     min_temperature: float = 1.0,
 ) -> SoftArgmaxHead:
     """Phase-two calibration: gradient descent on log T for the NLL of
@@ -263,7 +265,7 @@ def calibrate_temperature(
     m = len(y)
     u_floor = math.log(min_temperature) if min_temperature > 0 else -math.inf
     u = max(math.log(head.temperature), u_floor)
-    for _ in range(steps):
+    for _ in range(CALIBRATION_STEPS):
         t = math.exp(u)
         probs = softmax(logits / t)
         expected = np.sum(probs * logits, axis=1)
@@ -271,7 +273,7 @@ def calibrate_temperature(
         nll = -float(np.mean(np.log(probs[np.arange(m), y] + 1e-300)))
         if not math.isfinite(nll):
             raise TrainingDiverged("non-finite calibration loss")
-        u = max(u - lr * grad_t * t, u_floor)  # d/du = d/dT * T
+        u = max(u - CALIBRATION_LR * grad_t * t, u_floor)  # d/du = d/dT * T
     return SoftArgmaxHead(math.exp(u), head.class_count)
 
 

@@ -63,10 +63,10 @@ its buffers stay in a core's L2 cache.
 Twiddles and moduli come from full-width tables, as numpy runs a ufunc
 over contiguous operands of one shape in a single loop but broadcasts a
 (rows, 1) column row by row; once a pass takes one row, the moduli
-tables are zero-stride views of the column. For 13 primes the tables
-hold 2.6 MiB at N = 1024 and 14.6 MiB at N = 32768; for the 17 primes of
-a key ring, 3.45 and 19.1 MiB, and the chain's tables are row views of
-those (see _tables). ring_add and ring_sub reduce with one
+tables are zero-stride views of the column. A key ring's 17 primes'
+tables hold 3.45 MiB at N = 1024 and 19.1 MiB at N = 32768; they are
+built once, with the parameter set, and the chain's are row views of
+them (see _tables). ring_add and ring_sub reduce with one
 np.minimum(x, x - m) each.
 
 Elements are immutable after construction (residue arrays are marked
@@ -269,17 +269,13 @@ def find_ntt_primes(ring_degree: int, bit_sizes: Sequence[int]) -> tuple:
     return tuple(chain)
 
 
-def _bit_reverse(i: int, bits: int) -> int:
-    r = 0
-    for _ in range(bits):
-        r = (r << 1) | (i & 1)
-        i >>= 1
-    return r
-
-
 def bit_reverse_permutation(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    return np.array([_bit_reverse(i, bits) for i in range(n)], dtype=np.int64)
+    """rev(i), the log2(n)-bit reversal of i < n, by doubling: over 2m
+    indices it is 2*rev(i) for i < m, then 2*rev(i) + 1."""
+    perm = np.zeros(1, np.int64)
+    while len(perm) < n:
+        perm = np.concatenate((2 * perm, 2 * perm + 1))
+    return perm
 
 
 class _NttTables:
@@ -379,23 +375,18 @@ _TABLE_CACHE: dict = {}
 
 
 def _tables(params: RingParams) -> _NttTables:
-    """Tables of the full chain; one top-level NTT fills every level.
-
-    A chain that ends another (Q behind a key ring's special primes)
-    holds row views of the other's tables, whichever is built first.
-    """
+    """Tables of the full chain, cached by value; one top-level NTT fills
+    every level. A chain that ends a cached one (Q behind the special
+    primes of a key ring, whose tables scheme.SchemeParams builds first)
+    takes row views of its tables."""
     n, moduli = key = (params.ring_degree, params.moduli)
     tb = _TABLE_CACHE.get(key)
     if tb is None:
-        longer = [
-            (len(m) - len(moduli), t) for (d, m), t in _TABLE_CACHE.items()
+        longer = next((
+            (t, len(m) - len(moduli)) for (d, m), t in _TABLE_CACHE.items()
             if d == n and m[-len(moduli):] == moduli
-        ]
-        tb = longer[0][1].suffix(longer[0][0]) if longer else _NttTables(*key)
-        _TABLE_CACHE[key] = tb
-        for d, m in list(_TABLE_CACHE):
-            if d == n and len(m) < len(moduli) and moduli[-len(m):] == m:
-                _TABLE_CACHE[d, m] = tb.suffix(len(moduli) - len(m))
+        ), None)
+        tb = _TABLE_CACHE[key] = longer[0].suffix(longer[1]) if longer else _NttTables(*key)
     return tb
 
 
@@ -446,10 +437,8 @@ class RingParams:
     def modulus_product(self, level: int) -> int:
         return math.prod(self.moduli[: level + 1])
 
-    def total_bits(self, level=None) -> int:
-        if level is None:
-            level = self.max_level
-        return sum(q.bit_length() for q in self.moduli[: level + 1])
+    def total_bits(self) -> int:
+        return sum(q.bit_length() for q in self.moduli)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -523,15 +512,13 @@ def pair(a: RingElement, b: RingElement) -> RingElement:
     return a._like(np.stack((a.residues, b.residues)))
 
 
-def from_int_coeffs(
-    coeffs, params: RingParams, level: int, domain=Domain.COEFFICIENT
-) -> RingElement:
-    """Reduce signed integer coefficients into RNS residues.
+def from_int_coeffs(coeffs, params: RingParams, level: int) -> RingElement:
+    """Reduce signed integer coefficients into Coefficient RNS residues.
 
     int64 coefficients below twice the smallest prime in magnitude
-    (sampled secrets and errors) are offset by 2q into (0, 4q) and
-    reduced by two conditional subtractions; larger ones (encode) take
-    np.mod.
+    (sampled secrets and errors, and encode's on every workload) are
+    offset by 2q into (0, 4q) and reduced by two conditional
+    subtractions; larger ones take np.mod.
     """
     c = np.asarray(coeffs)
     rows = slice(0, level + 1)
@@ -542,7 +529,7 @@ def from_int_coeffs(
         res = _reduce(_reduce(c.view(np.uint64) + q2, q2), tb.q[rows])
     else:
         res = np.mod(c, params._q_col[rows].astype(np.int64)).astype(np.uint64)
-    return RingElement(params, level, res, domain)
+    return RingElement(params, level, res, Domain.COEFFICIENT)
 
 
 def zero(params: RingParams, level: int, domain=Domain.COEFFICIENT) -> RingElement:
@@ -1048,17 +1035,12 @@ def drop_level(a: RingElement, new_level: int) -> RingElement:
 # products by a ternary polynomial.
 # ---------------------------------------------------------------------------
 
-_FOLD_CACHE: dict = {}
-
-
+@functools.cache
 def _fold_twist(n: int) -> np.ndarray:
     """(2, N/2) complex: zeta^j and zeta^-j for j < N/2, zeta = e^(i*pi/N)."""
-    tw = _FOLD_CACHE.get(n)
-    if tw is None:
-        tw = np.exp(1j * np.pi / n * np.arange(n // 2))
-        tw = np.stack((tw, tw.conj()))
-        tw.flags.writeable = False
-        _FOLD_CACHE[n] = tw
+    tw = np.exp(1j * np.pi / n * np.arange(n // 2))
+    tw = np.stack((tw, tw.conj()))
+    tw.flags.writeable = False
     return tw
 
 

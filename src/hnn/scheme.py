@@ -194,6 +194,7 @@ class SchemeParams:
             ring.RingParams(n, special + self.ring.moduli) if special else self.ring
         )
         object.__setattr__(self, "key_ring", key_ring)
+        ring._tables(key_ring)  # built once: the chain's are row views of them
         rp, k, levels = self.ring, len(special), range(self.ring.level_count)
         # the digit ending at row j is level j's last: up[j] converts it
         top = key_ring.max_level
@@ -258,17 +259,14 @@ class SchemeParams:
             8.0 * ERR_STD * math.sqrt((2 * self.secret_weight + 1) * n)
         )
 
-    def rescale_round_bits(self) -> float:
-        """Rounding noise of one rescale: +-1/2 per coefficient on both
-        parts, the c1 share passing through the secret."""
-        n = self.ring.ring_degree
-        return _log2_pos(6.0 * math.sqrt((self.secret_weight + 4) * n))
-
     def division_round_bits(self, primes: int) -> float:
-        """Rounding noise of ring.divide by a product of ``primes`` primes:
-        its conversion rounds both parts by a sum of that many centred
-        fractions, variance primes/12: that many rescale roundings."""
-        return self.rescale_round_bits() + 0.5 * _log2_pos(primes)
+        """Rounding noise of ring.divide by a product of ``primes`` primes.
+        A rescale (one prime) rounds both parts by +-1/2 per coefficient,
+        the c1 share passing through the secret; a conversion of more
+        rounds by a sum of that many centred fractions, variance
+        primes/12: that many rescale roundings."""
+        one = _log2_pos(6.0 * math.sqrt((self.secret_weight + 4) * self.ring.ring_degree))
+        return one + 0.5 * _log2_pos(primes)
 
     def switch_noise_bits(self, level: int) -> float:
         """Key switching's error at ``level``, divided by P: a digit of S
@@ -853,7 +851,7 @@ def rescale(ct: Ciphertext) -> Ciphertext:
     if ct.level < 1:
         raise LevelExhausted("rescale at level 0")
     params, lv, q_top = ct.scheme, ct.level, ct.scheme.ring.moduli[ct.level]
-    noise = _log2_sum(ct.noise_bits - math.log2(q_top), params.rescale_round_bits())
+    noise = _log2_sum(ct.noise_bits - math.log2(q_top), params.division_round_bits(1))
     return dataclasses.replace(
         ct, parts=ring.divide(ct.parts, params.rescale_div[lv]), level=lv - 1,
         scale=ct.scale / q_top, noise_bits=noise,

@@ -253,6 +253,14 @@ class TestFoldedEmbedding:
         assert np.max(np.abs(got - hp)) <= 1e-14 * np.max(np.abs(hp))
         assert np.max(np.abs(got.real - v)) < 1e-14
 
+    def test_slot_positions_match_their_definition(self):
+        # the doubling build against one Python pow per slot
+        for e in range(3, 16):
+            n = 1 << e
+            want = [(1 - pow(5, k, 2 * n)) // 4 % (n // 2) for k in range(n // 2)]
+            pos = encoding.slot_positions(n)
+            assert pos.tolist() == want and not pos.flags.writeable
+
     def test_slots_fill_the_folded_outputs(self):
         # slot k at zeta^(5^k), which is output m of the folded transform
         # when 1 - 4m ≡ 5^k (mod 2N)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hnn import approx, encoding, neural, scheme
+from hnn import approx, encoding, neural, ring, scheme, serialize
 from hnn.errors import TrainingDiverged
 
 from helpers import central_difference, reference_soft_argmax, reference_softmax
@@ -350,6 +350,57 @@ class TestEncryptedForward:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_a_cold_parameter_set_builds_its_ntt_tables_once(self, head_params, monkeypatch):
+        # each hnn command derives its tables cold: the key ring's are
+        # built with its parameter set and the chain's are row views of
+        # them, so keygen, encrypt and infer each build them once
+        assert head_params.special_count > 0
+        builds, build = [], ring._NttTables.__init__
+
+        def counted(tables, *args):
+            builds.append(args)
+            build(tables, *args)
+
+        monkeypatch.setattr(ring._NttTables, "__init__", counted)
+        text = serialize.params_to_text(head_params)
+
+        def cold():
+            monkeypatch.setattr(ring, "_TABLE_CACHE", {})
+            builds.clear()
+            return serialize.params_from_text(text)
+
+        rng = np.random.default_rng(5)
+        model = neural.LinearModel(rng.normal(0, 0.4, (2, 2)), np.zeros(2))
+        head = neural.SoftArgmaxHead(1.2, 2)
+        feats = rng.uniform(-1, 1, (head_params.slot_capacity, 2))
+        params = cold()
+        ring.ntt_forward(ring.zero(params.ring, params.max_level))
+        keys = scheme.keygen(params, rng)
+        cts = neural.encrypt_features(keys.pk, feats, rng)
+        neural.forward_encrypted(model, head, cts, keys.evk)
+        assert builds == [(params.ring.ring_degree, params.key_ring.moduli)]
+        chain, key = ring._tables(params.ring), ring._tables(params.key_ring)
+        assert np.shares_memory(chain.psi_stage[0], key.psi_stage[0])
+        assert np.shares_memory(chain.q, key.q)
+
+        # the same flows, one cold parameter load each
+        pk_blob = serialize.public_key_to_bytes(keys.pk)
+        evk_blob = serialize.relin_key_to_bytes(keys.evk)
+        scheme.keygen(cold(), rng)
+        assert len(builds) == 1
+        params = cold()
+        pk = serialize.public_key_from_bytes(pk_blob, params)
+        bundle = serialize.Bundle(
+            serialize.BUNDLE_FEATURES, len(feats), neural.encrypt_features(pk, feats, rng)
+        )
+        blob = serialize.bundle_to_bytes(bundle, params)
+        assert len(builds) == 1
+        params = cold()
+        evk = serialize.relin_key_from_bytes(evk_blob, params)
+        cts = serialize.bundle_from_bytes(blob, params).ciphertexts
+        neural.forward_encrypted(model, head, cts, evk)
+        assert len(builds) == 1
 
     @pytest.mark.parametrize(
         "cfg",

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import math
 
@@ -210,6 +211,13 @@ class TestNtt:
         back = ring.ntt_inverse(fwd)
         assert np.array_equal(back.residues[0], el.residues[0])
 
+    def test_bit_reverse_permutation_reverses_every_index(self):
+        # the doubling build against each index's bits read backwards
+        for bits in range(3, 16):
+            want = [int(format(i, f"0{bits}b")[::-1], 2) for i in range(1 << bits)]
+            perm = ring.bit_reverse_permutation(1 << bits)
+            assert perm.dtype == np.int64 and perm.tolist() == want
+
     def test_domain_errors(self):
         params = make_params(8, (17,))
         el = from_coeffs([1, 0, 0, 0, 0, 0, 0, 0], params)
@@ -298,7 +306,10 @@ class TestBatchedChain:
                     zip(tb.psi_stage, tb.ipsi_stage, tb.psi_stage_q, tb.ipsi_stage_q)
                 ):
                     width = min(max(1 << s, 512), n // 2)
-                    exps = [ring._bit_reverse((1 << s) + k % (1 << s), bits) for k in range(width)]
+                    exps = [
+                        int(format((1 << s) + k % (1 << s), f"0{bits}b")[::-1], 2)
+                        for k in range(width)
+                    ]
                     assert w.shape == iw.shape == (len(moduli), 1, width)
                     assert w[j, 0].tolist() == [pow(psi, e, q) for e in exps]
                     assert iw[j, 0].tolist() == [pow(psi, -e, q) for e in exps]
@@ -1760,3 +1771,24 @@ class TestAlgebraicProperties:
             out = schoolbook_mul(out, x)
         zero = ring.zero(params, el.level)
         assert np.array_equal(out.residues, ring.ring_sub(zero, el).residues)
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost",
+    )]
+
+
+def test_large_blocks_stay_mapped_after_one_is_freed():
+    # importing hnn fixes glibc's mmap threshold: left dynamic, freeing
+    # the first 16 MiB block would put the next one on the brk heap
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallinfo2"):
+        pytest.skip("needs glibc >= 2.33")
+    libc.mallinfo2.argtypes, libc.mallinfo2.restype = (), _MallInfo2
+    for _ in range(2):
+        mapped = libc.mallinfo2().hblkhd
+        block = np.ones(16 << 20, np.uint8)
+        assert libc.mallinfo2().hblkhd - mapped >= 16 << 20
+        del block

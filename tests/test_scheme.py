@@ -616,7 +616,7 @@ class TestMultRescale:
         params = head_keys.scheme
         assert params.special_count > 0
         for level in range(1, params.max_level + 1):
-            assert params.relin_noise_bits(level) < params.rescale_round_bits() + 2
+            assert params.relin_noise_bits(level) < params.division_round_bits(1) + 2
 
     def test_rescale_at_level_zero_rejected(self, small_keys, rng):
         ct = enc(small_keys, np.zeros(small_keys.scheme.slot_capacity), rng)
@@ -689,7 +689,7 @@ class TestFusedProduct:
                 params.switch_noise_bits(level),
             )
             q_bits = math.log2(params.ring.moduli[level])
-            round_bits = params.rescale_round_bits() + 0.5 * math.log2(k + 1)
+            round_bits = params.division_round_bits(1) + 0.5 * math.log2(k + 1)
             want = scheme._log2_sum(*(t - q_bits for t in terms), round_bits)
             assert one.noise_bits == pytest.approx(want, abs=1e-12)
             assert scheme.noise_measure(keys.sk, one, product) <= one.noise_bits
