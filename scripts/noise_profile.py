@@ -63,17 +63,19 @@ def main() -> int:
             line += f" {ct.noise_bits:>10.1f} {measured:>10.1f} {margins[-1]:>8.1f}"
         print(line)
 
-    print(f"\n{'sum of products':<16} {'estimated':>10} {'measured':>10} {'margin':>8}")
     w, z = (rng.uniform(-1.0, 1.0, params.slot_capacity) for _ in range(2))
     x, y = fresh(v), fresh(w)
     rows = []
-    if params.max_level >= 1:
+    # |x*x + y*y + z| <= 3 at scale^2 would wrap level 1's 83-bit modulus
+    if params.max_level >= 2:
         addend = scheme.mult_const(fresh(z), 1.0, params.scale)
         out = scheme.mult_rescale_sum([(x, x), (y, y)], keys.evk, addend)
         rows.append(("x*x + y*y + z", out, v * v + w * w + z))
     fit = approx.build_exp_approx(2.0, 7)
     if params.max_level > approx.poly_eval_depth(fit.degree):
         rows.append(("exp fit, deg 7", approx.eval_poly_encrypted(x, fit, keys.evk), fit(v)))
+    if rows:
+        print(f"\n{'sum of products':<16} {'estimated':>10} {'measured':>10} {'margin':>8}")
     for name, ct, want in rows:
         measured = scheme.noise_measure(keys.sk, ct, want)
         margins.append(ct.noise_bits - measured)

@@ -11,7 +11,10 @@ switching: the third component's residues split into digits of
 digit_size primes, each digit is extended to the special primes P and
 the rest of the chain, and meets one evaluation-key component over
 P ∪ Q; P*(d0, d1) joins the sums there, and the whole is divided by P.
-With no special primes and one prime a digit, that is the CRT gadget.
+With as many special primes as half the chain, rounded up, a top-level
+switch has two digits and the evaluation key two components (Han and
+Ki, CT-RSA 2020, trade special primes against digits); with no special
+primes and one prime a digit, it is the CRT gadget.
 A rescale divides by the top prime the same way, and mult_rescale_sum,
 a sum of products that the pipeline rescales at once, sums the tensors
 first and then switches keys and divides by P*q_l once (Cheon, Han,
@@ -131,9 +134,11 @@ class SchemeParams:
     ERR_STD, ``secret_weight``, the ledger's ``noise_budget_bits``, and
     key switching's ``digit_size`` alpha and ``key_ring``. The key ring
     is the chain Q behind k special primes P, 42-bit NTT primes apart
-    from the chain: alpha = k = ceil(sqrt(L+1)), stepped down on a set
-    that is not allow_insecure until log2(QP) fits the security table,
-    to alpha = 1, k = 0 (the CRT gadget, key_ring is ring) at the end.
+    from the chain: alpha = k = ceil((L+1)/2), so that a switch at the
+    top level has two digits, and one below level k, and the evk two
+    components. On a set that is not allow_insecure, k steps down until
+    log2(QP) fits the security table, to alpha = 1, k = 0 (the CRT
+    gadget, key_ring is ring) at the end.
 
     So are the constants of key switching and rescale: ``mod_up[l]``, the
     conversions of level l's digits into P ∪ Q; ``p_mod_q``, P mod q_j as
@@ -175,9 +180,10 @@ class SchemeParams:
             )
         bound = SECURITY_TABLE[self.security_level].get(n)
         total = self.ring.total_bits()
-        # ceil(sqrt(L+1)) special primes, dropped one by one until log2(QP)
-        # fits the table; the evaluation key lives over Q*P
-        special = _special_primes(self.ring, math.isqrt(self.ring.max_level) + 1)
+        # ceil((L+1)/2) special primes, so two digits at the top level,
+        # dropped one by one until log2(QP) fits the table; the evaluation
+        # key lives over Q*P
+        special = _special_primes(self.ring, (self.ring.level_count + 1) // 2)
 
         def fits():
             return bound is not None and total + sum(p.bit_length() for p in special) <= bound
@@ -216,9 +222,13 @@ class SchemeParams:
             ring.Conversion(key_ring, [*range(k), k + lv], rp, lv - 1) if k
             else rescale_div[lv] for lv in levels[1:]
         ))
-        # >= 10 bits of final slack on deep chains; the floor keeps
-        # shallow (depth 0/1) chains usable for a few additions
-        budget = max(total - math.log2(self.scale) - 10, self.fresh_noise_bits() + 6)
+        # >= 10 bits of final slack on deep chains. The floor keeps shallow
+        # chains usable: at depth 0 for a few additions of fresh
+        # ciphertexts; from depth 1 for one product at level 1, whose
+        # ledger before its division, at scale^2, is about fresh +
+        # log2(scale) + 1 bits for operands of |value| <= 1
+        floor = self.fresh_noise_bits() + (math.log2(self.scale) + 2 if self.max_level else 6)
+        budget = max(total - math.log2(self.scale) - 10, floor)
         object.__setattr__(self, "noise_budget_bits", float(budget))
 
     @property
@@ -273,14 +283,18 @@ class SchemeParams:
         primes with product D extends to S centred terms, each of variance
         D^2/12, so sum_i d_i*e_i/P has coefficient std
         ERR_STD*sqrt(N*sum S*D^2/12)/P; the embedding adds sqrt(N) and 8x
-        covers the max-slot tail."""
-        n = self.ring.ring_degree
+        covers the max-slot tail. Summed in log2, since D^2 of a long
+        digit overflows a float."""
         moduli = self.ring.moduli
-        digit_var = sum(
-            (d.stop - d.start) * math.prod(moduli[d]) ** 2 for d in self.digits(level)
-        ) / 12.0
+        digit_var_bits = _log2_sum(*(
+            math.log2(d.stop - d.start) + 2.0 * math.log2(math.prod(moduli[d]))
+            for d in self.digits(level)
+        )) - math.log2(12.0)
         big_p = math.prod(self.key_ring.moduli[: self.special_count])
-        return _log2_pos(8.0 * ERR_STD * n * math.sqrt(digit_var) / big_p)
+        return (
+            math.log2(8.0 * ERR_STD * self.ring.ring_degree)
+            + 0.5 * digit_var_bits - math.log2(big_p)
+        )
 
     def relin_noise_bits(self, level: int) -> float:
         """Relinearization at ``level``: key switching's error, and

@@ -184,9 +184,10 @@ def _seal(kind: int, params: scheme.SchemeParams, payload: list) -> bytes:
     return b"".join(pieces)
 
 
-def _open(data, kind: int, params: scheme.SchemeParams, payload_size=None) -> bytes:
+def _open(data, kind: int, params: scheme.SchemeParams, payload_size=None, layout="") -> bytes:
     """``data`` as immutable bytes, once magic, version, kind, checksum,
-    parameter hash and (if ``payload_size`` fixes it) length all hold."""
+    parameter hash and (if ``payload_size`` fixes it, for a key of that
+    ``layout``) length all hold."""
     data = bytes(data)
     if data[:4] == b"HNNB":
         raise FormatError(
@@ -210,7 +211,12 @@ def _open(data, kind: int, params: scheme.SchemeParams, payload_size=None) -> by
     if payload_size is not None:
         size = _HEADER.size + payload_size + _CHECKSUM
         if len(data) != size:
-            raise FormatError(f"blob of {len(data)} bytes, not the {size} expected")
+            # a key written under another rule for its parameter set, such
+            # as an evk of another digit count, fails here alone
+            raise FormatError(
+                f"blob of {len(data)} bytes, not the {size} expected for {layout}; "
+                f"regenerate the keys with `hnn keygen`"
+            )
     return data
 
 
@@ -249,12 +255,12 @@ def _seeded_blob(kind: int, params: scheme.SchemeParams, pairs, seeds) -> bytes:
     return _seal(kind, params, payload)
 
 
-def _seeded_pairs(data, kind: int, params: scheme.SchemeParams, count: int, rp):
+def _seeded_pairs(data, kind: int, params: scheme.SchemeParams, count: int, rp, layout):
     """(pairs, seeds) of a seeded key payload of ``count`` top-level pairs
-    of the chain ``rp``: each b's residues checked against its q_j, each a
-    expanded from its seed."""
+    of the chain ``rp``, a key of ``layout``: each b's residues checked
+    against its q_j, each a expanded from its seed."""
     block = 8 * rp.level_count * rp.ring_degree + ring.SEED_BYTES
-    data = _open(data, kind, params, count * block)
+    data = _open(data, kind, params, count * block, layout)
     pairs, seeds = [], []
     for off in range(_HEADER.size, _HEADER.size + count * block, block):
         b = _element(data, off, (), rp.max_level, rp)
@@ -273,7 +279,9 @@ def public_key_to_bytes(pk: scheme.PublicKey) -> bytes:
 
 
 def public_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.PublicKey:
-    (pair,), (seed,) = _seeded_pairs(data, KIND_PK, params, 1, params.ring)
+    rp = params.ring
+    layout = f"a public key over the chain's {rp.level_count} rows"
+    (pair,), (seed,) = _seeded_pairs(data, KIND_PK, params, 1, rp, layout)
     return scheme.PublicKey(params, pair, seed)
 
 
@@ -284,7 +292,8 @@ def secret_key_to_bytes(sk: scheme.SecretKey) -> bytes:
 
 def secret_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.SecretKey:
     rp = params.ring
-    data = _open(data, KIND_SK, params, 8 * rp.level_count * rp.ring_degree)
+    layout = f"a secret key over the chain's {rp.level_count} rows"
+    data = _open(data, KIND_SK, params, 8 * rp.level_count * rp.ring_degree, layout)
     return scheme.SecretKey(params, _element(data, _HEADER.size, (), rp.max_level, rp))
 
 
@@ -293,8 +302,12 @@ def relin_key_to_bytes(evk: scheme.RelinKey) -> bytes:
 
 
 def relin_key_from_bytes(data: bytes, params: scheme.SchemeParams) -> scheme.RelinKey:
-    count = len(params.digits(params.max_level))
-    pairs, seeds = _seeded_pairs(data, KIND_EVK, params, count, params.key_ring)
+    count, kr = len(params.digits(params.max_level)), params.key_ring
+    layout = (
+        f"an evaluation key of {count} digit{'s' * (count != 1)} over the key "
+        f"ring's {kr.level_count} rows"
+    )
+    pairs, seeds = _seeded_pairs(data, KIND_EVK, params, count, kr, layout)
     return scheme.RelinKey(params, tuple(pairs), tuple(seeds))
 
 

@@ -700,6 +700,103 @@ class TestRelinKeyBlob:
         assert code == 3
 
 
+class TestKeysOfTheFourDigitRule:
+    """Keys written when k was ceil(sqrt(L+1)), 4 on a 13-prime chain, so
+    that the evk held 4 components over 17 key-ring rows. The parameter
+    file and its hash are unchanged, so such an evk passes every check
+    but its length, whose error names today's shape and `hnn keygen`;
+    the pk, sk and feature bundles, which hold no digits, load as ever."""
+
+    # sha256 prefix and length of each blob as that rule wrote it
+    OLD = {
+        "pk": ("ec60a66808d5a8f4", 3431),
+        "sk": ("e34ec7c8d8ecece1", 3399),
+        "evk": ("fd60376f94c4b182", 17607),
+        "features": ("f8c273d6f18bbffa", 13450),
+    }
+
+    @staticmethod
+    def blobs(params):
+        keys = scheme.keygen(params, np.random.default_rng(41))
+        rng = np.random.default_rng(42)
+        cts = neural.encrypt_features(keys.pk, rng.uniform(-1, 1, (4, 2)), rng)
+        bundle = serialize.Bundle(serialize.BUNDLE_FEATURES, 4, cts)
+        return {
+            "pk": serialize.public_key_to_bytes(keys.pk),
+            "sk": serialize.secret_key_to_bytes(keys.sk),
+            "evk": serialize.relin_key_to_bytes(keys.evk),
+            "features": serialize.bundle_to_bytes(bundle, params),
+        }
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        return scheme.param_gen(128, 16, 12, scale_bits=40, allow_insecure=True)
+
+    @pytest.fixture(scope="class")
+    def old(self, params):
+        """The four blobs as the old rule wrote them: its keygen, with the
+        special primes cut to the first 4 of today's 7."""
+        with pytest.MonkeyPatch.context() as mp:
+            take = scheme._special_primes
+            mp.setattr(scheme, "_special_primes", lambda rp, count: take(rp, 4))
+            old_params = scheme.param_gen(128, 16, 12, scale_bits=40, allow_insecure=True)
+        assert (old_params.special_count, old_params.key_ring.level_count) == (4, 17)
+        assert len(old_params.digits(old_params.max_level)) == 4
+        assert serialize.params_to_text(old_params) == serialize.params_to_text(params)
+        blobs = self.blobs(old_params)
+        got = {name: (hashlib.sha256(b).hexdigest()[:16], len(b)) for name, b in blobs.items()}
+        assert got == self.OLD
+        return blobs
+
+    def test_only_the_evk_changed(self, params, old):
+        new = self.blobs(params)
+        assert (params.special_count, params.key_ring.level_count) == (7, 20)
+        assert {name for name in new if new[name] != old[name]} == {"evk"}
+
+    def test_old_pk_sk_and_features_load(self, params, old):
+        pk = serialize.public_key_from_bytes(old["pk"], params)
+        sk = serialize.secret_key_from_bytes(old["sk"], params)
+        bundle = serialize.bundle_from_bytes(old["features"], params)
+        assert serialize.public_key_to_bytes(pk) == old["pk"]
+        assert serialize.secret_key_to_bytes(sk) == old["sk"]
+        want = np.random.default_rng(42).uniform(-1, 1, (4, 2))
+        got = [scheme.decrypt_to_slots(sk, ct)[:4] for ct in bundle.ciphertexts]
+        assert np.max(np.abs(np.column_stack(got) - want)) < 1e-6
+
+    def test_old_evk_names_the_shape_and_keygen(self, params, old):
+        with pytest.raises(
+            FormatError,
+            match=r"blob of 17607 bytes, not the 10375 expected for an evaluation key "
+            r"of 2 digits over the key ring's 20 rows; regenerate the keys with `hnn keygen`",
+        ):
+            serialize.relin_key_from_bytes(old["evk"], params)
+
+    def test_old_evk_infer_exit_code_3(self, tmp_path, capsys, params, old):
+        files = {name: tmp_path / name for name in ("p.txt", "evk.bin", "f.hct", "m.txt")}
+        serialize.save_params(params, files["p.txt"])
+        files["evk.bin"].write_bytes(old["evk"])
+        files["f.hct"].write_bytes(old["features"])
+        files["m.txt"].write_text(
+            serialize.model_to_text(
+                neural.LinearModel(np.zeros((2, 2)), np.zeros(2)),
+                neural.SoftArgmaxHead(1.0, 2), 2.0, 7, 5,
+            )
+        )
+        argv = [
+            "infer", "--model", str(files["m.txt"]), "--evk", str(files["evk.bin"]),
+            "--params", str(files["p.txt"]), "--input", str(files["f.hct"]),
+            "--out", str(tmp_path / "out.hct"),
+        ]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "evaluation key of 2 digits over the key ring's 20 rows" in err
+        assert "regenerate the keys with `hnn keygen`" in err
+        assert not (tmp_path / "out.hct").exists()
+        # a regenerated evk runs the old features through
+        files["evk.bin"].write_bytes(self.blobs(params)["evk"])
+        assert cli.main(argv) == 0
+
+
 _KEY_TAMPERS = ["low element", "trailing bytes", "residue at q_0"]
 
 

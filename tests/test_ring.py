@@ -584,7 +584,7 @@ class TestConversionRows:
     divide and mod_up once derived on each call, fixed when it is built:
     its rows as an int64 index array, lead and own, against those per-call
     derivations written out here, on the N = 32 test ring (k = 2), the
-    default head's N = 1024 ring (k = 4) and a CRT gadget set (k = 0)."""
+    default head's N = 1024 ring (k = 7) and a CRT gadget set (k = 0)."""
 
     @pytest.fixture(scope="class", params=["n32", "n1024", "gadget"])
     def params(self, request):
@@ -901,13 +901,14 @@ class TestKeySwitchKernels:
                 ring.mod_up(a, a_eval, conv, key.max_level)
         with pytest.raises(ValueError, match="does not fit"):
             ring.mod_up(c2, d2, conv, key.max_level + 1)
-        # a digit above the element (rows 8-11 at level 5), a digit above
-        # the target level (row 12 into P ∪ Q_5), and conversions whose
+        # a digit above the element (rows 7-12 at level 5), a digit above
+        # the target level (rows 7-12 into P ∪ Q_5), and conversions whose
         # source primes are not all targets: a rescale's, and one prime
         # of two
         d12 = ring.sample_uniform(chain, 12, np.random.default_rng(46).bytes(32))
+        assert params.mod_up[12][-1].rows.tolist() == list(range(7, 13))
         cases = [
-            (c2, d2, params.mod_up[12][2], key.max_level),
+            (c2, d2, params.mod_up[12][-1], key.max_level),
             (ring.ntt_inverse(d12), d12, params.mod_up[12][-1], k + 5),
             (c2, d2, params.rescale_div[5], 4),
             (c2, d2, ring.Conversion(chain, [3, 5], chain, 4), 4),
@@ -1203,7 +1204,7 @@ class TestDivide:
 
     def test_mod_down_matches_per_part_every_level(self, params):
         rp, kr, k = params.ring, params.key_ring, params.special_count
-        assert kr.level_count == 17
+        assert kr.level_count == 20
         rng = np.random.default_rng(52)
         for level in range(rp.level_count):
             pair = self.pair(kr, k + level, rng)
@@ -1295,7 +1296,7 @@ class TestProductDivision:
     """ring.divide by P*q_l, mult_rescale's division, which drops P's
     rows and the top row in one call: against the exact quotient in
     Python integers at every level, on the N = 32 test ring (k = 2), the
-    default head's N = 1024 ring (k = 4) and a k = 0 ring, where it is a
+    default head's N = 1024 ring (k = 7) and a k = 0 ring, where it is a
     rescale; and its gathered-row inverse kernel against the per-row one."""
 
     @pytest.fixture(scope="class", params=["n32", "n1024", "gadget"])

@@ -73,25 +73,40 @@ class TestParamGen:
                 assert params.key_ring.total_bits() <= bound
                 assert params.key_ring.moduli[params.special_count :] == params.ring.moduli
 
-    def test_secure_128_keeps_four_special_primes(self):
-        # 534 chain bits + 4 * 42 = 702 <= 881 at N = 32768
+    def test_secure_128_keeps_seven_special_primes(self):
+        # 534 chain bits + 7 * 42 = 828 <= 881 at N = 32768
         cfg = neural.head_config(neural.SoftArgmaxHead())
         params = scheme.param_gen(128, 16384, neural.pipeline_depth(cfg), 40)
         assert params.ring.ring_degree == 32768 and params.ring.total_bits() == 534
-        assert (params.digit_size, params.special_count) == (4, 4)
-        assert params.key_ring.total_bits() == 702
-        special = params.key_ring.moduli[:4]
+        assert (params.digit_size, params.special_count) == (7, 7)
+        assert params.key_ring.total_bits() == 828
+        assert len(params.digits(params.max_level)) == 2
+        special = params.key_ring.moduli[:7]
         assert all(p.bit_length() == 42 and p not in params.ring.moduli for p in special)
 
     def test_special_primes_step_down_to_fit_the_table(self):
-        # 62 chain bits at N = 4096 (max 109): two 42-bit special primes
-        # would make 146, one makes 104
-        moduli = ring.find_ntt_primes(4096, [42, 20])
-        params = scheme.SchemeParams(128, ring.RingParams(4096, moduli), 2.0 ** 19, 8)
+        # 162 chain bits in 5 primes at N = 8192 (max 218): the rule asks
+        # for ceil(5/2) = 3 special primes, 288 bits; two would make 246,
+        # one makes 204
+        moduli = ring.find_ntt_primes(8192, [42] + [30] * 4)
+        params = scheme.SchemeParams(128, ring.RingParams(8192, moduli), 2.0 ** 29, 8)
         assert (params.digit_size, params.special_count) == (1, 1)
-        assert params.key_ring.total_bits() == 104
+        assert params.key_ring.total_bits() == 204
+        assert len(params.digits(params.max_level)) == 5
         insecure = dataclasses.replace(params, allow_insecure=True)
-        assert (insecure.digit_size, insecure.special_count) == (2, 2)
+        assert (insecure.digit_size, insecure.special_count) == (3, 3)
+        assert len(insecure.digits(insecure.max_level)) == 2
+
+    def test_rule_gives_two_digits_on_every_chain_length(self):
+        # alpha = k = ceil((L+1)/2) on every chain param_gen can build:
+        # two digits at the top level, one below level k
+        for depth in range(scheme.MAX_CHAIN_PRIMES):
+            params = scheme.param_gen(128, 4, depth, 20, allow_insecure=True)
+            primes = params.ring.level_count
+            assert primes == depth + 1
+            assert params.special_count == params.digit_size == math.ceil(primes / 2)
+            assert len(params.digits(params.max_level)) <= 2
+            assert len(params.digits(params.special_count - 1)) == 1
 
     def test_small_secure_set_without_spare_bits_is_the_crt_gadget(self):
         params = scheme.param_gen(128, 4, 1)
@@ -570,27 +585,69 @@ class TestMultRescale:
                 for part, rows in zip(split(ct.parts), expect):
                     assert np.array_equal(ring.ntt_inverse(part).residues, rows)
 
-    def test_relinearized_matches_three_part_decrypt_every_level(
-        self, small_keys, rng
-    ):
-        # hybrid key switching may move the decryption by at most the
-        # ledger's relinearization charge
-        params = small_keys.scheme
+    @staticmethod
+    def check_relinearized_every_level(keys, rng):
+        """Hybrid key switching moves the decryption of mult(u, v) by at
+        most the ledger's relinearization charge from the unrelinearized
+        tensor's, at every level of keys' chain."""
+        params = keys.scheme
         k = params.slot_capacity
-        top_u = enc(small_keys, rng.uniform(-1, 1, k), rng)
-        top_v = enc(small_keys, rng.uniform(-1, 1, k), rng)
+        top_u = enc(keys, rng.uniform(-1, 1, k), rng)
+        top_v = enc(keys, rng.uniform(-1, 1, k), rng)
         for level in range(params.max_level, 0, -1):
             u = scheme.ct_drop_level(top_u, level)
             v = scheme.ct_drop_level(top_v, level)
-            relin = scheme.mult(u, v, small_keys.evk)
+            relin = scheme.mult(u, v, keys.evk)
             tensor = tensor_no_relin(u, v)
             diff = np.max(
                 np.abs(
-                    scheme.decrypt_to_slots(small_keys.sk, relin)
-                    - decrypt_three_part(small_keys.sk, tensor, relin.scale)
+                    scheme.decrypt_to_slots(keys.sk, relin)
+                    - decrypt_three_part(keys.sk, tensor, relin.scale)
                 )
             )
             assert diff <= 2.0 ** params.relin_noise_bits(level) / relin.scale
+
+    def test_relinearized_matches_three_part_decrypt_every_level(
+        self, small_keys, rng
+    ):
+        self.check_relinearized_every_level(small_keys, rng)
+
+    def test_relinearized_matches_three_part_decrypt_on_the_head_chain(self, rng):
+        # the default head's 13-prime N = 1024 chain, k = 7: two digits
+        # from level 7 up, one below
+        depth = neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead()))
+        params = scheme.param_gen(128, 512, depth, 40, allow_insecure=True)
+        assert (params.ring.level_count, params.special_count) == (13, 7)
+        keys = scheme.keygen(params, np.random.default_rng(72))
+        self.check_relinearized_every_level(keys, rng)
+
+    def test_depth_one_set_multiplies_within_its_ledger(self, rng):
+        # its budget floor holds one product's ledger at level 1, taken
+        # at scale^2 before the division
+        params = scheme.param_gen(128, 32, 1, 40, allow_insecure=True)
+        assert params.ring.total_bits() - math.log2(params.scale) - 10 < (
+            params.fresh_noise_bits() + math.log2(params.scale) + 1
+        )
+        keys = scheme.keygen(params, np.random.default_rng(73))
+        v, w = rng.uniform(-1, 1, 32), rng.uniform(-1, 1, 32)
+        out = scheme.mult_rescale(enc(keys, v, rng), enc(keys, w, rng), keys.evk)
+        assert out.level == 0
+        assert scheme.noise_measure(keys.sk, out, v * w) <= out.noise_bits
+        assert np.max(np.abs(dec(keys, out, 32) - v * w)) < 2.0 ** -20
+
+    def test_switch_noise_is_finite_on_a_35_prime_chain(self):
+        # the 35-prime chain of test_three_class_confident_logits: k = 18,
+        # so a digit's D^2 is about 2^1476, past a float's range
+        moduli = ring.find_ntt_primes(16, [42] + [41] * 34)
+        params = scheme.SchemeParams(
+            128, ring.RingParams(16, moduli), 2.0 ** 40, 8, allow_insecure=True
+        )
+        assert params.special_count == 18
+        for level in range(params.max_level + 1):
+            # finite, and below a rescale's rounding, as on shorter chains
+            bits = params.switch_noise_bits(level)
+            assert math.isfinite(bits) and bits < params.division_round_bits(1)
+            assert math.isfinite(params.relin_noise_bits(level))
 
     def test_digit_size_one_is_the_crt_gadget_every_level(self):
         # a 13-prime 128-bit chain whose 426 bits leave no room for a
@@ -628,7 +685,7 @@ class TestMultRescale:
 class TestFusedProduct:
     """scheme.mult_rescale, one division by P*q_l, against rescale(mult()),
     which divides by P and then by q_l, at every level of the default
-    head's 13-prime N = 1024 chain (k = 4) and of a k = 0 chain."""
+    head's 13-prime N = 1024 chain (k = 7) and of a k = 0 chain."""
 
     @pytest.fixture(scope="class", params=["default", "gadget"])
     def keys(self, request):
@@ -637,7 +694,7 @@ class TestFusedProduct:
         else:
             depth = neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead()))
             params = scheme.param_gen(128, 512, depth, 40, allow_insecure=True)
-            assert (params.ring.level_count, params.special_count) == (13, 4)
+            assert (params.ring.level_count, params.special_count) == (13, 7)
         return scheme.keygen(params, np.random.default_rng(81))
 
     @pytest.fixture(scope="class")
