@@ -7,11 +7,12 @@ mult then rescale, two divisions a product, and with mult_rescale, one
 division by P*q_l. It then evaluates two sums of products, each under
 one key switch and one division a sum: x*x + y*y + z through
 mult_rescale_sum, and the head's degree-7 exp fit through
-eval_poly_encrypted (when the chain is deep enough). It compares each
-ledger estimate with the ground-truth probe (max |decoded - expected| *
-scale, in bits). The margin columns are the headroom the static
-worst-case rules keep above reality; the script exits 1 if any margin
-is negative.
+eval_poly_encrypted; and that fit at +x and -x from one power tree, as
+the two-class head runs it, through eval_poly_pair (the fits when the
+chain is deep enough). It compares each ledger estimate with the
+ground-truth probe (max |decoded - expected| * scale, in bits). The
+margin columns are the headroom the static worst-case rules keep above
+reality; the script exits 1 if any margin is negative.
 
 Example:
     python scripts/noise_profile.py --ring-degree 2048 --depth 8
@@ -74,12 +75,14 @@ def main() -> int:
     fit = approx.build_exp_approx(2.0, 7)
     if params.max_level > approx.poly_eval_depth(fit.degree):
         rows.append(("exp fit, deg 7", approx.eval_poly_encrypted(x, fit, keys.evk), fit(v)))
+        plus, minus = approx.eval_poly_pair(x, fit, keys.evk)
+        rows += [("exp pair +x, deg 7", plus, fit(v)), ("exp pair -x, deg 7", minus, fit(-v))]
     if rows:
-        print(f"\n{'sum of products':<16} {'estimated':>10} {'measured':>10} {'margin':>8}")
+        print(f"\n{'sum of products':<18} {'estimated':>10} {'measured':>10} {'margin':>8}")
     for name, ct, want in rows:
         measured = scheme.noise_measure(keys.sk, ct, want)
         margins.append(ct.noise_bits - measured)
-        print(f"{name:<16} {ct.noise_bits:>10.1f} {measured:>10.1f} {margins[-1]:>8.1f}")
+        print(f"{name:<18} {ct.noise_bits:>10.1f} {measured:>10.1f} {margins[-1]:>8.1f}")
     if min(margins) < 0:
         print("FAIL: measured noise above the ledger estimate")
         return 1

@@ -8,7 +8,11 @@ scheme primitives:
   ceil(log2 d), with its coefficients multiplied in as scalars
   (scheme.mult_const, scheme.add_const) at compensating scales so every
   internal sum sees matching scales. A node's products share one key
-  switch, so a degree-7, 15 or 31 fit takes 4, 7 or 12.
+  switch, so a degree-7, 15 or 31 fit takes 4, 7 or 12. Two logits
+  that are each other's negatives share one tree (eval_poly_pair):
+  p = E + O with E even and O odd, so p(-y) = E(y) - O(y), and E is a
+  polynomial in y^2 over the tree's upper powers; a degree-7 pair takes
+  5 switches, not 8.
 * 1/x on [a, b]: k Newton steps z <- z(2 - x z) from z0 = 1/b, in
   their product form z_k = z0 * prod_{i<k} (1 + e^(2^i)) with
   e = 1 - z0 x (Goldschmidt division): e squares itself while z takes
@@ -18,6 +22,9 @@ scheme primitives:
   multiply per class. The caller folds mean-centering and temperature
   into the plaintext probe; zero-mean inputs pin the exp-sum into
   [n(1-eps), n cosh(r) + n eps], which lets a few Newton steps converge.
+  With two classes, zero mean makes the second logit the first one
+  negated, so the head reads the first alone and takes both exps from
+  its eval_poly_pair; a probe key checks that contract too.
 * soft-argmax: (sum_i i*e_i) * reciprocal, one ciphertext product; the
   index sum is one scheme.weighted_sums pass, whose exact index constants
   i sit at a small auxiliary scale, costing no level.
@@ -107,14 +114,9 @@ def poly_eval_depth(degree: int) -> int:
 # Encrypted polynomial evaluation
 # ---------------------------------------------------------------------------
 
-def eval_poly_encrypted(
-    ct: Ciphertext, approx: PolyApprox, evk: RelinKey
-) -> Ciphertext:
-    """p(x) on the slots, power-basis tree, depth poly_eval_depth(d).
-
-    Caller contract: slot values lie within [-radius, radius]. The
-    result's value bound is max|p| + sup_error.
-    """
+def _power_tree(ct: Ciphertext, approx: PolyApprox, evk: RelinKey) -> list:
+    """[y, y^2, y^4, ...], poly_eval_depth(d) powers of ct for the fit,
+    after the level check; y's value bound is clipped to the radius."""
     degree = approx.degree
     depth = poly_eval_depth(degree)
     if ct.level < depth + 1:
@@ -126,10 +128,46 @@ def eval_poly_encrypted(
     for _ in range(1, depth):
         prev = powers[-1]
         powers.append(scheme.mult_rescale(prev, prev, evk))
+    return powers
+
+
+def eval_poly_encrypted(
+    ct: Ciphertext, approx: PolyApprox, evk: RelinKey
+) -> Ciphertext:
+    """p(x) on the slots, power-basis tree, depth poly_eval_depth(d).
+
+    Caller contract: slot values lie within [-radius, radius]. The
+    result's value bound is max|p| + sup_error.
+    """
+    powers = _power_tree(ct, approx, evk)
     out = _poly_node(
-        list(approx.coefficients), ct.level - depth, ct.scale, powers, evk
+        list(approx.coefficients), ct.level - len(powers), ct.scale, powers, evk
     )
     return scheme.with_value_bound(out, approx.max_abs + approx.sup_error)
+
+
+def eval_poly_pair(ct: Ciphertext, approx: PolyApprox, evk: RelinKey) -> tuple:
+    """(p(y), p(-y)) from one power tree, at eval_poly_encrypted's level
+    and value bound: p = E + O with E(y) = c0 + c2 y^2 + c4 y^4 + ..., a
+    polynomial in t = y^2 evaluated over the tree's powers of t, and O
+    the odd terms over the whole tree, so that p(-y) = E - O. A degree-7
+    fit takes 5 key switches where two eval_poly_encrypted calls take 8.
+
+    Caller contract: slot values lie within [-radius, radius].
+    """
+    powers = _power_tree(ct, approx, evk)
+    level, coeffs = ct.level - len(powers), approx.coefficients
+    # O's coefficients up to its last odd one, so no node multiplies by zero
+    odd = [c if k % 2 else 0.0 for k, c in enumerate(coeffs[: len(coeffs) // 2 * 2])]
+    odd = _poly_node(odd, level, ct.scale, powers, evk)
+    even = list(coeffs[0::2])
+    if len(even) > 1:
+        even = _poly_node(even, level, ct.scale, powers[1:], evk)
+        pair = scheme.add(even, odd), scheme.sub(even, odd)
+    else:  # degree one: E is the constant c0
+        pair = (scheme.add_const(o, even[0]) for o in (odd, scheme.negate(odd)))
+    bound = approx.max_abs + approx.sup_error
+    return tuple(scheme.with_value_bound(p, bound) for p in pair)
 
 
 def _poly_node(coeffs, level, scale, powers, evk) -> Ciphertext:
@@ -154,7 +192,7 @@ def _poly_node(coeffs, level, scale, powers, evk) -> Ciphertext:
         scheme.ct_drop_level(powers[0], level + 1), c1, scale * q / powers[0].scale
     )
     out = scheme.mult_rescale_sum(pairs, evk, leaf) if pairs else scheme.rescale(leaf)
-    return scheme.add_const(out, coeffs[0])
+    return scheme.add_const(out, coeffs[0]) if coeffs[0] else out
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +335,35 @@ def _exps_and_reciprocal(logit_cts, cfg, evk, probe_key, need):
         raise LevelExhausted(
             f"head needs {need} levels, logits have {logit_cts[0].level}"
         )
-    exps = []
-    for ct in logit_cts:
-        y = scheme.with_value_bound(ct, min(ct.value_bound, cfg.radius))
-        if probe_key is not None:
-            worst = float(np.max(np.abs(scheme.decrypt_to_slots(probe_key, y))))
-            if worst > cfg.radius * (1.0 + 1e-6) + 1e-9:
-                raise DomainViolation(
-                    f"centered logit reaches {worst:.4f}, outside +-{cfg.radius}"
-                )
-        exps.append(eval_poly_encrypted(y, cfg.exp_approx(), evk))
+    ys = [
+        scheme.with_value_bound(ct, min(ct.value_bound, cfg.radius)) for ct in logit_cts
+    ]
+    if probe_key is not None:
+        _probe_domain(ys, cfg, probe_key)
+    if cfg.class_count == 2:
+        exps = list(eval_poly_pair(ys[0], cfg.exp_approx(), evk))
+    else:
+        exps = [eval_poly_encrypted(y, cfg.exp_approx(), evk) for y in ys]
     lo, hi = cfg.sum_interval()
     total_exp = scheme.with_value_bound(scheme.tree_sum(exps), hi)
     return exps, encrypted_reciprocal(total_exp, lo, hi, cfg.inv_iterations, evk)
+
+
+def _probe_domain(ys, cfg, probe_key):
+    """Decrypt-check the head's input contract: every logit inside
+    +-radius, and two logits each other's negatives up to their ledgered
+    noise, since the two-class head reads only the first."""
+    for y in ys:
+        worst = float(np.max(np.abs(scheme.decrypt_to_slots(probe_key, y))))
+        if worst > cfg.radius * (1.0 + 1e-6) + 1e-9:
+            raise DomainViolation(
+                f"centered logit reaches {worst:.4f}, outside +-{cfg.radius}"
+            )
+    if len(ys) == 2:
+        total = scheme.add(*ys)
+        worst = float(np.max(np.abs(scheme.decrypt_to_slots(probe_key, total))))
+        if worst > 2.0 ** total.noise_bits / total.scale:
+            raise DomainViolation(f"two logits sum to {worst:.3g}, not centered")
 
 
 def encrypted_softmax(

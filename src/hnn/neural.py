@@ -298,28 +298,47 @@ def encrypted_logits(model: LinearModel, feature_cts):
     """Per-class logit ciphertexts via plaintext-weight products.
 
     feature_cts[j] holds feature j for the whole batch in its slots, so
-    each logit is a rotation-free weighted slot sum plus the bias. All
+    each logit is a rotation-free weighted slot sum plus the bias. The
     classes come from one scheme.weighted_sums pass over the features,
     with the weights encoded at the top prime, which each logit's
-    rescale divides back out.
+    rescale divides back out. A class whose weights and bias are the
+    exact negatives of an earlier class's is that logit negated
+    (scheme.negate), with no column of its own.
     """
     if len(feature_cts) != model.d_in:
         raise ValueError(
             f"{len(feature_cts)} feature ciphertexts for d_in={model.d_in}"
         )
-    q_top = float(feature_cts[0].scheme.ring.moduli[feature_cts[0].level])
-    sums = scheme.weighted_sums(feature_cts, model.weights, q_top)
-    return [
-        scheme.add_const(scheme.rescale(s), float(b))
-        for s, b in zip(sums, model.bias)
+    cols = np.vstack((model.weights, model.bias)).T
+    source = [
+        next((j for j in range(c) if np.array_equal(cols[c], -cols[j])), None)
+        for c in range(len(cols))
     ]
+    own = [c for c, j in enumerate(source) if j is None]
+    q_top = float(feature_cts[0].scheme.ring.moduli[feature_cts[0].level])
+    sums = iter(scheme.weighted_sums(feature_cts, model.weights[:, own], q_top))
+    logits = []
+    for c, j in enumerate(source):
+        logits.append(
+            scheme.add_const(scheme.rescale(next(sums)), float(model.bias[c]))
+            if j is None else scheme.negate(logits[j])
+        )
+    return logits
 
 
 def _folded_probe(model: LinearModel, temperature: float) -> LinearModel:
     """Probe with logits (z - mean over classes of z) / T: the same softmax
-    as z / T, and the zero-mean input the encrypted head expects."""
-    w = model.weights - model.weights.mean(axis=1, keepdims=True)
-    return LinearModel(w / temperature, (model.bias - model.bias.mean()) / temperature)
+    as z / T, and the zero-mean input the encrypted head expects. Two
+    classes get the exact negatives +-(z_1 - z_2) / 2T, so that
+    encrypted_logits runs one column and the head's two exps come from
+    one logit."""
+    w, b = model.weights, model.bias
+    if model.class_count == 2:
+        d = (w[:, 0] - w[:, 1]) / (2.0 * temperature)
+        c = (b[0] - b[1]) / (2.0 * temperature)
+        return LinearModel(np.stack((d, -d), axis=1), np.array([c, -c]))
+    w = w - w.mean(axis=1, keepdims=True)
+    return LinearModel(w / temperature, (b - b.mean()) / temperature)
 
 
 def forward_encrypted(

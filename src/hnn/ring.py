@@ -65,9 +65,9 @@ over contiguous operands of one shape in a single loop but broadcasts a
 (rows, 1) column row by row; once a pass takes one row, the moduli
 tables are zero-stride views of the column. A key ring's 17 primes'
 tables hold 3.45 MiB at N = 1024 and 19.1 MiB at N = 32768; they are
-built once, with the parameter set, and the chain's are row views of
-them (see _tables). ring_add and ring_sub reduce with one
-np.minimum(x, x - m) each.
+built once, when the first transform of the parameter set needs them,
+and the chain's are row views of them (see _tables). ring_add and
+ring_sub reduce with one np.minimum(x, x - m) each.
 
 Elements are immutable after construction (residue arrays are marked
 read-only); every operation returns a new element, so concurrent use is
@@ -372,21 +372,35 @@ class _NttTables:
 
 
 _TABLE_CACHE: dict = {}
+_KEY_RINGS: set = set()
+
+
+def register_key_ring(params: RingParams):
+    """Mark params' chain as one whose tables serve the chains that end
+    it (Q behind the special primes of a key ring): nothing is built
+    until a transform asks for the tables of either."""
+    _KEY_RINGS.add((params.ring_degree, params.moduli))
 
 
 def _tables(params: RingParams) -> _NttTables:
     """Tables of the full chain, cached by value; one top-level NTT fills
-    every level. A chain that ends a cached one (Q behind the special
-    primes of a key ring, whose tables scheme.SchemeParams builds first)
-    takes row views of its tables."""
+    every level. A chain that ends a cached or registered longer one
+    takes row views of its tables, which are built first if need be, so
+    a key ring and its chain share one build."""
     n, moduli = key = (params.ring_degree, params.moduli)
     tb = _TABLE_CACHE.get(key)
     if tb is None:
         longer = next((
-            (t, len(m) - len(moduli)) for (d, m), t in _TABLE_CACHE.items()
-            if d == n and m[-len(moduli):] == moduli
+            k for k in (*_TABLE_CACHE, *_KEY_RINGS)
+            if k[0] == n and len(k[1]) > len(moduli) and k[1][-len(moduli):] == moduli
         ), None)
-        tb = _TABLE_CACHE[key] = longer[0].suffix(longer[1]) if longer else _NttTables(*key)
+        if longer is None:
+            tb = _NttTables(*key)
+        else:
+            if longer not in _TABLE_CACHE:
+                _TABLE_CACHE[longer] = _NttTables(*longer)
+            tb = _TABLE_CACHE[longer].suffix(len(longer[1]) - len(moduli))
+        _TABLE_CACHE[key] = tb
     return tb
 
 
@@ -659,6 +673,12 @@ def ring_add(a: RingElement, b: RingElement) -> RingElement:
     _require_compatible(a, b)
     q = _tables(a.params).q[: a.level + 1]
     return a._like(_reduce(a.residues + b.residues, q))
+
+
+def negate(a: RingElement) -> RingElement:
+    """-a: q - x per residue, q itself reduced to 0, in either domain."""
+    q = _tables(a.params).q[: a.level + 1]
+    return a._like(_reduce(q - a.residues, q))
 
 
 def ring_sub(a: RingElement, b: RingElement) -> RingElement:

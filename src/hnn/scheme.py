@@ -2,10 +2,11 @@
 
 The scheme is the usual RLWE construction for approximate arithmetic:
 slot vectors are encoded with a fixed scale, encrypted under a public
-key (b, a) = (-a*s + e, a), operated on with slotwise add/mult, and
-rescaled after products to keep the scale bounded. A fresh ciphertext
-is in the Coefficient domain, where encryption needs no NTT; the first
-rescale brings it to the Evaluation domain, where products run.
+key (b, a) = (-a*s + e, a), operated on with slotwise add, sub, negate
+and mult, and rescaled after products to keep the scale bounded. A
+fresh ciphertext is in the Coefficient domain, where encryption needs no
+NTT; the first rescale brings it to the Evaluation domain, where
+products run.
 Relinearization after ciphertext-ciphertext products is hybrid key
 switching: the third component's residues split into digits of
 digit_size primes, each digit is extended to the special primes P and
@@ -200,7 +201,8 @@ class SchemeParams:
             ring.RingParams(n, special + self.ring.moduli) if special else self.ring
         )
         object.__setattr__(self, "key_ring", key_ring)
-        ring._tables(key_ring)  # built once: the chain's are row views of them
+        # built on first use, once: the chain's tables are row views of them
+        ring.register_key_ring(key_ring)
         rp, k, levels = self.ring, len(special), range(self.ring.level_count)
         # the digit ending at row j is level j's last: up[j] converts it
         top = key_ring.max_level
@@ -623,15 +625,32 @@ def _pairwise(items, combine):
     return items[0]
 
 
-def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:
-    """Slotwise sum; scales must match to 2^-30 relative. Operands of one
-    domain sum in it, mixed ones in the Evaluation domain."""
+def _combine(a: Ciphertext, b: Ciphertext, combine) -> Ciphertext:
+    """combine(a.parts, b.parts), a ring sum or difference, with add's
+    rules and ledger."""
     _require_summable(a, b)
     if a.parts.domain != b.parts.domain:
         a, b = to_evaluation(a), to_evaluation(b)
-    parts = ring.ring_add(a.parts, b.parts)
+    parts = combine(a.parts, b.parts)
     noise, bound = _sum_ledger((a.noise_bits, a.value_bound), (b.noise_bits, b.value_bound))
     return dataclasses.replace(a, parts=parts, noise_bits=noise, value_bound=bound)
+
+
+def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:
+    """Slotwise sum; scales must match to 2^-30 relative. Operands of one
+    domain sum in it, mixed ones in the Evaluation domain."""
+    return _combine(a, b, ring.ring_add)
+
+
+def sub(a: Ciphertext, b: Ciphertext) -> Ciphertext:
+    """Slotwise difference a - b, with add's rules and ledger."""
+    return _combine(a, b, ring.ring_sub)
+
+
+def negate(ct: Ciphertext) -> Ciphertext:
+    """-ct: q - x per residue, in ct's domain and at its level, with its
+    ledger, which bounds |values| and noise alike for either sign."""
+    return dataclasses.replace(ct, parts=ring.negate(ct.parts))
 
 
 def tree_sum(cts) -> Ciphertext:

@@ -114,16 +114,32 @@ class TestEvalPoly:
             approx.eval_poly_encrypted(low, fit, small_keys.evk)
 
 
+@pytest.fixture(scope="module")
+def deep_keys():
+    """An N = 32 ring of depth 6, deep enough for a degree-31 fit."""
+    params = scheme.param_gen(128, 16, 6, scale_bits=40, allow_insecure=True)
+    assert params.ring.ring_degree == 32
+    return scheme.keygen(params, np.random.default_rng(91))
+
+
+def per_class_pair(y, fit, evk):
+    """The path eval_poly_pair replaces: one fit of y and one of -y."""
+    return (
+        approx.eval_poly_encrypted(y, fit, evk),
+        approx.eval_poly_encrypted(scheme.negate(y), fit, evk),
+    )
+
+
+def within_ledgers(keys, a, b):
+    """a and b decrypt within the sum of their ledgered errors."""
+    gap = np.max(np.abs(scheme.decrypt_to_slots(keys.sk, a) - scheme.decrypt_to_slots(keys.sk, b)))
+    return gap <= 2.0 ** a.noise_bits / a.scale + 2.0 ** b.noise_bits / b.scale
+
+
 class TestPolyTree:
     """eval_poly_encrypted against PolyApprox.__call__ at every degree
     up to 31, on an N = 32 ring of depth 6, and the key switches its
     summed products take."""
-
-    @pytest.fixture(scope="class")
-    def deep_keys(self):
-        params = scheme.param_gen(128, 16, 6, scale_bits=40, allow_insecure=True)
-        assert params.ring.ring_degree == 32
-        return scheme.keygen(params, np.random.default_rng(91))
 
     @pytest.mark.parametrize("degree", range(1, 32))
     def test_matches_the_plain_polynomial_within_its_ledger(self, deep_keys, degree):
@@ -150,6 +166,40 @@ class TestPolyTree:
         approx.eval_poly_encrypted(ct, approx.build_exp_approx(2.0, degree, tol=None), deep_keys.evk)
         hi_leaves = (degree + 1) // 4
         assert counts == {"switch": switches, "divide": switches + hi_leaves}
+
+
+class TestPolyPair:
+    """eval_poly_pair, the two-class head's E(y^2) +- O(y), against the
+    path it replaces and against PolyApprox.__call__ at +-y."""
+
+    @pytest.mark.parametrize("degree", range(1, 16))
+    def test_matches_the_per_class_path_within_the_ledgers(self, deep_keys, degree):
+        # degree 1 has no E tree, degree 2 an E of one leaf
+        rng = np.random.default_rng(100 + degree)
+        fit = approx.build_exp_approx(2.0, degree, tol=None)
+        x = rng.uniform(-2, 2, deep_keys.scheme.slot_capacity)
+        y = enc(deep_keys, x, rng)
+        pair = approx.eval_poly_pair(y, fit, deep_keys.evk)
+        slow = per_class_pair(y, fit, deep_keys.evk)
+        level = deep_keys.scheme.max_level - approx.poly_eval_depth(degree)
+        for sign, fast, ref in zip((1, -1), pair, slow):
+            assert fast.level == ref.level == level
+            assert fast.value_bound == ref.value_bound
+            assert scheme.noise_measure(deep_keys.sk, fast, fit(sign * x)) <= fast.noise_bits
+            assert within_ledgers(deep_keys, fast, ref)
+
+    def test_a_degree_seven_pair_takes_five_key_switches(self, deep_keys, monkeypatch):
+        # y^2 and y^4; E(t) = c0 + c2 t + c4 t^2 + c6 t^3 over (t, t^2),
+        # one sum; O over (y, y^2, y^4), two sums and two lone rescales
+        ct = enc(deep_keys, np.zeros(deep_keys.scheme.slot_capacity), np.random.default_rng(93))
+        counts = count_key_switches(monkeypatch)
+        approx.eval_poly_pair(ct, approx.build_exp_approx(2.0, 7), deep_keys.evk)
+        assert counts == {"switch": 5, "divide": 8}
+
+    def test_level_check(self, small_keys, rng):
+        low = scheme.ct_drop_level(enc(small_keys, np.zeros(4), rng), 1)
+        with pytest.raises(LevelExhausted):
+            approx.eval_poly_pair(low, approx.build_exp_approx(2.0, 7), small_keys.evk)
 
 
 class TestEncryptedReciprocal:
@@ -271,6 +321,17 @@ class TestEncryptedSoftmax:
         with pytest.raises(DomainViolation):
             approx.encrypted_softmax(cts, cfg, head_keys.evk, probe_key=head_keys.sk)
 
+    def test_domain_probe_refuses_uncentered_two_class_logits(self, head_keys, rng):
+        # the two-class head reads only the first logit
+        cfg = approx.SoftmaxConfig()
+        k = head_keys.scheme.slot_capacity
+        cts = [enc(head_keys, np.full(k, 0.5), rng), enc(head_keys, np.full(k, 0.3), rng)]
+        with pytest.raises(DomainViolation, match="not centered"):
+            approx.encrypted_soft_argmax(cts, cfg, head_keys.evk, probe_key=head_keys.sk)
+        # independently encrypted centered logits differ by noise alone
+        cts = [enc(head_keys, np.full(k, 0.5), rng), enc(head_keys, np.full(k, -0.5), rng)]
+        approx.encrypted_soft_argmax(cts, cfg, head_keys.evk, probe_key=head_keys.sk)
+
 
 class TestEncryptedSoftArgmax:
     def test_uniform_case(self, head_keys, rng):
@@ -341,6 +402,27 @@ class TestEncryptedSoftArgmax:
         sig = approx.encrypted_softmax(cts, cfg, head_keys.evk)
         per_class = sum((i + 1) * dec(head_keys, s, k) for i, s in enumerate(sig))
         assert np.max(np.abs(out - per_class)) < 1e-6
+
+    def test_two_class_head_matches_the_per_class_path(self, monkeypatch):
+        # on the N = 1024 ring of the default head, as forward_encrypted
+        # passes them: a logit and its negation
+        cfg = approx.SoftmaxConfig()
+        params = scheme.param_gen(
+            128, 512, approx.soft_argmax_min_levels(cfg), 40, allow_insecure=True
+        )
+        assert params.ring.ring_degree == 1024
+        keys = scheme.keygen(params, np.random.default_rng(94))
+        rng = np.random.default_rng(95)
+        y = rng.uniform(-2, 2, params.slot_capacity)
+        ct = enc(keys, y, rng)
+        cts = [ct, scheme.negate(ct)]
+        fast = approx.encrypted_soft_argmax(cts, cfg, keys.evk, probe_key=keys.sk)
+        monkeypatch.setattr(approx, "eval_poly_pair", per_class_pair)
+        slow = approx.encrypted_soft_argmax(cts, cfg, keys.evk)
+        assert fast.level == slow.level
+        assert within_ledgers(keys, fast, slow)
+        oracle = reference_soft_argmax(np.column_stack((y, -y)))
+        assert np.max(np.abs(dec(keys, fast, len(y)) - oracle)) < 1e-3
 
     def test_output_in_index_range(self, head_keys, rng):
         cfg = approx.SoftmaxConfig()

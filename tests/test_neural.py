@@ -282,6 +282,18 @@ class TestCalibration:
         assert head.temperature >= 1.0
 
 
+def count_sum_columns(monkeypatch):
+    """A live list of the column counts of ring.scalar_mul_sums calls."""
+    columns, sums = [], ring.scalar_mul_sums
+
+    def counted(els, weights):
+        columns.append(np.shape(weights)[1])
+        return sums(els, weights)
+
+    monkeypatch.setattr(ring, "scalar_mul_sums", counted)
+    return columns
+
+
 class TestEncryptedForward:
     def test_encrypted_logits_match_plain(self, head_keys, rng):
         params = head_keys.scheme
@@ -297,6 +309,47 @@ class TestEncryptedForward:
         for c, ct in enumerate(logit_cts):
             got = scheme.decrypt_to_slots(head_keys.sk, ct)[:k]
             assert np.max(np.abs(got - plain[:, c])) < 2.0 ** -10
+
+    def test_a_negated_class_is_the_negated_logit_with_no_column(
+        self, head_keys, rng, monkeypatch
+    ):
+        # classes 0 and 2 are negatives (weights and bias), class 1 is
+        # not: two scalar_mul_sums columns, and logit 2's residues are
+        # q - x of logit 0's, with its ledger
+        k = head_keys.scheme.slot_capacity
+        w = rng.normal(0, 0.5, (4, 2))
+        b = rng.normal(0, 0.2, 2)
+        model = neural.LinearModel(np.column_stack((w, -w[:, 0])), np.append(b, -b[0]))
+        feats = rng.uniform(-1, 1, (k, 4))
+        cts = neural.encrypt_features(head_keys.pk, feats, rng)
+        columns = count_sum_columns(monkeypatch)
+        logit_cts = neural.encrypted_logits(model, cts)
+        assert columns == [2]
+        first, neg = logit_cts[0], logit_cts[2]
+        q = first.parts._q
+        assert np.array_equal(neg.parts.residues, (q - first.parts.residues) % q)
+        assert (neg.noise_bits, neg.value_bound) == (first.noise_bits, first.value_bound)
+        plain = model.logits(feats)
+        for c, ct in enumerate(logit_cts):
+            got = scheme.decrypt_to_slots(head_keys.sk, ct)[:k]
+            assert np.max(np.abs(got - plain[:, c])) < 2.0 ** -10
+
+    def test_a_negated_weight_column_with_its_own_bias_keeps_its_column(
+        self, head_keys, rng, monkeypatch
+    ):
+        k = head_keys.scheme.slot_capacity
+        w = rng.normal(0, 0.5, (3, 1))
+        model = neural.LinearModel(np.hstack((w, -w)), np.array([0.1, 0.2]))
+        cts = neural.encrypt_features(head_keys.pk, rng.uniform(-1, 1, (k, 3)), rng)
+        columns = count_sum_columns(monkeypatch)
+        neural.encrypted_logits(model, cts)
+        assert columns == [2]
+
+    def test_two_class_folded_probe_is_one_negated_column(self, rng):
+        model = neural.LinearModel(rng.normal(0, 2, (6, 2)), rng.normal(0, 1, 2))
+        folded = neural._folded_probe(model, 1.3)
+        assert np.array_equal(folded.weights[:, 1], -folded.weights[:, 0])
+        assert folded.bias[1] == -folded.bias[0]
 
     @pytest.mark.parametrize("classes,temperature", [(2, 1.0), (3, 1.7), (5, 0.6)])
     def test_folded_probe_centers_and_tempers(self, rng, classes, temperature):

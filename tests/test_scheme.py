@@ -173,6 +173,23 @@ class TestParamGen:
         assert params.scale == 2.0 ** 40
         assert params.ring.ring_degree == 4096
 
+    def test_param_gen_builds_no_ntt_tables(self, monkeypatch):
+        # a parameter set registers its key ring; the tables wait for the
+        # first transform, which builds the key ring's once for both chains
+        builds, build = [], ring._NttTables.__init__
+
+        def counted(tables, *args):
+            builds.append(args)
+            build(tables, *args)
+
+        monkeypatch.setattr(ring._NttTables, "__init__", counted)
+        monkeypatch.setattr(ring, "_TABLE_CACHE", {})
+        params = scheme.param_gen(128, 512, 12, 40, allow_insecure=True)
+        assert params.special_count > 0
+        assert builds == []
+        ring.ntt_forward(ring.zero(params.ring, params.max_level))
+        assert builds == [(params.ring.ring_degree, params.key_ring.moduli)]
+
 
 class TestKeygen:
     def test_public_key_error_is_small(self, small_params):
@@ -514,6 +531,53 @@ class TestAdd:
         b = scheme.ct_drop_level(enc(small_keys, np.zeros(k), rng), a.level - 1)
         with pytest.raises(ValueError):
             scheme.add(a, b)
+
+
+class TestNegateSub:
+    """negate and sub against the plaintexts they must decrypt to, exactly:
+    decryption is linear, so -ct and a - b decrypt to the negated and
+    subtracted polynomials mod q, and both keep their ledger rules."""
+
+    @pytest.mark.parametrize("evaluation", [False, True], ids=["coefficient", "evaluation"])
+    def test_negate_decrypts_exactly_and_keeps_the_ledger(self, small_keys, rng, evaluation):
+        k = small_keys.scheme.slot_capacity
+        ct = enc(small_keys, rng.uniform(-1, 1, k), rng)
+        if evaluation:
+            ct = scheme.rescale(scheme.mult_const(ct, 1.0, 2.0 ** 20))
+        neg = scheme.negate(ct)
+        assert neg.parts.domain == ct.parts.domain
+        q = ct.parts._q
+        assert np.array_equal(neg.parts.residues, (q - ct.parts.residues) % q)
+        want = ring.negate(scheme.decrypt(small_keys.sk, ct).poly)
+        assert np.array_equal(scheme.decrypt(small_keys.sk, neg).poly.residues, want.residues)
+        fields = ("level", "scale", "noise_bits", "value_bound")
+        assert [getattr(neg, f) for f in fields] == [getattr(ct, f) for f in fields]
+
+    def test_negate_of_zero_residues_is_zero(self, small_params):
+        el = ring.zero(small_params.ring, small_params.max_level)
+        assert not np.any(ring.negate(el).residues)
+
+    def test_sub_decrypts_exactly_with_adds_ledger(self, small_keys, rng):
+        k = small_keys.scheme.slot_capacity
+        a, b = (enc(small_keys, rng.uniform(-1, 1, k), rng) for _ in range(2))
+        diff = scheme.sub(a, b)
+        want = ring.ring_sub(
+            scheme.decrypt(small_keys.sk, a).poly, scheme.decrypt(small_keys.sk, b).poly
+        )
+        assert np.array_equal(scheme.decrypt(small_keys.sk, diff).poly.residues, want.residues)
+        total = scheme.add(a, b)
+        assert (diff.noise_bits, diff.value_bound) == (total.noise_bits, total.value_bound)
+        assert np.array_equal(
+            scheme.sub(a, a).parts.residues, np.zeros_like(a.parts.residues)
+        )
+
+    def test_sub_checks_like_add(self, small_keys, rng):
+        k = small_keys.scheme.slot_capacity
+        a = enc(small_keys, np.zeros(k), rng)
+        with pytest.raises(ScaleMismatch):
+            scheme.sub(a, enc(small_keys, np.zeros(k), rng, scale=small_keys.scheme.scale * 2))
+        with pytest.raises(ValueError):
+            scheme.sub(a, scheme.ct_drop_level(a, a.level - 1))
 
 
 class TestMultRescale:
