@@ -7,9 +7,11 @@ mult then rescale, two divisions a product, and with mult_rescale, one
 division by P*q_l. It then evaluates two sums of products, each under
 one key switch and one division a sum: x*x + y*y + z through
 mult_rescale_sum, and the head's degree-7 exp fit through
-eval_poly_encrypted; and that fit at +x and -x from one power tree, as
-the two-class head runs it, through eval_poly_pair (the fits when the
-chain is deep enough). It compares each ledger estimate with the
+eval_poly_encrypted; that fit at +x and -x from one power tree, as
+the two-class head runs it, through eval_poly_pair; and the default
+two-class soft-argmax head, whose index sum rides the Newton chain,
+against the plaintext circuit it evaluates (the fits and the head when
+the chain is deep enough). It compares each ledger estimate with the
 ground-truth probe (max |decoded - expected| * scale, in bits). The
 margin columns are the headroom the static worst-case rules keep above
 reality; the script exits 1 if any margin is negative.
@@ -77,8 +79,21 @@ def main() -> int:
         rows.append(("exp fit, deg 7", approx.eval_poly_encrypted(x, fit, keys.evk), fit(v)))
         plus, minus = approx.eval_poly_pair(x, fit, keys.evk)
         rows += [("exp pair +x, deg 7", plus, fit(v)), ("exp pair -x, deg 7", minus, fit(-v))]
+    cfg = approx.SoftmaxConfig()
+    if params.max_level >= approx.soft_argmax_min_levels(cfg):
+        # a centred logit in [-2, 2] and its negation, as forward_encrypted
+        # passes them, against the exp fit's index sum times the Newton
+        # iterate of its slot sum
+        y = 2.0 * v
+        ct = fresh(y)
+        out = approx.encrypted_soft_argmax([ct, scheme.negate(ct)], cfg, keys.evk)
+        e = cfg.exp_approx()(np.column_stack((y, -y)))
+        inv = approx.newton_reciprocal_plain(
+            e.sum(axis=1), cfg.sum_interval()[1], cfg.inv_iterations
+        )
+        rows.append(("soft-argmax, C = 2", out, (e @ [1.0, 2.0]) * inv))
     if rows:
-        print(f"\n{'sum of products':<18} {'estimated':>10} {'measured':>10} {'margin':>8}")
+        print(f"\n{'circuit':<18} {'estimated':>10} {'measured':>10} {'margin':>8}")
     for name, ct, want in rows:
         measured = scheme.noise_measure(keys.sk, ct, want)
         margins.append(ct.noise_bits - measured)

@@ -17,7 +17,10 @@ scheme primitives:
   their product form z_k = z0 * prod_{i<k} (1 + e^(2^i)) with
   e = 1 - z0 x (Goldschmidt division): e squares itself while z takes
   one factor per step, so k steps cost k + 1 levels, not 2k - 1. The
-  relative error is e^(2^k) <= (1 - a/b)^(2^k) plus scheme noise.
+  relative error is e^(2^k) <= (1 - a/b)^(2^k) plus scheme noise. A
+  factor t to multiply by joins the chain as its first product, where
+  z would otherwise wait a level for e^2, so t * z_k costs the same
+  k + 1 levels.
 * softmax: exponentiate, sum, take the encrypted reciprocal, and
   multiply per class. The caller folds mean-centering and temperature
   into the plaintext probe; zero-mean inputs pin the exp-sum into
@@ -25,9 +28,11 @@ scheme primitives:
   With two classes, zero mean makes the second logit the first one
   negated, so the head reads the first alone and takes both exps from
   its eval_poly_pair; a probe key checks that contract too.
-* soft-argmax: (sum_i i*e_i) * reciprocal, one ciphertext product; the
-  index sum is one scheme.weighted_sums pass, whose exact index constants
-  i sit at a small auxiliary scale, costing no level.
+* soft-argmax: (sum_i i*e_i) * reciprocal, the index sum being the
+  reciprocal chain's factor t, so the product costs no level past the
+  reciprocal's k + 1; the index sum is one scheme.weighted_sums pass,
+  whose exact index constants i sit at a small auxiliary scale, costing
+  no level either.
 
 Every ciphertext product here is rescaled at once, by one ring.divide
 by P*q_l where mult and rescale would run two, and the products of one
@@ -207,9 +212,10 @@ def newton_reciprocal_plain(x, upper_bound: float, iterations: int):
     return z
 
 
-def reciprocal_depth(iterations: int) -> int:
-    """Levels encrypted_reciprocal consumes for a given iteration count."""
-    return iterations + 1 if iterations > 1 else 1
+def reciprocal_depth(iterations: int, folded: bool = False) -> int:
+    """Levels encrypted_reciprocal consumes for a given iteration count,
+    with a factor ``times`` folded in or without."""
+    return iterations + 1 if folded or iterations > 1 else 1
 
 
 def encrypted_reciprocal(
@@ -218,8 +224,11 @@ def encrypted_reciprocal(
     upper_bound: float,
     iterations: int,
     evk: RelinKey,
+    times: Ciphertext = None,
+    ratio_bound: float = math.inf,
 ) -> Ciphertext:
-    """Newton reciprocal for slots inside [lower_bound, upper_bound].
+    """Newton reciprocal for slots inside [lower_bound, upper_bound], or
+    its product with the ciphertext ``times``.
 
     Evaluates the k-step Newton iterate z_k of newton_reciprocal_plain
     in product form: z_1 = 2 z0 - z0^2 x and e = 1 - z0 x, one level
@@ -227,33 +236,46 @@ def encrypted_reciprocal(
     z <- z (1 + e). Since 1 - x z_k = e^(2^k), the relative error is
     (1 - lower/upper)^(2^k) plus scheme noise. Consumes
     reciprocal_depth(k) levels: k + 1, or one for k = 1.
+
+    ``times``, at level ct.level - 1 or above, makes the result
+    times * z_k: it multiplies z_1 as the chain's first product, at the
+    level where e first squares, so each later z <- z (1 + e) runs level
+    for level with the squarings. That takes
+    reciprocal_depth(k, folded=True) = k + 1 levels, where a product
+    after the chain takes k + 2 for k > 1. ``ratio_bound``, a bound the
+    caller knows on |times / x|, caps each partial product times * z_i,
+    as 0 < z_i <= 1/x.
     """
     if not 0 < lower_bound < upper_bound:
         raise ValueError("need 0 < lower_bound < upper_bound")
     if iterations < 1:
         raise ValueError("need at least one iteration")
-    depth = reciprocal_depth(iterations)
+    depth = reciprocal_depth(iterations, times is not None)
     if ct.level < depth:
         raise LevelExhausted(
             f"{iterations} iterations need {depth} levels, have {ct.level}"
         )
     x = scheme.with_value_bound(ct, min(ct.value_bound, upper_bound))
     z0 = 1.0 / upper_bound
-    z_cap = 1.0 / lower_bound  # Newton from below never overshoots 1/x
+    cap = 1.0 / lower_bound  # Newton from below never overshoots 1/x
     e_cap = 1.0 - lower_bound / upper_bound
     # constants encoded at q_top, so each rescaled product keeps x's scale
     q_top = float(x.scheme.ring.moduli[x.level])
     z = scheme.rescale(scheme.mult_const(x, -z0 * z0, q_top))
     z = scheme.add_const(z, 2.0 * z0)
-    z = scheme.with_value_bound(z, min(z.value_bound, z_cap))
+    z = scheme.with_value_bound(z, min(z.value_bound, cap))
     e = scheme.add_const(scheme.rescale(scheme.mult_const(x, -z0, q_top)), 1.0)
     e = scheme.with_value_bound(e, min(e.value_bound, e_cap))
+    if times is not None:
+        cap = min(ratio_bound, times.value_bound * cap)
+        z = scheme.mult_rescale(scheme.ct_drop_level(times, z.level), z, evk)
+        z = scheme.with_value_bound(z, min(z.value_bound, cap))
     for _ in range(iterations - 1):
         e = scheme.mult_rescale(e, e, evk)
         z = scheme.mult_rescale(
             scheme.ct_drop_level(z, e.level), scheme.add_const(e, 1.0), evk
         )
-        z = scheme.with_value_bound(z, min(z.value_bound, z_cap))
+        z = scheme.with_value_bound(z, min(z.value_bound, cap))
     return z
 
 
@@ -320,13 +342,19 @@ def softmax_depth(cfg: SoftmaxConfig) -> int:
 
 
 def soft_argmax_min_levels(cfg: SoftmaxConfig) -> int:
-    """Logit levels needed for the full head: softmax plus one spare so
-    the index-weighted output sits above the base prime."""
-    return softmax_depth(cfg) + 1
+    """Logit levels needed for the full head: the exp fit, the reciprocal
+    with the index sum folded in, and one spare so the output sits above
+    the base prime."""
+    return (
+        poly_eval_depth(cfg.exp_degree)
+        + reciprocal_depth(cfg.inv_iterations, folded=True)
+        + 1
+    )
 
 
-def _exps_and_reciprocal(logit_cts, cfg, evk, probe_key, need):
-    """(exp fits of the logits, encrypted reciprocal of their sum)."""
+def _exps_and_sum(logit_cts, cfg, evk, probe_key, need):
+    """(exp fits of the logits, their slot sum) after the level and
+    domain checks."""
     if len(logit_cts) != cfg.class_count:
         raise ValueError(
             f"{len(logit_cts)} logit ciphertexts for {cfg.class_count} classes"
@@ -344,9 +372,8 @@ def _exps_and_reciprocal(logit_cts, cfg, evk, probe_key, need):
         exps = list(eval_poly_pair(ys[0], cfg.exp_approx(), evk))
     else:
         exps = [eval_poly_encrypted(y, cfg.exp_approx(), evk) for y in ys]
-    lo, hi = cfg.sum_interval()
-    total_exp = scheme.with_value_bound(scheme.tree_sum(exps), hi)
-    return exps, encrypted_reciprocal(total_exp, lo, hi, cfg.inv_iterations, evk)
+    total = scheme.with_value_bound(scheme.tree_sum(exps), cfg.sum_interval()[1])
+    return exps, total
 
 
 def _probe_domain(ys, cfg, probe_key):
@@ -380,9 +407,8 @@ def encrypted_softmax(
     interval, and a per-class product. probe_key (tests only)
     decrypt-checks the domain contract.
     """
-    exps, inv = _exps_and_reciprocal(
-        logit_cts, cfg, evk, probe_key, softmax_depth(cfg)
-    )
+    exps, total = _exps_and_sum(logit_cts, cfg, evk, probe_key, softmax_depth(cfg))
+    inv = encrypted_reciprocal(total, *cfg.sum_interval(), cfg.inv_iterations, evk)
     cap = cfg.sigma_cap()
     sigmas = []
     for e in exps:
@@ -399,16 +425,23 @@ def encrypted_soft_argmax(
 ) -> Ciphertext:
     """Weighted index sum  sum_i sigma_i * i  with indices 1..n, computed
     as (sum_i i * e_i) * inv on encrypted_softmax's inputs, the index sum
-    being scheme.weighted_sums over the exps with the (n, 1) column 1..n.
+    being scheme.weighted_sums over the exps with the (n, 1) column 1..n
+    and encrypted_reciprocal's factor ``times``, so that the product
+    costs no level past the reciprocal's.
 
     Slots land in [1, n]; rounding the decoded value and subtracting one
     recovers a 0-based class label.
     """
-    exps, inv = _exps_and_reciprocal(
+    exps, total = _exps_and_sum(
         logit_cts, cfg, evk, probe_key, soft_argmax_min_levels(cfg)
     )
     index = np.arange(1.0, len(exps) + 1.0)[:, None]
     (weighted,) = scheme.weighted_sums(exps, index, INDEX_SCALE)
-    out = scheme.mult_rescale(scheme.ct_drop_level(weighted, inv.level), inv, evk)
-    bound = 1.0 + (cfg.class_count - 1) * cfg.sigma_cap()
-    return scheme.with_value_bound(out, min(out.value_bound, bound))
+    # weighted / total = sum_i i * sigma_i, so every partial product of
+    # the chain stays under the output's own bound; with at most
+    # sigma_cap on any class, the index sum is largest with sigma_cap on
+    # class n and the rest on class n - 1
+    bound = cfg.class_count - 1.0 + cfg.sigma_cap()
+    return encrypted_reciprocal(
+        total, *cfg.sum_interval(), cfg.inv_iterations, evk, weighted, bound
+    )

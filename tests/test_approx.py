@@ -424,6 +424,19 @@ class TestEncryptedSoftArgmax:
         oracle = reference_soft_argmax(np.column_stack((y, -y)))
         assert np.max(np.abs(dec(keys, fast, len(y)) - oracle)) < 1e-3
 
+    def test_output_within_its_value_bound(self, head_keys, rng):
+        # four classes at radius 1 with the mass on the top two: the index
+        # sum reads 3.26, above 1 + 3 * sigma_cap = 3.14 but within
+        # 3 + sigma_cap
+        cfg = approx.SoftmaxConfig(class_count=4, radius=1.0)
+        k = head_keys.scheme.slot_capacity
+        logits = np.tile([-1.0, -1.0, 1.0, 1.0], (k, 1))
+        cts = [enc(head_keys, logits[:, i], rng) for i in range(4)]
+        out = approx.encrypted_soft_argmax(cts, cfg, head_keys.evk)
+        got = dec(head_keys, out, k)
+        assert np.max(np.abs(got - reference_soft_argmax(logits))) < 1e-3
+        assert np.max(np.abs(got)) <= out.value_bound
+
     def test_output_in_index_range(self, head_keys, rng):
         cfg = approx.SoftmaxConfig()
         k = head_keys.scheme.slot_capacity
@@ -450,12 +463,81 @@ class TestEncryptedSoftArgmax:
         assert np.array_equal(np.rint(out).astype(int) - 1, winner)
 
 
+def unfolded_soft_argmax(cts, cfg, evk):
+    """The path encrypted_soft_argmax's folded chain replaces: the index
+    sum times the finished reciprocal, a product one level after it."""
+    fit = cfg.exp_approx()
+    if cfg.class_count == 2:
+        exps = list(approx.eval_poly_pair(cts[0], fit, evk))
+    else:
+        exps = [approx.eval_poly_encrypted(ct, fit, evk) for ct in cts]
+    lo, hi = cfg.sum_interval()
+    total = scheme.with_value_bound(scheme.tree_sum(exps), hi)
+    inv = approx.encrypted_reciprocal(total, lo, hi, cfg.inv_iterations, evk)
+    index = np.arange(1.0, cfg.class_count + 1.0)[:, None]
+    (weighted,) = scheme.weighted_sums(exps, index, approx.INDEX_SCALE)
+    return scheme.mult_rescale(scheme.ct_drop_level(weighted, inv.level), inv, evk)
+
+
+class TestFoldedIndexProduct:
+    """encrypted_soft_argmax, whose index sum is the reciprocal chain's
+    first product, against unfolded_soft_argmax, on N = 32 and the
+    default head's N = 1024 ring, for two and three classes and one to
+    five Newton steps."""
+
+    @pytest.fixture(scope="class", params=[16, 512], ids=["n32", "n1024"])
+    def keys(self, request):
+        # deep enough for the unfolded path at five steps, whose output
+        # then sits at level 1
+        depth = approx.soft_argmax_min_levels(approx.SoftmaxConfig()) + 1
+        params = scheme.param_gen(128, request.param, depth, 40, allow_insecure=True)
+        return scheme.keygen(params, np.random.default_rng(request.param))
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("iters", range(1, 6))
+    def test_matches_the_unfolded_path(self, keys, monkeypatch, classes, iters):
+        cfg = approx.SoftmaxConfig(class_count=classes, inv_iterations=iters)
+        n = keys.scheme.slot_capacity
+        rng = np.random.default_rng([classes, iters, n])
+        if classes == 2:
+            y = rng.uniform(-2, 2, n)
+            ct = enc(keys, y, rng)
+            y, cts = np.column_stack((y, -y)), [ct, scheme.negate(ct)]
+        else:
+            y = centered(rng.uniform(-1.5, 1.5, (n, classes)))
+            cts = [enc(keys, y[:, i], rng) for i in range(classes)]
+        counts = count_key_switches(monkeypatch)
+        fast = approx.encrypted_soft_argmax(cts, cfg, keys.evk)
+        # the exp fits' switches and divisions (one pair, or three fits of
+        # 4 and 6), the first Newton step's two rescales, and one switch
+        # and division per product: the index product and two a later
+        # step. With the linear layer's logit rescales, five steps make a
+        # forward pass's 14 and 20, or 21 and 32
+        switches, divisions = {2: (5, 8), 3: (12, 18)}[classes]
+        per_head = {"switch": switches + 2 * iters - 1, "divide": divisions + 2 * iters + 1}
+        assert counts == per_head
+        counts.update(switch=0, divide=0)
+        slow = unfolded_soft_argmax(cts, cfg, keys.evk)
+        assert counts == per_head
+        depth = approx.poly_eval_depth(cfg.exp_degree)
+        assert fast.level == cts[0].level - (depth + iters + 1)
+        assert slow.level == cts[0].level - (depth + approx.reciprocal_depth(iters) + 1)
+        # the circuit both evaluate, in plaintext: the exp fit's index
+        # sum times the Newton iterate of its slot sum
+        e = cfg.exp_approx()(y)
+        inv = approx.newton_reciprocal_plain(e.sum(axis=1), cfg.sum_interval()[1], iters)
+        want = (e @ np.arange(1.0, classes + 1.0)) * inv
+        for out in (fast, slow):
+            assert scheme.noise_measure(keys.sk, out, want) <= out.noise_bits
+        assert within_ledgers(keys, fast, slow)
+
+
 class TestDepthBookkeeping:
     def test_default_head_depth_is_fixed_constant(self):
         cfg = approx.SoftmaxConfig()
         assert approx.poly_eval_depth(cfg.exp_degree) == 3
         assert approx.softmax_depth(cfg) == 10
-        assert approx.soft_argmax_min_levels(cfg) == 11
+        assert approx.soft_argmax_min_levels(cfg) == 10
 
     @pytest.mark.parametrize("degree", range(1, 16))
     def test_poly_eval_consumes_declared_depth(self, head_keys, rng, degree):

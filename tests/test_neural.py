@@ -363,13 +363,14 @@ class TestEncryptedForward:
         assert np.max(np.abs(got - want)) < 1e-12
         assert np.max(np.abs(got.mean(axis=1))) < 1e-12
 
-    def test_default_pipeline_chain_has_13_primes(self):
+    def test_default_pipeline_chain_has_12_primes(self):
         # the default-1024 benchmark ring: linear layer + default head
         depth = neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead()))
-        assert depth == 12
+        assert depth == 11
         params = scheme.param_gen(128, 512, depth, 40, allow_insecure=True)
         assert params.ring.ring_degree == 1024
-        assert params.ring.level_count == 13
+        assert params.ring.level_count == 12
+        assert params.special_count == 6
 
     def test_identity_model_preserves_feature_order(self, head_keys, rng):
         # class-1 logit = 2*x0: predictions sorted like feature zero

@@ -17,17 +17,17 @@ from hnn import neural, scheme, serialize
 from helpers import count_key_switches
 
 BLOBS = {
-    "pk": ("74546719667086e3", 106_599),
-    "sk": ("75528a60326fff1b", 106_567),
-    "evk": ("312a213b4f51440a", 327_815),
-    "features": ("8cee2a841fba900e", 13_633_424),
-    "scores-2": ("a031adf3a5418fa2", 32_877),
-    "scores-3": ("9caf071dd94ddee8", 32_877),
+    "pk": ("dafd35651a94caf4", 98_407),
+    "sk": ("5862dc3e34280326", 98_375),
+    "evk": ("178e277e5d48944e", 295_047),
+    "features": ("1b82c8eeb3fb8d4f", 12_584_848),
+    "scores-2": ("e933335894d48ae1", 32_877),
+    "scores-3": ("d8cc4ea7edbaed5f", 32_877),
 }
 # the sk blob's residue block, between header and checksum: keygen draws
 # s before any seed, so it is the one that blob version 4 held too
-SK_RESIDUES = "0cc089124cb0794d"
-NOISE_BITS = {2: 44.612700729843986, 3: 46.82846765525756}
+SK_RESIDUES = "98a44d88f65c8eae"
+NOISE_BITS = {2: 43.36432308241867, 3: 45.59630005920666}
 # key switches and ring.divide calls of one forward pass per class count
 COUNTS = {
     2: {"switch": 14, "divide": 20},
@@ -81,13 +81,14 @@ def test_score_ledgers_are_pinned(recipe):
 
 
 def test_key_switches_and_divisions_are_counted(recipe):
-    # both: four Newton steps of 2 products, the final product, and the
-    # first Newton step's two rescales. Three classes add three degree-7
-    # exp fits of 4 switches and 6 divisions each and three logit
-    # rescales; two classes, whose second logit is the first negated,
-    # one logit rescale and one power tree for both exps: y^2 and y^4,
-    # the even part E(y^2) in 1 switch and 2 divisions, and the odd part
-    # O(y) in 2 switches and 4, so 5 switches and 8 divisions
+    # both: four Newton steps of 2 products, the index sum's product,
+    # folded into the chain as its first, and the first Newton step's
+    # two rescales. Three classes add three degree-7 exp fits of 4
+    # switches and 6 divisions each and three logit rescales; two
+    # classes, whose second logit is the first negated, one logit
+    # rescale and one power tree for both exps: y^2 and y^4, the even
+    # part E(y^2) in 1 switch and 2 divisions, and the odd part O(y) in
+    # 2 switches and 4, so 5 switches and 8 divisions
     assert recipe[2] == COUNTS
 
 

@@ -402,11 +402,9 @@ class TestBatchedChain:
 # largest 42-bit and smallest 14-bit NTT primes of the N=1024 ring
 _Q_LARGEST = ring.prime_below(1 << 42, 2 * 1024)
 _Q_SMALLEST = ring.prime_above(1 << 13, 2 * 1024)
-# the 13-prime chain of the default head at 512 slots (N = 1024)
-_DEFAULT_CHAIN = scheme.param_gen(
-    128, 512, neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead())),
-    scale_bits=40, allow_insecure=True,
-).ring.moduli
+# a depth-12, 13-prime chain at 512 slots (N = 1024): the default head's
+# 12 primes and the next one
+_DEFAULT_CHAIN = scheme.param_gen(128, 512, 12, scale_bits=40, allow_insecure=True).ring.moduli
 _Y_BOUND = 1 << 49
 
 
@@ -584,7 +582,7 @@ class TestConversionRows:
     divide and mod_up once derived on each call, fixed when it is built:
     its rows as an int64 index array, lead and own, against those per-call
     derivations written out here, on the N = 32 test ring (k = 2), the
-    default head's N = 1024 ring (k = 7) and a CRT gadget set (k = 0)."""
+    default head's N = 1024 ring (k = 6) and a CRT gadget set (k = 0)."""
 
     @pytest.fixture(scope="class", params=["n32", "n1024", "gadget"])
     def params(self, request):
@@ -841,16 +839,13 @@ class TestScalarKernels:
 
 class TestKeySwitchKernels:
     """mod_up and divide against the centred sum formed in Python
-    integers, and mul_sums against ring_mul and ring_add, on the default
-    head's key ring: four 42-bit special primes ahead of the 13-prime
-    N=1024 chain."""
+    integers, and mul_sums against ring_mul and ring_add, on a depth-12
+    N=1024 key ring: seven 42-bit special primes ahead of a 13-prime
+    chain."""
 
     @pytest.fixture(scope="class")
     def params(self):
-        return scheme.param_gen(
-            128, 512, neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead())),
-            scale_bits=40, allow_insecure=True,
-        )
+        return scheme.param_gen(128, 512, 12, scale_bits=40, allow_insecure=True)
 
     @pytest.fixture(scope="class")
     def rings(self, params):
@@ -1063,15 +1058,12 @@ class TestKeySwitchKernels:
 
 class TestPairs:
     """Each kernel on a pair, one (2, level+1, N) element, against the
-    per-part path it replaces, at every level of the default head's
-    13-prime N=1024 chain."""
+    per-part path it replaces, at every level of a depth-12, 13-prime
+    N=1024 chain."""
 
     @pytest.fixture(scope="class")
     def chain(self):
-        params = scheme.param_gen(
-            128, 512, neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead())),
-            scale_bits=40, allow_insecure=True,
-        )
+        params = scheme.param_gen(128, 512, 12, scale_bits=40, allow_insecure=True)
         assert params.ring.level_count == 13
         return params.ring
 
@@ -1171,16 +1163,13 @@ class TestPairs:
 
 
 class TestDivide:
-    """ring.divide against the per-part slow paths it replaces, on the
-    default head's 13-prime N=1024 chain and its 17-prime key ring, and
-    the (parts, rows, N) NTT kernels against one-element NTTs."""
+    """ring.divide against the per-part slow paths it replaces, on a
+    depth-12, 13-prime N=1024 chain and its 20-prime key ring, and the
+    (parts, rows, N) NTT kernels against one-element NTTs."""
 
     @pytest.fixture(scope="class")
     def params(self):
-        return scheme.param_gen(
-            128, 512, neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead())),
-            scale_bits=40, allow_insecure=True,
-        )
+        return scheme.param_gen(128, 512, 12, scale_bits=40, allow_insecure=True)
 
     @staticmethod
     def pair(rp, level, rng):
@@ -1296,7 +1285,7 @@ class TestProductDivision:
     """ring.divide by P*q_l, mult_rescale's division, which drops P's
     rows and the top row in one call: against the exact quotient in
     Python integers at every level, on the N = 32 test ring (k = 2), the
-    default head's N = 1024 ring (k = 7) and a k = 0 ring, where it is a
+    default head's N = 1024 ring (k = 6) and a k = 0 ring, where it is a
     rescale; and its gathered-row inverse kernel against the per-row one."""
 
     @pytest.fixture(scope="class", params=["n32", "n1024", "gadget"])
@@ -1637,8 +1626,7 @@ class TestSamplers:
     def chain(self, request):
         if request.param == "n32":
             return request.getfixturevalue("small_params").ring
-        depth = neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead()))
-        return scheme.param_gen(128, 512, depth, scale_bits=40, allow_insecure=True).ring
+        return scheme.param_gen(128, 512, 12, scale_bits=40, allow_insecure=True).ring
 
     def test_uniform_fixed_vectors(self, chain):
         name = "n32" if chain.ring_degree == 32 else "n1024"

@@ -73,15 +73,15 @@ class TestParamGen:
                 assert params.key_ring.total_bits() <= bound
                 assert params.key_ring.moduli[params.special_count :] == params.ring.moduli
 
-    def test_secure_128_keeps_seven_special_primes(self):
-        # 534 chain bits + 7 * 42 = 828 <= 881 at N = 32768
+    def test_secure_128_keeps_six_special_primes(self):
+        # 493 chain bits + 6 * 42 = 745 <= 881 at N = 32768
         cfg = neural.head_config(neural.SoftArgmaxHead())
         params = scheme.param_gen(128, 16384, neural.pipeline_depth(cfg), 40)
-        assert params.ring.ring_degree == 32768 and params.ring.total_bits() == 534
-        assert (params.digit_size, params.special_count) == (7, 7)
-        assert params.key_ring.total_bits() == 828
+        assert params.ring.ring_degree == 32768 and params.ring.total_bits() == 493
+        assert (params.digit_size, params.special_count) == (6, 6)
+        assert params.key_ring.total_bits() == 745
         assert len(params.digits(params.max_level)) == 2
-        special = params.key_ring.moduli[:7]
+        special = params.key_ring.moduli[:6]
         assert all(p.bit_length() == 42 and p not in params.ring.moduli for p in special)
 
     def test_special_primes_step_down_to_fit_the_table(self):
@@ -159,12 +159,9 @@ class TestParamGen:
             dataclasses.replace(small_params, noise_budget_bits=1e9)
 
     def test_derived_budget_matches_the_stored_one(self):
-        # the N=1024 pipeline ring that version 1 parameter files stored
-        # with noise_budget_bits = 484: 534 chain bits - 40 - 10
-        cfg = neural.head_config(neural.SoftArgmaxHead())
-        params = scheme.param_gen(
-            128, 512, neural.pipeline_depth(cfg), 40, allow_insecure=True
-        )
+        # the depth-12 N=1024 pipeline ring that version 1 parameter files
+        # stored with noise_budget_bits = 484: 534 chain bits - 40 - 10
+        params = scheme.param_gen(128, 512, 12, 40, allow_insecure=True)
         assert params.ring.total_bits() == 534
         assert params.noise_budget_bits == 484.0
 
@@ -394,8 +391,8 @@ class TestFreshCiphertextDomain:
 
     @pytest.fixture(scope="class")
     def default_keys(self):
-        depth = neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead()))
-        params = scheme.param_gen(128, 512, depth, 40, allow_insecure=True)
+        # a depth-12, 13-prime N = 1024 ring
+        params = scheme.param_gen(128, 512, 12, 40, allow_insecure=True)
         assert params.ring.level_count == 13 and params.ring.ring_degree == 1024
         return scheme.keygen(params, np.random.default_rng(71))
 
@@ -677,11 +674,11 @@ class TestMultRescale:
         self.check_relinearized_every_level(small_keys, rng)
 
     def test_relinearized_matches_three_part_decrypt_on_the_head_chain(self, rng):
-        # the default head's 13-prime N = 1024 chain, k = 7: two digits
-        # from level 7 up, one below
+        # the default head's 12-prime N = 1024 chain, k = 6: two digits
+        # from level 6 up, one below
         depth = neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead()))
         params = scheme.param_gen(128, 512, depth, 40, allow_insecure=True)
-        assert (params.ring.level_count, params.special_count) == (13, 7)
+        assert (params.ring.level_count, params.special_count) == (12, 6)
         keys = scheme.keygen(params, np.random.default_rng(72))
         self.check_relinearized_every_level(keys, rng)
 
@@ -748,16 +745,15 @@ class TestMultRescale:
 
 class TestFusedProduct:
     """scheme.mult_rescale, one division by P*q_l, against rescale(mult()),
-    which divides by P and then by q_l, at every level of the default
-    head's 13-prime N = 1024 chain (k = 7) and of a k = 0 chain."""
+    which divides by P and then by q_l, at every level of a depth-12,
+    13-prime N = 1024 chain (k = 7) and of a k = 0 chain."""
 
     @pytest.fixture(scope="class", params=["default", "gadget"])
     def keys(self, request):
         if request.param == "gadget":
             params = gadget_params()
         else:
-            depth = neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead()))
-            params = scheme.param_gen(128, 512, depth, 40, allow_insecure=True)
+            params = scheme.param_gen(128, 512, 12, 40, allow_insecure=True)
             assert (params.ring.level_count, params.special_count) == (13, 7)
         return scheme.keygen(params, np.random.default_rng(81))
 
@@ -838,7 +834,7 @@ class TestProductSum:
     """scheme.mult_rescale_sum, one key switch and one division for a sum
     of products and an addend, against the path it replaces: a
     mult_rescale per product and a rescale of the addend, added, on the
-    N = 32 ring and the default head's 13-prime N = 1024 chain."""
+    N = 32 ring and the default head's 12-prime N = 1024 chain."""
 
     @pytest.fixture(scope="class", params=["n32", "default"])
     def keys(self, request):
