@@ -7,11 +7,11 @@ mult then rescale, two divisions a product, and with mult_rescale, one
 division by P*q_l. It then evaluates two sums of products, each under
 one key switch and one division a sum: x*x + y*y + z through
 mult_rescale_sum, and the head's degree-7 exp fit through
-eval_poly_encrypted; that fit at +x and -x from one power tree, as
-the two-class head runs it, through eval_poly_pair; and the default
-two-class soft-argmax head, whose index sum rides the Newton chain,
-against the plaintext circuit it evaluates (the fits and the head when
-the chain is deep enough). It compares each ledger estimate with the
+eval_poly_encrypted; that fit at +x and -x from one power tree,
+through eval_poly_pair; and the default two-class soft-argmax head, one
+degree-27 fit of its exp/Newton circuit whose ledger carries the fit's
+sup error, against that circuit in plaintext (the fits and the head
+when the chain is deep enough). It compares each ledger estimate with the
 ground-truth probe (max |decoded - expected| * scale, in bits). The
 margin columns are the headroom the static worst-case rules keep above
 reality; the script exits 1 if any margin is negative.
@@ -81,9 +81,9 @@ def main() -> int:
         rows += [("exp pair +x, deg 7", plus, fit(v)), ("exp pair -x, deg 7", minus, fit(-v))]
     cfg = approx.SoftmaxConfig()
     if params.max_level >= approx.soft_argmax_min_levels(cfg):
-        # a centred logit in [-2, 2] and its negation, as forward_encrypted
-        # passes them, against the exp fit's index sum times the Newton
-        # iterate of its slot sum
+        # a centred logit in [-2, 2] and its negation through the fitted
+        # head, against the circuit it fits: the exp fit's index sum
+        # times the Newton iterate of its slot sum
         y = 2.0 * v
         ct = fresh(y)
         out = approx.encrypted_soft_argmax([ct, scheme.negate(ct)], cfg, keys.evk)

@@ -8,11 +8,10 @@ scheme primitives:
   ceil(log2 d), with its coefficients multiplied in as scalars
   (scheme.mult_const, scheme.add_const) at compensating scales so every
   internal sum sees matching scales. A node's products share one key
-  switch, so a degree-7, 15 or 31 fit takes 4, 7 or 12. Two logits
-  that are each other's negatives share one tree (eval_poly_pair):
-  p = E + O with E even and O odd, so p(-y) = E(y) - O(y), and E is a
-  polynomial in y^2 over the tree's upper powers; a degree-7 pair takes
-  5 switches, not 8.
+  switch, so a degree-7, 15 or 31 fit takes 4, 7 or 12. eval_poly_pair
+  gives p(y) and p(-y) from one tree: p = E + O with E even and O odd,
+  so p(-y) = E(y) - O(y), and E is a polynomial in y^2 over the tree's
+  upper powers.
 * 1/x on [a, b]: k Newton steps z <- z(2 - x z) from z0 = 1/b, in
   their product form z_k = z0 * prod_{i<k} (1 + e^(2^i)) with
   e = 1 - z0 x (Goldschmidt division): e squares itself while z takes
@@ -25,14 +24,15 @@ scheme primitives:
   multiply per class. The caller folds mean-centering and temperature
   into the plaintext probe; zero-mean inputs pin the exp-sum into
   [n(1-eps), n cosh(r) + n eps], which lets a few Newton steps converge.
-  With two classes, zero mean makes the second logit the first one
-  negated, so the head reads the first alone and takes both exps from
-  its eval_poly_pair; a probe key checks that contract too.
 * soft-argmax: (sum_i i*e_i) * reciprocal, the index sum being the
   reciprocal chain's factor t, so the product costs no level past the
   reciprocal's k + 1; the index sum is one scheme.weighted_sums pass,
   whose exact index constants i sit at a small auxiliary scale, costing
   no level either.
+* two classes: zero mean makes the logits (y, -y), so the exp/Newton
+  circuit is a function of y alone; build_head_fit fits it, as
+  configured, with one degree-27 polynomial in u = y / 1.25r, charged
+  its sup error: 5 levels where the circuit takes 9.
 
 Every ciphertext product here is rescaled at once, by one ring.divide
 by P*q_l where mult and rescale would run two, and the products of one
@@ -58,6 +58,9 @@ MAX_RADIUS = 8.0
 DEFAULT_SUP_TOL = 1e-3
 SUP_GRID_POINTS = 20001  # dense enough to measure a fit's sup error
 INDEX_SCALE = 2.0 ** 20  # exact scale for integer index constants
+HEAD_FIT_DEGREE = 27  # depth 5, sup error 8.7e-8 for the default head
+HEAD_FIT_WIDTH = 1.25  # the two-class fit covers |y| <= 1.25 r
+HEAD_FIT_TOL = 1e-4  # a coarser fit (r past ~2.4) keeps the circuit
 
 
 @dataclasses.dataclass(frozen=True)
@@ -333,27 +336,74 @@ class SoftmaxConfig:
         n, r = self.class_count, self.radius
         return 1.0 / (1.0 + (n - 1) * math.exp(-2.0 * r)) + 2.0 * DEFAULT_SUP_TOL
 
+    def fit_width(self) -> float:
+        """R, the two-class fit's input divisor: u = y / R."""
+        return HEAD_FIT_WIDTH * self.radius
+
+    def head_fit(self, weight: float = 2.0):
+        """build_head_fit for two classes, else None."""
+        if self.class_count == 2:
+            return build_head_fit(self.radius, self.exp_degree, self.inv_iterations, weight)
+        return None
+
+
+def _cheb_to_power(cheb) -> np.ndarray:
+    """Power-basis coefficients of sum_k cheb[k] T_k; the rows hold T_k's
+    integer coefficients, exact in float64."""
+    rows = np.eye(len(cheb))
+    for k in range(2, len(cheb)):
+        rows[k, 1:] = 2.0 * rows[k - 1, :-1]
+        rows[k] -= rows[k - 2]
+    return np.asarray(cheb) @ rows
+
+
+@functools.lru_cache(maxsize=64)
+def build_head_fit(radius: float, exp_degree: int, inv_iterations: int, weight: float):
+    """Chebyshev interpolant, degree HEAD_FIT_DEGREE in u on [-1, 1], of
+    the two-class exp/Newton circuit at logits (y, -y), y = R u:
+    (e(y) + weight e(-y)) * newton_reciprocal_plain(e(y) + e(-y), hi, k).
+    Weight 2 gives the soft-argmax, weight 0 sigma_1 (sigma_2(u) is
+    sigma_1(-u)). None where the grid-measured sup error passes
+    HEAD_FIT_TOL."""
+    cfg = SoftmaxConfig(radius=radius, exp_degree=exp_degree, inv_iterations=inv_iterations)
+    exp_coeffs, hi, width = cfg.exp_approx().coefficients, cfg.sum_interval()[1], cfg.fit_width()
+
+    def circuit(u):
+        a, b = (polynomial.polyval(s * width * u, exp_coeffs) for s in (1.0, -1.0))
+        return (a + weight * b) * newton_reciprocal_plain(a + b, hi, inv_iterations)
+
+    # a wide radius's Newton overflows at the edge, and the fit fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _cheb_to_power(chebyshev.chebinterpolate(circuit, HEAD_FIT_DEGREE))
+        grid = np.linspace(-1.0, 1.0, SUP_GRID_POINTS)
+        values = polynomial.polyval(grid, coeffs)
+        sup = float(np.max(np.abs(values - circuit(grid))))
+    if sup <= HEAD_FIT_TOL:
+        return PolyApprox(tuple(coeffs.tolist()), 1.0, sup, float(np.max(np.abs(values))))
+    return None
+
 
 def softmax_depth(cfg: SoftmaxConfig) -> int:
     """Levels consumed from logits to sigma ciphertexts."""
-    return (
-        poly_eval_depth(cfg.exp_degree) + reciprocal_depth(cfg.inv_iterations) + 1
-    )
+    fit = cfg.head_fit(0.0)
+    if fit is not None:
+        return 1 + poly_eval_depth(fit.degree)
+    return poly_eval_depth(cfg.exp_degree) + reciprocal_depth(cfg.inv_iterations) + 1
 
 
 def soft_argmax_min_levels(cfg: SoftmaxConfig) -> int:
-    """Logit levels needed for the full head: the exp fit, the reciprocal
-    with the index sum folded in, and one spare so the output sits above
-    the base prime."""
-    return (
-        poly_eval_depth(cfg.exp_degree)
-        + reciprocal_depth(cfg.inv_iterations, folded=True)
-        + 1
-    )
+    """Logit levels needed for the full head, one spare included so the
+    output sits above the base prime: forming u and the fit, or the exp
+    fit and the reciprocal with the index sum folded in."""
+    fit = cfg.head_fit()
+    if fit is not None:
+        return poly_eval_depth(fit.degree) + 2
+    exp = poly_eval_depth(cfg.exp_degree)
+    return exp + reciprocal_depth(cfg.inv_iterations, folded=True) + 1
 
 
-def _exps_and_sum(logit_cts, cfg, evk, probe_key, need):
-    """(exp fits of the logits, their slot sum) after the level and
+def _checked_logits(logit_cts, cfg, probe_key, need) -> list:
+    """The logits, bounded by the radius, after the count, level and
     domain checks."""
     if len(logit_cts) != cfg.class_count:
         raise ValueError(
@@ -367,30 +417,36 @@ def _exps_and_sum(logit_cts, cfg, evk, probe_key, need):
         scheme.with_value_bound(ct, min(ct.value_bound, cfg.radius)) for ct in logit_cts
     ]
     if probe_key is not None:
-        _probe_domain(ys, cfg, probe_key)
-    if cfg.class_count == 2:
-        exps = list(eval_poly_pair(ys[0], cfg.exp_approx(), evk))
-    else:
-        exps = [eval_poly_encrypted(y, cfg.exp_approx(), evk) for y in ys]
+        _probe_domain(ys, cfg.radius, probe_key)
+    return ys
+
+
+def _probe_domain(cts, bound, probe_key):
+    """Decrypt-check the head's input contract: every slot inside
+    +-bound, and two logits each other's negatives up to their ledgered
+    noise, since a fitted two-class head reads only the first."""
+    for ct in cts:
+        worst = float(np.max(np.abs(scheme.decrypt_to_slots(probe_key, ct))))
+        if worst > bound * (1.0 + 1e-6) + 1e-9:
+            raise DomainViolation(f"head input reaches {worst:.4f}, outside +-{bound:g}")
+    if len(cts) == 2:
+        total = scheme.add(*cts)
+        worst = float(np.max(np.abs(scheme.decrypt_to_slots(probe_key, total))))
+        if worst > 2.0 ** total.noise_bits / total.scale:
+            raise DomainViolation(f"two logits sum to {worst:.3g}, not centered")
+
+
+def _exps_and_sum(ys, cfg, evk):
+    """(exp fits of the logits, their slot sum)."""
+    exps = [eval_poly_encrypted(y, cfg.exp_approx(), evk) for y in ys]
     total = scheme.with_value_bound(scheme.tree_sum(exps), cfg.sum_interval()[1])
     return exps, total
 
 
-def _probe_domain(ys, cfg, probe_key):
-    """Decrypt-check the head's input contract: every logit inside
-    +-radius, and two logits each other's negatives up to their ledgered
-    noise, since the two-class head reads only the first."""
-    for y in ys:
-        worst = float(np.max(np.abs(scheme.decrypt_to_slots(probe_key, y))))
-        if worst > cfg.radius * (1.0 + 1e-6) + 1e-9:
-            raise DomainViolation(
-                f"centered logit reaches {worst:.4f}, outside +-{cfg.radius}"
-            )
-    if len(ys) == 2:
-        total = scheme.add(*ys)
-        worst = float(np.max(np.abs(scheme.decrypt_to_slots(probe_key, total))))
-        if worst > 2.0 ** total.noise_bits / total.scale:
-            raise DomainViolation(f"two logits sum to {worst:.3g}, not centered")
+def _fit_input(y: Ciphertext, cfg: SoftmaxConfig) -> Ciphertext:
+    """u = y / R, one mult_const level."""
+    q_top = float(y.scheme.ring.moduli[y.level])
+    return scheme.rescale(scheme.mult_const(y, 1.0 / cfg.fit_width(), q_top))
 
 
 def encrypted_softmax(
@@ -404,10 +460,17 @@ def encrypted_softmax(
     Caller contract: each slot's logits are mean-centered over the
     classes, divided by the temperature and inside [-radius, radius].
     Pipeline: exp fit, slot sum, Newton reciprocal on the pinned
-    interval, and a per-class product. probe_key (tests only)
+    interval, and a per-class product, or for a fitted two-class head
+    one eval_poly_pair of its sigma_1 fit at u. probe_key (tests only)
     decrypt-checks the domain contract.
     """
-    exps, total = _exps_and_sum(logit_cts, cfg, evk, probe_key, softmax_depth(cfg))
+    fit = cfg.head_fit(0.0)
+    need = softmax_depth(cfg) + (fit is not None)  # the fit's output above level 0
+    ys = _checked_logits(logit_cts, cfg, probe_key, need)
+    if fit is not None:
+        pair = eval_poly_pair(_fit_input(ys[0], cfg), fit, evk)
+        return [scheme.with_error(sig, fit.sup_error) for sig in pair]
+    exps, total = _exps_and_sum(ys, cfg, evk)
     inv = encrypted_reciprocal(total, *cfg.sum_interval(), cfg.inv_iterations, evk)
     cap = cfg.sigma_cap()
     sigmas = []
@@ -415,6 +478,19 @@ def encrypted_softmax(
         sig = scheme.mult_rescale(scheme.ct_drop_level(e, inv.level), inv, evk)
         sigmas.append(scheme.with_value_bound(sig, min(sig.value_bound, cap)))
     return sigmas
+
+
+def fitted_soft_argmax(
+    u: Ciphertext, cfg: SoftmaxConfig, evk: RelinKey, probe_key: SecretKey = None
+) -> Ciphertext:
+    """The two-class soft-argmax from u = y_1 / R, in |u| <= 1 / 1.25:
+    one eval_poly_encrypted of cfg.head_fit(), charged its sup error.
+    probe_key (tests only) decrypt-checks the domain."""
+    fit, bound = cfg.head_fit(), 1.0 / HEAD_FIT_WIDTH
+    if probe_key is not None:
+        _probe_domain([u], bound, probe_key)
+    u = scheme.with_value_bound(u, min(u.value_bound, bound))
+    return scheme.with_error(eval_poly_encrypted(u, fit, evk), fit.sup_error)
 
 
 def encrypted_soft_argmax(
@@ -427,14 +503,16 @@ def encrypted_soft_argmax(
     as (sum_i i * e_i) * inv on encrypted_softmax's inputs, the index sum
     being scheme.weighted_sums over the exps with the (n, 1) column 1..n
     and encrypted_reciprocal's factor ``times``, so that the product
-    costs no level past the reciprocal's.
+    costs no level past the reciprocal's; a fitted two-class head runs
+    fitted_soft_argmax of u = y_1 / R.
 
     Slots land in [1, n]; rounding the decoded value and subtracting one
     recovers a 0-based class label.
     """
-    exps, total = _exps_and_sum(
-        logit_cts, cfg, evk, probe_key, soft_argmax_min_levels(cfg)
-    )
+    ys = _checked_logits(logit_cts, cfg, probe_key, soft_argmax_min_levels(cfg))
+    if cfg.head_fit() is not None:
+        return fitted_soft_argmax(_fit_input(ys[0], cfg), cfg, evk)
+    exps, total = _exps_and_sum(ys, cfg, evk)
     index = np.arange(1.0, len(exps) + 1.0)[:, None]
     (weighted,) = scheme.weighted_sums(exps, index, INDEX_SCALE)
     # weighted / total = sum_i i * sigma_i, so every partial product of

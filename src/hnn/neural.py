@@ -290,48 +290,39 @@ def head_config(head: SoftArgmaxHead, **knobs) -> SoftmaxConfig:
 
 
 def pipeline_depth(cfg: SoftmaxConfig) -> int:
-    """Levels a fresh feature ciphertext needs for linear layer + head."""
-    return approx.soft_argmax_min_levels(cfg) + 1
+    """Levels a fresh feature ciphertext needs for linear layer + head; a
+    fitted two-class head's linear layer forms u, at no extra level."""
+    return approx.soft_argmax_min_levels(cfg) + (cfg.head_fit() is None)
 
 
-def encrypted_logits(model: LinearModel, feature_cts):
-    """Per-class logit ciphertexts via plaintext-weight products.
+def encrypted_logits(model: LinearModel, feature_cts, classes=None):
+    """Per-class logit ciphertexts via plaintext-weight products, for the
+    given class indices or all of them.
 
     feature_cts[j] holds feature j for the whole batch in its slots, so
     each logit is a rotation-free weighted slot sum plus the bias. The
     classes come from one scheme.weighted_sums pass over the features,
     with the weights encoded at the top prime, which each logit's
-    rescale divides back out. A class whose weights and bias are the
-    exact negatives of an earlier class's is that logit negated
-    (scheme.negate), with no column of its own.
+    rescale divides back out.
     """
     if len(feature_cts) != model.d_in:
         raise ValueError(
             f"{len(feature_cts)} feature ciphertexts for d_in={model.d_in}"
         )
-    cols = np.vstack((model.weights, model.bias)).T
-    source = [
-        next((j for j in range(c) if np.array_equal(cols[c], -cols[j])), None)
-        for c in range(len(cols))
-    ]
-    own = [c for c, j in enumerate(source) if j is None]
+    classes = range(model.class_count) if classes is None else list(classes)
     q_top = float(feature_cts[0].scheme.ring.moduli[feature_cts[0].level])
-    sums = iter(scheme.weighted_sums(feature_cts, model.weights[:, own], q_top))
-    logits = []
-    for c, j in enumerate(source):
-        logits.append(
-            scheme.add_const(scheme.rescale(next(sums)), float(model.bias[c]))
-            if j is None else scheme.negate(logits[j])
-        )
-    return logits
+    sums = scheme.weighted_sums(feature_cts, model.weights[:, classes], q_top)
+    return [
+        scheme.add_const(scheme.rescale(s), float(model.bias[c]))
+        for s, c in zip(sums, classes)
+    ]
 
 
 def _folded_probe(model: LinearModel, temperature: float) -> LinearModel:
     """Probe with logits (z - mean over classes of z) / T: the same softmax
     as z / T, and the zero-mean input the encrypted head expects. Two
-    classes get the exact negatives +-(z_1 - z_2) / 2T, so that
-    encrypted_logits runs one column and the head's two exps come from
-    one logit."""
+    classes get the exact negatives +-(z_1 - z_2) / 2T, so that a fitted
+    two-class head can read the first logit alone."""
     w, b = model.weights, model.bias
     if model.class_count == 2:
         d = (w[:, 0] - w[:, 1]) / (2.0 * temperature)
@@ -351,13 +342,18 @@ def forward_encrypted(
 ) -> scheme.Ciphertext:
     """Soft-argmax ciphertext for a column-packed batch of samples. A
     given cfg carries the approximation knobs; its temperature and class
-    count must be the head's."""
+    count must be the head's. A fitted two-class head's one-column probe
+    emits u = y_1 / R, with R folded in as a temperature factor."""
     if cfg is None:
         cfg = head_config(head)
     elif (cfg.temperature, cfg.class_count) != (head.temperature, head.class_count):
         raise ValueError(f"{cfg} contradicts the head {head}")
-    logit_cts = encrypted_logits(_folded_probe(model, cfg.temperature), feature_cts)
-    return approx.encrypted_soft_argmax(logit_cts, cfg, evk, probe_key)
+    if cfg.head_fit() is None:
+        logit_cts = encrypted_logits(_folded_probe(model, cfg.temperature), feature_cts)
+        return approx.encrypted_soft_argmax(logit_cts, cfg, evk, probe_key)
+    probe = _folded_probe(model, cfg.temperature * cfg.fit_width())
+    (u,) = encrypted_logits(probe, feature_cts, classes=[0])
+    return approx.fitted_soft_argmax(u, cfg, evk, probe_key)
 
 
 def encrypt_features(pk: scheme.PublicKey, features, rng: np.random.Generator):

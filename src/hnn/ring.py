@@ -57,14 +57,14 @@ a stage copies the two halves (forward) or the even and odd entries
 is in the usual bit-reversed order. The kernels take a (parts, rows, N)
 block, so ntt_forward and ntt_inverse take an element of any parts
 shape in one kernel call. A pass transforms about max(1, 2^14/N) rows at
-a time (all 12 primes of the default chain at N = 1024, or the 18 of
+a time (all 8 primes of the default chain at N = 1024, or the 12 of
 its key ring), so that its buffers stay in a core's L2 cache.
 
 Twiddles and moduli come from full-width tables, as numpy runs a ufunc
 over contiguous operands of one shape in a single loop but broadcasts a
 (rows, 1) column row by row; once a pass takes one row, the moduli
-tables are zero-stride views of the column. A key ring's 18 primes'
-tables hold 3.66 MiB at N = 1024 and 20.3 MiB at N = 32768; they are
+tables are zero-stride views of the column. A key ring's tables take
+0.20 MiB a prime at N = 1024 and 1.13 MiB at N = 32768; they are
 built once, when the first transform of the parameter set needs them,
 and the chain's are row views of them (see _tables). ring_add and
 ring_sub reduce with one np.minimum(x, x - m) each.

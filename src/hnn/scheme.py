@@ -537,6 +537,13 @@ def with_value_bound(ct: Ciphertext, bound: float) -> Ciphertext:
     return dataclasses.replace(ct, value_bound=float(bound))
 
 
+def with_error(ct: Ciphertext, error: float) -> Ciphertext:
+    """ct with a known error per slot, such as a fit's sup error, added
+    to its ledger."""
+    noise = _log2_sum(ct.noise_bits, _log2_pos(error * ct.scale))
+    return dataclasses.replace(ct, noise_bits=noise)
+
+
 def encrypt(
     pk: PublicKey, pt: Plaintext, rng: np.random.Generator
 ) -> Ciphertext:

@@ -27,11 +27,12 @@ def small_keys(small_params):
 
 @pytest.fixture(scope="session")
 def head_params():
-    """Ring deep enough for the default soft-argmax head, 32 slots."""
-    from hnn import approx
+    """Ring deep enough for the default exp/Newton soft-argmax head, which
+    three classes run (depth 11), 32 slots."""
+    from hnn import approx, neural
 
-    cfg = approx.SoftmaxConfig()
-    depth = approx.soft_argmax_min_levels(cfg) + 1
+    depth = neural.pipeline_depth(approx.SoftmaxConfig(class_count=3))
+    assert depth == 11
     return scheme.param_gen(128, 32, depth, scale_bits=40, allow_insecure=True)
 
 

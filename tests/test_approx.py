@@ -1,4 +1,5 @@
 import math
+import timeit
 
 import numpy as np
 import pytest
@@ -404,22 +405,21 @@ class TestEncryptedSoftArgmax:
         assert np.max(np.abs(out - per_class)) < 1e-6
 
     def test_two_class_head_matches_the_per_class_path(self, monkeypatch):
-        # on the N = 1024 ring of the default head, as forward_encrypted
-        # passes them: a logit and its negation
-        cfg = approx.SoftmaxConfig()
-        params = scheme.param_gen(
-            128, 512, approx.soft_argmax_min_levels(cfg), 40, allow_insecure=True
-        )
+        # on the N = 1024 ring of the exp/Newton head (depth 11), as
+        # forward_encrypted runs it: the fitted head from the probe's u
+        # against the exp/Newton circuit from both logits
+        params = scheme.param_gen(128, 512, 11, 40, allow_insecure=True)
         assert params.ring.ring_degree == 1024
         keys = scheme.keygen(params, np.random.default_rng(94))
         rng = np.random.default_rng(95)
         y = rng.uniform(-2, 2, params.slot_capacity)
-        ct = enc(keys, y, rng)
-        cts = [ct, scheme.negate(ct)]
-        fast = approx.encrypted_soft_argmax(cts, cfg, keys.evk, probe_key=keys.sk)
-        monkeypatch.setattr(approx, "eval_poly_pair", per_class_pair)
-        slow = approx.encrypted_soft_argmax(cts, cfg, keys.evk)
-        assert fast.level == slow.level
+        model = neural.LinearModel(np.array([[1.0, -1.0]]), np.zeros(2))
+        head = neural.SoftArgmaxHead(1.0, 2)
+        cts = neural.encrypt_features(keys.pk, y[:, None], rng)
+        fast = neural.forward_encrypted(model, head, cts, keys.evk, probe_key=keys.sk)
+        monkeypatch.setattr(approx.SoftmaxConfig, "head_fit", no_fit)
+        slow = neural.forward_encrypted(model, head, cts, keys.evk, probe_key=keys.sk)
+        assert (fast.level, slow.level) == (5, 1)
         assert within_ledgers(keys, fast, slow)
         oracle = reference_soft_argmax(np.column_stack((y, -y)))
         assert np.max(np.abs(dec(keys, fast, len(y)) - oracle)) < 1e-3
@@ -463,14 +463,16 @@ class TestEncryptedSoftArgmax:
         assert np.array_equal(np.rint(out).astype(int) - 1, winner)
 
 
+def no_fit(cfg, weight=2.0):
+    """SoftmaxConfig.head_fit for a head without a fit: the two-class
+    exp/Newton circuit, per class."""
+    return None
+
+
 def unfolded_soft_argmax(cts, cfg, evk):
     """The path encrypted_soft_argmax's folded chain replaces: the index
     sum times the finished reciprocal, a product one level after it."""
-    fit = cfg.exp_approx()
-    if cfg.class_count == 2:
-        exps = list(approx.eval_poly_pair(cts[0], fit, evk))
-    else:
-        exps = [approx.eval_poly_encrypted(ct, fit, evk) for ct in cts]
+    exps = [approx.eval_poly_encrypted(ct, cfg.exp_approx(), evk) for ct in cts]
     lo, hi = cfg.sum_interval()
     total = scheme.with_value_bound(scheme.tree_sum(exps), hi)
     inv = approx.encrypted_reciprocal(total, lo, hi, cfg.inv_iterations, evk)
@@ -482,39 +484,41 @@ def unfolded_soft_argmax(cts, cfg, evk):
 class TestFoldedIndexProduct:
     """encrypted_soft_argmax, whose index sum is the reciprocal chain's
     first product, against unfolded_soft_argmax, on N = 32 and the
-    default head's N = 1024 ring, for two and three classes and one to
-    five Newton steps."""
+    exp/Newton head's N = 1024 ring, for two classes per class (as a
+    head whose fit is too coarse runs them) and three, and one to five
+    Newton steps."""
 
     @pytest.fixture(scope="class", params=[16, 512], ids=["n32", "n1024"])
     def keys(self, request):
-        # deep enough for the unfolded path at five steps, whose output
-        # then sits at level 1
-        depth = approx.soft_argmax_min_levels(approx.SoftmaxConfig()) + 1
-        params = scheme.param_gen(128, request.param, depth, 40, allow_insecure=True)
+        # depth 11, deep enough for the unfolded path at five steps,
+        # whose output then sits at level 0
+        params = scheme.param_gen(128, request.param, 11, 40, allow_insecure=True)
         return scheme.keygen(params, np.random.default_rng(request.param))
 
     @pytest.mark.parametrize("classes", [2, 3])
     @pytest.mark.parametrize("iters", range(1, 6))
     def test_matches_the_unfolded_path(self, keys, monkeypatch, classes, iters):
         cfg = approx.SoftmaxConfig(class_count=classes, inv_iterations=iters)
+        monkeypatch.setattr(approx.SoftmaxConfig, "head_fit", no_fit)
         n = keys.scheme.slot_capacity
         rng = np.random.default_rng([classes, iters, n])
         if classes == 2:
             y = rng.uniform(-2, 2, n)
-            ct = enc(keys, y, rng)
-            y, cts = np.column_stack((y, -y)), [ct, scheme.negate(ct)]
+            y = np.column_stack((y, -y))
         else:
             y = centered(rng.uniform(-1.5, 1.5, (n, classes)))
-            cts = [enc(keys, y[:, i], rng) for i in range(classes)]
+        cts = [enc(keys, y[:, i], rng) for i in range(classes)]
         counts = count_key_switches(monkeypatch)
         fast = approx.encrypted_soft_argmax(cts, cfg, keys.evk)
-        # the exp fits' switches and divisions (one pair, or three fits of
-        # 4 and 6), the first Newton step's two rescales, and one switch
-        # and division per product: the index product and two a later
-        # step. With the linear layer's logit rescales, five steps make a
-        # forward pass's 14 and 20, or 21 and 32
-        switches, divisions = {2: (5, 8), 3: (12, 18)}[classes]
-        per_head = {"switch": switches + 2 * iters - 1, "divide": divisions + 2 * iters + 1}
+        # the exp fits' switches and divisions (4 and 6 each), the first
+        # Newton step's two rescales, and one switch and division per
+        # product: the index product and two a later step. With the
+        # linear layer's three logit rescales, five steps make a
+        # three-class forward pass's 21 and 32
+        per_head = {
+            "switch": 4 * classes + 2 * iters - 1,
+            "divide": 6 * classes + 2 * iters + 1,
+        }
         assert counts == per_head
         counts.update(switch=0, divide=0)
         slow = unfolded_soft_argmax(cts, cfg, keys.evk)
@@ -532,12 +536,131 @@ class TestFoldedIndexProduct:
         assert within_ledgers(keys, fast, slow)
 
 
+def two_class_composite(cfg, y):
+    """The exp/Newton circuit at logits (y, -y) in plaintext: (soft-argmax,
+    sigma_1, sigma_2), what the fits approximate."""
+    e = cfg.exp_approx()(np.column_stack((y, -y)))
+    inv = approx.newton_reciprocal_plain(e.sum(axis=1), cfg.sum_interval()[1], cfg.inv_iterations)
+    sig = e * inv[:, None]
+    return sig @ np.array([1.0, 2.0]), sig[:, 0], sig[:, 1]
+
+
+class TestTwoClassFit:
+    """The two-class head as one fit of its exp/Newton composite, against
+    that circuit run per class, on N = 32 and N = 1024 rings deep enough
+    for both (depth 11), and in plaintext."""
+
+    @pytest.fixture(scope="class", params=[16, 512], ids=["n32", "n1024"])
+    def keys(self, request):
+        params = scheme.param_gen(128, request.param, 11, 40, allow_insecure=True)
+        return scheme.keygen(params, np.random.default_rng(request.param + 1))
+
+    @pytest.mark.parametrize("iters", range(1, 6))
+    def test_matches_the_exp_newton_circuit(self, keys, monkeypatch, iters):
+        cfg = approx.SoftmaxConfig(inv_iterations=iters)
+        n = keys.scheme.slot_capacity
+        rng = np.random.default_rng([2, iters, n])
+        y = rng.uniform(-2, 2, n)
+        cts = [enc(keys, y, rng), enc(keys, -y, rng)]
+        counts = count_key_switches(monkeypatch)
+        fast = [approx.encrypted_soft_argmax(cts, cfg, keys.evk, probe_key=keys.sk)]
+        # forming u is one division; the fit's power tree and sums take
+        # 11 switches and 18, so a forward pass, whose linear layer forms
+        # u, takes 11 and 19
+        assert counts == {"switch": 11, "divide": 19}
+        fast += approx.encrypted_softmax(cts, cfg, keys.evk)
+        assert [out.level for out in fast] == [cts[0].level - 6] * 3
+        monkeypatch.setattr(approx.SoftmaxConfig, "head_fit", no_fit)
+        slow = [approx.encrypted_soft_argmax(cts, cfg, keys.evk)]
+        slow += approx.encrypted_softmax(cts, cfg, keys.evk)
+        # the fast outputs' ledgers carry the fits' sup errors against
+        # the composite
+        for f, s, want in zip(fast, slow, two_class_composite(cfg, y)):
+            assert within_ledgers(keys, f, s)
+            for out in (f, s):
+                assert scheme.noise_measure(keys.sk, out, want) <= out.noise_bits
+
+    def test_a_forward_pass_takes_11_switches_and_19_divisions(self, keys, monkeypatch):
+        n = keys.scheme.slot_capacity
+        rng = np.random.default_rng(96)
+        model = neural.LinearModel(rng.normal(0, 0.3, (3, 2)), rng.normal(0, 0.1, 2))
+        cts = neural.encrypt_features(keys.pk, rng.uniform(-1, 1, (n, 3)), rng)
+        counts = count_key_switches(monkeypatch)
+        out = neural.forward_encrypted(model, neural.SoftArgmaxHead(1.1, 2), cts, keys.evk)
+        assert counts == {"switch": 11, "divide": 19}
+        assert out.level == keys.scheme.max_level - 6
+
+    def test_fit_matches_the_composite_on_a_dense_grid(self):
+        cfg = approx.SoftmaxConfig()
+        width = cfg.fit_width()
+        assert width == 2.5
+        y = np.linspace(-width, width, 40001)
+        for fit, want in zip((cfg.head_fit(), cfg.head_fit(0.0)), two_class_composite(cfg, y)):
+            assert fit.degree == 27 and fit.radius == 1.0
+            err = np.max(np.abs(fit(y / width) - want))
+            assert err <= fit.sup_error * 1.01 and fit.sup_error < 1e-7
+        truth = neural.soft_argmax_value(np.column_stack((y, -y)), 1.0)
+        inside = np.abs(y) <= cfg.radius
+        assert np.max(np.abs(cfg.head_fit()(y / width) - truth)[inside]) < 1e-4
+
+    def test_out_of_domain_no_worse_than_the_circuit(self):
+        # on r <= |y| <= 1.25 r the fit tracks the circuit it replaces
+        cfg = approx.SoftmaxConfig()
+        r, width = cfg.radius, cfg.fit_width()
+        y = np.concatenate((np.linspace(-width, -r, 2001), np.linspace(r, width, 2001)))
+        truth = neural.soft_argmax_value(np.column_stack((y, -y)), 1.0)
+        circuit = np.abs(two_class_composite(cfg, y)[0] - truth)
+        fitted = np.abs(cfg.head_fit()(y / width) - truth)
+        assert np.all(fitted <= circuit + 1e-4)
+
+    def test_wide_radius_keeps_the_exp_newton_circuit(self):
+        # Newton from 1/hi diverges short of 1.25 r = 3.75; the degree-9
+        # exp fit takes 4 levels
+        cfg = approx.SoftmaxConfig(radius=3.0, exp_degree=9)
+        assert cfg.head_fit() is None and cfg.head_fit(0.0) is None
+        assert approx.SoftmaxConfig(class_count=3).head_fit() is None
+        assert neural.pipeline_depth(cfg) == 12
+
+    def test_cold_derivation_is_cheap(self):
+        cfg = approx.SoftmaxConfig()
+        cfg.exp_approx()
+
+        def cold():
+            approx.build_head_fit.cache_clear()
+            cfg.head_fit()
+
+        assert min(timeit.repeat(cold, number=1, repeat=20)) <= 1.5e-3
+
+    def test_probe_key_checks_u(self, head_keys, rng):
+        # |u| <= 1 / 1.25: a logit past the radius is refused from the
+        # probe's u as from the logits themselves
+        k = head_keys.scheme.slot_capacity
+        model = neural.LinearModel(np.array([[1.0, -1.0]]), np.zeros(2))
+        head = neural.SoftArgmaxHead(1.0, 2)
+        for y, ok in ((1.99, True), (2.05, False)):
+            cts = neural.encrypt_features(head_keys.pk, np.full((k, 1), y), rng)
+            if ok:
+                neural.forward_encrypted(model, head, cts, head_keys.evk, probe_key=head_keys.sk)
+            else:
+                with pytest.raises(DomainViolation, match="outside"):
+                    neural.forward_encrypted(
+                        model, head, cts, head_keys.evk, probe_key=head_keys.sk
+                    )
+
+
 class TestDepthBookkeeping:
     def test_default_head_depth_is_fixed_constant(self):
+        # two classes: u, then the degree-27 fit; three: the exp/Newton
+        # circuit
         cfg = approx.SoftmaxConfig()
         assert approx.poly_eval_depth(cfg.exp_degree) == 3
+        assert approx.softmax_depth(cfg) == 6
+        assert approx.soft_argmax_min_levels(cfg) == 7
+        assert neural.pipeline_depth(cfg) == 7
+        cfg = approx.SoftmaxConfig(class_count=3)
         assert approx.softmax_depth(cfg) == 10
         assert approx.soft_argmax_min_levels(cfg) == 10
+        assert neural.pipeline_depth(cfg) == 11
 
     @pytest.mark.parametrize("degree", range(1, 16))
     def test_poly_eval_consumes_declared_depth(self, head_keys, rng, degree):

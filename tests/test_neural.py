@@ -310,27 +310,17 @@ class TestEncryptedForward:
             got = scheme.decrypt_to_slots(head_keys.sk, ct)[:k]
             assert np.max(np.abs(got - plain[:, c])) < 2.0 ** -10
 
-    def test_a_negated_class_is_the_negated_logit_with_no_column(
-        self, head_keys, rng, monkeypatch
-    ):
-        # classes 0 and 2 are negatives (weights and bias), class 1 is
-        # not: two scalar_mul_sums columns, and logit 2's residues are
-        # q - x of logit 0's, with its ledger
+    def test_given_classes_run_their_columns_only(self, head_keys, rng, monkeypatch):
+        # classes 2 and 0, in that order: two scalar_mul_sums columns
         k = head_keys.scheme.slot_capacity
-        w = rng.normal(0, 0.5, (4, 2))
-        b = rng.normal(0, 0.2, 2)
-        model = neural.LinearModel(np.column_stack((w, -w[:, 0])), np.append(b, -b[0]))
+        model = neural.LinearModel(rng.normal(0, 0.5, (4, 3)), rng.normal(0, 0.2, 3))
         feats = rng.uniform(-1, 1, (k, 4))
         cts = neural.encrypt_features(head_keys.pk, feats, rng)
         columns = count_sum_columns(monkeypatch)
-        logit_cts = neural.encrypted_logits(model, cts)
+        logit_cts = neural.encrypted_logits(model, cts, classes=[2, 0])
         assert columns == [2]
-        first, neg = logit_cts[0], logit_cts[2]
-        q = first.parts._q
-        assert np.array_equal(neg.parts.residues, (q - first.parts.residues) % q)
-        assert (neg.noise_bits, neg.value_bound) == (first.noise_bits, first.value_bound)
         plain = model.logits(feats)
-        for c, ct in enumerate(logit_cts):
+        for c, ct in zip((2, 0), logit_cts):
             got = scheme.decrypt_to_slots(head_keys.sk, ct)[:k]
             assert np.max(np.abs(got - plain[:, c])) < 2.0 ** -10
 
@@ -363,14 +353,15 @@ class TestEncryptedForward:
         assert np.max(np.abs(got - want)) < 1e-12
         assert np.max(np.abs(got.mean(axis=1))) < 1e-12
 
-    def test_default_pipeline_chain_has_12_primes(self):
-        # the default-1024 benchmark ring: linear layer + default head
+    def test_default_pipeline_chain_has_8_primes(self):
+        # the default-1024 benchmark ring: linear layer + the fitted
+        # two-class head
         depth = neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead()))
-        assert depth == 11
+        assert depth == 7
         params = scheme.param_gen(128, 512, depth, 40, allow_insecure=True)
         assert params.ring.ring_degree == 1024
-        assert params.ring.level_count == 12
-        assert params.special_count == 6
+        assert params.ring.level_count == 8
+        assert params.special_count == 4
 
     def test_identity_model_preserves_feature_order(self, head_keys, rng):
         # class-1 logit = 2*x0: predictions sorted like feature zero
@@ -392,18 +383,22 @@ class TestEncryptedForward:
     def test_forward_leaves_no_reference_cycles(self, head_keys, rng):
         # a cycle would pin the batch's ciphertexts and the evk until the
         # cyclic collector happens to run
+        # the exp/Newton head (three classes) and the fitted one (two)
         k = head_keys.scheme.slot_capacity
-        model = neural.LinearModel(rng.normal(0, 0.4, (3, 3)), rng.normal(0, 0.1, 3))
-        head = neural.SoftArgmaxHead(1.2, 3)
         cts = neural.encrypt_features(head_keys.pk, rng.uniform(-1, 1, (k, 3)), rng)
-        neural.forward_encrypted(model, head, cts, head_keys.evk)  # fill lazy caches
-        gc.collect()
-        gc.disable()
-        try:
-            neural.forward_encrypted(model, head, cts, head_keys.evk)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        for classes in (3, 2):
+            model = neural.LinearModel(
+                rng.normal(0, 0.4, (3, classes)), rng.normal(0, 0.1, classes)
+            )
+            head = neural.SoftArgmaxHead(1.2, classes)
+            neural.forward_encrypted(model, head, cts, head_keys.evk)  # fill lazy caches
+            gc.collect()
+            gc.disable()
+            try:
+                neural.forward_encrypted(model, head, cts, head_keys.evk)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
     def test_a_cold_parameter_set_builds_its_ntt_tables_once(self, head_params, monkeypatch):
         # each hnn command derives its tables cold: the key ring's are

@@ -402,8 +402,8 @@ class TestBatchedChain:
 # largest 42-bit and smallest 14-bit NTT primes of the N=1024 ring
 _Q_LARGEST = ring.prime_below(1 << 42, 2 * 1024)
 _Q_SMALLEST = ring.prime_above(1 << 13, 2 * 1024)
-# a depth-12, 13-prime chain at 512 slots (N = 1024): the default head's
-# 12 primes and the next one
+# a depth-12, 13-prime chain at 512 slots (N = 1024): the three-class
+# head's 12 primes and the next one
 _DEFAULT_CHAIN = scheme.param_gen(128, 512, 12, scale_bits=40, allow_insecure=True).ring.moduli
 _Y_BOUND = 1 << 49
 

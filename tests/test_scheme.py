@@ -73,15 +73,15 @@ class TestParamGen:
                 assert params.key_ring.total_bits() <= bound
                 assert params.key_ring.moduli[params.special_count :] == params.ring.moduli
 
-    def test_secure_128_keeps_six_special_primes(self):
-        # 493 chain bits + 6 * 42 = 745 <= 881 at N = 32768
+    def test_secure_128_keeps_four_special_primes(self):
+        # 329 chain bits + 4 * 42 = 497 <= 881 at N = 32768
         cfg = neural.head_config(neural.SoftArgmaxHead())
         params = scheme.param_gen(128, 16384, neural.pipeline_depth(cfg), 40)
-        assert params.ring.ring_degree == 32768 and params.ring.total_bits() == 493
-        assert (params.digit_size, params.special_count) == (6, 6)
-        assert params.key_ring.total_bits() == 745
+        assert params.ring.ring_degree == 32768 and params.ring.total_bits() == 329
+        assert (params.digit_size, params.special_count) == (4, 4)
+        assert params.key_ring.total_bits() == 497 <= scheme.SECURITY_TABLE[128][32768]
         assert len(params.digits(params.max_level)) == 2
-        special = params.key_ring.moduli[:6]
+        special = params.key_ring.moduli[:4]
         assert all(p.bit_length() == 42 and p not in params.ring.moduli for p in special)
 
     def test_special_primes_step_down_to_fit_the_table(self):
@@ -674,10 +674,9 @@ class TestMultRescale:
         self.check_relinearized_every_level(small_keys, rng)
 
     def test_relinearized_matches_three_part_decrypt_on_the_head_chain(self, rng):
-        # the default head's 12-prime N = 1024 chain, k = 6: two digits
-        # from level 6 up, one below
-        depth = neural.pipeline_depth(neural.head_config(neural.SoftArgmaxHead()))
-        params = scheme.param_gen(128, 512, depth, 40, allow_insecure=True)
+        # the exp/Newton head's 12-prime N = 1024 chain (depth 11), k = 6:
+        # two digits from level 6 up, one below
+        params = scheme.param_gen(128, 512, 11, 40, allow_insecure=True)
         assert (params.ring.level_count, params.special_count) == (12, 6)
         keys = scheme.keygen(params, np.random.default_rng(72))
         self.check_relinearized_every_level(keys, rng)
@@ -834,7 +833,7 @@ class TestProductSum:
     """scheme.mult_rescale_sum, one key switch and one division for a sum
     of products and an addend, against the path it replaces: a
     mult_rescale per product and a rescale of the addend, added, on the
-    N = 32 ring and the default head's 12-prime N = 1024 chain."""
+    N = 32 ring and the default head's 8-prime N = 1024 chain."""
 
     @pytest.fixture(scope="class", params=["n32", "default"])
     def keys(self, request):
