@@ -8,7 +8,8 @@ division by P*q_l. It then evaluates two sums of products, each under
 one key switch and one division a sum: x*x + y*y + z through
 mult_rescale_sum, and the head's degree-7 exp fit through
 eval_poly_encrypted; that fit at +x and -x from one power tree,
-through eval_poly_pair; and the default two-class soft-argmax head, one
+through eval_poly_pair; a degree-31 exp fit, whose tree forms y^3 for
+its 4-coefficient nodes; and the default two-class soft-argmax head, one
 degree-27 fit of its exp/Newton circuit whose ledger carries the fit's
 sup error, against that circuit in plaintext (the fits and the head
 when the chain is deep enough). It compares each ledger estimate with the
@@ -79,6 +80,10 @@ def main() -> int:
         rows.append(("exp fit, deg 7", approx.eval_poly_encrypted(x, fit, keys.evk), fit(v)))
         plus, minus = approx.eval_poly_pair(x, fit, keys.evk)
         rows += [("exp pair +x, deg 7", plus, fit(v)), ("exp pair -x, deg 7", minus, fit(-v))]
+    # deep enough for y^3's baby steps, with no fit error charged
+    deep = approx.build_exp_approx(2.0, 31)
+    if params.max_level > approx.poly_eval_depth(deep.degree):
+        rows.append(("exp fit, deg 31", approx.eval_poly_encrypted(x, deep, keys.evk), deep(v)))
     cfg = approx.SoftmaxConfig()
     if params.max_level >= approx.soft_argmax_min_levels(cfg):
         # a centred logit in [-2, 2] and its negation through the fitted

@@ -16,12 +16,13 @@ Layers, bottom up:
   ``python -m hnn.cli`` runs it once; ``from hnn import cli`` loads it.
 
 Importing hnn fixes glibc's mmap and trim thresholds, process-wide, at
-12 and 24 MiB. Left dynamic, they rise to the largest block freed and
+7 and 24 MiB. Left dynamic, they rise to the largest block freed and
 twice that, so a batch's ciphertexts and their bundle fill the brk heap
 right up to the trim threshold, and one result kept from the batch
-decides whether the heap shrinks. Fixed, a 512 x 64 batch's 13 MiB
-bundle is a mapping of its own, and the (2, 17, N) blocks of a key
-switch at N = 32768 (8.9 MB) still reuse heap pages.
+decides whether the heap shrinks. Fixed, a 512 x 64 batch's 8 MiB
+bundle on the 8-prime chain is a mapping of its own, and the
+(2, 12, N) blocks of a key switch at N = 32768 (6 MiB) still reuse
+heap pages.
 """
 
 import contextlib
@@ -32,7 +33,7 @@ from . import approx, encoding, errors, neural, ring, scheme, serialize
 with contextlib.suppress(OSError, AttributeError, TypeError):  # no glibc
     _mallopt = ctypes.CDLL(None).mallopt
     _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    _mallopt(-3, 12 << 20)  # -3: M_MMAP_THRESHOLD
+    _mallopt(-3, 7 << 20)  # -3: M_MMAP_THRESHOLD
     _mallopt(-1, 24 << 20)  # -1: M_TRIM_THRESHOLD
 
 __all__ = [

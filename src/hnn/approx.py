@@ -8,7 +8,10 @@ scheme primitives:
   ceil(log2 d), with its coefficients multiplied in as scalars
   (scheme.mult_const, scheme.add_const) at compensating scales so every
   internal sum sees matching scales. A node's products share one key
-  switch, so a degree-7, 15 or 31 fit takes 4, 7 or 12. eval_poly_pair
+  switch, so a degree-7 or 15 fit takes 4 or 7. From degree 16 on the
+  tree also forms y^3, a baby step: a node's leaf is then
+  c1 y + c2 y^2 + c3 y^3 in scalar products, a 4-coefficient node one
+  rescale, and a degree-27 or 31 fit takes 8 or 10. eval_poly_pair
   gives p(y) and p(-y) from one tree: p = E + O with E even and O odd,
   so p(-y) = E(y) - O(y), and E is a polynomial in y^2 over the tree's
   upper powers.
@@ -37,7 +40,7 @@ scheme primitives:
 Every ciphertext product here is rescaled at once, by one ring.divide
 by P*q_l where mult and rescale would run two, and the products of one
 sum share it and their key switch (scheme.mult_rescale_sum): an exp
-tree node's, with its c1*y as the addend. The other scalar products
+tree node's, with its leaf as the addend. The other scalar products
 (mult_const) rescale on their own.
 """
 
@@ -139,6 +142,15 @@ def _power_tree(ct: Ciphertext, approx: PolyApprox, evk: RelinKey) -> list:
     return powers
 
 
+def _cube(powers: list, evk: RelinKey):
+    """y^3 = y * y^2, one level under y^2, once the tree reaches y^16,
+    else None: one key switch that turns _poly_node's 4-coefficient
+    nodes into lone rescales."""
+    if len(powers) < 5:
+        return None
+    return scheme.mult_rescale(scheme.ct_drop_level(powers[0], powers[1].level), powers[1], evk)
+
+
 def eval_poly_encrypted(
     ct: Ciphertext, approx: PolyApprox, evk: RelinKey
 ) -> Ciphertext:
@@ -149,7 +161,8 @@ def eval_poly_encrypted(
     """
     powers = _power_tree(ct, approx, evk)
     out = _poly_node(
-        list(approx.coefficients), ct.level - len(powers), ct.scale, powers, evk
+        list(approx.coefficients), ct.level - len(powers), ct.scale, powers, evk,
+        _cube(powers, evk),
     )
     return scheme.with_value_bound(out, approx.max_abs + approx.sup_error)
 
@@ -178,26 +191,32 @@ def eval_poly_pair(ct: Ciphertext, approx: PolyApprox, evk: RelinKey) -> tuple:
     return tuple(scheme.with_value_bound(p, bound) for p in pair)
 
 
-def _poly_node(coeffs, level, scale, powers, evk) -> Ciphertext:
+def _poly_node(coeffs, level, scale, powers, evk, cube=None) -> Ciphertext:
     """sum_k coeffs[k] y^k at ``level`` and ``scale``, from the power tree
-    powers[i] = y^(2^i), as sum_j y^(2^j)*p_j + c1*y + c0 with p_j, the
-    coefficients [2^j, 2^(j+1)), a node one level up: the products and
-    c1*y, at level + 1 and scale*q, share one key switch and division;
+    powers[i] = y^(2^i), as sum_j y^(2^j)*p_j + leaf + c0 with p_j, the
+    coefficients [2^j, 2^(j+1)), a node one level up. The leaf is c1*y,
+    or, where ``cube`` = y^3 reaches level + 1, c1*y + c2*y^2 + c3*y^3,
+    and the splits start at y^4 (baby steps, Paterson and Stockmeyer,
+    SIAM J. Comput. 1973). The products and the leaf's mult_const
+    terms, at level + 1 and scale*q, share one key switch and division;
     c0, which at scale*q would pass encode_constant's range, comes after.
     A module function, not a closure, so one evaluation leaves no
     reference cycle pinning the powers and the evk.
     """
     q = powers[0].scheme.ring.moduli[level + 1]
+    basis = powers[:1] if cube is None or cube.level <= level else [*powers[:2], cube]
     pairs = []
-    # the largest split first, so that its deeper subtree runs while no
-    # other operand of this sum is alive
-    for i in reversed(range(1, (len(coeffs) - 1).bit_length())):
+    # splits from the power past the leaf's, y^2 or y^4, the largest first,
+    # so that its deeper subtree runs while no other operand is alive
+    for i in reversed(range(len(basis).bit_length(), (len(coeffs) - 1).bit_length())):
         y_i = powers[i]
-        hi = _poly_node(coeffs[1 << i : 2 << i], level + 1, scale * q / y_i.scale, powers, evk)
+        hi = _poly_node(
+            coeffs[1 << i : 2 << i], level + 1, scale * q / y_i.scale, powers, evk, cube
+        )
         pairs.append((scheme.ct_drop_level(y_i, level + 1), hi))
-    c1 = coeffs[1] if len(coeffs) > 1 else 0.0
-    leaf = scheme.mult_const(
-        scheme.ct_drop_level(powers[0], level + 1), c1, scale * q / powers[0].scale
+    leaf = scheme.tree_sum(
+        scheme.mult_const(scheme.ct_drop_level(y_k, level + 1), c, scale * q / y_k.scale)
+        for y_k, c in zip(basis, coeffs[1:] or [0.0])
     )
     out = scheme.mult_rescale_sum(pairs, evk, leaf) if pairs else scheme.rescale(leaf)
     return scheme.add_const(out, coeffs[0]) if coeffs[0] else out

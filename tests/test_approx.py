@@ -157,16 +157,58 @@ class TestPolyTree:
             assert out.level == deep_keys.scheme.max_level - approx.poly_eval_depth(degree)
             assert scheme.noise_measure(deep_keys.sk, out, fit(x)) <= out.noise_bits
 
-    @pytest.mark.parametrize("degree, switches", [(7, 4), (15, 7), (31, 12)])
-    def test_key_switches_per_fit(self, deep_keys, monkeypatch, degree, switches):
-        # the power tree's depth - 1 squarings, then one switch per sum:
-        # each node's products and its c1*y share one key switch and one
-        # division; only the nodes' degree-one operands rescale alone
+    @pytest.mark.parametrize("degree, switches, divisions", [
+        pytest.param(d, s, v, id=f"{d}-{s}")
+        for d, s, v in ((7, 4, 6), (15, 7, 11), (16, 7, 10), (20, 8, 11), (23, 8, 11),
+                        (27, 8, 12), (31, 10, 14))
+    ])
+    def test_key_switches_per_fit(self, deep_keys, monkeypatch, degree, switches, divisions):
+        # the power tree's depth - 1 squarings, y^3 from degree 16 on,
+        # then one switch per sum: each node's products and its leaf
+        # share one key switch and one division; the nodes with no
+        # product, whose leaf is c1*y, or with y^3 c1*y + c2*y^2 + c3*y^3,
+        # rescale alone
         ct = enc(deep_keys, np.zeros(deep_keys.scheme.slot_capacity), np.random.default_rng(92))
         counts = count_key_switches(monkeypatch)
         approx.eval_poly_encrypted(ct, approx.build_exp_approx(2.0, degree, tol=None), deep_keys.evk)
-        hi_leaves = (degree + 1) // 4
-        assert counts == {"switch": switches, "divide": switches + hi_leaves}
+        assert counts == {"switch": switches, "divide": divisions}
+
+
+class TestBabySteps:
+    """The y^3 tree of a fit of degree 16 or more against the tree it
+    replaces, which splits every node on y^2 (approx._cube patched to
+    form no y^3), on N = 32 and N = 1024 rings of depth 6."""
+
+    @pytest.fixture(scope="class", params=[16, 512], ids=["n32", "n1024"])
+    def keys(self, request):
+        params = scheme.param_gen(128, request.param, 6, 40, allow_insecure=True)
+        return scheme.keygen(params, np.random.default_rng(request.param + 2))
+
+    @pytest.mark.parametrize("degree", [16, 20, 27, 31])
+    def test_matches_the_plain_tree_within_the_ledgers(self, keys, monkeypatch, degree):
+        n = keys.scheme.slot_capacity
+        rng = np.random.default_rng([3, degree, n])
+        fit = approx.build_exp_approx(2.0, degree, tol=None)
+        x = rng.uniform(-2, 2, n)
+        ct = enc(keys, x, rng)
+        fast = approx.eval_poly_encrypted(ct, fit, keys.evk)
+        monkeypatch.setattr(approx, "_cube", lambda powers, evk: None)
+        plain = approx.eval_poly_encrypted(ct, fit, keys.evk)
+        assert fast.level == plain.level == keys.scheme.max_level - approx.poly_eval_depth(degree)
+        assert within_ledgers(keys, fast, plain)
+        for out in (fast, plain):
+            assert scheme.noise_measure(keys.sk, out, fit(x)) <= out.noise_bits
+
+    @pytest.mark.parametrize("degree", [7, 15])
+    def test_a_shallower_fit_keeps_the_plain_tree(self, deep_keys, monkeypatch, degree):
+        n = deep_keys.scheme.slot_capacity
+        ct = enc(deep_keys, np.linspace(-2, 2, n), np.random.default_rng(degree))
+        fit = approx.build_exp_approx(2.0, degree)
+        fast = approx.eval_poly_encrypted(ct, fit, deep_keys.evk)
+        monkeypatch.setattr(approx, "_cube", lambda powers, evk: None)
+        plain = approx.eval_poly_encrypted(ct, fit, deep_keys.evk)
+        assert np.array_equal(fast.parts.residues, plain.parts.residues)
+        assert (fast.scale, fast.noise_bits) == (plain.scale, plain.noise_bits)
 
 
 class TestPolyPair:
@@ -564,10 +606,10 @@ class TestTwoClassFit:
         cts = [enc(keys, y, rng), enc(keys, -y, rng)]
         counts = count_key_switches(monkeypatch)
         fast = [approx.encrypted_soft_argmax(cts, cfg, keys.evk, probe_key=keys.sk)]
-        # forming u is one division; the fit's power tree and sums take
-        # 11 switches and 18, so a forward pass, whose linear layer forms
-        # u, takes 11 and 19
-        assert counts == {"switch": 11, "divide": 19}
+        # forming u is one division; the fit's power tree, y^3 and sums
+        # take 8 switches and 12, so a forward pass, whose linear layer
+        # forms u, takes 8 and 13
+        assert counts == {"switch": 8, "divide": 13}
         fast += approx.encrypted_softmax(cts, cfg, keys.evk)
         assert [out.level for out in fast] == [cts[0].level - 6] * 3
         monkeypatch.setattr(approx.SoftmaxConfig, "head_fit", no_fit)
@@ -580,14 +622,14 @@ class TestTwoClassFit:
             for out in (f, s):
                 assert scheme.noise_measure(keys.sk, out, want) <= out.noise_bits
 
-    def test_a_forward_pass_takes_11_switches_and_19_divisions(self, keys, monkeypatch):
+    def test_a_forward_pass_takes_8_switches_and_13_divisions(self, keys, monkeypatch):
         n = keys.scheme.slot_capacity
         rng = np.random.default_rng(96)
         model = neural.LinearModel(rng.normal(0, 0.3, (3, 2)), rng.normal(0, 0.1, 2))
         cts = neural.encrypt_features(keys.pk, rng.uniform(-1, 1, (n, 3)), rng)
         counts = count_key_switches(monkeypatch)
         out = neural.forward_encrypted(model, neural.SoftArgmaxHead(1.1, 2), cts, keys.evk)
-        assert counts == {"switch": 11, "divide": 19}
+        assert counts == {"switch": 8, "divide": 13}
         assert out.level == keys.scheme.max_level - 6
 
     def test_fit_matches_the_composite_on_a_dense_grid(self):

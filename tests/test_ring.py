@@ -1769,15 +1769,27 @@ class _MallInfo2(ctypes.Structure):
     )]
 
 
-def test_large_blocks_stay_mapped_after_one_is_freed():
-    # importing hnn fixes glibc's mmap threshold: left dynamic, freeing
-    # the first 16 MiB block would put the next one on the brk heap
+def _assert_mapped_twice(size):
+    """Two blocks of ``size`` bytes in turn are each a mapping of their own."""
     libc = ctypes.CDLL(None)
     if not hasattr(libc, "mallinfo2"):
         pytest.skip("needs glibc >= 2.33")
     libc.mallinfo2.argtypes, libc.mallinfo2.restype = (), _MallInfo2
     for _ in range(2):
         mapped = libc.mallinfo2().hblkhd
-        block = np.ones(16 << 20, np.uint8)
-        assert libc.mallinfo2().hblkhd - mapped >= 16 << 20
+        block = np.ones(size, np.uint8)
+        assert libc.mallinfo2().hblkhd - mapped >= size
         del block
+
+
+def test_large_blocks_stay_mapped_after_one_is_freed():
+    # importing hnn fixes glibc's mmap threshold: left dynamic, freeing
+    # the first 16 MiB block would put the next one on the brk heap
+    _assert_mapped_twice(16 << 20)
+
+
+def test_a_feature_bundle_is_mapped():
+    # a 512 x 64 batch's bundle on the default 8-prime N = 1024 chain:
+    # 64 ciphertexts of 2 x 8 x 1024 words, their ledger records, the
+    # header and the checksum
+    _assert_mapped_twice(8_390_544)
