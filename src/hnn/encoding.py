@@ -77,15 +77,44 @@ class Plaintext:
 
 
 def embed_to_coeffs(values: np.ndarray, ring_degree: int) -> np.ndarray:
-    """Pull a full slot vector back through the embedding (float result)."""
-    z = np.zeros(ring_degree // 2, dtype=np.complex128)
-    z[slot_positions(ring_degree)] = values
+    """Pull slot vectors (last axis) back through the embedding (float)."""
+    z = np.zeros(values.shape[:-1] + (ring_degree // 2,), dtype=np.complex128)
+    z[..., slot_positions(ring_degree)[: values.shape[-1]]] = values
     return ring.folded_ifft(z)
 
 
 def coeffs_to_slots(coeffs: np.ndarray, ring_degree: int) -> np.ndarray:
     """Evaluate float coefficients at the slot roots (complex result)."""
     return ring.folded_fft(coeffs)[slot_positions(ring_degree)]
+
+
+def encode_columns(values, scale: float, ring_degree: int):
+    """encode's (d, N) int64 coefficients, round errors and value bounds
+    for the d columns of an (m, d) matrix, bit for bit, from one folded
+    IFFT and one residual folded FFT over all columns."""
+    n = ring_degree
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValueError(f"expected an (m, d) matrix, not shape {values.shape}")
+    if len(values) > n // 2:
+        raise ValueError(f"slot vector length {values.shape[:1]} exceeds capacity {n // 2}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("slot values must be finite")
+    if scale < MIN_SCALE:
+        raise ValueError(f"scale {scale} below precision floor {MIN_SCALE}")
+
+    peak = np.max(np.abs(values), axis=0, initial=0.0)
+    # |coefficient| <= max|slot|; by division, so huge slots cannot overflow
+    if np.any(peak >= MAX_COEFF / scale):
+        raise ValueError("scaled coefficients exceed exact integer range")
+    coeffs = embed_to_coeffs(values.T, n)
+    coeffs *= scale
+    ints = np.rint(coeffs).astype(np.int64)
+    # honest rounding cost, measured in the slot domain (the slots fill
+    # folded_fft's outputs, so their max needs no gather)
+    coeffs -= ints
+    round_errors = np.max(np.abs(ring.folded_fft(coeffs)), axis=-1)
+    return ints, round_errors, peak + round_errors / scale
 
 
 def encode(
@@ -96,35 +125,19 @@ def encode(
 ) -> Plaintext:
     """Round scale * embedding^-1(values) into an RNS plaintext.
 
-    values: real vector of length <= N/2 (zero-padded to N/2).
+    values: real vector of length <= N/2 (zero-padded to N/2); the
+    one-column case of encode_columns, whose refusals it keeps.
     Rounding is half-to-even on the scaled embedding output.
     """
     n = params.ring_degree
     if level is None:
         level = params.max_level
     values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    if values.ndim != 1 or len(values) > n // 2:
-        raise ValueError(
-            f"slot vector length {values.shape} exceeds capacity {n // 2}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValueError("slot values must be finite")
-    if scale < MIN_SCALE:
-        raise ValueError(f"scale {scale} below precision floor {MIN_SCALE}")
-
-    full = np.zeros(n // 2)
-    full[: len(values)] = values
-    # |coefficient| <= max|slot|; by division, so huge slots cannot overflow
-    if np.max(np.abs(full)) >= MAX_COEFF / scale:
-        raise ValueError("scaled coefficients exceed exact integer range")
-    coeffs = embed_to_coeffs(full, n) * scale
-    ints = np.rint(coeffs).astype(np.int64)
-    # honest rounding cost, measured in the slot domain
-    residual = coeffs_to_slots(coeffs - ints, n)
-    round_error = float(np.max(np.abs(residual)))
+    if values.ndim != 1:
+        raise ValueError(f"slot vector length {values.shape} exceeds capacity {n // 2}")
+    (ints,), (round_error,), (bound,) = encode_columns(values[:, None], scale, n)
     poly = ring.from_int_coeffs(ints, params, level)
-    bound = float(np.max(np.abs(full))) + round_error / scale
-    return Plaintext(poly, float(scale), round_error, bound)
+    return Plaintext(poly, float(scale), float(round_error), float(bound))
 
 
 def decode(pt: Plaintext) -> np.ndarray:

@@ -357,17 +357,10 @@ def forward_encrypted(
 
 
 def encrypt_features(pk: scheme.PublicKey, features, rng: np.random.Generator):
-    """Column-pack a (m, d) feature matrix into d ciphertexts."""
-    features = np.asarray(features, dtype=np.float64)
-    m, d = features.shape
-    slots = pk.scheme.ring.ring_degree // 2
-    if m > slots:
-        raise ValueError(f"batch of {m} exceeds {slots} slots")
-    cts = []
-    for j in range(d):
-        pt = encoding.encode(features[:, j], pk.scheme.scale, pk.scheme.ring)
-        cts.append(scheme.encrypt(pk, pt, rng))
-    return cts
+    """Column-pack a (m, d) feature matrix, m <= N/2, into d ciphertexts
+    in one pass (scheme.encrypt_columns), as encode and encrypt per
+    column would."""
+    return scheme.encrypt_columns(pk, features, rng)
 
 
 def scores_to_classes(scores, class_count: int) -> np.ndarray:

@@ -107,6 +107,9 @@ MAX_SUM_TERMS = 1 << 21
 # A signed limb is lo in [-2^20, 2^20) of x = lo + 2^21*rest (_limbs).
 _LIMB_BITS = 21
 
+# fft_mul's int64 term: |plus| below this keeps its sum under 2^56.
+MAX_PLUS = 1 << 52
+
 # scalar_mul_sums' float64 products. A weight |w| <= MAX_WEIGHT (an
 # encoded constant's cap) splits into three limbs of magnitude at most
 # 2^20 and a residue into two of at most 2^21, so a limb product is at
@@ -1110,7 +1113,8 @@ def fft_spectra(a: RingElement) -> np.ndarray:
 def fft_mul(a: RingElement, spectra: np.ndarray, u: np.ndarray, plus: np.ndarray) -> RingElement:
     """a*u + plus exactly, as a Coefficient element, for N int coefficients
     u in {-1, 0, 1}, spectra = fft_spectra(a) and an int64 plus that
-    broadcasts to a's (parts, rows, N) block: per limb one product
+    broadcasts to a's (parts, rows, N) block (a (parts, 1, N) block of
+    integers joins every prime's row alike): per limb one product
     of folded spectra, one batched folded_ifft, then the rounded limb
     products recombined as lo + 2^21*hi, plus added, and one reduction.
 
@@ -1121,8 +1125,9 @@ def fft_mul(a: RingElement, spectra: np.ndarray, u: np.ndarray, plus: np.ndarray
     2^20*sqrt(N) and |u| = sqrt(weight), about 2^-11 at N = 32768 and
     weight 2N/3. A result more than 1/4 from an integer raises
     FloatingPointError rather than round wrongly. With centred |a| <
-    2^41 and plus below 2^42 (a residue and a small error e), the sum is
-    |x| <= weight(u)*2^41 + 2^42 + |e|, below 2^56 at N = 32768 and
+    2^41 and |plus| < MAX_PLUS = 2^52 (a residue or a signed message
+    coefficient, plus a small error e; a larger plus raises ValueError),
+    the sum is |x| <= weight(u)*2^41 + 2^52, below 2^56 at N = 32768 and
     weight 2N/3, where the quotient estimate rint(x*(1/q_j)) is within
     one of x/q_j.
     """
@@ -1134,6 +1139,8 @@ def fft_mul(a: RingElement, spectra: np.ndarray, u: np.ndarray, plus: np.ndarray
         raise ValueError(f"expected {n} coefficients in {{-1, 0, 1}}")
     if getattr(plus, "dtype", None) != np.int64 or np.broadcast_shapes(plus.shape, shape) != shape:
         raise ValueError(f"plus must be an int64 array that broadcasts to {shape}")
+    if not (-MAX_PLUS < plus.min() and plus.max() < MAX_PLUS):
+        raise ValueError("plus must lie below 2^52 in magnitude")
     z = spectra * folded_fft(u)
     f = folded_ifft(z)
     rounded = np.rint(f, out=z.view(np.float64))

@@ -484,6 +484,26 @@ def fft_mul_two_step(a, spectra, u, m, e0, e1):
     return ring.ring_add(product, errors)
 
 
+def encrypt_per_column(pk, features, rng):
+    """The d ciphertexts of an (m, d) matrix as encrypt_features made them
+    one column at a time: the column zero-padded to N/2, one folded IFFT,
+    the rounding error from one folded FFT of the residual, an RNS
+    Plaintext, and scheme.encrypt, with one rng for every column."""
+    params = pk.scheme
+    n, scale = params.ring.ring_degree, params.scale
+    cts = []
+    for column in np.asarray(features, dtype=np.float64).T:
+        full = np.zeros(n // 2)
+        full[: len(column)] = column
+        coeffs = encoding.embed_to_coeffs(full, n) * scale
+        ints = np.rint(coeffs).astype(np.int64)
+        error = float(np.max(np.abs(encoding.coeffs_to_slots(coeffs - ints, n))))
+        bound = float(np.max(np.abs(full))) + error / scale
+        poly = ring.from_int_coeffs(ints, params.ring, params.max_level)
+        cts.append(scheme.encrypt(pk, encoding.Plaintext(poly, scale, error, bound), rng))
+    return cts
+
+
 def gaussian_draws(n, std, rng, tail_bound):
     """gaussian_coeffs' draw sequence, written out: N normals, then
     every coefficient that rounds to tail_bound*std or beyond drawn again

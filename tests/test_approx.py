@@ -1,4 +1,5 @@
 import math
+import time
 import timeit
 
 import numpy as np
@@ -664,6 +665,12 @@ class TestTwoClassFit:
         assert neural.pipeline_depth(cfg) == 12
 
     def test_cold_derivation_is_cheap(self):
+        # The derivation works through arrays of SUP_GRID_POINTS floats,
+        # so a process running beside it, sharing caches and memory
+        # bandwidth, slows every call of a 25 ms burst by up to 1.6x (1.58
+        # against 0.99 ms best of 20 on a 2-core host, while a bench ran).
+        # Bursts of 20 cold calls are taken for up to 2 s until one's best
+        # meets the bound, so the test reads the derivation, not the load.
         cfg = approx.SoftmaxConfig()
         cfg.exp_approx()
 
@@ -671,7 +678,10 @@ class TestTwoClassFit:
             approx.build_head_fit.cache_clear()
             cfg.head_fit()
 
-        assert min(timeit.repeat(cold, number=1, repeat=20)) <= 1.5e-3
+        best, deadline = math.inf, time.perf_counter() + 2.0
+        while best > 1.5e-3 and time.perf_counter() < deadline:
+            best = min(best, *timeit.repeat(cold, number=1, repeat=20))
+        assert best <= 1.5e-3
 
     def test_probe_key_checks_u(self, head_keys, rng):
         # |u| <= 1 / 1.25: a logit past the radius is refused from the

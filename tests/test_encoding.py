@@ -77,6 +77,55 @@ class TestEncode:
                 encoding.encode(values, 2.0 ** 40, params)
 
 
+class TestEncodeColumns:
+    """encoding.encode_columns against encode, column by column."""
+
+    @pytest.mark.parametrize("n, m, d", [(8, 4, 1), (8, 3, 5), (64, 32, 7), (1024, 300, 3), (64, 0, 2)])
+    def test_rows_are_encode_of_each_column(self, n, m, d):
+        params = make_params(n, [42, 41])
+        rng = np.random.default_rng(n + m + d)
+        values = rng.normal(0.0, 3.0, (m, d))
+        if d > 2:
+            values[:, 1] = 0.0
+            values[:, 2] *= 2.0 ** 18
+        scale = 2.0 ** 40
+        ints, errors, bounds = encoding.encode_columns(values, scale, n)
+        assert ints.shape == (d, n) and ints.dtype == np.int64
+        for j in range(d):
+            pt = encoding.encode(values[:, j], scale, params)
+            signed, _ = ring.compose_signed(pt.poly)
+            assert np.array_equal(ints[j], np.asarray(signed, dtype=np.int64))
+            assert (errors[j], bounds[j]) == (pt.round_error, pt.value_bound)
+
+    @pytest.mark.parametrize(
+        "column, scale",
+        [
+            (np.zeros(5), 2.0 ** 30),  # > N/2 slots
+            (np.array([np.nan, 0.0]), 2.0 ** 30),
+            (np.array([np.inf, 0.0]), 2.0 ** 30),
+            (np.array([0.0, -(2.0 ** 22)]), 2.0 ** 40),  # at the 2^62 cap
+            (np.array([1e300, 0.2]), 2.0 ** 40),
+            (np.array([0.5]), 2.0 ** 9),  # below the scale floor
+        ],
+        ids=["too-long", "nan", "inf", "at-cap", "overflowing", "low-scale"],
+    )
+    def test_refuses_what_encode_refuses(self, column, scale):
+        # the same message, for the column alone and beside a good one
+        params = make_params()
+        with pytest.raises(ValueError) as want:
+            encoding.encode(column, scale, params)
+        for matrix in (column[:, None], np.column_stack((np.zeros(len(column)), column))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as got:
+                    encoding.encode_columns(matrix, scale, 8)
+            assert str(got.value) == str(want.value)
+
+    def test_refuses_a_vector(self):
+        with pytest.raises(ValueError, match="matrix"):
+            encoding.encode_columns(np.zeros(4), 2.0 ** 30, 8)
+
+
 class TestEncodeConstant:
     @pytest.mark.parametrize("value", [0.75, -1.3, 0.0, -2.0 ** 20, 3.0e6])
     def test_residues_equal_ntt_of_constant_polynomial(self, value):

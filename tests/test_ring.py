@@ -1467,6 +1467,25 @@ class TestFftProduct:
         plus = np.stack((zero, e))[:, None, :]
         assert np.array_equal(ring.fft_mul(a, spectra, u, plus).residues, want.residues)
 
+    def test_plus_headroom(self):
+        # |plus| < 2^52 is taken exactly at N = 32768 and weight 2N/3, the
+        # bound's worst case; 2^52 either way, and int64's minimum, whose
+        # abs wraps, are refused
+        n = 32768
+        rp = make_params(n, [42] + [41] * 12)
+        rng = np.random.default_rng(67)
+        a = self.pair(rp, rng)
+        spectra, u = ring.fft_spectra(a), ring.ternary_coeffs(n, 2 * n // 3, rng)
+        e = rng.integers(-ring.MAX_PLUS + 1, ring.MAX_PLUS, n)
+        e[:4] = ring.MAX_PLUS - 1, 1 - ring.MAX_PLUS, ring.MAX_PLUS - 2, 0
+        want = fft_mul_two_step(a, spectra, u, ring.zero(rp, rp.max_level), e, e)
+        assert np.array_equal(ring.fft_mul(a, spectra, u, e[None, None]).residues, want.residues)
+        for bad in (ring.MAX_PLUS, -ring.MAX_PLUS, np.iinfo(np.int64).min):
+            plus = e.copy()
+            plus[7] = bad
+            with pytest.raises(ValueError, match="2\\^52"):
+                ring.fft_mul(a, spectra, u, plus)
+
     def test_rejects_bad_plus(self):
         rp = make_params(64, [42, 41, 41])
         rng = np.random.default_rng(66)

@@ -19,6 +19,7 @@ from helpers import (
     constant_plaintext,
     decrypt_three_part,
     encrypt_four_ntt,
+    encrypt_per_column,
     gadget_params,
     pair_with_zero,
     relinearize_crt,
@@ -381,6 +382,81 @@ class TestEncryptDecrypt:
         block = np.stack([d.residues for d in tensor])
         with pytest.raises(ValueError, match="needs 2 parts"):
             dataclasses.replace(cu, parts=tensor[0]._like(block))
+
+
+class TestEncryptColumns:
+    """scheme.encrypt_columns, which encrypt_features runs, against
+    encode and scheme.encrypt one column at a time with the same rng:
+    the same bundle bytes and ledgers."""
+
+    @pytest.fixture(scope="class")
+    def n1024_keys(self):
+        params = scheme.param_gen(128, 512, 7, 40, allow_insecure=True)
+        return scheme.keygen(params, np.random.default_rng(81))
+
+    @pytest.fixture(scope="class")
+    def large_keys(self):
+        # N = 32768 on the 128-bit table
+        params = scheme.param_gen(128, 16384, 2, 40)
+        assert params.ring.ring_degree == 32768
+        return scheme.keygen(params, np.random.default_rng(82))
+
+    @staticmethod
+    def assert_matches_per_column(keys, features, seed):
+        params = keys.scheme
+        got = scheme.encrypt_columns(keys.pk, features, np.random.default_rng(seed))
+        want = encrypt_per_column(keys.pk, features, np.random.default_rng(seed))
+        assert [ct.parts.domain for ct in got] == [ring.Domain.COEFFICIENT] * len(want)
+        assert [(ct.level, ct.scale, ct.noise_bits, ct.value_bound) for ct in got] == [
+            (ct.level, ct.scale, ct.noise_bits, ct.value_bound) for ct in want
+        ]
+        blobs = [
+            serialize.bundle_to_bytes(serialize.Bundle(serialize.BUNDLE_FEATURES, len(features), cts), params)
+            for cts in (got, want)
+        ]
+        assert blobs[0] == blobs[1]
+        return got
+
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    @pytest.mark.parametrize("ring_keys", ["small_keys", "n1024_keys"])
+    def test_matches_per_column_encryption(self, request, ring_keys, d):
+        keys = request.getfixturevalue(ring_keys)
+        slots = keys.scheme.ring.ring_degree // 2
+        rng = np.random.default_rng(d)
+        for m in (slots, slots // 2 + 1):
+            self.assert_matches_per_column(keys, rng.normal(0.0, 2.0, (m, d)), seed=d + m)
+
+    def test_matches_per_column_encryption_on_a_large_ring(self, large_keys):
+        features = np.random.default_rng(83).uniform(-4.0, 4.0, (16384, 3))
+        self.assert_matches_per_column(large_keys, features, seed=84)
+
+    def test_large_slots_join_as_residues(self, n1024_keys, monkeypatch):
+        # a column of slots near 2^20 has coefficients past 2^51 at scale
+        # 2^40 and joins as residues; its neighbours join as integers
+        keys = n1024_keys
+        rng = np.random.default_rng(85)
+        features = rng.uniform(-1.0, 1.0, (512, 4))
+        features[:, 2] = rng.uniform(2.0 ** 19, 2.0 ** 20, 512) * rng.choice([-1, 1], 512)
+        calls = []
+        reduce = ring.from_int_coeffs
+
+        def spy(coeffs, *args):
+            calls.append(int(np.max(np.abs(coeffs))))
+            return reduce(coeffs, *args)
+
+        monkeypatch.setattr(ring, "from_int_coeffs", spy)
+        got = self.assert_matches_per_column(keys, features, seed=86)
+        # one call from the column path, then one per column from the oracle
+        assert len(calls) == 1 + 4 and calls[0] >= 2 ** 51 > max(calls[1:3] + calls[4:])
+        back = scheme.decrypt_to_slots(keys.sk, got[2])[:512]
+        assert np.max(np.abs(back - features[:, 2])) < 2.0 ** -10
+
+    def test_refusals(self, small_keys):
+        k = small_keys.scheme.ring.ring_degree // 2
+        with pytest.raises(ValueError, match="exceeds capacity"):
+            scheme.encrypt_columns(small_keys.pk, np.zeros((k + 1, 2)), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="matrix"):
+            scheme.encrypt_columns(small_keys.pk, np.zeros(k), np.random.default_rng(0))
 
 
 class TestFreshCiphertextDomain:
